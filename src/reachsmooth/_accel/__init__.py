@@ -1,28 +1,15 @@
-"""Scan-kernel backend selection.
+"""The three scan kernels behind the reach scan and the checkers.
 
-Prefers the compiled extension when it imported cleanly; the env var
-``REACHSMOOTH_FORCE_PY=1`` pins the numpy fallback (used by tests and the
-backend benchmark).  Both backends implement the same reduction order, so
-results are bit-identical either way.
+Callers reach every kernel through this module (``_accel.federer_scan``
+and so on), which is also where the benchmark's tracer wraps them.  The
+one implementation is the NumPy/SciPy code in ``_slow``;
+``IMPLEMENTATION`` names it and is what ``reachsmooth.accel_backend`` and
+the smoothing report's ``backend`` field record.
 """
 
-import os
+from ._slow import directed_hausdorff, federer_scan, max_abs_diff_quotient
 
-from . import _slow
-
-if os.environ.get("REACHSMOOTH_FORCE_PY") == "1":
-    _impl = _slow
-else:
-    try:
-        from . import _fast as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _slow
-
-IMPLEMENTATION = _impl.IMPLEMENTATION
-
-federer_scan = _impl.federer_scan
-max_abs_diff_quotient = _impl.max_abs_diff_quotient
-directed_hausdorff = _impl.directed_hausdorff
+IMPLEMENTATION = "python"
 
 __all__ = [
     "IMPLEMENTATION",

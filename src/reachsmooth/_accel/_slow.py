@@ -1,15 +1,15 @@
-"""Numpy implementations of the quadratic scan kernels.
+"""NumPy/SciPy implementations of the scan kernels.
 
-These are the reference semantics; the Cython module `_fast` mirrors them
-loop for loop.  Tie-breaking is first-encountered in the enumeration
-order ``for i < j: (i -> j) then (j -> i)`` so both implementations return
-identical argmin indices, which in turn keeps CSV output byte-identical
-whichever one is loaded.
+``federer_scan`` visits every ordered pair; its tie-breaking is
+first-encountered in the enumeration order ``for i < j: (i -> j) then
+(j -> i)``, which fixes the argmin indices and so keeps CSV output
+byte-identical from run to run.  The other two kernels avoid the pair
+loop: the difference quotient needs only adjacent samples of a sorted
+grid, and the directed Hausdorff distance is a nearest-neighbour query.
 """
 
 import numpy as np
-
-IMPLEMENTATION = "python"
+from scipy.spatial import cKDTree
 
 _DEGENERATE_REL = 1e-14
 
@@ -62,46 +62,28 @@ def federer_scan(points, tangents, min_sep):
 
 
 def max_abs_diff_quotient(xs, vals):
-    """Largest |vals_i - vals_j| / |xs_i - xs_j| over all pairs.
+    """Largest |vals_i - vals_j| / (xs_j - xs_i) over all pairs i < j.
 
-    Pairs closer than 1e-300 in x are skipped.  Returns
-    ``(quotient, i, j)``; first-encountered pair wins ties.
+    ``xs`` must be strictly increasing, with at least two samples.  On
+    such a grid every chord slope is a convex combination of the adjacent
+    slopes between its ends, so the maximum over adjacent pairs is the
+    maximum over all pairs.  Returns ``(quotient, i, i + 1)`` for the
+    first adjacent pair that attains it.
     """
     x = np.ascontiguousarray(xs, dtype=np.float64)
     v = np.ascontiguousarray(vals, dtype=np.float64)
-    n = x.shape[0]
-    best = 0.0
-    bi = bj = -1
-    for i in range(n - 1):
-        dx = np.abs(x[i + 1:] - x[i])
-        dv = np.abs(v[i + 1:] - v[i])
-        ok = dx > 1e-300
-        if not np.any(ok):
-            continue
-        q = np.where(ok, dv / np.where(ok, dx, 1.0), -1.0)
-        k = int(np.argmax(q))
-        if q[k] > best:
-            best = float(q[k])
-            bi, bj = i, i + 1 + k
-    return best, bi, bj
+    q = np.abs(np.diff(v)) / np.diff(x)
+    k = int(np.argmax(q))
+    return float(q[k]), k, k + 1
 
 
 def directed_hausdorff(a, b):
     """sup over rows of a of the distance to the point set b.
 
-    Returns ``(value, index)`` with index the maximizing row of a.
+    Returns ``(value, index)`` with index the first maximizing row of a.
     """
     pa = np.ascontiguousarray(a, dtype=np.float64)
     pb = np.ascontiguousarray(b, dtype=np.float64)
-    best = -1.0
-    bi = -1
-    chunk = max(1, int(4e6) // max(1, pb.shape[0]))
-    for lo in range(0, pa.shape[0], chunk):
-        part = pa[lo:lo + chunk]
-        d2 = ((part[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
-        mins = np.sqrt(d2.min(axis=1))
-        k = int(np.argmax(mins))
-        if mins[k] > best:
-            best = float(mins[k])
-            bi = lo + k
-    return best, bi
+    dist, _ = cKDTree(pb).query(pa)
+    k = int(np.argmax(dist))
+    return float(dist[k]), k

@@ -31,7 +31,7 @@ from . import _accel
 from ._util import fmt17, json_dumps_stable
 from .curves import ClosedCurve, local_graph_at, make_shape
 from .errors import InvalidInputError
-from .kernels import BumpKernel, Interval, _convolve_taps, find_support_radius, sup_deviation_ck
+from .kernels import BumpKernel, Interval, _convolve_taps, find_support_radius
 from .linalg import hausdorff_distance_sampled
 from .partition import make_reference_plateau
 from .reach import analytic_reach
@@ -88,11 +88,20 @@ def _result(name, measured, bound, tolerance, grid, seed, instance,
 
 
 def estimate_lipschitz(xs, vals):
-    """Largest difference quotient over all pairs of samples."""
+    """Largest difference quotient over all pairs of samples.
+
+    ``xs`` must be strictly increasing.  On a sorted grid the slope of
+    any chord is a convex combination of the adjacent slopes it spans,
+    so the largest quotient over all pairs is the largest over adjacent
+    pairs, which is all that is computed.  Unsorted or repeated ``xs``
+    would break that identity and raise instead.
+    """
     xs = np.ascontiguousarray(xs, dtype=float)
     vals = np.ascontiguousarray(vals, dtype=float)
     if xs.shape != vals.shape or xs.ndim != 1 or xs.size < 2:
         raise InvalidInputError("need matching 1-D arrays of length >= 2")
+    if not np.all(np.diff(xs) > 0):
+        raise InvalidInputError("xs must be strictly increasing")
     q, _, _ = _accel.max_abs_diff_quotient(xs, vals)
     return float(q)
 
@@ -191,16 +200,11 @@ def check_convolution_lipschitz(f, df, lip, kernel, domain, *, order=0,
                    grid_n, seed, instance)
 
 
-def _searched_blend(f, df, psi, rho, domain, order, *, sigma_max=None,
-                    grid_step_divisor=12):
+def _searched_blend(f, df, psi, rho, domain, order, *, sigma_max=None):
     window = Interval(-psi.support_radius, psi.support_radius)
-    sigma = find_support_radius(
-        f, df, window, domain, rho, k=order, sigma_max=sigma_max,
-        grid_step=None)
-    kern = BumpKernel(sigma)
-    dev = sup_deviation_ck(f, df, kern, window, k=order,
-                           grid_step=sigma / grid_step_divisor)
-    return BlendedMap(f, df, psi, kern, domain, rho, dev)
+    sigma, dev = find_support_radius(
+        f, df, window, domain, rho, k=order, sigma_max=sigma_max)
+    return BlendedMap(f, df, psi, BumpKernel(sigma), domain, rho, dev)
 
 
 def check_blend_lipschitz(f, df, lip, lip_d, psi, rho, domain, *, order=0,

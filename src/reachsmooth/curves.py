@@ -22,7 +22,7 @@ import numpy as np
 
 from ._util import as_float, as_positive_float, as_vector
 from .errors import GeometryError, InvalidInputError
-from .kernels import Interval
+from .kernels import _GL_W, _GL_X, Interval
 
 __all__ = [
     "BaseShape",
@@ -41,16 +41,6 @@ __all__ = [
     "LocalGraph",
     "local_graph_at",
 ]
-
-_GL_X = 0.5 * (1.0 + np.array([
-    -0.9602898564975362, -0.7966664774136267, -0.5255324099163290,
-    -0.1834346424956498, 0.1834346424956498, 0.5255324099163290,
-    0.7966664774136267, 0.9602898564975362]))
-_GL_W = 0.5 * np.array([
-    0.1012285362903763, 0.2223810344533745, 0.3137066458778873,
-    0.3626837833783620, 0.3626837833783620, 0.3137066458778873,
-    0.2223810344533745, 0.1012285362903763])
-
 
 class BaseShape:
     """Arc-length parametrized closed plane curve."""

@@ -31,7 +31,6 @@ __all__ = [
     "Interval",
     "shrink_domain",
     "BumpKernel",
-    "make_bump_kernel",
     "bump_normalizer",
     "adaptive_simpson",
     "convolve",
@@ -39,6 +38,16 @@ __all__ = [
     "sup_deviation_ck",
     "find_support_radius",
 ]
+
+# 8-point Gauss-Legendre nodes/weights on [0, 1]
+_GL_X = 0.5 * (1.0 + np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.5255324099163290,
+    -0.1834346424956498, 0.1834346424956498, 0.5255324099163290,
+    0.7966664774136267, 0.9602898564975362]))
+_GL_W = 0.5 * np.array([
+    0.1012285362903763, 0.2223810344533745, 0.3137066458778873,
+    0.3626837833783620, 0.3626837833783620, 0.3137066458778873,
+    0.2223810344533745, 0.1012285362903763])
 
 
 @dataclass(frozen=True)
@@ -145,33 +154,38 @@ class BumpKernel:
         return _tap_scheme(self.sigma, int(order), int(taps))
 
 
+def _tap_weights(u, y, order):
+    """Tap weights on the symmetric offsets ``y`` (``u = y / sigma``).
+
+    Order 0 is the bump sampled at ``u``, normalized to unit sum.  Order
+    1 is the bump's derivative, antisymmetrized and scaled so that the
+    first moment against ``y`` is exactly -1.
+    """
+    if order == 0:
+        w = _bump_raw(u)
+        return w / w.sum()
+    if order != 1:
+        raise InvalidInputError(f"order must be 0 or 1, got {order}")
+    w = _bump_raw_d(u)
+    w = 0.5 * (w - w[::-1])
+    scale = -float(np.dot(w, y))
+    if scale <= 0:
+        raise InvalidInputError("degenerate derivative tap scheme")
+    return w / scale
+
+
 @lru_cache(maxsize=256)
 def _tap_scheme(sigma, order, m):
     if order not in (0, 1):
         raise InvalidInputError(f"order must be 0 or 1, got {order}")
     if m < 4:
         raise InvalidInputError(f"at least 4 taps per side required, got {m}")
-    j = np.arange(-m, m + 1)
-    u = j / float(m)
+    u = np.arange(-m, m + 1) / float(m)
     y = u * sigma
-    if order == 0:
-        w = _bump_raw(u)
-        w = w / w.sum()
-    else:
-        w = _bump_raw_d(u)
-        w = 0.5 * (w - w[::-1])
-        scale = -float(np.dot(w, y))
-        if scale <= 0:
-            raise InvalidInputError("degenerate derivative tap scheme")
-        w = w / scale
+    w = _tap_weights(u, y, order)
     y.setflags(write=False)
     w.setflags(write=False)
     return y, w
-
-
-def make_bump_kernel(sigma, dim=1):
-    """Bump kernel of support radius ``sigma`` (graph dimension 1 only)."""
-    return BumpKernel(sigma=sigma, dim=dim)
 
 
 def adaptive_simpson(g, a, b, tol=1e-10, max_depth=48):
@@ -305,19 +319,7 @@ def convolve_grid(values, kernel, step, order=0):
     if v.size < 2 * m + 1:
         raise InvalidInputError("not enough samples for one kernel width")
     j = np.arange(-m, m + 1)
-    u = j * (h / kernel.sigma)
-    if order == 0:
-        w = _bump_raw(u)
-        w = w / w.sum()
-    elif order == 1:
-        w = _bump_raw_d(u)
-        w = 0.5 * (w - w[::-1])
-        scale = -float(np.dot(w, j * h))
-        if scale <= 0:
-            raise InvalidInputError("degenerate derivative tap scheme")
-        w = w / scale
-    else:
-        raise InvalidInputError(f"order must be 0 or 1, got {order}")
+    w = _tap_weights(j * (h / kernel.sigma), j * h, order)
     # out[t] = sum_j w_j values[t + m - j]
     out = np.convolve(v, w, mode="valid")
     return out, m
@@ -415,6 +417,12 @@ def find_support_radius(f, df, window, domain, target, k=1, *,
     first passing radius is returned, so the result is within a factor
     two of the largest passing power-of-two fraction of the start.
 
+    Returns
+    -------
+    (sigma, deviation)
+        The passing radius and the deviation ``sup_deviation_ck``
+        measured for it.
+
     Raises
     ------
     ConvergenceError
@@ -436,7 +444,7 @@ def find_support_radius(f, df, window, domain, target, k=1, *,
         kern = BumpKernel(sigma)
         dev = sup_deviation_ck(f, df, kern, window, k=k, grid_step=grid_step)
         if dev <= t:
-            return sigma
+            return sigma, dev
         sigma *= 0.5
         if sigma < floor:
             raise ConvergenceError(

@@ -173,10 +173,6 @@ def hausdorff_distance_sampled(a, b):
     pa = as_points(pa, "a", dim=pa.shape[1])
     if pa.shape[0] == 0 or pb.shape[0] == 0:
         raise InvalidInputError("point sets must be nonempty")
-    if pa.shape[1] == 2:
-        backend = _accel
-    else:
-        from ._accel import _slow as backend  # compiled kernel is 2-D only
-    dab, _ = backend.directed_hausdorff(pa, pb)
-    dba, _ = backend.directed_hausdorff(pb, pa)
+    dab, _ = _accel.directed_hausdorff(pa, pb)
+    dba, _ = _accel.directed_hausdorff(pb, pa)
     return max(dab, dba)

@@ -25,7 +25,7 @@ from scipy.interpolate import CubicHermiteSpline
 
 from ._util import as_positive_float
 from .errors import InvalidInputError
-from .kernels import _bump_raw, _bump_raw_d
+from .kernels import _GL_W, _GL_X, _bump_raw, _bump_raw_d
 
 __all__ = [
     "PlateauFunction",
@@ -38,17 +38,6 @@ __all__ = [
 
 _RAMP_NODES = 2048
 _MEASURE_GRID = 10001
-
-# 8-point Gauss-Legendre nodes/weights on [0, 1]
-_GL_X = 0.5 * (1.0 + np.array([
-    -0.9602898564975362, -0.7966664774136267, -0.5255324099163290,
-    -0.1834346424956498, 0.1834346424956498, 0.5255324099163290,
-    0.7966664774136267, 0.9602898564975362]))
-_GL_W = 0.5 * np.array([
-    0.1012285362903763, 0.2223810344533745, 0.3137066458778873,
-    0.3626837833783620, 0.3626837833783620, 0.3137066458778873,
-    0.2223810344533745, 0.1012285362903763])
-
 
 @lru_cache(maxsize=1)
 def _ramp_spline():

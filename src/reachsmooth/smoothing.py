@@ -34,7 +34,8 @@ from ._util import as_positive_float
 from .curves import (AppliedPatch, BaseShape, ClosedCurve, LocalGraph,
                      local_graph_at, make_shape, sample_manifold)
 from .errors import ConvergenceError, GeometryError, InvalidInputError
-from .kernels import BumpKernel, Interval, _convolve_taps, convolve_grid, find_support_radius
+from .kernels import (BumpKernel, Interval, _convolve_taps, convolve_grid,
+                      find_support_radius, sup_deviation_ck)
 from .partition import (PlateauFunction, make_reference_plateau,
                         plateau_lipschitz_bounds, rescale_plateau,
                         smoothing_window_radius)
@@ -216,16 +217,16 @@ def blend_function(f, df, domain, psi, rho, *, sigma=None, sigma_max=None,
             f"rho={r} violates the blend precondition rho < {lim:.6g}")
     window = Interval(-psi.support_radius, psi.support_radius)
     if sigma is None:
-        cap = sigma_max
-        sigma = find_support_radius(f, df, window, domain, r, k=1,
-                                    sigma_max=cap, grid_step=grid_step)
-    kern = BumpKernel(sigma)
-    from .kernels import sup_deviation_ck
-    dev = sup_deviation_ck(f, df, kern, window, k=1, grid_step=grid_step)
-    if dev > r:
-        raise InvalidInputError(
-            f"requested sigma={sigma} misses the deviation budget: {dev} > {r}")
-    return BlendedMap(f, df, psi, kern, domain, r, dev)
+        sigma, dev = find_support_radius(f, df, window, domain, r, k=1,
+                                         sigma_max=sigma_max,
+                                         grid_step=grid_step)
+    else:
+        dev = sup_deviation_ck(f, df, BumpKernel(sigma), window, k=1,
+                               grid_step=grid_step)
+        if dev > r:
+            raise InvalidInputError(
+                f"requested sigma={sigma} misses the deviation budget: {dev} > {r}")
+    return BlendedMap(f, df, psi, BumpKernel(sigma), domain, r, dev)
 
 
 @dataclass(frozen=True)

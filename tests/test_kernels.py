@@ -177,6 +177,23 @@ def test_convolve_grid_matches_taps():
     assert np.allclose(out, direct, atol=1e-14)
 
 
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("sigma, m", [(0.32, 16), (1.0, 10), (0.075, 24)])
+def test_convolve_grid_weights_match_tap_scheme(sigma, m, order):
+    # with sigma/step = m the grid route samples the offsets of the m-tap
+    # scheme, so both routes must build the same weights
+    k = BumpKernel(sigma)
+    h = sigma / m
+    y, w = k.tap_scheme(order, taps=m)
+    assert np.abs(y - np.arange(-m, m + 1) * h).max() <= 1e-15
+    # convolving a unit impulse at the centre returns the weights
+    impulse = np.zeros(4 * m + 1)
+    impulse[2 * m] = 1.0
+    out, mm = convolve_grid(impulse, k, h, order=order)
+    assert mm == m
+    assert np.abs(out - w).max() <= 1e-14 * np.abs(w).max()
+
+
 def test_convolve_grid_needs_enough_taps():
     k = BumpKernel(0.1)
     with pytest.raises(InvalidInputError):
@@ -212,18 +229,21 @@ def test_find_support_radius_affine_returns_start():
     df = lambda x: np.full_like(np.asarray(x, dtype=float), 2.0)
     window = Interval(-1.0, 1.0)
     domain = Interval(-2.0, 2.0)
-    sigma = find_support_radius(f, df, window, domain, 1e-9, k=1)
+    sigma, dev = find_support_radius(f, df, window, domain, 1e-9, k=1)
     # affine input passes at the first candidate: the full room
     assert sigma == pytest.approx(1.0, rel=1e-9)
+    assert dev <= 1e-9
 
 
 def test_find_support_radius_abs_bracket():
     target = 0.01
     window = Interval(-0.5, 0.5)
     domain = Interval(-2.0, 2.0)
-    sigma = find_support_radius(np.abs, np.sign, window, domain, target, k=0)
+    sigma, dev = find_support_radius(np.abs, np.sign, window, domain, target,
+                                     k=0)
     k = BumpKernel(sigma)
-    dev = sup_deviation_ck(np.abs, np.sign, k, window, k=0)
+    # the returned deviation is the measurement of the passing radius
+    assert dev == sup_deviation_ck(np.abs, np.sign, k, window, k=0)
     assert dev <= target
     # halving search: one doubling back would overshoot the budget
     assert C1_ABS_MOMENT * (2.0 * sigma) > target * 0.99

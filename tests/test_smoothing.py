@@ -195,7 +195,7 @@ def test_run_report_consistency(circle_run):
     assert rep.R_hat_measured == circle_run.scan.value
     assert rep.R_prime_predicted == predicted_reach_bound(
         rep.R_input, rep.delta, rep.rho)
-    assert rep.backend in ("compiled", "python")
+    assert rep.backend == "python"
 
 
 def test_run_meets_reach_and_distance_budgets(circle_run):
