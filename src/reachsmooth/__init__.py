@@ -26,21 +26,17 @@ from .curves import (ArcChainShape, ArcSegment, CircleShape, ClosedCurve,
                      EllipseShape, LineSegment, LocalGraph, local_graph_at,
                      make_shape, rounded_rectangle_segments, sample_manifold,
                      stadium_segments)
-from .errors import (ConvergenceError, DomainError, GeometryError,
-                     InvalidInputError)
-from .kernels import (BumpKernel, Interval, adaptive_simpson, bump_normalizer,
-                      convolve, convolve_grid, find_support_radius,
-                      shrink_domain, sup_deviation_ck)
-from .linalg import (AffineSubspace, Subspace, dist_point_to_affine,
-                     hausdorff_distance_sampled, operator_two_norm,
-                     subspace_angle)
+from .errors import ConvergenceError, GeometryError, InvalidInputError
+from .kernels import (BumpKernel, Interval, convolve, convolve_grid,
+                      find_support_radius, sup_deviation_ck)
+from .linalg import hausdorff_distance_sampled
 from .partition import (PlateauFunction, make_reference_plateau,
                         plateau_lipschitz_bounds, rescale_plateau,
                         smoothing_window_radius)
 from .reach import (ReachEstimate, analytic_reach, estimate_reach_federer,
                     federer_ratio, scan_curve_reach)
 from .smoothing import (BlendedMap, Net, ProbeResult, SmoothingReport,
-                        SmoothingResult, blend_function, build_net,
+                        SmoothingResult, build_net,
                         effective_radius_drop, far_away_reach_bound,
                         predicted_reach_bound, smooth_core_probe,
                         smooth_manifold, smooth_patch)
@@ -53,18 +49,16 @@ __all__ = [
     "EllipseShape", "LineSegment", "LocalGraph", "local_graph_at",
     "make_shape", "rounded_rectangle_segments", "sample_manifold",
     "stadium_segments",
-    "ConvergenceError", "DomainError", "GeometryError", "InvalidInputError",
-    "BumpKernel", "Interval", "adaptive_simpson", "bump_normalizer",
-    "convolve", "convolve_grid", "find_support_radius", "shrink_domain",
-    "sup_deviation_ck",
-    "AffineSubspace", "Subspace", "dist_point_to_affine",
-    "hausdorff_distance_sampled", "operator_two_norm", "subspace_angle",
+    "ConvergenceError", "GeometryError", "InvalidInputError",
+    "BumpKernel", "Interval", "convolve", "convolve_grid",
+    "find_support_radius", "sup_deviation_ck",
+    "hausdorff_distance_sampled",
     "PlateauFunction", "make_reference_plateau", "plateau_lipschitz_bounds",
     "rescale_plateau", "smoothing_window_radius",
     "ReachEstimate", "analytic_reach", "estimate_reach_federer",
     "federer_ratio", "scan_curve_reach",
     "BlendedMap", "Net", "ProbeResult", "SmoothingReport", "SmoothingResult",
-    "blend_function", "build_net", "effective_radius_drop",
+    "build_net", "effective_radius_drop",
     "far_away_reach_bound", "predicted_reach_bound", "smooth_core_probe",
     "smooth_manifold", "smooth_patch",
     "__version__",

@@ -29,12 +29,11 @@ import numpy as np
 
 from . import _accel
 from ._util import fmt17, json_dumps_stable
-from .curves import ClosedCurve, local_graph_at, make_shape
+from .curves import ClosedCurve, local_graph_at
 from .errors import InvalidInputError
-from .kernels import BumpKernel, Interval, _convolve_taps, find_support_radius
+from .kernels import BumpKernel, Interval, convolve, find_support_radius
 from .linalg import hausdorff_distance_sampled
 from .partition import make_reference_plateau
-from .reach import analytic_reach
 from .smoothing import (BlendedMap, SmoothingResult, effective_radius_drop,
                         far_away_reach_bound, predicted_reach_bound,
                         smooth_core_probe, smooth_manifold)
@@ -190,10 +189,10 @@ def check_convolution_lipschitz(f, df, lip, kernel, domain, *, order=0,
         raise InvalidInputError("domain too small for the kernel support")
     xs = np.linspace(shrunk.lo, shrunk.hi, int(grid_n))
     if order == 0:
-        vals = _convolve_taps(f, kernel, xs, 0, 64)
+        vals = convolve(f, kernel, xs)
         measured = estimate_lipschitz(xs, vals)
     else:
-        vals = _convolve_taps(df, kernel, xs, 0, 64)
+        vals = convolve(df, kernel, xs)
         measured = float(np.abs(vals).max())
     tol = 1e-9 * max(1.0, lip)
     return _result(f"conv_lipschitz_order{order}", measured, lip, tol,
@@ -326,7 +325,8 @@ def check_far_point_distance(patch, curve_after, R, sample, *, core_n=96,
     p runs over the blended plateau core, q over curve samples outside
     the patch window; the distance from q to the tangent line at p must
     stay within |q-p|^2/(2R) plus the deviation penalty
-    rho^2/(2R) + rho (6 R L + 6 R + 4).
+    rho^2/(2R) + rho (6 R L + 6 R + 4).  The row's ``grid`` is the number
+    of (p, q) pairs compared.
     """
     r1 = patch.inner_radius
     if arrays is None:
@@ -358,7 +358,7 @@ def check_far_point_distance(patch, curve_after, R, sample, *, core_n=96,
     bound = rho * rho / (2.0 * R) + rho * (6.0 * R * L + 6.0 * R + 4.0)
     tol = 1e-9 * max(1.0, bound)
     return _result("far_point_distance", measured, bound, tol,
-                   int(core_n) * far.shape[0], seed, instance)
+                   ys.size * far.shape[0], seed, instance)
 
 
 # ---------------------------------------------------------------------------

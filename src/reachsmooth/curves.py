@@ -9,14 +9,14 @@ left bit-identical, which is what makes the surgery local in the exact,
 testable sense.
 
 Local graph windows rewrite a stretch of curve as a 1-D graph over its
-tangent line at a chosen point; slopes come from the chain rule through
-the patch stack, not finite differences.
+tangent line at a base arc; slopes come from the chain rule through the
+patch stack, not finite differences.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,11 +59,6 @@ class BaseShape:
     def junction_arcs(self):
         """Arc parameters where the curvature jumps (empty when C^2)."""
         return ()
-
-    def bounding_radius(self):
-        """Radius of a centered disk containing the curve (loose)."""
-        s = np.linspace(0.0, self.length, 512, endpoint=False)
-        return float(np.linalg.norm(self.point(s), axis=1).max())
 
     def describe(self):
         raise NotImplementedError
@@ -507,46 +502,33 @@ class ClosedCurve:
             dy = vel[sel] @ patch.tangent
             vel[sel] += (patch.slope_displacement(yh) * dy)[:, None] * patch.normal
 
-    def point_and_velocity(self, s, upto=None, velocity=True):
-        """Position and (unnormalized) parameter velocity at base arcs.
-
-        ``upto`` limits the patch stack to its first ``upto`` entries:
-        0 is the raw shape, None the full stack.
-        """
+    def point_and_velocity(self, s, *, velocity=True):
+        """Position and (unnormalized) parameter velocity at base arcs."""
         sv = np.asarray(s, dtype=float)
         scalar = sv.ndim == 0
         sv = np.atleast_1d(sv)
         pts = self.shape.point(sv)
         vel = self.shape.tangent(sv) if velocity else None
-        n = len(self.patches) if upto is None else int(upto)
-        if not 0 <= n <= len(self.patches):
-            raise InvalidInputError(f"upto={n} outside the stack of {len(self.patches)}")
         # narrow batches touch few patches; the circular triangle
         # inequality makes the skip exact, so results match a full loop
         lo, hi = (float(sv.min()), float(sv.max())) if sv.size else (0.0, 0.0)
         half = 0.5 * (hi - lo)
-        if n > 0 and sv.size and half < 0.25 * self.length:
+        if self.patches and sv.size and half < 0.25 * self.length:
             mid = 0.5 * (lo + hi)
             L = self.length
-            gap = np.abs(np.mod(self._patch_arcs[:n] - mid + 0.5 * L, L) - 0.5 * L)
-            for k in np.nonzero(gap <= half + self._patch_spans[:n])[0]:
+            gap = np.abs(np.mod(self._patch_arcs - mid + 0.5 * L, L) - 0.5 * L)
+            for k in np.nonzero(gap <= half + self._patch_spans)[0]:
                 self._nudge(sv, pts, vel, self.patches[k])
         else:
-            for patch in self.patches[:n]:
+            for patch in self.patches:
                 self._nudge(sv, pts, vel, patch)
         if scalar:
             return pts[0], (vel[0] if velocity else None)
         return pts, vel
 
-    def point(self, s, upto=None):
-        pts, _ = self.point_and_velocity(s, upto=upto, velocity=False)
+    def point(self, s):
+        pts, _ = self.point_and_velocity(s, velocity=False)
         return pts
-
-    def tangent(self, s, upto=None):
-        _, vel = self.point_and_velocity(s, upto=upto)
-        v = np.atleast_2d(vel)
-        out = v / np.linalg.norm(v, axis=-1, keepdims=True)
-        return out[0] if np.asarray(s).ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -564,7 +546,7 @@ class CurveSample:
         return self.points.shape[0]
 
 
-def sample_manifold(curve, n=None, spacing=None, upto=None):
+def sample_manifold(curve, n=None, spacing=None):
     """Sample a closed curve uniformly in its base parameter.
 
     Exactly one of ``n`` and ``spacing`` must be given.  ``max_gap`` is
@@ -579,7 +561,7 @@ def sample_manifold(curve, n=None, spacing=None, upto=None):
     if n < 8:
         raise InvalidInputError(f"need at least 8 samples, got {n}")
     params = np.arange(n) * (curve.length / n)
-    pts, vel = curve.point_and_velocity(params, upto=upto)
+    pts, vel = curve.point_and_velocity(params)
     tans = vel / np.linalg.norm(vel, axis=-1, keepdims=True)
     gaps = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
     return CurveSample(points=pts, tangents=tans, params=params,
@@ -589,18 +571,17 @@ def sample_manifold(curve, n=None, spacing=None, upto=None):
 class LocalGraph:
     """A stretch of curve written as a graph over its tangent line.
 
-    value/slope/point are vectorized in the tangent coordinate y; the
-    graph value f satisfies f(0) = 0 and slope(0) = 0 by construction of
-    the frame.  Slopes are exact chain-rule quantities of the underlying
+    value/slope are vectorized in the tangent coordinate y; the graph
+    value f satisfies f(0) = 0 and slope(0) = 0 by construction of the
+    frame.  Slopes are exact chain-rule quantities of the underlying
     patched curve, not difference quotients.
     """
 
-    def __init__(self, curve, base_arc, window, upto=None, measure_grid=257):
+    def __init__(self, curve, base_arc, window, measure_grid=257):
         self.curve = curve
         self.base_arc = float(base_arc)
         self.window = window
-        self.upto = len(curve.patches) if upto is None else int(upto)
-        center, vel = curve.point_and_velocity(self.base_arc, upto=self.upto)
+        center, vel = curve.point_and_velocity(self.base_arc)
         t = vel / np.linalg.norm(vel)
         self.center = center
         self.tangent = t
@@ -619,7 +600,7 @@ class LocalGraph:
         theta = self.base_arc + yv
         scale = max(1.0, float(np.linalg.norm(self.center)) + self.window.length)
         for it in range(40):
-            pts, vel = self.curve.point_and_velocity(theta, upto=self.upto)
+            pts, vel = self.curve.point_and_velocity(theta)
             g = (pts - self.center) @ self.tangent - yv
             dg = vel @ self.tangent
             if np.any(dg < 0.05):
@@ -651,33 +632,20 @@ class LocalGraph:
             return float(f[0]), float(df[0])
         return f.reshape(shape), df.reshape(shape)
 
-    def point(self, y):
-        """Ambient position of the graph point above y."""
-        f = self.value(y)
-        yv = np.atleast_1d(np.asarray(y, dtype=float))
-        fv = np.atleast_1d(np.asarray(f, dtype=float))
-        pts = self.center + yv[:, None] * self.tangent + fv[:, None] * self.normal
-        return pts[0] if np.asarray(y).ndim == 0 else pts
 
+def local_graph_at(curve, arc, *, delta=None, reach=None, window_radius=None,
+                   measure_grid=257):
+    """Graph window of a curve around the point at base parameter ``arc``.
 
-def local_graph_at(curve, arc=None, point=None, *, delta=None, reach=None,
-                   window_radius=None, upto=None, measure_grid=257):
-    """Graph window of a curve around a point.
-
-    Either ``arc`` (base parameter) or ``point`` (which must lie on the
-    curve; it is resolved to its parameter) selects the center.  The
-    window half-width defaults to sqrt(delta * reach)/2.
+    The window half-width defaults to sqrt(delta * reach)/2.
 
     Raises
     ------
     GeometryError
         If the curve is not a graph over the tangent line there.
     InvalidInputError
-        If the center is not on the curve (for ``point`` inputs) or the
-        window parameters are missing.
+        If the window parameters are missing or out of range.
     """
-    if (arc is None) == (point is None):
-        raise InvalidInputError("give exactly one of arc and point")
     if window_radius is None:
         if delta is None or reach is None:
             raise InvalidInputError("need delta and reach (or an explicit window_radius)")
@@ -687,36 +655,5 @@ def local_graph_at(curve, arc=None, point=None, *, delta=None, reach=None,
             raise InvalidInputError(f"delta={d} exceeds half the reach bound {r}")
         window_radius = 0.5 * math.sqrt(d * r)
     w = as_positive_float(window_radius, "window_radius")
-    if arc is None:
-        p = as_vector(point, "point", dim=2)
-        arc = _project_to_curve(curve, p, upto=upto)
-    return LocalGraph(curve, float(arc), Interval(-w, w), upto=upto,
+    return LocalGraph(curve, float(arc), Interval(-w, w),
                       measure_grid=measure_grid)
-
-
-def _project_to_curve(curve, p, upto=None, tol_factor=1e-9):
-    dense = sample_manifold(curve, n=4096, upto=upto)
-    d2 = ((dense.points - p) ** 2).sum(axis=1)
-    i = int(np.argmin(d2))
-    s = dense.params[i]
-    # golden-section refine on the distance along the parameter
-    lo = s - 1.5 * dense.spacing
-    hi = s + 1.5 * dense.spacing
-    for _ in range(80):
-        m1 = lo + 0.381966011250105 * (hi - lo)
-        m2 = hi - 0.381966011250105 * (hi - lo)
-        p1 = curve.point(np.array([m1, m2]), upto=upto)
-        f1 = ((p1[0] - p) ** 2).sum()
-        f2 = ((p1[1] - p) ** 2).sum()
-        if f1 <= f2:
-            hi = m2
-        else:
-            lo = m1
-    s = 0.5 * (lo + hi)
-    q = curve.point(s, upto=upto)
-    scale = max(1.0, curve.shape.bounding_radius())
-    if np.linalg.norm(q - p) > tol_factor * scale:
-        raise InvalidInputError(
-            f"point {p.tolist()} is not on the curve "
-            f"(closest approach {np.linalg.norm(q - p):.3e})")
-    return float(np.mod(s, curve.length))

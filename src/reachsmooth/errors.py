@@ -6,10 +6,6 @@ class InvalidInputError(ValueError):
     entries, malformed configuration, parameters outside their range)."""
 
 
-class DomainError(InvalidInputError):
-    """A point lies outside the domain an operation is defined on."""
-
-
 class GeometryError(RuntimeError):
     """A geometric assumption failed at runtime: a window intersects the
     curve in more than one sheet, a projection is ambiguous, a patch

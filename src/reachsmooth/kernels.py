@@ -1,19 +1,17 @@
-"""Compactly supported smoothing kernels and convolution machinery.
+"""Compactly supported smoothing kernel and convolution machinery.
 
 The kernel family is fixed: the classic bump ``exp(-1/(1 - (x/sigma)^2))``
-scaled to unit mass on [-sigma, sigma].  Two quadrature routes coexist:
+scaled to unit mass on [-sigma, sigma].  Convolution is one discrete-tap
+rule: the bump sampled at uniform offsets and normalized to unit sum.
+The weights are nonnegative and sum to one, so convolving sampled values
+can never increase a Lipschitz constant, which is exactly the property
+the verification suite stresses.  ``convolve`` applies the rule at
+arbitrary points, ``convolve_grid`` to values already sampled on a grid
+of the tap spacing.
 
-* an adaptive Simpson rule (tolerance 1e-10) used for scalar spot values
-  and as the slow reference, and
-* a normalized discrete-tap rule on uniform grids.  Its weights are
-  nonnegative and sum to one, so convolving sampled values can never
-  increase a Lipschitz constant, which is exactly the property the
-  verification suite stresses.
-
-Derivatives of a convolution are taken through the kernel when only the
-function is known, and through the function when its slope is also
-available; both routes are exposed and their agreement is part of the
-test surface.
+Derivatives of a convolution are convolutions of the slope: every
+caller knows the slope of what it smooths, so the slope is convolved
+with the same weights as the values.
 """
 
 from __future__ import annotations
@@ -25,14 +23,11 @@ from functools import lru_cache
 import numpy as np
 
 from ._util import as_float, as_positive_float
-from .errors import ConvergenceError, DomainError, InvalidInputError
+from .errors import ConvergenceError, InvalidInputError
 
 __all__ = [
     "Interval",
-    "shrink_domain",
     "BumpKernel",
-    "bump_normalizer",
-    "adaptive_simpson",
     "convolve",
     "convolve_grid",
     "sup_deviation_ck",
@@ -69,27 +64,9 @@ class Interval:
     def length(self):
         return self.hi - self.lo
 
-    @property
-    def mid(self):
-        return 0.5 * (self.lo + self.hi)
-
     def contains(self, x, margin=0.0):
         return bool(np.all((np.asarray(x) >= self.lo - margin)
                            & (np.asarray(x) <= self.hi + margin)))
-
-
-def shrink_domain(domain, sigma):
-    """Pull the boundary of an interval inward by ``sigma``.
-
-    Returns the shrunk interval, or None when nothing is left.  Points of
-    the shrunk interval keep a full kernel support inside ``domain``.
-    """
-    s = as_float(sigma, "sigma")
-    if s < 0:
-        raise InvalidInputError(f"sigma must be >= 0, got {s}")
-    if domain.lo + s > domain.hi - s:
-        return None
-    return Interval(domain.lo + s, domain.hi - s)
 
 
 def _bump_raw(u):
@@ -103,209 +80,78 @@ def _bump_raw(u):
     return out
 
 
-def _bump_raw_d(u):
-    """Derivative of the raw bump; vectorized."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros(u.shape)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    den = (1.0 - ui) * (1.0 + ui)
-    out[inside] = np.exp(-1.0 / den) * (-2.0 * ui) / (den * den)
-    return out
-
-
-@lru_cache(maxsize=1)
-def bump_normalizer():
-    """Integral of the raw bump over its support, to near machine precision."""
-    half = adaptive_simpson(lambda u: float(_bump_raw(u)), 0.0, 1.0, tol=1e-15)
-    return 2.0 * half
-
-
 @dataclass(frozen=True)
 class BumpKernel:
     """Unit-mass bump supported on [-sigma, sigma]."""
 
     sigma: float
-    dim: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", as_positive_float(self.sigma, "sigma"))
-        if self.dim != 1:
-            raise InvalidInputError("only graph dimension 1 is implemented")
 
-    def __call__(self, x):
-        u = np.asarray(x, dtype=float) / self.sigma
-        v = _bump_raw(u) / (self.sigma * bump_normalizer())
-        return v if v.shape else float(v)
-
-    def derivative(self, x):
-        u = np.asarray(x, dtype=float) / self.sigma
-        v = _bump_raw_d(u) / (self.sigma * self.sigma * bump_normalizer())
-        return v if v.shape else float(v)
-
-    def tap_scheme(self, order, taps=64):
+    def tap_scheme(self, taps=64):
         """Discrete weights for convolution on offsets j*sigma/taps.
 
-        Returns (offsets, weights); offsets are in x units.  Order 0
-        weights are nonnegative with exact unit sum; order 1 weights are
-        antisymmetric with first moment exactly -1, so affine functions
-        convolve to themselves / their slope without quadrature error.
+        Returns (offsets, weights); offsets are in x units.  The weights
+        are nonnegative with exact unit sum and symmetric, so affine
+        functions convolve to themselves without quadrature error.
         """
-        return _tap_scheme(self.sigma, int(order), int(taps))
+        return _tap_scheme(self.sigma, int(taps))
 
 
-def _tap_weights(u, y, order):
-    """Tap weights on the symmetric offsets ``y`` (``u = y / sigma``).
-
-    Order 0 is the bump sampled at ``u``, normalized to unit sum.  Order
-    1 is the bump's derivative, antisymmetrized and scaled so that the
-    first moment against ``y`` is exactly -1.
-    """
-    if order == 0:
-        w = _bump_raw(u)
-        return w / w.sum()
-    if order != 1:
-        raise InvalidInputError(f"order must be 0 or 1, got {order}")
-    w = _bump_raw_d(u)
-    w = 0.5 * (w - w[::-1])
-    scale = -float(np.dot(w, y))
-    if scale <= 0:
-        raise InvalidInputError("degenerate derivative tap scheme")
-    return w / scale
+def _tap_weights(u):
+    """The bump sampled at ``u`` (offsets over sigma), normalized to unit sum."""
+    w = _bump_raw(u)
+    return w / w.sum()
 
 
 @lru_cache(maxsize=256)
-def _tap_scheme(sigma, order, m):
-    if order not in (0, 1):
-        raise InvalidInputError(f"order must be 0 or 1, got {order}")
+def _tap_scheme(sigma, m):
     if m < 4:
         raise InvalidInputError(f"at least 4 taps per side required, got {m}")
     u = np.arange(-m, m + 1) / float(m)
     y = u * sigma
-    w = _tap_weights(u, y, order)
+    w = _tap_weights(u)
     y.setflags(write=False)
     w.setflags(write=False)
     return y, w
 
 
-def adaptive_simpson(g, a, b, tol=1e-10, max_depth=48):
-    """Adaptive Simpson quadrature with Richardson correction.
+def convolve(f, kernel, x, taps=64):
+    """Convolution of ``f`` with the kernel at the points ``x``.
 
-    Splitting stops once the local correction is below the (halved per
-    split) tolerance or at ``max_depth`` subdivisions.
+    Parameters
+    ----------
+    f : callable
+        Accepts float arrays, returns values elementwise.  Every point
+        within ``kernel.sigma`` of some x must be in its domain.
+    kernel : BumpKernel
+    x : float or array_like
+        A scalar gives a float back, an array an array of its shape.
+    taps : int
+        Taps per side of the discrete rule.
     """
-    a = as_float(a, "a")
-    b = as_float(b, "b")
-    if b < a:
-        return -adaptive_simpson(g, b, a, tol=tol, max_depth=max_depth)
-    if a == b:
-        return 0.0
-    fa, fm, fb = float(g(a)), float(g(0.5 * (a + b))), float(g(b))
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    stack = [(a, b, fa, fm, fb, whole, tol, 0)]
-    total = 0.0
-    while stack:
-        a0, b0, fa0, fm0, fb0, whole0, tol0, depth = stack.pop()
-        mid = 0.5 * (a0 + b0)
-        lm = 0.5 * (a0 + mid)
-        rm = 0.5 * (mid + b0)
-        flm, frm = float(g(lm)), float(g(rm))
-        left = (mid - a0) / 6.0 * (fa0 + 4.0 * flm + fm0)
-        right = (b0 - mid) / 6.0 * (fm0 + 4.0 * frm + fb0)
-        err = left + right - whole0
-        if depth >= max_depth or abs(err) <= 15.0 * tol0:
-            total += left + right + err / 15.0
-        else:
-            half_tol = 0.5 * tol0
-            stack.append((a0, mid, fa0, flm, fm0, left, half_tol, depth + 1))
-            stack.append((mid, b0, fm0, frm, fb0, right, half_tol, depth + 1))
-    return total
-
-
-def _convolve_adaptive(f, kernel, x, order, tol):
-    s = kernel.sigma
-    if order == 0:
-        def g(y):
-            return kernel(y) * float(f(x - y))
-    else:
-        def g(y):
-            return kernel.derivative(y) * float(f(x - y))
-    # split at 0: the derivative kernel changes sign there
-    return (adaptive_simpson(g, -s, 0.0, tol=tol)
-            + adaptive_simpson(g, 0.0, s, tol=tol))
-
-
-def _convolve_taps(f, kernel, xs, order, taps):
-    y, w = kernel.tap_scheme(order, taps)
+    xs = np.asarray(x, dtype=float)
+    scalar = xs.ndim == 0
+    xs = np.atleast_1d(xs)
+    y, w = kernel.tap_scheme(taps)
     out = np.empty(xs.shape)
     chunk = max(1, int(2e6) // y.size)
     for lo in range(0, xs.size, chunk):
         part = xs[lo:lo + chunk]
         vals = np.asarray(f(part[:, None] - y[None, :]), dtype=float)
         out[lo:lo + chunk] = vals @ w
-    return out
-
-
-def convolve(f, kernel, x, order=0, *, method="auto", domain=None,
-             taps=64, tol=1e-10):
-    """Convolution of ``f`` with the kernel, or its derivative, at ``x``.
-
-    Parameters
-    ----------
-    f : callable
-        Accepts float arrays, returns values elementwise.
-    kernel : BumpKernel
-    x : float or array_like
-    order : 0 or 1
-        0 evaluates (kernel * f)(x); 1 evaluates its derivative, taken
-        through the kernel so no slope of ``f`` is needed.
-    method : {"auto", "adaptive", "taps"}
-        "auto" picks adaptive quadrature for scalars and the tap rule
-        for arrays.
-    domain : Interval, optional
-        When given, every x must lie in the sigma-shrunk domain.
-    taps : int
-        Taps per side for the discrete rule.
-    tol : float
-        Local tolerance for the adaptive rule.
-
-    Raises
-    ------
-    DomainError
-        If ``domain`` is given and some x is outside its shrinkage.
-    """
-    if order not in (0, 1):
-        raise InvalidInputError(f"order must be 0 or 1, got {order}")
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    if domain is not None:
-        inner = shrink_domain(domain, kernel.sigma)
-        if inner is None or not inner.contains(xs, margin=1e-12 * max(1.0, abs(kernel.sigma))):
-            raise DomainError(
-                f"evaluation points leave the sigma-shrunk domain "
-                f"(sigma={kernel.sigma}, domain=[{domain.lo}, {domain.hi}])")
-    if method == "auto":
-        method = "adaptive" if scalar else "taps"
-    if method == "adaptive":
-        out = np.array([_convolve_adaptive(f, kernel, float(v), order, tol)
-                        for v in xs])
-    elif method == "taps":
-        out = _convolve_taps(f, kernel, xs, order, taps)
-    else:
-        raise InvalidInputError(f"unknown method {method!r}")
     return float(out[0]) if scalar else out
 
 
-def convolve_grid(values, kernel, step, order=0):
+def convolve_grid(values, kernel, step):
     """Convolve uniformly sampled values with the kernel (aligned taps).
 
     ``values`` sit on a grid of spacing ``step``; the kernel is sampled
     on the same grid, so the result is a weighted average of the given
-    samples (order 0: nonnegative unit-sum weights, order 1: exact-moment
-    derivative weights).  Returns ``(out, m)`` where ``out[i]``
-    approximates the convolution at grid index ``i + m`` and ``m`` is the
-    one-sided tap count ``floor(sigma/step)``.
+    samples with nonnegative unit-sum weights.  Returns ``(out, m)``
+    where ``out[i]`` approximates the convolution at grid index ``i + m``
+    and ``m`` is the one-sided tap count ``floor(sigma/step)``.
     """
     v = np.ascontiguousarray(values, dtype=float)
     if v.ndim != 1:
@@ -319,18 +165,10 @@ def convolve_grid(values, kernel, step, order=0):
     if v.size < 2 * m + 1:
         raise InvalidInputError("not enough samples for one kernel width")
     j = np.arange(-m, m + 1)
-    w = _tap_weights(j * (h / kernel.sigma), j * h, order)
+    w = _tap_weights(j * (h / kernel.sigma))
     # out[t] = sum_j w_j values[t + m - j]
     out = np.convolve(v, w, mode="valid")
     return out, m
-
-
-def _is_vector_output(f, probe):
-    try:
-        val = np.asarray(f(probe))
-    except Exception:
-        return False
-    return val.shape == probe.shape
 
 
 def _eval_on(f, xs):
@@ -340,24 +178,24 @@ def _eval_on(f, xs):
     return vals
 
 
-def sup_deviation_ck(f, df, kernel, window, k=1, grid_step=None):
+def sup_deviation_ck(f, df, kernel, window, k=1):
     """Grid-measured deviation between ``f`` and its mollification.
 
     Computes max over the window of |smoothed - original|, including the
-    first-derivative mismatch when ``k=1`` (which requires ``df``).
-    The window plus one kernel support must lie inside the domain of
-    ``f``; the caller guarantees that.
+    first-derivative mismatch when ``k=1`` (which requires ``df``).  The
+    window is sampled at spacing at most sigma/50 and every sample is
+    convolved with aligned taps on that spacing.  The window plus one
+    kernel support must lie inside the domain of ``f``; the caller
+    guarantees that.
 
     Parameters
     ----------
     f, df : callables (df may be None when k=0)
     kernel : BumpKernel
     window : Interval
-        Compact evaluation window.
+        Compact evaluation window of positive length.
     k : 0 or 1
         Highest derivative order compared.
-    grid_step : float, optional
-        Evaluation spacing; defaults to sigma/50.
 
     Returns
     -------
@@ -367,48 +205,62 @@ def sup_deviation_ck(f, df, kernel, window, k=1, grid_step=None):
         raise InvalidInputError(f"k must be 0 or 1, got {k}")
     if k == 1 and df is None:
         raise InvalidInputError("k=1 comparison requires the slope callable df")
-    s = kernel.sigma
-    h = as_positive_float(grid_step, "grid_step") if grid_step is not None else s / 50.0
     if window.length <= 0:
-        xs = np.array([window.mid])
-        dev = _pointwise_deviation(f, df, kernel, xs, k)
-        return float(dev)
+        raise InvalidInputError("the deviation window must have positive length")
+    s = kernel.sigma
+    h = s / 50.0
     n = max(201, int(math.ceil(window.length / h)) + 1)
     if n > 4_000_000:
-        raise InvalidInputError("grid_step resolves the window into too many points")
+        raise InvalidInputError("sigma resolves the window into too many points")
     xs = np.linspace(window.lo, window.hi, n)
-    if s / h >= 16.0:
-        # aligned fast path: one extended sample serves every x
-        hh = xs[1] - xs[0] if n > 1 else h
-        m = int(math.floor(s / hh))
-        ext = np.concatenate([
-            window.lo + np.arange(-m, 0) * hh,
-            xs,
-            window.hi + np.arange(1, m + 1) * hh,
-        ])
-        fv = _eval_on(f, ext)
-        conv0, _ = convolve_grid(fv, kernel, hh, order=0)
-        dev = np.abs(conv0 - fv[m:m + n]).max()
-        if k == 1:
-            dfv = _eval_on(df, ext)
-            conv1, _ = convolve_grid(dfv, kernel, hh, order=0)
-            dev = max(dev, np.abs(conv1 - dfv[m:m + n]).max())
-    else:
-        dev = _pointwise_deviation(f, df, kernel, xs, k)
+    # one extended sample serves every x
+    hh = xs[1] - xs[0]
+    m = int(math.floor(s / hh))
+    ext = np.concatenate([
+        window.lo + np.arange(-m, 0) * hh,
+        xs,
+        window.hi + np.arange(1, m + 1) * hh,
+    ])
+    fv = _eval_on(f, ext)
+    conv0, _ = convolve_grid(fv, kernel, hh)
+    dev = np.abs(conv0 - fv[m:m + n]).max()
+    if k == 1:
+        dfv = _eval_on(df, ext)
+        conv1, _ = convolve_grid(dfv, kernel, hh)
+        dev = max(dev, np.abs(conv1 - dfv[m:m + n]).max())
     return float(dev)
 
 
-def _pointwise_deviation(f, df, kernel, xs, k):
-    conv0 = _convolve_taps(f, kernel, xs, 0, 64)
-    dev = np.abs(conv0 - _eval_on(f, xs)).max()
-    if k == 1:
-        conv1 = _convolve_taps(df, kernel, xs, 0, 64)
-        dev = max(dev, np.abs(conv1 - _eval_on(df, xs)).max())
-    return dev
+def _halving_search(measure, start, target, floor, what):
+    """Halve a support radius from ``start`` until its deviation passes.
+
+    ``measure(sigma)`` returns ``(deviation, payload)``.  Returns
+    ``(sigma, halvings, deviation, payload)`` of the first radius whose
+    deviation is at most ``target``.
+
+    Raises
+    ------
+    ConvergenceError
+        When the radius falls below ``floor`` without meeting the target;
+        ``what`` names the search in the message.
+    """
+    sigma = start
+    halvings = 0
+    while True:
+        dev, payload = measure(sigma)
+        if dev <= target:
+            return sigma, halvings, dev, payload
+        sigma *= 0.5
+        halvings += 1
+        if sigma < floor:
+            raise ConvergenceError(
+                f"{what}: deviation {dev:.3e} still above the target "
+                f"{target:.3e} after {halvings - 1} halvings (radius floor "
+                f"{floor:.3e})")
 
 
 def find_support_radius(f, df, window, domain, target, k=1, *,
-                        sigma_max=None, min_shrink=1e-9, grid_step=None):
+                        sigma_max=None, min_shrink=1e-9):
     """Largest halving-search support radius meeting a deviation target.
 
     Starting from the largest radius that keeps the window inside the
@@ -439,14 +291,10 @@ def find_support_radius(f, df, window, domain, target, k=1, *,
     sigma = room * (1.0 - 1e-12)
     if sigma_max is not None:
         sigma = min(sigma, as_positive_float(sigma_max, "sigma_max"))
-    floor = sigma * min_shrink
-    while True:
-        kern = BumpKernel(sigma)
-        dev = sup_deviation_ck(f, df, kern, window, k=k, grid_step=grid_step)
-        if dev <= t:
-            return sigma, dev
-        sigma *= 0.5
-        if sigma < floor:
-            raise ConvergenceError(
-                f"support radius search exhausted below {floor:.3e} "
-                f"(last deviation {dev:.3e}, target {t:.3e})")
+
+    def measure(s):
+        return sup_deviation_ck(f, df, BumpKernel(s), window, k=k), None
+
+    sigma, _, dev, _ = _halving_search(measure, sigma, t, sigma * min_shrink,
+                                       "support radius search")
+    return sigma, dev

@@ -25,7 +25,7 @@ from scipy.interpolate import CubicHermiteSpline
 
 from ._util import as_positive_float
 from .errors import InvalidInputError
-from .kernels import _GL_W, _GL_X, _bump_raw, _bump_raw_d
+from .kernels import _GL_W, _GL_X, _bump_raw
 
 __all__ = [
     "PlateauFunction",
@@ -54,6 +54,17 @@ def _ramp_spline():
     vals = raw / total
     slopes = _bump_raw(2.0 * t - 1.0) / total
     return CubicHermiteSpline(t, vals, slopes), total
+
+
+def _bump_raw_d(u):
+    """Derivative of the kernels' raw bump; vectorized."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros(u.shape)
+    inside = np.abs(u) < 1.0
+    ui = u[inside]
+    den = (1.0 - ui) * (1.0 + ui)
+    out[inside] = np.exp(-1.0 / den) * (-2.0 * ui) / (den * den)
+    return out
 
 
 def _ramp_value(t):

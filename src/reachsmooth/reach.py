@@ -22,7 +22,7 @@ import numpy as np
 from . import _accel
 from ._util import as_positive_float, as_vector
 from .curves import (ArcChainShape, BaseShape, CircleShape, ClosedCurve,
-                     CurveSample, EllipseShape, sample_manifold)
+                     EllipseShape, sample_manifold)
 from .errors import InvalidInputError
 
 __all__ = [
@@ -123,7 +123,7 @@ def estimate_reach_federer(points, tangents, min_sep):
                          int(pairs), pts.shape[0], ms)
 
 
-def scan_curve_reach(curve, n=None, spacing=None, min_sep=None, upto=None):
+def scan_curve_reach(curve, n=None, spacing=None, min_sep=None):
     """Sample a curve and scan it; min_sep defaults to twice the spacing.
 
     Accepts a ClosedCurve or a bare BaseShape.  Returns the estimate and
@@ -135,7 +135,7 @@ def scan_curve_reach(curve, n=None, spacing=None, min_sep=None, upto=None):
         raise InvalidInputError("curve must be a ClosedCurve or BaseShape")
     if n is None and spacing is None:
         n = 2000
-    sample = sample_manifold(curve, n=n, spacing=spacing, upto=upto)
+    sample = sample_manifold(curve, n=n, spacing=spacing)
     ms = 2.0 * sample.spacing if min_sep is None else as_positive_float(min_sep, "min_sep")
     est = estimate_reach_federer(sample.points, sample.tangents, ms)
     return est, sample

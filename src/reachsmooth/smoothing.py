@@ -31,11 +31,11 @@ from scipy.interpolate import CubicHermiteSpline
 
 from . import _accel
 from ._util import as_positive_float
-from .curves import (AppliedPatch, BaseShape, ClosedCurve, LocalGraph,
-                     local_graph_at, make_shape, sample_manifold)
+from .curves import (AppliedPatch, BaseShape, ClosedCurve, local_graph_at,
+                     make_shape, sample_manifold)
 from .errors import ConvergenceError, GeometryError, InvalidInputError
-from .kernels import (BumpKernel, Interval, _convolve_taps, convolve_grid,
-                      find_support_radius, sup_deviation_ck)
+from .kernels import (BumpKernel, Interval, _halving_search, convolve,
+                      convolve_grid)
 from .partition import (PlateauFunction, make_reference_plateau,
                         plateau_lipschitz_bounds, rescale_plateau,
                         smoothing_window_radius)
@@ -45,7 +45,6 @@ __all__ = [
     "Net",
     "build_net",
     "BlendedMap",
-    "blend_function",
     "smooth_patch",
     "PatchRecord",
     "SmoothingReport",
@@ -137,7 +136,7 @@ class BlendedMap:
 
     def _smoothed(self, y, order):
         src = self.f if order == 0 else self.df
-        return _convolve_taps(src, self.kernel, y, 0, self.taps)
+        return convolve(src, self.kernel, y, taps=self.taps)
 
     def value(self, y):
         yv = np.atleast_1d(np.asarray(y, dtype=float))
@@ -186,49 +185,6 @@ class BlendedMap:
         return float(val[0]), float(der[0])
 
 
-def blend_function(f, df, domain, psi, rho, *, sigma=None, sigma_max=None,
-                   grid_step=None):
-    """Blend a graph toward its mollification under a deviation budget.
-
-    Parameters
-    ----------
-    f, df : vectorized callables
-        The graph and its slope on ``domain``.
-    domain : Interval
-        Must contain the plateau support with room for the kernel.
-    psi : PlateauFunction
-    rho : float
-        Deviation budget; must satisfy rho < 1 / (1 + combined
-        Lipschitz constant of psi), the precondition the tangent-angle
-        estimate needs.
-    sigma : float, optional
-        Support radius; found by halving search when omitted.
-    sigma_max : float, optional
-        Cap for the search.
-
-    Returns
-    -------
-    BlendedMap
-    """
-    r = as_positive_float(rho, "rho")
-    lim = 1.0 / (1.0 + psi.combined_lipschitz)
-    if r >= lim:
-        raise InvalidInputError(
-            f"rho={r} violates the blend precondition rho < {lim:.6g}")
-    window = Interval(-psi.support_radius, psi.support_radius)
-    if sigma is None:
-        sigma, dev = find_support_radius(f, df, window, domain, r, k=1,
-                                         sigma_max=sigma_max,
-                                         grid_step=grid_step)
-    else:
-        dev = sup_deviation_ck(f, df, BumpKernel(sigma), window, k=1,
-                               grid_step=grid_step)
-        if dev > r:
-            raise InvalidInputError(
-                f"requested sigma={sigma} misses the deviation budget: {dev} > {r}")
-    return BlendedMap(f, df, psi, BumpKernel(sigma), domain, r, dev)
-
-
 @dataclass(frozen=True)
 class PatchRecord:
     """Ledger row for one net center visit."""
@@ -245,30 +201,30 @@ class PatchRecord:
 
 
 def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max,
-                 index=None, shift_budget=None, tab_divisor=16,
                  max_halvings=14):
     """Apply one localized smoothing step at a net center.
 
-    Returns ``(new_curve, patch_or_None, record)``.  The patch is None
-    when the window is already flat to machine precision (straight
-    stretches), in which case the curve is returned unchanged.
+    The patch takes the next index of the curve's stack.  Returns
+    ``(new_curve, patch_or_None, record)``.  The patch is None when the
+    window is already flat to machine precision (straight stretches), in
+    which case the curve is returned unchanged.
 
     Raises
     ------
     GeometryError
         If the pushed-forward center drifted past the shift budget
-        (sqrt(delta R)/32 by default) or the window is not a graph.
+        sqrt(delta R)/32 or the window is not a graph.
     ConvergenceError
-        If the halving search cannot meet the deviation budget.
+        If ``max_halvings`` halvings of the support radius cannot meet
+        the deviation budget.
     """
-    if index is None:
-        index = len(curve.patches)
+    index = len(curve.patches)
     w = smoothing_window_radius(delta, R)
     r1 = psi.plateau_radius
     r2 = psi.support_radius
     if not (r2 < w):
         raise InvalidInputError("plateau support must sit inside the window")
-    budget = w / 16.0 if shift_budget is None else shift_budget
+    budget = w / 16.0
 
     graph = local_graph_at(curve, arc=base_arc, delta=delta, reach=R)
     shift = float(np.linalg.norm(graph.center - curve.shape.point(np.array(base_arc))))
@@ -276,27 +232,24 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max,
         raise GeometryError(
             f"patch center drifted {shift:.3e}, over the budget {budget:.3e}")
 
-    sigma = min(as_positive_float(sigma_max, "sigma_max"), (w - r2) * (1.0 - 1e-9))
-    halvings = 0
-    while True:
-        h = sigma / tab_divisor
+    def measure(sigma):
+        # tabulate the graph at sigma/16 and convolve values and slopes
+        h = sigma / 16
         m_half = int(math.ceil((r2 + sigma) / h)) + 2
         xs = np.arange(-m_half, m_half + 1) * h
         fv, dfv = graph.value_and_slope(xs)
         kern = BumpKernel(sigma)
-        conv0, m = convolve_grid(fv, kern, h, order=0)
-        conv1, _ = convolve_grid(dfv, kern, h, order=0)
+        conv0, m = convolve_grid(fv, kern, h)
+        conv1, _ = convolve_grid(dfv, kern, h)
         mid = slice(m, xs.size - m)
         dev = max(float(np.abs(conv0 - fv[mid]).max()),
                   float(np.abs(conv1 - dfv[mid]).max()))
-        if dev <= rho:
-            break
-        sigma *= 0.5
-        halvings += 1
-        if halvings > max_halvings:
-            raise ConvergenceError(
-                f"deviation {dev:.3e} still above rho={rho:.3e} after "
-                f"{max_halvings} halvings at arc {base_arc:.6f}")
+        return dev, (xs, fv, dfv, kern, conv0, conv1, mid)
+
+    start = min(as_positive_float(sigma_max, "sigma_max"), (w - r2) * (1.0 - 1e-9))
+    sigma, halvings, dev, (xs, fv, dfv, kern, conv0, conv1, mid) = _halving_search(
+        measure, start, rho, start * 2.0 ** -max_halvings,
+        f"patch at arc {base_arc:.6f}")
 
     xs_mid = xs[mid]
     if dev <= 1e-13 * max(1.0, w):
@@ -442,7 +395,7 @@ def smooth_manifold(shape, epsilon, *, reach=None, delta=None, rho=None,
     for k in range(net.count):
         curve, _, rec = smooth_patch(
             curve, float(net.arcs[k]), delta=delta, R=R, rho=rho,
-            psi=psi, sigma_max=sigma_max, index=len(curve.patches))
+            psi=psi, sigma_max=sigma_max)
         records.append(rec)
 
     applied = [r for r in records if r.applied]

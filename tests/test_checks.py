@@ -6,11 +6,14 @@ import pytest
 from reachsmooth.checks import (CheckResult, check_angle_bound,
                                 check_blend_lipschitz,
                                 check_convolution_lipschitz,
+                                check_far_point_distance,
                                 check_hausdorff_bound, check_main_theorem,
                                 check_tangent_distance_bound,
-                                estimate_lipschitz, random_c11,
+                                estimate_lipschitz, patch_graph_arrays,
+                                random_c11,
                                 random_piecewise_linear, run_suite,
                                 write_checks_csv, write_failures_json)
+from reachsmooth.curves import sample_manifold
 from reachsmooth.errors import InvalidInputError
 from reachsmooth.kernels import BumpKernel, Interval
 from reachsmooth.partition import make_reference_plateau
@@ -118,11 +121,23 @@ def test_patch_checkers_on_real_patch(stadium_run):
     r1 = check_tangent_distance_bound(patch, seed=1, instance="p0")
     r2 = check_angle_bound(patch, seed=1, instance="p0")
     r3 = check_hausdorff_bound(patch, R, seed=1, instance="p0")
-    for row in (r1, r2, r3):
+    # the far-point row on shared arrays, as the patches suite runs it
+    arrays = patch_graph_arrays(patch)
+    sample = sample_manifold(result.curve, n=2000)
+    r4 = check_far_point_distance(patch, result.curve, R, sample, seed=1,
+                                  instance="p0", arrays=arrays)
+    for row in (r1, r2, r3, r4):
         assert row.passed, row
         assert row.instance == "p0"
     # distinct lemmas, distinct row names
-    assert len({r1.name, r2.name, r3.name}) == 3
+    assert len({r1.name, r2.name, r3.name, r4.name}) == 4
+    # grid counts the pairs compared: core points times far samples
+    core = int((np.abs(arrays[0]) <= patch.inner_radius).sum())
+    L = result.curve.length
+    gap = np.abs(np.mod(sample.params - patch.base_arc + 0.5 * L, L) - 0.5 * L)
+    far = int((gap > 1.5 * patch.arc_window).sum())
+    assert core > 96 and far > 0
+    assert r4.grid == core * far
 
 
 def test_main_theorem_rows(stadium_run):

@@ -198,13 +198,16 @@ def test_circle_local_graph_closed_form():
 
 
 def test_local_graph_point_roundtrip():
+    # the ambient point above y, center + y tangent + f(y) normal, lies
+    # on the curve, and above 0 it is the curve point at the base arc
     R = 2.0
     curve = circle_curve(R)
     lg = local_graph_at(curve, arc=1.0, delta=0.2, reach=R)
     ys = np.linspace(-0.2, 0.2, 9)
-    pts = lg.point(ys)
+    pts = (lg.center + ys[:, None] * lg.tangent
+           + lg.value(ys)[:, None] * lg.normal)
     assert np.allclose(np.linalg.norm(pts, axis=1), R, atol=1e-12)
-    p = lg.point(0.0)
+    p = lg.center + lg.value(0.0) * lg.normal
     assert np.allclose(p, curve.point(1.0), atol=1e-13)
 
 
@@ -213,17 +216,6 @@ def test_local_graph_window_guard():
     lg = local_graph_at(curve, arc=0.0, delta=0.1, reach=1.0)
     with pytest.raises(InvalidInputError):
         lg.value(10 * lg.window.hi)
-
-
-def test_local_graph_from_point():
-    curve = circle_curve(1.0)
-    p = np.array([math.cos(1.0), math.sin(1.0)])
-    lg = local_graph_at(curve, point=p, delta=0.1, reach=1.0)
-    assert lg.base_arc == pytest.approx(1.0, abs=1e-6)
-    with pytest.raises(InvalidInputError):
-        local_graph_at(curve, point=np.array([1.5, 1.5]), delta=0.1, reach=1.0)
-    with pytest.raises(InvalidInputError):
-        local_graph_at(curve, delta=0.1, reach=1.0)
 
 
 def test_local_graph_folds_beyond_reach():
@@ -308,13 +300,12 @@ def test_patch_prefilter_matches_full_scan():
     assert np.array_equal(vel, ref_vel)
 
 
-def test_patch_upto_replays_history():
-    base = circle_curve(1.0)
-    curve = base.with_patch(synthetic_patch(base, base_arc=0.0))
-    s = np.linspace(0, base.length, 50, endpoint=False)
-    p_before, _ = curve.point_and_velocity(s, upto=0)
-    p_base, _ = base.point_and_velocity(s)
-    assert np.array_equal(p_before, p_base)
+def test_velocity_flag_is_keyword_only():
+    curve = circle_curve(1.0)
+    with pytest.raises(TypeError):
+        curve.point_and_velocity(np.array([0.1]), False)
+    pts, vel = curve.point_and_velocity(np.array([0.1]), velocity=False)
+    assert vel is None and np.array_equal(pts, curve.point(np.array([0.1])))
 
 
 def test_patch_index_must_extend_stack():

@@ -1,119 +1,10 @@
-"""Linear-algebra helpers against independent oracles: power iteration
-for the operator norm, dense angle sweeps for subspace angles, grid
-minimization for point-to-affine distances."""
+"""Sampled Hausdorff distance against closed forms and its symmetries."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reachsmooth.errors import InvalidInputError
-from reachsmooth.linalg import (AffineSubspace, Subspace, dist_point_to_affine,
-                                hausdorff_distance_sampled, operator_two_norm,
-                                orthonormal_columns, subspace_angle)
-
-
-def _power_norm(A, iters=500, seed=0):
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=A.shape[1])
-    v /= np.linalg.norm(v)
-    M = A.T @ A
-    for _ in range(iters):
-        v = M @ v
-        v /= np.linalg.norm(v)
-    return float(np.sqrt(v @ M @ v))
-
-
-def test_operator_norm_matches_power_iteration():
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        m, n = rng.integers(2, 9, size=2)
-        A = rng.normal(size=(int(m), int(n)))
-        assert operator_two_norm(A) == pytest.approx(_power_norm(A), rel=1e-10)
-
-
-def test_operator_norm_sampled_sphere_lower_bound():
-    rng = np.random.default_rng(1)
-    A = rng.normal(size=(3, 3))
-    norm = operator_two_norm(A)
-    best = 0.0
-    for _ in range(2000):
-        v = rng.normal(size=3)
-        v /= np.linalg.norm(v)
-        best = max(best, float(np.linalg.norm(A @ v)))
-    assert best <= norm + 1e-12
-    assert best >= 0.9 * norm
-
-
-def test_operator_norm_empty_and_diagonal():
-    assert operator_two_norm(np.zeros((0, 3))) == 0.0
-    assert operator_two_norm(np.diag([3.0, -7.0, 2.0])) == 7.0
-
-
-def test_orthonormal_columns_properties():
-    rng = np.random.default_rng(5)
-    A = rng.normal(size=(6, 3))
-    Q = orthonormal_columns(A)
-    assert np.allclose(Q.T @ Q, np.eye(3), atol=1e-12)
-    # same span: projecting the original columns is lossless
-    proj = Q @ (Q.T @ A)
-    assert np.allclose(proj, A, atol=1e-10)
-
-
-def test_orthonormal_columns_rejects_rank_deficient():
-    A = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
-    with pytest.raises(InvalidInputError):
-        orthonormal_columns(A)
-
-
-def test_subspace_validates_orthonormality():
-    with pytest.raises(InvalidInputError):
-        Subspace(np.array([[1.0], [1.0]]))
-    s = Subspace(np.array([[1.0], [0.0]]))
-    assert s.ambient_dim == 2 and s.dim == 1
-
-
-def test_subspace_angle_planar_closed_form():
-    for a, b in [(0.0, 0.3), (0.2, 1.4), (-0.5, 0.5), (1.0, 1.0)]:
-        u = Subspace.from_vectors(np.array([[np.cos(a)], [np.sin(a)]]))
-        v = Subspace.from_vectors(np.array([[np.cos(b)], [np.sin(b)]]))
-        expected = abs(a - b)
-        if expected > np.pi / 2:
-            expected = np.pi - expected
-        assert subspace_angle(u, v) == pytest.approx(expected, abs=1e-12)
-
-
-def test_subspace_angle_brute_force_oracle():
-    # max-min angle between a vector of one span and the other span
-    rng = np.random.default_rng(9)
-    u = Subspace.from_vectors(rng.normal(size=(4, 2)))
-    v = Subspace.from_vectors(rng.normal(size=(4, 2)))
-    worst = 0.0
-    for t in np.linspace(0, np.pi, 2000, endpoint=False):
-        x = u.basis @ np.array([np.cos(t), np.sin(t)])
-        proj = v.project(x)
-        c = min(1.0, float(np.linalg.norm(proj)))
-        worst = max(worst, float(np.arccos(c)))
-    assert subspace_angle(u, v) == pytest.approx(worst, abs=1e-3)
-
-
-def test_subspace_angle_requires_equal_dims():
-    u = Subspace(np.array([[1.0], [0.0], [0.0]]))
-    v = Subspace(np.eye(3)[:, :2])
-    with pytest.raises(InvalidInputError):
-        subspace_angle(u, v)
-
-
-def test_dist_point_to_affine_grid_oracle():
-    rng = np.random.default_rng(17)
-    base = rng.normal(size=2)
-    direction = rng.normal(size=2)
-    line = AffineSubspace.through(base, direction[:, None])
-    q = rng.normal(size=2)
-    d = dist_point_to_affine(q, line)
-    ts = np.linspace(-50, 50, 400001)
-    pts = base[None, :] + ts[:, None] * (direction / np.linalg.norm(direction))
-    brute = float(np.linalg.norm(pts - q, axis=1).min())
-    assert d == pytest.approx(brute, abs=1e-6)
+from reachsmooth.linalg import hausdorff_distance_sampled
 
 
 def test_hausdorff_concentric_circles():

@@ -5,16 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline
 
-from reachsmooth.checks import random_c11
-from reachsmooth.curves import ClosedCurve, make_shape
+from reachsmooth import smoothing
+from reachsmooth.checks import _searched_blend, random_c11
+from reachsmooth.curves import AppliedPatch, ClosedCurve, make_shape
 from reachsmooth.errors import (ConvergenceError, GeometryError,
                                 InvalidInputError)
 from reachsmooth.kernels import Interval
 from reachsmooth.partition import (make_reference_plateau, rescale_plateau,
                                    smoothing_window_radius)
-from reachsmooth.smoothing import (blend_function, build_net,
-                                   effective_radius_drop,
+from reachsmooth.smoothing import (build_net, effective_radius_drop,
                                    far_away_reach_bound,
                                    predicted_reach_bound, smooth_core_probe,
                                    smooth_manifold, smooth_patch)
@@ -53,18 +54,25 @@ def test_net_accepts_bare_shape():
 # ----------------------------------------------------------------- blends
 
 def test_blend_rejects_rho_over_precondition():
-    psi = make_reference_plateau()
-    limit = 1.0 / (1.0 + psi.combined_lipschitz)
-    f = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    with pytest.raises(InvalidInputError, match="precondition"):
-        blend_function(f, f, Interval(-4, 4), psi, 2 * limit, sigma=0.3)
+    # the tangent-angle estimate needs rho < 1/(1 + combined plateau
+    # constant); the pipeline refuses a budget over it before any work
+    with pytest.raises(InvalidInputError,
+                       match=r"violates rho < 1/\(1 \+ combined plateau constant\)"):
+        smooth_manifold({"kind": "circle", "r": 1.0}, 0.3, rho=1.0)
+
+
+def test_run_rejects_delta_over_half_reach():
+    with pytest.raises(InvalidInputError, match="exceeds half the reach"):
+        smooth_manifold({"kind": "circle", "r": 1.0}, 0.3, delta=0.6)
 
 
 def test_blend_of_affine_is_affine():
     psi = make_reference_plateau()
     f = lambda x: 0.7 * np.asarray(x, dtype=float) - 0.2
     df = lambda x: np.full_like(np.asarray(x, dtype=float), 0.7)
-    blend = blend_function(f, df, Interval(-4, 4), psi, 0.05, sigma=0.3)
+    blend = _searched_blend(f, df, psi, 0.05, Interval(-4, 4), 1, sigma_max=0.3)
+    # an affine input passes at the first radius: the cap
+    assert blend.kernel.sigma == 0.3
     assert blend.deviation <= 1e-12
     ys = np.linspace(-3.5, 3.5, 101)
     assert np.allclose(blend.value(ys), f(ys), atol=1e-12)
@@ -75,7 +83,7 @@ def test_blend_exact_outside_support():
     psi = make_reference_plateau()
     rng = np.random.default_rng(3)
     f, df, L, Ld = random_c11(rng, Interval(-4, 4), 6, 2.0)
-    blend = blend_function(f, df, Interval(-4, 4), psi, 0.05, sigma_max=0.25)
+    blend = _searched_blend(f, df, psi, 0.05, Interval(-4, 4), 1, sigma_max=0.25)
     ys = np.array([-3.5, -2.0, 2.0, 3.1])
     assert np.array_equal(blend.value(ys), np.asarray(f(ys), dtype=float))
 
@@ -85,25 +93,18 @@ def test_blend_stays_inside_budget():
     rng = np.random.default_rng(11)
     f, df, L, Ld = random_c11(rng, Interval(-4, 4), 8, 2.0)
     rho = 0.05
-    blend = blend_function(f, df, Interval(-4, 4), psi, rho, sigma_max=0.25)
+    blend = _searched_blend(f, df, psi, rho, Interval(-4, 4), 1, sigma_max=0.25)
     ys = np.linspace(-2.5, 2.5, 401)
     assert np.abs(blend.value(ys) - f(ys)).max() <= rho
     assert np.abs(blend.derivative(ys) - df(ys)).max() <= rho * (
         1 + psi.combined_lipschitz)
 
 
-def test_blend_rejects_oversized_sigma():
-    # a slope jump pins the order-1 deviation near 1, far over budget
-    psi = make_reference_plateau()
-    with pytest.raises(InvalidInputError, match="budget"):
-        blend_function(np.abs, np.sign, Interval(-4, 4), psi, 0.05, sigma=0.3)
-
-
 def test_blend_combined_pass_is_bit_identical():
     psi = make_reference_plateau()
     rng = np.random.default_rng(29)
     f, df, L, Ld = random_c11(rng, Interval(-4, 4), 6, 2.0)
-    blend = blend_function(f, df, Interval(-4, 4), psi, 0.05, sigma_max=0.25)
+    blend = _searched_blend(f, df, psi, 0.05, Interval(-4, 4), 1, sigma_max=0.25)
     ys = np.linspace(-2.2, 2.2, 113)
     val, der = blend.value_and_derivative(ys)
     assert np.array_equal(val, blend.value(ys))
@@ -156,17 +157,39 @@ def test_patch_identity_on_straight_stretch():
 
 
 def test_patch_shift_budget_enforced():
+    # a foreign bump of 0.05 at the net center moves it past the budget
+    # sqrt(delta R)/32 ~ 9.9e-3 before any smoothing happens
     curve = circle()
-    params = patch_params()
-    moved, _, _ = smooth_patch(curve, 0.0, **params)
-    with pytest.raises(GeometryError, match="budget"):
-        smooth_patch(moved, 0.0, **params, shift_budget=1e-12)
+    center, vel = curve.point_and_velocity(0.0)
+    t = vel / np.linalg.norm(vel)
+    disp = CubicHermiteSpline(np.array([-0.2, 0.0, 0.2]),
+                              np.array([0.0, 0.05, 0.0]), np.zeros(3))
+    moved = curve.with_patch(AppliedPatch(
+        index=0, base_arc=0.0, center=center, tangent=t,
+        normal=np.array([-t[1], t[0]]), inner_radius=0.1,
+        transition_radius=0.2, window_radius=0.4, sigma=0.01, rho_target=0.02,
+        deviation=1e-3, lip_graph=0.1, lip_slope=1.0, displacement=disp,
+        slope_displacement=disp.derivative()))
+    with pytest.raises(GeometryError, match="drifted 5.000e-02, over the budget 9.882e-03"):
+        smooth_patch(moved, 0.0, **patch_params())
 
 
-def test_patch_deviation_budget_can_fail():
-    with pytest.raises(ConvergenceError):
-        smooth_patch(circle(), 0.0, **{**patch_params(), "rho": 1e-16},
-                     max_halvings=2)
+def test_patch_deviation_budget_can_fail(monkeypatch):
+    # every attempt convolves values and slopes once: three attempts
+    # (start, start/2, start/4) for max_halvings=2, then the search stops
+    radii = []
+    real = smoothing.convolve_grid
+
+    def spy(values, kernel, step):
+        radii.append(kernel.sigma)
+        return real(values, kernel, step)
+
+    monkeypatch.setattr(smoothing, "convolve_grid", spy)
+    params = {**patch_params(), "rho": 1e-16}
+    with pytest.raises(ConvergenceError, match="after 2 halvings"):
+        smooth_patch(circle(), 0.0, **params, max_halvings=2)
+    start = params["sigma_max"]
+    assert radii == [start, start, start / 2, start / 2, start / 4, start / 4]
 
 
 def test_patch_needs_plateau_inside_window():
