@@ -8,6 +8,14 @@ farther than the patch transition radius (in tangent coordinate) are
 left bit-identical, which is what makes the surgery local in the exact,
 testable sense.
 
+Evaluation sorts a batch of arcs once (pipeline batches already come
+sorted), evaluates the base shape once with ``point_and_tangent``, and
+lets each patch nudge the contiguous run of sorted points inside its
+window through array slices.  The output is bit-identical to nudging
+the rows of the batch picked by boolean masks, in the batch's own order:
+the same circular-distance test picks the same rows, each row gets the
+same arithmetic, and only the memory layout changes.
+
 Local graph windows rewrite a stretch of curve as a 1-D graph over its
 tangent line at a base arc; slopes come from the chain rule through the
 patch stack, not finite differences.
@@ -22,7 +30,7 @@ import numpy as np
 
 from ._util import as_float, as_positive_float, as_vector
 from .errors import GeometryError, InvalidInputError
-from .kernels import _GL_W, _GL_X, Interval
+from .kernels import _GL4_W, _GL4_X, _GL_W, _GL_X, Interval
 
 __all__ = [
     "BaseShape",
@@ -53,6 +61,10 @@ class BaseShape:
     def tangent(self, s):
         raise NotImplementedError
 
+    def point_and_tangent(self, s):
+        """``(point(s), tangent(s))``; shapes override it to share work."""
+        return self.point(s), self.tangent(s)
+
     def curvature(self, s):
         raise NotImplementedError
 
@@ -78,6 +90,12 @@ class CircleShape(BaseShape):
     def tangent(self, s):
         a = np.asarray(s, dtype=float) / self.r
         return np.stack([-np.sin(a), np.cos(a)], axis=-1)
+
+    def point_and_tangent(self, s):
+        a = np.asarray(s, dtype=float) / self.r
+        c, sn = np.cos(a), np.sin(a)
+        return (np.stack([self.r * c, self.r * sn], axis=-1),
+                np.stack([-sn, c], axis=-1))
 
     def curvature(self, s):
         return np.full(np.asarray(s, dtype=float).shape, 1.0 / self.r)
@@ -118,11 +136,8 @@ class EllipseShape(BaseShape):
             mid = 0.5 * (t0 + th)
             half = 0.5 * (th - t0)
             # 4-point Gauss on [t0, th] for the residual arc
-            g4x = np.array([-0.8611363115940526, -0.3399810435848563,
-                            0.3399810435848563, 0.8611363115940526])
-            g4w = np.array([0.3478548451374538, 0.6521451548625461,
-                            0.6521451548625461, 0.3478548451374538])
-            seg = (half[..., None] * g4w * self._speed(mid[..., None] + half[..., None] * g4x)).sum(axis=-1)
+            seg = (half[..., None] * _GL4_W
+                   * self._speed(mid[..., None] + half[..., None] * _GL4_X)).sum(axis=-1)
             resid = self._cum[idx] + seg - sv
             th = th - resid / self._speed(th)
         return th
@@ -135,6 +150,13 @@ class EllipseShape(BaseShape):
         th = self._theta_of(s)
         sp = self._speed(th)
         return np.stack([-self.a * np.sin(th) / sp, self.b * np.cos(th) / sp], axis=-1)
+
+    def point_and_tangent(self, s):
+        th = self._theta_of(s)
+        c, sn = np.cos(th), np.sin(th)
+        sp = self._speed(th)
+        return (np.stack([self.a * c, self.b * sn], axis=-1),
+                np.stack([-self.a * sn / sp, self.b * c / sp], axis=-1))
 
     def curvature(self, s):
         th = self._theta_of(s)
@@ -283,6 +305,18 @@ class ArcChainShape(BaseShape):
             if np.any(m):
                 out[m] = seg.tangent(sv[m] - self._bounds[i])
         return out
+
+    def point_and_tangent(self, s):
+        sv, idx = self._locate(s)
+        pts = np.empty(sv.shape + (2,))
+        tans = np.empty(sv.shape + (2,))
+        for i, seg in enumerate(self.segments):
+            m = idx == i
+            if np.any(m):
+                t = sv[m] - self._bounds[i]
+                pts[m] = seg.point(t)
+                tans[m] = seg.tangent(t)
+        return pts, tans
 
     def curvature(self, s):
         sv, idx = self._locate(s)
@@ -465,6 +499,18 @@ class AppliedPatch:
         return 2.0 * self.transition_radius
 
 
+def _circular_gap(d, L):
+    """|d| measured around a circle of length L."""
+    return np.abs(np.mod(d + 0.5 * L, L) - 0.5 * L)
+
+
+def _unsort(rows, order):
+    """Rows computed at ``s[order]``, put back in the order of ``s``."""
+    out = np.empty_like(rows)
+    out[order] = rows
+    return out
+
+
 class ClosedCurve:
     """Base shape plus an ordered stack of applied patches."""
 
@@ -482,12 +528,21 @@ class ClosedCurve:
             raise InvalidInputError(
                 f"patch index {patch.index} does not extend stack of "
                 f"{len(self.patches)}")
-        return ClosedCurve(self.shape, self.patches + (patch,))
+        new = object.__new__(type(self))
+        new.shape = self.shape
+        new.patches = self.patches + (patch,)
+        new.length = self.length
+        new._patch_arcs = np.append(self._patch_arcs, patch.base_arc)
+        new._patch_spans = np.append(self._patch_spans, patch.arc_window)
+        return new
 
     def _nudge(self, sv, pts, vel, patch):
-        L = self.length
-        dist = np.abs(np.mod(sv - patch.base_arc + 0.5 * L, L) - 0.5 * L)
-        cand = dist <= patch.arc_window
+        """Apply one patch to the rows of a batch picked by boolean masks.
+
+        Works on any batch order.  ``_nudge_runs`` falls back to it, and
+        the tests use it as the oracle of the run path.
+        """
+        cand = _circular_gap(sv - patch.base_arc, self.length) <= patch.arc_window
         if not np.any(cand):
             return
         q = pts[cand]
@@ -502,29 +557,108 @@ class ClosedCurve:
             dy = vel[sel] @ patch.tangent
             vel[sel] += (patch.slope_displacement(yh) * dy)[:, None] * patch.normal
 
-    def point_and_velocity(self, s, *, velocity=True):
-        """Position and (unnormalized) parameter velocity at base arcs."""
-        sv = np.asarray(s, dtype=float)
-        scalar = sv.ndim == 0
-        sv = np.atleast_1d(sv)
-        pts = self.shape.point(sv)
-        vel = self.shape.tangent(sv) if velocity else None
-        # narrow batches touch few patches; the circular triangle
-        # inequality makes the skip exact, so results match a full loop
-        lo, hi = (float(sv.min()), float(sv.max())) if sv.size else (0.0, 0.0)
-        half = 0.5 * (hi - lo)
-        if self.patches and sv.size and half < 0.25 * self.length:
-            mid = 0.5 * (lo + hi)
-            L = self.length
-            gap = np.abs(np.mod(self._patch_arcs - mid + 0.5 * L, L) - 0.5 * L)
-            for k in np.nonzero(gap <= half + self._patch_spans)[0]:
-                self._nudge(sv, pts, vel, self.patches[k])
-        else:
-            for patch in self.patches:
+    def _nudge_runs(self, sv, pts, vel, patch):
+        """Apply one patch to a sorted batch narrower than the period.
+
+        Each image ``base_arc + j L`` of the patch window holds one run
+        of the sorted batch, found by bisection with a 1e-9 L margin;
+        ``_nudge``'s own circular-distance test then picks the members
+        inside the run, so both paths nudge exactly the same rows.  When
+        the members and the transition hits are each one run, the rows
+        are nudged in place through slices; otherwise the masked path
+        does the work.  Members from two images also go to the masked
+        path over the whole batch: numpy rounds a matrix-vector product
+        over one row differently from one over several, so the row count
+        of every product must match the masked path's.
+        """
+        L = self.length
+        window = patch.arc_window
+        reach = window + 1e-9 * L
+        if 2.0 * reach >= L:
+            self._nudge(sv, pts, vel, patch)
+            return
+        base = patch.base_arc
+        found = None
+        # images whose run meets the batch; one missed by rounding would
+        # hold only points farther than the window from its center
+        for j in range(math.ceil((sv[0] - reach - base) / L),
+                       math.floor((sv[-1] + reach - base) / L) + 1):
+            c = base + j * L
+            a = int(sv.searchsorted(c - reach, side="left"))
+            b = int(sv.searchsorted(c + reach, side="right"))
+            if a == b:
+                continue
+            members = (_circular_gap(sv[a:b] - base, L) <= window).nonzero()[0]
+            if not members.size:
+                continue
+            if found is not None:
                 self._nudge(sv, pts, vel, patch)
-        if scalar:
-            return pts[0], (vel[0] if velocity else None)
-        return pts, vel
+                return
+            found = a, b, members
+        if found is None:
+            return
+        a, b, members = found
+        i, k = a + members[0], a + members[-1] + 1
+        if k - i == members.size:
+            y = (pts[i:k] - patch.center) @ patch.tangent
+            hit = (np.abs(y) < patch.transition_radius).nonzero()[0]
+            if not hit.size:
+                return
+            h0, h1 = hit[0], hit[-1] + 1
+            if h1 - h0 == hit.size:
+                yh = y[h0:h1]
+                rows = slice(i + h0, i + h1)
+                pts[rows] += patch.displacement(yh)[:, None] * patch.normal
+                if vel is not None:
+                    dy = vel[rows] @ patch.tangent
+                    vel[rows] += (patch.slope_displacement(yh) * dy)[:, None] * patch.normal
+                return
+        self._nudge(sv[a:b], pts[a:b], None if vel is None else vel[a:b], patch)
+
+    def point_and_velocity(self, s, *, velocity=True):
+        """Position and (unnormalized) parameter velocity at base arcs.
+
+        The batch is flattened and, unless it is already non-decreasing,
+        put in order by one stable sort that is undone at the end.  The
+        base shape is evaluated once for the whole batch; then every
+        patch near it, in stack order, nudges the contiguous run of
+        sorted points inside its window.  The result is bit-identical to
+        nudging masked rows of the batch in its own order: the same
+        membership test picks the same rows, every row gets the same
+        arithmetic, and only the memory layout changes.
+        """
+        s = np.asarray(s, dtype=float)
+        sv = s.ravel()
+        order = None
+        if sv.size > 1 and not np.all(sv[1:] >= sv[:-1]):
+            order = np.argsort(sv, kind="stable")
+            sv = sv[order]
+        if velocity:
+            pts, vel = self.shape.point_and_tangent(sv)
+        else:
+            pts, vel = self.shape.point(sv), None
+        if self.patches and sv.size:
+            L = self.length
+            lo, hi = float(sv[0]), float(sv[-1])
+            # narrow batches touch few patches; the circular triangle
+            # inequality makes the skip exact, so results match a full loop
+            half = 0.5 * (hi - lo)
+            if half < 0.25 * L:
+                gap = _circular_gap(self._patch_arcs - 0.5 * (lo + hi), L)
+                chosen = np.nonzero(gap <= half + self._patch_spans)[0]
+            else:
+                chosen = range(len(self.patches))
+            # runs need finite arcs whose rounding stays far below the
+            # 1e-9 L bisection margin; NaN and inf fail these tests
+            runs = -1e4 * L < lo and hi < 1e4 * L and hi - lo < L
+            nudge = self._nudge_runs if runs else self._nudge
+            for k in chosen:
+                nudge(sv, pts, vel, self.patches[k])
+        if order is not None:
+            pts = _unsort(pts, order)
+            vel = None if vel is None else _unsort(vel, order)
+        pts = pts.reshape(s.shape + (2,))
+        return pts, (None if vel is None else vel.reshape(s.shape + (2,)))
 
     def point(self, s):
         pts, _ = self.point_and_velocity(s, velocity=False)

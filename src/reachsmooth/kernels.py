@@ -43,6 +43,11 @@ _GL_W = 0.5 * np.array([
     0.1012285362903763, 0.2223810344533745, 0.3137066458778873,
     0.3626837833783620, 0.3626837833783620, 0.3137066458778873,
     0.2223810344533745, 0.1012285362903763])
+# 4-point Gauss-Legendre nodes/weights on [-1, 1]
+_GL4_X = np.array([-0.8611363115940526, -0.3399810435848563,
+                   0.3399810435848563, 0.8611363115940526])
+_GL4_W = np.array([0.3478548451374538, 0.6521451548625461,
+                   0.6521451548625461, 0.3478548451374538])
 
 
 @dataclass(frozen=True)

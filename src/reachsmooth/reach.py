@@ -157,9 +157,20 @@ def _arc_chain_reach(shape, n=8192, n_dirs=8192):
             "analytic reach for arc chains covers convex profiles only")
     theta = np.linspace(0.0, math.pi, n_dirs, endpoint=False)
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    proj = sample.points @ dirs.T
-    widths = proj.max(axis=0) - proj.min(axis=0)
-    return min(shape.min_arc_radius(), 0.5 * float(widths.min()))
+    return min(shape.min_arc_radius(), 0.5 * float(_widths(sample.points, dirs).min()))
+
+
+def _widths(points, dirs):
+    """Width of a point set along each unit direction.
+
+    The projections go 512 directions at a time, so the temporary is
+    n x 512 instead of n x len(dirs); every entry is the same product.
+    """
+    out = np.empty(dirs.shape[0])
+    for k in range(0, dirs.shape[0], 512):
+        proj = points @ dirs[k:k + 512].T
+        out[k:k + 512] = proj.max(axis=0) - proj.min(axis=0)
+    return out
 
 
 def analytic_reach(shape):

@@ -283,21 +283,97 @@ def test_patch_locality_is_bit_exact():
     assert np.array_equal(v0, v1)
 
 
-def test_patch_prefilter_matches_full_scan():
-    # narrow batches take the distance-prefiltered path; it must agree
-    # with nudging every patch in order, bit for bit
-    base = circle_curve(1.0)
-    curve = base
+def stacked_circle():
+    curve = circle_curve(1.0)
     for i, arc in enumerate((0.0, 1.3, 2.9, 4.4)):
         curve = curve.with_patch(synthetic_patch(curve, base_arc=arc, index=i))
-    s = np.linspace(1.25, 1.45, 64)  # span well under a quarter turn
-    pts, vel = curve.point_and_velocity(s)
-    ref_pts = base.shape.point(s)
-    ref_vel = base.shape.tangent(s)
+    return curve
+
+
+def masked_oracle(curve, s, velocity):
+    # the base shape, then every patch in stack order through the masked
+    # path, on the batch in its own order
+    s = np.asarray(s, dtype=float)
+    sv = s.ravel()
+    pts = curve.shape.point(sv)
+    vel = curve.shape.tangent(sv) if velocity else None
     for patch in curve.patches:
-        curve._nudge(np.mod(s, curve.length), ref_pts, ref_vel, patch)
-    assert np.array_equal(pts, ref_pts)
-    assert np.array_equal(vel, ref_vel)
+        curve._nudge(sv, pts, vel, patch)
+    return pts.reshape(s.shape + (2,)), (vel.reshape(s.shape + (2,)) if velocity else None)
+
+
+_L = 2 * math.pi
+ORACLE_BATCHES = {
+    "sorted": np.linspace(1.25, 1.45, 64),  # span well under a quarter turn
+    "unsorted": np.random.default_rng(3).permutation(np.linspace(1.0, 1.7, 50)),
+    # kernels.convolve's (point, tap) grid: unsorted once flattened
+    "convolve": np.linspace(1.2, 1.4, 9)[:, None] + np.linspace(-0.03, 0.03, 5)[None, :],
+    "wrap_below": np.linspace(-0.3, 0.25, 57),
+    "wrap_past": np.linspace(_L - 0.25, _L + 0.3, 57),
+    "whole": np.arange(400) * (_L / 400),
+    "duplicates": np.repeat(np.linspace(2.7, 3.1, 15), 3),
+    "scalar": np.array(1.3),
+    "nan": np.array([1.3, np.nan, 1.2, 1.35]),
+}
+
+
+@pytest.mark.parametrize("batch", list(ORACLE_BATCHES))
+def test_patch_prefilter_matches_full_scan(batch):
+    # sorting, the distance prefilter and the run slices must agree with
+    # nudging every patch in order through masks, bit for bit
+    curve = stacked_circle()
+    s = ORACLE_BATCHES[batch]
+    for velocity in (True, False):
+        pts, vel = curve.point_and_velocity(s, velocity=velocity)
+        ref_pts, ref_vel = masked_oracle(curve, s, velocity)
+        assert pts.shape == s.shape + (2,)
+        assert np.array_equal(pts, ref_pts, equal_nan=True)
+        if velocity:
+            assert np.array_equal(vel, ref_vel, equal_nan=True)
+        else:
+            assert vel is None
+    if batch == "nan":
+        assert np.isnan(pts[1]).all() and np.isfinite(np.delete(pts, 1, axis=0)).all()
+
+
+def test_sorted_batch_skips_the_masked_path(monkeypatch):
+    curve = stacked_circle()
+    s = np.linspace(1.0, 1.6, 80)
+    expected = curve.point_and_velocity(s)
+
+    def masked(*args):
+        raise AssertionError("masked path taken")
+
+    monkeypatch.setattr(ClosedCurve, "_nudge", masked)
+    pts, vel = curve.point_and_velocity(s)
+    assert np.array_equal(pts, expected[0]) and np.array_equal(vel, expected[1])
+
+
+def test_with_patch_extends_the_patch_arrays():
+    curve = stacked_circle()
+    rebuilt = ClosedCurve(curve.shape, curve.patches)
+    assert np.array_equal(curve._patch_arcs, rebuilt._patch_arcs)
+    assert np.array_equal(curve._patch_spans, rebuilt._patch_spans)
+    assert curve._patch_arcs.dtype == rebuilt._patch_arcs.dtype == np.float64
+
+
+CATALOG = [{"kind": "circle", "r": 1.3},
+           {"kind": "ellipse", "a": 2.0, "b": 1.0},
+           {"kind": "stadium", "r": 1.0, "l": 2.0},
+           {"kind": "cad_profile", "preset": "rounded_rect",
+            "width": 2.0, "height": 1.0, "corner_radius": 0.2}]
+
+
+@pytest.mark.parametrize("spec", CATALOG, ids=lambda spec: spec.get("preset", spec["kind"]))
+def test_point_and_tangent_matches_separate_calls(spec):
+    shape = make_shape(spec)
+    L = shape.length
+    s = np.concatenate([np.linspace(-1.5 * L, 2.5 * L, 301),
+                        [0.0, L, -L, 1e-12, L - 1e-12]])
+    for arg in (s, s[:9].reshape(3, 3), np.float64(0.7 * L)):
+        pts, tans = shape.point_and_tangent(arg)
+        assert np.array_equal(pts, shape.point(arg))
+        assert np.array_equal(tans, shape.tangent(arg))
 
 
 def test_velocity_flag_is_keyword_only():

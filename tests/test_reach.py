@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from reachsmooth.curves import (ArcChainShape, ArcSegment, ClosedCurve,
-                                make_shape)
+                                make_shape, sample_manifold)
 from reachsmooth.errors import InvalidInputError
-from reachsmooth.reach import (analytic_reach, estimate_reach_federer,
+from reachsmooth.reach import (_widths, analytic_reach, estimate_reach_federer,
                                federer_ratio, scan_curve_reach)
 from tests.test_curves import synthetic_patch
 
@@ -123,6 +123,20 @@ ANALYTIC_CASES = [
 @pytest.mark.parametrize("spec,expected", ANALYTIC_CASES)
 def test_analytic_reach_catalog(spec, expected):
     assert analytic_reach(make_shape(spec)) == pytest.approx(expected, rel=1e-6)
+
+
+def test_blocked_width_scan_is_exact():
+    # exact, not approximate: the blocked scan sees the same projections
+    # as the full n x n_dirs matrix
+    assert analytic_reach(make_shape({"kind": "stadium", "r": 1.0, "l": 2.0})) == 1.0
+    rect = make_shape({"kind": "cad_profile", "preset": "rounded_rect",
+                       "width": 2.0, "height": 1.0, "corner_radius": 0.2})
+    assert analytic_reach(rect) == 0.2
+    pts = sample_manifold(ClosedCurve(rect), n=1000).points
+    theta = np.linspace(0.0, math.pi, 1300, endpoint=False)
+    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    proj = pts @ dirs.T
+    assert np.array_equal(_widths(pts, dirs), proj.max(axis=0) - proj.min(axis=0))
 
 
 def test_analytic_reach_rejects_patched_curves():
