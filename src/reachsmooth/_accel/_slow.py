@@ -11,7 +11,7 @@ grid, and the directed Hausdorff distance is a nearest-neighbour query.
 import numpy as np
 from scipy.spatial import cKDTree
 
-_DEGENERATE_REL = 1e-14
+DEGENERATE_REL = 1e-14
 
 
 def federer_scan(points, tangents, min_sep):
@@ -43,7 +43,7 @@ def federer_scan(points, tangents, min_sep):
         dxk, dyk, d2k, dk = dx[keep], dy[keep], d2[keep], d[keep]
         jidx = np.nonzero(keep)[0] + i + 1
         # q in the tangent line at p counts as flat, not as zero reach
-        guard = _DEGENERATE_REL * dk
+        guard = DEGENERATE_REL * dk
         cr1 = np.abs(dxk * tan[i, 1] - dyk * tan[i, 0])
         with np.errstate(divide="ignore", over="ignore"):
             r1 = np.where(cr1 <= guard, np.inf, d2k / (2.0 * cr1))

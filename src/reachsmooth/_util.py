@@ -14,7 +14,7 @@ def as_float(x, name):
     """Coerce to a finite Python float or raise."""
     try:
         v = float(x)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidInputError(f"{name} must be a real number, got {x!r}")
     if not math.isfinite(v):
         raise InvalidInputError(f"{name} must be finite, got {v!r}")

@@ -13,6 +13,12 @@ the claim: a grid sup-quotient underestimates a Lipschitz constant, so
 a genuine violation shows up regardless of the grid; float-level slack
 is all that is ever added.
 
+Each checker has one route.  The four patch checkers read the same
+``arrays``, one live evaluation of the patch blend by
+``patch_graph_arrays``; grids, tap counts and instance counts are module
+constants, and the smoothness-probe rows of ``check_main_theorem`` all
+come from one helper bound by the probe's own pass threshold.
+
 The suite runner is deterministic end to end: seeded generators consumed
 in a fixed order, fixed instance ordering, and a CSV writer with a
 17-significant-digit float format and no timestamps, so two runs with
@@ -34,9 +40,10 @@ from .errors import InvalidInputError
 from .kernels import BumpKernel, Interval, convolve, find_support_radius
 from .linalg import hausdorff_distance_sampled
 from .partition import make_reference_plateau
-from .smoothing import (BlendedMap, SmoothingResult, effective_radius_drop,
-                        far_away_reach_bound, predicted_reach_bound,
-                        smooth_core_probe, smooth_manifold)
+from .smoothing import (_PROBE_RATIO_CAP, BlendedMap, SmoothingResult,
+                        effective_radius_drop, far_away_reach_bound,
+                        predicted_reach_bound, smooth_core_probe,
+                        smooth_manifold)
 
 __all__ = [
     "CheckResult",
@@ -56,6 +63,20 @@ __all__ = [
     "write_failures_json",
     "SUITES",
 ]
+
+
+# grid of the Lipschitz checkers; grid and taps per side of the shared
+# patch arrays; pair subsample of the tangent-distance check
+_LIPSCHITZ_GRID = 2001
+_PATCH_GRID = 1025
+_PATCH_TAPS = 16
+_PAIR_N = 192
+# scan tolerance of the reach-drop row, as a share of the input reach
+_REACH_TOL = 0.02
+# instances per suite: zoo functions and blend budgets
+_CONVOLUTION_COUNT = 100
+_BLEND_COUNT = 20
+_BLEND_RHOS = (1e-2, 1e-3, 1e-4)
 
 
 @dataclass(frozen=True)
@@ -173,7 +194,7 @@ def random_c11(rng, domain, n_kinks, lip_d_max):
 
 
 def check_convolution_lipschitz(f, df, lip, kernel, domain, *, order=0,
-                                grid_n=2001, seed=0, instance=""):
+                                seed=0, instance=""):
     """Mollification never raises a Lipschitz constant.
 
     Order 0 measures the difference quotients of the smoothed values;
@@ -187,7 +208,7 @@ def check_convolution_lipschitz(f, df, lip, kernel, domain, *, order=0,
                       domain.hi - kernel.sigma * (1 + 1e-9))
     if shrunk.length <= 0:
         raise InvalidInputError("domain too small for the kernel support")
-    xs = np.linspace(shrunk.lo, shrunk.hi, int(grid_n))
+    xs = np.linspace(shrunk.lo, shrunk.hi, _LIPSCHITZ_GRID)
     if order == 0:
         vals = convolve(f, kernel, xs)
         measured = estimate_lipschitz(xs, vals)
@@ -196,18 +217,18 @@ def check_convolution_lipschitz(f, df, lip, kernel, domain, *, order=0,
         measured = float(np.abs(vals).max())
     tol = 1e-9 * max(1.0, lip)
     return _result(f"conv_lipschitz_order{order}", measured, lip, tol,
-                   grid_n, seed, instance)
+                   _LIPSCHITZ_GRID, seed, instance)
 
 
 def _searched_blend(f, df, psi, rho, domain, order, *, sigma_max=None):
     window = Interval(-psi.support_radius, psi.support_radius)
-    sigma, dev = find_support_radius(
+    sigma, _ = find_support_radius(
         f, df, window, domain, rho, k=order, sigma_max=sigma_max)
-    return BlendedMap(f, df, psi, BumpKernel(sigma), domain, rho, dev)
+    return BlendedMap(f, df, psi, BumpKernel(sigma))
 
 
 def check_blend_lipschitz(f, df, lip, lip_d, psi, rho, domain, *, order=0,
-                          grid_n=2001, seed=0, instance="", sigma_max=None):
+                          seed=0, instance="", sigma_max=None):
     """Blending costs at most the plateau constant times the budget.
 
     Order 0: the blended value is Lipschitz within L + L_psi * rho.
@@ -218,7 +239,7 @@ def check_blend_lipschitz(f, df, lip, lip_d, psi, rho, domain, *, order=0,
                             sigma_max=sigma_max)
     margin = blend.kernel.sigma * (1 + 1e-9)
     shrunk = Interval(domain.lo + margin, domain.hi - margin)
-    xs = np.linspace(shrunk.lo, shrunk.hi, int(grid_n))
+    xs = np.linspace(shrunk.lo, shrunk.hi, _LIPSCHITZ_GRID)
     if order == 0:
         vals = blend.value(xs)
         bound = lip + psi.lip_value * rho
@@ -228,34 +249,33 @@ def check_blend_lipschitz(f, df, lip, lip_d, psi, rho, domain, *, order=0,
     measured = estimate_lipschitz(xs, vals)
     tol = 1e-6 * max(1.0, bound)
     return _result(f"blend_lipschitz_order{order}", measured, bound, tol,
-                   grid_n, seed, instance)
+                   _LIPSCHITZ_GRID, seed, instance)
 
 
 # ---------------------------------------------------------------------------
 # patch-level checkers (run on patches from a real pipeline pass)
 
 
-def patch_graph_arrays(patch, grid_n=1025, taps=16):
+def patch_graph_arrays(patch):
     """Dense shared evaluation of one patch blend, by live quadrature.
 
     Returns ``(ys, F, DF, fv, dfv)`` on a uniform grid over the
-    transition window.  The blend is re-evaluated with fresh taps here,
-    never read off the displacement tabulation the pipeline stored:
-    the checks must not trust the object they are checking.
+    transition window, the ``arrays`` every patch checker reads.  The
+    blend is re-evaluated with fresh taps here, never read off the
+    displacement tabulation the pipeline stored: the checks must not
+    trust the object they are checking.
     """
     b = patch.blend
-    light = BlendedMap(b.f, b.df, b.psi, b.kernel, b.domain, b.rho,
-                       b.deviation, taps=taps)
+    light = BlendedMap(b.f, b.df, b.psi, b.kernel, taps=_PATCH_TAPS)
     r2 = patch.transition_radius
-    ys = np.linspace(-r2, r2, int(grid_n))
+    ys = np.linspace(-r2, r2, _PATCH_GRID)
     F, DF = light.value_and_derivative(ys)
     fv = np.asarray(b.f(ys), dtype=float)
     dfv = np.asarray(b.df(ys), dtype=float)
     return ys, F, DF, fv, dfv
 
 
-def check_tangent_distance_bound(patch, *, pair_n=192, seed=0, instance="",
-                                 arrays=None):
+def check_tangent_distance_bound(patch, *, seed=0, instance="", arrays):
     """Blended graph stays quadratically close to its tangent lines.
 
     For all pairs on the blended graph, the distance from one point to
@@ -263,8 +283,8 @@ def check_tangent_distance_bound(patch, *, pair_n=192, seed=0, instance="",
     constant (input slope constant + 3 L_comb rho) times distance
     squared.
     """
-    ys, F, DF, _, _ = patch_graph_arrays(patch) if arrays is None else arrays
-    stride = max(1, ys.size // int(pair_n))
+    ys, F, DF, _, _ = arrays
+    stride = max(1, ys.size // _PAIR_N)
     ys, F, DF = ys[::stride], F[::stride], DF[::stride]
     P = np.stack([ys, F], axis=1)
     norm = np.sqrt(1.0 + DF * DF)
@@ -283,11 +303,8 @@ def check_tangent_distance_bound(patch, *, pair_n=192, seed=0, instance="",
                    instance)
 
 
-def check_angle_bound(patch, *, grid_n=1025, seed=0, instance="",
-                      arrays=None):
+def check_angle_bound(patch, *, seed=0, instance="", arrays):
     """Blending tilts tangents by at most arcsin((1 + L_comb) rho)."""
-    if arrays is None:
-        arrays = patch_graph_arrays(patch, grid_n=grid_n)
     ys, _, DF, _, dfv = arrays
     measured = float(np.abs(np.arctan(DF) - np.arctan(dfv)).max())
     rho = patch.rho_target
@@ -298,15 +315,12 @@ def check_angle_bound(patch, *, grid_n=1025, seed=0, instance="",
                    instance)
 
 
-def check_hausdorff_bound(patch, R, *, grid_n=1025, seed=0, instance="",
-                          arrays=None):
+def check_hausdorff_bound(patch, R, *, seed=0, instance="", arrays):
     """A patch moves the curve by a small multiple of the budget.
 
     Hausdorff distance between the window graph before and after,
     against rho (6 R L + 6 R + 1) with L the window graph constant.
     """
-    if arrays is None:
-        arrays = patch_graph_arrays(patch, grid_n=grid_n)
     ys, F, _, fv, _ = arrays
     before = np.stack([ys, fv], axis=1)
     after = np.stack([ys, F], axis=1)
@@ -318,8 +332,8 @@ def check_hausdorff_bound(patch, R, *, grid_n=1025, seed=0, instance="",
                    instance)
 
 
-def check_far_point_distance(patch, curve_after, R, sample, *, core_n=96,
-                             seed=0, instance="", arrays=None):
+def check_far_point_distance(patch, curve_after, R, sample, *, seed=0,
+                             instance="", arrays):
     """Far pairs still satisfy a reach-style tangent inequality.
 
     p runs over the blended plateau core, q over curve samples outside
@@ -328,15 +342,9 @@ def check_far_point_distance(patch, curve_after, R, sample, *, core_n=96,
     rho^2/(2R) + rho (6 R L + 6 R + 4).  The row's ``grid`` is the number
     of (p, q) pairs compared.
     """
-    r1 = patch.inner_radius
-    if arrays is None:
-        ys = np.linspace(-r1, r1, int(core_n))
-        F = patch.blend.value(ys)
-        DF = patch.blend.derivative(ys)
-    else:
-        ay, aF, aDF, _, _ = arrays
-        core = np.abs(ay) <= r1
-        ys, F, DF = ay[core], aF[core], aDF[core]
+    ay, aF, aDF, _, _ = arrays
+    core = np.abs(ay) <= patch.inner_radius
+    ys, F, DF = ay[core], aF[core], aDF[core]
     P = (patch.center[None, :] + ys[:, None] * patch.tangent[None, :]
          + F[:, None] * patch.normal[None, :])
     tang = (patch.tangent[None, :] + DF[:, None] * patch.normal[None, :])
@@ -365,7 +373,20 @@ def check_far_point_distance(patch, curve_after, R, sample, *, core_n=96,
 # end-to-end theorem check
 
 
-def check_main_theorem(result, *, reach_tol_factor=0.02, seed=0):
+def _probe_row(name, curve, arc, sigma, seed, instance, *, expect_pass):
+    """Smoothness probe of ``curve`` at ``arc`` with base step ``sigma``.
+
+    The row passes when the probe's verdict equals ``expect_pass``.
+    """
+    g = local_graph_at(curve, arc=arc, window_radius=12.0 * sigma,
+                       measure_grid=9)
+    pr = smooth_core_probe(g.value, 0.0, sigma)
+    measured = pr.ratios[-1] if math.isfinite(pr.ratios[-1]) else 0.0
+    return _result(name, measured, _PROBE_RATIO_CAP, 0.0, 5 * len(pr.steps),
+                   seed, instance, passed=pr.passed == expect_pass)
+
+
+def check_main_theorem(result, *, seed=0):
     """Verify the headline guarantees of a finished run.
 
     Rows: reach drop within budget (measured scan tolerance 2 percent of
@@ -378,7 +399,7 @@ def check_main_theorem(result, *, reach_tol_factor=0.02, seed=0):
     rows = []
     rows.append(_result(
         "reach_drop", rep.R_input - rep.R_hat_measured, rep.epsilon,
-        reach_tol_factor * rep.R_input, rep.scan_samples, seed,
+        _REACH_TOL * rep.R_input, rep.scan_samples, seed,
         rep.shape.get("kind", "?")))
     rows.append(_result(
         "c1_distance", rep.c1_distance, rep.epsilon, 0.0,
@@ -389,35 +410,20 @@ def check_main_theorem(result, *, reach_tol_factor=0.02, seed=0):
 
     final = result.curve
     for p in final.patches:
-        g = local_graph_at(final, arc=p.base_arc,
-                           window_radius=12.0 * p.sigma, measure_grid=9)
-        pr = smooth_core_probe(g.value, 0.0, p.sigma)
-        measured = pr.ratios[-1] if math.isfinite(pr.ratios[-1]) else 0.0
-        rows.append(_result(
-            f"smooth_probe", measured, 2.8, 0.0, 5 * len(pr.steps), seed,
-            f"patch-{p.index:04d}-arc={p.base_arc:.6f}", passed=pr.passed))
+        rows.append(_probe_row(
+            "smooth_probe", final, p.base_arc, p.sigma, seed,
+            f"patch-{p.index:04d}-arc={p.base_arc:.6f}", expect_pass=True))
 
     junctions = final.shape.junction_arcs()
     if junctions and final.patches:
         sig = min(p.sigma for p in final.patches)
         raw = ClosedCurve(final.shape)
         for a in junctions:
-            g = local_graph_at(final, arc=a, window_radius=12.0 * sig,
-                               measure_grid=9)
-            pr = smooth_core_probe(g.value, 0.0, sig)
-            measured = pr.ratios[-1] if math.isfinite(pr.ratios[-1]) else 0.0
-            rows.append(_result(
-                "smooth_probe_junction", measured, 2.8, 0.0,
-                5 * len(pr.steps), seed, f"junction-arc={a:.6f}",
-                passed=pr.passed))
-            g0 = local_graph_at(raw, arc=a, window_radius=12.0 * sig,
-                                measure_grid=9)
-            pr0 = smooth_core_probe(g0.value, 0.0, sig)
-            measured0 = pr0.ratios[-1] if math.isfinite(pr0.ratios[-1]) else 0.0
-            rows.append(_result(
-                "junction_probe_control", measured0, 2.8, 0.0,
-                5 * len(pr0.steps), seed, f"junction-arc={a:.6f}",
-                passed=not pr0.passed))
+            tag = f"junction-arc={a:.6f}"
+            rows.append(_probe_row("smooth_probe_junction", final, a, sig,
+                                   seed, tag, expect_pass=True))
+            rows.append(_probe_row("junction_probe_control", raw, a, sig,
+                                   seed, tag, expect_pass=False))
     return rows
 
 
@@ -485,11 +491,11 @@ def _formula_rows(seed):
 # suite runner
 
 
-def _convolution_rows(seed, count=100):
+def _convolution_rows(seed):
     rng = np.random.default_rng(seed)
     domain = Interval(-2.0, 2.0)
     rows = []
-    for i in range(count):
+    for i in range(_CONVOLUTION_COUNT):
         n_kinks = int(rng.integers(3, 13))
         lip_max = float(rng.uniform(0.5, 5.0))
         f, df, L = random_piecewise_linear(rng, domain, n_kinks, lip_max)
@@ -503,22 +509,22 @@ def _convolution_rows(seed, count=100):
     return rows
 
 
-def _blend_rows(seed, count=20, rhos=(1e-2, 1e-3, 1e-4)):
+def _blend_rows(seed):
     rng = np.random.default_rng(seed)
     psi = make_reference_plateau()
     domain = Interval(-2.7, 2.7)
     rows = []
-    for rho in rhos:
+    for rho in _BLEND_RHOS:
         rows.append(check_blend_lipschitz(
             lambda x: np.abs(np.asarray(x, dtype=float)),
             lambda x: np.sign(np.asarray(x, dtype=float)),
             1.0, math.inf, psi, rho, domain, order=0, seed=seed,
             instance=f"abs-rho={rho:.0e}", sigma_max=0.25))
-    for i in range(count):
+    for i in range(_BLEND_COUNT):
         n_kinks = int(rng.integers(3, 9))
         lip_d = float(rng.uniform(0.5, 3.0))
         f, df, L, Ld = random_c11(rng, domain, n_kinks, lip_d)
-        for rho in rhos:
+        for rho in _BLEND_RHOS:
             tag = f"c11-{i:02d}-rho={rho:.0e}"
             rows.append(check_blend_lipschitz(
                 f, df, L, Ld, psi, rho, domain, order=0, seed=seed,

@@ -13,7 +13,9 @@ Four subcommands:
 ``report``
     Pretty-print a previously written report.json.
 
-Configs are plain JSON; command-line flags override config values.
+Configs are plain JSON; command-line flags override config values.  A
+``smooth`` config holds ``shape`` and the numbers ``epsilon``, ``delta``,
+``rho``, ``sigma_max`` and ``reach``; any other key is refused.
 Artifacts carry no timestamps or machine identifiers, so identical
 inputs produce byte-identical outputs; wall-clock timing goes to
 stderr.  Exit codes: 0 success, 1 pipeline or verification failure,
@@ -31,9 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import fmt17, json_dumps_stable
+from ._util import as_float, fmt17, json_dumps_stable
 from .checks import SUITES, run_suite, write_checks_csv, write_failures_json
-from .curves import ClosedCurve, make_shape, sample_manifold
+from .curves import MIN_SAMPLES, ClosedCurve, make_shape, sample_manifold
 from .errors import ConvergenceError, GeometryError, InvalidInputError
 from .reach import analytic_reach, scan_curve_reach
 from .smoothing import smooth_manifold
@@ -85,6 +87,27 @@ def _load_config(path):
     if not isinstance(cfg, dict):
         raise InvalidInputError("config must be a JSON object")
     return cfg
+
+
+_SMOOTH_NUMBERS = ("epsilon", "delta", "rho", "sigma_max", "reach")
+
+
+def _smooth_settings(cfg):
+    """The numbers of a ``smooth`` config; unknown keys and non-numbers raise."""
+    extra = sorted(set(cfg) - {"shape", *_SMOOTH_NUMBERS})
+    if extra:
+        raise InvalidInputError(
+            f"unknown config keys {extra}; allowed: shape, "
+            + ", ".join(_SMOOTH_NUMBERS))
+    out = {}
+    for name in _SMOOTH_NUMBERS:
+        if name in cfg:
+            val = cfg[name]
+            if isinstance(val, bool) or not isinstance(val, (int, float)):
+                raise InvalidInputError(
+                    f"config {name!r} must be a number, got {val!r}")
+            out[name] = as_float(val, name)
+    return out
 
 
 def _config_shape(cfg):
@@ -170,17 +193,19 @@ def _cmd_reach(args):
 
 
 def _cmd_smooth(args):
+    if args.csv_n < MIN_SAMPLES:
+        raise InvalidInputError(
+            f"--csv-n must be at least {MIN_SAMPLES}, got {args.csv_n}")
     cfg = _load_config(args.config)
+    kw = _smooth_settings(cfg)
     shape = _config_shape(cfg)
-    eps = args.epsilon if args.epsilon is not None else cfg.get("epsilon")
+    for name in ("epsilon", "delta", "rho", "sigma_max"):
+        flag = getattr(args, name)
+        if flag is not None:
+            kw[name] = flag
+    eps = kw.pop("epsilon", None)
     if eps is None:
         raise InvalidInputError("epsilon missing: pass --epsilon or put it in the config")
-    kw = {}
-    for name in ("delta", "rho", "sigma_max", "reach"):
-        flag = getattr(args, name, None) if name != "reach" else None
-        val = flag if flag is not None else cfg.get(name)
-        if val is not None:
-            kw[name] = float(val)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -8,7 +8,9 @@ farther than the patch transition radius (in tangent coordinate) are
 left bit-identical, which is what makes the surgery local in the exact,
 testable sense.
 
-Evaluation sorts a batch of arcs once (pipeline batches already come
+Each layer has one evaluator: a base shape implements only
+``point_and_tangent`` and a curve only ``point_and_velocity``; ``point``
+is the first half of either.  Evaluation sorts a batch of arcs once (pipeline batches already come
 sorted), evaluates the base shape once with ``point_and_tangent``, and
 lets each patch nudge the contiguous run of sorted points inside its
 window through array slices.  The output is bit-identical to nudging
@@ -55,15 +57,12 @@ class BaseShape:
 
     length: float
 
-    def point(self, s):
-        raise NotImplementedError
-
-    def tangent(self, s):
-        raise NotImplementedError
-
     def point_and_tangent(self, s):
-        """``(point(s), tangent(s))``; shapes override it to share work."""
-        return self.point(s), self.tangent(s)
+        """Points and unit tangents at arc parameters ``s``."""
+        raise NotImplementedError
+
+    def point(self, s):
+        return self.point_and_tangent(s)[0]
 
     def curvature(self, s):
         raise NotImplementedError
@@ -82,14 +81,6 @@ class CircleShape(BaseShape):
     def __init__(self, r):
         self.r = as_positive_float(r, "r")
         self.length = 2.0 * math.pi * self.r
-
-    def point(self, s):
-        a = np.asarray(s, dtype=float) / self.r
-        return np.stack([self.r * np.cos(a), self.r * np.sin(a)], axis=-1)
-
-    def tangent(self, s):
-        a = np.asarray(s, dtype=float) / self.r
-        return np.stack([-np.sin(a), np.cos(a)], axis=-1)
 
     def point_and_tangent(self, s):
         a = np.asarray(s, dtype=float) / self.r
@@ -141,15 +132,6 @@ class EllipseShape(BaseShape):
             resid = self._cum[idx] + seg - sv
             th = th - resid / self._speed(th)
         return th
-
-    def point(self, s):
-        th = self._theta_of(s)
-        return np.stack([self.a * np.cos(th), self.b * np.sin(th)], axis=-1)
-
-    def tangent(self, s):
-        th = self._theta_of(s)
-        sp = self._speed(th)
-        return np.stack([-self.a * np.sin(th) / sp, self.b * np.cos(th) / sp], axis=-1)
 
     def point_and_tangent(self, s):
         th = self._theta_of(s)
@@ -287,24 +269,6 @@ class ArcChainShape(BaseShape):
         idx = np.clip(np.searchsorted(self._bounds, sv, side="right") - 1,
                       0, len(self.segments) - 1)
         return sv, idx
-
-    def point(self, s):
-        sv, idx = self._locate(s)
-        out = np.empty(sv.shape + (2,))
-        for i, seg in enumerate(self.segments):
-            m = idx == i
-            if np.any(m):
-                out[m] = seg.point(sv[m] - self._bounds[i])
-        return out
-
-    def tangent(self, s):
-        sv, idx = self._locate(s)
-        out = np.empty(sv.shape + (2,))
-        for i, seg in enumerate(self.segments):
-            m = idx == i
-            if np.any(m):
-                out[m] = seg.tangent(sv[m] - self._bounds[i])
-        return out
 
     def point_and_tangent(self, s):
         sv, idx = self._locate(s)
@@ -553,9 +517,8 @@ class ClosedCurve:
         sel = np.nonzero(cand)[0][hit]
         yh = y[hit]
         pts[sel] += patch.displacement(yh)[:, None] * patch.normal
-        if vel is not None:
-            dy = vel[sel] @ patch.tangent
-            vel[sel] += (patch.slope_displacement(yh) * dy)[:, None] * patch.normal
+        dy = vel[sel] @ patch.tangent
+        vel[sel] += (patch.slope_displacement(yh) * dy)[:, None] * patch.normal
 
     def _nudge_runs(self, sv, pts, vel, patch):
         """Apply one patch to a sorted batch narrower than the period.
@@ -609,13 +572,12 @@ class ClosedCurve:
                 yh = y[h0:h1]
                 rows = slice(i + h0, i + h1)
                 pts[rows] += patch.displacement(yh)[:, None] * patch.normal
-                if vel is not None:
-                    dy = vel[rows] @ patch.tangent
-                    vel[rows] += (patch.slope_displacement(yh) * dy)[:, None] * patch.normal
+                dy = vel[rows] @ patch.tangent
+                vel[rows] += (patch.slope_displacement(yh) * dy)[:, None] * patch.normal
                 return
-        self._nudge(sv[a:b], pts[a:b], None if vel is None else vel[a:b], patch)
+        self._nudge(sv[a:b], pts[a:b], vel[a:b], patch)
 
-    def point_and_velocity(self, s, *, velocity=True):
+    def point_and_velocity(self, s):
         """Position and (unnormalized) parameter velocity at base arcs.
 
         The batch is flattened and, unless it is already non-decreasing,
@@ -633,10 +595,7 @@ class ClosedCurve:
         if sv.size > 1 and not np.all(sv[1:] >= sv[:-1]):
             order = np.argsort(sv, kind="stable")
             sv = sv[order]
-        if velocity:
-            pts, vel = self.shape.point_and_tangent(sv)
-        else:
-            pts, vel = self.shape.point(sv), None
+        pts, vel = self.shape.point_and_tangent(sv)
         if self.patches and sv.size:
             L = self.length
             lo, hi = float(sv[0]), float(sv[-1])
@@ -656,13 +615,11 @@ class ClosedCurve:
                 nudge(sv, pts, vel, self.patches[k])
         if order is not None:
             pts = _unsort(pts, order)
-            vel = None if vel is None else _unsort(vel, order)
-        pts = pts.reshape(s.shape + (2,))
-        return pts, (None if vel is None else vel.reshape(s.shape + (2,)))
+            vel = _unsort(vel, order)
+        return pts.reshape(s.shape + (2,)), vel.reshape(s.shape + (2,))
 
     def point(self, s):
-        pts, _ = self.point_and_velocity(s, velocity=False)
-        return pts
+        return self.point_and_velocity(s)[0]
 
 
 @dataclass(frozen=True)
@@ -680,6 +637,9 @@ class CurveSample:
         return self.points.shape[0]
 
 
+MIN_SAMPLES = 8
+
+
 def sample_manifold(curve, n=None, spacing=None):
     """Sample a closed curve uniformly in its base parameter.
 
@@ -692,8 +652,8 @@ def sample_manifold(curve, n=None, spacing=None):
     if n is None:
         n = int(math.ceil(curve.length / as_positive_float(spacing, "spacing")))
     n = int(n)
-    if n < 8:
-        raise InvalidInputError(f"need at least 8 samples, got {n}")
+    if n < MIN_SAMPLES:
+        raise InvalidInputError(f"need at least {MIN_SAMPLES} samples, got {n}")
     params = np.arange(n) * (curve.length / n)
     pts, vel = curve.point_and_velocity(params)
     tans = vel / np.linalg.norm(vel, axis=-1, keepdims=True)

@@ -176,13 +176,6 @@ def convolve_grid(values, kernel, step):
     return out, m
 
 
-def _eval_on(f, xs):
-    vals = np.asarray(f(xs), dtype=float)
-    if vals.shape != xs.shape:
-        vals = np.array([float(f(float(t))) for t in xs])
-    return vals
-
-
 def sup_deviation_ck(f, df, kernel, window, k=1):
     """Grid-measured deviation between ``f`` and its mollification.
 
@@ -196,6 +189,7 @@ def sup_deviation_ck(f, df, kernel, window, k=1):
     Parameters
     ----------
     f, df : callables (df may be None when k=0)
+        Vectorized: an array of points in, the values at them out.
     kernel : BumpKernel
     window : Interval
         Compact evaluation window of positive length.
@@ -226,11 +220,11 @@ def sup_deviation_ck(f, df, kernel, window, k=1):
         xs,
         window.hi + np.arange(1, m + 1) * hh,
     ])
-    fv = _eval_on(f, ext)
+    fv = np.asarray(f(ext), dtype=float)
     conv0, _ = convolve_grid(fv, kernel, hh)
     dev = np.abs(conv0 - fv[m:m + n]).max()
     if k == 1:
-        dfv = _eval_on(df, ext)
+        dfv = np.asarray(df(ext), dtype=float)
         conv1, _ = convolve_grid(dfv, kernel, hh)
         dev = max(dev, np.abs(conv1 - dfv[m:m + n]).max())
     return float(dev)

@@ -185,7 +185,7 @@ class PlateauBounds:
     derivative_dominates: bool
 
 
-def plateau_lipschitz_bounds(delta, R, reference=None):
+def plateau_lipschitz_bounds(delta, R):
     """Predicted constants of the rescaled plateau via the scaling law.
 
     ``derivative_dominates`` reports whether the slope-of-slope constant
@@ -193,7 +193,7 @@ def plateau_lipschitz_bounds(delta, R, reference=None):
     delta restores it whenever it fails (it holds for every window
     smaller than ~34, i.e. always at practical scales).
     """
-    ref = reference if reference is not None else make_reference_plateau()
+    ref = make_reference_plateau()
     w = smoothing_window_radius(delta, R)
     c = ref.support_radius / (0.5 * w)
     lv = ref.lip_value * c

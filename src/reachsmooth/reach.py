@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-def federer_ratio(p, tangent, q, degenerate_guard=1e-14):
+def federer_ratio(p, tangent, q):
     """Curvature-comparison ratio of an ordered point pair.
 
     Parameters
@@ -43,14 +43,13 @@ def federer_ratio(p, tangent, q, degenerate_guard=1e-14):
         Base point and compared point; must be distinct.
     tangent : array_like, shape (2,)
         Tangent direction at p (normalized internally).
-    degenerate_guard : float
-        Relative threshold below which q counts as lying on the tangent
-        line, making the pair flat.
 
     Returns
     -------
     float
-        |q - p|^2 / (2 dist(q, tangent line at p)); +inf for flat pairs.
+        |q - p|^2 / (2 dist(q, tangent line at p)); +inf for flat pairs,
+        those whose tangent distance is at most 1e-14 |q - p|, the same
+        threshold as the scan's.
     """
     pv = as_vector(p, "p", dim=2)
     qv = as_vector(q, "q", dim=2)
@@ -64,7 +63,7 @@ def federer_ratio(p, tangent, q, degenerate_guard=1e-14):
     if dist == 0:
         raise InvalidInputError("p and q must be distinct")
     cross = abs(d[0] * tv[1] - d[1] * tv[0])
-    if cross <= degenerate_guard * dist:
+    if cross <= _accel.DEGENERATE_REL * dist:
         return math.inf
     return dist * dist / (2.0 * cross)
 
@@ -123,7 +122,7 @@ def estimate_reach_federer(points, tangents, min_sep):
                          int(pairs), pts.shape[0], ms)
 
 
-def scan_curve_reach(curve, n=None, spacing=None, min_sep=None):
+def scan_curve_reach(curve, n=2000, min_sep=None):
     """Sample a curve and scan it; min_sep defaults to twice the spacing.
 
     Accepts a ClosedCurve or a bare BaseShape.  Returns the estimate and
@@ -133,15 +132,18 @@ def scan_curve_reach(curve, n=None, spacing=None, min_sep=None):
         curve = ClosedCurve(curve)
     if not isinstance(curve, ClosedCurve):
         raise InvalidInputError("curve must be a ClosedCurve or BaseShape")
-    if n is None and spacing is None:
-        n = 2000
-    sample = sample_manifold(curve, n=n, spacing=spacing)
+    sample = sample_manifold(curve, n=n)
     ms = 2.0 * sample.spacing if min_sep is None else as_positive_float(min_sep, "min_sep")
     est = estimate_reach_federer(sample.points, sample.tangents, ms)
     return est, sample
 
 
-def _arc_chain_reach(shape, n=8192, n_dirs=8192):
+# samples and width directions of the arc-chain reach
+_CHAIN_SAMPLES = 8192
+_CHAIN_DIRS = 8192
+
+
+def _arc_chain_reach(shape):
     """min(arc curvature radius, half the minimal width).
 
     For a convex C^{1,1} profile every critical radius of the medial
@@ -150,12 +152,12 @@ def _arc_chain_reach(shape, n=8192, n_dirs=8192):
     reach is the smaller of the two quantities.  Non-convex chains are
     refused: their necks need a full medial computation.
     """
-    sample = sample_manifold(ClosedCurve(shape), n=n)
+    sample = sample_manifold(ClosedCurve(shape), n=_CHAIN_SAMPLES)
     kappa = shape.curvature(sample.params)
     if np.any(kappa < -1e-12):
         raise InvalidInputError(
             "analytic reach for arc chains covers convex profiles only")
-    theta = np.linspace(0.0, math.pi, n_dirs, endpoint=False)
+    theta = np.linspace(0.0, math.pi, _CHAIN_DIRS, endpoint=False)
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     return min(shape.min_arc_radius(), 0.5 * float(_widths(sample.points, dirs).min()))
 

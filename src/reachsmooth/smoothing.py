@@ -34,8 +34,7 @@ from ._util import as_positive_float
 from .curves import (AppliedPatch, BaseShape, ClosedCurve, local_graph_at,
                      make_shape, sample_manifold)
 from .errors import ConvergenceError, GeometryError, InvalidInputError
-from .kernels import (BumpKernel, Interval, _halving_search, convolve,
-                      convolve_grid)
+from .kernels import BumpKernel, _halving_search, convolve, convolve_grid
 from .partition import (PlateauFunction, make_reference_plateau,
                         plateau_lipschitz_bounds, rescale_plateau,
                         smoothing_window_radius)
@@ -124,14 +123,11 @@ class BlendedMap:
     probe need.
     """
 
-    def __init__(self, f, df, psi, kernel, domain, rho, deviation, taps=64):
+    def __init__(self, f, df, psi, kernel, taps=64):
         self.f = f
         self.df = df
         self.psi = psi
         self.kernel = kernel
-        self.domain = domain
-        self.rho = rho
-        self.deviation = deviation
         self.taps = taps
 
     def _smoothed(self, y, order):
@@ -150,19 +146,7 @@ class BlendedMap:
         return out if np.asarray(y).ndim else float(out[0])
 
     def derivative(self, y):
-        yv = np.atleast_1d(np.asarray(y, dtype=float))
-        dbase = np.asarray(self.df(yv), dtype=float)
-        out = dbase.copy()
-        w = self.psi(yv)
-        dw = self.psi.derivative(yv)
-        hot = (w > 0.0) | (dw != 0.0)
-        if np.any(hot):
-            base = np.asarray(self.f(yv[hot]), dtype=float)
-            conv = self._smoothed(yv[hot], 0)
-            dconv = self._smoothed(yv[hot], 1)
-            out[hot] = (dbase[hot] + dw[hot] * (conv - base)
-                        + w[hot] * (dconv - dbase[hot]))
-        return out if np.asarray(y).ndim else float(out[0])
+        return self.value_and_derivative(y)[1]
 
     def value_and_derivative(self, y):
         """Both fields in one pass; shares the quadrature between them."""
@@ -264,8 +248,7 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max,
     delta_vals = pv * (conv0 - fv[mid])
     slope_vals = dpv * (conv0 - fv[mid]) + pv * (conv1 - dfv[mid])
     disp = CubicHermiteSpline(xs_mid, delta_vals, slope_vals)
-    blend = BlendedMap(graph.value, graph.slope, psi, kern,
-                       Interval(-w, w), rho, dev)
+    blend = BlendedMap(graph.value, graph.slope, psi, kern)
     patch = AppliedPatch(
         index=index, base_arc=float(base_arc), center=graph.center,
         tangent=graph.tangent, normal=graph.normal, inner_radius=r1,
@@ -328,7 +311,7 @@ class SmoothingResult:
 
 
 def smooth_manifold(shape, epsilon, *, reach=None, delta=None, rho=None,
-                    sigma_max=None, scan_spacing=None):
+                    sigma_max=None):
     """Smooth a closed curve, certifying the reach loss stays under epsilon.
 
     Parameters
@@ -342,8 +325,7 @@ def smooth_manifold(shape, epsilon, *, reach=None, delta=None, rho=None,
         Reach lower bound of the input; defaults to the analytic value.
     delta, rho, sigma_max : float, optional
         Schedule overrides: window scale, deviation budget, support cap.
-    scan_spacing : float, optional
-        Sample spacing of the final verification scan.
+        The final verification scan samples at sqrt(delta R)/32.
 
     Returns
     -------
@@ -406,9 +388,7 @@ def smooth_manifold(shape, epsilon, *, reach=None, delta=None, rho=None,
                  float(np.abs(patch.displacement(ys)).max()),
                  float(np.abs(patch.slope_displacement(ys)).max()))
 
-    if scan_spacing is None:
-        scan_spacing = w / 16.0  # sqrt(delta R)/32
-    sample = sample_manifold(curve, spacing=scan_spacing)
+    sample = sample_manifold(curve, spacing=w / 16.0)  # sqrt(delta R)/32
     est = estimate_reach_federer(sample.points, sample.tangents,
                                  2.0 * sample.spacing)
 
@@ -441,7 +421,7 @@ def smooth_manifold(shape, epsilon, *, reach=None, delta=None, rho=None,
                            records=tuple(records), psi=psi, scan=est)
 
 
-def predicted_reach_bound(R, delta, rho, reference=None):
+def predicted_reach_bound(R, delta, rho):
     """Closed-form lower bound for the reach after a full run.
 
     Two mechanisms compete: inside a window the blended slope budget
@@ -460,7 +440,7 @@ def predicted_reach_bound(R, delta, rho, reference=None):
         raise InvalidInputError(f"rho must be finite and >= 0, got {rho}")
     if r == 0.0:
         return Rv * (1.0 - d / Rv)
-    L0d = (reference if reference is not None else make_reference_plateau()).lip_derivative
+    L0d = make_reference_plateau().lip_derivative
     omega_near = 192.0 * L0d * r / d + 1.0 / (1.0 - d / Rv)
     omega_far = 1.0 + 192.0 * (r / d) * (64.0 * L0d / d + Rv + 1.0)
     return Rv / max(omega_near, omega_far)
@@ -512,35 +492,40 @@ class ProbeResult:
     limited_by_floor: bool
 
 
-def smooth_core_probe(evaluator, center, base_step, *, levels=4,
-                      ratio_cap=2.8, noise=1e-13, offset_fraction=1.0 / 3.0):
+# smoothness probe: number of dyadic steps, pass threshold on the last
+# ratio, evaluation noise behind the flat floor, off-center shift in steps
+_PROBE_LEVELS = 4
+_PROBE_RATIO_CAP = 2.8
+_PROBE_NOISE = 1e-13
+_PROBE_OFFSET = 1.0 / 3.0
+
+
+def smooth_core_probe(evaluator, center, base_step):
     """Detect a surviving derivative kink around a point.
 
-    Fourth differences are taken at steps 4b, 2b, b, b/2, ... (``levels``
-    of them, b = ``base_step``), each shifted off-center by a fraction of
-    the step so a symmetric kink cannot cancel out.  For a smooth
-    function the normalized differences settle to the fourth derivative,
-    so the last dyadic ratio stays near 1; a surviving curvature jump
-    makes it approach 4.  Differences below the cancellation floor
-    (roughly ``noise`` / step^4) count as flat.
+    Fourth differences are taken at steps 4b, 2b, b, b/2 (b =
+    ``base_step``), each shifted off-center by a third of the step so a
+    symmetric kink cannot cancel out.  For a smooth function the
+    normalized differences settle to the fourth derivative, so the last
+    dyadic ratio stays near 1 and passes at most ``_PROBE_RATIO_CAP``; a
+    surviving curvature jump makes it approach 4.  Differences below the
+    cancellation floor (roughly 1e-13 / step^4) count as flat.
 
     The step should not go below half the mollification radius being
     checked: beyond that the floor swallows every signal.
     """
     b = as_positive_float(base_step, "base_step")
-    if levels < 2:
-        raise InvalidInputError("need at least two probe levels")
-    steps = tuple(b * 2.0 ** (2 - j) for j in range(int(levels)))
+    steps = tuple(b * 2.0 ** (2 - j) for j in range(_PROBE_LEVELS))
     stencil = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
     diffs = []
     for h in steps:
-        xs = center + h * (np.arange(-2.0, 3.0) + offset_fraction)
+        xs = center + h * (np.arange(-2.0, 3.0) + _PROBE_OFFSET)
         vals = np.asarray(evaluator(xs), dtype=float)
         diffs.append(float(abs(stencil @ vals)) / h ** 4)
     ratios = tuple(d2 / d1 if d1 > 0 else math.inf
                    for d1, d2 in zip(diffs, diffs[1:]))
-    floor = 64.0 * noise / steps[-1] ** 4
+    floor = 64.0 * _PROBE_NOISE / steps[-1] ** 4
     flat = max(diffs) <= floor
-    passed = flat or (ratios[-1] <= ratio_cap)
+    passed = flat or (ratios[-1] <= _PROBE_RATIO_CAP)
     return ProbeResult(passed=passed, steps=steps, fourth_diffs=tuple(diffs),
                        ratios=ratios, floor=floor, limited_by_floor=flat)

@@ -118,11 +118,12 @@ def test_patch_checkers_on_real_patch(stadium_run):
     result = stadium_run.result
     patch = result.curve.patches[0]
     R = result.report.R_input
-    r1 = check_tangent_distance_bound(patch, seed=1, instance="p0")
-    r2 = check_angle_bound(patch, seed=1, instance="p0")
-    r3 = check_hausdorff_bound(patch, R, seed=1, instance="p0")
-    # the far-point row on shared arrays, as the patches suite runs it
+    # every checker reads the same shared arrays, as the patches suite runs them
     arrays = patch_graph_arrays(patch)
+    r1 = check_tangent_distance_bound(patch, seed=1, instance="p0",
+                                      arrays=arrays)
+    r2 = check_angle_bound(patch, seed=1, instance="p0", arrays=arrays)
+    r3 = check_hausdorff_bound(patch, R, seed=1, instance="p0", arrays=arrays)
     sample = sample_manifold(result.curve, n=2000)
     r4 = check_far_point_distance(patch, result.curve, R, sample, seed=1,
                                   instance="p0", arrays=arrays)
@@ -138,6 +139,9 @@ def test_patch_checkers_on_real_patch(stadium_run):
     far = int((gap > 1.5 * patch.arc_window).sum())
     assert core > 96 and far > 0
     assert r4.grid == core * far
+    # the shared arrays are the only route: a checker without them is an error
+    with pytest.raises(TypeError):
+        check_angle_bound(patch, seed=1, instance="p0")
 
 
 def test_main_theorem_rows(stadium_run):

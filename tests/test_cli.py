@@ -143,3 +143,49 @@ def test_pipeline_failure_exit_code(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, {**CIRCLE, "epsilon": 0.3})
     assert cli.main(["smooth", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("extra", [
+    {"delta": "abc"},          # a string, numeric or not
+    {"rho": "0.001"},
+    {"sigma_max": True},       # JSON booleans are not numbers
+    {"reach": None},
+    {"epsilon": [0.3]},
+    {"sigma-max": 0.001},      # misspelt key
+    {"options": {}},
+], ids=["string", "numeric_string", "bool", "null", "list", "misspelt", "unknown"])
+def test_smooth_config_is_checked_before_the_run(tmp_path, monkeypatch, capsys, extra):
+    def never(*a, **k):
+        raise AssertionError("pipeline ran on a bad config")
+    monkeypatch.setattr(cli, "smooth_manifold", never)
+    cfg = write_config(tmp_path, {**CIRCLE, "epsilon": 0.3, **extra})
+    assert cli.main(["smooth", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+    name = next(iter(extra))
+    assert name in capsys.readouterr().err
+
+
+def test_smooth_csv_n_is_checked_before_the_run(tmp_path, monkeypatch, capsys):
+    def never(*a, **k):
+        raise AssertionError("pipeline ran with too few CSV samples")
+    monkeypatch.setattr(cli, "smooth_manifold", never)
+    cfg = write_config(tmp_path, {**CIRCLE, "epsilon": 0.3})
+    assert cli.main(["smooth", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--csv-n", "7"]) == 2
+    assert "--csv-n must be at least 8" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_smooth_config_numbers_reach_the_pipeline(tmp_path, monkeypatch):
+    seen = {}
+
+    def record(shape, eps, **kw):
+        seen.update(kw, epsilon=eps)
+        raise GeometryError("stop here")
+    monkeypatch.setattr(cli, "smooth_manifold", record)
+    cfg = write_config(tmp_path, {**CIRCLE, "epsilon": 1, "delta": 0.1,
+                                  "rho": 1e-3, "sigma_max": 0.002, "reach": 1})
+    assert cli.main(["smooth", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--rho", "2e-3"]) == 1
+    assert seen == {"epsilon": 1.0, "delta": 0.1, "rho": 2e-3,
+                    "sigma_max": 0.002, "reach": 1.0}

@@ -23,8 +23,7 @@ def test_circle_identities():
     shape = make_shape({"kind": "circle", "r": 1.7})
     assert shape.length == pytest.approx(2 * math.pi * 1.7, rel=1e-15)
     s = np.linspace(0, shape.length, 33)
-    pts = shape.point(s)
-    tans = shape.tangent(s)
+    pts, tans = shape.point_and_tangent(s)
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.7, atol=1e-12)
     assert np.allclose(np.linalg.norm(tans, axis=1), 1.0, atol=1e-12)
     assert np.allclose((pts * tans).sum(axis=1), 0.0, atol=1e-12)
@@ -84,7 +83,8 @@ def test_stadium_closure_and_continuity():
     eps = 1e-9
     gap = np.linalg.norm(shape.point(s + eps) - shape.point(s), axis=1)
     assert gap.max() < 1e-8
-    tjump = np.linalg.norm(shape.tangent(s + eps) - shape.tangent(s), axis=1)
+    tjump = np.linalg.norm(shape.point_and_tangent(s + eps)[1]
+                           - shape.point_and_tangent(s)[1], axis=1)
     assert tjump.max() < 1e-7
 
 
@@ -290,16 +290,15 @@ def stacked_circle():
     return curve
 
 
-def masked_oracle(curve, s, velocity):
+def masked_oracle(curve, s):
     # the base shape, then every patch in stack order through the masked
     # path, on the batch in its own order
     s = np.asarray(s, dtype=float)
     sv = s.ravel()
-    pts = curve.shape.point(sv)
-    vel = curve.shape.tangent(sv) if velocity else None
+    pts, vel = curve.shape.point_and_tangent(sv)
     for patch in curve.patches:
         curve._nudge(sv, pts, vel, patch)
-    return pts.reshape(s.shape + (2,)), (vel.reshape(s.shape + (2,)) if velocity else None)
+    return pts.reshape(s.shape + (2,)), vel.reshape(s.shape + (2,))
 
 
 _L = 2 * math.pi
@@ -323,15 +322,12 @@ def test_patch_prefilter_matches_full_scan(batch):
     # nudging every patch in order through masks, bit for bit
     curve = stacked_circle()
     s = ORACLE_BATCHES[batch]
-    for velocity in (True, False):
-        pts, vel = curve.point_and_velocity(s, velocity=velocity)
-        ref_pts, ref_vel = masked_oracle(curve, s, velocity)
-        assert pts.shape == s.shape + (2,)
-        assert np.array_equal(pts, ref_pts, equal_nan=True)
-        if velocity:
-            assert np.array_equal(vel, ref_vel, equal_nan=True)
-        else:
-            assert vel is None
+    pts, vel = curve.point_and_velocity(s)
+    ref_pts, ref_vel = masked_oracle(curve, s)
+    assert pts.shape == vel.shape == s.shape + (2,)
+    assert np.array_equal(pts, ref_pts, equal_nan=True)
+    assert np.array_equal(vel, ref_vel, equal_nan=True)
+    assert np.array_equal(curve.point(s), pts, equal_nan=True)
     if batch == "nan":
         assert np.isnan(pts[1]).all() and np.isfinite(np.delete(pts, 1, axis=0)).all()
 
@@ -366,22 +362,38 @@ CATALOG = [{"kind": "circle", "r": 1.3},
 
 @pytest.mark.parametrize("spec", CATALOG, ids=lambda spec: spec.get("preset", spec["kind"]))
 def test_point_and_tangent_matches_separate_calls(spec):
+    # the one evaluator of a base shape: ``point`` is its first half, for
+    # any argument shape and for arcs on either side of the period; the
+    # tangent is the unit derivative of the points
     shape = make_shape(spec)
     L = shape.length
     s = np.concatenate([np.linspace(-1.5 * L, 2.5 * L, 301),
                         [0.0, L, -L, 1e-12, L - 1e-12]])
     for arg in (s, s[:9].reshape(3, 3), np.float64(0.7 * L)):
         pts, tans = shape.point_and_tangent(arg)
+        assert pts.shape == tans.shape == np.shape(arg) + (2,)
         assert np.array_equal(pts, shape.point(arg))
-        assert np.array_equal(tans, shape.tangent(arg))
+    pts, tans = shape.point_and_tangent(s)
+    wrapped_pts, wrapped_tans = shape.point_and_tangent(np.mod(s, L))
+    assert np.allclose(pts, wrapped_pts, rtol=0.0, atol=1e-12 * L)
+    assert np.allclose(tans, wrapped_tans, rtol=0.0, atol=1e-12 * L)
+    h = 1e-6
+    fd = (shape.point(s + h) - shape.point(s - h)) / (2 * h)
+    assert np.allclose(np.linalg.norm(tans, axis=1), 1.0, rtol=0.0, atol=1e-12)
+    assert np.allclose(tans, fd, rtol=0.0, atol=1e-5)  # h times curvature jump
 
 
-def test_velocity_flag_is_keyword_only():
+def test_point_and_velocity_takes_only_s():
+    # a second positional argument would be read as the depth ``upto``
+    # by the benchmark's call counter; there is none to pass
     curve = circle_curve(1.0)
     with pytest.raises(TypeError):
         curve.point_and_velocity(np.array([0.1]), False)
-    pts, vel = curve.point_and_velocity(np.array([0.1]), velocity=False)
-    assert vel is None and np.array_equal(pts, curve.point(np.array([0.1])))
+    with pytest.raises(TypeError):
+        curve.point_and_velocity(np.array([0.1]), velocity=False)
+    pts, vel = curve.point_and_velocity(np.array([0.1]))
+    assert np.array_equal(pts, curve.point(np.array([0.1])))
+    assert vel.shape == (1, 2)
 
 
 def test_patch_index_must_extend_stack():

@@ -12,7 +12,7 @@ from reachsmooth.checks import _searched_blend, random_c11
 from reachsmooth.curves import AppliedPatch, ClosedCurve, make_shape
 from reachsmooth.errors import (ConvergenceError, GeometryError,
                                 InvalidInputError)
-from reachsmooth.kernels import Interval
+from reachsmooth.kernels import Interval, find_support_radius
 from reachsmooth.partition import (make_reference_plateau, rescale_plateau,
                                    smoothing_window_radius)
 from reachsmooth.smoothing import (build_net, effective_radius_drop,
@@ -71,9 +71,12 @@ def test_blend_of_affine_is_affine():
     f = lambda x: 0.7 * np.asarray(x, dtype=float) - 0.2
     df = lambda x: np.full_like(np.asarray(x, dtype=float), 0.7)
     blend = _searched_blend(f, df, psi, 0.05, Interval(-4, 4), 1, sigma_max=0.3)
-    # an affine input passes at the first radius: the cap
+    # an affine input passes at the first radius, the cap, with no deviation
     assert blend.kernel.sigma == 0.3
-    assert blend.deviation <= 1e-12
+    window = Interval(-psi.support_radius, psi.support_radius)
+    sigma, dev = find_support_radius(f, df, window, Interval(-4, 4), 0.05,
+                                     k=1, sigma_max=0.3)
+    assert sigma == 0.3 and dev <= 1e-12
     ys = np.linspace(-3.5, 3.5, 101)
     assert np.allclose(blend.value(ys), f(ys), atol=1e-12)
     assert np.allclose(blend.derivative(ys), 0.7, atol=1e-11)
@@ -242,6 +245,40 @@ def test_run_is_deterministic(circle_run):
     assert np.array_equal(again.net.arcs, circle_run.net.arcs)
 
 
+def rotated_stadium_spec(angle, r=1.0, l=2.0):
+    """The catalog stadium as a cad_profile, turned about the origin."""
+    c, s = math.cos(angle), math.sin(angle)
+
+    def turn(p):
+        return [c * p[0] - s * p[1], s * p[0] + c * p[1]]
+
+    hl = 0.5 * l
+    segments = [
+        {"type": "line", "start": turn((-hl, -r)), "end": turn((hl, -r))},
+        {"type": "arc", "center": turn((hl, 0.0)), "radius": r,
+         "start_angle": angle - 0.5 * math.pi, "end_angle": angle + 0.5 * math.pi},
+        {"type": "line", "start": turn((hl, r)), "end": turn((-hl, r))},
+        {"type": "arc", "center": turn((-hl, 0.0)), "radius": r,
+         "start_angle": angle + 0.5 * math.pi, "end_angle": angle + 1.5 * math.pi},
+    ]
+    return {"kind": "cad_profile", "segments": segments}
+
+
+def test_run_is_rotation_invariant(stadium_run):
+    # a rigid turn of the input changes only rounding: the same net, and
+    # the certificate numbers of the catalog stadium to float accuracy.
+    # Identity-patch decisions sit at a rounding threshold, so the count
+    # of applied patches is not compared.
+    ref = stadium_run.result.report
+    rep = smooth_manifold(rotated_stadium_spec(0.3), 0.05).report
+    assert rep.R_input == pytest.approx(ref.R_input, rel=1e-12)
+    assert rep.R_input - rep.R_hat_measured <= rep.epsilon
+    assert rep.c1_distance <= rep.epsilon
+    assert rep.net_size == ref.net_size
+    assert rep.R_hat_measured == pytest.approx(ref.R_hat_measured, rel=1e-5)
+    assert rep.c1_distance == pytest.approx(ref.c1_distance, rel=1e-6)
+
+
 def test_run_rejects_epsilon_near_reach():
     with pytest.raises(InvalidInputError):
         smooth_manifold({"kind": "circle", "r": 1.0}, 0.95)
@@ -331,11 +368,6 @@ def test_probe_floor_on_flat_input():
     f = lambda x: np.full_like(np.asarray(x, dtype=float), 2.5)
     pr = smooth_core_probe(f, 0.0, 0.05)
     assert pr.passed and pr.limited_by_floor
-
-
-def test_probe_needs_two_levels():
-    with pytest.raises(InvalidInputError):
-        smooth_core_probe(np.sin, 0.0, 0.05, levels=1)
 
 
 def test_probe_misses_jump_below_its_resolution():
