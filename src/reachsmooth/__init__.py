@@ -31,8 +31,7 @@ from .kernels import (BumpKernel, Interval, convolve, convolve_grid,
                       find_support_radius, sup_deviation_ck)
 from .linalg import hausdorff_distance_sampled
 from .partition import (PlateauFunction, make_reference_plateau,
-                        plateau_lipschitz_bounds, rescale_plateau,
-                        smoothing_window_radius)
+                        rescale_plateau, smoothing_window_radius)
 from .reach import (ReachEstimate, analytic_reach, estimate_reach_federer,
                     federer_ratio, scan_curve_reach)
 from .smoothing import (BlendedMap, Net, ProbeResult, SmoothingReport,
@@ -53,8 +52,8 @@ __all__ = [
     "BumpKernel", "Interval", "convolve", "convolve_grid",
     "find_support_radius", "sup_deviation_ck",
     "hausdorff_distance_sampled",
-    "PlateauFunction", "make_reference_plateau", "plateau_lipschitz_bounds",
-    "rescale_plateau", "smoothing_window_radius",
+    "PlateauFunction", "make_reference_plateau", "rescale_plateau",
+    "smoothing_window_radius",
     "ReachEstimate", "analytic_reach", "estimate_reach_federer",
     "federer_ratio", "scan_curve_reach",
     "BlendedMap", "Net", "ProbeResult", "SmoothingReport", "SmoothingResult",

@@ -378,8 +378,7 @@ def _probe_row(name, curve, arc, sigma, seed, instance, *, expect_pass):
 
     The row passes when the probe's verdict equals ``expect_pass``.
     """
-    g = local_graph_at(curve, arc=arc, window_radius=12.0 * sigma,
-                       measure_grid=9)
+    g = local_graph_at(curve, arc, 12.0 * sigma)
     pr = smooth_core_probe(g.value, 0.0, sigma)
     measured = pr.ratios[-1] if math.isfinite(pr.ratios[-1]) else 0.0
     return _result(name, measured, _PROBE_RATIO_CAP, 0.0, 5 * len(pr.steps),

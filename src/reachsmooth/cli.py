@@ -14,8 +14,9 @@ Four subcommands:
     Pretty-print a previously written report.json.
 
 Configs are plain JSON; command-line flags override config values.  A
-``smooth`` config holds ``shape`` and the numbers ``epsilon``, ``delta``,
-``rho``, ``sigma_max`` and ``reach``; any other key is refused.
+``reach`` config holds only ``shape``.  A ``smooth`` config holds
+``shape`` and the numbers ``epsilon``, ``delta``, ``rho``, ``sigma_max``
+and ``reach``.  Any other key is refused.
 Artifacts carry no timestamps or machine identifiers, so identical
 inputs produce byte-identical outputs; wall-clock timing goes to
 stderr.  Exit codes: 0 success, 1 pipeline or verification failure,
@@ -92,13 +93,16 @@ def _load_config(path):
 _SMOOTH_NUMBERS = ("epsilon", "delta", "rho", "sigma_max", "reach")
 
 
-def _smooth_settings(cfg):
-    """The numbers of a ``smooth`` config; unknown keys and non-numbers raise."""
-    extra = sorted(set(cfg) - {"shape", *_SMOOTH_NUMBERS})
+def _refuse_unknown_keys(cfg, allowed):
+    extra = sorted(set(cfg) - set(allowed))
     if extra:
         raise InvalidInputError(
-            f"unknown config keys {extra}; allowed: shape, "
-            + ", ".join(_SMOOTH_NUMBERS))
+            f"unknown config keys {extra}; allowed: " + ", ".join(allowed))
+
+
+def _smooth_settings(cfg):
+    """The numbers of a ``smooth`` config; unknown keys and non-numbers raise."""
+    _refuse_unknown_keys(cfg, ("shape", *_SMOOTH_NUMBERS))
     out = {}
     for name in _SMOOTH_NUMBERS:
         if name in cfg:
@@ -171,6 +175,7 @@ def _write_overlay_svg(path, before, after, centers):
 
 def _cmd_reach(args):
     cfg = _load_config(args.config)
+    _refuse_unknown_keys(cfg, ("shape",))
     shape = _config_shape(cfg)
     t0 = time.perf_counter()
     est, sample = scan_curve_reach(shape, n=args.n, min_sep=args.min_sep)

@@ -8,9 +8,10 @@ farther than the patch transition radius (in tangent coordinate) are
 left bit-identical, which is what makes the surgery local in the exact,
 testable sense.
 
-Each layer has one evaluator: a base shape implements only
-``point_and_tangent`` and a curve only ``point_and_velocity``; ``point``
-is the first half of either.  Evaluation sorts a batch of arcs once (pipeline batches already come
+Each layer has one evaluator: a chain segment and a base shape
+implement only ``point_and_tangent`` and a curve only
+``point_and_velocity``; ``point`` is the first half of either.
+Evaluation sorts a batch of arcs once (pipeline batches already come
 sorted), evaluates the base shape once with ``point_and_tangent``, and
 lets each patch nudge the contiguous run of sorted points inside its
 window through array slices.  The output is bit-identical to nudging
@@ -20,7 +21,8 @@ same arithmetic, and only the memory layout changes.
 
 Local graph windows rewrite a stretch of curve as a 1-D graph over its
 tangent line at a base arc; slopes come from the chain rule through the
-patch stack, not finite differences.
+patch stack, not finite differences.  Opening a window, by its
+half-width, evaluates the curve once; callers measure what they need.
 """
 
 from __future__ import annotations
@@ -163,29 +165,13 @@ class LineSegment:
     def length(self):
         return float(np.linalg.norm(self.end - self.start))
 
-    @property
-    def direction(self):
-        return (self.end - self.start) / self.length
-
-    def point(self, t):
+    def point_and_tangent(self, t):
         t = np.asarray(t, dtype=float)
-        return self.start + t[..., None] * self.direction
-
-    def tangent(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.broadcast_to(self.direction, t.shape + (2,)).copy()
+        d = (self.end - self.start) / self.length
+        return self.start + t[..., None] * d, np.broadcast_to(d, t.shape + (2,)).copy()
 
     def curvature_value(self):
         return 0.0
-
-    def start_tangent(self):
-        return self.direction
-
-    def end_tangent(self):
-        return self.direction
-
-    def end_point(self):
-        return self.end
 
 
 @dataclass(frozen=True)
@@ -208,29 +194,15 @@ class ArcSegment:
     def length(self):
         return self.radius * abs(self.sweep)
 
-    def _angle(self, t):
-        return self.start_angle + np.sign(self.sweep) * np.asarray(t, dtype=float) / self.radius
-
-    def point(self, t):
-        a = self._angle(t)
-        return self.center + self.radius * np.stack([np.cos(a), np.sin(a)], axis=-1)
-
-    def tangent(self, t):
-        a = self._angle(t)
+    def point_and_tangent(self, t):
         sgn = np.sign(self.sweep)
-        return np.stack([-sgn * np.sin(a), sgn * np.cos(a)], axis=-1)
+        a = self.start_angle + sgn * np.asarray(t, dtype=float) / self.radius
+        c, sn = np.cos(a), np.sin(a)
+        return (self.center + self.radius * np.stack([c, sn], axis=-1),
+                np.stack([-sgn * sn, sgn * c], axis=-1))
 
     def curvature_value(self):
         return float(np.sign(self.sweep) / self.radius)
-
-    def start_tangent(self):
-        return self.tangent(np.array(0.0))
-
-    def end_tangent(self):
-        return self.tangent(np.array(self.length))
-
-    def end_point(self):
-        return self.point(np.array(self.length))
 
 
 class ArcChainShape(BaseShape):
@@ -250,15 +222,17 @@ class ArcChainShape(BaseShape):
         lengths = np.array([seg.length for seg in self.segments])
         self._bounds = np.concatenate([[0.0], np.cumsum(lengths)])
         self.length = float(self._bounds[-1])
-        scale = max(1.0, max(float(np.abs(seg.point(np.array(0.0))).max())
-                             for seg in self.segments))
-        for i, seg in enumerate(self.segments):
-            nxt = self.segments[(i + 1) % len(self.segments)]
-            gap = np.linalg.norm(seg.end_point() - nxt.point(np.array(0.0)))
+        # (points, tangents) of each segment at its start and its end
+        ends = [seg.point_and_tangent(np.array([0.0, seg.length]))
+                for seg in self.segments]
+        scale = max(1.0, max(float(np.abs(pts[0]).max()) for pts, _ in ends))
+        for i, (pts, tans) in enumerate(ends):
+            nxt_pts, nxt_tans = ends[(i + 1) % len(ends)]
+            gap = np.linalg.norm(pts[1] - nxt_pts[0])
             if gap > 1e-9 * scale:
                 raise InvalidInputError(
                     f"chain breaks between segment {i} and {i + 1}: gap {gap:.3e}")
-            tdiff = np.linalg.norm(seg.end_tangent() - nxt.start_tangent())
+            tdiff = np.linalg.norm(tans[1] - nxt_tans[0])
             if tdiff > 1e-9:
                 raise InvalidInputError(
                     f"tangent jump of {tdiff:.3e} between segment {i} and {i + 1}; "
@@ -277,9 +251,7 @@ class ArcChainShape(BaseShape):
         for i, seg in enumerate(self.segments):
             m = idx == i
             if np.any(m):
-                t = sv[m] - self._bounds[i]
-                pts[m] = seg.point(t)
-                tans[m] = seg.tangent(t)
+                pts[m], tans[m] = seg.point_and_tangent(sv[m] - self._bounds[i])
         return pts, tans
 
     def curvature(self, s):
@@ -640,17 +612,12 @@ class CurveSample:
 MIN_SAMPLES = 8
 
 
-def sample_manifold(curve, n=None, spacing=None):
-    """Sample a closed curve uniformly in its base parameter.
+def sample_manifold(curve, n):
+    """Sample a closed curve at ``n`` uniform steps of its base parameter.
 
-    Exactly one of ``n`` and ``spacing`` must be given.  ``max_gap`` is
-    the measured largest chord between neighbors (wrap included), which
-    bounds the true sample density on the curve.
+    ``max_gap`` is the measured largest chord between neighbors (wrap
+    included), which bounds the true sample density on the curve.
     """
-    if (n is None) == (spacing is None):
-        raise InvalidInputError("give exactly one of n and spacing")
-    if n is None:
-        n = int(math.ceil(curve.length / as_positive_float(spacing, "spacing")))
     n = int(n)
     if n < MIN_SAMPLES:
         raise InvalidInputError(f"need at least {MIN_SAMPLES} samples, got {n}")
@@ -671,7 +638,7 @@ class LocalGraph:
     patched curve, not difference quotients.
     """
 
-    def __init__(self, curve, base_arc, window, measure_grid=257):
+    def __init__(self, curve, base_arc, window):
         self.curve = curve
         self.base_arc = float(base_arc)
         self.window = window
@@ -680,10 +647,6 @@ class LocalGraph:
         self.center = center
         self.tangent = t
         self.normal = np.array([-t[1], t[0]])
-        ys = np.linspace(window.lo, window.hi, int(measure_grid))
-        slopes = self.slope(ys)
-        self.lip_graph = float(np.abs(slopes).max())
-        self.lip_slope = float(np.abs(np.diff(slopes) / np.diff(ys)).max())
 
     def _solve(self, y):
         yv = np.asarray(y, dtype=float)
@@ -727,27 +690,14 @@ class LocalGraph:
         return f.reshape(shape), df.reshape(shape)
 
 
-def local_graph_at(curve, arc, *, delta=None, reach=None, window_radius=None,
-                   measure_grid=257):
-    """Graph window of a curve around the point at base parameter ``arc``.
+def local_graph_at(curve, arc, window_radius):
+    """Graph window [-window_radius, window_radius] of a curve around the
+    point at base parameter ``arc``.
 
-    The window half-width defaults to sqrt(delta * reach)/2.
-
-    Raises
-    ------
-    GeometryError
-        If the curve is not a graph over the tangent line there.
-    InvalidInputError
-        If the window parameters are missing or out of range.
+    Building the window evaluates the curve at ``arc`` only.  A fold
+    against the tangent frame raises ``GeometryError`` from the first
+    evaluation that reaches it; a radius that is not a positive finite
+    number raises ``InvalidInputError``.
     """
-    if window_radius is None:
-        if delta is None or reach is None:
-            raise InvalidInputError("need delta and reach (or an explicit window_radius)")
-        d = as_positive_float(delta, "delta")
-        r = as_positive_float(reach, "reach")
-        if d > 0.5 * r:
-            raise InvalidInputError(f"delta={d} exceeds half the reach bound {r}")
-        window_radius = 0.5 * math.sqrt(d * r)
     w = as_positive_float(window_radius, "window_radius")
-    return LocalGraph(curve, float(arc), Interval(-w, w),
-                      measure_grid=measure_grid)
+    return LocalGraph(curve, float(arc), Interval(-w, w))

@@ -69,7 +69,7 @@ class Interval:
     def length(self):
         return self.hi - self.lo
 
-    def contains(self, x, margin=0.0):
+    def contains(self, x, margin):
         return bool(np.all((np.asarray(x) >= self.lo - margin)
                            & (np.asarray(x) <= self.hi + margin)))
 

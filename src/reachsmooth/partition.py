@@ -9,9 +9,10 @@ sqrt(delta * R): flat core up to sqrt(delta R)/8, support sqrt(delta R)/4.
 
 Slope and curvature of the ramp are analytic (the profile's antiderivative
 is tabulated once with per-interval Gauss-Legendre and interpolated with
-a Hermite spline whose node slopes are exact), so the measured Lipschitz
-constants of a rescaled plateau follow the reference constants by the
-exact scaling law; both facts are under test.
+a Hermite spline whose node slopes are exact).  ``rescale_plateau`` is
+the one source of a working plateau's constants: the reference
+constants carried over by the exact scaling law.  Tests check the law
+against finite differences of the rescaled plateau.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ __all__ = [
     "PlateauFunction",
     "make_reference_plateau",
     "rescale_plateau",
-    "plateau_lipschitz_bounds",
-    "PlateauBounds",
     "smoothing_window_radius",
 ]
 
@@ -163,7 +162,9 @@ def rescale_plateau(reference, delta, R):
     """Shrink the reference plateau to the delta-window scale.
 
     The result is exactly x -> reference(8 x / sqrt(delta R)); its
-    Lipschitz constants follow by the same exact rescaling.
+    Lipschitz constants follow by the same exact rescaling.  The
+    curvature constant is the larger one while sqrt(delta R) < 34.7;
+    ``smooth_manifold`` halves delta until it is.
     """
     w = smoothing_window_radius(delta, R)  # sqrt(delta R) / 2
     c = reference.support_radius / (0.5 * w)  # contraction factor
@@ -172,35 +173,4 @@ def rescale_plateau(reference, delta, R):
         support_radius=reference.support_radius / c,
         lip_value=reference.lip_value * c,
         lip_derivative=reference.lip_derivative * c * c,
-    )
-
-
-@dataclass(frozen=True)
-class PlateauBounds:
-    """Rescaling-law constants for a delta-window plateau."""
-
-    lip_value: float
-    lip_derivative: float
-    combined: float
-    derivative_dominates: bool
-
-
-def plateau_lipschitz_bounds(delta, R):
-    """Predicted constants of the rescaled plateau via the scaling law.
-
-    ``derivative_dominates`` reports whether the slope-of-slope constant
-    is the combined maximum, which the reach estimates assume; halving
-    delta restores it whenever it fails (it holds for every window
-    smaller than ~34, i.e. always at practical scales).
-    """
-    ref = make_reference_plateau()
-    w = smoothing_window_radius(delta, R)
-    c = ref.support_radius / (0.5 * w)
-    lv = ref.lip_value * c
-    ld = ref.lip_derivative * c * c
-    return PlateauBounds(
-        lip_value=lv,
-        lip_derivative=ld,
-        combined=max(lv, ld),
-        derivative_dominates=ld >= lv,
     )

@@ -176,16 +176,12 @@ def _widths(points, dirs):
 
 
 def analytic_reach(shape):
-    """Closed-form (or closely bounded) reach of a catalog shape.
+    """Closed-form (or closely bounded) reach of a catalog base shape.
 
     circle r -> r; ellipse (a, b) -> b^2/a; stadium -> cap radius; other
     arc chains -> min of arc radii and half the minimal facing-pair
-    distance (convex profiles).
+    distance (convex profiles).  Other types, ClosedCurve too, raise.
     """
-    if isinstance(shape, ClosedCurve):
-        if shape.patches:
-            raise InvalidInputError("analytic reach is only defined for base shapes")
-        shape = shape.shape
     if isinstance(shape, CircleShape):
         return shape.r
     if isinstance(shape, EllipseShape):

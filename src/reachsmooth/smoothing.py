@@ -36,8 +36,7 @@ from .curves import (AppliedPatch, BaseShape, ClosedCurve, local_graph_at,
 from .errors import ConvergenceError, GeometryError, InvalidInputError
 from .kernels import BumpKernel, _halving_search, convolve, convolve_grid
 from .partition import (PlateauFunction, make_reference_plateau,
-                        plateau_lipschitz_bounds, rescale_plateau,
-                        smoothing_window_radius)
+                        rescale_plateau, smoothing_window_radius)
 from .reach import ReachEstimate, analytic_reach, estimate_reach_federer
 
 __all__ = [
@@ -75,7 +74,7 @@ class Net:
 
 
 def build_net(curve, delta, R):
-    """Deterministic farthest-point net at spacing sqrt(delta R)/16.
+    """Deterministic farthest-point net on a ClosedCurve, spacing sqrt(delta R)/16.
 
     Seeded at parameter 0 on a dense uniform sample (1/8 of the net
     spacing), inserting the farthest remaining sample until everything
@@ -85,8 +84,6 @@ def build_net(curve, delta, R):
     ``overlap_count`` is the largest number of net balls of radius
     sqrt(delta R)/2 that meet any single one (itself included).
     """
-    if isinstance(curve, BaseShape):
-        curve = ClosedCurve(curve)
     w2 = smoothing_window_radius(delta, R)          # sqrt(delta R)/2
     spacing = w2 / 8.0                              # sqrt(delta R)/16
     n_dense = int(math.ceil(curve.length / (spacing / 8.0)))
@@ -196,8 +193,10 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max,
     Raises
     ------
     GeometryError
-        If the pushed-forward center drifted past the shift budget
-        sqrt(delta R)/32 or the window is not a graph.
+        If the window [-w, w], w = sqrt(delta R)/2, is not a graph (first
+        seen where its slope is read at 257 points for ``lip_graph`` and
+        ``lip_slope``) or the pushed-forward center drifted past the
+        shift budget sqrt(delta R)/32.
     ConvergenceError
         If ``max_halvings`` halvings of the support radius cannot meet
         the deviation budget.
@@ -210,7 +209,11 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max,
         raise InvalidInputError("plateau support must sit inside the window")
     budget = w / 16.0
 
-    graph = local_graph_at(curve, arc=base_arc, delta=delta, reach=R)
+    graph = local_graph_at(curve, base_arc, w)
+    ys = np.linspace(-w, w, 257)
+    slopes = graph.slope(ys)
+    lip_graph = float(np.abs(slopes).max())
+    lip_slope = float(np.abs(np.diff(slopes) / np.diff(ys)).max())
     shift = float(np.linalg.norm(graph.center - curve.shape.point(np.array(base_arc))))
     if shift > budget:
         raise GeometryError(
@@ -239,8 +242,8 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max,
     if dev <= 1e-13 * max(1.0, w):
         record = PatchRecord(index=index, base_arc=float(base_arc), applied=False,
                              sigma=sigma, deviation=dev, shift=shift,
-                             halvings=halvings, lip_graph=graph.lip_graph,
-                             lip_slope=graph.lip_slope)
+                             halvings=halvings, lip_graph=lip_graph,
+                             lip_slope=lip_slope)
         return curve, None, record
 
     pv = psi(xs_mid)
@@ -253,12 +256,12 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max,
         index=index, base_arc=float(base_arc), center=graph.center,
         tangent=graph.tangent, normal=graph.normal, inner_radius=r1,
         transition_radius=r2, window_radius=w, sigma=sigma, rho_target=rho,
-        deviation=dev, lip_graph=graph.lip_graph, lip_slope=graph.lip_slope,
+        deviation=dev, lip_graph=lip_graph, lip_slope=lip_slope,
         displacement=disp, slope_displacement=disp.derivative(), blend=blend)
     record = PatchRecord(index=index, base_arc=float(base_arc), applied=True,
                          sigma=sigma, deviation=dev, shift=shift,
-                         halvings=halvings, lip_graph=graph.lip_graph,
-                         lip_slope=graph.lip_slope)
+                         halvings=halvings, lip_graph=lip_graph,
+                         lip_slope=lip_slope)
     return curve.with_patch(patch), patch, record
 
 
@@ -353,13 +356,13 @@ def smooth_manifold(shape, epsilon, *, reach=None, delta=None, rho=None,
     # halve until the slope-of-slope constant dominates, which the
     # combined-constant bookkeeping assumes; a no-op at practical sizes
     for _ in range(64):
-        if plateau_lipschitz_bounds(delta, R).derivative_dominates:
+        psi = rescale_plateau(make_reference_plateau(), delta, R)
+        if psi.lip_derivative >= psi.lip_value:
             break
         delta *= 0.5
     else:
         raise ConvergenceError("window normalization did not settle")
 
-    psi = rescale_plateau(make_reference_plateau(), delta, R)
     if rho is None:
         rho = 0.8 / (1.0 + psi.combined_lipschitz)
     rho = as_positive_float(rho, "rho")
@@ -388,7 +391,8 @@ def smooth_manifold(shape, epsilon, *, reach=None, delta=None, rho=None,
                  float(np.abs(patch.displacement(ys)).max()),
                  float(np.abs(patch.slope_displacement(ys)).max()))
 
-    sample = sample_manifold(curve, spacing=w / 16.0)  # sqrt(delta R)/32
+    # final scan at spacing sqrt(delta R)/32
+    sample = sample_manifold(curve, math.ceil(curve.length / (w / 16.0)))
     est = estimate_reach_federer(sample.points, sample.tangents,
                                  2.0 * sample.spacing)
 

@@ -36,6 +36,30 @@ def test_reach_command_prints_json(tmp_path, capsys):
     assert out["samples"] == 400 and out["pairs"] > 0
 
 
+@pytest.mark.parametrize("config", [
+    {"shapes": CIRCLE["shape"]},                       # misspelt key
+    {**CIRCLE, "n": 50, "min_sep": "abc"},             # keys of the flags
+], ids=["misspelt", "unknown"])
+def test_reach_config_is_checked_before_the_scan(tmp_path, monkeypatch, capsys,
+                                                 config):
+    def never(*a, **k):
+        raise AssertionError("scan ran on a bad config")
+    monkeypatch.setattr(cli, "scan_curve_reach", never)
+    cfg = write_config(tmp_path, config)
+    assert cli.main(["reach", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in config if name != "shape")
+
+
+def test_reach_config_with_flags(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"shape": {"kind": "stadium", "r": 1.0, "l": 2.0}})
+    assert cli.main(["reach", "--config", cfg, "--n", "300",
+                     "--min-sep", "0.1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["samples"] == 300 and out["min_sep"] == 0.1
+    assert out["closed_form_reach"] == 1.0
+
+
 def test_smooth_command_writes_artifacts(tmp_path, capsys):
     cfg = write_config(tmp_path, {**CIRCLE, "epsilon": 0.3})
     out_dir = tmp_path / "run"

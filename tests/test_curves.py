@@ -11,6 +11,7 @@ from reachsmooth.curves import (AppliedPatch, ArcChainShape, ArcSegment,
                                 ClosedCurve, LineSegment, local_graph_at,
                                 make_shape, sample_manifold)
 from reachsmooth.errors import GeometryError, InvalidInputError
+from reachsmooth.partition import smoothing_window_radius
 
 
 def circle_curve(r=1.0):
@@ -173,10 +174,9 @@ def test_sample_manifold_circle():
 
 def test_sample_manifold_validation():
     curve = circle_curve()
-    with pytest.raises(InvalidInputError):
-        sample_manifold(curve)
-    with pytest.raises(InvalidInputError):
-        sample_manifold(curve, n=32, spacing=0.1)
+    # the sample count is the one way in
+    with pytest.raises(TypeError):
+        sample_manifold(curve, spacing=0.1)
     with pytest.raises(InvalidInputError):
         sample_manifold(curve, n=4)
 
@@ -184,7 +184,7 @@ def test_sample_manifold_validation():
 def test_circle_local_graph_closed_form():
     R = 1.3
     curve = circle_curve(R)
-    lg = local_graph_at(curve, arc=0.4, delta=0.1 * R, reach=R)
+    lg = local_graph_at(curve, 0.4, smoothing_window_radius(0.1 * R, R))
     ys = np.linspace(lg.window.lo, lg.window.hi, 41)
     expected = R - np.sqrt(R * R - ys * ys)
     vals = lg.value(ys)
@@ -202,7 +202,7 @@ def test_local_graph_point_roundtrip():
     # on the curve, and above 0 it is the curve point at the base arc
     R = 2.0
     curve = circle_curve(R)
-    lg = local_graph_at(curve, arc=1.0, delta=0.2, reach=R)
+    lg = local_graph_at(curve, 1.0, smoothing_window_radius(0.2, R))
     ys = np.linspace(-0.2, 0.2, 9)
     pts = (lg.center + ys[:, None] * lg.tangent
            + lg.value(ys)[:, None] * lg.normal)
@@ -213,20 +213,29 @@ def test_local_graph_point_roundtrip():
 
 def test_local_graph_window_guard():
     curve = circle_curve()
-    lg = local_graph_at(curve, arc=0.0, delta=0.1, reach=1.0)
+    lg = local_graph_at(curve, 0.0, smoothing_window_radius(0.1, 1.0))
     with pytest.raises(InvalidInputError):
         lg.value(10 * lg.window.hi)
+    # the half-width is the one way to size a window
+    with pytest.raises(TypeError):
+        local_graph_at(curve, 0.0, delta=0.1, reach=1.0)
+    with pytest.raises(InvalidInputError):
+        local_graph_at(curve, 0.0, -0.1)
 
 
 def test_local_graph_folds_beyond_reach():
-    # a window wider than the circle radius cannot stay a graph
+    # a window wider than the circle radius cannot stay a graph; opening
+    # it evaluates the center only, so the fold shows when it is read
     curve = circle_curve(1.0)
+    lg = local_graph_at(curve, 0.0, 1.2)
+    assert lg.value(0.0) == 0.0
     with pytest.raises(GeometryError):
-        local_graph_at(curve, arc=0.0, window_radius=1.2)
+        lg.slope(np.linspace(-1.2, 1.2, 257))
 
 
 def test_graph_slope_lipschitz_bound():
-    # measured slope variation stays below 1/(R - 2 delta) across the
+    # measured slope variation (the largest difference quotient of 257
+    # slopes across the window) stays below 1/(R - 2 delta) across the
     # catalog; the margin is real but thin (worst ratio ~0.98)
     catalog = [({"kind": "circle", "r": 1.0}, 1.0),
                ({"kind": "ellipse", "a": 2.0, "b": 1.0}, 0.5),
@@ -242,8 +251,12 @@ def test_graph_slope_lipschitz_bound():
             delta = frac * R
             bound = 1.0 / (R - 2 * delta)
             for a in arcs:
-                lg = local_graph_at(curve, arc=float(a), delta=delta, reach=R)
-                assert lg.lip_slope <= bound * (1 + 1e-9), (spec, frac, a)
+                lg = local_graph_at(curve, float(a),
+                                    smoothing_window_radius(delta, R))
+                ys = np.linspace(lg.window.lo, lg.window.hi, 257)
+                slopes = lg.slope(ys)
+                lip_slope = np.abs(np.diff(slopes) / np.diff(ys)).max()
+                assert lip_slope <= bound * (1 + 1e-9), (spec, frac, a)
 
 
 # ------------------------------------------------------------ patch stack

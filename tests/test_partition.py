@@ -7,8 +7,7 @@ import pytest
 
 from reachsmooth.errors import InvalidInputError
 from reachsmooth.partition import (PlateauFunction, make_reference_plateau,
-                                   plateau_lipschitz_bounds, rescale_plateau,
-                                   smoothing_window_radius)
+                                   rescale_plateau, smoothing_window_radius)
 
 # grid-measured slope and curvature sups of the unit reference cutoff,
 # frozen from a high-resolution run; loose bands absorb grid placement
@@ -145,22 +144,21 @@ def test_rescaled_measured_slope_within_stated_constant(ref):
 
 
 def test_bounds_agree_with_rescale(ref):
-    delta, R = 0.08, 1.3
-    small = rescale_plateau(ref, delta, R)
-    bounds = plateau_lipschitz_bounds(delta, R)
-    assert bounds.lip_value == small.lip_value
-    assert bounds.lip_derivative == small.lip_derivative
-    assert bounds.combined == max(bounds.lip_value, bounds.lip_derivative)
+    # the blend's single constant is the larger of the two rescaled ones
+    small = rescale_plateau(ref, 0.08, 1.3)
+    assert small.combined_lipschitz == max(small.lip_value, small.lip_derivative)
 
 
-def test_derivative_dominates_at_practical_scales():
+def test_derivative_dominates_at_practical_scales(ref):
     for delta, R in [(0.01, 1.0), (0.45, 1.0), (0.3, 10.0), (1.0, 100.0)]:
-        assert plateau_lipschitz_bounds(delta, R).derivative_dominates
+        small = rescale_plateau(ref, delta, R)
+        assert small.lip_derivative >= small.lip_value
+        assert small.combined_lipschitz == small.lip_derivative
 
 
-def test_derivative_dominates_fails_for_huge_windows():
+def test_derivative_dominates_fails_for_huge_windows(ref):
     # window sqrt(delta R) ~ 283 pushes the contraction below the
     # crossover, so the slope constant takes over the combined max
-    bounds = plateau_lipschitz_bounds(40.0, 2000.0)
-    assert not bounds.derivative_dominates
-    assert bounds.combined == bounds.lip_value
+    small = rescale_plateau(ref, 40.0, 2000.0)
+    assert small.lip_derivative < small.lip_value
+    assert small.combined_lipschitz == small.lip_value

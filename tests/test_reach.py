@@ -140,12 +140,14 @@ def test_blocked_width_scan_is_exact():
 
 
 def test_analytic_reach_rejects_patched_curves():
+    # the closed forms are for base shapes; any ClosedCurve is refused,
+    # with or without patches
     base = ClosedCurve(make_shape({"kind": "circle", "r": 1.0}))
     patched = base.with_patch(synthetic_patch(base))
-    with pytest.raises(InvalidInputError):
-        analytic_reach(patched)
-    # the bare wrapper without patches is fine
-    assert analytic_reach(base) == 1.0
+    for curve in (base, patched):
+        with pytest.raises(InvalidInputError):
+            analytic_reach(curve)
+    assert analytic_reach(base.shape) == 1.0
 
 
 def dogbone_shape():

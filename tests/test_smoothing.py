@@ -9,7 +9,8 @@ from scipy.interpolate import CubicHermiteSpline
 
 from reachsmooth import smoothing
 from reachsmooth.checks import _searched_blend, random_c11
-from reachsmooth.curves import AppliedPatch, ClosedCurve, make_shape
+from reachsmooth.curves import (AppliedPatch, ArcChainShape, ClosedCurve,
+                                make_shape, stadium_segments)
 from reachsmooth.errors import (ConvergenceError, GeometryError,
                                 InvalidInputError)
 from reachsmooth.kernels import Interval, find_support_radius
@@ -43,12 +44,6 @@ def test_net_deterministic():
     b = build_net(circle(), 0.1, 1.0)
     assert np.array_equal(a.arcs, b.arcs)
     assert np.array_equal(a.points, b.points)
-
-
-def test_net_accepts_bare_shape():
-    shape = make_shape({"kind": "circle", "r": 1.0})
-    net = build_net(shape, 0.1, 1.0)
-    assert net.count == build_net(ClosedCurve(shape), 0.1, 1.0).count
 
 
 # ----------------------------------------------------------------- blends
@@ -272,6 +267,21 @@ def test_run_is_rotation_invariant(stadium_run):
     ref = stadium_run.result.report
     rep = smooth_manifold(rotated_stadium_spec(0.3), 0.05).report
     assert rep.R_input == pytest.approx(ref.R_input, rel=1e-12)
+    assert rep.R_input - rep.R_hat_measured <= rep.epsilon
+    assert rep.c1_distance <= rep.epsilon
+    assert rep.net_size == ref.net_size
+    assert rep.R_hat_measured == pytest.approx(ref.R_hat_measured, rel=1e-5)
+    assert rep.c1_distance == pytest.approx(ref.c1_distance, rel=1e-6)
+
+
+def test_run_is_start_point_invariant(stadium_run):
+    # the same stadium with its segment list starting at the right-hand
+    # cap: arc 0, where the net is seeded, moves to the start of the cap.
+    # As for rotation, the count of applied patches is not compared.
+    ref = stadium_run.result.report
+    segments = stadium_segments(1.0, 2.0)
+    rep = smooth_manifold(ArcChainShape(segments[1:] + segments[:1]), 0.05).report
+    assert rep.R_input == ref.R_input
     assert rep.R_input - rep.R_hat_measured <= rep.epsilon
     assert rep.c1_distance <= rep.epsilon
     assert rep.net_size == ref.net_size

@@ -5,10 +5,13 @@ function parameter with a default, a dataclass field with a default, or
 a command-line flag.  Each independent option multiplies the
 configurations tests and benchmarks have to cover, so the count is
 pinned: a change that adds an option changes the number below and says
-why.
+why.  The exported names are checked too: every name in an ``__all__``
+must resolve, so a deleted function cannot linger in an export list.
 """
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import reachsmooth
@@ -16,7 +19,7 @@ import reachsmooth
 PACKAGE = Path(reachsmooth.__file__).resolve().parent
 
 # parameters with a default + defaulted dataclass fields + argparse flags
-EXPECTED_OPTIONS = 64
+EXPECTED_OPTIONS = 56
 
 
 def _is_dataclass(node):
@@ -85,3 +88,18 @@ parser.add_argument("--flag")
 def test_option_count_is_pinned():
     params, fields, flags = package_options()
     assert params + fields + flags == EXPECTED_OPTIONS, (params, fields, flags)
+
+
+def test_every_export_resolves():
+    names = ["reachsmooth"] + [m.name for m in pkgutil.walk_packages(
+        reachsmooth.__path__, "reachsmooth.")]
+    checked = 0
+    for name in names:
+        module = importlib.import_module(name)
+        exports = getattr(module, "__all__", None)
+        if exports is None:
+            continue
+        checked += 1
+        missing = [n for n in exports if not hasattr(module, n)]
+        assert not missing, (name, missing)
+    assert checked >= 10
