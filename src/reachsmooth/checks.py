@@ -19,6 +19,12 @@ Each checker has one route.  The four patch checkers read the same
 constants, and the smoothness-probe rows of ``check_main_theorem`` all
 come from one helper bound by the probe's own pass threshold.
 
+Checking a patch costs what the checks need and no more, with every
+number unchanged: each read of the patch graph takes value and slope
+from one Newton solve, so the arrays cost one solve on the tap grid, and
+the far-point check compares every pair in cache-sized blocks of the
+plateau core instead of one (core x far x 2) broadcast.
+
 The suite runner is deterministic end to end: seeded generators consumed
 in a fixed order, fixed instance ordering, and a CSV writer with a
 17-significant-digit float format and no timestamps, so two runs with
@@ -71,6 +77,8 @@ _LIPSCHITZ_GRID = 2001
 _PATCH_GRID = 1025
 _PATCH_TAPS = 16
 _PAIR_N = 192
+# core rows per block of the far-point check
+_FAR_BLOCK = 32
 # scan tolerance of the reach-drop row, as a share of the input reach
 _REACH_TOL = 0.02
 # instances per suite: zoo functions and blend budgets
@@ -220,11 +228,25 @@ def check_convolution_lipschitz(f, df, lip, kernel, domain, *, order=0,
                    _LIPSCHITZ_GRID, seed, instance)
 
 
+class _FunctionGraph:
+    """A zoo function and its slope in the graph interface of ``BlendedMap``.
+
+    ``value`` is ``f`` itself, so the value path does no extra work.
+    """
+
+    def __init__(self, f, df):
+        self.value = f
+        self.df = df
+
+    def value_and_slope(self, y):
+        return self.value(y), self.df(y)
+
+
 def _searched_blend(f, df, psi, rho, domain, order, *, sigma_max=None):
     window = Interval(-psi.support_radius, psi.support_radius)
     sigma, _ = find_support_radius(
         f, df, window, domain, rho, k=order, sigma_max=sigma_max)
-    return BlendedMap(f, df, psi, BumpKernel(sigma))
+    return BlendedMap(_FunctionGraph(f, df), psi, BumpKernel(sigma))
 
 
 def check_blend_lipschitz(f, df, lip, lip_d, psi, rho, domain, *, order=0,
@@ -263,15 +285,16 @@ def patch_graph_arrays(patch):
     transition window, the ``arrays`` every patch checker reads.  The
     blend is re-evaluated with fresh taps here, never read off the
     displacement tabulation the pipeline stored: the checks must not
-    trust the object they are checking.
+    trust the object they are checking.  Every read of the graph takes
+    value and slope together, so a call makes one graph solve on the tap
+    grid and two on ``ys`` (the blend's base and ``fv``/``dfv``).
     """
     b = patch.blend
-    light = BlendedMap(b.f, b.df, b.psi, b.kernel, taps=_PATCH_TAPS)
+    light = BlendedMap(b.graph, b.psi, b.kernel, taps=_PATCH_TAPS)
     r2 = patch.transition_radius
     ys = np.linspace(-r2, r2, _PATCH_GRID)
     F, DF = light.value_and_derivative(ys)
-    fv = np.asarray(b.f(ys), dtype=float)
-    dfv = np.asarray(b.df(ys), dtype=float)
+    fv, dfv = b.graph.value_and_slope(ys)
     return ys, F, DF, fv, dfv
 
 
@@ -341,10 +364,18 @@ def check_far_point_distance(patch, curve_after, R, sample, *, seed=0,
     stay within |q-p|^2/(2R) plus the deviation penalty
     rho^2/(2R) + rho (6 R L + 6 R + 4).  The row's ``grid`` is the number
     of (p, q) pairs compared.
+
+    Every pair is compared.  The core is taken ``_FAR_BLOCK`` rows at a
+    time, so each block's temporaries stay cache-sized, and the row
+    maxima are folded into a running maximum; a NaN anywhere still
+    reaches the result.  Arrays with no grid point in the plateau core
+    raise ``InvalidInputError``.
     """
     ay, aF, aDF, _, _ = arrays
     core = np.abs(ay) <= patch.inner_radius
     ys, F, DF = ay[core], aF[core], aDF[core]
+    if ys.size == 0:
+        raise InvalidInputError("no grid point of the arrays in the plateau core")
     P = (patch.center[None, :] + ys[:, None] * patch.tangent[None, :]
          + F[:, None] * patch.normal[None, :])
     tang = (patch.tangent[None, :] + DF[:, None] * patch.normal[None, :])
@@ -356,11 +387,15 @@ def check_far_point_distance(patch, curve_after, R, sample, *, seed=0,
     far = sample.points[gap > 1.5 * patch.arc_window]
     if far.shape[0] == 0:
         raise InvalidInputError("no far samples; curve shorter than the window")
-    D = far[None, :, :] - P[:, None, :]
-    cross = np.abs(D[:, :, 0] * tang[:, None, 1] - D[:, :, 1] * tang[:, None, 0])
-    d2 = (D * D).sum(-1)
-    excess = cross - d2 / (2.0 * R)
-    measured = float(excess.max())
+    fx, fy = far[:, 0], far[:, 1]
+    measured = -np.inf
+    for lo in range(0, ys.size, _FAR_BLOCK):
+        p, t = P[lo:lo + _FAR_BLOCK], tang[lo:lo + _FAR_BLOCK]
+        D0 = fx[None, :] - p[:, 0, None]
+        D1 = fy[None, :] - p[:, 1, None]
+        cross = np.abs(D0 * t[:, 1, None] - D1 * t[:, 0, None])
+        excess = cross - (D0 * D0 + D1 * D1) / (2.0 * R)
+        measured = np.maximum(measured, excess.max())
     rho = patch.rho_target
     L = patch.lip_graph
     bound = rho * rho / (2.0 * R) + rho * (6.0 * R * L + 6.0 * R + 4.0)
@@ -568,6 +603,7 @@ class SuiteResult:
     results: tuple
     elapsed: float
     fixture: SmoothingResult | None
+    timings: tuple
 
     @property
     def passed(self):
@@ -583,28 +619,41 @@ def run_suite(suite="all", seed=7, fixture=None):
 
     ``fixture`` optionally supplies a finished stadium run so callers
     (tests, the CLI) can share one pipeline pass between the patch and
-    theorem suites.
+    theorem suites.  ``timings`` of the result holds ``(name, seconds)``
+    for each suite run, in order, plus a ``"fixture"`` entry when the
+    stadium run was built here; the rows never carry a clock.
     """
     if suite not in SUITES:
         raise InvalidInputError(f"unknown suite {suite!r}; pick from {SUITES}")
     t0 = time.perf_counter()
     rows = []
+    timings = []
     used_fixture = None
+
+    def timed(name, build):
+        start = time.perf_counter()
+        out = build()
+        timings.append((name, time.perf_counter() - start))
+        return out
+
     if suite in ("formulas", "all"):
-        rows.extend(_formula_rows(seed))
+        rows.extend(timed("formulas", lambda: _formula_rows(seed)))
     if suite in ("convolution", "all"):
-        rows.extend(_convolution_rows(seed))
+        rows.extend(timed("convolution", lambda: _convolution_rows(seed)))
     if suite in ("blend", "all"):
-        rows.extend(_blend_rows(seed))
+        rows.extend(timed("blend", lambda: _blend_rows(seed)))
     if suite in ("patches", "main", "all"):
-        used_fixture = fixture if fixture is not None else _stadium_fixture()
+        used_fixture = (fixture if fixture is not None
+                        else timed("fixture", _stadium_fixture))
     if suite in ("patches", "all"):
-        rows.extend(_patch_rows(used_fixture, seed))
+        rows.extend(timed("patches", lambda: _patch_rows(used_fixture, seed)))
     if suite in ("main", "all"):
-        rows.extend(check_main_theorem(used_fixture, seed=seed))
+        rows.extend(timed("main", lambda: check_main_theorem(used_fixture,
+                                                             seed=seed)))
     elapsed = time.perf_counter() - t0
     return SuiteResult(suite=suite, seed=seed, results=tuple(rows),
-                       elapsed=elapsed, fixture=used_fixture)
+                       elapsed=elapsed, fixture=used_fixture,
+                       timings=tuple(timings))
 
 
 _CSV_HEADER = "name,instance,seed,grid,passed,measured,bound,tolerance,slack"

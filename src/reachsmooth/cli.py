@@ -9,7 +9,7 @@ Four subcommands:
     curve_after.csv, and overlay.svg into the output directory.
 ``verify``
     Run a verification suite and write checks.csv (plus failures.json
-    when something fails).
+    when something fails); the seconds of each suite go to stderr.
 ``report``
     Pretty-print a previously written report.json.
 
@@ -254,7 +254,10 @@ def _cmd_verify(args):
         if not r.passed:
             print(f"  FAIL {r.name} [{r.instance}] measured={fmt17(r.measured)} "
                   f"bound={fmt17(r.bound)} tol={fmt17(r.tolerance)}")
-    print(f"suite took {elapsed:.3f}s", file=sys.stderr)
+    for name, seconds in sr.timings:
+        what = "stadium fixture" if name == "fixture" else f"suite {name}"
+        print(f"{what} took {seconds:.3f}s", file=sys.stderr)
+    print(f"verify took {elapsed:.3f}s", file=sys.stderr)
     return 1 if sr.n_failed else 0
 
 

@@ -655,6 +655,9 @@ class LocalGraph:
         if not self.window.contains(yv, margin=1e-9 * max(1.0, self.window.length)):
             raise InvalidInputError("tangent coordinate outside the graph window")
         theta = self.base_arc + yv
+        if yv.size == 0:
+            none = np.empty((0, 2))
+            return theta, none, none, shape
         scale = max(1.0, float(np.linalg.norm(self.center)) + self.window.length)
         for it in range(40):
             pts, vel = self.curve.point_and_velocity(theta)

@@ -11,7 +11,9 @@ of the tap spacing.
 
 Derivatives of a convolution are convolutions of the slope: every
 caller knows the slope of what it smooths, so the slope is convolved
-with the same weights as the values.
+with the same weights as the values.  A function that returns value and
+slope together is convolved in one pass, one evaluation on the taps
+serving both.
 """
 
 from __future__ import annotations
@@ -128,8 +130,13 @@ def convolve(f, kernel, x, taps=64):
     Parameters
     ----------
     f : callable
-        Accepts float arrays, returns values elementwise.  Every point
-        within ``kernel.sigma`` of some x must be in its domain.
+        Accepts float arrays, returns values elementwise, or a tuple of
+        such outputs (a value and its slope, say).  A tuple is convolved
+        output by output with the same weights and the same chunks, so
+        one evaluation of ``f`` on the tap grid serves every output, and
+        a tuple of results comes back.  Every point within
+        ``kernel.sigma`` of some x must be in its domain.  ``f`` is
+        called at least once, on an empty batch when ``x`` is empty.
     kernel : BumpKernel
     x : float or array_like
         A scalar gives a float back, an array an array of its shape.
@@ -140,13 +147,21 @@ def convolve(f, kernel, x, taps=64):
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs)
     y, w = kernel.tap_scheme(taps)
-    out = np.empty(xs.shape)
+    outs = None
     chunk = max(1, int(2e6) // y.size)
-    for lo in range(0, xs.size, chunk):
+    for lo in range(0, max(xs.size, 1), chunk):
         part = xs[lo:lo + chunk]
-        vals = np.asarray(f(part[:, None] - y[None, :]), dtype=float)
-        out[lo:lo + chunk] = vals @ w
-    return float(out[0]) if scalar else out
+        vals = f(part[:, None] - y[None, :])
+        many = isinstance(vals, tuple)
+        if not many:
+            vals = (vals,)
+        if outs is None:
+            outs = [np.empty(xs.shape) for _ in vals]
+        for out, v in zip(outs, vals):
+            out[lo:lo + chunk] = np.asarray(v, dtype=float) @ w
+    if scalar:
+        outs = [float(out[0]) for out in outs]
+    return tuple(outs) if many else outs[0]
 
 
 def convolve_grid(values, kernel, step):

@@ -113,32 +113,33 @@ def build_net(curve, delta, R):
 class BlendedMap:
     """The localized blend of a 1-D graph, evaluated by live quadrature.
 
-    Outside the plateau support the blend returns the original values
-    exactly (the convolution is not even evaluated there); inside, value
-    and slope come from fresh discrete-tap quadrature rather than any
-    tabulation, which is what the lemma checkers and the smoothness
-    probe need.
+    ``graph`` is what gets blended: any object with ``value(y)`` and
+    ``value_and_slope(y)`` (a ``LocalGraph``, or a function and its
+    slope wrapped to look like one).  Outside the plateau support the
+    blend returns the original values exactly (the convolution is not
+    even evaluated there); inside, value and slope come from fresh
+    discrete-tap quadrature rather than any tabulation, which is what
+    the lemma checkers and the smoothness probe need.  ``value`` reads
+    the graph's values only; ``value_and_derivative`` reads value and
+    slope together, with one graph evaluation at ``y`` and one on the
+    tap grid.
     """
 
-    def __init__(self, f, df, psi, kernel, taps=64):
-        self.f = f
-        self.df = df
+    def __init__(self, graph, psi, kernel, taps=64):
+        self.graph = graph
         self.psi = psi
         self.kernel = kernel
         self.taps = taps
 
-    def _smoothed(self, y, order):
-        src = self.f if order == 0 else self.df
-        return convolve(src, self.kernel, y, taps=self.taps)
-
     def value(self, y):
         yv = np.atleast_1d(np.asarray(y, dtype=float))
-        base = np.asarray(self.f(yv), dtype=float)
+        base = np.asarray(self.graph.value(yv), dtype=float)
         out = base.copy()
         w = self.psi(yv)
         hot = w > 0.0
         if np.any(hot):
-            conv = self._smoothed(yv[hot], 0)
+            conv = convolve(self.graph.value, self.kernel, yv[hot],
+                            taps=self.taps)
             out[hot] = base[hot] + w[hot] * (conv - base[hot])
         return out if np.asarray(y).ndim else float(out[0])
 
@@ -148,16 +149,17 @@ class BlendedMap:
     def value_and_derivative(self, y):
         """Both fields in one pass; shares the quadrature between them."""
         yv = np.atleast_1d(np.asarray(y, dtype=float))
-        base = np.asarray(self.f(yv), dtype=float)
-        dbase = np.asarray(self.df(yv), dtype=float)
+        base, dbase = self.graph.value_and_slope(yv)
+        base = np.asarray(base, dtype=float)
+        dbase = np.asarray(dbase, dtype=float)
         val = base.copy()
         der = dbase.copy()
         w = self.psi(yv)
         dw = self.psi.derivative(yv)
         hot = (w > 0.0) | (dw != 0.0)
         if np.any(hot):
-            conv = self._smoothed(yv[hot], 0)
-            dconv = self._smoothed(yv[hot], 1)
+            conv, dconv = convolve(self.graph.value_and_slope, self.kernel,
+                                   yv[hot], taps=self.taps)
             diff = conv - base[hot]
             val[hot] = base[hot] + w[hot] * diff
             der[hot] = dbase[hot] + dw[hot] * diff + w[hot] * (dconv - dbase[hot])
@@ -251,7 +253,7 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max,
     delta_vals = pv * (conv0 - fv[mid])
     slope_vals = dpv * (conv0 - fv[mid]) + pv * (conv1 - dfv[mid])
     disp = CubicHermiteSpline(xs_mid, delta_vals, slope_vals)
-    blend = BlendedMap(graph.value, graph.slope, psi, kern)
+    blend = BlendedMap(graph, psi, kern)
     patch = AppliedPatch(
         index=index, base_arc=float(base_arc), center=graph.center,
         tangent=graph.tangent, normal=graph.normal, inner_radius=r1,

@@ -1,8 +1,12 @@
 """The lemma checkers themselves: zoo validity, honest negatives, suites."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from reachsmooth import checks
 from reachsmooth.checks import (CheckResult, check_angle_bound,
                                 check_blend_lipschitz,
                                 check_convolution_lipschitz,
@@ -13,9 +17,9 @@ from reachsmooth.checks import (CheckResult, check_angle_bound,
                                 random_c11,
                                 random_piecewise_linear, run_suite,
                                 write_checks_csv, write_failures_json)
-from reachsmooth.curves import sample_manifold
+from reachsmooth.curves import LocalGraph, sample_manifold
 from reachsmooth.errors import InvalidInputError
-from reachsmooth.kernels import BumpKernel, Interval
+from reachsmooth.kernels import BumpKernel, Interval, convolve
 from reachsmooth.partition import make_reference_plateau
 
 
@@ -144,6 +148,128 @@ def test_patch_checkers_on_real_patch(stadium_run):
         check_angle_bound(patch, seed=1, instance="p0")
 
 
+def _bits(*arrays):
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+def test_patch_graph_arrays_share_one_tap_grid_solve(stadium_run,
+                                                      monkeypatch):
+    patch = stadium_run.result.curve.patches[5]
+    batches = []
+    solve = LocalGraph._solve
+
+    def counted(self, y):
+        batches.append(np.shape(y))
+        return solve(self, y)
+
+    monkeypatch.setattr(LocalGraph, "_solve", counted)
+    arrays = patch_graph_arrays(patch)
+    monkeypatch.undo()
+    # the tap grid is the only 2-D batch: (hot points, taps)
+    assert sum(len(b) == 2 for b in batches) == 1
+    assert len(batches) <= 3
+
+    # reference: separate value and slope reads, separate convolutions
+    b = patch.blend
+    g = b.graph
+    ys = np.linspace(-patch.transition_radius, patch.transition_radius,
+                     checks._PATCH_GRID)
+    base, dbase = g.value(ys), g.slope(ys)
+    w, dw = b.psi(ys), b.psi.derivative(ys)
+    hot = (w > 0.0) | (dw != 0.0)
+    conv = convolve(g.value, b.kernel, ys[hot], taps=checks._PATCH_TAPS)
+    dconv = convolve(g.slope, b.kernel, ys[hot], taps=checks._PATCH_TAPS)
+    F, DF = base.copy(), dbase.copy()
+    diff = conv - base[hot]
+    F[hot] = base[hot] + w[hot] * diff
+    DF[hot] = dbase[hot] + dw[hot] * diff + w[hot] * (dconv - dbase[hot])
+    expected = (ys, F, DF, g.value(ys), g.slope(ys))
+    assert _bits(*arrays) == _bits(*expected)
+
+
+def _dense_far_point(patch, curve, R, sample, arrays):
+    """The far-point maximum as one (core x far x 2) broadcast."""
+    ay, aF, aDF, _, _ = arrays
+    core = np.abs(ay) <= patch.inner_radius
+    ys, F, DF = ay[core], aF[core], aDF[core]
+    P = (patch.center[None, :] + ys[:, None] * patch.tangent[None, :]
+         + F[:, None] * patch.normal[None, :])
+    tang = (patch.tangent[None, :] + DF[:, None] * patch.normal[None, :])
+    tang /= np.linalg.norm(tang, axis=1, keepdims=True)
+    L_total = curve.length
+    gap = np.abs(np.mod(sample.params - patch.base_arc + 0.5 * L_total,
+                        L_total) - 0.5 * L_total)
+    far = sample.points[gap > 1.5 * patch.arc_window]
+    D = far[None, :, :] - P[:, None, :]
+    cross = np.abs(D[:, :, 0] * tang[:, None, 1] - D[:, :, 1] * tang[:, None, 0])
+    d2 = (D * D).sum(-1)
+    excess = cross - d2 / (2.0 * R)
+    return excess, ys.size * far.shape[0]
+
+
+def test_far_point_blocks_match_dense_broadcast_on_real_patch(stadium_run):
+    result = stadium_run.result
+    R = result.report.R_input
+    sample = sample_manifold(result.curve, n=2000)
+    for patch in result.curve.patches[:3]:
+        arrays = patch_graph_arrays(patch)
+        row = check_far_point_distance(patch, result.curve, R, sample,
+                                       arrays=arrays)
+        excess, grid = _dense_far_point(patch, result.curve, R, sample,
+                                        arrays)
+        assert _bits(row.measured) == _bits(excess.max())
+        assert row.grid == grid
+
+
+def _synthetic_far_case(n_grid, n_core_target):
+    """A flat core on the x-axis, far samples on the same line beyond it;
+    only the last core point's tangent tilts, so it holds the maximum."""
+    rng = np.random.default_rng(11)
+    ys = np.linspace(-1.0, 1.0, n_grid)
+    inner = np.sort(np.abs(ys))[n_core_target - 1]
+    core = np.abs(ys) <= inner
+    F = 1e-3 * rng.standard_normal(n_grid)
+    DF = 1e-3 * rng.standard_normal(n_grid)
+    DF[np.flatnonzero(core)[-1]] = 1.0
+    arrays = (ys, F, DF, np.zeros(n_grid), np.zeros(n_grid))
+    patch = SimpleNamespace(
+        inner_radius=inner, center=np.zeros(2), tangent=np.array([1.0, 0.0]),
+        normal=np.array([0.0, 1.0]), base_arc=0.0, arc_window=1.0,
+        rho_target=1e-3, lip_graph=0.0)
+    params = np.linspace(10.0, 20.0, 301)
+    sample = SimpleNamespace(params=params,
+                             points=np.stack([params, np.zeros_like(params)], 1))
+    return patch, SimpleNamespace(length=100.0), sample, arrays
+
+
+def test_far_point_blocks_match_dense_broadcast_on_ragged_core():
+    patch, curve, sample, arrays = _synthetic_far_case(301, 71)
+    excess, grid = _dense_far_point(patch, curve, 10.0, sample, arrays)
+    n_core = excess.shape[0]
+    assert n_core == 71 and n_core % checks._FAR_BLOCK != 0
+    # the maximum sits in the last, partial block
+    row_of_max = int(np.argmax(excess.max(axis=1)))
+    assert row_of_max >= (n_core // checks._FAR_BLOCK) * checks._FAR_BLOCK
+    row = check_far_point_distance(patch, curve, 10.0, sample, arrays=arrays)
+    assert _bits(row.measured) == _bits(excess.max())
+    assert row.grid == grid
+
+
+def test_far_point_nan_reaches_the_row():
+    patch, curve, sample, arrays = _synthetic_far_case(301, 71)
+    arrays[2][np.flatnonzero(np.abs(arrays[0]) <= patch.inner_radius)[3]] = np.nan
+    row = check_far_point_distance(patch, curve, 10.0, sample, arrays=arrays)
+    assert math.isnan(row.measured) and not row.passed
+
+
+def test_far_point_empty_core_is_refused():
+    patch, curve, sample, arrays = _synthetic_far_case(301, 71)
+    outside = (arrays[0][np.abs(arrays[0]) > patch.inner_radius],)
+    outside = outside + tuple(np.zeros_like(outside[0]) for _ in range(4))
+    with pytest.raises(InvalidInputError, match="plateau core"):
+        check_far_point_distance(patch, curve, 10.0, sample, arrays=outside)
+
+
 def test_main_theorem_rows(stadium_run):
     rows = check_main_theorem(stadium_run.result, seed=0)
     names = [r.name for r in rows]
@@ -163,6 +289,24 @@ def test_run_suite_formulas_green():
     assert suite.suite == "formulas" and suite.seed == 7
     assert suite.elapsed > 0
     assert len(suite.results) >= 4
+
+
+def test_run_suite_times_each_suite(monkeypatch):
+    for name in ("_formula_rows", "_convolution_rows", "_blend_rows"):
+        monkeypatch.setattr(checks, name, lambda seed: [])
+    monkeypatch.setattr(checks, "_patch_rows", lambda fixture, seed: [])
+    monkeypatch.setattr(checks, "check_main_theorem",
+                        lambda fixture, seed: [])
+    monkeypatch.setattr(checks, "_stadium_fixture", lambda: "built")
+    suite = run_suite("all", seed=7)
+    assert [n for n, _ in suite.timings] == [
+        "formulas", "convolution", "blend", "fixture", "patches", "main"]
+    assert all(s >= 0.0 for _, s in suite.timings)
+    assert suite.fixture == "built"
+    shared = run_suite("main", seed=7, fixture="given")
+    assert [n for n, _ in shared.timings] == ["main"]
+    assert shared.fixture == "given"
+    assert run_suite("formulas", seed=7, fixture="given").fixture is None
 
 
 def test_run_suite_rejects_unknown():

@@ -102,14 +102,18 @@ def test_verify_command_green_suite(tmp_path, capsys):
                      str(out_dir)]) == 0
     assert (out_dir / "checks.csv").exists()
     assert not (out_dir / "failures.json").exists()
-    assert "0 failed" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "0 failed" in captured.out
+    assert "took" not in captured.out
+    assert "suite formulas took " in captured.err
 
 
 def test_verify_command_red_suite(tmp_path, monkeypatch, capsys):
     bad = CheckResult(name="broken", passed=False, measured=2.0, bound=1.0,
                       tolerance=0.0, slack=-1.0, grid=10, seed=7, instance="z")
     fake = SimpleNamespace(suite="formulas", seed=7, results=[bad],
-                           n_failed=1, elapsed=0.0, passed=False)
+                           n_failed=1, elapsed=0.0, passed=False,
+                           timings=())
     monkeypatch.setattr(cli, "run_suite", lambda suite, seed: fake)
     out_dir = tmp_path / "v"
     assert cli.main(["verify", "--suite", "formulas", "--out",

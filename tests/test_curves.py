@@ -11,6 +11,7 @@ from reachsmooth.curves import (AppliedPatch, ArcChainShape, ArcSegment,
                                 ClosedCurve, LineSegment, local_graph_at,
                                 make_shape, sample_manifold)
 from reachsmooth.errors import GeometryError, InvalidInputError
+from reachsmooth.kernels import BumpKernel, convolve
 from reachsmooth.partition import smoothing_window_radius
 
 
@@ -221,6 +222,17 @@ def test_local_graph_window_guard():
         local_graph_at(curve, 0.0, delta=0.1, reach=1.0)
     with pytest.raises(InvalidInputError):
         local_graph_at(curve, 0.0, -0.1)
+
+
+def test_local_graph_empty_batch():
+    # convolve evaluates its f on an empty tap batch when x is empty
+    lg = local_graph_at(circle_curve(), 0.0, 0.3)
+    empty = np.empty((0, 5))
+    assert lg.value(empty).shape == (0, 5)
+    f, df = lg.value_and_slope(empty)
+    assert f.shape == df.shape == (0, 5)
+    out = convolve(lg.value_and_slope, BumpKernel(0.1), [])
+    assert isinstance(out, tuple) and [o.shape for o in out] == [(0,), (0,)]
 
 
 def test_local_graph_folds_beyond_reach():

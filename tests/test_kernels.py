@@ -182,6 +182,30 @@ def test_derivative_route_matches_finite_difference():
     assert np.allclose(d, fd, atol=1e-6)
 
 
+def test_two_output_convolve_matches_single_calls():
+    f = lambda x: np.sin(3.0 * np.asarray(x)) + np.asarray(x) ** 2
+    df = lambda x: 3.0 * np.cos(3.0 * np.asarray(x)) + 2.0 * np.asarray(x)
+    batches = []
+
+    def both(x):
+        batches.append(x.shape)
+        return f(x), df(x)
+
+    k = BumpKernel(0.1)
+    taps = 64
+    chunk = int(2e6) // (2 * taps + 1)
+    xs = np.linspace(-0.5, 0.5, chunk + 37)
+    out = convolve(both, k, xs, taps=taps)
+    assert isinstance(out, tuple) and len(out) == 2
+    # one evaluation of f per chunk serves both outputs
+    assert batches == [(chunk, 2 * taps + 1), (37, 2 * taps + 1)]
+    for got, single in zip(out, (f, df)):
+        assert got.tobytes() == convolve(single, k, xs, taps=taps).tobytes()
+    value, slope = convolve(both, k, 0.3)
+    assert isinstance(value, float) and isinstance(slope, float)
+    assert value == convolve(f, k, 0.3) and slope == convolve(df, k, 0.3)
+
+
 def test_derivative_adaptive_route_agrees():
     # oracle: the derivative taken through the kernel, (phi' * f)(x), by
     # adaptive quadrature; the library convolves the slope f' instead
