@@ -19,10 +19,20 @@ the rows of the batch picked by boolean masks, in the batch's own order:
 the same circular-distance test picks the same rows, each row gets the
 same arithmetic, and only the memory layout changes.
 
+The arc chain evaluates a batch whose segment indices come in order
+(a sorted batch inside one period) segment by segment on slices, and any
+other batch through segment masks, with the same bytes either way.  The
+ellipse inverts arc length from a cubic Hermite start on its length
+table and one Newton step.  A patch holds one displacement spline and
+reads its slope from it.
+
 Local graph windows rewrite a stretch of curve as a 1-D graph over its
 tangent line at a base arc; slopes come from the chain rule through the
 patch stack, not finite differences.  Opening a window, by its
 half-width, evaluates the curve once; callers measure what they need.
+The window's first sorted solve becomes a table that later solves start
+from, so a read inside it usually takes one or two curve evaluations
+instead of three.
 """
 
 from __future__ import annotations
@@ -53,6 +63,16 @@ __all__ = [
     "LocalGraph",
     "local_graph_at",
 ]
+
+def _hermite(x, i, xs, fs, dfs):
+    """Cubic Hermite interpolant of values ``fs`` and slopes ``dfs`` at
+    nodes ``xs``, read at ``x`` on the cell ``[xs[i], xs[i + 1]]``."""
+    h = xs[i + 1] - xs[i]
+    t = (x - xs[i]) / h
+    u = 1.0 - t
+    return (fs[i] * (1.0 + 2.0 * t) * u * u + fs[i + 1] * t * t * (3.0 - 2.0 * t)
+            + h * t * u * (dfs[i] * u - dfs[i + 1] * t))
+
 
 class BaseShape:
     """Arc-length parametrized closed plane curve."""
@@ -98,7 +118,16 @@ class CircleShape(BaseShape):
 
 
 class EllipseShape(BaseShape):
-    """Origin-centered axis-aligned ellipse, semi-axes a >= b."""
+    """Origin-centered axis-aligned ellipse, semi-axes a >= b.
+
+    Arc length is inverted through a table of the cumulative length at
+    16385 uniform nodes of the angle theta, built once by 8-point
+    Gauss-Legendre quadrature of the speed, with d theta / ds = 1/speed
+    stored at the same nodes.  An arc ``s`` starts from the cubic
+    Hermite inverse of that table; one Newton step on the 4-point
+    Gauss-Legendre length of the remainder past the node below polishes
+    it to rounding level.
+    """
 
     _GRID = 16384
 
@@ -113,6 +142,7 @@ class EllipseShape(BaseShape):
         cell = (h * _GL_W[None, :] * self._speed(nodes)).sum(axis=1)
         self._cum = np.concatenate([[0.0], np.cumsum(cell)])
         self._th = th
+        self._dth = 1.0 / self._speed(th)
         self.length = float(self._cum[-1])
 
     def _speed(self, theta):
@@ -120,25 +150,22 @@ class EllipseShape(BaseShape):
 
     def _theta_of(self, s):
         sv = np.mod(np.asarray(s, dtype=float), self.length)
-        th = np.interp(sv, self._cum, self._th)
-        # cumulative length along the table is exact at nodes; three
-        # Newton steps on the local Gauss-Legendre remainder polish to ulp
-        for _ in range(3):
-            idx = np.clip(np.searchsorted(self._th, th, side="right") - 1, 0, self._GRID - 1)
-            t0 = self._th[idx]
-            mid = 0.5 * (t0 + th)
-            half = 0.5 * (th - t0)
-            # 4-point Gauss on [t0, th] for the residual arc
-            seg = (half[..., None] * _GL4_W
-                   * self._speed(mid[..., None] + half[..., None] * _GL4_X)).sum(axis=-1)
-            resid = self._cum[idx] + seg - sv
-            th = th - resid / self._speed(th)
-        return th
+        i = np.clip(np.searchsorted(self._cum, sv, side="right") - 1, 0, self._GRID - 1)
+        th = _hermite(sv, i, self._cum, self._th, self._dth)
+        # the table is exact at nodes; 4-point Gauss on [t0, th] gives
+        # the remainder, and the Hermite start is close enough that one
+        # Newton step lands at rounding level
+        t0 = self._th[i]
+        mid = 0.5 * (t0 + th)
+        half = 0.5 * (th - t0)
+        seg = (half[..., None] * _GL4_W
+               * self._speed(mid[..., None] + half[..., None] * _GL4_X)).sum(axis=-1)
+        return th - (self._cum[i] + seg - sv) / self._speed(th)
 
     def point_and_tangent(self, s):
         th = self._theta_of(s)
         c, sn = np.cos(th), np.sin(th)
-        sp = self._speed(th)
+        sp = np.sqrt((self.a * sn) ** 2 + (self.b * c) ** 2)
         return (np.stack([self.a * c, self.b * sn], axis=-1),
                 np.stack([-self.a * sn / sp, self.b * c / sp], axis=-1))
 
@@ -248,6 +275,14 @@ class ArcChainShape(BaseShape):
         sv, idx = self._locate(s)
         pts = np.empty(sv.shape + (2,))
         tans = np.empty(sv.shape + (2,))
+        if sv.ndim == 1 and np.all(idx[1:] >= idx[:-1]):
+            # segment indices in order: each segment owns one slice
+            cuts = np.searchsorted(idx, np.arange(len(self.segments) + 1))
+            for i, seg in enumerate(self.segments):
+                a, b = cuts[i], cuts[i + 1]
+                if a < b:
+                    pts[a:b], tans[a:b] = seg.point_and_tangent(sv[a:b] - self._bounds[i])
+            return pts, tans
         for i, seg in enumerate(self.segments):
             m = idx == i
             if np.any(m):
@@ -407,9 +442,9 @@ class AppliedPatch:
 
     ``displacement`` maps the tangent coordinate y (relative to the
     frozen frame center/tangent) to the normal nudge; it vanishes
-    identically for |y| >= transition_radius.  ``slope_displacement`` is
-    its derivative, tabulated at the same accuracy rather than taken
-    from the displacement spline.
+    identically for |y| >= transition_radius.  It is a piecewise cubic
+    (scipy ``PPoly``) whose slope is read as ``displacement(y, 1)``, so a
+    patch holds one spline.
     """
 
     index: int
@@ -426,7 +461,6 @@ class AppliedPatch:
     lip_graph: float
     lip_slope: float
     displacement: object = field(repr=False)
-    slope_displacement: object = field(repr=False)
     blend: object = field(repr=False, default=None)
 
     @property
@@ -490,7 +524,7 @@ class ClosedCurve:
         yh = y[hit]
         pts[sel] += patch.displacement(yh)[:, None] * patch.normal
         dy = vel[sel] @ patch.tangent
-        vel[sel] += (patch.slope_displacement(yh) * dy)[:, None] * patch.normal
+        vel[sel] += (patch.displacement(yh, 1) * dy)[:, None] * patch.normal
 
     def _nudge_runs(self, sv, pts, vel, patch):
         """Apply one patch to a sorted batch narrower than the period.
@@ -545,7 +579,7 @@ class ClosedCurve:
                 rows = slice(i + h0, i + h1)
                 pts[rows] += patch.displacement(yh)[:, None] * patch.normal
                 dy = vel[rows] @ patch.tangent
-                vel[rows] += (patch.slope_displacement(yh) * dy)[:, None] * patch.normal
+                vel[rows] += (patch.displacement(yh, 1) * dy)[:, None] * patch.normal
                 return
         self._nudge(sv[a:b], pts[a:b], vel[a:b], patch)
 
@@ -636,6 +670,17 @@ class LocalGraph:
     value f satisfies f(0) = 0 and slope(0) = 0 by construction of the
     frame.  Slopes are exact chain-rule quantities of the underlying
     patched curve, not difference quotients.
+
+    Every read solves y(theta) = y for the base arc theta by Newton's
+    method.  The first solve of a strictly increasing batch of at least
+    two points (in ``smooth_patch``, the 257-point slope grid over the
+    whole window) becomes the window's warm-start table: its y, theta and
+    d theta / dy = 1 / (velocity . tangent), which the last Newton pass
+    already computed.  Later solves start points inside the table's span
+    from the table's cubic Hermite interpolant, and the rest from
+    ``base_arc + y``.  The table is set once and never replaced, so a
+    repeated read returns the same bytes; the stopping test and the fold
+    checks do not depend on the start.
     """
 
     def __init__(self, curve, base_arc, window):
@@ -647,6 +692,17 @@ class LocalGraph:
         self.center = center
         self.tangent = t
         self.normal = np.array([-t[1], t[0]])
+        self._table = None
+
+    def _start(self, yv):
+        """Newton start for the base arcs above ``yv``."""
+        theta = self.base_arc + yv
+        if self._table is None:
+            return theta
+        ty, tth, tdth = self._table
+        i = np.clip(np.searchsorted(ty, yv, side="right") - 1, 0, ty.size - 2)
+        inside = (yv >= ty[0]) & (yv <= ty[-1])
+        return np.where(inside, _hermite(yv, i, ty, tth, tdth), theta)
 
     def _solve(self, y):
         yv = np.asarray(y, dtype=float)
@@ -654,10 +710,10 @@ class LocalGraph:
         yv = np.atleast_1d(yv).ravel()
         if not self.window.contains(yv, margin=1e-9 * max(1.0, self.window.length)):
             raise InvalidInputError("tangent coordinate outside the graph window")
-        theta = self.base_arc + yv
         if yv.size == 0:
             none = np.empty((0, 2))
-            return theta, none, none, shape
+            return self.base_arc + yv, none, none, shape
+        theta = self._start(yv)
         scale = max(1.0, float(np.linalg.norm(self.center)) + self.window.length)
         for it in range(40):
             pts, vel = self.curve.point_and_velocity(theta)
@@ -672,6 +728,8 @@ class LocalGraph:
             theta = theta - g / dg
         else:
             raise GeometryError("graph parameter solve did not converge")
+        if self._table is None and yv.size >= 2 and np.all(yv[1:] > yv[:-1]):
+            self._table = (yv.copy(), theta, 1.0 / dg)
         return theta, pts, vel, shape
 
     def value(self, y):

@@ -259,7 +259,7 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max,
         tangent=graph.tangent, normal=graph.normal, inner_radius=r1,
         transition_radius=r2, window_radius=w, sigma=sigma, rho_target=rho,
         deviation=dev, lip_graph=lip_graph, lip_slope=lip_slope,
-        displacement=disp, slope_displacement=disp.derivative(), blend=blend)
+        displacement=disp, blend=blend)
     record = PatchRecord(index=index, base_arc=float(base_arc), applied=True,
                          sigma=sigma, deviation=dev, shift=shift,
                          halvings=halvings, lip_graph=lip_graph,
@@ -391,7 +391,7 @@ def smooth_manifold(shape, epsilon, *, reach=None, delta=None, rho=None,
         ys = np.linspace(-patch.transition_radius, patch.transition_radius, 513)
         c1 = max(c1,
                  float(np.abs(patch.displacement(ys)).max()),
-                 float(np.abs(patch.slope_displacement(ys)).max()))
+                 float(np.abs(patch.displacement(ys, 1)).max()))
 
     # final scan at spacing sqrt(delta R)/32
     sample = sample_manifold(curve, math.ceil(curve.length / (w / 16.0)))

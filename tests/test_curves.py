@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline
 from scipy.special import ellipe
 
@@ -59,6 +60,27 @@ def test_ellipse_vertex_geometry():
     assert np.allclose(shape.point(np.array(quarter)), [0.0, b], atol=1e-9)
     assert shape.curvature(np.array(0.0)) == pytest.approx(a / b ** 2, rel=1e-9)
     assert shape.curvature(np.array(quarter)) == pytest.approx(b / a ** 2, rel=1e-9)
+
+
+@pytest.mark.parametrize("a", [2.0, 50.0])
+def test_ellipse_inverts_arc_length(a):
+    # theta(s) comes from the Hermite inverse of the length table and one
+    # Newton step; the length from 0 to theta(s), by adaptive quadrature
+    # of the speed over eighth turns, must be s
+    b = 1.0
+    shape = make_shape({"kind": "ellipse", "a": a, "b": b})
+    L = shape.length
+    s = np.random.default_rng(11).uniform(0.0, L, 40)
+    theta = shape._theta_of(s)
+
+    def speed(t):
+        return math.hypot(a * math.sin(t), b * math.cos(t))
+
+    for si, ti in zip(s, theta):
+        knots = np.append(np.arange(0.0, ti, 0.25 * math.pi), ti)
+        arc = sum(quad(speed, lo, hi, epsabs=1e-14 * L, epsrel=0.0, limit=200)[0]
+                  for lo, hi in zip(knots[:-1], knots[1:]))
+        assert abs(arc - si) <= 1e-13 * L, (si, arc - si)
 
 
 def test_ellipse_axis_order_enforced():
@@ -125,6 +147,26 @@ def test_chain_rejects_tangent_jump():
 def test_chain_rejects_single_segment():
     with pytest.raises(InvalidInputError):
         ArcChainShape([LineSegment(np.array([0.0, 0.0]), np.array([1.0, 0.0]))])
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "stadium", "r": 1.0, "l": 2.0},
+    {"kind": "cad_profile", "preset": "rounded_rect",
+     "width": 2.0, "height": 1.0, "corner_radius": 0.2}],
+    ids=["stadium", "rounded_rect"])
+def test_chain_sorted_batch_matches_permuted(spec):
+    # a sorted batch is evaluated segment by segment on slices, any other
+    # batch through segment masks; both give the same bytes
+    shape = make_shape(spec)
+    rng = np.random.default_rng(5)
+    for n in (2, 2053, 33000):
+        s = np.sort(np.concatenate([rng.uniform(0.0, shape.length, n - 2),
+                                    [0.0, shape.junction_arcs()[-1]]]))
+        perm = rng.permutation(n)
+        pts, tans = shape.point_and_tangent(s)
+        p_pts, p_tans = shape.point_and_tangent(s[perm])
+        assert pts[perm].tobytes() == p_pts.tobytes()
+        assert tans[perm].tobytes() == p_tans.tobytes()
 
 
 def test_make_shape_errors():
@@ -212,6 +254,46 @@ def test_local_graph_point_roundtrip():
     assert np.allclose(p, curve.point(1.0), atol=1e-13)
 
 
+@pytest.mark.parametrize("spec", [{"kind": "circle", "r": 1.0},
+                                  {"kind": "ellipse", "a": 2.0, "b": 1.0}],
+                         ids=["circle", "ellipse"])
+def test_local_graph_warm_start_matches_cold_solve(spec, monkeypatch):
+    # the first sorted solve (257 points over half the window) becomes
+    # the warm-start table; later solves inside its span start from it
+    # and need fewer curve evaluations, points beyond it start cold, and
+    # both agree with a fresh window's cold solve
+    curve = ClosedCurve(make_shape(spec))
+    w = 0.08
+    warm = local_graph_at(curve, 1.1, w)
+    warm.slope(np.linspace(-0.5 * w, 0.5 * w, 257))
+    table = warm._table
+    inside = np.linspace(-0.4 * w, 0.4 * w, 63)[:, None] + np.linspace(-0.05 * w, 0.05 * w, 17)
+    straddle = np.linspace(-w, w, 41)
+    evaluations = []
+    real = ClosedCurve.point_and_velocity
+
+    def counted(self, s):
+        evaluations.append(np.size(s))
+        return real(self, s)
+
+    monkeypatch.setattr(ClosedCurve, "point_and_velocity", counted)
+    for ys in (inside, straddle):
+        cold = local_graph_at(curve, 1.1, w)
+        evaluations.clear()
+        f_cold, df_cold = cold.value_and_slope(ys)
+        cold_evaluations = len(evaluations)
+        evaluations.clear()
+        f, df = warm.value_and_slope(ys)
+        if ys is inside:
+            assert len(evaluations) < cold_evaluations
+        assert np.abs(f - f_cold).max() <= 1e-13
+        assert np.abs(df - df_cold).max() <= 1e-13
+        f2, df2 = warm.value_and_slope(ys)
+        assert f2.tobytes() == f.tobytes() and df2.tobytes() == df.tobytes()
+    # the sorted straddling read did not replace the table
+    assert warm._table is table
+
+
 def test_local_graph_window_guard():
     curve = circle_curve()
     lg = local_graph_at(curve, 0.0, smoothing_window_radius(0.1, 1.0))
@@ -285,8 +367,7 @@ def synthetic_patch(curve, base_arc=0.0, amp=0.01, index=0):
         index=index, base_arc=float(base_arc), center=center, tangent=t,
         normal=normal, inner_radius=0.1, transition_radius=tr,
         window_radius=0.4, sigma=0.01, rho_target=0.02, deviation=1e-3,
-        lip_graph=0.1, lip_slope=1.0,
-        displacement=disp, slope_displacement=disp.derivative())
+        lip_graph=0.1, lip_slope=1.0, displacement=disp)
 
 
 def test_patch_moves_center_along_normal():

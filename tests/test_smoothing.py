@@ -131,7 +131,7 @@ def test_patch_applies_on_circle():
     tr = patch.transition_radius
     assert patch.displacement(tr) == 0.0
     assert patch.displacement(-tr) == 0.0
-    assert patch.slope_displacement(tr) == 0.0
+    assert patch.displacement(tr, 1) == 0.0
     # the curve actually moved at the center
     assert np.linalg.norm(new.point(0.5) - curve.point(0.5)) > 1e-10
 
@@ -166,8 +166,7 @@ def test_patch_shift_budget_enforced():
         index=0, base_arc=0.0, center=center, tangent=t,
         normal=np.array([-t[1], t[0]]), inner_radius=0.1,
         transition_radius=0.2, window_radius=0.4, sigma=0.01, rho_target=0.02,
-        deviation=1e-3, lip_graph=0.1, lip_slope=1.0, displacement=disp,
-        slope_displacement=disp.derivative()))
+        deviation=1e-3, lip_graph=0.1, lip_slope=1.0, displacement=disp))
     with pytest.raises(GeometryError, match="drifted 5.000e-02, over the budget 9.882e-03"):
         smooth_patch(moved, 0.0, **patch_params())
 
