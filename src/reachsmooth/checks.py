@@ -411,11 +411,14 @@ def check_far_point_distance(patch, curve_after, R, sample, *, seed=0,
 def _probe_row(name, curve, arc, sigma, seed, instance, *, expect_pass):
     """Smoothness probe of ``curve`` at ``arc`` with base step ``sigma``.
 
-    The row passes when the probe's verdict equals ``expect_pass``.
+    The row passes when the probe's verdict equals ``expect_pass``.  A
+    probe whose differences all sit below the floor measures 0.0: its
+    last ratio is rounding noise.
     """
     g = local_graph_at(curve, arc, 12.0 * sigma)
     pr = smooth_core_probe(g.value, 0.0, sigma)
-    measured = pr.ratios[-1] if math.isfinite(pr.ratios[-1]) else 0.0
+    ratio = pr.ratios[-1]
+    measured = ratio if math.isfinite(ratio) and not pr.limited_by_floor else 0.0
     return _result(name, measured, _PROBE_RATIO_CAP, 0.0, 5 * len(pr.steps),
                    seed, instance, passed=pr.passed == expect_pass)
 

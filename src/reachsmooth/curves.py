@@ -13,11 +13,11 @@ implement only ``point_and_tangent`` and a curve only
 ``point_and_velocity``; ``point`` is the first half of either.
 Evaluation sorts a batch of arcs once (pipeline batches already come
 sorted), evaluates the base shape once with ``point_and_tangent``, and
-lets each patch nudge the contiguous run of sorted points inside its
-window through array slices.  The output is bit-identical to nudging
-the rows of the batch picked by boolean masks, in the batch's own order:
-the same circular-distance test picks the same rows, each row gets the
-same arithmetic, and only the memory layout changes.
+lets each patch nudge the sorted rows inside its window, found by
+bisection, on one path.  Tangent coordinates are per-row sums rather
+than matrix products, so a row's bytes do not depend on its batch: an
+arc evaluated alone or among thousands gives the same point and
+velocity.
 
 The arc chain evaluates a batch whose segment indices come in order
 (a sorted batch inside one period) segment by segment on slices, and any
@@ -506,82 +506,49 @@ class ClosedCurve:
         new._patch_spans = np.append(self._patch_spans, patch.arc_window)
         return new
 
-    def _nudge(self, sv, pts, vel, patch):
-        """Apply one patch to the rows of a batch picked by boolean masks.
+    def _nudge(self, sv, pts, vel, patch, span):
+        """Apply one patch to the rows of a sorted batch inside its window.
 
-        Works on any batch order.  ``_nudge_runs`` falls back to it, and
-        the tests use it as the oracle of the run path.
-        """
-        cand = _circular_gap(sv - patch.base_arc, self.length) <= patch.arc_window
-        if not np.any(cand):
-            return
-        q = pts[cand]
-        y = (q - patch.center) @ patch.tangent
-        hit = np.abs(y) < patch.transition_radius
-        if not np.any(hit):
-            return
-        sel = np.nonzero(cand)[0][hit]
-        yh = y[hit]
-        pts[sel] += patch.displacement(yh)[:, None] * patch.normal
-        dy = vel[sel] @ patch.tangent
-        vel[sel] += (patch.displacement(yh, 1) * dy)[:, None] * patch.normal
-
-    def _nudge_runs(self, sv, pts, vel, patch):
-        """Apply one patch to a sorted batch narrower than the period.
-
-        Each image ``base_arc + j L`` of the patch window holds one run
-        of the sorted batch, found by bisection with a 1e-9 L margin;
-        ``_nudge``'s own circular-distance test then picks the members
-        inside the run, so both paths nudge exactly the same rows.  When
-        the members and the transition hits are each one run, the rows
-        are nudged in place through slices; otherwise the masked path
-        does the work.  Members from two images also go to the masked
-        path over the whole batch: numpy rounds a matrix-vector product
-        over one row differently from one over several, so the row count
-        of every product must match the masked path's.
+        Each image ``base_arc + j L`` of the window holds one slice of the
+        batch, found by bisection with a 1e-9 L margin.  The whole batch
+        is one slice when the window reaches half the period, or when
+        ``span`` is None: some arc is not finite or lies beyond 1e4 L,
+        where rounding could exceed the margin.  A row of a slice is
+        nudged when its circular gap is within ``arc_window`` and its
+        tangent coordinate within the transition radius.
         """
         L = self.length
-        window = patch.arc_window
+        base, window = patch.base_arc, patch.arc_window
         reach = window + 1e-9 * L
-        if 2.0 * reach >= L:
-            self._nudge(sv, pts, vel, patch)
-            return
-        base = patch.base_arc
-        found = None
-        # images whose run meets the batch; one missed by rounding would
-        # hold only points farther than the window from its center
-        for j in range(math.ceil((sv[0] - reach - base) / L),
-                       math.floor((sv[-1] + reach - base) / L) + 1):
-            c = base + j * L
-            a = int(sv.searchsorted(c - reach, side="left"))
-            b = int(sv.searchsorted(c + reach, side="right"))
+        if span is None or 2.0 * reach >= L:
+            slices = ((0, sv.size),)
+        else:
+            lo, hi = span
+            slices = []
+            for j in range(math.ceil((lo - reach - base) / L),
+                           math.floor((hi + reach - base) / L) + 1):
+                c = base + j * L
+                slices.append((sv.searchsorted(c - reach),
+                               sv.searchsorted(c + reach, side="right")))
+        (c0, c1), (t0, t1) = patch.center.tolist(), patch.tangent.tolist()
+        for a, b in slices:
             if a == b:
                 continue
-            members = (_circular_gap(sv[a:b] - base, L) <= window).nonzero()[0]
-            if not members.size:
+            q = pts[a:b]
+            y = (q[:, 0] - c0) * t0 + (q[:, 1] - c1) * t1
+            keep = ((np.abs(y) < patch.transition_radius)
+                    & (_circular_gap(sv[a:b] - base, L) <= window)).nonzero()[0]
+            if not keep.size:
                 continue
-            if found is not None:
-                self._nudge(sv, pts, vel, patch)
-                return
-            found = a, b, members
-        if found is None:
-            return
-        a, b, members = found
-        i, k = a + members[0], a + members[-1] + 1
-        if k - i == members.size:
-            y = (pts[i:k] - patch.center) @ patch.tangent
-            hit = (np.abs(y) < patch.transition_radius).nonzero()[0]
-            if not hit.size:
-                return
-            h0, h1 = hit[0], hit[-1] + 1
-            if h1 - h0 == hit.size:
-                yh = y[h0:h1]
-                rows = slice(i + h0, i + h1)
-                pts[rows] += patch.displacement(yh)[:, None] * patch.normal
-                dy = vel[rows] @ patch.tangent
-                vel[rows] += (patch.displacement(yh, 1) * dy)[:, None] * patch.normal
-                return
-        self._nudge(sv[a:b], pts[a:b], vel[a:b], patch)
+            i, k = keep[0], keep[-1] + 1
+            if k - i == keep.size:
+                rows, yh = slice(a + i, a + k), y[i:k]
+            else:
+                rows, yh = a + keep, y[keep]
+            pts[rows] += patch.displacement(yh)[:, None] * patch.normal
+            v = vel[rows]
+            dy = v[:, 0] * t0 + v[:, 1] * t1
+            vel[rows] += (patch.displacement(yh, 1) * dy)[:, None] * patch.normal
 
     def point_and_velocity(self, s):
         """Position and (unnormalized) parameter velocity at base arcs.
@@ -589,11 +556,9 @@ class ClosedCurve:
         The batch is flattened and, unless it is already non-decreasing,
         put in order by one stable sort that is undone at the end.  The
         base shape is evaluated once for the whole batch; then every
-        patch near it, in stack order, nudges the contiguous run of
-        sorted points inside its window.  The result is bit-identical to
-        nudging masked rows of the batch in its own order: the same
-        membership test picks the same rows, every row gets the same
-        arithmetic, and only the memory layout changes.
+        patch near it, in stack order, nudges the sorted rows inside its
+        window.  Tangent coordinates are per-row sums, not matrix
+        products, so a row's bytes do not depend on its batch.
         """
         s = np.asarray(s, dtype=float)
         sv = s.ravel()
@@ -613,12 +578,11 @@ class ClosedCurve:
                 chosen = np.nonzero(gap <= half + self._patch_spans)[0]
             else:
                 chosen = range(len(self.patches))
-            # runs need finite arcs whose rounding stays far below the
-            # 1e-9 L bisection margin; NaN and inf fail these tests
-            runs = -1e4 * L < lo and hi < 1e4 * L and hi - lo < L
-            nudge = self._nudge_runs if runs else self._nudge
+            # bisection needs finite arcs whose rounding stays far below
+            # its margin; NaN and inf fail this test
+            span = (lo, hi) if -1e4 * L < lo and hi < 1e4 * L else None
             for k in chosen:
-                nudge(sv, pts, vel, self.patches[k])
+                self._nudge(sv, pts, vel, self.patches[k], span)
         if order is not None:
             pts = _unsort(pts, order)
             vel = _unsort(vel, order)

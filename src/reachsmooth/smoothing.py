@@ -321,7 +321,7 @@ def smooth_manifold(shape, epsilon, *, reach=None, delta=None, rho=None,
 
     Parameters
     ----------
-    shape : dict, BaseShape, or ClosedCurve
+    shape : dict or BaseShape
         Curve to smooth; dicts go through ``make_shape``.
     epsilon : float
         Reach-loss budget.  Also the scale the default window delta =
@@ -338,13 +338,9 @@ def smooth_manifold(shape, epsilon, *, reach=None, delta=None, rho=None,
     """
     if isinstance(shape, dict):
         shape = make_shape(shape)
-    if isinstance(shape, BaseShape):
-        curve = ClosedCurve(shape)
-    elif isinstance(shape, ClosedCurve):
-        curve = shape
-        shape = curve.shape
-    else:
-        raise InvalidInputError("shape must be a mapping, BaseShape, or ClosedCurve")
+    if not isinstance(shape, BaseShape):
+        raise InvalidInputError("shape must be a mapping or BaseShape")
+    curve = ClosedCurve(shape)
     eps = as_positive_float(epsilon, "epsilon")
     R = as_positive_float(reach, "reach") if reach is not None else analytic_reach(shape)
     if eps >= 0.9 * R:

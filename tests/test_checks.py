@@ -281,6 +281,10 @@ def test_main_theorem_rows(stadium_run):
     probe_rows = [n for n in names if n == "smooth_probe"]
     assert len(probe_rows) == stadium_run.result.report.patches_applied
     assert all(r.passed for r in rows), [r for r in rows if not r.passed]
+    # a probe that passes on the floor alone measures 0.0, not its noise
+    over = [r for r in rows if r.name in ("smooth_probe", "smooth_probe_junction")
+            and not r.measured <= r.bound]
+    assert not over, over
 
 
 def test_run_suite_formulas_green():

@@ -396,14 +396,29 @@ def stacked_circle():
     return curve
 
 
+def wide_window_circle():
+    # the synthetic patch window (arc_window 0.4) covers more than half
+    # of this circle's period
+    curve = circle_curve(0.1)
+    return curve.with_patch(synthetic_patch(curve, base_arc=0.2))
+
+
 def masked_oracle(curve, s):
-    # the base shape, then every patch in stack order through the masked
-    # path, on the batch in its own order
+    # the base shape, then every patch in stack order on the rows of the
+    # batch, in its own order, picked by boolean masks; per-row products
     s = np.asarray(s, dtype=float)
     sv = s.ravel()
+    L = curve.length
     pts, vel = curve.shape.point_and_tangent(sv)
     for patch in curve.patches:
-        curve._nudge(sv, pts, vel, patch)
+        t = patch.tangent
+        gap = np.abs(np.mod(sv - patch.base_arc + 0.5 * L, L) - 0.5 * L)
+        d = pts - patch.center
+        y = d[:, 0] * t[0] + d[:, 1] * t[1]
+        sel = (gap <= patch.arc_window) & (np.abs(y) < patch.transition_radius)
+        pts[sel] += patch.displacement(y[sel])[:, None] * patch.normal
+        dy = vel[sel, 0] * t[0] + vel[sel, 1] * t[1]
+        vel[sel] += (patch.displacement(y[sel], 1) * dy)[:, None] * patch.normal
     return pts.reshape(s.shape + (2,)), vel.reshape(s.shape + (2,))
 
 
@@ -416,39 +431,54 @@ ORACLE_BATCHES = {
     "wrap_below": np.linspace(-0.3, 0.25, 57),
     "wrap_past": np.linspace(_L - 0.25, _L + 0.3, 57),
     "whole": np.arange(400) * (_L / 400),
+    "two_periods": np.linspace(-0.7 * _L, 1.6 * _L, 333),
     "duplicates": np.repeat(np.linspace(2.7, 3.1, 15), 3),
     "scalar": np.array(1.3),
     "nan": np.array([1.3, np.nan, 1.2, 1.35]),
+    "inf": np.array([1.3, np.inf, 1.2, -np.inf, 1.35]),
+    "wide_window": np.linspace(-0.1, 0.7, 41),
 }
+ORACLE_CURVES = {"wide_window": wide_window_circle}
 
 
 @pytest.mark.parametrize("batch", list(ORACLE_BATCHES))
 def test_patch_prefilter_matches_full_scan(batch):
-    # sorting, the distance prefilter and the run slices must agree with
-    # nudging every patch in order through masks, bit for bit
-    curve = stacked_circle()
+    # sorting, the distance prefilter and the bisected slices must agree
+    # with nudging every patch in order through masks, bit for bit
+    curve = ORACLE_CURVES.get(batch, stacked_circle)()
     s = ORACLE_BATCHES[batch]
-    pts, vel = curve.point_and_velocity(s)
-    ref_pts, ref_vel = masked_oracle(curve, s)
+    with np.errstate(invalid="ignore"):  # sin and cos of +-inf
+        pts, vel = curve.point_and_velocity(s)
+        ref_pts, ref_vel = masked_oracle(curve, s)
+        assert np.array_equal(curve.point(s), pts, equal_nan=True)
     assert pts.shape == vel.shape == s.shape + (2,)
     assert np.array_equal(pts, ref_pts, equal_nan=True)
     assert np.array_equal(vel, ref_vel, equal_nan=True)
-    assert np.array_equal(curve.point(s), pts, equal_nan=True)
-    if batch == "nan":
-        assert np.isnan(pts[1]).all() and np.isfinite(np.delete(pts, 1, axis=0)).all()
+    if batch in ("nan", "inf"):
+        bad = ~np.isfinite(s)
+        assert np.isnan(pts[bad]).all() and np.isfinite(pts[~bad]).all()
+    if batch == "wide_window":
+        assert np.all(np.linalg.norm(pts - curve.shape.point(s), axis=1) > 0.0)
 
 
-def test_sorted_batch_skips_the_masked_path(monkeypatch):
-    curve = stacked_circle()
-    s = np.linspace(1.0, 1.6, 80)
-    expected = curve.point_and_velocity(s)
+def patched_stadium():
+    curve = ClosedCurve(make_shape({"kind": "stadium", "r": 1.0, "l": 2.0}))
+    arcs = curve.shape.junction_arcs()
+    for i, arc in enumerate((arcs[0] - 0.05, arcs[0] + 0.1, arcs[2], 0.0)):
+        curve = curve.with_patch(synthetic_patch(curve, base_arc=arc, index=i))
+    return curve
 
-    def masked(*args):
-        raise AssertionError("masked path taken")
 
-    monkeypatch.setattr(ClosedCurve, "_nudge", masked)
+@pytest.mark.parametrize("make_curve", [stacked_circle, patched_stadium])
+def test_row_bytes_do_not_depend_on_the_batch(make_curve):
+    # an arc evaluated alone gives the bytes it gets inside any batch
+    curve = make_curve()
+    L = curve.length
+    s = np.random.default_rng(11).uniform(-0.4 * L, 1.3 * L, 400)
     pts, vel = curve.point_and_velocity(s)
-    assert np.array_equal(pts, expected[0]) and np.array_equal(vel, expected[1])
+    for i in range(s.size):
+        p1, v1 = curve.point_and_velocity(s[i:i + 1])
+        assert np.array_equal(pts[i], p1[0]) and np.array_equal(vel[i], v1[0]), i
 
 
 def test_with_patch_extends_the_patch_arrays():

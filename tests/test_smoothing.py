@@ -301,6 +301,9 @@ def test_run_accepts_reach_override():
 def test_run_rejects_bad_shape_argument():
     with pytest.raises(InvalidInputError):
         smooth_manifold(42, 0.1)
+    # a patched curve is not an input: its reach is not the base shape's
+    with pytest.raises(InvalidInputError):
+        smooth_manifold(ClosedCurve(make_shape({"kind": "circle", "r": 1.0})), 0.1)
 
 
 # --------------------------------------------------------- bound formulas
