@@ -19,11 +19,13 @@ Each checker has one route.  The four patch checkers read the same
 constants, and the smoothness-probe rows of ``check_main_theorem`` all
 come from one helper bound by the probe's own pass threshold.
 
-Checking a patch costs what the checks need and no more, with every
-number unchanged: each read of the patch graph takes value and slope
-from one Newton solve, so the arrays cost one solve on the tap grid, and
-the far-point check compares every pair in cache-sized blocks of the
-plateau core instead of one (core x far x 2) broadcast.
+Checking costs what the checks need and no more, with every number
+unchanged: each read of the patch graph takes value and slope from one
+Newton solve, so the arrays cost one solve on the grid and one on the
+tap grid; the far-point check compares every pair in cache-sized blocks
+of the plateau core instead of one (core x far x 2) broadcast; and the
+theorem's smoothness probes, one window each, are read in two joint
+graph solves per curve, a few curve evaluations in all.
 
 The suite runner is deterministic end to end: seeded generators consumed
 in a fixed order, fixed instance ordering, and a CSV writer with a
@@ -41,15 +43,15 @@ import numpy as np
 
 from . import _accel
 from ._util import fmt17, json_dumps_stable
-from .curves import ClosedCurve, local_graph_at
+from .curves import ClosedCurve, graph_values, local_graph_at
 from .errors import InvalidInputError
 from .kernels import BumpKernel, Interval, convolve, find_support_radius
 from .linalg import hausdorff_distance_sampled
 from .partition import make_reference_plateau
 from .smoothing import (_PROBE_RATIO_CAP, BlendedMap, SmoothingResult,
-                        effective_radius_drop, far_away_reach_bound,
-                        predicted_reach_bound, smooth_core_probe,
-                        smooth_manifold)
+                        _probe_stencils, effective_radius_drop,
+                        far_away_reach_bound, predicted_reach_bound,
+                        smooth_core_probe, smooth_manifold)
 
 __all__ = [
     "CheckResult",
@@ -278,6 +280,23 @@ def check_blend_lipschitz(f, df, lip, lip_d, psi, rho, domain, *, order=0,
 # patch-level checkers (run on patches from a real pipeline pass)
 
 
+class _GridRead:
+    """A window graph whose read on one grid is already made, for a
+    blend that reads value and slope only: a read on that grid returns
+    it, every other read (the tap grid) goes to the window itself.
+    """
+
+    def __init__(self, graph, ys, read):
+        self.graph = graph
+        self.ys = ys
+        self.read = read
+
+    def value_and_slope(self, y):
+        if np.shape(y) == self.ys.shape and np.array_equal(y, self.ys):
+            return self.read
+        return self.graph.value_and_slope(y)
+
+
 def patch_graph_arrays(patch):
     """Dense shared evaluation of one patch blend, by live quadrature.
 
@@ -286,15 +305,17 @@ def patch_graph_arrays(patch):
     blend is re-evaluated with fresh taps here, never read off the
     displacement tabulation the pipeline stored: the checks must not
     trust the object they are checking.  Every read of the graph takes
-    value and slope together, so a call makes one graph solve on the tap
-    grid and two on ``ys`` (the blend's base and ``fv``/``dfv``).
+    value and slope together, and the read on ``ys`` that gives
+    ``fv``/``dfv`` is also the blend's base, so a call makes two graph
+    solves: one on ``ys`` and one on the tap grid.
     """
     b = patch.blend
-    light = BlendedMap(b.graph, b.psi, b.kernel, taps=_PATCH_TAPS)
     r2 = patch.transition_radius
     ys = np.linspace(-r2, r2, _PATCH_GRID)
-    F, DF = light.value_and_derivative(ys)
     fv, dfv = b.graph.value_and_slope(ys)
+    light = BlendedMap(_GridRead(b.graph, ys, (fv, dfv)), b.psi, b.kernel,
+                       taps=_PATCH_TAPS)
+    F, DF = light.value_and_derivative(ys)
     return ys, F, DF, fv, dfv
 
 
@@ -408,19 +429,43 @@ def check_far_point_distance(patch, curve_after, R, sample, *, seed=0,
 # end-to-end theorem check
 
 
-def _probe_row(name, curve, arc, sigma, seed, instance, *, expect_pass):
-    """Smoothness probe of ``curve`` at ``arc`` with base step ``sigma``.
+def _probe_rows(probes, seed):
+    """Smoothness-probe rows of ``(name, curve, arc, sigma, instance,
+    expect_pass)`` probes, in order.
 
-    The row passes when the probe's verdict equals ``expect_pass``.  A
-    probe whose differences all sit below the floor measures 0.0: its
-    last ratio is rounding noise.
+    Each probe reads a window of half-width 12 sigma around ``arc`` and
+    passes when the probe's verdict equals ``expect_pass``.  A probe
+    whose differences all sit below the floor measures 0.0: its last
+    ratio is rounding noise.
+
+    The stencils of all probes of one curve are read in two joint
+    solves: the first stencil of every window, which sets the window's
+    warm-start table and reads its frame, then the other stencils
+    together.  Each value has the bytes of its own ``g.value`` call, so
+    the rows are those of probing one window at a time.
     """
-    g = local_graph_at(curve, arc, 12.0 * sigma)
-    pr = smooth_core_probe(g.value, 0.0, sigma)
-    ratio = pr.ratios[-1]
-    measured = ratio if math.isfinite(ratio) and not pr.limited_by_floor else 0.0
-    return _result(name, measured, _PROBE_RATIO_CAP, 0.0, 5 * len(pr.steps),
-                   seed, instance, passed=pr.passed == expect_pass)
+    graphs = [local_graph_at(curve, arc, 12.0 * sigma)
+              for _, curve, arc, sigma, _, _ in probes]
+    stencils = [_probe_stencils(0.0, sigma)[1] for _, _, _, sigma, _, _ in probes]
+    values = [[] for _ in probes]
+    for curve in {id(p[1]): p[1] for p in probes}.values():
+        mine = [i for i, p in enumerate(probes) if p[1] is curve]
+        for level in (slice(0, 1), slice(1, None)):
+            reads = [(i, xs) for i in mine for xs in stencils[i][level]]
+            vals = graph_values([(graphs[i], xs) for i, xs in reads])
+            for (i, _), v in zip(reads, vals):
+                values[i].append(v)
+    rows = []
+    for (name, _, _, sigma, instance, expect_pass), xs, vals in zip(
+            probes, stencils, values):
+        known = {x.tobytes(): v for x, v in zip(xs, vals)}
+        pr = smooth_core_probe(lambda x: known[x.tobytes()], 0.0, sigma)
+        ratio = pr.ratios[-1]
+        measured = ratio if math.isfinite(ratio) and not pr.limited_by_floor else 0.0
+        rows.append(_result(name, measured, _PROBE_RATIO_CAP, 0.0,
+                            5 * len(pr.steps), seed, instance,
+                            passed=pr.passed == expect_pass))
+    return rows
 
 
 def check_main_theorem(result, *, seed=0):
@@ -431,6 +476,10 @@ def check_main_theorem(result, *, seed=0):
     probe at every applied patch center of the final curve, probes at
     the original kink locations, and a control probe on the raw curve at
     each kink, where the expected outcome is failure.
+
+    The probes are evaluated together, two joint graph solves per curve
+    (the final curve and the raw one), so the check costs a few curve
+    evaluations rather than four solves per probe; see ``_probe_rows``.
     """
     rep = result.report
     rows = []
@@ -446,21 +495,18 @@ def check_main_theorem(result, *, seed=0):
         rep.net_size, seed, rep.shape.get("kind", "?")))
 
     final = result.curve
-    for p in final.patches:
-        rows.append(_probe_row(
-            "smooth_probe", final, p.base_arc, p.sigma, seed,
-            f"patch-{p.index:04d}-arc={p.base_arc:.6f}", expect_pass=True))
-
+    probes = [("smooth_probe", final, p.base_arc, p.sigma,
+               f"patch-{p.index:04d}-arc={p.base_arc:.6f}", True)
+              for p in final.patches]
     junctions = final.shape.junction_arcs()
     if junctions and final.patches:
         sig = min(p.sigma for p in final.patches)
         raw = ClosedCurve(final.shape)
         for a in junctions:
             tag = f"junction-arc={a:.6f}"
-            rows.append(_probe_row("smooth_probe_junction", final, a, sig,
-                                   seed, tag, expect_pass=True))
-            rows.append(_probe_row("junction_probe_control", raw, a, sig,
-                                   seed, tag, expect_pass=False))
+            probes.append(("smooth_probe_junction", final, a, sig, tag, True))
+            probes.append(("junction_probe_control", raw, a, sig, tag, False))
+    rows.extend(_probe_rows(probes, seed))
     return rows
 
 

@@ -23,16 +23,20 @@ The arc chain evaluates a batch whose segment indices come in order
 (a sorted batch inside one period) segment by segment on slices, and any
 other batch through segment masks, with the same bytes either way.  The
 ellipse inverts arc length from a cubic Hermite start on its length
-table and one Newton step.  A patch holds one displacement spline and
-reads its slope from it.
+table and one Newton step.  A patch holds one displacement spline; the
+stack reads its value and slope from one cell of its coefficients.
 
 Local graph windows rewrite a stretch of curve as a 1-D graph over its
 tangent line at a base arc; slopes come from the chain rule through the
 patch stack, not finite differences.  Opening a window, by its
-half-width, evaluates the curve once; callers measure what they need.
-The window's first sorted solve becomes a table that later solves start
-from, so a read inside it usually takes one or two curve evaluations
-instead of three.
+half-width, evaluates nothing: the frame is read from the window's first
+curve evaluation, and callers measure what they need.  There is one
+Newton loop: a joint solve of many reads ``(window, y)`` of one curve,
+each step evaluating the curve once for every read still iterating, so
+many windows cost a few evaluations together.  A single read is its
+one-read case.  The window's first sorted solve becomes a table that
+later solves start from, so a read inside it usually takes one or two
+curve evaluations instead of three.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ __all__ = [
     "CurveSample",
     "sample_manifold",
     "LocalGraph",
+    "graph_values",
     "local_graph_at",
 ]
 
@@ -443,8 +448,9 @@ class AppliedPatch:
     ``displacement`` maps the tangent coordinate y (relative to the
     frozen frame center/tangent) to the normal nudge; it vanishes
     identically for |y| >= transition_radius.  It is a piecewise cubic
-    (scipy ``PPoly``) whose slope is read as ``displacement(y, 1)``, so a
-    patch holds one spline.
+    (scipy ``PPoly``) whose knots span more than the transition radius;
+    the patch stack reads its value and slope from one cell of its
+    coefficients, so a patch holds one spline.
     """
 
     index: int
@@ -481,6 +487,15 @@ def _unsort(rows, order):
     return out
 
 
+def _nudge_constants(patch):
+    """What nudging reads of a patch, read once when the patch joins a
+    stack: its center and tangent as floats, then the knots and
+    coefficients of its displacement, whose scipy accessors cost
+    microseconds a read."""
+    return (*patch.center.tolist(), *patch.tangent.tolist(),
+            patch.displacement.x, patch.displacement.c)
+
+
 class ClosedCurve:
     """Base shape plus an ordered stack of applied patches."""
 
@@ -492,6 +507,7 @@ class ClosedCurve:
         self.length = shape.length
         self._patch_arcs = np.array([p.base_arc for p in self.patches])
         self._patch_spans = np.array([p.arc_window for p in self.patches])
+        self._patch_constants = tuple(_nudge_constants(p) for p in self.patches)
 
     def with_patch(self, patch):
         if patch.index != len(self.patches):
@@ -504,10 +520,11 @@ class ClosedCurve:
         new.length = self.length
         new._patch_arcs = np.append(self._patch_arcs, patch.base_arc)
         new._patch_spans = np.append(self._patch_spans, patch.arc_window)
+        new._patch_constants = self._patch_constants + (_nudge_constants(patch),)
         return new
 
-    def _nudge(self, sv, pts, vel, patch, span):
-        """Apply one patch to the rows of a sorted batch inside its window.
+    def _nudge(self, sv, pts, vel, k, span):
+        """Apply patch ``k`` to the rows of a sorted batch inside its window.
 
         Each image ``base_arc + j L`` of the window holds one slice of the
         batch, found by bisection with a 1e-9 L margin.  The whole batch
@@ -516,8 +533,14 @@ class ClosedCurve:
         where rounding could exceed the margin.  A row of a slice is
         nudged when its circular gap is within ``arc_window`` and its
         tangent coordinate within the transition radius.
+
+        Value and slope of the displacement come from one cell lookup in
+        its knots and coefficients, summed in the order scipy's ``PPoly``
+        sums them, so they carry its bytes.  The knots span more than
+        the transition radius, so every nudged row has a cell.
         """
         L = self.length
+        patch = self.patches[k]
         base, window = patch.base_arc, patch.arc_window
         reach = window + 1e-9 * L
         if span is None or 2.0 * reach >= L:
@@ -530,7 +553,7 @@ class ClosedCurve:
                 c = base + j * L
                 slices.append((sv.searchsorted(c - reach),
                                sv.searchsorted(c + reach, side="right")))
-        (c0, c1), (t0, t1) = patch.center.tolist(), patch.tangent.tolist()
+        c0, c1, t0, t1, knots, coef = self._patch_constants[k]
         for a, b in slices:
             if a == b:
                 continue
@@ -540,15 +563,21 @@ class ClosedCurve:
                     & (_circular_gap(sv[a:b] - base, L) <= window)).nonzero()[0]
             if not keep.size:
                 continue
-            i, k = keep[0], keep[-1] + 1
-            if k - i == keep.size:
-                rows, yh = slice(a + i, a + k), y[i:k]
+            i0, i1 = keep[0], keep[-1] + 1
+            if i1 - i0 == keep.size:
+                rows, yh = slice(a + i0, a + i1), y[i0:i1]
             else:
                 rows, yh = a + keep, y[keep]
-            pts[rows] += patch.displacement(yh)[:, None] * patch.normal
+            cell = knots.searchsorted(yh, side="right") - 1
+            z = yh - knots[cell]
+            z2 = z * z
+            k0, k1, k2, k3 = coef.take(cell, axis=1)
+            d = k3 + k2 * z + k1 * z2 + k0 * (z2 * z)
+            dd = k2 + (k1 * z) * 2.0 + (k0 * z2) * 3.0
+            pts[rows] += d[:, None] * patch.normal
             v = vel[rows]
-            dy = v[:, 0] * t0 + v[:, 1] * t1
-            vel[rows] += (patch.displacement(yh, 1) * dy)[:, None] * patch.normal
+            dd *= v[:, 0] * t0 + v[:, 1] * t1
+            vel[rows] += dd[:, None] * patch.normal
 
     def point_and_velocity(self, s):
         """Position and (unnormalized) parameter velocity at base arcs.
@@ -582,7 +611,7 @@ class ClosedCurve:
             # its margin; NaN and inf fail this test
             span = (lo, hi) if -1e4 * L < lo and hi < 1e4 * L else None
             for k in chosen:
-                self._nudge(sv, pts, vel, self.patches[k], span)
+                self._nudge(sv, pts, vel, k, span)
         if order is not None:
             pts = _unsort(pts, order)
             vel = _unsort(vel, order)
@@ -635,10 +664,17 @@ class LocalGraph:
     frame.  Slopes are exact chain-rule quantities of the underlying
     patched curve, not difference quotients.
 
+    The frame (center, tangent, normal) is read from the first curve
+    evaluation that needs it: the first solve of the window evaluates
+    the base arc in the same batch as its Newton start.  Reading the
+    frame before any solve makes an empty solve, which evaluates the
+    base arc alone.
+
     Every read solves y(theta) = y for the base arc theta by Newton's
-    method.  The first solve of a strictly increasing batch of at least
-    two points (in ``smooth_patch``, the 257-point slope grid over the
-    whole window) becomes the window's warm-start table: its y, theta and
+    method, as one read of ``graph_values``' joint solve.  The first
+    solve of a strictly increasing batch of at least two points (in
+    ``smooth_patch``, the 257-point slope grid over the whole window)
+    becomes the window's warm-start table: its y, theta and
     d theta / dy = 1 / (velocity . tangent), which the last Newton pass
     already computed.  Later solves start points inside the table's span
     from the table's cubic Hermite interpolant, and the rest from
@@ -651,12 +687,30 @@ class LocalGraph:
         self.curve = curve
         self.base_arc = float(base_arc)
         self.window = window
-        center, vel = curve.point_and_velocity(self.base_arc)
-        t = vel / np.linalg.norm(vel)
-        self.center = center
-        self.tangent = t
-        self.normal = np.array([-t[1], t[0]])
+        self._frame = None
         self._table = None
+
+    def _framed(self):
+        if self._frame is None:
+            self._solve(np.empty(0))
+        return self._frame
+
+    @property
+    def center(self):
+        return self._framed()[0]
+
+    @property
+    def tangent(self):
+        return self._framed()[1]
+
+    @property
+    def normal(self):
+        return self._framed()[2]
+
+    def _set_frame(self, center, vel):
+        """Frame from the curve's point and velocity at the base arc."""
+        t = vel / np.linalg.norm(vel)
+        self._frame = (center, t, np.array([-t[1], t[0]]))
 
     def _start(self, yv):
         """Newton start for the base arcs above ``yv``."""
@@ -669,60 +723,126 @@ class LocalGraph:
         return np.where(inside, _hermite(yv, i, ty, tth, tdth), theta)
 
     def _solve(self, y):
+        return _solve_reads([(self, y)])[0]
+
+    def _value(self, pts, shape):
+        f = (pts - self.center) @ self.normal
+        return float(f[0]) if shape == () else f.reshape(shape)
+
+    def _slope(self, vel, shape):
+        df = (vel @ self.normal) / (vel @ self.tangent)
+        return float(df[0]) if shape == () else df.reshape(shape)
+
+    def value(self, y):
+        _, pts, _, shape = self._solve(y)
+        return self._value(pts, shape)
+
+    def slope(self, y):
+        _, _, vel, shape = self._solve(y)
+        return self._slope(vel, shape)
+
+    def value_and_slope(self, y):
+        _, pts, vel, shape = self._solve(y)
+        return self._value(pts, shape), self._slope(vel, shape)
+
+
+def _solve_reads(reads):
+    """Newton solve of graph reads ``(graph, y)`` of one curve, jointly.
+
+    Returns ``(theta, points, velocities, shape)`` per read.  Each step
+    evaluates the curve once, on the base arcs of every read still
+    iterating, after the base arcs of the windows whose frame is not yet
+    read.  A read keeps what it has when solved alone: its start, its
+    stopping test at 1e-14 of its window's scale, its fold check, its
+    iteration count and the set-once table rule; rows of a curve
+    evaluation do not depend on their batch, so each read returns the
+    bytes it returns alone.  A window without a table may be read once
+    per call: read alone twice, the first read could set the table that
+    the second starts from.
+    """
+    curve = reads[0][0].curve if reads else None
+    jobs = []
+    tableless = set()
+    for graph, y in reads:
+        if graph.curve is not curve:
+            raise InvalidInputError("a joint solve reads windows of one curve")
+        if graph._table is None:
+            if id(graph) in tableless:
+                raise InvalidInputError(
+                    "a window without a warm-start table is read once per solve")
+            tableless.add(id(graph))
         yv = np.asarray(y, dtype=float)
         shape = yv.shape
         yv = np.atleast_1d(yv).ravel()
-        if not self.window.contains(yv, margin=1e-9 * max(1.0, self.window.length)):
+        if not graph.window.contains(yv, margin=1e-9 * max(1.0, graph.window.length)):
             raise InvalidInputError("tangent coordinate outside the graph window")
-        if yv.size == 0:
+        jobs.append((graph, yv, shape))
+
+    out = [None] * len(jobs)
+    theta = {}
+    for k, (graph, yv, shape) in enumerate(jobs):
+        if yv.size:
+            theta[k] = graph._start(yv)
+        else:
             none = np.empty((0, 2))
-            return self.base_arc + yv, none, none, shape
-        theta = self._start(yv)
-        scale = max(1.0, float(np.linalg.norm(self.center)) + self.window.length)
-        for it in range(40):
-            pts, vel = self.curve.point_and_velocity(theta)
-            g = (pts - self.center) @ self.tangent - yv
-            dg = vel @ self.tangent
+            out[k] = (graph.base_arc + yv, none, none, shape)
+    frameless = [graph for graph, _, _ in jobs if graph._frame is None]
+    active = list(theta)
+    for _ in range(40):
+        if not (active or frameless):
+            break
+        arcs = [np.array([graph.base_arc for graph in frameless])]
+        pts, vel = curve.point_and_velocity(
+            np.concatenate(arcs + [theta[k] for k in active]))
+        for i, graph in enumerate(frameless):
+            graph._set_frame(pts[i].copy(), vel[i])
+        a, frameless, iterating = len(frameless), [], []
+        for k in active:
+            graph, yv, shape = jobs[k]
+            b = a + yv.size
+            p, v = pts[a:b], vel[a:b]
+            a = b
+            center, tangent, _ = graph._frame
+            g = (p - center) @ tangent - yv
+            dg = v @ tangent
             if np.any(dg < 0.05):
                 raise GeometryError(
                     "curve folds against the tangent frame inside the window; "
                     "the stretch is not a graph")
+            scale = max(1.0, float(np.linalg.norm(center)) + graph.window.length)
             if np.abs(g).max() <= 1e-14 * scale:
-                break
-            theta = theta - g / dg
-        else:
-            raise GeometryError("graph parameter solve did not converge")
-        if self._table is None and yv.size >= 2 and np.all(yv[1:] > yv[:-1]):
-            self._table = (yv.copy(), theta, 1.0 / dg)
-        return theta, pts, vel, shape
+                if graph._table is None and yv.size >= 2 and np.all(yv[1:] > yv[:-1]):
+                    graph._table = (yv.copy(), theta[k], 1.0 / dg)
+                out[k] = (theta[k], p, v, shape)
+            else:
+                theta[k] = theta[k] - g / dg
+                iterating.append(k)
+        active = iterating
+    if active:
+        raise GeometryError("graph parameter solve did not converge")
+    return out
 
-    def value(self, y):
-        theta, pts, _, shape = self._solve(y)
-        f = (pts - self.center) @ self.normal
-        return float(f[0]) if shape == () else f.reshape(shape)
 
-    def slope(self, y):
-        theta, _, vel, shape = self._solve(y)
-        df = (vel @ self.normal) / (vel @ self.tangent)
-        return float(df[0]) if shape == () else df.reshape(shape)
+def graph_values(reads):
+    """Values of many graph reads ``(graph, y)`` of one curve.
 
-    def value_and_slope(self, y):
-        theta, pts, vel, shape = self._solve(y)
-        f = (pts - self.center) @ self.normal
-        df = (vel @ self.normal) / (vel @ self.tangent)
-        if shape == ():
-            return float(f[0]), float(df[0])
-        return f.reshape(shape), df.reshape(shape)
+    One joint Newton solve: each step evaluates the curve once for every
+    read still iterating, and each value has the bytes of
+    ``graph.value(y)`` made alone.  A window without a warm-start table
+    may appear once.
+    """
+    return [graph._value(pts, shape)
+            for (graph, _), (_, pts, _, shape) in zip(reads, _solve_reads(reads))]
 
 
 def local_graph_at(curve, arc, window_radius):
     """Graph window [-window_radius, window_radius] of a curve around the
     point at base parameter ``arc``.
 
-    Building the window evaluates the curve at ``arc`` only.  A fold
-    against the tangent frame raises ``GeometryError`` from the first
-    evaluation that reaches it; a radius that is not a positive finite
-    number raises ``InvalidInputError``.
+    Opening a window evaluates nothing: its frame is read with its first
+    solve.  A fold against the tangent frame raises ``GeometryError``
+    from the first evaluation that reaches it; a radius that is not a
+    positive finite number raises ``InvalidInputError``.
     """
     w = as_positive_float(window_radius, "window_radius")
     return LocalGraph(curve, float(arc), Interval(-w, w))

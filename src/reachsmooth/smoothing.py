@@ -502,6 +502,15 @@ _PROBE_NOISE = 1e-13
 _PROBE_OFFSET = 1.0 / 3.0
 
 
+def _probe_stencils(center, base_step):
+    """Steps of the smoothness probe, largest first, and the five points
+    its evaluator is asked for at each; callers that evaluate the points
+    ahead of the probe read them here."""
+    b = as_positive_float(base_step, "base_step")
+    steps = tuple(b * 2.0 ** (2 - j) for j in range(_PROBE_LEVELS))
+    return steps, [center + h * (np.arange(-2.0, 3.0) + _PROBE_OFFSET) for h in steps]
+
+
 def smooth_core_probe(evaluator, center, base_step):
     """Detect a surviving derivative kink around a point.
 
@@ -516,12 +525,10 @@ def smooth_core_probe(evaluator, center, base_step):
     The step should not go below half the mollification radius being
     checked: beyond that the floor swallows every signal.
     """
-    b = as_positive_float(base_step, "base_step")
-    steps = tuple(b * 2.0 ** (2 - j) for j in range(_PROBE_LEVELS))
+    steps, points = _probe_stencils(center, base_step)
     stencil = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
     diffs = []
-    for h in steps:
-        xs = center + h * (np.arange(-2.0, 3.0) + _PROBE_OFFSET)
+    for h, xs in zip(steps, points):
         vals = np.asarray(evaluator(xs), dtype=float)
         diffs.append(float(abs(stencil @ vals)) / h ** 4)
     ratios = tuple(d2 / d1 if d1 > 0 else math.inf

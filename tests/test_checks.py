@@ -1,5 +1,6 @@
 """The lemma checkers themselves: zoo validity, honest negatives, suites."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -17,10 +18,12 @@ from reachsmooth.checks import (CheckResult, check_angle_bound,
                                 random_c11,
                                 random_piecewise_linear, run_suite,
                                 write_checks_csv, write_failures_json)
-from reachsmooth.curves import LocalGraph, sample_manifold
+from reachsmooth.curves import (ClosedCurve, LocalGraph, local_graph_at,
+                                sample_manifold)
 from reachsmooth.errors import InvalidInputError
 from reachsmooth.kernels import BumpKernel, Interval, convolve
 from reachsmooth.partition import make_reference_plateau
+from reachsmooth.smoothing import _PROBE_RATIO_CAP, smooth_core_probe
 
 
 def test_result_slack_arithmetic():
@@ -167,7 +170,8 @@ def test_patch_graph_arrays_share_one_tap_grid_solve(stadium_run,
     monkeypatch.undo()
     # the tap grid is the only 2-D batch: (hot points, taps)
     assert sum(len(b) == 2 for b in batches) == 1
-    assert len(batches) <= 3
+    # the read on ys is the blend's base and fv/dfv at once
+    assert len(batches) <= 2
 
     # reference: separate value and slope reads, separate convolutions
     b = patch.blend
@@ -286,6 +290,53 @@ def test_main_theorem_rows(stadium_run):
             and not r.measured <= r.bound]
     assert not over, over
 
+
+
+def _probe_row(name, curve, arc, sigma, seed, instance, *, expect_pass):
+    """One probe row the plain way: its own window, four solves of its
+    own; the reference for the joint evaluation of the theorem check."""
+    g = local_graph_at(curve, arc, 12.0 * sigma)
+    pr = smooth_core_probe(g.value, 0.0, sigma)
+    ratio = pr.ratios[-1]
+    measured = ratio if math.isfinite(ratio) and not pr.limited_by_floor else 0.0
+    return checks._result(name, measured, _PROBE_RATIO_CAP, 0.0,
+                          5 * len(pr.steps), seed, instance,
+                          passed=pr.passed == expect_pass)
+
+
+def test_main_theorem_matches_per_probe_reference(stadium_run, monkeypatch):
+    result = stadium_run.result
+    evaluations = []
+    real = ClosedCurve.point_and_velocity
+
+    def counted(self, s):
+        evaluations.append(np.size(s))
+        return real(self, s)
+
+    monkeypatch.setattr(ClosedCurve, "point_and_velocity", counted)
+    rows = check_main_theorem(result, seed=3)
+    monkeypatch.undo()
+    # 398 probes read in a few joint solves, not four solves each
+    assert len(evaluations) <= 16
+
+    final = result.curve
+    expected = []
+    for p in final.patches:
+        expected.append(_probe_row(
+            "smooth_probe", final, p.base_arc, p.sigma, 3,
+            f"patch-{p.index:04d}-arc={p.base_arc:.6f}", expect_pass=True))
+    sig = min(p.sigma for p in final.patches)
+    raw = ClosedCurve(final.shape)
+    for a in final.shape.junction_arcs():
+        tag = f"junction-arc={a:.6f}"
+        expected.append(_probe_row("smooth_probe_junction", final, a, sig, 3,
+                                   tag, expect_pass=True))
+        expected.append(_probe_row("junction_probe_control", raw, a, sig, 3,
+                                   tag, expect_pass=False))
+    assert [r.name for r in rows[:3]] == ["reach_drop", "c1_distance", "center_shift"]
+    assert len(rows) == 3 + len(expected) == 398
+    assert repr([dataclasses.astuple(r) for r in rows[3:]]) == \
+        repr([dataclasses.astuple(r) for r in expected])
 
 def test_run_suite_formulas_green():
     suite = run_suite("formulas", seed=7)
