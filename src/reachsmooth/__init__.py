@@ -9,7 +9,7 @@ stays single valued, drops by no more than a requested budget.
 Entry points
 ------------
 ``smooth_manifold``
-    The full pipeline: net construction, localized blends, final scan.
+    The full pipeline: localized blends at the junctions, final scan.
 ``scan_curve_reach`` / ``analytic_reach``
     Measured and closed-form reach of the shape catalog.
 ``make_shape``
@@ -34,11 +34,10 @@ from .partition import (PlateauFunction, make_reference_plateau,
                         rescale_plateau, smoothing_window_radius)
 from .reach import (ReachEstimate, analytic_reach, estimate_reach_federer,
                     federer_ratio, scan_curve_reach)
-from .smoothing import (BlendedMap, Net, ProbeResult, SmoothingReport,
-                        SmoothingResult, build_net,
-                        effective_radius_drop, far_away_reach_bound,
-                        predicted_reach_bound, smooth_core_probe,
-                        smooth_manifold, smooth_patch)
+from .smoothing import (BlendedMap, ProbeResult, SmoothingReport,
+                        SmoothingResult, effective_radius_drop,
+                        far_away_reach_bound, predicted_reach_bound,
+                        smooth_core_probe, smooth_manifold, smooth_patch)
 
 __version__ = "0.1.0"
 
@@ -56,8 +55,8 @@ __all__ = [
     "smoothing_window_radius",
     "ReachEstimate", "analytic_reach", "estimate_reach_federer",
     "federer_ratio", "scan_curve_reach",
-    "BlendedMap", "Net", "ProbeResult", "SmoothingReport", "SmoothingResult",
-    "build_net", "effective_radius_drop",
+    "BlendedMap", "ProbeResult", "SmoothingReport", "SmoothingResult",
+    "effective_radius_drop",
     "far_away_reach_bound", "predicted_reach_bound", "smooth_core_probe",
     "smooth_manifold", "smooth_patch",
     "__version__",

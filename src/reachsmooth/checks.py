@@ -47,7 +47,8 @@ from .curves import ClosedCurve, graph_values, local_graph_at
 from .errors import InvalidInputError
 from .kernels import BumpKernel, Interval, convolve, find_support_radius
 from .linalg import hausdorff_distance_sampled
-from .partition import make_reference_plateau
+from .partition import make_reference_plateau, smoothing_window_radius
+from .reach import estimate_reach_federer
 from .smoothing import (_PROBE_RATIO_CAP, BlendedMap, SmoothingResult,
                         _probe_stencils, effective_radius_drop,
                         far_away_reach_bound, predicted_reach_bound,
@@ -81,6 +82,8 @@ _PATCH_TAPS = 16
 _PAIR_N = 192
 # core rows per block of the far-point check
 _FAR_BLOCK = 32
+# samples of each junction's micro pair scan
+_JUNCTION_SCAN_N = 401
 # scan tolerance of the reach-drop row, as a share of the input reach
 _REACH_TOL = 0.02
 # instances per suite: zoo functions and blend budgets
@@ -472,10 +475,13 @@ def check_main_theorem(result, *, seed=0):
     """Verify the headline guarantees of a finished run.
 
     Rows: reach drop within budget (measured scan tolerance 2 percent of
-    the input reach), whole-curve closeness within budget, a smoothness
-    probe at every applied patch center of the final curve, probes at
-    the original kink locations, and a control probe on the raw curve at
-    each kink, where the expected outcome is failure.
+    the input reach), whole-curve closeness within budget, the largest
+    center shift within the shift budget sqrt(delta R)/32 that
+    ``smooth_patch`` enforces, a smoothness probe at every applied patch
+    center of the final curve, probes at the original kink locations, a
+    control probe on the raw curve at each kink, where the expected
+    outcome is failure, and a micro pair scan at each kink, whose ratio
+    must stay at least R - epsilon.
 
     The probes are evaluated together, two joint graph solves per curve
     (the final curve and the raw one), so the check costs a few curve
@@ -491,7 +497,8 @@ def check_main_theorem(result, *, seed=0):
         "c1_distance", rep.c1_distance, rep.epsilon, 0.0,
         rep.scan_samples, seed, rep.shape.get("kind", "?")))
     rows.append(_result(
-        "center_shift", rep.shift_max, rep.covering_radius * 0.5, 0.0,
+        "center_shift", rep.shift_max,
+        smoothing_window_radius(rep.delta, rep.R_input) / 16.0, 0.0,
         rep.net_size, seed, rep.shape.get("kind", "?")))
 
     final = result.curve
@@ -507,6 +514,34 @@ def check_main_theorem(result, *, seed=0):
             probes.append(("smooth_probe_junction", final, a, sig, tag, True))
             probes.append(("junction_probe_control", raw, a, sig, tag, False))
     rows.extend(_probe_rows(probes, seed))
+    if junctions and final.patches:
+        rows.extend(_junction_pair_rows(final, junctions, sig,
+                                        rep.R_input - rep.epsilon, seed))
+    return rows
+
+
+def _junction_pair_rows(curve, junctions, sigma, bound, seed):
+    """One micro pair scan per junction: the least pair ratio of
+    ``_JUNCTION_SCAN_N`` samples of ``curve`` over +-sigma/4 around it,
+    pairs at least sigma/160 apart, against the lower bound ``bound``.
+
+    The final scan's pair spacing skips every pair this close, so a
+    curvature jump the patches left behind shows here first.  A row
+    passes when the ratio is at least the bound; as for the junction
+    control, ``slack`` keeps its one formula, so a passing row reads a
+    negative slack.  All samples are read in one curve evaluation.
+    """
+    offsets = np.linspace(-0.25 * sigma, 0.25 * sigma, _JUNCTION_SCAN_N)
+    arcs = np.concatenate([a + offsets for a in junctions])
+    pts, vel = curve.point_and_velocity(arcs)
+    tans = vel / np.linalg.norm(vel, axis=-1, keepdims=True)
+    rows = []
+    for k, a in enumerate(junctions):
+        part = slice(k * offsets.size, (k + 1) * offsets.size)
+        est = estimate_reach_federer(pts[part], tans[part], sigma / 160.0)
+        rows.append(_result("junction_pair_ratio", est.value, bound, 0.0,
+                            est.pairs_scanned, seed, f"junction-arc={a:.6f}",
+                            passed=est.value >= bound))
     return rows
 
 

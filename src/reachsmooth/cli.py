@@ -275,7 +275,7 @@ def _cmd_report(args):
         ("rho", fmt17), ("R_prime_predicted", fmt17),
         ("R_hat_measured", fmt17), ("c1_distance", fmt17),
         ("patches_applied", str), ("patches_identity", str),
-        ("net_size", str), ("overlap_count", str), ("shift_max", fmt17),
+        ("net_size", str), ("shift_max", fmt17),
         ("scan_samples", str), ("scan_pairs", str), ("backend", str),
     ]
     for key, fmt in order:

@@ -1,19 +1,28 @@
-"""The smoothing pipeline: nets, localized blends, reach bookkeeping.
+"""The smoothing pipeline: localized blends at the junctions, reach bookkeeping.
 
-A run covers the curve with a farthest-point net at 1/16 of the window
-scale sqrt(delta * R), then visits the net in insertion order.  At each
-center the curve is rewritten as a graph over its tangent line, the
-graph is mollified at a support radius found by halving search (capped
-well below the window so the transition ring cannot build up curvature),
-and the curve is replaced by the blend
+Every shape the pipeline accepts is piecewise analytic, and
+``BaseShape.junction_arcs`` lists every point where it is not C^inf: the
+arcs where the curvature jumps.  A run patches only there, one patch per
+junction in sorted order, each centered on its junction so the junction
+lies in the patch's flat core.  At each junction the curve is rewritten
+as a graph over its tangent line, the graph is mollified at a support
+radius found by halving search (capped well below the window so the
+transition ring cannot build up curvature), and the curve is replaced by
+the blend
 
     new = old + plateau * (mollified - old)
 
 tabulated as a displacement spline.  Points outside the plateau support
 are untouched bit for bit; inside the flat core the new graph is the
-pure mollification, hence infinitely smooth.  Patches overlap on
-purpose: the cores cover the curve, which is what makes the final curve
-smooth everywhere rather than almost everywhere.
+pure mollification, and on the transition ring the old graph is
+analytic.  Junctions closer than a window get one patch each, stacked in
+order.  A shape with no junction (the circle, the ellipse) is returned
+exactly.
+
+The paper covers the whole manifold with a partition of unity, because
+a general C^{1,1} manifold has no known smooth part; that construction,
+a farthest-point net at 1/16 of the window scale with one patch per
+center, is kept in the tests as the reference run.
 
 Reach accounting happens twice: the a-priori bound ``predicted_reach_
 bound`` evaluates the closed formula (pessimistic but proven), and the
@@ -24,7 +33,7 @@ in the report; acceptance binds the measured number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
@@ -40,7 +49,6 @@ from .partition import (PlateauFunction, make_reference_plateau,
 from .reach import ReachEstimate, analytic_reach, estimate_reach_federer
 
 __all__ = [
-    "Net",
     "build_net",
     "BlendedMap",
     "smooth_patch",
@@ -56,58 +64,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Net:
-    """Farthest-point net on a curve, with measured quality numbers."""
+def build_net(shape):
+    """The patch centers of a run: the junctions of ``shape``, sorted.
 
-    arcs: np.ndarray = field(repr=False)    # insertion order
-    points: np.ndarray = field(repr=False)
-    spacing: float
-    covering_radius: float
-    min_separation: float
-    overlap_count: int
-    dense_count: int
-
-    @property
-    def count(self):
-        return self.arcs.shape[0]
-
-
-def build_net(curve, delta, R):
-    """Deterministic farthest-point net on a ClosedCurve, spacing sqrt(delta R)/16.
-
-    Seeded at parameter 0 on a dense uniform sample (1/8 of the net
-    spacing), inserting the farthest remaining sample until everything
-    is covered within the spacing.  Farthest-point insertion keeps every
-    pair at least one spacing apart, so the result is simultaneously a
-    covering and a separated set; both radii are measured and stored.
-    ``overlap_count`` is the largest number of net balls of radius
-    sqrt(delta R)/2 that meet any single one (itself included).
+    A piecewise-analytic shape is C^inf away from the arcs where its
+    curvature jumps, so those are the only centers a run needs; a shape
+    without junctions gets none and comes back exactly.  The report's
+    ``net_size`` counts these centers.
     """
-    w2 = smoothing_window_radius(delta, R)          # sqrt(delta R)/2
-    spacing = w2 / 8.0                              # sqrt(delta R)/16
-    n_dense = int(math.ceil(curve.length / (spacing / 8.0)))
-    params = np.arange(n_dense) * (curve.length / n_dense)
-    pts = curve.point(params)
-
-    chosen = [0]
-    dist = np.linalg.norm(pts - pts[0], axis=1)
-    while True:
-        nxt = int(np.argmax(dist))
-        if dist[nxt] <= spacing:
-            break
-        chosen.append(nxt)
-        np.minimum(dist, np.linalg.norm(pts - pts[nxt], axis=1), out=dist)
-    idx = np.array(chosen)
-    net_pts = pts[idx]
-    covering = float(dist.max())
-    d2 = ((net_pts[:, None, :] - net_pts[None, :, :]) ** 2).sum(-1)
-    np.fill_diagonal(d2, np.inf)
-    separation = float(np.sqrt(d2.min()))
-    overlap = int((np.sqrt(np.where(np.isinf(d2), 0.0, d2)) <= 2.0 * w2).sum(axis=1).max())
-    return Net(arcs=params[idx], points=net_pts, spacing=spacing,
-               covering_radius=covering, min_separation=separation,
-               overlap_count=overlap, dense_count=n_dense)
+    return tuple(sorted(shape.junction_arcs()))
 
 
 class BlendedMap:
@@ -170,7 +135,7 @@ class BlendedMap:
 
 @dataclass(frozen=True)
 class PatchRecord:
-    """Ledger row for one net center visit."""
+    """Ledger row for one patch center visit."""
 
     index: int
     base_arc: float
@@ -185,7 +150,7 @@ class PatchRecord:
 
 def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max,
                  max_halvings=14):
-    """Apply one localized smoothing step at a net center.
+    """Apply one localized smoothing step at a patch center.
 
     The patch takes the next index of the curve's stack.  Returns
     ``(new_curve, patch_or_None, record)``.  The patch is None when the
@@ -284,9 +249,6 @@ class SmoothingReport:
     patches_applied: int
     patches_identity: int
     net_size: int
-    overlap_count: int
-    covering_radius: float
-    net_separation: float
     shift_max: float
     scan_samples: int
     scan_min_sep: float
@@ -309,7 +271,6 @@ class SmoothingReport:
 class SmoothingResult:
     curve: ClosedCurve
     report: SmoothingReport
-    net: Net
     records: tuple
     psi: PlateauFunction
     scan: ReachEstimate
@@ -335,12 +296,13 @@ def smooth_manifold(shape, epsilon, *, reach=None, delta=None, rho=None,
     Returns
     -------
     SmoothingResult
+        One patch per junction of the shape, in sorted arc order (see
+        ``build_net``).
     """
     if isinstance(shape, dict):
         shape = make_shape(shape)
     if not isinstance(shape, BaseShape):
         raise InvalidInputError("shape must be a mapping or BaseShape")
-    curve = ClosedCurve(shape)
     eps = as_positive_float(epsilon, "epsilon")
     R = as_positive_float(reach, "reach") if reach is not None else analytic_reach(shape)
     if eps >= 0.9 * R:
@@ -373,12 +335,19 @@ def smooth_manifold(shape, epsilon, *, reach=None, delta=None, rho=None,
         sigma_max = w / 128.0  # sqrt(delta R)/256
     sigma_max = as_positive_float(sigma_max, "sigma_max")
 
-    net = build_net(curve, delta, R)
+    return _smooth_at(shape, build_net(shape), eps, R, delta, rho, psi,
+                      sigma_max)
+
+
+def _smooth_at(shape, arcs, eps, R, delta, rho, psi, sigma_max):
+    """Patch ``shape`` at ``arcs`` in order, on a finished schedule, then
+    measure the result and write its report."""
+    curve = ClosedCurve(shape)
     records = []
-    for k in range(net.count):
+    for arc in arcs:
         curve, _, rec = smooth_patch(
-            curve, float(net.arcs[k]), delta=delta, R=R, rho=rho,
-            psi=psi, sigma_max=sigma_max)
+            curve, float(arc), delta=delta, R=R, rho=rho, psi=psi,
+            sigma_max=sigma_max)
         records.append(rec)
 
     applied = [r for r in records if r.applied]
@@ -390,6 +359,7 @@ def smooth_manifold(shape, epsilon, *, reach=None, delta=None, rho=None,
                  float(np.abs(patch.displacement(ys, 1)).max()))
 
     # final scan at spacing sqrt(delta R)/32
+    w = smoothing_window_radius(delta, R)
     sample = sample_manifold(curve, math.ceil(curve.length / (w / 16.0)))
     est = estimate_reach_federer(sample.points, sample.tangents,
                                  2.0 * sample.spacing)
@@ -407,10 +377,7 @@ def smooth_manifold(shape, epsilon, *, reach=None, delta=None, rho=None,
         c1_distance=c1,
         patches_applied=len(applied),
         patches_identity=len(records) - len(applied),
-        net_size=net.count,
-        overlap_count=net.overlap_count,
-        covering_radius=net.covering_radius,
-        net_separation=net.min_separation,
+        net_size=len(records),
         shift_max=max((r.shift for r in records), default=0.0),
         scan_samples=sample.count,
         scan_min_sep=2.0 * sample.spacing,
@@ -419,8 +386,8 @@ def smooth_manifold(shape, epsilon, *, reach=None, delta=None, rho=None,
         psi_lip_derivative=psi.lip_derivative,
         backend=_accel.IMPLEMENTATION,
     )
-    return SmoothingResult(curve=curve, report=report, net=net,
-                           records=tuple(records), psi=psi, scan=est)
+    return SmoothingResult(curve=curve, report=report, records=tuple(records),
+                           psi=psi, scan=est)
 
 
 def predicted_reach_bound(R, delta, rho):

@@ -22,7 +22,8 @@ from reachsmooth.curves import (ClosedCurve, LocalGraph, local_graph_at,
                                 sample_manifold)
 from reachsmooth.errors import InvalidInputError
 from reachsmooth.kernels import BumpKernel, Interval, convolve
-from reachsmooth.partition import make_reference_plateau
+from reachsmooth.partition import make_reference_plateau, smoothing_window_radius
+from reachsmooth.reach import estimate_reach_federer
 from reachsmooth.smoothing import _PROBE_RATIO_CAP, smooth_core_probe
 
 
@@ -157,7 +158,7 @@ def _bits(*arrays):
 
 def test_patch_graph_arrays_share_one_tap_grid_solve(stadium_run,
                                                       monkeypatch):
-    patch = stadium_run.result.curve.patches[5]
+    patch = stadium_run.result.curve.patches[2]
     batches = []
     solve = LocalGraph._solve
 
@@ -285,6 +286,16 @@ def test_main_theorem_rows(stadium_run):
     probe_rows = [n for n in names if n == "smooth_probe"]
     assert len(probe_rows) == stadium_run.result.report.patches_applied
     assert all(r.passed for r in rows), [r for r in rows if not r.passed]
+    # the micro pair scan: one row per junction, a lower bound R - epsilon
+    rep = stadium_run.result.report
+    pairs = [r for r in rows if r.name == "junction_pair_ratio"]
+    assert len(pairs) == n_junctions
+    for r in pairs:
+        assert r.bound == rep.R_input - rep.epsilon and r.tolerance == 0.0
+        assert r.measured >= r.bound and r.grid > 0
+    # the shift budget smooth_patch enforces
+    shift = rows[names.index("center_shift")]
+    assert shift.bound == smoothing_window_radius(rep.delta, rep.R_input) / 16
     # a probe that passes on the floor alone measures 0.0, not its noise
     over = [r for r in rows if r.name in ("smooth_probe", "smooth_probe_junction")
             and not r.measured <= r.bound]
@@ -316,7 +327,8 @@ def test_main_theorem_matches_per_probe_reference(stadium_run, monkeypatch):
     monkeypatch.setattr(ClosedCurve, "point_and_velocity", counted)
     rows = check_main_theorem(result, seed=3)
     monkeypatch.undo()
-    # 398 probes read in a few joint solves, not four solves each
+    # 12 probes and 4 micro pair scans read in a few joint evaluations,
+    # not four solves per probe and one evaluation per scan
     assert len(evaluations) <= 16
 
     final = result.curve
@@ -333,10 +345,22 @@ def test_main_theorem_matches_per_probe_reference(stadium_run, monkeypatch):
                                    tag, expect_pass=True))
         expected.append(_probe_row("junction_probe_control", raw, a, sig, 3,
                                    tag, expect_pass=False))
+    # each junction's scan on its own evaluation of the final curve
+    rep = result.report
+    for a in final.shape.junction_arcs():
+        pts, vel = final.point_and_velocity(
+            a + np.linspace(-0.25 * sig, 0.25 * sig, 401))
+        est = estimate_reach_federer(
+            pts, vel / np.linalg.norm(vel, axis=-1, keepdims=True), sig / 160)
+        bound = rep.R_input - rep.epsilon
+        expected.append(checks._result(
+            "junction_pair_ratio", est.value, bound, 0.0, est.pairs_scanned, 3,
+            f"junction-arc={a:.6f}", passed=est.value >= bound))
     assert [r.name for r in rows[:3]] == ["reach_drop", "c1_distance", "center_shift"]
-    assert len(rows) == 3 + len(expected) == 398
+    assert len(rows) == 3 + len(expected) == 19
     assert repr([dataclasses.astuple(r) for r in rows[3:]]) == \
         repr([dataclasses.astuple(r) for r in expected])
+
 
 def test_run_suite_formulas_green():
     suite = run_suite("formulas", seed=7)
