@@ -180,14 +180,10 @@ def _cmd_reach(args):
     t0 = time.perf_counter()
     est, sample = scan_curve_reach(shape, n=args.n, min_sep=args.min_sep)
     elapsed = time.perf_counter() - t0
-    try:
-        closed = analytic_reach(shape)
-    except InvalidInputError:
-        closed = None
     out = {
         "shape": shape.describe(),
         "measured_reach": est.value,
-        "closed_form_reach": closed,
+        "closed_form_reach": analytic_reach(shape),
         "samples": sample.count,
         "pairs": est.pairs_scanned,
         "min_sep": est.min_sep,

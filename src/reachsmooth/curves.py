@@ -258,10 +258,12 @@ class ArcChainShape(BaseShape):
         ends = [seg.point_and_tangent(np.array([0.0, seg.length]))
                 for seg in self.segments]
         scale = max(1.0, max(float(np.abs(pts[0]).max()) for pts, _ in ends))
+        # positions closer than this count as one point of the chain
+        self.gap_tol = 1e-9 * scale
         for i, (pts, tans) in enumerate(ends):
             nxt_pts, nxt_tans = ends[(i + 1) % len(ends)]
             gap = np.linalg.norm(pts[1] - nxt_pts[0])
-            if gap > 1e-9 * scale:
+            if gap > self.gap_tol:
                 raise InvalidInputError(
                     f"chain breaks between segment {i} and {i + 1}: gap {gap:.3e}")
             tdiff = np.linalg.norm(tans[1] - nxt_tans[0])

@@ -10,6 +10,11 @@ distances are exact), and the acceptance tolerances account for that.
 Pairs closer than ``min_sep`` are excluded: for nearby samples on a
 smooth curve the ratio degenerates to the osculating radius at chord
 scale and sampling noise dominates below that.
+
+``analytic_reach`` is the closed-form reference of every base shape:
+the circle's radius, the ellipse's least curvature radius, and for an
+arc chain, convex or not, the smaller of its least arc radius and half
+its shortest double normal, solved segment pair by segment pair.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 from . import _accel
 from ._util import as_positive_float, as_vector
 from .curves import (ArcChainShape, BaseShape, CircleShape, ClosedCurve,
-                     EllipseShape, sample_manifold)
+                     EllipseShape, LineSegment, sample_manifold)
 from .errors import InvalidInputError
 
 __all__ = [
@@ -138,49 +143,131 @@ def scan_curve_reach(curve, n=2000, min_sep=None):
     return est, sample
 
 
-# samples and width directions of the arc-chain reach
-_CHAIN_SAMPLES = 8192
-_CHAIN_DIRS = 8192
+# the tangent tolerance of the chain's own C^1 check: lines whose unit
+# directions have a cross product this small are parallel, and a foot
+# this many radians past an arc's end still lies on the arc
+_TAN_TOL = 1e-9
 
 
-def _arc_chain_reach(shape):
-    """min(arc curvature radius, half the minimal width).
+def _line_frame(seg):
+    """Start, unit direction and length of a line segment, as floats."""
+    sx, sy = float(seg.start[0]), float(seg.start[1])
+    ln = seg.length
+    return sx, sy, (float(seg.end[0]) - sx) / ln, (float(seg.end[1]) - sy) / ln, ln
 
-    For a convex C^{1,1} profile every critical radius of the medial
-    axis is either an arc's curvature center (radius = arc radius) or a
-    neck between opposite sides (radius = a local width minimum), so the
-    reach is the smaller of the two quantities.  Non-convex chains are
-    refused: their necks need a full medial computation.
+
+def _holds(arc, angle):
+    """Whether the arc passes through the polar angle ``angle`` of its center."""
+    turn = (math.copysign(1.0, arc.sweep) * (angle - arc.start_angle)) % (2.0 * math.pi)
+    return turn <= abs(arc.sweep) + _TAN_TOL or turn >= 2.0 * math.pi - _TAN_TOL
+
+
+def _line_line_chords(a, b, tol):
+    # only parallel lines share normals; those that meet both lines, where
+    # the lines' projections overlap, are as long as the lines' distance
+    ax, ay, adx, ady, alen = _line_frame(a)
+    bx, by, bdx, bdy, _ = _line_frame(b)
+    if abs(adx * bdy - ady * bdx) > _TAN_TOL:
+        return ()
+    t0 = (bx - ax) * adx + (by - ay) * ady
+    t1 = (float(b.end[0]) - ax) * adx + (float(b.end[1]) - ay) * ady
+    if max(t0, t1) < -tol or min(t0, t1) > alen + tol:
+        return ()
+    return (abs((bx - ax) * -ady + (by - ay) * adx),)
+
+
+def _line_arc_chords(line, arc, tol):
+    # the common normal is the perpendicular from the arc's center c to the
+    # line; with n the line's left normal, q = c + sgn * radius * n sits at
+    # offset off + sgn * radius from the line
+    sx, sy, dx, dy, ln = _line_frame(line)
+    cx, cy = float(arc.center[0]) - sx, float(arc.center[1]) - sy
+    if not -tol <= cx * dx + cy * dy <= ln + tol:
+        return ()
+    off = cx * -dy + cy * dx
+    return tuple(abs(off + sgn * arc.radius) for sgn in (1.0, -1.0)
+                 if _holds(arc, math.atan2(sgn * dx, -sgn * dy)))
+
+
+def _arc_arc_chords(a, b, tol):
+    # the common normal is the line through both centers, D apart;
+    # concentric arcs share every ray they both reach, and opposite rays
+    # give chords of ra + rb, whose half is never below the smaller radius
+    vx = float(b.center[0]) - float(a.center[0])
+    vy = float(b.center[1]) - float(a.center[1])
+    D = math.hypot(vx, vy)
+    if D <= tol:
+        if _holds(a, b.start_angle) or _holds(b, a.start_angle):
+            return (abs(a.radius - b.radius),)
+        return ()
+    # the point of an arc at sign s along the center line, and its angle
+    ang = math.atan2(vy, vx)
+    sides = ((1.0, ang), (-1.0, ang + math.pi))
+    ends_a = [s for s, t in sides if _holds(a, t)]
+    ends_b = [s for s, t in sides if _holds(b, t)]
+    return tuple(abs(D + sb * b.radius - sa * a.radius) for sa in ends_a for sb in ends_b)
+
+
+def _double_normal_chords(shape):
+    """Lengths of the chords normal to an arc chain at both ends.
+
+    Every pair of distinct segments is solved in closed form; feet must
+    lie inside both segments, within the chain's own tolerances, and
+    chords no longer than ``shape.gap_tol`` are the junctions of the
+    chain, met from both sides, not chords.
     """
-    sample = sample_manifold(ClosedCurve(shape), n=_CHAIN_SAMPLES)
-    kappa = shape.curvature(sample.params)
-    if np.any(kappa < -1e-12):
-        raise InvalidInputError(
-            "analytic reach for arc chains covers convex profiles only")
-    theta = np.linspace(0.0, math.pi, _CHAIN_DIRS, endpoint=False)
-    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    return min(shape.min_arc_radius(), 0.5 * float(_widths(sample.points, dirs).min()))
-
-
-def _widths(points, dirs):
-    """Width of a point set along each unit direction.
-
-    The projections go 512 directions at a time, so the temporary is
-    n x 512 instead of n x len(dirs); every entry is the same product.
-    """
-    out = np.empty(dirs.shape[0])
-    for k in range(0, dirs.shape[0], 512):
-        proj = points @ dirs[k:k + 512].T
-        out[k:k + 512] = proj.max(axis=0) - proj.min(axis=0)
+    tol = shape.gap_tol
+    out = []
+    for i, a in enumerate(shape.segments):
+        for b in shape.segments[i + 1:]:
+            if isinstance(a, LineSegment) and isinstance(b, LineSegment):
+                chords = _line_line_chords(a, b, tol)
+            elif isinstance(a, LineSegment):
+                chords = _line_arc_chords(a, b, tol)
+            elif isinstance(b, LineSegment):
+                chords = _line_arc_chords(b, a, tol)
+            else:
+                chords = _arc_arc_chords(a, b, tol)
+            out.extend(c for c in chords if c > tol)
     return out
 
 
-def analytic_reach(shape):
-    """Closed-form (or closely bounded) reach of a catalog base shape.
+def _arc_chain_reach(shape):
+    """min(least arc radius, half the shortest double-normal chord).
 
-    circle r -> r; ellipse (a, b) -> b^2/a; stadium -> cap radius; other
-    arc chains -> min of arc radii and half the minimal facing-pair
-    distance (convex profiles).  Other types, ClosedCurve too, raise.
+    A chord pq normal to the chain at p has dist(q, T_p) = |q - p|, so its
+    Federer ratio is |q - p| / 2, and the reach, the infimum of that ratio
+    over all pairs (Federer 1959, Thm 4.18), is at most half of every
+    such chord.  Pairs merging on an arc of radius rho have ratios tending
+    to rho (on a line to infinity; at a junction to the smaller one-sided
+    value), so the reach is at most the least arc radius too.  The
+    converse is the attainment theorem (Aamari et al., "Estimating the
+    reach of a manifold", EJS 2019, Thm 3.4), whose proof needs only a
+    compact C^1 curve with positive reach, which a C^{1,1} chain is: a
+    minimizing sequence of pairs either merges, and the infimum is a
+    curvature radius, or converges to a pair p != q that are both nearest
+    points of a center z at the reach; unless z is the midpoint of a
+    double normal pq, moving z towards that midpoint gives a point with
+    two nearest points closer than the reach, which the reach forbids.
+    Hence equality.  Double normals inside one segment are the diameters
+    of arcs, of half-length rho, and never decide the minimum.
+
+    On convex chains the least arc radius always wins (Blaschke's rolling
+    theorem: width >= 2 rho).  Chords are formed from offsets along the
+    lines' normals, exact for axis-aligned sides, so a stadium's sides 2r
+    apart give 0.5 * 2r = r bit for bit; a turned one can read an ulp
+    lower, as its rounded coordinates are.
+    """
+    return min(shape.min_arc_radius(),
+               0.5 * min(_double_normal_chords(shape), default=math.inf))
+
+
+def analytic_reach(shape):
+    """Closed-form reach of a base shape.
+
+    circle r -> r; ellipse (a, b) -> b^2/a; arc chains, the stadium and
+    concave profiles included -> min of the arc radii and half the
+    shortest double-normal chord.  Other types, ClosedCurve too, raise.
     """
     if isinstance(shape, CircleShape):
         return shape.r

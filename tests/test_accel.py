@@ -1,8 +1,9 @@
 """Scan kernels against brute-force oracles.
 
 The difference quotient and the directed Hausdorff distance skip the
-all-pairs loop; the loops they replaced live on here as oracles, and the
-kernels must match them in value and in the returned indices.
+all-pairs loop, and the pair scan walks its rows in blocks; the loops
+they replaced live on here as oracles, and the kernels must match them
+in value and in the returned indices.
 """
 
 import numpy as np
@@ -19,6 +20,44 @@ def _circle(n, r=1.0):
     pts = r * np.stack([np.cos(th), np.sin(th)], axis=1)
     tans = np.stack([-np.sin(th), np.cos(th)], axis=1)
     return pts, tans
+
+
+def _row_loop_federer_scan(points, tangents, min_sep):
+    """The pair scan one row at a time: (value, i, j, pairs)."""
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    tan = np.ascontiguousarray(tangents, dtype=np.float64)
+    n = pts.shape[0]
+    best = np.inf
+    bi = bj = -1
+    pairs = 0
+    for i in range(n - 1):
+        dx = pts[i + 1:, 0] - pts[i, 0]
+        dy = pts[i + 1:, 1] - pts[i, 1]
+        d2 = dx * dx + dy * dy
+        d = np.sqrt(d2)
+        keep = d >= min_sep
+        m = int(np.count_nonzero(keep))
+        if m == 0:
+            continue
+        pairs += 2 * m
+        dxk, dyk, d2k, dk = dx[keep], dy[keep], d2[keep], d[keep]
+        jidx = np.nonzero(keep)[0] + i + 1
+        guard = _accel.DEGENERATE_REL * dk
+        cr1 = np.abs(dxk * tan[i, 1] - dyk * tan[i, 0])
+        with np.errstate(divide="ignore", over="ignore"):
+            r1 = np.where(cr1 <= guard, np.inf, d2k / (2.0 * cr1))
+        cr2 = np.abs(dxk * tan[jidx, 1] - dyk * tan[jidx, 0])
+        with np.errstate(divide="ignore", over="ignore"):
+            r2 = np.where(cr2 <= guard, np.inf, d2k / (2.0 * cr2))
+        k1 = int(np.argmin(r1))
+        k2 = int(np.argmin(r2))
+        if r1[k1] <= r2[k2]:
+            row_val, row_i, row_j = r1[k1], i, int(jidx[k1])
+        else:
+            row_val, row_i, row_j = r2[k2], int(jidx[k2]), i
+        if row_val < best:
+            best, bi, bj = float(row_val), row_i, row_j
+    return best, bi, bj, pairs
 
 
 def _all_pairs_quotient(xs, vals):
@@ -50,6 +89,58 @@ def test_slow_federer_circle_value():
     assert value == pytest.approx(2.0, rel=1e-8)
     assert pairs > 0
     assert 0 <= i < 300 and 0 <= j < 300
+
+
+def _random_cloud(rng, n):
+    pts = rng.normal(size=(n, 2))
+    ang = rng.uniform(0.0, 2 * np.pi, n)
+    return pts, np.stack([np.cos(ang), np.sin(ang)], axis=1)
+
+
+@pytest.mark.parametrize("n", [2, 15, 16, 17, 33, 100])
+def test_federer_scan_matches_row_loop_on_clouds(n):
+    # n on both sides of a block boundary, and several min_sep cuts
+    rng = np.random.default_rng(40 + n)
+    pts, tans = _random_cloud(rng, n)
+    for min_sep in (1e-9, 0.5, 1.5):
+        got = _slow.federer_scan(pts, tans, min_sep)
+        assert got == _row_loop_federer_scan(pts, tans, min_sep)
+
+
+def test_federer_scan_matches_row_loop_on_near_ties():
+    # every pair of a sampled circle reads nearly its radius, so the
+    # argmin falls to the enumeration-order tie-break
+    pts, tans = _circle(300, r=2.0)
+    for min_sep in (0.05, 1.0):
+        got = _slow.federer_scan(pts, tans, min_sep)
+        assert got == _row_loop_federer_scan(pts, tans, min_sep)
+    # exact ties across rows: repeated points give equal ratios
+    pts, tans = _circle(12)
+    pts, tans = np.concatenate([pts, pts]), np.concatenate([tans, tans])
+    assert (_slow.federer_scan(pts, tans, 0.1)
+            == _row_loop_federer_scan(pts, tans, 0.1))
+    # exact ties between directions: a pair mirrored in the x axis reads
+    # the same ratio both ways, and the scan reports it as i -> j
+    pts = np.array([[0.0, 0.0], [0.0, 1.0]])
+    tans = np.array([[0.6, 0.8], [0.6, -0.8]])
+    assert _slow.federer_scan(pts, tans, 0.1) == (1.0 / (2.0 * 0.6), 0, 1, 2)
+    rng = np.random.default_rng(5)
+    half, half_t = _random_cloud(rng, 20)
+    pts = np.concatenate([half, half * [1.0, -1.0]])
+    tans = np.concatenate([half_t, half_t * [1.0, -1.0]])
+    assert (_slow.federer_scan(pts, tans, 0.1)
+            == _row_loop_federer_scan(pts, tans, 0.1))
+
+
+def test_federer_scan_matches_row_loop_without_pairs():
+    pts, tans = _circle(40)
+    got = _slow.federer_scan(pts, tans, 10.0)
+    assert got == _row_loop_federer_scan(pts, tans, 10.0) == (np.inf, -1, -1, 0)
+    line = np.stack([np.linspace(0.0, 4.0, 20), np.zeros(20)], axis=1)
+    flat = np.tile([1.0, 0.0], (20, 1))
+    got = _slow.federer_scan(line, flat, 0.1)
+    assert got == _row_loop_federer_scan(line, flat, 0.1)
+    assert got[:3] == (np.inf, -1, -1) and got[3] == 20 * 19
 
 
 def test_slow_quotient_hand_case():

@@ -1,6 +1,7 @@
 """Command-line surface: argument handling, artifacts, exit codes."""
 
 import json
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from reachsmooth import cli
 from reachsmooth.checks import CheckResult
 from reachsmooth.errors import GeometryError
+from tests.test_reach import dogbone_shape
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -58,6 +60,22 @@ def test_reach_config_with_flags(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["samples"] == 300 and out["min_sep"] == 0.1
     assert out["closed_form_reach"] == 1.0
+
+
+def test_reach_command_gives_concave_profiles_a_closed_form(tmp_path, capsys):
+    # the dogbone's fillets are clockwise arcs, written as a config
+    segments = [{"type": "arc", "center": seg.center.tolist(),
+                 "radius": seg.radius, "start_angle": seg.start_angle,
+                 "end_angle": seg.start_angle + seg.sweep,
+                 "orientation": "ccw" if seg.sweep > 0 else "cw"}
+                for seg in dogbone_shape().segments]
+    cfg = write_config(tmp_path, {"shape": {"kind": "cad_profile",
+                                            "segments": segments}})
+    assert cli.main(["reach", "--config", cfg, "--n", "600"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    neck = math.sqrt(1.75) - 1.0
+    assert out["closed_form_reach"] == pytest.approx(neck, rel=1e-12)
+    assert out["measured_reach"] == pytest.approx(neck, rel=0.02)
 
 
 def test_smooth_command_writes_artifacts(tmp_path, capsys):

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from perfbench.workloads import catalog
 from reachsmooth.curves import (ArcChainShape, ArcSegment, ClosedCurve,
-                                make_shape, sample_manifold)
+                                LineSegment, make_shape, sample_manifold)
 from reachsmooth.errors import InvalidInputError
-from reachsmooth.reach import (_widths, analytic_reach, estimate_reach_federer,
+from reachsmooth.reach import (_arc_arc_chords, _double_normal_chords,
+                               analytic_reach, estimate_reach_federer,
                                federer_ratio, scan_curve_reach)
 from tests.test_curves import synthetic_patch
 
@@ -125,18 +129,131 @@ def test_analytic_reach_catalog(spec, expected):
     assert analytic_reach(make_shape(spec)) == pytest.approx(expected, rel=1e-6)
 
 
-def test_blocked_width_scan_is_exact():
-    # exact, not approximate: the blocked scan sees the same projections
-    # as the full n x n_dirs matrix
+@pytest.mark.parametrize("seed", range(4))
+def test_catalog_chains_reach_their_least_arc_radius(seed):
+    # convex chains: the least arc radius wins bit for bit, so the
+    # pipeline's input reach is the arc radius itself
+    for _, spec in catalog(seed):
+        shape = make_shape(spec)
+        if isinstance(shape, ArcChainShape):
+            assert analytic_reach(shape) == shape.min_arc_radius()
+
+
+def dense_double_normal(shape, n=2000):
+    """Shortest double normal of a dense sample, by brute force.
+
+    From every sample p, the perpendicular feet q, where q - p turns
+    normal to the curve at q, are the sign changes of (q - p) . t_q along
+    the sample; a foot whose chord is normal at p too, to within the
+    sample's angle step, closes a double normal.  Chords of a few sample
+    steps are the trivial feet next to p.
+    """
+    sample = sample_manifold(ClosedCurve(shape), n)
+    pts, tans, h = sample.points, sample.tangents, sample.spacing
+    nxt = np.roll(pts, -1, axis=0)
+    best = math.inf
+    for p, t in zip(pts, tans):
+        g = np.einsum("ij,ij->i", pts - p, tans)
+        g_next = np.roll(g, -1)
+        js = np.nonzero(np.signbit(g) != np.signbit(g_next))[0]
+        w = g[js] / (g[js] - g_next[js])
+        chord = pts[js] + w[:, None] * (nxt[js] - pts[js]) - p
+        length = np.hypot(chord[:, 0], chord[:, 1])
+        far = length > 8 * h
+        cos = np.abs(chord[far] @ t) / length[far]
+        normal = cos <= h * (1.0 + 2.0 / length[far])
+        if normal.any():
+            best = min(best, float(length[far][normal].min()))
+    return best
+
+
+def offset_polygon(vertices, r):
+    """A counterclockwise convex polygon grown by r: its edges pushed out
+    by r, joined by radius-r arcs about the vertices."""
+    v = np.asarray(vertices, dtype=float)
+    k = len(v)
+    segs = []
+    for i in range(k):
+        a, b = v[i], v[(i + 1) % k]
+        e = (b - a) / np.linalg.norm(b - a)
+        n = np.array([e[1], -e[0]])
+        c = v[(i + 2) % k]
+        e2 = (c - b) / np.linalg.norm(c - b)
+        start = math.atan2(n[1], n[0])
+        sweep = (math.atan2(-e2[0], e2[1]) - start) % (2 * math.pi)
+        segs.append(LineSegment(a + r * n, b + r * n))
+        segs.append(ArcSegment(b, r, start, sweep))
+    return ArcChainShape(segs)
+
+
+def filleted_polygon(vertices, radius):
+    """A counterclockwise polygon with each corner replaced by a
+    radius-``radius`` arc tangent to both edges, clockwise at reflex
+    corners."""
+    v = np.asarray(vertices, dtype=float)
+    k = len(v)
+    corners = []
+    for i in range(k):
+        a, b, c = v[i - 1], v[i], v[(i + 1) % k]
+        e1 = (b - a) / np.linalg.norm(b - a)
+        e2 = (c - b) / np.linalg.norm(c - b)
+        turn = math.atan2(e1[0] * e2[1] - e1[1] * e2[0], e1 @ e2)
+        cut = radius * math.tan(0.5 * abs(turn))
+        center = (b - cut * e1
+                  + math.copysign(radius, turn) * np.array([-e1[1], e1[0]]))
+        start = math.atan2(*(b - cut * e1 - center)[::-1])
+        corners.append((ArcSegment(center, radius, start, turn), b + cut * e2))
+    segs = []
+    for i, (arc, leave) in enumerate(corners):
+        nxt = corners[(i + 1) % k][0]
+        segs += [arc, LineSegment(leave, nxt.point_and_tangent(0.0)[0])]
+    return ArcChainShape(segs)
+
+
+def horseshoe_shape(opening=1.0):
+    """Annulus 1 < |x| < 2 cut open by ``opening`` radians at angle 0,
+    the cut ends capped by half circles of radius 0.5.
+
+    The inner arc is concave and concentric with the outer one; the reach
+    is the neck across the cut between the two caps,
+    (3 sin(opening / 2) - 1) / 2.
+    """
+    a0, a1 = 0.5 * opening, 2 * math.pi - 0.5 * opening
+
+    def ray(a, rad):
+        return rad * np.array([math.cos(a), math.sin(a)])
+
+    return ArcChainShape([
+        ArcSegment(np.zeros(2), 2.0, a0, a1 - a0),
+        ArcSegment(ray(a1, 1.5), 0.5, a1, math.pi),
+        ArcSegment(np.zeros(2), 1.0, a1, a0 - a1),
+        ArcSegment(ray(a0, 1.5), 0.5, a0 + math.pi, math.pi),
+    ])
+
+
+def test_double_normals_match_dense_oracle():
+    # exact, not approximate, where the least arc radius wins
     assert analytic_reach(make_shape({"kind": "stadium", "r": 1.0, "l": 2.0})) == 1.0
     rect = make_shape({"kind": "cad_profile", "preset": "rounded_rect",
                        "width": 2.0, "height": 1.0, "corner_radius": 0.2})
     assert analytic_reach(rect) == 0.2
-    pts = sample_manifold(ClosedCurve(rect), n=1000).points
-    theta = np.linspace(0.0, math.pi, 1300, endpoint=False)
-    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    proj = pts @ dirs.T
-    assert np.array_equal(_widths(pts, dirs), proj.max(axis=0) - proj.min(axis=0))
+    # line/line (stadium sides, rectangle height), line/arc (a corner
+    # facing an edge of the triangle), arc/arc (the dogbone's waist, the
+    # horseshoe's caps); the staircase's treads, 0.2 apart, do not face
+    # each other, nor does its concave fillet the upper tread
+    stairs = filleted_polygon([[0.0, 0.0], [4.0, 0.0], [4.0, 1.0], [2.0, 1.0],
+                               [2.0, 1.2], [0.0, 1.2]], 0.05)
+    shapes = [make_shape({"kind": "stadium", "r": 1.0, "l": 2.0}), rect,
+              offset_polygon([[0.0, 0.0], [3.0, 0.0], [1.0, 1.0]], 0.1),
+              dogbone_shape(), horseshoe_shape(), stairs]
+    for shape in shapes:
+        exact = min(_double_normal_chords(shape))
+        assert dense_double_normal(shape) == pytest.approx(exact, rel=1e-4)
+    # the horseshoe's concentric rings: the radial chords of length 1
+    outer, _, inner, _ = horseshoe_shape().segments
+    assert _arc_arc_chords(outer, inner, 1e-9) == (1.0,)
+    assert analytic_reach(horseshoe_shape()) == pytest.approx(
+        0.5 * (3 * math.sin(0.5) - 1), rel=1e-14)
 
 
 def test_analytic_reach_rejects_patched_curves():
@@ -179,9 +296,27 @@ def test_nonconvex_chain_scan_finds_neck():
     assert abs(abs(est.argmin_base[1]) - neck) < 0.05
 
 
-def test_nonconvex_chain_has_no_analytic_route():
-    with pytest.raises(InvalidInputError):
-        analytic_reach(dogbone_shape())
+def test_nonconvex_chain_reach_is_the_waist():
+    # the arc/arc double normal across the waist, half of 2h - 2
+    assert analytic_reach(dogbone_shape()) == math.sqrt(1.75) - 1.0
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=7),
+       st.floats(0.5, 2.0), st.floats(0.2, 1.0))
+def test_offset_polygon_reach_is_its_offset(jitter, size, r):
+    # k vertices on a circle of radius `size`, each angular gap within
+    # `margin` of 2 pi / k, which keeps it in [0.3, pi - 0.3]: a convex
+    # polygon whose exterior angles are all at least 0.3, so each
+    # radius-r arc spans a few scan samples
+    mean = 2 * math.pi / len(jitter)
+    margin = min(mean - 0.3, math.pi - 0.3 - mean)
+    gaps = mean + margin * (np.asarray(jitter) - np.mean(jitter))
+    angles = np.concatenate([[0.0], np.cumsum(gaps)[:-1]])
+    shape = offset_polygon(size * np.stack([np.cos(angles), np.sin(angles)], axis=1), r)
+    assert analytic_reach(shape) == r
+    est, _ = scan_curve_reach(shape, n=2000)
+    assert est.value == pytest.approx(r, rel=0.02)
 
 
 def test_scan_accepts_shape_or_curve():

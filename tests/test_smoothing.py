@@ -22,6 +22,7 @@ from reachsmooth.smoothing import (build_net, effective_radius_drop,
                                    far_away_reach_bound,
                                    predicted_reach_bound, smooth_core_probe,
                                    smooth_manifold, smooth_patch)
+from tests.test_reach import dogbone_shape
 
 
 def circle(r=1.0):
@@ -376,6 +377,16 @@ def test_junction_patches_keep_the_theorem(spec):
     assert sum(r.name == "junction_pair_ratio" for r in rows) == 8
     assert rep.R_hat_measured >= rep.R_input - rep.epsilon
     assert 0.0 < rep.c1_distance <= rep.epsilon
+
+
+def test_concave_profile_runs_on_its_closed_form_reach():
+    # no reach= given: the input reach is the dogbone's waist, a double
+    # normal between its concave fillets
+    res = smooth_manifold(dogbone_shape(), 0.05)
+    assert res.report.R_input == math.sqrt(1.75) - 1.0
+    assert res.report.patches_applied == 4
+    rows = check_main_theorem(res)
+    assert all(r.passed for r in rows), [r for r in rows if not r.passed]
 
 
 def test_run_report_json_roundtrip(circle_run):
