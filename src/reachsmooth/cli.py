@@ -257,6 +257,14 @@ def _cmd_verify(args):
     return 1 if sr.n_failed else 0
 
 
+def _fmt_argmin(arg):
+    if arg is None:
+        return "none (every pair flat)"
+    (i, j), (si, sj), (p, q) = arg["indices"], arg["params"], arg["points"]
+    return (f"{i} -> {j} at params {fmt17(si)} -> {fmt17(sj)}, points "
+            f"({fmt17(p[0])}, {fmt17(p[1])}) -> ({fmt17(q[0])}, {fmt17(q[1])})")
+
+
 def _cmd_report(args):
     path = Path(args.out) / "report.json"
     try:
@@ -272,7 +280,8 @@ def _cmd_report(args):
         ("R_hat_measured", fmt17), ("c1_distance", fmt17),
         ("patches_applied", str), ("patches_identity", str),
         ("net_size", str), ("shift_max", fmt17),
-        ("scan_samples", str), ("scan_pairs", str), ("backend", str),
+        ("scan_samples", str), ("scan_pairs", str),
+        ("reach_argmin", _fmt_argmin), ("backend", str),
     ]
     for key, fmt in order:
         if key in payload:

@@ -27,7 +27,8 @@ center, is kept in the tests as the reference run.
 Reach accounting happens twice: the a-priori bound ``predicted_reach_
 bound`` evaluates the closed formula (pessimistic but proven), and the
 measured value comes from the pair scan of the final curve.  Both appear
-in the report; acceptance binds the measured number.
+in the report, with the pair where the scan found its minimum
+(``reach_argmin``); acceptance binds the measured number.
 """
 
 from __future__ import annotations
@@ -256,6 +257,7 @@ class SmoothingReport:
     psi_lip_value: float
     psi_lip_derivative: float
     backend: str
+    reach_argmin: dict | None
 
     def to_dict(self):
         out = {}
@@ -385,9 +387,22 @@ def _smooth_at(shape, arcs, eps, R, delta, rho, psi, sigma_max):
         psi_lip_value=psi.lip_value,
         psi_lip_derivative=psi.lip_derivative,
         backend=_accel.IMPLEMENTATION,
+        reach_argmin=_reach_argmin(est, sample),
     )
     return SmoothingResult(curve=curve, report=report, records=tuple(records),
                            psi=psi, scan=est)
+
+
+def _reach_argmin(est, sample):
+    """Where the final scan found its minimum: the two sample indices
+    (base point first), their base-curve parameters and the points;
+    ``None`` when every pair was flat."""
+    i, j = est.argmin_indices
+    if i < 0:
+        return None
+    return {"indices": [i, j],
+            "params": [float(sample.params[i]), float(sample.params[j])],
+            "points": [est.argmin_base.tolist(), est.argmin_other.tolist()]}
 
 
 def predicted_reach_bound(R, delta, rho):

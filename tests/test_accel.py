@@ -1,18 +1,23 @@
 """Scan kernels against brute-force oracles.
 
 The difference quotient and the directed Hausdorff distance skip the
-all-pairs loop, and the pair scan walks its rows in blocks; the loops
-they replaced live on here as oracles, and the kernels must match them
-in value and in the returned indices.
+all-pairs loop, and the pair scan walks its rows in blocks and skips the
+columns that cannot beat its running best; the loops they replaced live
+on here as oracles, and the kernels must match them in value, in the
+returned indices and in the pair count.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachsmooth import _accel
 from reachsmooth._accel import _slow
 from reachsmooth.checks import estimate_lipschitz
+from reachsmooth.curves import ClosedCurve, make_shape, sample_manifold
 from reachsmooth.errors import InvalidInputError
+from tests.test_reach import jittered_offset_polygon
 
 
 def _circle(n, r=1.0):
@@ -141,6 +146,132 @@ def test_federer_scan_matches_row_loop_without_pairs():
     got = _slow.federer_scan(line, flat, 0.1)
     assert got == _row_loop_federer_scan(line, flat, 0.1)
     assert got[:3] == (np.inf, -1, -1) and got[3] == 20 * 19
+
+
+def _shape_sample(shape, n):
+    """Points, unit tangents and the scan's min_sep of an n-point sample."""
+    sample = sample_manifold(ClosedCurve(shape), n)
+    return sample.points, sample.tangents, 2.0 * sample.spacing
+
+
+def _pruning_cut(pts, tans, min_sep):
+    """The scan's final pruning distance and the cloud's diameter."""
+    best = _row_loop_federer_scan(pts, tans, min_sep)[0]
+    cut = max(2.0 * best * np.linalg.norm(tans, axis=1).max(), min_sep)
+    return cut, np.linalg.norm(pts[:, None] - pts[None, :], axis=2).max()
+
+
+@pytest.mark.parametrize("spec, n, share", [
+    ({"kind": "ellipse", "a": 4.0, "b": 0.25}, 600, 0.01),
+    ({"kind": "stadium", "r": 0.2, "l": 3.0}, 500, 0.15),
+    ({"kind": "stadium", "r": 1.0, "l": 2.0}, 400, 0.55),
+])
+def test_pruned_scan_matches_row_loop_on_thin_shapes(spec, n, share):
+    # 2 best is a small share of the diameter, so most columns are pruned
+    pts, tans, min_sep = _shape_sample(make_shape(spec), n)
+    cut, diameter = _pruning_cut(pts, tans, min_sep)
+    assert cut < share * diameter
+    for ms in (min_sep, 4.0 * min_sep):
+        assert (_slow.federer_scan(pts, tans, ms)
+                == _row_loop_federer_scan(pts, tans, ms))
+
+
+def test_pruning_is_live(monkeypatch):
+    # a cut ten times too tight counts pairs closer than min_sep as
+    # bounded, so the oracle tests above do see pruned blocks
+    pts, tans, min_sep = _shape_sample(
+        make_shape({"kind": "ellipse", "a": 4.0, "b": 0.25}), 600)
+    want = _row_loop_federer_scan(pts, tans, min_sep)
+    monkeypatch.setattr(_slow, "_PRUNE_SLACK", -0.9)
+    assert _slow.federer_scan(pts, tans, min_sep)[3] > want[3]
+
+
+def test_pruned_scan_matches_row_loop_with_minimum_in_last_block():
+    # a rough line whose one tight pair is the last two points: the
+    # minimum sits in the final, one-row block, after blocks that pruned
+    n = 66
+    pts = np.stack([np.linspace(0.0, 10.0, n), np.zeros(n)], axis=1)
+    tans = np.tile([1.0, 0.0], (n, 1))
+    pts[-1] = [pts[-2, 0] + 0.1, 0.05]
+    tans[-1] = [0.6, 0.8]
+    rng = np.random.default_rng(7)
+    pts[:-2, 1] += 1e-2 * rng.standard_normal(n - 2)
+    got = _slow.federer_scan(pts, tans, 0.05)
+    assert got == _row_loop_federer_scan(pts, tans, 0.05)
+    assert {got[1], got[2]} == {n - 2, n - 1}
+    assert (n - 2) % _slow._SCAN_ROWS == 0
+
+
+@pytest.mark.parametrize("n", [18, 34])
+def test_pruned_scan_matches_row_loop_with_isolated_last_point(n):
+    # n = 2 (mod 16): the last block has one row, and its only column,
+    # the far point n - 1, is dropped, leaving the block nothing to scan
+    pts, tans = _circle(n - 1, r=0.01)
+    pts = np.vstack([pts, [100.0, 0.0]])
+    tans = np.vstack([tans, [0.0, 1.0]])
+    assert (n - 2) % _slow._SCAN_ROWS == 0
+    got = _slow.federer_scan(pts, tans, 1e-4)
+    assert got == _row_loop_federer_scan(pts, tans, 1e-4)
+    assert got[0] == pytest.approx(0.01) and n - 1 not in got[1:3]
+
+
+def test_pruned_scan_matches_row_loop_on_circle():
+    # every ratio reads the radius, so 2 best is the diameter and no
+    # column is ever dropped
+    pts, tans = _circle(257, r=3.0)
+    cut, diameter = _pruning_cut(pts, tans, 0.1)
+    assert cut >= (1.0 - 1e-9) * diameter
+    assert (_slow.federer_scan(pts, tans, 0.1)
+            == _row_loop_federer_scan(pts, tans, 0.1))
+
+
+def _facing_lines(n):
+    """A segment and a bent one across from it, the gap 1.1 at the ends
+    and 1.0 in the middle: the least ratio is a pair straight across,
+    2 best apart, in a block of the first segment's rows."""
+    x = np.linspace(0.0, 10.0, n)
+    slope = np.sign(x - 5.0) / 50.0
+    pts = np.concatenate([np.stack([x, np.zeros(n)], axis=1),
+                          np.stack([x, 1.0 + np.abs(x - 5.0) / 50.0], axis=1)])
+    bent = np.stack([np.ones(n), slope], axis=1) / np.hypot(1.0, slope)[:, None]
+    return pts, np.concatenate([np.tile([1.0, 0.0], (n, 1)), bent])
+
+
+@pytest.mark.parametrize("scale", [0.5, 3.0])
+def test_pruned_scan_matches_row_loop_on_scaled_tangents(scale):
+    # ratios scale like 1/|t| and the cut by max|t|: the bound must hold
+    # for tangents of any length
+    pts, tans, min_sep = _shape_sample(
+        make_shape({"kind": "ellipse", "a": 3.0, "b": 0.5}), 400)
+    rng = np.random.default_rng(int(10 * scale))
+    for t in (scale * tans, tans * rng.uniform(0.5, scale + 0.5, (400, 1))):
+        assert (_slow.federer_scan(pts, t, min_sep)
+                == _row_loop_federer_scan(pts, t, min_sep))
+    pts, tans = _facing_lines(200)
+    assert (_slow.federer_scan(pts, scale * tans, 0.05)
+            == _row_loop_federer_scan(pts, scale * tans, 0.05))
+
+
+def test_pruned_scan_matches_row_loop_with_min_sep_above_twice_best():
+    # min_sep, not 2 best, sets the cut; pairs closer than it still
+    # count for nothing
+    pts, tans, min_sep = _shape_sample(
+        make_shape({"kind": "ellipse", "a": 4.0, "b": 0.25}), 500)
+    best = _row_loop_federer_scan(pts, tans, min_sep)[0]
+    for ms in (3.0 * best, 6.0 * best):
+        assert ms > 2.0 * best
+        assert (_slow.federer_scan(pts, tans, ms)
+                == _row_loop_federer_scan(pts, tans, ms))
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=6),
+       st.floats(0.5, 2.0), st.floats(0.02, 0.3))
+def test_pruned_scan_matches_row_loop_on_offset_polygons(jitter, size, r):
+    shape = jittered_offset_polygon(jitter, size, r)
+    pts, tans, min_sep = _shape_sample(shape, 300)
+    assert (_slow.federer_scan(pts, tans, min_sep)
+            == _row_loop_federer_scan(pts, tans, min_sep))
 
 
 def test_slow_quotient_hand_case():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +25,8 @@ from reachsmooth.errors import InvalidInputError
 from reachsmooth.kernels import BumpKernel, Interval, convolve
 from reachsmooth.partition import make_reference_plateau, smoothing_window_radius
 from reachsmooth.reach import estimate_reach_federer
-from reachsmooth.smoothing import _PROBE_RATIO_CAP, smooth_core_probe
+from reachsmooth.smoothing import (_PROBE_RATIO_CAP, smooth_core_probe,
+                                   smooth_manifold)
 
 
 def test_result_slack_arithmetic():
@@ -226,6 +228,29 @@ def test_far_point_blocks_match_dense_broadcast_on_real_patch(stadium_run):
         assert row.grid == grid
 
 
+@pytest.fixture(scope="module")
+def rounded_rect_run():
+    return smooth_manifold({"kind": "cad_profile", "preset": "rounded_rect",
+                            "width": 2.0, "height": 1.0,
+                            "corner_radius": 0.2}, 0.05)
+
+
+def test_far_point_matches_dense_broadcast_on_every_rounded_rect_patch(
+        rounded_rect_run):
+    result = rounded_rect_run
+    R = result.report.R_input
+    sample = sample_manifold(result.curve, n=2000)
+    assert len(result.curve.patches) == 8
+    for patch in result.curve.patches:
+        arrays = patch_graph_arrays(patch)
+        row = check_far_point_distance(patch, result.curve, R, sample,
+                                       arrays=arrays)
+        excess, grid = _dense_far_point(patch, result.curve, R, sample,
+                                        arrays)
+        assert _bits(row.measured) == _bits(excess.max())
+        assert row.grid == grid
+
+
 def _synthetic_far_case(n_grid, n_core_target):
     """A flat core on the x-axis, far samples on the same line beyond it;
     only the last core point's tangent tilts, so it holds the maximum."""
@@ -265,6 +290,79 @@ def test_far_point_nan_reaches_the_row():
     arrays[2][np.flatnonzero(np.abs(arrays[0]) <= patch.inner_radius)[3]] = np.nan
     row = check_far_point_distance(patch, curve, 10.0, sample, arrays=arrays)
     assert math.isnan(row.measured) and not row.passed
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["F", "DF", "far"])
+def test_far_point_infinities_reach_the_row(bad, where):
+    # the dense broadcast reads inf - inf or 0 * inf: NaN, as a NaN does
+    patch, curve, sample, arrays = _synthetic_far_case(301, 71)
+    row_3 = np.flatnonzero(np.abs(arrays[0]) <= patch.inner_radius)[3]
+    if where == "far":
+        sample.points[40, 0] = bad
+    else:
+        arrays[1 if where == "F" else 2][row_3] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        excess, _ = _dense_far_point(patch, curve, 10.0, sample, arrays)
+        row = check_far_point_distance(patch, curve, 10.0, sample,
+                                       arrays=arrays)
+    assert math.isnan(excess.max())
+    assert math.isnan(row.measured) and not row.passed
+
+
+def test_far_point_negative_maximum_matches_dense_broadcast():
+    # R = 1 and every far sample at least 9 away: |q - p|^2 / 2 outweighs
+    # every tangent distance
+    patch, curve, sample, arrays = _synthetic_far_case(301, 71)
+    excess, grid = _dense_far_point(patch, curve, 1.0, sample, arrays)
+    row = check_far_point_distance(patch, curve, 1.0, sample, arrays=arrays)
+    assert excess.max() < 0.0
+    assert _bits(row.measured) == _bits(excess.max())
+    assert row.grid == grid
+
+
+def _circle_far_case(R, n_grid, n_far):
+    """A plateau core on the circle of radius R about the origin and far
+    samples on the same circle: every tangent ball at the core is the
+    disc itself, so every pair's excess is zero up to rounding."""
+    ys = np.linspace(-0.5 * R, 0.5 * R, n_grid)
+    F = R - np.sqrt(R * R - ys * ys)
+    DF = ys / np.sqrt(R * R - ys * ys)
+    arrays = (ys, F, DF, F.copy(), DF.copy())
+    patch = SimpleNamespace(
+        inner_radius=0.5 * R, center=np.array([0.0, -R]),
+        tangent=np.array([1.0, 0.0]), normal=np.array([0.0, 1.0]),
+        base_arc=0.0, arc_window=0.6 * R, rho_target=1e-3, lip_graph=0.0)
+    params = np.linspace(0.0, 2 * np.pi * R, n_far, endpoint=False)
+    angles = params / R - 0.5 * np.pi
+    sample = SimpleNamespace(
+        params=params, points=R * np.stack([np.cos(angles), np.sin(angles)], 1))
+    return patch, SimpleNamespace(length=2 * np.pi * R), sample, arrays
+
+
+def test_far_point_all_ties_compare_every_row_in_blocks(monkeypatch):
+    R = 1.5
+    patch, curve, sample, arrays = _circle_far_case(R, 800, 1500)
+    excess, grid = _dense_far_point(patch, curve, R, sample, arrays)
+    assert np.abs(excess).max() < 1e-14
+    candidates = checks._far_candidate_rows
+    seen = []
+
+    def spy(*args):
+        seen.append(candidates(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(checks, "_far_candidate_rows", spy)
+    tracemalloc.start()
+    row = check_far_point_distance(patch, curve, R, sample, arrays=arrays)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    # every row is a candidate, and the maximum is the dense one
+    assert seen[0].size == 800 and seen[0].all()
+    assert _bits(row.measured) == _bits(excess.max())
+    assert row.grid == grid
+    # compared _FAR_BLOCK rows at a time, not as one (core x far) array
+    assert peak < excess.nbytes // 2
 
 
 def test_far_point_empty_core_is_refused():

@@ -148,6 +148,16 @@ def test_report_command_prints_fields(tmp_path, capsys):
     assert cli.main(["report", "--out", str(out_dir)]) == 0
     text = capsys.readouterr().out
     assert "R_hat_measured" in text and "backend" in text
+    report = json.loads((out_dir / "report.json").read_text())
+    i, j = report["reach_argmin"]["indices"]
+    assert f"reach_argmin         {i} -> {j} at params " in text
+
+
+def test_report_command_prints_a_flat_scan(tmp_path, capsys):
+    # every pair flat: the scan found no argmin and the report says so
+    (tmp_path / "report.json").write_text('{"reach_argmin": null}')
+    assert cli.main(["report", "--out", str(tmp_path)]) == 0
+    assert "reach_argmin         none (every pair flat)" in capsys.readouterr().out
 
 
 def test_report_missing_file_is_usage_error(tmp_path):

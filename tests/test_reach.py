@@ -186,6 +186,18 @@ def offset_polygon(vertices, r):
     return ArcChainShape(segs)
 
 
+def jittered_offset_polygon(jitter, size, r):
+    """k = len(jitter) vertices on a circle of radius ``size``, each
+    angular gap within ``margin`` of 2 pi / k, which keeps it in
+    [0.3, pi - 0.3]: a convex polygon whose exterior angles are all at
+    least 0.3, so each radius-r arc spans a few scan samples, grown by r."""
+    mean = 2 * math.pi / len(jitter)
+    margin = min(mean - 0.3, math.pi - 0.3 - mean)
+    gaps = mean + margin * (np.asarray(jitter) - np.mean(jitter))
+    angles = np.concatenate([[0.0], np.cumsum(gaps)[:-1]])
+    return offset_polygon(size * np.stack([np.cos(angles), np.sin(angles)], axis=1), r)
+
+
 def filleted_polygon(vertices, radius):
     """A counterclockwise polygon with each corner replaced by a
     radius-``radius`` arc tangent to both edges, clockwise at reflex
@@ -305,15 +317,7 @@ def test_nonconvex_chain_reach_is_the_waist():
 @given(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=7),
        st.floats(0.5, 2.0), st.floats(0.2, 1.0))
 def test_offset_polygon_reach_is_its_offset(jitter, size, r):
-    # k vertices on a circle of radius `size`, each angular gap within
-    # `margin` of 2 pi / k, which keeps it in [0.3, pi - 0.3]: a convex
-    # polygon whose exterior angles are all at least 0.3, so each
-    # radius-r arc spans a few scan samples
-    mean = 2 * math.pi / len(jitter)
-    margin = min(mean - 0.3, math.pi - 0.3 - mean)
-    gaps = mean + margin * (np.asarray(jitter) - np.mean(jitter))
-    angles = np.concatenate([[0.0], np.cumsum(gaps)[:-1]])
-    shape = offset_polygon(size * np.stack([np.cos(angles), np.sin(angles)], axis=1), r)
+    shape = jittered_offset_polygon(jitter, size, r)
     assert analytic_reach(shape) == r
     est, _ = scan_curve_reach(shape, n=2000)
     assert est.value == pytest.approx(r, rel=0.02)

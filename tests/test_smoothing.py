@@ -318,6 +318,19 @@ def test_run_report_consistency(circle_run):
     assert rep.backend == "python"
 
 
+def test_report_records_the_scan_argmin(circle_run, stadium_run):
+    for res in (circle_run, stadium_run.result):
+        rep, scan = res.report, res.scan
+        i, j = scan.argmin_indices
+        assert rep.reach_argmin["indices"] == [i, j]
+        assert rep.reach_argmin["points"] == [scan.argmin_base.tolist(),
+                                              scan.argmin_other.tolist()]
+        step = res.curve.length / rep.scan_samples
+        assert rep.reach_argmin["params"] == [i * step, j * step]
+        pts, _ = res.curve.point_and_velocity(np.array([i * step, j * step]))
+        assert np.allclose(pts, rep.reach_argmin["points"], rtol=0, atol=1e-12)
+
+
 def test_run_meets_reach_and_distance_budgets(circle_run, stadium_run):
     rep = circle_run.report
     assert rep.R_hat_measured >= rep.R_input - rep.epsilon - 0.02
