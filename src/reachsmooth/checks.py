@@ -45,16 +45,17 @@ from scipy.spatial import cKDTree
 
 from . import _accel
 from ._util import fmt17, json_dumps_stable
-from .curves import ClosedCurve, graph_values, local_graph_at
+from .curves import (ClosedCurve, _circular_gap, graph_values,
+                     local_graph_at)
 from .errors import InvalidInputError
 from .kernels import BumpKernel, Interval, convolve, find_support_radius
 from .linalg import hausdorff_distance_sampled
 from .partition import make_reference_plateau, smoothing_window_radius
 from .reach import estimate_reach_federer
-from .smoothing import (_PROBE_RATIO_CAP, BlendedMap, SmoothingResult,
-                        _probe_stencils, effective_radius_drop,
-                        far_away_reach_bound, predicted_reach_bound,
-                        smooth_core_probe, smooth_manifold)
+from .smoothing import (_PROBE_RATIO_CAP, BlendedMap, _probe_stencils,
+                        effective_radius_drop, far_away_reach_bound,
+                        predicted_reach_bound, smooth_core_probe,
+                        smooth_manifold)
 
 __all__ = [
     "CheckResult",
@@ -443,8 +444,7 @@ def check_far_point_distance(patch, curve_after, R, sample, *, seed=0,
     tang /= np.linalg.norm(tang, axis=1, keepdims=True)
 
     L_total = curve_after.length
-    gap = np.abs(np.mod(sample.params - patch.base_arc + 0.5 * L_total,
-                        L_total) - 0.5 * L_total)
+    gap = _circular_gap(sample.params - patch.base_arc, L_total)
     far = sample.points[gap > 1.5 * patch.arc_window]
     if far.shape[0] == 0:
         raise InvalidInputError("no far samples; curve shorter than the window")
@@ -725,7 +725,6 @@ class SuiteResult:
     seed: int
     results: tuple
     elapsed: float
-    fixture: SmoothingResult | None
     timings: tuple
 
     @property
@@ -737,21 +736,19 @@ class SuiteResult:
         return sum(not r.passed for r in self.results)
 
 
-def run_suite(suite="all", seed=7, fixture=None):
+def run_suite(suite="all", seed=7):
     """Run one named verification suite; returns all rows in a fixed order.
 
-    ``fixture`` optionally supplies a finished stadium run so callers
-    (tests, the CLI) can share one pipeline pass between the patch and
-    theorem suites.  ``timings`` of the result holds ``(name, seconds)``
-    for each suite run, in order, plus a ``"fixture"`` entry when the
-    stadium run was built here; the rows never carry a clock.
+    The patch and theorem suites share one stadium run, built here.
+    ``timings`` of the result holds ``(name, seconds)`` for each suite
+    run, in order, plus a ``"fixture"`` entry for that stadium run; the
+    rows never carry a clock.
     """
     if suite not in SUITES:
         raise InvalidInputError(f"unknown suite {suite!r}; pick from {SUITES}")
     t0 = time.perf_counter()
     rows = []
     timings = []
-    used_fixture = None
 
     def timed(name, build):
         start = time.perf_counter()
@@ -766,17 +763,15 @@ def run_suite(suite="all", seed=7, fixture=None):
     if suite in ("blend", "all"):
         rows.extend(timed("blend", lambda: _blend_rows(seed)))
     if suite in ("patches", "main", "all"):
-        used_fixture = (fixture if fixture is not None
-                        else timed("fixture", _stadium_fixture))
+        fixture = timed("fixture", _stadium_fixture)
     if suite in ("patches", "all"):
-        rows.extend(timed("patches", lambda: _patch_rows(used_fixture, seed)))
+        rows.extend(timed("patches", lambda: _patch_rows(fixture, seed)))
     if suite in ("main", "all"):
-        rows.extend(timed("main", lambda: check_main_theorem(used_fixture,
+        rows.extend(timed("main", lambda: check_main_theorem(fixture,
                                                              seed=seed)))
     elapsed = time.perf_counter() - t0
     return SuiteResult(suite=suite, seed=seed, results=tuple(rows),
-                       elapsed=elapsed, fixture=used_fixture,
-                       timings=tuple(timings))
+                       elapsed=elapsed, timings=tuple(timings))
 
 
 _CSV_HEADER = "name,instance,seed,grid,passed,measured,bound,tolerance,slack"

@@ -13,10 +13,10 @@ Four subcommands:
 ``report``
     Pretty-print a previously written report.json.
 
-Configs are plain JSON; command-line flags override config values.  A
-``reach`` config holds only ``shape``.  A ``smooth`` config holds
-``shape`` and the numbers ``epsilon``, ``delta``, ``rho``, ``sigma_max``
-and ``reach``.  Any other key is refused.
+Configs are plain JSON.  A ``reach`` config holds only ``shape``.  A
+``smooth`` config holds ``shape`` and the number ``epsilon``, which
+``--epsilon`` overrides; the rest of the schedule follows from epsilon
+and the shape.  Any other key is refused.
 Artifacts carry no timestamps or machine identifiers, so identical
 inputs produce byte-identical outputs; wall-clock timing goes to
 stderr.  Exit codes: 0 success, 1 pipeline or verification failure,
@@ -60,9 +60,6 @@ def build_parser():
     ps.add_argument("--config", required=True, help="JSON run config")
     ps.add_argument("--out", required=True, help="output directory")
     ps.add_argument("--epsilon", type=float, default=None)
-    ps.add_argument("--delta", type=float, default=None)
-    ps.add_argument("--rho", type=float, default=None)
-    ps.add_argument("--sigma-max", type=float, default=None)
     ps.add_argument("--csv-n", type=int, default=2000,
                     help="samples per curve CSV")
 
@@ -90,9 +87,6 @@ def _load_config(path):
     return cfg
 
 
-_SMOOTH_NUMBERS = ("epsilon", "delta", "rho", "sigma_max", "reach")
-
-
 def _refuse_unknown_keys(cfg, allowed):
     extra = sorted(set(cfg) - set(allowed))
     if extra:
@@ -100,18 +94,21 @@ def _refuse_unknown_keys(cfg, allowed):
             f"unknown config keys {extra}; allowed: " + ", ".join(allowed))
 
 
-def _smooth_settings(cfg):
-    """The numbers of a ``smooth`` config; unknown keys and non-numbers raise."""
-    _refuse_unknown_keys(cfg, ("shape", *_SMOOTH_NUMBERS))
-    out = {}
-    for name in _SMOOTH_NUMBERS:
-        if name in cfg:
-            val = cfg[name]
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise InvalidInputError(
-                    f"config {name!r} must be a number, got {val!r}")
-            out[name] = as_float(val, name)
-    return out
+def _smooth_epsilon(cfg, flag):
+    """The epsilon of a ``smooth`` run: ``flag`` when given, else the
+    config's; unknown keys and a non-number raise."""
+    _refuse_unknown_keys(cfg, ("shape", "epsilon"))
+    eps = cfg.get("epsilon")
+    if "epsilon" in cfg:
+        if isinstance(eps, bool) or not isinstance(eps, (int, float)):
+            raise InvalidInputError(
+                f"config 'epsilon' must be a number, got {eps!r}")
+        eps = as_float(eps, "epsilon")
+    if flag is not None:
+        eps = flag
+    if eps is None:
+        raise InvalidInputError("epsilon missing: pass --epsilon or put it in the config")
+    return eps
 
 
 def _config_shape(cfg):
@@ -198,20 +195,13 @@ def _cmd_smooth(args):
         raise InvalidInputError(
             f"--csv-n must be at least {MIN_SAMPLES}, got {args.csv_n}")
     cfg = _load_config(args.config)
-    kw = _smooth_settings(cfg)
+    eps = _smooth_epsilon(cfg, args.epsilon)
     shape = _config_shape(cfg)
-    for name in ("epsilon", "delta", "rho", "sigma_max"):
-        flag = getattr(args, name)
-        if flag is not None:
-            kw[name] = flag
-    eps = kw.pop("epsilon", None)
-    if eps is None:
-        raise InvalidInputError("epsilon missing: pass --epsilon or put it in the config")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    result = smooth_manifold(shape, eps, **kw)
+    result = smooth_manifold(shape, eps)
     elapsed = time.perf_counter() - t0
 
     before = sample_manifold(ClosedCurve(shape), n=args.csv_n)
@@ -281,7 +271,7 @@ def _cmd_report(args):
         ("patches_applied", str), ("patches_identity", str),
         ("net_size", str), ("shift_max", fmt17),
         ("scan_samples", str), ("scan_pairs", str),
-        ("reach_argmin", _fmt_argmin), ("backend", str),
+        ("reach_argmin", _fmt_argmin),
     ]
     for key, fmt in order:
         if key in payload:

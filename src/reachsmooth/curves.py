@@ -91,9 +91,6 @@ class BaseShape:
     def point(self, s):
         return self.point_and_tangent(s)[0]
 
-    def curvature(self, s):
-        raise NotImplementedError
-
     def junction_arcs(self):
         """Arc parameters where the curvature jumps (empty when C^2)."""
         return ()
@@ -114,9 +111,6 @@ class CircleShape(BaseShape):
         c, sn = np.cos(a), np.sin(a)
         return (np.stack([self.r * c, self.r * sn], axis=-1),
                 np.stack([-sn, c], axis=-1))
-
-    def curvature(self, s):
-        return np.full(np.asarray(s, dtype=float).shape, 1.0 / self.r)
 
     def describe(self):
         return {"kind": "circle", "r": self.r}
@@ -173,10 +167,6 @@ class EllipseShape(BaseShape):
         sp = np.sqrt((self.a * sn) ** 2 + (self.b * c) ** 2)
         return (np.stack([self.a * c, self.b * sn], axis=-1),
                 np.stack([-self.a * sn / sp, self.b * c / sp], axis=-1))
-
-    def curvature(self, s):
-        th = self._theta_of(s)
-        return self.a * self.b / self._speed(th) ** 3
 
     def describe(self):
         return {"kind": "ellipse", "a": self.a, "b": self.b}
@@ -295,11 +285,6 @@ class ArcChainShape(BaseShape):
             if np.any(m):
                 pts[m], tans[m] = seg.point_and_tangent(sv[m] - self._bounds[i])
         return pts, tans
-
-    def curvature(self, s):
-        sv, idx = self._locate(s)
-        vals = np.array([seg.curvature_value() for seg in self.segments])
-        return vals[idx]
 
     def junction_arcs(self):
         out = []

@@ -50,6 +50,10 @@ _GL4_X = np.array([-0.8611363115940526, -0.3399810435848563,
                    0.3399810435848563, 0.8611363115940526])
 _GL4_W = np.array([0.3478548451374538, 0.6521451548625461,
                    0.6521451548625461, 0.3478548451374538])
+# window samples per kernel radius, and the most samples one
+# ``sup_deviation_ck`` measurement may take
+_GRID_PER_SIGMA = 50
+_MAX_GRID = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -196,7 +200,8 @@ def sup_deviation_ck(f, df, kernel, window, k=1):
 
     Computes max over the window of |smoothed - original|, including the
     first-derivative mismatch when ``k=1`` (which requires ``df``).  The
-    window is sampled at spacing at most sigma/50 and every sample is
+    window is sampled at spacing at most sigma/50, in at most
+    ``_MAX_GRID`` points, and every sample is
     convolved with aligned taps on that spacing.  The window plus one
     kernel support must lie inside the domain of ``f``; the caller
     guarantees that.
@@ -222,9 +227,9 @@ def sup_deviation_ck(f, df, kernel, window, k=1):
     if window.length <= 0:
         raise InvalidInputError("the deviation window must have positive length")
     s = kernel.sigma
-    h = s / 50.0
+    h = s / _GRID_PER_SIGMA
     n = max(201, int(math.ceil(window.length / h)) + 1)
-    if n > 4_000_000:
+    if n > _MAX_GRID:
         raise InvalidInputError("sigma resolves the window into too many points")
     xs = np.linspace(window.lo, window.hi, n)
     # one extended sample serves every x
@@ -274,7 +279,7 @@ def _halving_search(measure, start, target, floor, what):
 
 
 def find_support_radius(f, df, window, domain, target, k=1, *,
-                        sigma_max=None, min_shrink=1e-9):
+                        sigma_max=None):
     """Largest halving-search support radius meeting a deviation target.
 
     Starting from the largest radius that keeps the window inside the
@@ -292,9 +297,9 @@ def find_support_radius(f, df, window, domain, target, k=1, *,
     Raises
     ------
     ConvergenceError
-        When the radius falls below ``min_shrink`` times the start
-        without meeting the target (e.g. a kink under k=1 semantics:
-        the mollified slope never settles).
+        When the radius falls below the smallest one whose grid fits
+        ``_MAX_GRID`` without meeting the target (e.g. a kink under k=1
+        semantics: the mollified slope never settles).
     InvalidInputError
         When the window has no room inside the domain at all.
     """
@@ -309,6 +314,8 @@ def find_support_radius(f, df, window, domain, target, k=1, *,
     def measure(s):
         return sup_deviation_ck(f, df, BumpKernel(s), window, k=k), None
 
-    sigma, _, dev, _ = _halving_search(measure, sigma, t, sigma * min_shrink,
+    # two points under the cap, so rounding cannot push the grid over it
+    floor = _GRID_PER_SIGMA * window.length / (_MAX_GRID - 2)
+    sigma, _, dev, _ = _halving_search(measure, sigma, t, floor,
                                        "support radius search")
     return sigma, dev

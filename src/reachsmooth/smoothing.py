@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from . import _accel
 from ._util import as_positive_float
 from .curves import (AppliedPatch, BaseShape, ClosedCurve, local_graph_at,
                      make_shape, sample_manifold)
@@ -149,8 +148,11 @@ class PatchRecord:
     lip_slope: float
 
 
-def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max,
-                 max_halvings=14):
+# halvings of the support radius a patch tries before giving up
+_MAX_HALVINGS = 14
+
+
+def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max):
     """Apply one localized smoothing step at a patch center.
 
     The patch takes the next index of the curve's stack.  Returns
@@ -166,7 +168,7 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max,
         ``lip_slope``) or the pushed-forward center drifted past the
         shift budget sqrt(delta R)/32.
     ConvergenceError
-        If ``max_halvings`` halvings of the support radius cannot meet
+        If ``_MAX_HALVINGS`` halvings of the support radius cannot meet
         the deviation budget.
     """
     index = len(curve.patches)
@@ -203,7 +205,7 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max,
 
     start = min(as_positive_float(sigma_max, "sigma_max"), (w - r2) * (1.0 - 1e-9))
     sigma, halvings, dev, (xs, fv, dfv, kern, conv0, conv1, mid) = _halving_search(
-        measure, start, rho, start * 2.0 ** -max_halvings,
+        measure, start, rho, start * 2.0 ** -_MAX_HALVINGS,
         f"patch at arc {base_arc:.6f}")
 
     xs_mid = xs[mid]
@@ -256,7 +258,6 @@ class SmoothingReport:
     scan_pairs: int
     psi_lip_value: float
     psi_lip_derivative: float
-    backend: str
     reach_argmin: dict | None
 
     def to_dict(self):
@@ -278,22 +279,21 @@ class SmoothingResult:
     scan: ReachEstimate
 
 
-def smooth_manifold(shape, epsilon, *, reach=None, delta=None, rho=None,
-                    sigma_max=None):
+def smooth_manifold(shape, epsilon):
     """Smooth a closed curve, certifying the reach loss stays under epsilon.
+
+    The schedule follows from epsilon and the shape: the input reach R is
+    ``analytic_reach(shape)``, the window scale delta = min(epsilon/2,
+    0.45 R), the deviation budget rho = 0.8/(1 + combined plateau
+    constant) and the support cap sqrt(delta R)/256.  The final
+    verification scan samples at sqrt(delta R)/32.
 
     Parameters
     ----------
     shape : dict or BaseShape
         Curve to smooth; dicts go through ``make_shape``.
     epsilon : float
-        Reach-loss budget.  Also the scale the default window delta =
-        epsilon/2 is derived from.
-    reach : float, optional
-        Reach lower bound of the input; defaults to the analytic value.
-    delta, rho, sigma_max : float, optional
-        Schedule overrides: window scale, deviation budget, support cap.
-        The final verification scan samples at sqrt(delta R)/32.
+        Reach-loss budget, below 0.9 R.
 
     Returns
     -------
@@ -306,15 +306,11 @@ def smooth_manifold(shape, epsilon, *, reach=None, delta=None, rho=None,
     if not isinstance(shape, BaseShape):
         raise InvalidInputError("shape must be a mapping or BaseShape")
     eps = as_positive_float(epsilon, "epsilon")
-    R = as_positive_float(reach, "reach") if reach is not None else analytic_reach(shape)
+    R = analytic_reach(shape)
     if eps >= 0.9 * R:
         raise InvalidInputError(f"epsilon={eps} too close to the reach {R}")
 
-    if delta is None:
-        delta = min(0.5 * eps, 0.45 * R)
-    delta = as_positive_float(delta, "delta")
-    if delta > 0.5 * R:
-        raise InvalidInputError(f"delta={delta} exceeds half the reach {R}")
+    delta = min(0.5 * eps, 0.45 * R)
     # halve until the slope-of-slope constant dominates, which the
     # combined-constant bookkeeping assumes; a no-op at practical sizes
     for _ in range(64):
@@ -325,18 +321,8 @@ def smooth_manifold(shape, epsilon, *, reach=None, delta=None, rho=None,
     else:
         raise ConvergenceError("window normalization did not settle")
 
-    if rho is None:
-        rho = 0.8 / (1.0 + psi.combined_lipschitz)
-    rho = as_positive_float(rho, "rho")
-    if rho >= 1.0 / (1.0 + psi.combined_lipschitz):
-        raise InvalidInputError(
-            f"rho={rho} violates rho < 1/(1 + combined plateau constant) "
-            f"= {1.0 / (1.0 + psi.combined_lipschitz):.6g}")
-    w = smoothing_window_radius(delta, R)
-    if sigma_max is None:
-        sigma_max = w / 128.0  # sqrt(delta R)/256
-    sigma_max = as_positive_float(sigma_max, "sigma_max")
-
+    rho = 0.8 / (1.0 + psi.combined_lipschitz)
+    sigma_max = smoothing_window_radius(delta, R) / 128.0  # sqrt(delta R)/256
     return _smooth_at(shape, build_net(shape), eps, R, delta, rho, psi,
                       sigma_max)
 
@@ -386,7 +372,6 @@ def _smooth_at(shape, arcs, eps, R, delta, rho, psi, sigma_max):
         scan_pairs=est.pairs_scanned,
         psi_lip_value=psi.lip_value,
         psi_lip_derivative=psi.lip_derivative,
-        backend=_accel.IMPLEMENTATION,
         reach_argmin=_reach_argmin(est, sample),
     )
     return SmoothingResult(curve=curve, report=report, records=tuple(records),

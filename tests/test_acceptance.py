@@ -101,7 +101,7 @@ def test_criterion_6_main_theorem(stadium_run):
     assert rep.R_hat_measured >= 0.95 - 0.02
     assert rep.c1_distance <= 0.05
     t0 = time.perf_counter()
-    suite = run_suite("main", seed=7, fixture=stadium_run.result)
+    suite = run_suite("main", seed=7)
     elapsed = time.perf_counter() - t0
     probes = [r for r in suite.results if r.name == "smooth_probe"]
     assert len(probes) == rep.patches_applied
@@ -131,9 +131,10 @@ def test_criterion_7_formula_identities():
     assert elapsed < 1.0
 
 
-def test_criterion_8_deterministic_verification(stadium_run, tmp_path):
-    first = run_suite("all", seed=7, fixture=stadium_run.result)
-    second = run_suite("all", seed=7)  # rebuilds its own pipeline run
+def test_criterion_8_deterministic_verification(tmp_path):
+    # each suite builds its own pipeline run
+    first = run_suite("all", seed=7)
+    second = run_suite("all", seed=7)
     csv_a = write_checks_csv(first.results, tmp_path / "a.csv")
     csv_b = write_checks_csv(second.results, tmp_path / "b.csv")
     assert csv_a == csv_b

@@ -479,11 +479,6 @@ def test_run_suite_times_each_suite(monkeypatch):
     assert [n for n, _ in suite.timings] == [
         "formulas", "convolution", "blend", "fixture", "patches", "main"]
     assert all(s >= 0.0 for _, s in suite.timings)
-    assert suite.fixture == "built"
-    shared = run_suite("main", seed=7, fixture="given")
-    assert [n for n, _ in shared.timings] == ["main"]
-    assert shared.fixture == "given"
-    assert run_suite("formulas", seed=7, fixture="given").fixture is None
 
 
 def test_run_suite_rejects_unknown():

@@ -147,7 +147,7 @@ def test_report_command_prints_fields(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["report", "--out", str(out_dir)]) == 0
     text = capsys.readouterr().out
-    assert "R_hat_measured" in text and "backend" in text
+    assert "R_hat_measured" in text and "backend" not in text
     report = json.loads((out_dir / "report.json").read_text())
     i, j = report["reach_argmin"]["indices"]
     assert f"reach_argmin         {i} -> {j} at params " in text
@@ -209,7 +209,12 @@ def test_pipeline_failure_exit_code(tmp_path, monkeypatch):
     {"epsilon": [0.3]},
     {"sigma-max": 0.001},      # misspelt key
     {"options": {}},
-], ids=["string", "numeric_string", "bool", "null", "list", "misspelt", "unknown"])
+    {"delta": 0.1},            # the schedule follows from epsilon alone
+    {"rho": 1e-3},
+    {"sigma_max": 0.002},
+    {"reach": 1.0},
+], ids=["string", "numeric_string", "bool", "null", "list", "misspelt", "unknown",
+        "delta", "rho", "sigma_max", "reach"])
 def test_smooth_config_is_checked_before_the_run(tmp_path, monkeypatch, capsys, extra):
     def never(*a, **k):
         raise AssertionError("pipeline ran on a bad config")
@@ -233,15 +238,20 @@ def test_smooth_csv_n_is_checked_before_the_run(tmp_path, monkeypatch, capsys):
 
 
 def test_smooth_config_numbers_reach_the_pipeline(tmp_path, monkeypatch):
-    seen = {}
+    # epsilon is the only number a run takes, and --epsilon overrides it
+    seen = []
 
-    def record(shape, eps, **kw):
-        seen.update(kw, epsilon=eps)
+    def record(shape, eps):
+        seen.append(eps)
         raise GeometryError("stop here")
     monkeypatch.setattr(cli, "smooth_manifold", record)
-    cfg = write_config(tmp_path, {**CIRCLE, "epsilon": 1, "delta": 0.1,
-                                  "rho": 1e-3, "sigma_max": 0.002, "reach": 1})
-    assert cli.main(["smooth", "--config", cfg, "--out", str(tmp_path / "o"),
-                     "--rho", "2e-3"]) == 1
-    assert seen == {"epsilon": 1.0, "delta": 0.1, "rho": 2e-3,
-                    "sigma_max": 0.002, "reach": 1.0}
+    cfg = write_config(tmp_path, {**CIRCLE, "epsilon": 1})
+    out = str(tmp_path / "o")
+    assert cli.main(["smooth", "--config", cfg, "--out", out]) == 1
+    assert cli.main(["smooth", "--config", cfg, "--out", out,
+                     "--epsilon", "0.2"]) == 1
+    assert seen == [1.0, 0.2]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["smooth", "--config", cfg, "--out", out, "--rho", "1e-3"])
+    assert exc.value.code == 2
+    assert seen == [1.0, 0.2]

@@ -31,7 +31,6 @@ def test_circle_identities():
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.7, atol=1e-12)
     assert np.allclose(np.linalg.norm(tans, axis=1), 1.0, atol=1e-12)
     assert np.allclose((pts * tans).sum(axis=1), 0.0, atol=1e-12)
-    assert np.allclose(shape.curvature(s), 1 / 1.7)
     assert shape.junction_arcs() == ()
     assert shape.describe() == {"kind": "circle", "r": 1.7}
 
@@ -59,8 +58,6 @@ def test_ellipse_vertex_geometry():
     # quarter arc lands on the minor vertex by symmetry
     quarter = shape.length / 4
     assert np.allclose(shape.point(np.array(quarter)), [0.0, b], atol=1e-9)
-    assert shape.curvature(np.array(0.0)) == pytest.approx(a / b ** 2, rel=1e-9)
-    assert shape.curvature(np.array(quarter)) == pytest.approx(b / a ** 2, rel=1e-9)
 
 
 @pytest.mark.parametrize("a", [2.0, 50.0])
@@ -95,9 +92,6 @@ def test_stadium_structure():
     assert shape.length == pytest.approx(2 * l + 2 * math.pi * r, rel=1e-15)
     expected = (0.0, l, l + math.pi * r, 2 * l + math.pi * r)
     assert np.allclose(shape.junction_arcs(), expected, atol=1e-12)
-    # straight runs are flat, caps turn at 1/r
-    assert shape.curvature(np.array(0.5 * l)) == 0.0
-    assert shape.curvature(np.array(l + 0.5)) == pytest.approx(1 / r)
     assert shape.min_arc_radius() == r
     assert shape.describe() == {"kind": "stadium", "r": r, "l": l}
 

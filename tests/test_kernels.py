@@ -317,7 +317,8 @@ def test_find_support_radius_abs_bracket():
 def test_find_support_radius_slope_jump_cannot_converge(monkeypatch):
     # a slope jump keeps the order-1 deviation at half the jump forever;
     # each attempt goes through the module's sup_deviation_ck, radii halve
-    # exactly and the last one measured is the last at or above the floor
+    # exactly, and the search gives up at the last radius whose grid
+    # still fits the cap: half of it would be refused as too fine
     radii = []
     real = kernels.sup_deviation_ck
 
@@ -329,10 +330,11 @@ def test_find_support_radius_slope_jump_cannot_converge(monkeypatch):
     window = Interval(-0.5, 0.5)
     domain = Interval(-2.0, 2.0)
     with pytest.raises(ConvergenceError):
-        find_support_radius(np.abs, np.sign, window, domain, 0.01, k=1,
-                            min_shrink=1e-4)
-    assert len(radii) == 14  # 2^-13 >= 1e-4 > 2^-14
+        find_support_radius(np.abs, np.sign, window, domain, 0.01, k=1)
+    assert len(radii) == 17  # 1.5 * 2^-16 fits 4e6 points, 2^-17 does not
     assert all(b == 0.5 * a for a, b in zip(radii, radii[1:]))
+    with pytest.raises(InvalidInputError, match="too many points"):
+        real(np.abs, np.sign, BumpKernel(0.5 * radii[-1]), window, k=1)
 
 
 def test_find_support_radius_needs_room():

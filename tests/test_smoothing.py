@@ -148,19 +148,6 @@ def test_full_net_reference_keeps_the_theorem(stadium_run):
 
 # ----------------------------------------------------------------- blends
 
-def test_blend_rejects_rho_over_precondition():
-    # the tangent-angle estimate needs rho < 1/(1 + combined plateau
-    # constant); the pipeline refuses a budget over it before any work
-    with pytest.raises(InvalidInputError,
-                       match=r"violates rho < 1/\(1 \+ combined plateau constant\)"):
-        smooth_manifold({"kind": "circle", "r": 1.0}, 0.3, rho=1.0)
-
-
-def test_run_rejects_delta_over_half_reach():
-    with pytest.raises(InvalidInputError, match="exceeds half the reach"):
-        smooth_manifold({"kind": "circle", "r": 1.0}, 0.3, delta=0.6)
-
-
 def test_blend_of_affine_is_affine():
     psi = make_reference_plateau()
     f = lambda x: 0.7 * np.asarray(x, dtype=float) - 0.2
@@ -273,7 +260,8 @@ def test_patch_shift_budget_enforced():
 
 def test_patch_deviation_budget_can_fail(monkeypatch):
     # every attempt convolves values and slopes once: three attempts
-    # (start, start/2, start/4) for max_halvings=2, then the search stops
+    # (start, start/2, start/4) with two halvings allowed, then the
+    # search stops
     radii = []
     real = smoothing.convolve_grid
 
@@ -282,9 +270,10 @@ def test_patch_deviation_budget_can_fail(monkeypatch):
         return real(values, kernel, step)
 
     monkeypatch.setattr(smoothing, "convolve_grid", spy)
+    monkeypatch.setattr(smoothing, "_MAX_HALVINGS", 2)
     params = {**patch_params(), "rho": 1e-16}
     with pytest.raises(ConvergenceError, match="after 2 halvings"):
-        smooth_patch(circle(), 0.0, **params, max_halvings=2)
+        smooth_patch(circle(), 0.0, **params)
     start = params["sigma_max"]
     assert radii == [start, start, start / 2, start / 2, start / 4, start / 4]
 
@@ -315,7 +304,7 @@ def test_run_report_consistency(circle_run):
     assert rep.R_hat_measured == circle_run.scan.value
     assert rep.R_prime_predicted == predicted_reach_bound(
         rep.R_input, rep.delta, rep.rho)
-    assert rep.backend == "python"
+    assert "backend" not in rep.to_dict()
 
 
 def test_report_records_the_scan_argmin(circle_run, stadium_run):
@@ -393,7 +382,7 @@ def test_junction_patches_keep_the_theorem(spec):
 
 
 def test_concave_profile_runs_on_its_closed_form_reach():
-    # no reach= given: the input reach is the dogbone's waist, a double
+    # the input reach is the closed form: the dogbone's waist, a double
     # normal between its concave fillets
     res = smooth_manifold(dogbone_shape(), 0.05)
     assert res.report.R_input == math.sqrt(1.75) - 1.0
@@ -473,11 +462,6 @@ def test_run_is_start_point_invariant(stadium_run):
 def test_run_rejects_epsilon_near_reach():
     with pytest.raises(InvalidInputError):
         smooth_manifold({"kind": "circle", "r": 1.0}, 0.95)
-
-
-def test_run_accepts_reach_override():
-    res = smooth_manifold({"kind": "circle", "r": 1.0}, 0.3, reach=0.8)
-    assert res.report.R_input == 0.8
 
 
 def test_run_rejects_bad_shape_argument():

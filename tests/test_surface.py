@@ -6,20 +6,25 @@ a command-line flag.  Each independent option multiplies the
 configurations tests and benchmarks have to cover, so the count is
 pinned: a change that adds an option changes the number below and says
 why.  The exported names are checked too: every name in an ``__all__``
-must resolve, so a deleted function cannot linger in an export list.
+must resolve, so a deleted function cannot linger in an export list,
+and README's ``Commands:`` block must list each subcommand's flags.
 """
 
+import argparse
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import reachsmooth
+from reachsmooth import cli
 
 PACKAGE = Path(reachsmooth.__file__).resolve().parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # parameters with a default + defaulted dataclass fields + argparse flags
-EXPECTED_OPTIONS = 56
+EXPECTED_OPTIONS = 46
 
 
 def _is_dataclass(node):
@@ -103,3 +108,30 @@ def test_every_export_resolves():
         missing = [n for n in exports if not hasattr(module, n)]
         assert not missing, (name, missing)
     assert checked >= 10
+
+
+def readme_command_flags():
+    """``{subcommand: flags}`` as README's ``Commands:`` block lists them;
+    an indented line that does not start a command continues the last."""
+    text = README.read_text()
+    block = text[text.index("Commands:\n\n") + len("Commands:\n\n"):]
+    flags = {}
+    for line in block.splitlines():
+        if not line.startswith("    "):
+            break
+        start = re.match(r"\s*reachsmooth (\w+)", line)
+        if start:
+            command = start.group(1)
+            flags[command] = set()
+        flags[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    return flags
+
+
+def test_readme_lists_every_command_flag():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parsed = {name: {opt for action in parser._actions
+                     for opt in action.option_strings
+                     if opt.startswith("--") and opt != "--help"}
+              for name, parser in sub.choices.items()}
+    assert readme_command_flags() == parsed
