@@ -28,13 +28,13 @@ def as_positive_float(x, name):
     return v
 
 
-def as_vector(v, name, dim=None):
-    """1-D float64 array with finite entries."""
+def as_vector(v, name):
+    """Plane vector: a float64 array of two finite entries."""
     a = np.asarray(v, dtype=float)
     if a.ndim != 1:
         raise InvalidInputError(f"{name} must be a 1-D vector, got shape {a.shape}")
-    if dim is not None and a.shape[0] != dim:
-        raise InvalidInputError(f"{name} must have length {dim}, got {a.shape[0]}")
+    if a.shape[0] != 2:
+        raise InvalidInputError(f"{name} must have length 2, got {a.shape[0]}")
     if not np.all(np.isfinite(a)):
         raise InvalidInputError(f"{name} has non-finite entries")
     return a

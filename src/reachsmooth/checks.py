@@ -24,9 +24,9 @@ unchanged: each read of the patch graph takes value and slope from one
 Newton solve, so the arrays cost one solve on the grid and one on the
 tap grid; the far-point check finds its maximum by nearest-neighbour
 queries of the tangent-ball centers and compares pair by pair, in
-cache-sized blocks, only the core rows that can hold it; and the
-theorem's smoothness probes, one window each, are read in two joint
-graph solves per curve, a few curve evaluations in all.
+cache-sized blocks, only the core rows that can hold it; and each of
+the theorem's smoothness probes opens one window and reads it one
+stencil at a time.
 
 The suite runner is deterministic end to end: seeded generators consumed
 in a fixed order, fixed instance ordering, and a CSV writer with a
@@ -45,17 +45,15 @@ from scipy.spatial import cKDTree
 
 from . import _accel
 from ._util import fmt17, json_dumps_stable
-from .curves import (ClosedCurve, _circular_gap, graph_values,
-                     local_graph_at)
+from .curves import ClosedCurve, _circular_gap, local_graph_at
 from .errors import InvalidInputError
 from .kernels import BumpKernel, Interval, convolve, find_support_radius
 from .linalg import hausdorff_distance_sampled
 from .partition import make_reference_plateau, smoothing_window_radius
 from .reach import estimate_reach_federer
-from .smoothing import (_PROBE_RATIO_CAP, BlendedMap, _probe_stencils,
-                        effective_radius_drop, far_away_reach_bound,
-                        predicted_reach_bound, smooth_core_probe,
-                        smooth_manifold)
+from .smoothing import (_PROBE_RATIO_CAP, BlendedMap, effective_radius_drop,
+                        far_away_reach_bound, predicted_reach_bound,
+                        smooth_core_probe, smooth_manifold)
 
 __all__ = [
     "CheckResult",
@@ -211,7 +209,7 @@ def random_c11(rng, domain, n_kinks, lip_d_max):
 # mollification and blend checkers
 
 
-def check_convolution_lipschitz(f, df, lip, kernel, domain, *, order=0,
+def check_convolution_lipschitz(f, df, lip, kernel, domain, *, order,
                                 seed=0, instance=""):
     """Mollification never raises a Lipschitz constant.
 
@@ -252,15 +250,15 @@ class _FunctionGraph:
         return self.value(y), self.df(y)
 
 
-def _searched_blend(f, df, psi, rho, domain, order, *, sigma_max=None):
+def _searched_blend(f, df, psi, rho, domain, order, *, sigma_max):
     window = Interval(-psi.support_radius, psi.support_radius)
     sigma, _ = find_support_radius(
         f, df, window, domain, rho, k=order, sigma_max=sigma_max)
     return BlendedMap(_FunctionGraph(f, df), psi, BumpKernel(sigma))
 
 
-def check_blend_lipschitz(f, df, lip, lip_d, psi, rho, domain, *, order=0,
-                          seed=0, instance="", sigma_max=None):
+def check_blend_lipschitz(f, df, lip, lip_d, psi, rho, domain, *, order,
+                          sigma_max, seed=0, instance=""):
     """Blending costs at most the plateau constant times the budget.
 
     Order 0: the blended value is Lipschitz within L + L_psi * rho.
@@ -475,33 +473,15 @@ def _probe_rows(probes, seed):
     """Smoothness-probe rows of ``(name, curve, arc, sigma, instance,
     expect_pass)`` probes, in order.
 
-    Each probe reads a window of half-width 12 sigma around ``arc`` and
-    passes when the probe's verdict equals ``expect_pass``.  A probe
-    whose differences all sit below the floor measures 0.0: its last
-    ratio is rounding noise.
-
-    The stencils of all probes of one curve are read in two joint
-    solves: the first stencil of every window, which sets the window's
-    warm-start table and reads its frame, then the other stencils
-    together.  Each value has the bytes of its own ``g.value`` call, so
-    the rows are those of probing one window at a time.
+    Each probe reads its own window of half-width 12 sigma around
+    ``arc`` and passes when the probe's verdict equals ``expect_pass``.
+    A probe whose differences all sit below the floor measures 0.0: its
+    last ratio is rounding noise.
     """
-    graphs = [local_graph_at(curve, arc, 12.0 * sigma)
-              for _, curve, arc, sigma, _, _ in probes]
-    stencils = [_probe_stencils(0.0, sigma)[1] for _, _, _, sigma, _, _ in probes]
-    values = [[] for _ in probes]
-    for curve in {id(p[1]): p[1] for p in probes}.values():
-        mine = [i for i, p in enumerate(probes) if p[1] is curve]
-        for level in (slice(0, 1), slice(1, None)):
-            reads = [(i, xs) for i in mine for xs in stencils[i][level]]
-            vals = graph_values([(graphs[i], xs) for i, xs in reads])
-            for (i, _), v in zip(reads, vals):
-                values[i].append(v)
     rows = []
-    for (name, _, _, sigma, instance, expect_pass), xs, vals in zip(
-            probes, stencils, values):
-        known = {x.tobytes(): v for x, v in zip(xs, vals)}
-        pr = smooth_core_probe(lambda x: known[x.tobytes()], 0.0, sigma)
+    for name, curve, arc, sigma, instance, expect_pass in probes:
+        g = local_graph_at(curve, arc, 12.0 * sigma)
+        pr = smooth_core_probe(g.value, 0.0, sigma)
         ratio = pr.ratios[-1]
         measured = ratio if math.isfinite(ratio) and not pr.limited_by_floor else 0.0
         rows.append(_result(name, measured, _PROBE_RATIO_CAP, 0.0,
@@ -522,9 +502,8 @@ def check_main_theorem(result, *, seed=0):
     outcome is failure, and a micro pair scan at each kink, whose ratio
     must stay at least R - epsilon.
 
-    The probes are evaluated together, two joint graph solves per curve
-    (the final curve and the raw one), so the check costs a few curve
-    evaluations rather than four solves per probe; see ``_probe_rows``.
+    Each probe opens its own window and reads it in four graph solves,
+    one per stencil; see ``_probe_rows``.
     """
     rep = result.report
     rows = []

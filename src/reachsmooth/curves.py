@@ -29,14 +29,11 @@ stack reads its value and slope from one cell of its coefficients.
 Local graph windows rewrite a stretch of curve as a 1-D graph over its
 tangent line at a base arc; slopes come from the chain rule through the
 patch stack, not finite differences.  Opening a window, by its
-half-width, evaluates nothing: the frame is read from the window's first
-curve evaluation, and callers measure what they need.  There is one
-Newton loop: a joint solve of many reads ``(window, y)`` of one curve,
-each step evaluating the curve once for every read still iterating, so
-many windows cost a few evaluations together.  A single read is its
-one-read case.  The window's first sorted solve becomes a table that
-later solves start from, so a read inside it usually takes one or two
-curve evaluations instead of three.
+half-width, evaluates the curve at the base arc for the frame, and
+callers measure what they need.  A read of a window is one Newton loop,
+each step one curve evaluation of the read's points.  The window's first
+sorted solve becomes a table that later solves start from, so a read
+inside it usually takes one or two curve evaluations instead of three.
 """
 
 from __future__ import annotations
@@ -65,7 +62,6 @@ __all__ = [
     "CurveSample",
     "sample_manifold",
     "LocalGraph",
-    "graph_values",
     "local_graph_at",
 ]
 
@@ -178,8 +174,8 @@ class LineSegment:
     end: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "start", as_vector(self.start, "start", dim=2))
-        object.__setattr__(self, "end", as_vector(self.end, "end", dim=2))
+        object.__setattr__(self, "start", as_vector(self.start, "start"))
+        object.__setattr__(self, "end", as_vector(self.end, "end"))
         if self.length <= 0:
             raise InvalidInputError("zero-length line segment")
 
@@ -204,7 +200,7 @@ class ArcSegment:
     sweep: float  # signed; positive = counterclockwise
 
     def __post_init__(self):
-        object.__setattr__(self, "center", as_vector(self.center, "center", dim=2))
+        object.__setattr__(self, "center", as_vector(self.center, "center"))
         object.__setattr__(self, "radius", as_positive_float(self.radius, "radius"))
         object.__setattr__(self, "start_angle", as_float(self.start_angle, "start_angle"))
         sw = as_float(self.sweep, "sweep")
@@ -649,19 +645,14 @@ class LocalGraph:
     value/slope are vectorized in the tangent coordinate y; the graph
     value f satisfies f(0) = 0 and slope(0) = 0 by construction of the
     frame.  Slopes are exact chain-rule quantities of the underlying
-    patched curve, not difference quotients.
-
-    The frame (center, tangent, normal) is read from the first curve
-    evaluation that needs it: the first solve of the window evaluates
-    the base arc in the same batch as its Newton start.  Reading the
-    frame before any solve makes an empty solve, which evaluates the
-    base arc alone.
+    patched curve, not difference quotients.  The frame (center,
+    tangent, normal) is read from one curve evaluation at the base arc
+    when the window opens.
 
     Every read solves y(theta) = y for the base arc theta by Newton's
-    method, as one read of ``graph_values``' joint solve.  The first
-    solve of a strictly increasing batch of at least two points (in
-    ``smooth_patch``, the 257-point slope grid over the whole window)
-    becomes the window's warm-start table: its y, theta and
+    method.  The first solve of a strictly increasing batch of at least
+    two points (in ``smooth_patch``, the 257-point slope grid over the
+    whole window) becomes the window's warm-start table: its y, theta and
     d theta / dy = 1 / (velocity . tangent), which the last Newton pass
     already computed.  Later solves start points inside the table's span
     from the table's cubic Hermite interpolant, and the rest from
@@ -674,30 +665,12 @@ class LocalGraph:
         self.curve = curve
         self.base_arc = float(base_arc)
         self.window = window
-        self._frame = None
-        self._table = None
-
-    def _framed(self):
-        if self._frame is None:
-            self._solve(np.empty(0))
-        return self._frame
-
-    @property
-    def center(self):
-        return self._framed()[0]
-
-    @property
-    def tangent(self):
-        return self._framed()[1]
-
-    @property
-    def normal(self):
-        return self._framed()[2]
-
-    def _set_frame(self, center, vel):
-        """Frame from the curve's point and velocity at the base arc."""
+        center, vel = curve.point_and_velocity(self.base_arc)
         t = vel / np.linalg.norm(vel)
-        self._frame = (center, t, np.array([-t[1], t[0]]))
+        self.center = center
+        self.tangent = t
+        self.normal = np.array([-t[1], t[0]])
+        self._table = None
 
     def _start(self, yv):
         """Newton start for the base arcs above ``yv``."""
@@ -710,126 +683,63 @@ class LocalGraph:
         return np.where(inside, _hermite(yv, i, ty, tth, tdth), theta)
 
     def _solve(self, y):
-        return _solve_reads([(self, y)])[0]
-
-    def _value(self, pts, shape):
-        f = (pts - self.center) @ self.normal
-        return float(f[0]) if shape == () else f.reshape(shape)
-
-    def _slope(self, vel, shape):
-        df = (vel @ self.normal) / (vel @ self.tangent)
-        return float(df[0]) if shape == () else df.reshape(shape)
-
-    def value(self, y):
-        _, pts, _, shape = self._solve(y)
-        return self._value(pts, shape)
-
-    def slope(self, y):
-        _, _, vel, shape = self._solve(y)
-        return self._slope(vel, shape)
-
-    def value_and_slope(self, y):
-        _, pts, vel, shape = self._solve(y)
-        return self._value(pts, shape), self._slope(vel, shape)
-
-
-def _solve_reads(reads):
-    """Newton solve of graph reads ``(graph, y)`` of one curve, jointly.
-
-    Returns ``(theta, points, velocities, shape)`` per read.  Each step
-    evaluates the curve once, on the base arcs of every read still
-    iterating, after the base arcs of the windows whose frame is not yet
-    read.  A read keeps what it has when solved alone: its start, its
-    stopping test at 1e-14 of its window's scale, its fold check, its
-    iteration count and the set-once table rule; rows of a curve
-    evaluation do not depend on their batch, so each read returns the
-    bytes it returns alone.  A window without a table may be read once
-    per call: read alone twice, the first read could set the table that
-    the second starts from.
-    """
-    curve = reads[0][0].curve if reads else None
-    jobs = []
-    tableless = set()
-    for graph, y in reads:
-        if graph.curve is not curve:
-            raise InvalidInputError("a joint solve reads windows of one curve")
-        if graph._table is None:
-            if id(graph) in tableless:
-                raise InvalidInputError(
-                    "a window without a warm-start table is read once per solve")
-            tableless.add(id(graph))
+        """``(theta, points, velocities, shape)`` of the reads at ``y``,
+        stopped once every residual is within 1e-14 of the window's
+        scale."""
         yv = np.asarray(y, dtype=float)
         shape = yv.shape
         yv = np.atleast_1d(yv).ravel()
-        if not graph.window.contains(yv, margin=1e-9 * max(1.0, graph.window.length)):
+        if not self.window.contains(yv, margin=1e-9 * max(1.0, self.window.length)):
             raise InvalidInputError("tangent coordinate outside the graph window")
-        jobs.append((graph, yv, shape))
-
-    out = [None] * len(jobs)
-    theta = {}
-    for k, (graph, yv, shape) in enumerate(jobs):
-        if yv.size:
-            theta[k] = graph._start(yv)
-        else:
+        if yv.size == 0:
             none = np.empty((0, 2))
-            out[k] = (graph.base_arc + yv, none, none, shape)
-    frameless = [graph for graph, _, _ in jobs if graph._frame is None]
-    active = list(theta)
-    for _ in range(40):
-        if not (active or frameless):
-            break
-        arcs = [np.array([graph.base_arc for graph in frameless])]
-        pts, vel = curve.point_and_velocity(
-            np.concatenate(arcs + [theta[k] for k in active]))
-        for i, graph in enumerate(frameless):
-            graph._set_frame(pts[i].copy(), vel[i])
-        a, frameless, iterating = len(frameless), [], []
-        for k in active:
-            graph, yv, shape = jobs[k]
-            b = a + yv.size
-            p, v = pts[a:b], vel[a:b]
-            a = b
-            center, tangent, _ = graph._frame
-            g = (p - center) @ tangent - yv
-            dg = v @ tangent
+            return self.base_arc + yv, none, none, shape
+        theta = self._start(yv)
+        scale = max(1.0, float(np.linalg.norm(self.center)) + self.window.length)
+        for _ in range(40):
+            pts, vel = self.curve.point_and_velocity(theta)
+            g = (pts - self.center) @ self.tangent - yv
+            dg = vel @ self.tangent
             if np.any(dg < 0.05):
                 raise GeometryError(
                     "curve folds against the tangent frame inside the window; "
                     "the stretch is not a graph")
-            scale = max(1.0, float(np.linalg.norm(center)) + graph.window.length)
             if np.abs(g).max() <= 1e-14 * scale:
-                if graph._table is None and yv.size >= 2 and np.all(yv[1:] > yv[:-1]):
-                    graph._table = (yv.copy(), theta[k], 1.0 / dg)
-                out[k] = (theta[k], p, v, shape)
-            else:
-                theta[k] = theta[k] - g / dg
-                iterating.append(k)
-        active = iterating
-    if active:
-        raise GeometryError("graph parameter solve did not converge")
-    return out
+                break
+            theta = theta - g / dg
+        else:
+            raise GeometryError("graph parameter solve did not converge")
+        if self._table is None and yv.size >= 2 and np.all(yv[1:] > yv[:-1]):
+            self._table = (yv.copy(), theta, 1.0 / dg)
+        return theta, pts, vel, shape
 
+    def value(self, y):
+        _, pts, _, shape = self._solve(y)
+        f = (pts - self.center) @ self.normal
+        return float(f[0]) if shape == () else f.reshape(shape)
 
-def graph_values(reads):
-    """Values of many graph reads ``(graph, y)`` of one curve.
+    def slope(self, y):
+        _, _, vel, shape = self._solve(y)
+        df = (vel @ self.normal) / (vel @ self.tangent)
+        return float(df[0]) if shape == () else df.reshape(shape)
 
-    One joint Newton solve: each step evaluates the curve once for every
-    read still iterating, and each value has the bytes of
-    ``graph.value(y)`` made alone.  A window without a warm-start table
-    may appear once.
-    """
-    return [graph._value(pts, shape)
-            for (graph, _), (_, pts, _, shape) in zip(reads, _solve_reads(reads))]
+    def value_and_slope(self, y):
+        _, pts, vel, shape = self._solve(y)
+        f = (pts - self.center) @ self.normal
+        df = (vel @ self.normal) / (vel @ self.tangent)
+        if shape == ():
+            return float(f[0]), float(df[0])
+        return f.reshape(shape), df.reshape(shape)
 
 
 def local_graph_at(curve, arc, window_radius):
     """Graph window [-window_radius, window_radius] of a curve around the
     point at base parameter ``arc``.
 
-    Opening a window evaluates nothing: its frame is read with its first
-    solve.  A fold against the tangent frame raises ``GeometryError``
-    from the first evaluation that reaches it; a radius that is not a
-    positive finite number raises ``InvalidInputError``.
+    Opening a window evaluates the curve at ``arc`` only.  A fold
+    against the tangent frame raises ``GeometryError`` from the first
+    evaluation that reaches it; a radius that is not a positive finite
+    number raises ``InvalidInputError``.
     """
     w = as_positive_float(window_radius, "window_radius")
     return LocalGraph(curve, float(arc), Interval(-w, w))

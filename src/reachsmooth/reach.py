@@ -56,9 +56,9 @@ def federer_ratio(p, tangent, q):
         those whose tangent distance is at most 1e-14 |q - p|, the same
         threshold as the scan's.
     """
-    pv = as_vector(p, "p", dim=2)
-    qv = as_vector(q, "q", dim=2)
-    tv = as_vector(tangent, "tangent", dim=2)
+    pv = as_vector(p, "p")
+    qv = as_vector(q, "q")
+    tv = as_vector(tangent, "tangent")
     nrm = np.linalg.norm(tv)
     if nrm == 0:
         raise InvalidInputError("tangent must be nonzero")

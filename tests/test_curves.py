@@ -9,9 +9,8 @@ from scipy.interpolate import CubicHermiteSpline
 from scipy.special import ellipe
 
 from reachsmooth.curves import (AppliedPatch, ArcChainShape, ArcSegment,
-                                ClosedCurve, LineSegment, _solve_reads,
-                                graph_values, local_graph_at, make_shape,
-                                sample_manifold)
+                                ClosedCurve, LineSegment, local_graph_at,
+                                make_shape, sample_manifold)
 from reachsmooth.errors import GeometryError, InvalidInputError
 from reachsmooth.kernels import BumpKernel, convolve
 from reachsmooth.partition import smoothing_window_radius
@@ -314,7 +313,8 @@ def test_local_graph_empty_batch():
 
 def test_local_graph_folds_beyond_reach():
     # a window wider than the circle radius cannot stay a graph; opening
-    # it evaluates nothing, so the fold shows when it is read
+    # it reads only the frame at its base arc, so the fold shows when the
+    # window is read
     curve = circle_curve(1.0)
     lg = local_graph_at(curve, 0.0, 1.2)
     assert lg.value(0.0) == 0.0
@@ -322,9 +322,9 @@ def test_local_graph_folds_beyond_reach():
         lg.slope(np.linspace(-1.2, 1.2, 257))
 
 
-def test_window_opens_without_evaluating(monkeypatch):
-    # the frame rides in the first solve's evaluation; read before any
-    # solve, it costs one evaluation of the base arc, the same bytes
+def test_window_opens_with_one_evaluation(monkeypatch):
+    # opening a window evaluates its base arc alone, and the frame has
+    # the bytes of that lone evaluation
     curve = circle_curve(1.3)
     evaluations = []
     real = ClosedCurve.point_and_velocity
@@ -335,117 +335,13 @@ def test_window_opens_without_evaluating(monkeypatch):
 
     monkeypatch.setattr(ClosedCurve, "point_and_velocity", counted)
     lg = local_graph_at(curve, 0.4, 0.2)
-    assert evaluations == []
-    lg.value(np.linspace(-0.1, 0.1, 5))
-    assert evaluations[0] == 6
-    first = local_graph_at(curve, 0.4, 0.2)
-    center = first.center
-    assert evaluations[-1] == 1
+    assert evaluations == [1]
     monkeypatch.undo()
-    center_alone, vel = curve.point_and_velocity(0.4)
-    assert center.tobytes() == center_alone.tobytes() == lg.center.tobytes()
-    assert first.tangent.tobytes() == lg.tangent.tobytes()
-    assert first.normal.tobytes() == lg.normal.tobytes()
-
-
-def _ellipse_with_patches():
-    curve = ClosedCurve(make_shape({"kind": "ellipse", "a": 2.0, "b": 1.0}))
-    for i, arc in enumerate((0.5, 0.62, 2.0)):
-        curve = curve.with_patch(synthetic_patch(curve, base_arc=arc, index=i))
-    return curve
-
-
-def _joint_cases(curve, arcs, w):
-    """Windows and reads of one curve: two fresh windows (one read by a
-    sorted batch that sets its table, one by a single point), one tabled
-    window read three times (inside its table, straddling it, 2-D), and
-    a fresh window read by an unsorted batch."""
-    g = [local_graph_at(curve, a, w) for a in arcs]
-    g[1].slope(np.linspace(-0.6 * w, 0.6 * w, 257))
-    inside = np.linspace(-0.5 * w, 0.5 * w, 9)
-    reads = [(g[0], np.linspace(-w, w, 33)),
-             (g[1], inside),
-             (g[2], 0.3 * w),
-             (g[1], np.linspace(-w, w, 17)),
-             (g[3], np.array([0.2, -0.7, 0.5]) * w),
-             (g[1], inside.reshape(3, 3))]
-    return g, reads
-
-
-@pytest.mark.parametrize("which", ["stadium", "ellipse"])
-def test_joint_solve_matches_reads_made_alone(which, stadium_run, monkeypatch):
-    if which == "stadium":
-        curve = stadium_run.result.curve
-        arcs, w = (0.3, 2.0, 3.6, 7.1), 0.05
-    else:
-        curve = _ellipse_with_patches()
-        arcs, w = (0.55, 0.6, 2.05, 4.0), 0.08
-    real = ClosedCurve.point_and_velocity
-    evaluations = []
-
-    def counted(self, s):
-        evaluations.append(np.size(s))
-        return real(self, s)
-
-    monkeypatch.setattr(ClosedCurve, "point_and_velocity", counted)
-    alone_g, alone_reads = _joint_cases(curve, arcs, w)
-    alone, iterations = [], []
-    for graph, y in alone_reads:
-        evaluations.clear()
-        alone.append(graph._solve(y))
-        iterations.append(len(evaluations))
-    joint_g, joint_reads = _joint_cases(curve, arcs, w)
-    evaluations.clear()
-    joint = _solve_reads(joint_reads)
-    assert len(evaluations) == max(iterations)
-    monkeypatch.undo()
-    # cold, warm and single-point reads converge after different counts
-    assert len(set(iterations)) > 1
-    for a, b in zip(alone, joint):
-        assert a[3] == b[3]
-        assert [np.asarray(x).tobytes() for x in a[:3]] == \
-            [np.asarray(x).tobytes() for x in b[:3]]
-    # frames and the set-once tables come out the same
-    for ga, gb in zip(alone_g, joint_g):
-        assert [x.tobytes() for x in ga._frame] == [x.tobytes() for x in gb._frame]
-        assert (ga._table is None) == (gb._table is None)
-        if ga._table is not None:
-            assert [x.tobytes() for x in ga._table] == [x.tobytes() for x in gb._table]
-    # values read jointly are the values read alone
-    value_g, value_reads = _joint_cases(curve, arcs, w)
-    values = graph_values(value_reads)
-    expected = [g.value(y) for g, y in _joint_cases(curve, arcs, w)[1]]
-    assert [np.asarray(v).tobytes() for v in values] == \
-        [np.asarray(v).tobytes() for v in expected]
-    assert isinstance(values[2], float)
-
-
-def test_joint_solve_refuses_what_it_cannot_match():
-    curve = _ellipse_with_patches()
-    w = 0.08
-    # a window without a table read twice: alone, the first read would
-    # set the table the second starts from
-    fresh = local_graph_at(curve, 0.6, w)
-    with pytest.raises(InvalidInputError, match="once"):
-        graph_values([(fresh, np.linspace(-w, w, 9)), (fresh, 0.1 * w)])
-    # windows of two curves
-    other = local_graph_at(circle_curve(), 0.0, w)
-    with pytest.raises(InvalidInputError, match="one curve"):
-        graph_values([(local_graph_at(curve, 0.6, w), 0.0), (other, 0.0)])
-    # a tangent coordinate outside its window, beside reads that are fine
-    with pytest.raises(InvalidInputError, match="outside"):
-        graph_values([(local_graph_at(curve, 0.6, w), 0.0),
-                      (local_graph_at(curve, 2.0, w), np.array([0.0, 2.0 * w]))])
-    # a folding window raises the error it raises alone
-    circle = circle_curve(1.0)
-    wide = np.linspace(-1.2, 1.2, 257)
-    with pytest.raises(GeometryError) as alone:
-        local_graph_at(circle, 0.0, 1.2).value(wide)
-    with pytest.raises(GeometryError) as joint:
-        graph_values([(local_graph_at(circle, 2.0, 0.3), np.linspace(-0.3, 0.3, 5)),
-                      (local_graph_at(circle, 0.0, 1.2), wide)])
-    assert str(joint.value) == str(alone.value)
-    assert graph_values([]) == []
+    center, vel = curve.point_and_velocity(0.4)
+    tangent = vel / np.linalg.norm(vel)
+    assert lg.center.tobytes() == center.tobytes()
+    assert lg.tangent.tobytes() == tangent.tobytes()
+    assert lg.normal.tobytes() == np.array([-tangent[1], tangent[0]]).tobytes()
 
 
 def test_graph_slope_lipschitz_bound():

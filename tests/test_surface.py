@@ -24,7 +24,7 @@ PACKAGE = Path(reachsmooth.__file__).resolve().parent
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 # parameters with a default + defaulted dataclass fields + argparse flags
-EXPECTED_OPTIONS = 46
+EXPECTED_OPTIONS = 41
 
 
 def _is_dataclass(node):
