@@ -54,6 +54,11 @@ _GL4_W = np.array([0.3478548451374538, 0.6521451548625461,
 # ``sup_deviation_ck`` measurement may take
 _GRID_PER_SIGMA = 50
 _MAX_GRID = 4_000_000
+# a halving search probes a radius on the grid points within this many
+# steps of the previous radius's worst point, and settles it as failing
+# when the probe exceeds the target by more than this relative margin
+_PROBE_HALF = 256
+_PROBE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -219,6 +224,8 @@ def sup_deviation_ck(f, df, kernel, window, k=1):
     Returns
     -------
     float
+        The deviation.  Its ``worst`` attribute is the grid point where
+        it is attained, for a search to look there first next time.
     """
     if k not in (0, 1):
         raise InvalidInputError(f"k must be 0 or 1, got {k}")
@@ -226,54 +233,110 @@ def sup_deviation_ck(f, df, kernel, window, k=1):
         raise InvalidInputError("k=1 comparison requires the slope callable df")
     if window.length <= 0:
         raise InvalidInputError("the deviation window must have positive length")
+    return _Deviation(*_deviation_near(f, df, kernel, window, k, None))
+
+
+class _Deviation(float):
+    """A measured deviation that remembers its worst grid point."""
+
+    def __new__(cls, value, worst):
+        out = super().__new__(cls, value)
+        out.worst = worst
+        return out
+
+
+def _deviation_near(f, df, kernel, window, k, near):
+    """``(deviation, worst point)`` of ``sup_deviation_ck``'s grid, read
+    on the whole grid when ``near`` is None and otherwise only on the
+    grid points within ``_PROBE_HALF`` steps of the one nearest ``near``.
+
+    Every point is the one ``np.linspace(lo, hi, n)`` puts there,
+    i*step + lo with ``hi`` last, and the window is extended on both
+    sides at the spacing ``hh = xs[1] - xs[0]``, so a probe reads the
+    whole grid's own samples.
+    """
     s = kernel.sigma
-    h = s / _GRID_PER_SIGMA
-    n = max(201, int(math.ceil(window.length / h)) + 1)
+    lo, hi = window.lo, window.hi
+    n = max(201, int(math.ceil(window.length / (s / _GRID_PER_SIGMA))) + 1)
     if n > _MAX_GRID:
         raise InvalidInputError("sigma resolves the window into too many points")
-    xs = np.linspace(window.lo, window.hi, n)
-    # one extended sample serves every x
-    hh = xs[1] - xs[0]
+    step = (hi - lo) / (n - 1)
+    hh = (step + lo) - lo
     m = int(math.floor(s / hh))
-    ext = np.concatenate([
-        window.lo + np.arange(-m, 0) * hh,
-        xs,
-        window.hi + np.arange(1, m + 1) * hh,
-    ])
-    fv = np.asarray(f(ext), dtype=float)
-    conv0, _ = convolve_grid(fv, kernel, hh)
-    dev = np.abs(conv0 - fv[m:m + n]).max()
+    if near is None:
+        first, last = 0, n - 1
+    else:
+        c = min(max(round((near - lo) / step), 0), n - 1)
+        first, last = max(c - _PROBE_HALF, 0), min(c + _PROBE_HALF, n - 1)
+    # the grid indices of the samples read, then their points; the
+    # samples before index 0 and after n - 1 extend the window
+    x = np.arange(first - m, last + m + 1, dtype=float)
+    before = max(m - first, 0)
+    after = x.size - max(last + m - (n - 1), 0)
+    grid = x[before:after]
+    grid *= step
+    grid += lo
+    if last == n - 1:
+        grid[-1] = hi
+    x[:before] = lo + x[:before] * hh
+    x[after:] = hi + (x[after:] - (n - 1)) * hh
+    inner = slice(m, x.size - m)
+    fv = np.asarray(f(x), dtype=float)
+    err, _ = convolve_grid(fv, kernel, hh)
+    err -= fv[inner]
+    np.abs(err, out=err)
     if k == 1:
-        dfv = np.asarray(df(ext), dtype=float)
-        conv1, _ = convolve_grid(dfv, kernel, hh)
-        dev = max(dev, np.abs(conv1 - dfv[m:m + n]).max())
-    return float(dev)
+        dfv = np.asarray(df(x), dtype=float)
+        conv, _ = convolve_grid(dfv, kernel, hh)
+        conv -= dfv[inner]
+        np.maximum(err, np.abs(conv, out=conv), out=err)
+    j = int(np.argmax(err))
+    return float(err[j]), float(x[m + j])
 
 
 def _halving_search(measure, start, target, floor, what):
     """Halve a support radius from ``start`` until its deviation passes.
 
-    ``measure(sigma)`` returns ``(deviation, payload)``.  Returns
-    ``(sigma, halvings, deviation, payload)`` of the first radius whose
-    deviation is at most ``target``.
+    ``measure(sigma, near)`` returns ``(deviation, payload, worst)``:
+    with ``near=None`` it measures the whole grid, otherwise only the
+    grid points near ``near``, a probe that can show a radius fails but
+    never that it passes.  ``worst`` is where the deviation was found.
+    Each radius after the first is probed at the previous radius's worst
+    point; a probe above ``target * (1 + _PROBE_MARGIN)`` settles the
+    radius as failing (the margin covers rounding between a probe and
+    the whole grid), and any other radius is measured in full.  So only
+    radii the probe cannot reject pay for the whole grid, and the
+    accepted radius always does.
+
+    Returns ``(sigma, halvings, deviation, payload)`` of the first radius
+    whose whole-grid deviation is at most ``target``, exactly as a loop
+    that measures every radius in full would.
 
     Raises
     ------
     ConvergenceError
         When the radius falls below ``floor`` without meeting the target;
-        ``what`` names the search in the message.
+        ``what`` names the search in the message, which gives the last
+        deviation as "at least" when a probe settled it.
     """
     sigma = start
     halvings = 0
+    near = None
     while True:
-        dev, payload = measure(sigma)
-        if dev <= target:
-            return sigma, halvings, dev, payload
+        settled = False
+        if near is not None:
+            dev, _, near = measure(sigma, near)
+            settled = dev > target * (1.0 + _PROBE_MARGIN)
+        if not settled:
+            dev, payload, near = measure(sigma, None)
+            if dev <= target:
+                return sigma, halvings, dev, payload
         sigma *= 0.5
         halvings += 1
         if sigma < floor:
+            least = "at least " if settled else ""
             raise ConvergenceError(
-                f"{what}: deviation {dev:.3e} still above the target "
+                f"{what}: deviation {least}{dev:.3e} still above the target "
                 f"{target:.3e} after {halvings - 1} halvings (radius floor "
                 f"{floor:.3e})")
 
@@ -287,12 +350,16 @@ def find_support_radius(f, df, window, domain, target, k=1, *,
     halved until the grid-measured deviation drops to ``target``.  The
     first passing radius is returned, so the result is within a factor
     two of the largest passing power-of-two fraction of the start.
+    Radii after the first are probed near the previous radius's worst
+    point first (see ``_halving_search``), so ``sup_deviation_ck`` reads
+    the whole grid only for the start, the accepted radius and any
+    radius a probe cannot reject.
 
     Returns
     -------
     (sigma, deviation)
         The passing radius and the deviation ``sup_deviation_ck``
-        measured for it.
+        measured for it on the whole grid.
 
     Raises
     ------
@@ -311,8 +378,13 @@ def find_support_radius(f, df, window, domain, target, k=1, *,
     if sigma_max is not None:
         sigma = min(sigma, as_positive_float(sigma_max, "sigma_max"))
 
-    def measure(s):
-        return sup_deviation_ck(f, df, BumpKernel(s), window, k=k), None
+    def measure(s, near):
+        kernel = BumpKernel(s)
+        if near is None:
+            dev = sup_deviation_ck(f, df, kernel, window, k=k)
+            return float(dev), None, dev.worst
+        dev, worst = _deviation_near(f, df, kernel, window, k, near)
+        return dev, None, worst
 
     # two points under the cap, so rounding cannot push the grid over it
     floor = _GRID_PER_SIGMA * window.length / (_MAX_GRID - 2)

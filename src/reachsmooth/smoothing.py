@@ -43,7 +43,8 @@ from ._util import as_positive_float
 from .curves import (AppliedPatch, BaseShape, ClosedCurve, local_graph_at,
                      make_shape, sample_manifold)
 from .errors import ConvergenceError, GeometryError, InvalidInputError
-from .kernels import BumpKernel, _halving_search, convolve, convolve_grid
+from .kernels import (_PROBE_HALF, BumpKernel, _halving_search, convolve,
+                      convolve_grid)
 from .partition import (PlateauFunction, make_reference_plateau,
                         rescale_plateau, smoothing_window_radius)
 from .reach import ReachEstimate, analytic_reach, estimate_reach_federer
@@ -160,6 +161,14 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max):
     window is already flat to machine precision (straight stretches), in
     which case the curve is returned unchanged.
 
+    The support radius comes from ``kernels._halving_search``: each
+    radius tabulates the graph at sigma/16 over the plateau support plus
+    one kernel radius and compares the convolved values and slopes with
+    the graph's.  Radii after the first are probed on the rows within
+    ``_PROBE_HALF`` steps of the previous radius's worst point, and only
+    a radius the probe cannot reject is tabulated in full, the accepted
+    one always.
+
     Raises
     ------
     GeometryError
@@ -189,19 +198,26 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max):
         raise GeometryError(
             f"patch center drifted {shift:.3e}, over the budget {budget:.3e}")
 
-    def measure(sigma):
-        # tabulate the graph at sigma/16 and convolve values and slopes
+    def measure(sigma, near):
+        # tabulate the graph at sigma/16 and convolve values and slopes;
+        # a probe reads only the rows within _PROBE_HALF steps of near
         h = sigma / 16
         m_half = int(math.ceil((r2 + sigma) / h)) + 2
-        xs = np.arange(-m_half, m_half + 1) * h
+        first, last = -m_half, m_half
+        if near is not None:
+            m = int(math.floor(sigma / h))
+            c = min(max(round(near / h), m - m_half), m_half - m)
+            first = max(c - _PROBE_HALF, m - m_half) - m
+            last = min(c + _PROBE_HALF, m_half - m) + m
+        xs = np.arange(first, last + 1) * h
         fv, dfv = graph.value_and_slope(xs)
         kern = BumpKernel(sigma)
         conv0, m = convolve_grid(fv, kern, h)
         conv1, _ = convolve_grid(dfv, kern, h)
         mid = slice(m, xs.size - m)
-        dev = max(float(np.abs(conv0 - fv[mid]).max()),
-                  float(np.abs(conv1 - dfv[mid]).max()))
-        return dev, (xs, fv, dfv, kern, conv0, conv1, mid)
+        err = np.maximum(np.abs(conv0 - fv[mid]), np.abs(conv1 - dfv[mid]))
+        j = int(np.argmax(err))
+        return float(err[j]), (xs, fv, dfv, kern, conv0, conv1, mid), float(xs[m + j])
 
     start = min(as_positive_float(sigma_max, "sigma_max"), (w - r2) * (1.0 - 1e-9))
     sigma, halvings, dev, (xs, fv, dfv, kern, conv0, conv1, mid) = _halving_search(

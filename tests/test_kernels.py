@@ -316,25 +316,31 @@ def test_find_support_radius_abs_bracket():
 
 def test_find_support_radius_slope_jump_cannot_converge(monkeypatch):
     # a slope jump keeps the order-1 deviation at half the jump forever;
-    # each attempt goes through the module's sup_deviation_ck, radii halve
-    # exactly, and the search gives up at the last radius whose grid
-    # still fits the cap: half of it would be refused as too fine
-    radii = []
-    real = kernels.sup_deviation_ck
+    # radii halve exactly, and the search gives up at the last radius
+    # whose grid still fits the cap: half of it would be refused as too
+    # fine.  Every read, full or probe, goes through the module's
+    # _deviation_near (sup_deviation_ck reads the whole grid with it):
+    # the start is measured in full, and every later radius is settled
+    # by a probe at the jump, so the error gives a lower bound
+    reads = []
+    real = kernels._deviation_near
 
-    def spy(f, df, kernel, window, k=1):
-        radii.append(kernel.sigma)
-        return real(f, df, kernel, window, k=k)
+    def spy(f, df, kernel, window, k, near):
+        reads.append((kernel.sigma, near is None))
+        return real(f, df, kernel, window, k, near)
 
-    monkeypatch.setattr(kernels, "sup_deviation_ck", spy)
+    monkeypatch.setattr(kernels, "_deviation_near", spy)
     window = Interval(-0.5, 0.5)
     domain = Interval(-2.0, 2.0)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="deviation at least 9.669e-01"):
         find_support_radius(np.abs, np.sign, window, domain, 0.01, k=1)
+    radii = [r for r, _ in reads]
     assert len(radii) == 17  # 1.5 * 2^-16 fits 4e6 points, 2^-17 does not
     assert all(b == 0.5 * a for a, b in zip(radii, radii[1:]))
+    assert [full for _, full in reads] == [True] + [False] * 16
     with pytest.raises(InvalidInputError, match="too many points"):
-        real(np.abs, np.sign, BumpKernel(0.5 * radii[-1]), window, k=1)
+        sup_deviation_ck(np.abs, np.sign, BumpKernel(0.5 * radii[-1]), window,
+                         k=1)
 
 
 def test_find_support_radius_needs_room():

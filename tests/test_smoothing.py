@@ -459,6 +459,25 @@ def test_run_is_start_point_invariant(stadium_run):
     _same_run(rep, ref)
 
 
+@pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                   reason="ROADMAP item 4: the deviation budget mixes a length "
+                          "with a slope, so it shrinks like r^2 and the patch "
+                          "search cannot meet it at r = 0.01")
+def test_small_stadium_is_scale_equivariant(stadium_run):
+    # the catalog stadium and epsilon scaled by 0.01: every length in the
+    # report scales by 0.01 and no patch decision changes
+    lam = 0.01
+    ref = stadium_run.result.report
+    rep = smooth_manifold({"kind": "stadium", "r": lam, "l": 2.0 * lam},
+                          0.05 * lam).report
+    assert rep.R_input == pytest.approx(lam * ref.R_input, rel=1e-12)
+    assert rep.patches_applied == ref.patches_applied
+    assert rep.sigma_per_patch == pytest.approx(
+        [lam * s for s in ref.sigma_per_patch], rel=1e-12)
+    assert rep.R_hat_measured == pytest.approx(lam * ref.R_hat_measured,
+                                               rel=1e-9)
+
+
 def test_run_rejects_epsilon_near_reach():
     with pytest.raises(InvalidInputError):
         smooth_manifold({"kind": "circle", "r": 1.0}, 0.95)
