@@ -262,8 +262,9 @@ def check_blend_lipschitz(f, df, lip, lip_d, psi, rho, domain, *, order,
     """Blending costs at most the plateau constant times the budget.
 
     Order 0: the blended value is Lipschitz within L + L_psi * rho.
-    Order 1: the blended slope is Lipschitz within L_d + 3 L_comb * rho
+    Order 1: the blended slope is Lipschitz within L_d + 3 K(1) rho
     (needs a Lipschitz input slope, so order 1 only accepts that zoo).
+    The zoo is at scale R = 1, so K(1) = ``psi.combined_lipschitz(1.0)``.
     """
     blend = _searched_blend(f, df, psi, rho, domain, order,
                             sigma_max=sigma_max)
@@ -275,7 +276,7 @@ def check_blend_lipschitz(f, df, lip, lip_d, psi, rho, domain, *, order,
         bound = lip + psi.lip_value * rho
     else:
         vals = blend.derivative(xs)
-        bound = lip_d + 3.0 * psi.combined_lipschitz * rho
+        bound = lip_d + 3.0 * psi.combined_lipschitz(1.0) * rho
     measured = estimate_lipschitz(xs, vals)
     tol = 1e-6 * max(1.0, bound)
     return _result(f"blend_lipschitz_order{order}", measured, bound, tol,
@@ -329,9 +330,11 @@ def check_tangent_distance_bound(patch, *, seed=0, instance="", arrays):
     """Blended graph stays quadratically close to its tangent lines.
 
     For all pairs on the blended graph, the distance from one point to
-    the tangent line at the other is at most half the blended slope
-    constant (input slope constant + 3 L_comb rho) times distance
-    squared.
+    the tangent line at the other is at most (lip_slope + 3 K(R) rho/R)/2
+    times distance squared, R = ``patch.reach``: in F'' = (1 - psi) f''
+    + psi f*'' + psi'' (f* - f) + 2 psi' (f*' - f') the first two terms
+    stay within lip_slope and, with budgets rho R and rho, the others
+    within L_d rho R + 2 L_v rho <= 3 K(R) rho/R.
     """
     ys, F, DF, _, _ = arrays
     stride = max(1, ys.size // _PAIR_N)
@@ -346,19 +349,20 @@ def check_tangent_distance_bound(patch, *, seed=0, instance="", arrays):
     mask = d2 >= (2.0 * h) ** 2
     ratio = np.where(mask, cross / np.where(mask, d2, 1.0), 0.0)
     measured = float(ratio.max())
-    L_DF = patch.lip_slope + 3.0 * patch.blend.psi.combined_lipschitz * patch.rho_target
-    bound = 0.5 * L_DF
+    K = patch.blend.psi.combined_lipschitz(patch.reach)
+    bound = 0.5 * (patch.lip_slope + 3.0 * K * patch.rho_target / patch.reach)
     tol = 1e-6 * max(1.0, bound)
     return _result("tangent_distance", measured, bound, tol, ys.size, seed,
                    instance)
 
 
 def check_angle_bound(patch, *, seed=0, instance="", arrays):
-    """Blending tilts tangents by at most arcsin((1 + L_comb) rho)."""
+    """Blending tilts tangents by at most arcsin((1 + K(R)) rho), R =
+    ``patch.reach``: |F' - f'| <= |psi'| rho R + rho <= (1 + K(R)) rho."""
     ys, _, DF, _, dfv = arrays
     measured = float(np.abs(np.arctan(DF) - np.arctan(dfv)).max())
     rho = patch.rho_target
-    arg = (1.0 + patch.blend.psi.combined_lipschitz) * rho
+    arg = (1.0 + patch.blend.psi.combined_lipschitz(patch.reach)) * rho
     bound = math.asin(min(1.0, arg))
     tol = 1e-9 * max(1.0, bound)
     return _result("tangent_angle", measured, bound, tol, ys.size, seed,
@@ -368,15 +372,16 @@ def check_angle_bound(patch, *, seed=0, instance="", arrays):
 def check_hausdorff_bound(patch, R, *, seed=0, instance="", arrays):
     """A patch moves the curve by a small multiple of the budget.
 
-    Hausdorff distance between the window graph before and after,
-    against rho (6 R L + 6 R + 1) with L the window graph constant.
+    Hausdorff distance between the window graph before and after, at
+    most the vertical move |F - f| <= e = rho R (the value budget), is
+    within the lemma's e (6 L + 6 + 1), L the window graph constant.
     """
     ys, F, _, fv, _ = arrays
     before = np.stack([ys, fv], axis=1)
     after = np.stack([ys, F], axis=1)
     measured = hausdorff_distance_sampled(before, after)
-    L = patch.lip_graph
-    bound = patch.rho_target * (6.0 * R * L + 6.0 * R + 1.0)
+    e = patch.rho_target * R
+    bound = e * (6.0 * patch.lip_graph + 6.0 + 1.0)
     tol = 1e-9 * max(1.0, bound)
     return _result("patch_hausdorff", measured, bound, tol, ys.size, seed,
                    instance)
@@ -414,9 +419,12 @@ def check_far_point_distance(patch, curve_after, R, sample, *, seed=0,
 
     p runs over the blended plateau core, q over curve samples outside
     the patch window; the distance from q to the tangent line at p must
-    stay within |q-p|^2/(2R) plus the deviation penalty
-    rho^2/(2R) + rho (6 R L + 6 R + 4).  The row's ``grid`` is the number
-    of (core, far) pairs the maximum ranges over.
+    stay within |q-p|^2/(2R) plus e^2/(2R) + e (6 L + 6 + 4) at the
+    value budget e = rho R: p is within e of the input point p0 below
+    it, (|q-p| + e)^2/(2R) bounds q's distance to p0's tangent line, and
+    the lemma bounds the line's shift and tilt by e (6 L + 6 + 4).  The
+    row's ``grid`` is the number of (core, far) pairs the maximum
+    ranges over.
 
     The excess of a pair is R/2 minus |q - c|^2/(2R), c the nearer
     center of the two radius-R balls tangent at p, so nearest-neighbour
@@ -457,9 +465,8 @@ def check_far_point_distance(patch, curve_after, R, sample, *, seed=0,
         cross = np.abs(D0 * t[:, 1, None] - D1 * t[:, 0, None])
         excess = cross - (D0 * D0 + D1 * D1) / (2.0 * R)
         measured = np.maximum(measured, excess.max())
-    rho = patch.rho_target
-    L = patch.lip_graph
-    bound = rho * rho / (2.0 * R) + rho * (6.0 * R * L + 6.0 * R + 4.0)
+    e = patch.rho_target * R
+    bound = e * e / (2.0 * R) + e * (6.0 * patch.lip_graph + 6.0 + 4.0)
     tol = 1e-9 * max(1.0, bound)
     return _result("far_point_distance", measured, bound, tol,
                    ys.size * far.shape[0], seed, instance)

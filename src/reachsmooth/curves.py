@@ -433,7 +433,9 @@ class AppliedPatch:
     identically for |y| >= transition_radius.  It is a piecewise cubic
     (scipy ``PPoly``) whose knots span more than the transition radius;
     the patch stack reads its value and slope from one cell of its
-    coefficients, so a patch holds one spline.
+    coefficients, so a patch holds one spline.  ``rho_target`` and
+    ``deviation`` are dimensionless, value deviations in units of the
+    run's reach bound ``reach``.
     """
 
     index: int
@@ -449,6 +451,7 @@ class AppliedPatch:
     deviation: float
     lip_graph: float
     lip_slope: float
+    reach: float
     displacement: object = field(repr=False)
     blend: object = field(repr=False, default=None)
 

@@ -85,8 +85,8 @@ def _ramp_curvature(t):
 class PlateauFunction:
     """Even cutoff: 1 on the plateau, smooth ramp, 0 outside the support.
 
-    ``lip_value`` is the measured sup of |slope|; ``lip_derivative`` the
-    measured sup of |curvature|, i.e. the Lipschitz constant of the slope.
+    ``lip_value`` is the measured sup of |slope| (a 1/length);
+    ``lip_derivative`` that of |curvature| (a 1/length^2).
     """
 
     plateau_radius: float
@@ -131,11 +131,10 @@ class PlateauFunction:
         out[ramp] = _ramp_curvature(t) / width ** 2
         return out if out.shape else float(out)
 
-    @property
-    def combined_lipschitz(self):
-        """max of the two measured constants; the single constant the
-        blend estimates are stated with."""
-        return max(self.lip_value, self.lip_derivative)
+    def combined_lipschitz(self, R):
+        """K(R) = max(L_value R, L_derivative R^2), dimensionless: the one
+        constant the blend estimates are stated with, in units of R."""
+        return max(self.lip_value * R, self.lip_derivative * R * R)
 
 
 @lru_cache(maxsize=1)
@@ -162,9 +161,8 @@ def rescale_plateau(reference, delta, R):
     """Shrink the reference plateau to the delta-window scale.
 
     The result is exactly x -> reference(8 x / sqrt(delta R)); its
-    Lipschitz constants follow by the same exact rescaling.  The
-    curvature constant is the larger one while sqrt(delta R) < 34.7;
-    ``smooth_manifold`` halves delta until it is.
+    Lipschitz constants follow by the same exact rescaling, so in units
+    of R they depend on delta/R alone.
     """
     w = smoothing_window_radius(delta, R)  # sqrt(delta R) / 2
     c = reference.support_radius / (0.5 * w)  # contraction factor

@@ -42,7 +42,7 @@ from scipy.interpolate import CubicHermiteSpline
 from ._util import as_positive_float
 from .curves import (AppliedPatch, BaseShape, ClosedCurve, local_graph_at,
                      make_shape, sample_manifold)
-from .errors import ConvergenceError, GeometryError, InvalidInputError
+from .errors import GeometryError, InvalidInputError
 from .kernels import (_PROBE_HALF, BumpKernel, _halving_search, convolve,
                       convolve_grid)
 from .partition import (PlateauFunction, make_reference_plateau,
@@ -136,7 +136,7 @@ class BlendedMap:
 
 @dataclass(frozen=True)
 class PatchRecord:
-    """Ledger row for one patch center visit."""
+    """Ledger row for one patch center visit; ``deviation`` is dimensionless."""
 
     index: int
     base_arc: float
@@ -158,16 +158,16 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max):
 
     The patch takes the next index of the curve's stack.  Returns
     ``(new_curve, patch_or_None, record)``.  The patch is None when the
-    window is already flat to machine precision (straight stretches), in
-    which case the curve is returned unchanged.
+    window is already flat to machine precision (deviation at most
+    1e-13: straight stretches), in which case the curve is unchanged.
 
     The support radius comes from ``kernels._halving_search``: each
     radius tabulates the graph at sigma/16 over the plateau support plus
-    one kernel radius and compares the convolved values and slopes with
-    the graph's.  Radii after the first are probed on the rows within
-    ``_PROBE_HALF`` steps of the previous radius's worst point, and only
-    a radius the probe cannot reject is tabulated in full, the accepted
-    one always.
+    one kernel radius and compares, in units of R, the convolved values
+    and slopes with the graph's: max(|f* - f|/R, |f*' - f'|) <= rho.
+    Radii after the first are probed on the rows within ``_PROBE_HALF``
+    steps of the previous radius's worst point, and only a radius the
+    probe cannot reject is tabulated in full, the accepted one always.
 
     Raises
     ------
@@ -215,7 +215,7 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max):
         conv0, m = convolve_grid(fv, kern, h)
         conv1, _ = convolve_grid(dfv, kern, h)
         mid = slice(m, xs.size - m)
-        err = np.maximum(np.abs(conv0 - fv[mid]), np.abs(conv1 - dfv[mid]))
+        err = np.maximum(np.abs(conv0 - fv[mid]) / R, np.abs(conv1 - dfv[mid]))
         j = int(np.argmax(err))
         return float(err[j]), (xs, fv, dfv, kern, conv0, conv1, mid), float(xs[m + j])
 
@@ -224,14 +224,14 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max):
         measure, start, rho, start * 2.0 ** -_MAX_HALVINGS,
         f"patch at arc {base_arc:.6f}")
 
-    xs_mid = xs[mid]
-    if dev <= 1e-13 * max(1.0, w):
-        record = PatchRecord(index=index, base_arc=float(base_arc), applied=False,
-                             sigma=sigma, deviation=dev, shift=shift,
-                             halvings=halvings, lip_graph=lip_graph,
-                             lip_slope=lip_slope)
+    record = PatchRecord(index=index, base_arc=float(base_arc),
+                         applied=dev > 1e-13, sigma=sigma, deviation=dev,
+                         shift=shift, halvings=halvings, lip_graph=lip_graph,
+                         lip_slope=lip_slope)
+    if not record.applied:
         return curve, None, record
 
+    xs_mid = xs[mid]
     pv = psi(xs_mid)
     dpv = psi.derivative(xs_mid)
     delta_vals = pv * (conv0 - fv[mid])
@@ -242,12 +242,8 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max):
         index=index, base_arc=float(base_arc), center=graph.center,
         tangent=graph.tangent, normal=graph.normal, inner_radius=r1,
         transition_radius=r2, window_radius=w, sigma=sigma, rho_target=rho,
-        deviation=dev, lip_graph=lip_graph, lip_slope=lip_slope,
+        deviation=dev, lip_graph=lip_graph, lip_slope=lip_slope, reach=R,
         displacement=disp, blend=blend)
-    record = PatchRecord(index=index, base_arc=float(base_arc), applied=True,
-                         sigma=sigma, deviation=dev, shift=shift,
-                         halvings=halvings, lip_graph=lip_graph,
-                         lip_slope=lip_slope)
     return curve.with_patch(patch), patch, record
 
 
@@ -300,9 +296,10 @@ def smooth_manifold(shape, epsilon):
 
     The schedule follows from epsilon and the shape: the input reach R is
     ``analytic_reach(shape)``, the window scale delta = min(epsilon/2,
-    0.45 R), the deviation budget rho = 0.8/(1 + combined plateau
-    constant) and the support cap sqrt(delta R)/256.  The final
-    verification scan samples at sqrt(delta R)/32.
+    0.45 R), the deviation budget rho = 0.8/(1 + K(R)), dimensionless (K
+    is ``psi.combined_lipschitz``, so a shape and epsilon scaled together
+    keep rho), and the support cap sqrt(delta R)/256.  The final scan
+    samples at sqrt(delta R)/32.
 
     Parameters
     ----------
@@ -327,17 +324,8 @@ def smooth_manifold(shape, epsilon):
         raise InvalidInputError(f"epsilon={eps} too close to the reach {R}")
 
     delta = min(0.5 * eps, 0.45 * R)
-    # halve until the slope-of-slope constant dominates, which the
-    # combined-constant bookkeeping assumes; a no-op at practical sizes
-    for _ in range(64):
-        psi = rescale_plateau(make_reference_plateau(), delta, R)
-        if psi.lip_derivative >= psi.lip_value:
-            break
-        delta *= 0.5
-    else:
-        raise ConvergenceError("window normalization did not settle")
-
-    rho = 0.8 / (1.0 + psi.combined_lipschitz)
+    psi = rescale_plateau(make_reference_plateau(), delta, R)
+    rho = 0.8 / (1.0 + psi.combined_lipschitz(R))
     sigma_max = smoothing_window_radius(delta, R) / 128.0  # sqrt(delta R)/256
     return _smooth_at(shape, build_net(shape), eps, R, delta, rho, psi,
                       sigma_max)

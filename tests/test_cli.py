@@ -105,6 +105,17 @@ def test_smooth_command_is_reproducible(tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
+def test_smooth_command_runs_a_small_stadium(tmp_path):
+    # the catalog stadium scaled by 0.01: the deviation budget is
+    # dimensionless, so the run is the catalog's, scaled
+    cfg = write_config(tmp_path, {"shape": {"kind": "stadium", "r": 0.01,
+                                            "l": 0.02}, "epsilon": 5e-4})
+    out_dir = tmp_path / "run"
+    assert cli.main(["smooth", "--config", cfg, "--out", str(out_dir)]) == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["R_input"] == 0.01
+
+
 def test_smooth_epsilon_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path, {**CIRCLE, "epsilon": 0.3})
     out_dir = tmp_path / "run"

@@ -95,15 +95,15 @@ def _patch_bytes(result):
 
 
 @pytest.mark.parametrize("shape, eps, halvings", [
-    ({"kind": "stadium", "r": 0.1, "l": 0.2}, 0.005, 8),
+    ({"kind": "stadium", "r": 0.1, "l": 0.2}, 0.005, 2),
     ({"kind": "stadium", "r": 1.0, "l": 2.0}, 0.05, 2),
-    ({"kind": "stadium", "r": 100.0, "l": 200.0}, 5.0, 0),
+    ({"kind": "stadium", "r": 100.0, "l": 200.0}, 5.0, 2),
     ({"kind": "cad_profile", "preset": "rounded_rect", "width": 2.0,
-      "height": 1.0, "corner_radius": 0.2}, 0.05, 5),
+      "height": 1.0, "corner_radius": 0.2}, 0.05, 1),
 ], ids=["stadium-0.1", "stadium-1", "stadium-100", "rounded_rect"])
 def test_patch_search_matches_plain_loop(monkeypatch, shape, eps, halvings):
-    # every patch halves the same number of times; at r = 100 the cap
-    # passes at once and no probe runs
+    # every patch halves the same number of times, and the stadium
+    # the same at every scale
     searched, plain = _both_searches(monkeypatch,
                                      lambda: smooth_manifold(shape, eps))
     assert searched.records == plain.records
@@ -142,8 +142,9 @@ def test_probe_reads_the_whole_grids_own_samples():
 def test_probe_inside_the_margin_gets_the_full_measurement():
     # a probe just above the target but within the margin proves
     # nothing, so its radius is measured on the whole grid, which
-    # passes; a probe beyond the margin settles its radius as failing
-    def search(probes):
+    # passes; a probe beyond the margin settles its radius as failing;
+    # a start that passes is read once, in full, and never probed
+    def search(probes, start=1.0):
         calls = []
 
         def measure(sigma, near):
@@ -152,7 +153,7 @@ def test_probe_inside_the_margin_gets_the_full_measurement():
                 return probes.get(sigma, 0.0), None, near
             return (2.0 if sigma > 0.6 else 1.0), f"payload {sigma}", 0.25
 
-        return _halving_search(measure, 1.0, 1.0, 0.1, "synthetic"), calls
+        return _halving_search(measure, start, 1.0, 0.1, "synthetic"), calls
 
     result, calls = search({0.5: 1.0 + 0.5 * _PROBE_MARGIN})
     assert result == (0.5, 1, 1.0, "payload 0.5")
@@ -161,3 +162,7 @@ def test_probe_inside_the_margin_gets_the_full_measurement():
     result, calls = search({0.5: 1.0 + 2.0 * _PROBE_MARGIN})
     assert result == (0.25, 2, 1.0, "payload 0.25")
     assert calls == [(1.0, None), (0.5, 0.25), (0.25, 0.25), (0.25, None)]
+
+    result, calls = search({}, start=0.5)
+    assert result == (0.5, 0, 1.0, "payload 0.5")
+    assert calls == [(0.5, None)]

@@ -1,6 +1,7 @@
 """Surgery pipeline: blends, patches, runs, reports, probe, and the
 paper's full-net construction as the reference run."""
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -10,7 +11,8 @@ import pytest
 from scipy.interpolate import CubicHermiteSpline
 
 from reachsmooth import smoothing
-from reachsmooth.checks import _searched_blend, check_main_theorem, random_c11
+from reachsmooth.checks import (_patch_rows, _searched_blend,
+                                check_main_theorem, random_c11)
 from reachsmooth.curves import (AppliedPatch, ArcChainShape, ClosedCurve,
                                 make_shape, stadium_segments)
 from reachsmooth.errors import (ConvergenceError, GeometryError,
@@ -182,7 +184,7 @@ def test_blend_stays_inside_budget():
     ys = np.linspace(-2.5, 2.5, 401)
     assert np.abs(blend.value(ys) - f(ys)).max() <= rho
     assert np.abs(blend.derivative(ys) - df(ys)).max() <= rho * (
-        1 + psi.combined_lipschitz)
+        1 + psi.combined_lipschitz(1.0))
 
 
 def test_blend_combined_pass_is_bit_identical():
@@ -253,7 +255,8 @@ def test_patch_shift_budget_enforced():
         index=0, base_arc=0.0, center=center, tangent=t,
         normal=np.array([-t[1], t[0]]), inner_radius=0.1,
         transition_radius=0.2, window_radius=0.4, sigma=0.01, rho_target=0.02,
-        deviation=1e-3, lip_graph=0.1, lip_slope=1.0, displacement=disp))
+        deviation=1e-3, lip_graph=0.1, lip_slope=1.0, reach=1.0,
+        displacement=disp))
     with pytest.raises(GeometryError, match="drifted 5.000e-02, over the budget 9.882e-03"):
         smooth_patch(moved, 0.0, **patch_params())
 
@@ -459,23 +462,73 @@ def test_run_is_start_point_invariant(stadium_run):
     _same_run(rep, ref)
 
 
-@pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                   reason="ROADMAP item 4: the deviation budget mixes a length "
-                          "with a slope, so it shrinks like r^2 and the patch "
-                          "search cannot meet it at r = 0.01")
-def test_small_stadium_is_scale_equivariant(stadium_run):
-    # the catalog stadium and epsilon scaled by 0.01: every length in the
-    # report scales by 0.01 and no patch decision changes
-    lam = 0.01
-    ref = stadium_run.result.report
-    rep = smooth_manifold({"kind": "stadium", "r": lam, "l": 2.0 * lam},
-                          0.05 * lam).report
-    assert rep.R_input == pytest.approx(lam * ref.R_input, rel=1e-12)
-    assert rep.patches_applied == ref.patches_applied
-    assert rep.sigma_per_patch == pytest.approx(
-        [lam * s for s in ref.sigma_per_patch], rel=1e-12)
-    assert rep.R_hat_measured == pytest.approx(lam * ref.R_hat_measured,
+def scaled_spec(kind, lam):
+    """A catalog shape scaled by ``lam``."""
+    if kind == "stadium":
+        return {"kind": "stadium", "r": lam, "l": 2.0 * lam}
+    return {"kind": "cad_profile", "preset": "rounded_rect", "width": 2.0 * lam,
+            "height": lam, "corner_radius": 0.2 * lam}
+
+
+@functools.lru_cache(maxsize=None)
+def scaled_run(kind, lam):
+    """The run of ``scaled_spec(kind, lam)`` at epsilon 0.05 lam, its
+    patch rows and its theorem rows."""
+    result = smooth_manifold(scaled_spec(kind, lam), 0.05 * lam)
+    return result, _patch_rows(result, 0), check_main_theorem(result)
+
+
+# the measured/bound ratio of a patch row moves with the scale only by
+# rounding in the measured value: at most 1.9e-7 (far_point_distance,
+# the difference of two nearly equal lengths), 2.9e-8 patch_hausdorff,
+# 6.7e-10 tangent_distance, 2e-11 tangent_angle over these runs
+_RATIO_REL = 1e-6
+
+
+@pytest.mark.parametrize("kind, lam", [
+    ("stadium", 1e-2), ("stadium", 1e-1), ("stadium", 1e2),
+    ("rounded_rect", 1e2)])
+def test_run_is_scale_equivariant(kind, lam):
+    # the shape and epsilon scaled by lam: every length in the report
+    # scales by lam, the dimensionless budget rho and every patch
+    # decision stay, and every check holds with the same slack
+    ref, ref_patch_rows, _ = scaled_run(kind, 1.0)
+    result, patch_rows, main_rows = scaled_run(kind, lam)
+    rep, unit = result.report, ref.report
+    assert rep.R_input == pytest.approx(lam * unit.R_input, rel=1e-12)
+    assert rep.R_hat_measured == pytest.approx(lam * unit.R_hat_measured,
                                                rel=1e-9)
+    assert rep.sigma_per_patch == pytest.approx(
+        [lam * s for s in unit.sigma_per_patch], rel=1e-12)
+    assert rep.patches_applied == unit.patches_applied
+    assert ([r.halvings for r in result.records]
+            == [r.halvings for r in ref.records])
+    # equal up to rounding: one ulp apart on the rounded rectangle
+    assert rep.rho == pytest.approx(unit.rho, rel=1e-15)
+    assert [r.name for r in main_rows if not r.passed] == []
+    assert [r.name for r in patch_rows if not r.passed] == []
+    for row, unit_row in zip(patch_rows, ref_patch_rows, strict=True):
+        assert (row.name, row.instance) == (unit_row.name, unit_row.instance)
+        assert row.measured / row.bound == pytest.approx(
+            unit_row.measured / unit_row.bound, rel=_RATIO_REL)
+
+
+@pytest.mark.parametrize("lam, row_name", [
+    pytest.param(1e-3, "junction_probe_control", marks=pytest.mark.xfail(
+        strict=True, reason="smooth_core_probe's _PROBE_NOISE floor is "
+        "absolute, so below r = 1e-2 the raw kink reads as flat and the "
+        "control probe passes (ROADMAP item 12 deletes the probe)")),
+    pytest.param(1e-4, "c1_distance", marks=pytest.mark.xfail(
+        strict=True, reason="c1_distance mixes the displacement with its "
+        "slope: the slope part, 2.578e-5 at every scale, is compared with "
+        "epsilon = 5e-6 (ROADMAP item 4's split)")),
+])
+def test_tiny_stadium_keeps_the_theorem_rows(lam, row_name):
+    # below r = 1e-2 the run still scales (rho and sigma/r as at r = 1);
+    # what breaks is a check that is not scale-free
+    _, _, main_rows = scaled_run("stadium", lam)
+    rows = [r for r in main_rows if r.name == row_name]
+    assert rows and all(r.passed for r in rows)
 
 
 def test_run_rejects_epsilon_near_reach():
