@@ -145,6 +145,35 @@ def test_rescaled_measured_slope_within_stated_constant(ref):
     assert fd.max() <= small.lip_value * (1 + 1e-6)
 
 
+def test_bounds_agree_with_rescale(ref):
+    # the blend's single constant is the larger of the two rescaled ones,
+    # each put in units of R
+    R = 1.3
+    small = rescale_plateau(ref, 0.08, R)
+    assert small.combined_lipschitz(R) == max(small.lip_value * R,
+                                              small.lip_derivative * R * R)
+
+
+def test_derivative_dominates_at_practical_scales(ref):
+    for delta, R in [(0.01, 1.0), (0.45, 1.0), (0.3, 10.0), (1.0, 100.0)]:
+        small = rescale_plateau(ref, delta, R)
+        assert small.lip_derivative * R >= small.lip_value
+        assert small.combined_lipschitz(R) == small.lip_derivative * R * R
+
+
+def test_derivative_dominates_fails_for_huge_windows(ref):
+    # window sqrt(delta R) ~ 283 pushes the raw curvature constant below
+    # the raw slope constant, but in units of R the curvature term still
+    # wins, so the combined constant no longer crosses over
+    delta, R = 40.0, 2000.0
+    small = rescale_plateau(ref, delta, R)
+    assert small.lip_derivative < small.lip_value
+    assert small.lip_derivative * R >= small.lip_value
+    assert small.combined_lipschitz(R) == small.lip_derivative * R * R
+    unit = rescale_plateau(ref, delta / R, 1.0).combined_lipschitz(1.0)
+    assert small.combined_lipschitz(R) == pytest.approx(unit, rel=1e-12)
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(log_ratio=st.floats(-6.0, math.log10(0.45)),
        log_R=st.floats(-3.0, 3.0))
