@@ -2,7 +2,7 @@
 
 Callers reach every kernel through this module (``_accel.federer_scan``
 and so on), which is also where the benchmark's tracer wraps them.  The
-one implementation is the NumPy/SciPy code in ``_slow``;
+one implementation is the NumPy code in ``_slow``;
 ``IMPLEMENTATION`` names it; the package exports it as
 ``reachsmooth.accel_backend``.  ``DEGENERATE_REL`` is the flat-pair
 threshold of the pair scan, shared with ``reach.federer_ratio``.

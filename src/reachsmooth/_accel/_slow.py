@@ -1,4 +1,4 @@
-"""NumPy/SciPy implementations of the scan kernels.
+"""NumPy implementations of the scan kernels.
 
 ``federer_scan`` finds the least ratio over every ordered pair; its
 tie-breaking is first-encountered in the enumeration order ``for i < j:
@@ -22,11 +22,11 @@ ratio, the box distance and max|t|.
 
 The other two kernels avoid the pair loop: the difference quotient
 needs only adjacent samples of a sorted grid, and the directed
-Hausdorff distance is a nearest-neighbour query.
+Hausdorff distance compares each point only with the points of the
+other set inside a strip about its first coordinate.
 """
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 DEGENERATE_REL = 1e-14
 
@@ -37,6 +37,11 @@ _SCAN_ROWS = 16
 # relative widening of the pruning cut: the ratio, the box distance and
 # max|t| each round by a few ulps, far below this
 _PRUNE_SLACK = 64 * np.finfo(np.float64).eps
+# point pairs per block of the Hausdorff sweep: a few hundred kilobytes
+# of temporaries however the strips overlap
+_SWEEP_PAIRS = 1 << 14
+# relative widening of a Hausdorff strip past the rounding of its width
+_STRIP_SLACK = 1e-12
 
 
 def federer_scan(points, tangents, min_sep):
@@ -137,9 +142,50 @@ def directed_hausdorff(a, b):
     """sup over rows of a of the distance to the point set b.
 
     Returns ``(value, index)`` with index the first maximizing row of a.
+    Coordinates must be finite.  Distances are sqrt(sum_k d_k^2), the
+    brute-force arithmetic, so the value is the all-pairs one bit for
+    bit.
+
+    The sweep sorts b by its first coordinate.  A row's two insertion
+    neighbours there give an upper bound u on its nearest distance, and
+    only the points of b whose first coordinate lies within
+    u (1 + ``_STRIP_SLACK``) of the row's are compared: any other point
+    is farther than u.  Rows go in blocks of about ``_SWEEP_PAIRS``
+    compared pairs (at least one row), so the temporaries stay bounded
+    even when every point shares one first coordinate and each strip
+    holds all of b.
     """
     pa = np.ascontiguousarray(a, dtype=np.float64)
     pb = np.ascontiguousarray(b, dtype=np.float64)
-    dist, _ = cKDTree(pb).query(pa)
+    pb = pb[np.argsort(pb[:, 0], kind="stable")]
+    xb = pb[:, 0]
+    xa = pa[:, 0]
+    pos = xb.searchsorted(xa)
+    left = np.maximum(pos - 1, 0)
+    right = np.minimum(pos, xb.size - 1)
+    u2 = np.minimum(_sq_dist(pa, pb[left]), _sq_dist(pa, pb[right]))
+    width = np.sqrt(u2) * (1.0 + _STRIP_SLACK)
+    # the neighbours themselves stay in the strip whatever the rounding
+    lo = np.minimum(xb.searchsorted(xa - width), left)
+    hi = np.maximum(xb.searchsorted(xa + width, side="right"), right + 1)
+    ends = np.cumsum(hi - lo)
+    nearest = np.empty(pa.shape[0])
+    r0 = 0
+    while r0 < pa.shape[0]:
+        done = ends[r0 - 1] if r0 else 0
+        r1 = max(int(ends.searchsorted(done + _SWEEP_PAIRS, side="right")), r0 + 1)
+        counts = hi[r0:r1] - lo[r0:r1]
+        starts = ends[r0:r1] - counts - done
+        rows = np.repeat(np.arange(r0, r1), counts)
+        cols = np.arange(ends[r1 - 1] - done) - np.repeat(starts - lo[r0:r1], counts)
+        nearest[r0:r1] = np.minimum.reduceat(_sq_dist(pa[rows], pb[cols]), starts)
+        r0 = r1
+    dist = np.sqrt(nearest)
     k = int(np.argmax(dist))
     return float(dist[k]), k
+
+
+def _sq_dist(p, q):
+    """Row-wise squared distances, summed as the brute force sums them."""
+    d = p - q
+    return (d * d).sum(axis=1)

@@ -22,9 +22,9 @@ come from one helper bound by the probe's own pass threshold.
 Checking costs what the checks need and no more, with every number
 unchanged: each read of the patch graph takes value and slope from one
 Newton solve, so the arrays cost one solve on the grid and one on the
-tap grid; the far-point check finds its maximum by nearest-neighbour
-queries of the tangent-ball centers and compares pair by pair, in
-cache-sized blocks, only the core rows that can hold it; and each of
+tap grid; the far-point check bounds each cache-sized block of core
+rows by its tangent-ball centers and compares pair by pair only the
+blocks that can hold the maximum; and each of
 the theorem's smoothness probes opens one window and reads it one
 stencil at a time.
 
@@ -41,7 +41,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import _accel
 from ._util import fmt17, json_dumps_stable
@@ -82,7 +81,7 @@ _PATCH_GRID = 1025
 _PATCH_TAPS = 16
 _PAIR_N = 192
 # core rows per block of the far-point check, and the float-eps
-# multiple that widens its candidate rows past every rounding
+# multiple that widens its block bounds past every rounding
 _FAR_BLOCK = 32
 _FAR_SLACK = 64
 # samples of each junction's micro pair scan
@@ -387,30 +386,44 @@ def check_hausdorff_bound(patch, R, *, seed=0, instance="", arrays):
                    instance)
 
 
-def _far_candidate_rows(P, tang, far, R):
-    """Core rows that can hold the far-point maximum, as a mask.
+def _far_block_bounds(P, tang, far, R):
+    """Upper bound on the largest excess of each ``_FAR_BLOCK`` core rows.
 
     With n the unit normal, |<d, n>| - |d|^2/(2R) = R/2 - |q - c|^2/(2R)
-    for the nearer of the tangent-ball centers c = p +- R n, so a row's
-    largest excess is read off the far sample point nearest to its two
-    centers.  One KD-tree query per center gives every row's maximum up
-    to rounding; the rows within ``_FAR_SLACK`` eps (1 + S + S^2/R) of
-    the largest, S bounding every distance involved, are the only ones
-    whose excess can round to the maximum.  Non-finite input makes
-    every row a candidate.
+    for the nearer of the tangent-ball centers c = p +- R n.  So no pair
+    of a block exceeds R/2 - lb^2/(2R), lb the least distance from a far
+    sample to the bounding boxes of the block's two center clusters.
+    The bound is widened by ``_FAR_SLACK`` eps (1 + S + S^2/R), S
+    bounding every distance involved, past every rounding of it and of
+    the excess.  Non-finite input bounds every block by +inf.
     """
+    starts = np.arange(0, P.shape[0], _FAR_BLOCK)
     if not (np.isfinite(P).all() and np.isfinite(tang).all()
             and np.isfinite(far).all()):
-        return np.ones(P.shape[0], dtype=bool)
+        return np.full(starts.size, np.inf)
     normal = R * np.stack([tang[:, 1], -tang[:, 0]], axis=1)
-    dist, _ = cKDTree(far).query(np.concatenate([P + normal, P - normal]))
-    nearest = np.minimum(dist[:P.shape[0]], dist[P.shape[0]:])
-    approx = 0.5 * R - nearest * nearest / (2.0 * R)
+    fx, fy = far[:, 0], far[:, 1]
+    lb2 = np.inf
+    for centers in (P + normal, P - normal):
+        lo = np.minimum.reduceat(centers, starts)
+        hi = np.maximum.reduceat(centers, starts)
+        gx = np.maximum(np.maximum(lo[:, 0, None] - fx, fx - hi[:, 0, None]), 0.0)
+        gy = np.maximum(np.maximum(lo[:, 1, None] - fy, fy - hi[:, 1, None]), 0.0)
+        lb2 = np.minimum(lb2, (gx * gx + gy * gy).min(axis=1))
     S = (R + np.sqrt((P * P).sum(axis=1)).max()
          + np.sqrt((far * far).sum(axis=1)).max())
     margin = _FAR_SLACK * np.finfo(np.float64).eps * (1.0 + S + S * S / R)
-    # an overflow to inf or NaN here keeps every row
-    return ~(approx < approx.max() - margin)
+    # an overflow to inf or NaN here skips no block
+    return 0.5 * R - lb2 / (2.0 * R) + margin
+
+
+def _far_block_max(p, tang, far, R):
+    """Largest excess |<q - p, n>| - |q - p|^2/(2R) over the pairs of
+    core points ``p`` (unit tangents ``tang``) and far samples."""
+    D0 = far[None, :, 0] - p[:, 0, None]
+    D1 = far[None, :, 1] - p[:, 1, None]
+    cross = np.abs(D0 * tang[:, 1, None] - D1 * tang[:, 0, None])
+    return (cross - (D0 * D0 + D1 * D1) / (2.0 * R)).max()
 
 
 def check_far_point_distance(patch, curve_after, R, sample, *, seed=0,
@@ -427,17 +440,18 @@ def check_far_point_distance(patch, curve_after, R, sample, *, seed=0,
     ranges over.
 
     The excess of a pair is R/2 minus |q - c|^2/(2R), c the nearer
-    center of the two radius-R balls tangent at p, so nearest-neighbour
-    queries of those centers locate the maximum, and only the core rows
-    whose excess can round to it (``_far_candidate_rows``) are
-    compared pair by pair, ``_FAR_BLOCK`` rows at a time.  The maximum
-    is the one every pair would give, bit for bit, and a NaN anywhere
-    still reaches the result.  The gain rests on few rows coming near
-    the maximum (45 and 26 of 513 on a stadium and a rounded-rectangle
-    patch); a core on an arc of radius exactly R about the far samples
-    makes every row a candidate and the queries visit the whole ring,
-    about twice the cost of comparing every pair.  Arrays with no grid
-    point in the plateau core raise ``InvalidInputError``.
+    center of the two radius-R balls tangent at p, so the far sample
+    nearest the bounding boxes of a block's centers bounds the block's
+    largest excess, rounding included (``_far_block_bounds``).  Blocks
+    of ``_FAR_BLOCK`` core rows are compared pair by pair, highest bound
+    first; a block whose bound falls below the running maximum cannot
+    hold it and is skipped.  The maximum is the one every pair would
+    give, bit for bit.  Non-finite input compares every block, so a NaN
+    anywhere still reaches the result.  The gain rests on few blocks
+    coming near the maximum (2 of 17 on each stadium patch); a core on
+    an arc of radius exactly R about the far samples ties every block
+    and compares them all.  Arrays with no grid point in the plateau
+    core raise ``InvalidInputError``.
     """
     ay, aF, aDF, _, _ = arrays
     core = np.abs(ay) <= patch.inner_radius
@@ -454,17 +468,14 @@ def check_far_point_distance(patch, curve_after, R, sample, *, seed=0,
     far = sample.points[gap > 1.5 * patch.arc_window]
     if far.shape[0] == 0:
         raise InvalidInputError("no far samples; curve shorter than the window")
-    rows = _far_candidate_rows(P, tang, far, R)
-    P, tang = P[rows], tang[rows]
-    fx, fy = far[:, 0], far[:, 1]
+    bounds = _far_block_bounds(P, tang, far, R)
     measured = -np.inf
-    for lo in range(0, P.shape[0], _FAR_BLOCK):
-        p, t = P[lo:lo + _FAR_BLOCK], tang[lo:lo + _FAR_BLOCK]
-        D0 = fx[None, :] - p[:, 0, None]
-        D1 = fy[None, :] - p[:, 1, None]
-        cross = np.abs(D0 * t[:, 1, None] - D1 * t[:, 0, None])
-        excess = cross - (D0 * D0 + D1 * D1) / (2.0 * R)
-        measured = np.maximum(measured, excess.max())
+    for b in np.argsort(-bounds, kind="stable"):
+        # a NaN bound, or a NaN maximum, compares the block
+        if bounds[b] < measured:
+            continue
+        rows = slice(b * _FAR_BLOCK, (b + 1) * _FAR_BLOCK)
+        measured = np.maximum(measured, _far_block_max(P[rows], tang[rows], far, R))
     e = patch.rho_target * R
     bound = e * e / (2.0 * R) + e * (6.0 * patch.lip_graph + 6.0 + 4.0)
     tol = 1e-9 * max(1.0, bound)

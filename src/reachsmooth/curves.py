@@ -430,12 +430,12 @@ class AppliedPatch:
 
     ``displacement`` maps the tangent coordinate y (relative to the
     frozen frame center/tangent) to the normal nudge; it vanishes
-    identically for |y| >= transition_radius.  It is a piecewise cubic
-    (scipy ``PPoly``) whose knots span more than the transition radius;
-    the patch stack reads its value and slope from one cell of its
-    coefficients, so a patch holds one spline.  ``rho_target`` and
-    ``deviation`` are dimensionless, value deviations in units of the
-    run's reach bound ``reach``.
+    identically for |y| >= transition_radius.  It is a cubic Hermite
+    table (``ppoly.HermiteTable``) whose knots span more than the
+    transition radius; the patch stack reads its value and slope from
+    one cell of its coefficients, so a patch holds one table.
+    ``rho_target`` and ``deviation`` are dimensionless, value deviations
+    in units of the run's reach bound ``reach``.
     """
 
     index: int
@@ -475,11 +475,8 @@ def _unsort(rows, order):
 
 def _nudge_constants(patch):
     """What nudging reads of a patch, read once when the patch joins a
-    stack: its center and tangent as floats, then the knots and
-    coefficients of its displacement, whose scipy accessors cost
-    microseconds a read."""
-    return (*patch.center.tolist(), *patch.tangent.tolist(),
-            patch.displacement.x, patch.displacement.c)
+    stack: its center and tangent as floats, then its displacement."""
+    return (*patch.center.tolist(), *patch.tangent.tolist(), patch.displacement)
 
 
 class ClosedCurve:
@@ -520,10 +517,10 @@ class ClosedCurve:
         nudged when its circular gap is within ``arc_window`` and its
         tangent coordinate within the transition radius.
 
-        Value and slope of the displacement come from one cell lookup in
-        its knots and coefficients, summed in the order scipy's ``PPoly``
-        sums them, so they carry its bytes.  The knots span more than
-        the transition radius, so every nudged row has a cell.
+        Value and slope of the displacement come from one cell lookup of
+        its table (``HermiteTable.value_and_slope``).  The knots span
+        more than the transition radius, so every nudged row reads a
+        cell of its own.
         """
         L = self.length
         patch = self.patches[k]
@@ -539,7 +536,7 @@ class ClosedCurve:
                 c = base + j * L
                 slices.append((sv.searchsorted(c - reach),
                                sv.searchsorted(c + reach, side="right")))
-        c0, c1, t0, t1, knots, coef = self._patch_constants[k]
+        c0, c1, t0, t1, disp = self._patch_constants[k]
         for a, b in slices:
             if a == b:
                 continue
@@ -554,12 +551,7 @@ class ClosedCurve:
                 rows, yh = slice(a + i0, a + i1), y[i0:i1]
             else:
                 rows, yh = a + keep, y[keep]
-            cell = knots.searchsorted(yh, side="right") - 1
-            z = yh - knots[cell]
-            z2 = z * z
-            k0, k1, k2, k3 = coef.take(cell, axis=1)
-            d = k3 + k2 * z + k1 * z2 + k0 * (z2 * z)
-            dd = k2 + (k1 * z) * 2.0 + (k0 * z2) * 3.0
+            d, dd = disp.value_and_slope(yh)
             pts[rows] += d[:, None] * patch.normal
             v = vel[rows]
             dd *= v[:, 0] * t0 + v[:, 1] * t1

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from ._util import as_positive_float
 from .errors import InvalidInputError
 from .kernels import _GL_W, _GL_X, _bump_raw
+from .ppoly import HermiteTable
 
 __all__ = [
     "PlateauFunction",
@@ -52,7 +52,7 @@ def _ramp_spline():
     total = raw[-1]
     vals = raw / total
     slopes = _bump_raw(2.0 * t - 1.0) / total
-    return CubicHermiteSpline(t, vals, slopes), total
+    return HermiteTable(t, vals, slopes), total
 
 
 def _bump_raw_d(u):

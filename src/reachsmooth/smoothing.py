@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from ._util import as_positive_float
 from .curves import (AppliedPatch, BaseShape, ClosedCurve, local_graph_at,
@@ -47,6 +46,7 @@ from .kernels import (_PROBE_HALF, BumpKernel, _halving_search, convolve,
                       convolve_grid)
 from .partition import (PlateauFunction, make_reference_plateau,
                         rescale_plateau, smoothing_window_radius)
+from .ppoly import HermiteTable
 from .reach import ReachEstimate, analytic_reach, estimate_reach_federer
 
 __all__ = [
@@ -236,7 +236,7 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max):
     dpv = psi.derivative(xs_mid)
     delta_vals = pv * (conv0 - fv[mid])
     slope_vals = dpv * (conv0 - fv[mid]) + pv * (conv1 - dfv[mid])
-    disp = CubicHermiteSpline(xs_mid, delta_vals, slope_vals)
+    disp = HermiteTable(xs_mid, delta_vals, slope_vals)
     blend = BlendedMap(graph, psi, kern)
     patch = AppliedPatch(
         index=index, base_arc=float(base_arc), center=graph.center,
@@ -346,9 +346,8 @@ def _smooth_at(shape, arcs, eps, R, delta, rho, psi, sigma_max):
     c1 = 0.0
     for patch in curve.patches:
         ys = np.linspace(-patch.transition_radius, patch.transition_radius, 513)
-        c1 = max(c1,
-                 float(np.abs(patch.displacement(ys)).max()),
-                 float(np.abs(patch.displacement(ys, 1)).max()))
+        d, dd = patch.displacement.value_and_slope(ys)
+        c1 = max(c1, float(np.abs(d).max()), float(np.abs(dd).max()))
 
     # final scan at spacing sqrt(delta R)/32
     w = smoothing_window_radius(delta, R)

@@ -1,11 +1,14 @@
 """Scan kernels against brute-force oracles.
 
 The difference quotient and the directed Hausdorff distance skip the
-all-pairs loop, and the pair scan walks its rows in blocks and skips the
-columns that cannot beat its running best; the loops they replaced live
-on here as oracles, and the kernels must match them in value, in the
-returned indices and in the pair count.
+all-pairs loop (the Hausdorff sweep compares each point only inside a
+strip of the other set), and the pair scan walks its rows in blocks and
+skips the columns that cannot beat its running best; the loops they
+replaced live on here as oracles, and the kernels must match them in
+value, in the returned indices and in the pair count.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,6 +329,56 @@ def test_hausdorff_matches_brute_force_oracle(dim):
         a = rng.normal(size=(int(rng.integers(1, 300)), dim))
         b = rng.normal(size=(int(rng.integers(1, 300)), dim))
         assert _accel.directed_hausdorff(a, b) == _brute_directed_hausdorff(a, b)
+
+
+def _graphs_on_one_grid():
+    # the patch_hausdorff shape: a graph and a small move of it
+    ys = np.linspace(-0.3, 0.3, 1025)
+    f = 0.4 * ys * ys + 0.1 * np.sin(7.0 * ys)
+    g = f + 3e-4 * np.cos(40.0 * ys) * np.exp(-(ys / 0.1) ** 2)
+    return np.stack([ys, f], axis=1), np.stack([ys, g], axis=1)
+
+
+def _repeated_first_coordinates():
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(400, 2)), rng.normal(size=(350, 2))
+    a[:, 0] = np.round(a[:, 0], 1)
+    b[:, 0] = np.round(b[:, 0], 1)
+    return a, b
+
+
+def _one_first_coordinate():
+    # every strip holds all of b: the quadratic worst case
+    rng = np.random.default_rng(6)
+    a, b = rng.normal(size=(300, 2)), rng.normal(size=(500, 2))
+    a[:, 0] = b[:, 0] = 0.25
+    return a, b
+
+
+def _one_point_sets():
+    rng = np.random.default_rng(7)
+    return rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
+
+
+@pytest.mark.parametrize("case", [_graphs_on_one_grid, _repeated_first_coordinates,
+                                  _one_first_coordinate, _one_point_sets],
+                         ids=["one_grid", "repeated_x", "one_x", "one_point"])
+def test_hausdorff_sweep_matches_brute_force_on_hard_sets(case):
+    a, b = case()
+    for p, q in ((a, b), (b, a), (a, b[:1]), (a[:1], b)):
+        assert _accel.directed_hausdorff(p, q) == _brute_directed_hausdorff(p, q)
+
+
+def test_hausdorff_sweep_keeps_temporaries_bounded():
+    a, b = _one_first_coordinate()
+    a, b = np.tile(a, (4, 1)), np.tile(b, (4, 1))
+    tracemalloc.start()
+    value = _accel.directed_hausdorff(a, b)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert value == _brute_directed_hausdorff(a, b)
+    # 1200 x 2000 pairs would take 38 MB as one (n, m, 2) array
+    assert peak < 4_000_000
 
 
 def test_slow_federer_collinear_is_inf():

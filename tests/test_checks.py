@@ -193,8 +193,9 @@ def test_patch_graph_arrays_share_one_tap_grid_solve(stadium_run,
     assert _bits(*arrays) == _bits(*expected)
 
 
-def _dense_far_point(patch, curve, R, sample, arrays):
-    """The far-point maximum as one (core x far x 2) broadcast."""
+def _far_geometry(patch, curve, sample, arrays):
+    """Core points, their unit tangents and the far samples, as the
+    far-point check forms them."""
     ay, aF, aDF, _, _ = arrays
     core = np.abs(ay) <= patch.inner_radius
     ys, F, DF = ay[core], aF[core], aDF[core]
@@ -205,12 +206,42 @@ def _dense_far_point(patch, curve, R, sample, arrays):
     L_total = curve.length
     gap = np.abs(np.mod(sample.params - patch.base_arc + 0.5 * L_total,
                         L_total) - 0.5 * L_total)
-    far = sample.points[gap > 1.5 * patch.arc_window]
+    return P, tang, sample.points[gap > 1.5 * patch.arc_window]
+
+
+def _dense_far_point(patch, curve, R, sample, arrays):
+    """The far-point maximum as one (core x far x 2) broadcast."""
+    P, tang, far = _far_geometry(patch, curve, sample, arrays)
     D = far[None, :, :] - P[:, None, :]
     cross = np.abs(D[:, :, 0] * tang[:, None, 1] - D[:, :, 1] * tang[:, None, 0])
     d2 = (D * D).sum(-1)
     excess = cross - d2 / (2.0 * R)
-    return excess, ys.size * far.shape[0]
+    return excess, P.shape[0] * far.shape[0]
+
+
+def _blocks_compared(monkeypatch):
+    """Records the rows of every block the far-point check compares."""
+    compared = []
+    block_max = checks._far_block_max
+
+    def spy(p, *args):
+        compared.append(p.shape[0])
+        return block_max(p, *args)
+
+    monkeypatch.setattr(checks, "_far_block_max", spy)
+    return compared
+
+
+def _assert_block_bounds_hold(patch, curve, R, sample, arrays):
+    # each block's bound is at least the dense maximum of every row of
+    # the block
+    P, tang, far = _far_geometry(patch, curve, sample, arrays)
+    excess, _ = _dense_far_point(patch, curve, R, sample, arrays)
+    bounds = checks._far_block_bounds(P, tang, far, R)
+    assert bounds.size == -(-P.shape[0] // checks._FAR_BLOCK)
+    for b, bound in enumerate(bounds):
+        rows = excess[b * checks._FAR_BLOCK:(b + 1) * checks._FAR_BLOCK]
+        assert bound >= rows.max(axis=1).max(), b
 
 
 def test_far_point_blocks_match_dense_broadcast_on_real_patch(stadium_run):
@@ -225,6 +256,21 @@ def test_far_point_blocks_match_dense_broadcast_on_real_patch(stadium_run):
                                         arrays)
         assert _bits(row.measured) == _bits(excess.max())
         assert row.grid == grid
+
+
+def test_far_point_block_bounds_hold_on_stadium_patches(stadium_run,
+                                                        monkeypatch):
+    result = stadium_run.result
+    R = result.report.R_input
+    sample = sample_manifold(result.curve, n=2000)
+    compared = _blocks_compared(monkeypatch)
+    for patch in result.curve.patches:
+        arrays = patch_graph_arrays(patch)
+        _assert_block_bounds_hold(patch, result.curve, R, sample, arrays)
+        compared.clear()
+        check_far_point_distance(patch, result.curve, R, sample, arrays=arrays)
+        # the bounds settle all but a few of the 17 blocks of 513 rows
+        assert 1 <= len(compared) <= 4, compared
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +294,7 @@ def test_far_point_matches_dense_broadcast_on_every_rounded_rect_patch(
                                         arrays)
         assert _bits(row.measured) == _bits(excess.max())
         assert row.grid == grid
+        _assert_block_bounds_hold(patch, result.curve, R, sample, arrays)
 
 
 def _synthetic_far_case(n_grid, n_core_target):
@@ -344,20 +391,15 @@ def test_far_point_all_ties_compare_every_row_in_blocks(monkeypatch):
     patch, curve, sample, arrays = _circle_far_case(R, 800, 1500)
     excess, grid = _dense_far_point(patch, curve, R, sample, arrays)
     assert np.abs(excess).max() < 1e-14
-    candidates = checks._far_candidate_rows
-    seen = []
-
-    def spy(*args):
-        seen.append(candidates(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(checks, "_far_candidate_rows", spy)
+    compared = _blocks_compared(monkeypatch)
     tracemalloc.start()
     row = check_far_point_distance(patch, curve, R, sample, arrays=arrays)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    # every row is a candidate, and the maximum is the dense one
-    assert seen[0].size == 800 and seen[0].all()
+    # no bound settles a block, so every row is compared, and the
+    # maximum is the dense one
+    assert len(compared) == -(-800 // checks._FAR_BLOCK)
+    assert sum(compared) == 800
     assert _bits(row.measured) == _bits(excess.max())
     assert row.grid == grid
     # compared _FAR_BLOCK rows at a time, not as one (core x far) array

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.interpolate import CubicHermiteSpline
 from scipy.special import ellipe
 
 from reachsmooth.curves import (AppliedPatch, ArcChainShape, ArcSegment,
@@ -14,6 +13,7 @@ from reachsmooth.curves import (AppliedPatch, ArcChainShape, ArcSegment,
 from reachsmooth.errors import GeometryError, InvalidInputError
 from reachsmooth.kernels import BumpKernel, convolve
 from reachsmooth.partition import smoothing_window_radius
+from reachsmooth.ppoly import HermiteTable
 
 
 def circle_curve(r=1.0):
@@ -377,9 +377,8 @@ def synthetic_patch(curve, base_arc=0.0, amp=0.01, index=0):
     t = vel / np.linalg.norm(vel)
     normal = np.array([-t[1], t[0]])
     tr = 0.2
-    disp = CubicHermiteSpline(np.array([-tr, 0.0, tr]),
-                              np.array([0.0, amp, 0.0]),
-                              np.array([0.0, 0.0, 0.0]))
+    disp = HermiteTable(np.array([-tr, 0.0, tr]), np.array([0.0, amp, 0.0]),
+                        np.array([0.0, 0.0, 0.0]))
     return AppliedPatch(
         index=index, base_arc=float(base_arc), center=center, tangent=t,
         normal=normal, inner_radius=0.1, transition_radius=tr,
@@ -435,7 +434,7 @@ def masked_oracle(curve, s):
         sel = (gap <= patch.arc_window) & (np.abs(y) < patch.transition_radius)
         pts[sel] += patch.displacement(y[sel])[:, None] * patch.normal
         dy = vel[sel, 0] * t[0] + vel[sel, 1] * t[1]
-        vel[sel] += (patch.displacement(y[sel], 1) * dy)[:, None] * patch.normal
+        vel[sel] += (patch.displacement.slope(y[sel]) * dy)[:, None] * patch.normal
     return pts.reshape(s.shape + (2,)), vel.reshape(s.shape + (2,))
 
 

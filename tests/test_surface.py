@@ -8,13 +8,19 @@ pinned: a change that adds an option changes the number below and says
 why.  The exported names are checked too: every name in an ``__all__``
 must resolve, so a deleted function cannot linger in an export list,
 and README's ``Commands:`` block must list each subcommand's flags.
+
+The package runs on NumPy alone: no module imports SciPy, and a run
+loads none of it (the tests keep SciPy as an oracle).
 """
 
 import argparse
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import reachsmooth
@@ -135,3 +141,39 @@ def test_readme_lists_every_command_flag():
                      if opt.startswith("--") and opt != "--help"}
               for name, parser in sub.choices.items()}
     assert readme_command_flags() == parsed
+
+
+def test_no_module_imports_scipy():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, n) for n in names if n.split(".")[0] == "scipy"]
+    assert not found
+
+
+# a run of the pipeline and of the patch and theorem checks; prints the
+# scipy modules it loaded
+_RUN_WITHOUT_SCIPY = """
+import sys
+import reachsmooth, reachsmooth.checks, reachsmooth.cli
+from reachsmooth import smooth_manifold
+from reachsmooth.checks import run_suite
+result = smooth_manifold({"kind": "stadium", "r": 1.0, "l": 2.0}, 0.05)
+assert result.curve.patches
+for suite in ("patches", "main"):
+    assert run_suite(suite).passed
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_a_run_loads_no_scipy():
+    out = subprocess.run([sys.executable, "-c", _RUN_WITHOUT_SCIPY],
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
