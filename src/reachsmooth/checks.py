@@ -11,7 +11,10 @@ probe is the expected outcome).
 Tolerances cover discretization of the measurement, never looseness of
 the claim: a grid sup-quotient underestimates a Lipschitz constant, so
 a genuine violation shows up regardless of the grid; float-level slack
-is all that is ever added.
+is all that is ever added.  The patch checkers' slack follows the
+patch's reach R: at least 1e-9 min(R, 1) on a length, 1e-6 min(1/R, 1)
+on the tangent-distance ratio, so a small shape gets no absolute floor
+that could hide its rows.
 
 Each checker has one route.  The four patch checkers read the same
 ``arrays``, one live evaluation of the patch blend by
@@ -350,7 +353,7 @@ def check_tangent_distance_bound(patch, *, seed=0, instance="", arrays):
     measured = float(ratio.max())
     K = patch.blend.psi.combined_lipschitz(patch.reach)
     bound = 0.5 * (patch.lip_slope + 3.0 * K * patch.rho_target / patch.reach)
-    tol = 1e-6 * max(1.0, bound)
+    tol = 1e-6 * max(min(1.0 / patch.reach, 1.0), bound)
     return _result("tangent_distance", measured, bound, tol, ys.size, seed,
                    instance)
 
@@ -381,7 +384,7 @@ def check_hausdorff_bound(patch, R, *, seed=0, instance="", arrays):
     measured = hausdorff_distance_sampled(before, after)
     e = patch.rho_target * R
     bound = e * (6.0 * patch.lip_graph + 6.0 + 1.0)
-    tol = 1e-9 * max(1.0, bound)
+    tol = 1e-9 * max(min(R, 1.0), bound)
     return _result("patch_hausdorff", measured, bound, tol, ys.size, seed,
                    instance)
 
@@ -478,7 +481,7 @@ def check_far_point_distance(patch, curve_after, R, sample, *, seed=0,
         measured = np.maximum(measured, _far_block_max(P[rows], tang[rows], far, R))
     e = patch.rho_target * R
     bound = e * e / (2.0 * R) + e * (6.0 * patch.lip_graph + 6.0 + 4.0)
-    tol = 1e-9 * max(1.0, bound)
+    tol = 1e-9 * max(min(R, 1.0), bound)
     return _result("far_point_distance", measured, bound, tol,
                    ys.size * far.shape[0], seed, instance)
 

@@ -497,14 +497,7 @@ class ClosedCurve:
             raise InvalidInputError(
                 f"patch index {patch.index} does not extend stack of "
                 f"{len(self.patches)}")
-        new = object.__new__(type(self))
-        new.shape = self.shape
-        new.patches = self.patches + (patch,)
-        new.length = self.length
-        new._patch_arcs = np.append(self._patch_arcs, patch.base_arc)
-        new._patch_spans = np.append(self._patch_spans, patch.arc_window)
-        new._patch_constants = self._patch_constants + (_nudge_constants(patch),)
-        return new
+        return ClosedCurve(self.shape, self.patches + (patch,))
 
     def _nudge(self, sv, pts, vel, k, span):
         """Apply patch ``k`` to the rows of a sorted batch inside its window.

@@ -14,6 +14,13 @@ caller knows the slope of what it smooths, so the slope is convolved
 with the same weights as the values.  A function that returns value and
 slope together is convolved in one pass, one evaluation on the taps
 serving both.
+
+A support radius sigma is chosen by one halving search
+(``_halving_search``) behind one measurement (``_grid_deviation``): the
+largest deviation between a function and its mollification on the
+origin-aligned grid i*sigma/taps of a window.  ``sup_deviation_ck`` and
+``find_support_radius`` read it at 50 taps, ``smoothing.smooth_patch``
+at 16.
 """
 
 from __future__ import annotations
@@ -205,9 +212,9 @@ def sup_deviation_ck(f, df, kernel, window, k=1):
 
     Computes max over the window of |smoothed - original|, including the
     first-derivative mismatch when ``k=1`` (which requires ``df``).  The
-    window is sampled at spacing at most sigma/50, in at most
-    ``_MAX_GRID`` points, and every sample is
-    convolved with aligned taps on that spacing.  The window plus one
+    window is read on the grid points i*sigma/50 it holds, in at most
+    ``_MAX_GRID`` points, and every sample is convolved with aligned
+    taps on that spacing (``_grid_deviation``).  The window plus one
     kernel support must lie inside the domain of ``f``; the caller
     guarantees that.
 
@@ -217,15 +224,16 @@ def sup_deviation_ck(f, df, kernel, window, k=1):
         Vectorized: an array of points in, the values at them out.
     kernel : BumpKernel
     window : Interval
-        Compact evaluation window of positive length.
+        Compact evaluation window of positive length holding at least
+        one grid point.
     k : 0 or 1
         Highest derivative order compared.
 
     Returns
     -------
-    float
-        The deviation.  Its ``worst`` attribute is the grid point where
-        it is attained, for a search to look there first next time.
+    (deviation, worst)
+        The deviation and the grid point where it is attained, for a
+        search to look there first next time.
     """
     if k not in (0, 1):
         raise InvalidInputError(f"k must be 0 or 1, got {k}")
@@ -233,65 +241,70 @@ def sup_deviation_ck(f, df, kernel, window, k=1):
         raise InvalidInputError("k=1 comparison requires the slope callable df")
     if window.length <= 0:
         raise InvalidInputError("the deviation window must have positive length")
-    return _Deviation(*_deviation_near(f, df, kernel, window, k, None))
+    dev, _, worst = _window_deviation(f, df, kernel.sigma, window, k, None)
+    return dev, worst
 
 
-class _Deviation(float):
-    """A measured deviation that remembers its worst grid point."""
-
-    def __new__(cls, value, worst):
-        out = super().__new__(cls, value)
-        out.worst = worst
-        return out
-
-
-def _deviation_near(f, df, kernel, window, k, near):
-    """``(deviation, worst point)`` of ``sup_deviation_ck``'s grid, read
-    on the whole grid when ``near`` is None and otherwise only on the
-    grid points within ``_PROBE_HALF`` steps of the one nearest ``near``.
-
-    Every point is the one ``np.linspace(lo, hi, n)`` puts there,
-    i*step + lo with ``hi`` last, and the window is extended on both
-    sides at the spacing ``hh = xs[1] - xs[0]``, so a probe reads the
-    whole grid's own samples.
-    """
-    s = kernel.sigma
-    lo, hi = window.lo, window.hi
-    n = max(201, int(math.ceil(window.length / (s / _GRID_PER_SIGMA))) + 1)
-    if n > _MAX_GRID:
+def _window_deviation(f, df, sigma, window, k, near):
+    """``_grid_deviation`` of ``f`` (and ``df`` when ``k=1``) on the grid
+    points i*sigma/50 of ``window``, at scale 1."""
+    h = sigma / _GRID_PER_SIGMA
+    first, last = math.ceil(window.lo / h), math.floor(window.hi / h)
+    if last < first:
+        raise InvalidInputError(
+            f"the window [{window.lo}, {window.hi}] holds no grid point "
+            f"at spacing {h}")
+    if last - first + 1 > _MAX_GRID:
         raise InvalidInputError("sigma resolves the window into too many points")
-    step = (hi - lo) / (n - 1)
-    hh = (step + lo) - lo
-    m = int(math.floor(s / hh))
-    if near is None:
-        first, last = 0, n - 1
-    else:
-        c = min(max(round((near - lo) / step), 0), n - 1)
-        first, last = max(c - _PROBE_HALF, 0), min(c + _PROBE_HALF, n - 1)
-    # the grid indices of the samples read, then their points; the
-    # samples before index 0 and after n - 1 extend the window
-    x = np.arange(first - m, last + m + 1, dtype=float)
-    before = max(m - first, 0)
-    after = x.size - max(last + m - (n - 1), 0)
-    grid = x[before:after]
-    grid *= step
-    grid += lo
-    if last == n - 1:
-        grid[-1] = hi
-    x[:before] = lo + x[:before] * hh
-    x[after:] = hi + (x[after:] - (n - 1)) * hh
-    inner = slice(m, x.size - m)
-    fv = np.asarray(f(x), dtype=float)
-    err, _ = convolve_grid(fv, kernel, hh)
-    err -= fv[inner]
-    np.abs(err, out=err)
-    if k == 1:
-        dfv = np.asarray(df(x), dtype=float)
-        conv, _ = convolve_grid(dfv, kernel, hh)
-        conv -= dfv[inner]
-        np.maximum(err, np.abs(conv, out=conv), out=err)
+
+    def read(xs):
+        fv = np.asarray(f(xs), dtype=float)
+        return fv, (np.asarray(df(xs), dtype=float) if k == 1 else None)
+
+    return _grid_deviation(read, sigma, _GRID_PER_SIGMA, first, last, near, 1.0)
+
+
+def _grid_deviation(read, sigma, taps, first, last, near, scale):
+    """One deviation measurement on the grid i*h, h = sigma/taps.
+
+    The deviation is max(|f* - f|/scale, |f*' - f'|) over the indices
+    ``first`` <= i <= ``last``, the slope term only when ``read(xs)``
+    returns slopes: it returns ``(values, slopes)`` or ``(values,
+    None)`` at the points ``xs``, which extend the indices by one kernel
+    radius on both sides.  With ``near`` set, only the indices within
+    ``_PROBE_HALF`` of the one nearest ``near`` are read: a contiguous
+    slice of the whole read, bit for bit.
+
+    Returns ``(deviation, payload, worst)`` as ``_halving_search`` reads
+    it: ``worst`` is the grid point of the deviation, and the payload is
+    ``(xs, d0, d1, kernel, mid)``, with the signed differences d0 = f* -
+    f and d1 = f*' - f' (None without slopes) at ``xs[mid]``.  The
+    differences are formed in place and each read is dropped once
+    convolved, so a measurement holds at most three grid-sized arrays
+    without slopes and five with them.
+    """
+    kernel = BumpKernel(sigma)
+    h = sigma / taps
+    m = int(math.floor(sigma / h))
+    if near is not None:
+        c = min(max(round(near / h), first), last)
+        first, last = max(c - _PROBE_HALF, first), min(c + _PROBE_HALF, last)
+    xs = np.arange(first - m, last + m + 1) * h
+    mid = slice(m, xs.size - m)
+    fv, dfv = read(xs)
+    d0, _ = convolve_grid(fv, kernel, h)
+    d0 -= fv[mid]
+    del fv
+    err = np.abs(d0)
+    err /= scale
+    d1 = None
+    if dfv is not None:
+        d1, _ = convolve_grid(dfv, kernel, h)
+        d1 -= dfv[mid]
+        del dfv
+        np.maximum(err, np.abs(d1), out=err)
     j = int(np.argmax(err))
-    return float(err[j]), float(x[m + j])
+    return float(err[j]), (xs, d0, d1, kernel, mid), float(xs[m + j])
 
 
 def _halving_search(measure, start, target, floor, what):
@@ -379,11 +392,10 @@ def find_support_radius(f, df, window, domain, target, k=1, *,
         sigma = min(sigma, as_positive_float(sigma_max, "sigma_max"))
 
     def measure(s, near):
-        kernel = BumpKernel(s)
         if near is None:
-            dev = sup_deviation_ck(f, df, kernel, window, k=k)
-            return float(dev), None, dev.worst
-        dev, worst = _deviation_near(f, df, kernel, window, k, near)
+            dev, worst = sup_deviation_ck(f, df, BumpKernel(s), window, k=k)
+        else:
+            dev, _, worst = _window_deviation(f, df, s, window, k, near)
         return dev, None, worst
 
     # two points under the cap, so rounding cannot push the grid over it

@@ -42,7 +42,9 @@ from ._util import as_positive_float
 from .curves import (AppliedPatch, BaseShape, ClosedCurve, local_graph_at,
                      make_shape, sample_manifold)
 from .errors import GeometryError, InvalidInputError
-from .kernels import (_PROBE_HALF, BumpKernel, _halving_search, convolve,
+# convolve_grid is not used here; perfbench's
+# test_wrappers_reach_every_binding_and_restore checks this binding
+from .kernels import (_grid_deviation, _halving_search, convolve,
                       convolve_grid)
 from .partition import (PlateauFunction, make_reference_plateau,
                         rescale_plateau, smoothing_window_radius)
@@ -161,13 +163,15 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max):
     window is already flat to machine precision (deviation at most
     1e-13: straight stretches), in which case the curve is unchanged.
 
-    The support radius comes from ``kernels._halving_search``: each
-    radius tabulates the graph at sigma/16 over the plateau support plus
-    one kernel radius and compares, in units of R, the convolved values
-    and slopes with the graph's: max(|f* - f|/R, |f*' - f'|) <= rho.
-    Radii after the first are probed on the rows within ``_PROBE_HALF``
-    steps of the previous radius's worst point, and only a radius the
-    probe cannot reject is tabulated in full, the accepted one always.
+    The support radius comes from ``kernels._halving_search``, each
+    radius measured by ``kernels._grid_deviation``: the graph is read on
+    the grid i*sigma/16 over the plateau support plus one kernel radius,
+    and the convolved values and slopes are compared, in units of R,
+    with the graph's: max(|f* - f|/R, |f*' - f'|) <= rho.  Radii after
+    the first are probed near the previous radius's worst point, and
+    only a radius the probe cannot reject is read in full, the accepted
+    one always.  The displacement is tabulated from the accepted
+    radius's differences on that grid.
 
     Raises
     ------
@@ -199,28 +203,13 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max):
             f"patch center drifted {shift:.3e}, over the budget {budget:.3e}")
 
     def measure(sigma, near):
-        # tabulate the graph at sigma/16 and convolve values and slopes;
-        # a probe reads only the rows within _PROBE_HALF steps of near
-        h = sigma / 16
-        m_half = int(math.ceil((r2 + sigma) / h)) + 2
-        first, last = -m_half, m_half
-        if near is not None:
-            m = int(math.floor(sigma / h))
-            c = min(max(round(near / h), m - m_half), m_half - m)
-            first = max(c - _PROBE_HALF, m - m_half) - m
-            last = min(c + _PROBE_HALF, m_half - m) + m
-        xs = np.arange(first, last + 1) * h
-        fv, dfv = graph.value_and_slope(xs)
-        kern = BumpKernel(sigma)
-        conv0, m = convolve_grid(fv, kern, h)
-        conv1, _ = convolve_grid(dfv, kern, h)
-        mid = slice(m, xs.size - m)
-        err = np.maximum(np.abs(conv0 - fv[mid]) / R, np.abs(conv1 - dfv[mid]))
-        j = int(np.argmax(err))
-        return float(err[j]), (xs, fv, dfv, kern, conv0, conv1, mid), float(xs[m + j])
+        # the plateau support plus one kernel radius, two rows to spare
+        inner = int(math.ceil((r2 + sigma) / (sigma / 16))) + 2 - 16
+        return _grid_deviation(graph.value_and_slope, sigma, 16, -inner,
+                               inner, near, R)
 
     start = min(as_positive_float(sigma_max, "sigma_max"), (w - r2) * (1.0 - 1e-9))
-    sigma, halvings, dev, (xs, fv, dfv, kern, conv0, conv1, mid) = _halving_search(
+    sigma, halvings, dev, (xs, d0, d1, kern, mid) = _halving_search(
         measure, start, rho, start * 2.0 ** -_MAX_HALVINGS,
         f"patch at arc {base_arc:.6f}")
 
@@ -233,10 +222,7 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max):
 
     xs_mid = xs[mid]
     pv = psi(xs_mid)
-    dpv = psi.derivative(xs_mid)
-    delta_vals = pv * (conv0 - fv[mid])
-    slope_vals = dpv * (conv0 - fv[mid]) + pv * (conv1 - dfv[mid])
-    disp = HermiteTable(xs_mid, delta_vals, slope_vals)
+    disp = HermiteTable(xs_mid, pv * d0, psi.derivative(xs_mid) * d0 + pv * d1)
     blend = BlendedMap(graph, psi, kern)
     patch = AppliedPatch(
         index=index, base_arc=float(base_arc), center=graph.center,

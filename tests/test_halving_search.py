@@ -15,11 +15,13 @@ import pytest
 from reachsmooth import kernels, smoothing
 from reachsmooth.checks import random_c11
 from reachsmooth.errors import ConvergenceError
-from reachsmooth.kernels import (_PROBE_MARGIN, BumpKernel, Interval,
-                                 _deviation_near, _halving_search,
+from reachsmooth.curves import ClosedCurve, make_shape
+from reachsmooth.kernels import (_PROBE_MARGIN, Interval, _grid_deviation,
+                                 _halving_search, _window_deviation,
                                  find_support_radius)
-from reachsmooth.partition import make_reference_plateau
-from reachsmooth.smoothing import smooth_manifold
+from reachsmooth.partition import (make_reference_plateau, rescale_plateau,
+                                   smoothing_window_radius)
+from reachsmooth.smoothing import smooth_manifold, smooth_patch
 
 
 def plain_halving_search(measure, start, target, floor, what):
@@ -111,32 +113,74 @@ def test_patch_search_matches_plain_loop(monkeypatch, shape, eps, halvings):
     assert _patch_bytes(searched) == _patch_bytes(plain)
 
 
-def test_probe_reads_the_whole_grids_own_samples():
-    # a probe evaluates f on a slice of the points the whole grid
-    # evaluates, bit for bit, near both ends of the window and inside it
-    window = Interval(-0.3137, 0.4711)
-    kernel = BumpKernel(0.0123)
+def _assert_probes_slice_the_whole_read(measure, h, lo, hi):
+    """``measure(read, near)`` calls ``read`` once; a probe must read a
+    contiguous slice of the whole read (``near=None``), bit for bit, near
+    both ends of the window [lo, hi], inside it and past it."""
     reads = []
 
-    def f(x):
-        reads.append(np.array(x))
-        return np.abs(x - 0.01)
+    def read(xs):
+        reads.append(xs.copy())
+        return np.abs(xs - 0.01), np.sign(xs - 0.01)
 
-    _deviation_near(f, None, kernel, window, 0, None)
+    measure(read, None)
     whole = reads.pop()
-    # np.linspace's grid, extended at its own first spacing on both sides
-    m = int(np.flatnonzero(whole == window.lo)[0])
-    grid = np.linspace(window.lo, window.hi, whole.size - 2 * m)
-    hh = grid[1] - grid[0]
-    assert np.array_equal(whole, np.concatenate([
-        window.lo + np.arange(-m, 0) * hh, grid,
-        window.hi + np.arange(1, m + 1) * hh]))
-    for near in (window.lo, 0.0101, window.hi, 9.0):
-        _deviation_near(f, None, kernel, window, 0, near)
+    # the origin-aligned grid i*h, extended past the window by less than
+    # one kernel radius (plus a spacing) on both sides
+    assert np.array_equal(whole, np.round(whole / h) * h)
+    m = int(np.count_nonzero(whole < lo))
+    assert m == np.count_nonzero(whole > hi) and 16 <= m <= 50
+    for near in (lo, 0.0101, hi, 9.0, -9.0):
+        measure(read, near)
         part = reads.pop()
         first = int(np.flatnonzero(whole == part[0])[0])
         assert np.array_equal(part, whole[first:first + part.size])
         assert part.size <= 2 * (kernels._PROBE_HALF + m) + 1
+        if near in (lo, -9.0):
+            assert first == 0
+        if near in (hi, 9.0):
+            assert first + part.size == whole.size
+
+
+def test_probe_reads_the_whole_grids_own_samples():
+    # the support radius search's grid: 50 taps on the window's points
+    window = Interval(-0.3137, 0.4711)
+    sigma = 0.0123
+
+    def measure(read, near):
+        f = lambda x: read(x)[0]
+        _window_deviation(f, None, sigma, window, 0, near)
+
+    _assert_probes_slice_the_whole_read(measure, sigma / 50, window.lo,
+                                        window.hi)
+
+
+def test_patch_probe_reads_the_whole_grids_own_samples(monkeypatch):
+    # a patch's grid: 16 taps over the plateau support plus one radius,
+    # with the indices smooth_patch asks for on a circle
+    calls = []
+    real = smoothing._grid_deviation
+
+    def spy(read, sigma, taps, first, last, near, scale):
+        calls.append((sigma, taps, first, last, scale))
+        return real(read, sigma, taps, first, last, near, scale)
+
+    monkeypatch.setattr(smoothing, "_grid_deviation", spy)
+    delta = 0.1
+    psi = rescale_plateau(make_reference_plateau(), delta, 1.0)
+    w = smoothing_window_radius(delta, 1.0)
+    smooth_patch(ClosedCurve(make_shape({"kind": "circle", "r": 1.0})), 0.5,
+                 delta=delta, R=1.0, rho=0.01, psi=psi, sigma_max=w / 128.0)
+    sigma, taps, first, last, scale = calls[0]
+    assert taps == 16 and first == -last and scale == 1.0
+    h = sigma / 16
+    # the inner rows cover the plateau support
+    assert first * h <= -psi.support_radius
+
+    def measure(read, near):
+        real(read, sigma, taps, first, last, near, scale)
+
+    _assert_probes_slice_the_whole_read(measure, h, first * h, last * h)
 
 
 def test_probe_inside_the_margin_gets_the_full_measurement():

@@ -7,6 +7,7 @@ kernel or the tap rule cannot hide behind the constant it broke.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,11 +262,10 @@ def test_sup_deviation_abs_oracle():
     sigma = 0.125
     k = BumpKernel(sigma)
     window = Interval(-0.5, 0.5)
-    # the deviation grid (spacing sigma/50 at most) must hold the peak
-    # point 0, or the sup is missed by the grid rather than the rule
-    n = max(201, math.ceil(window.length / (sigma / 50.0)) + 1)
-    assert 0.0 in np.linspace(window.lo, window.hi, n)
-    dev = sup_deviation_ck(np.abs, np.sign, k, window, k=0)
+    # the deviation grid i*sigma/50 holds the peak point 0 by
+    # construction, so the sup is not missed by the grid
+    dev, worst = sup_deviation_ck(np.abs, np.sign, k, window, k=0)
+    assert worst == 0.0
     assert dev == pytest.approx(C1_ABS_MOMENT * sigma, rel=1e-3)
 
 
@@ -273,7 +273,7 @@ def test_sup_deviation_affine_is_zero():
     k = BumpKernel(0.2)
     f = lambda x: 3.0 * np.asarray(x) + 0.5
     df = lambda x: np.full_like(np.asarray(x, dtype=float), 3.0)
-    dev = sup_deviation_ck(f, df, k, Interval(-1.0, 1.0), k=1)
+    dev, _ = sup_deviation_ck(f, df, k, Interval(-1.0, 1.0), k=1)
     assert dev <= 1e-12
 
 
@@ -287,6 +287,36 @@ def test_sup_deviation_rejects_empty_window():
     k = BumpKernel(0.2)
     with pytest.raises(InvalidInputError, match="positive length"):
         sup_deviation_ck(np.abs, np.sign, k, Interval(0.3, 0.3), k=1)
+
+
+def test_sup_deviation_rejects_window_without_grid_point():
+    # spacing 0.2/50 = 0.004: no multiple of it lies in [0.0041, 0.0079]
+    k = BumpKernel(0.2)
+    with pytest.raises(InvalidInputError, match="holds no grid point"):
+        sup_deviation_ck(np.abs, np.sign, k, Interval(0.0041, 0.0079), k=1)
+    # one grid point is enough
+    dev, worst = sup_deviation_ck(np.abs, np.sign, k, Interval(0.0039, 0.0079),
+                                  k=1)
+    assert worst == pytest.approx(0.004, rel=1e-12)
+
+
+@pytest.mark.parametrize("k, arrays", [(0, 3), (1, 5)])
+def test_sup_deviation_peak_memory(k, arrays):
+    # a measurement keeps its differences in place and drops each read
+    # once convolved: at most three grid-sized arrays without slopes,
+    # five with them, on 250,001 window points plus one kernel radius
+    sigma = 2e-4
+    window = Interval(-0.5, 0.5)
+    n = round(window.length / (sigma / 50)) + 1 + 2 * 50
+    kernel = BumpKernel(sigma)
+    sup_deviation_ck(np.abs, np.sign, kernel, Interval(-0.01, 0.01), k=k)
+    tracemalloc.start()
+    try:
+        sup_deviation_ck(np.abs, np.sign, kernel, window, k=k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (arrays + 0.25) * 8 * n
 
 
 def test_find_support_radius_affine_returns_start():
@@ -308,7 +338,7 @@ def test_find_support_radius_abs_bracket():
                                      k=0)
     k = BumpKernel(sigma)
     # the returned deviation is the measurement of the passing radius
-    assert dev == sup_deviation_ck(np.abs, np.sign, k, window, k=0)
+    assert dev == sup_deviation_ck(np.abs, np.sign, k, window, k=0)[0]
     assert dev <= target
     # halving search: one doubling back would overshoot the budget
     assert C1_ABS_MOMENT * (2.0 * sigma) > target * 0.99
@@ -319,17 +349,17 @@ def test_find_support_radius_slope_jump_cannot_converge(monkeypatch):
     # radii halve exactly, and the search gives up at the last radius
     # whose grid still fits the cap: half of it would be refused as too
     # fine.  Every read, full or probe, goes through the module's
-    # _deviation_near (sup_deviation_ck reads the whole grid with it):
+    # _grid_deviation (sup_deviation_ck reads the whole grid with it):
     # the start is measured in full, and every later radius is settled
     # by a probe at the jump, so the error gives a lower bound
     reads = []
-    real = kernels._deviation_near
+    real = kernels._grid_deviation
 
-    def spy(f, df, kernel, window, k, near):
-        reads.append((kernel.sigma, near is None))
-        return real(f, df, kernel, window, k, near)
+    def spy(read, sigma, taps, first, last, near, scale):
+        reads.append((sigma, near is None))
+        return real(read, sigma, taps, first, last, near, scale)
 
-    monkeypatch.setattr(kernels, "_deviation_near", spy)
+    monkeypatch.setattr(kernels, "_grid_deviation", spy)
     window = Interval(-0.5, 0.5)
     domain = Interval(-2.0, 2.0)
     with pytest.raises(ConvergenceError, match="deviation at least 9.669e-01"):

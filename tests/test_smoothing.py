@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from reachsmooth import smoothing
+from reachsmooth import kernels, smoothing
 from reachsmooth.checks import (_patch_rows, _searched_blend,
                                 check_main_theorem, random_c11)
 from reachsmooth.curves import (AppliedPatch, ArcChainShape, ClosedCurve,
@@ -266,13 +266,13 @@ def test_patch_deviation_budget_can_fail(monkeypatch):
     # (start, start/2, start/4) with two halvings allowed, then the
     # search stops
     radii = []
-    real = smoothing.convolve_grid
+    real = kernels.convolve_grid
 
     def spy(values, kernel, step):
         radii.append(kernel.sigma)
         return real(values, kernel, step)
 
-    monkeypatch.setattr(smoothing, "convolve_grid", spy)
+    monkeypatch.setattr(kernels, "convolve_grid", spy)
     monkeypatch.setattr(smoothing, "_MAX_HALVINGS", 2)
     params = {**patch_params(), "rho": 1e-16}
     with pytest.raises(ConvergenceError, match="after 2 halvings"):
@@ -529,6 +529,16 @@ def test_tiny_stadium_keeps_the_theorem_rows(lam, row_name):
     _, _, main_rows = scaled_run("stadium", lam)
     rows = [r for r in main_rows if r.name == row_name]
     assert rows and all(r.passed for r in rows)
+
+
+def test_tiny_stadium_length_tolerances_scale_with_the_shape():
+    # the float slack of a length row follows R, so at r = 1e-4 it stays
+    # far below the bound instead of an absolute 1e-9 floor
+    _, patch_rows, _ = scaled_run("stadium", 1e-4)
+    rows = [r for r in patch_rows
+            if r.name in ("patch_hausdorff", "far_point_distance")]
+    assert len(rows) == 8
+    assert all(r.tolerance <= 1e-3 * r.bound for r in rows)
 
 
 def test_run_rejects_epsilon_near_reach():
