@@ -22,14 +22,14 @@ Each checker has one route.  The four patch checkers read the same
 constants, and the smoothness-probe rows of ``check_main_theorem`` all
 come from one helper bound by the probe's own pass threshold.
 
-Checking costs what the checks need and no more, with every number
-unchanged: each read of the patch graph takes value and slope from one
-Newton solve, so the arrays cost one solve on the grid and one on the
-tap grid; the far-point check bounds each cache-sized block of core
-rows by its tangent-ball centers and compares pair by pair only the
-blocks that can hold the maximum; and each of
-the theorem's smoothness probes opens one window and reads it one
-stencil at a time.
+Checking costs what the checks need and no more: the grid of the patch
+arrays and the taps of its blend sit on one lattice, so the arrays cost
+one Newton solve, value and slope together, on the lattice points they
+read, each once; the far-point check bounds each cache-sized block of
+core rows against each far sample by its tangent-ball centers and
+compares pair by pair only the blocks and samples that can hold the
+maximum, which is the dense one bit for bit; and each of the theorem's
+smoothness probes opens one window and reads it one stencil at a time.
 
 The suite runner is deterministic end to end: seeded generators consumed
 in a fixed order, fixed instance ordering, and a CSV writer with a
@@ -289,20 +289,34 @@ def check_blend_lipschitz(f, df, lip, lip_d, psi, rho, domain, *, order,
 # patch-level checkers (run on patches from a real pipeline pass)
 
 
-class _GridRead:
-    """A window graph whose read on one grid is already made, for a
-    blend that reads value and slope only: a read on that grid returns
-    it, every other read (the tap grid) goes to the window itself.
+class _LatticeRead:
+    """A window graph read once on the lattice points k h of the sorted
+    integers ``ks``, for a blend that reads value and slope only: a
+    batch whose points all sit within 1e-6 h of held lattice points is
+    served from that read by index, every other batch goes to the
+    window itself.
     """
 
-    def __init__(self, graph, ys, read):
+    def __init__(self, graph, h, ks):
         self.graph = graph
-        self.ys = ys
-        self.read = read
+        self.h = h
+        self.ks = ks.astype(float)
+        # a gapless range is indexed by offset, one with gaps by search
+        self.gapless = ks[-1] - ks[0] + 1 == ks.size
+        self.f, self.df = graph.value_and_slope(self.ks * h)
 
     def value_and_slope(self, y):
-        if np.shape(y) == self.ys.shape and np.array_equal(y, self.ys):
-            return self.read
+        y = np.asarray(y, dtype=float)
+        k = np.rint(y / self.h)
+        # a non-finite y fails here, so k is finite past it
+        if np.all(np.abs(y - k * self.h) <= 1e-6 * self.h):
+            last = self.ks.size - 1
+            if self.gapless:
+                at = np.clip(k - self.ks[0], 0, last).astype(np.intp)
+            else:
+                at = np.minimum(np.searchsorted(self.ks, k), last)
+            if np.all(self.ks[at] == k):
+                return self.f[at], self.df[at]
         return self.graph.value_and_slope(y)
 
 
@@ -313,17 +327,38 @@ def patch_graph_arrays(patch):
     transition window, the ``arrays`` every patch checker reads.  The
     blend is re-evaluated with fresh taps here, never read off the
     displacement tabulation the pipeline stored: the checks must not
-    trust the object they are checking.  Every read of the graph takes
-    value and slope together, and the read on ``ys`` that gives
-    ``fv``/``dfv`` is also the blend's base, so a call makes two graph
-    solves: one on ``ys`` and one on the tap grid.
+    trust the object they are checking.
+
+    The taps of the blend sit on the lattice k h, h = sigma/16, and so
+    does the grid: a patch that halved its support radius k times has
+    r2 = w/2 and sigma = w/128 2^-k, so the grid step 2 r2/1024 is
+    s = 2^(k+1) lattice steps, and ``ys`` is (i s) h, i = -512..512.
+    The graph is read once, value and slope together, on the lattice
+    points i s - j, j = -16..16, that the grid and its taps need, and
+    every read of the blend is served from it: one Newton solve of at
+    most min(1024 s + 33, 1025 x 33) points.  Against an
+    ``np.linspace`` grid only the quadrature nodes move, by rounding.
+    A patch whose grid step is no whole number of lattice steps keeps
+    the ``np.linspace`` grid and reads the window itself.
     """
     b = patch.blend
     r2 = patch.transition_radius
-    ys = np.linspace(-r2, r2, _PATCH_GRID)
-    fv, dfv = b.graph.value_and_slope(ys)
-    light = BlendedMap(_GridRead(b.graph, ys, (fv, dfv)), b.psi, b.kernel,
-                       taps=_PATCH_TAPS)
+    h = b.kernel.sigma / _PATCH_TAPS
+    half = _PATCH_GRID // 2
+    s = round(r2 / (half * h))
+    i = np.arange(-half, half + 1) * s
+    ys = i * h
+    if abs(ys[-1] - r2) <= 1e-6 * h:
+        # the taps of neighbouring grid points overlap up to s = 33
+        j = np.arange(-_PATCH_TAPS, _PATCH_TAPS + 1)
+        ks = (np.arange(i[0] + j[0], i[-1] + j[-1] + 1)
+              if s <= j.size else (i[:, None] + j).ravel())
+        read = _LatticeRead(b.graph, h, ks)
+    else:
+        ys = np.linspace(-r2, r2, _PATCH_GRID)
+        read = b.graph
+    fv, dfv = read.value_and_slope(ys)
+    light = BlendedMap(read, b.psi, b.kernel, taps=_PATCH_TAPS)
     F, DF = light.value_and_derivative(ys)
     return ys, F, DF, fv, dfv
 
@@ -390,20 +425,22 @@ def check_hausdorff_bound(patch, R, *, seed=0, instance="", arrays):
 
 
 def _far_block_bounds(P, tang, far, R):
-    """Upper bound on the largest excess of each ``_FAR_BLOCK`` core rows.
+    """Upper bounds on the excess of each ``_FAR_BLOCK`` core rows
+    against each far sample, one row of bounds per block.
 
     With n the unit normal, |<d, n>| - |d|^2/(2R) = R/2 - |q - c|^2/(2R)
     for the nearer of the tangent-ball centers c = p +- R n.  So no pair
-    of a block exceeds R/2 - lb^2/(2R), lb the least distance from a far
-    sample to the bounding boxes of the block's two center clusters.
-    The bound is widened by ``_FAR_SLACK`` eps (1 + S + S^2/R), S
-    bounding every distance involved, past every rounding of it and of
-    the excess.  Non-finite input bounds every block by +inf.
+    of a block with far sample q exceeds R/2 - lb^2/(2R), lb the least
+    distance from q to the bounding boxes of the block's two center
+    clusters, and no pair of the block exceeds the largest bound of its
+    row.  The bounds are widened by ``_FAR_SLACK`` eps (1 + S + S^2/R),
+    S bounding every distance involved, past every rounding of them and
+    of the excess.  Non-finite input bounds every pair by +inf.
     """
     starts = np.arange(0, P.shape[0], _FAR_BLOCK)
     if not (np.isfinite(P).all() and np.isfinite(tang).all()
             and np.isfinite(far).all()):
-        return np.full(starts.size, np.inf)
+        return np.full((starts.size, far.shape[0]), np.inf)
     normal = R * np.stack([tang[:, 1], -tang[:, 0]], axis=1)
     fx, fy = far[:, 0], far[:, 1]
     lb2 = np.inf
@@ -412,11 +449,11 @@ def _far_block_bounds(P, tang, far, R):
         hi = np.maximum.reduceat(centers, starts)
         gx = np.maximum(np.maximum(lo[:, 0, None] - fx, fx - hi[:, 0, None]), 0.0)
         gy = np.maximum(np.maximum(lo[:, 1, None] - fy, fy - hi[:, 1, None]), 0.0)
-        lb2 = np.minimum(lb2, (gx * gx + gy * gy).min(axis=1))
+        lb2 = np.minimum(lb2, gx * gx + gy * gy)
     S = (R + np.sqrt((P * P).sum(axis=1)).max()
          + np.sqrt((far * far).sum(axis=1)).max())
     margin = _FAR_SLACK * np.finfo(np.float64).eps * (1.0 + S + S * S / R)
-    # an overflow to inf or NaN here skips no block
+    # an overflow to inf or NaN here skips no pair
     return 0.5 * R - lb2 / (2.0 * R) + margin
 
 
@@ -443,18 +480,19 @@ def check_far_point_distance(patch, curve_after, R, sample, *, seed=0,
     ranges over.
 
     The excess of a pair is R/2 minus |q - c|^2/(2R), c the nearer
-    center of the two radius-R balls tangent at p, so the far sample
-    nearest the bounding boxes of a block's centers bounds the block's
-    largest excess, rounding included (``_far_block_bounds``).  Blocks
-    of ``_FAR_BLOCK`` core rows are compared pair by pair, highest bound
-    first; a block whose bound falls below the running maximum cannot
-    hold it and is skipped.  The maximum is the one every pair would
-    give, bit for bit.  Non-finite input compares every block, so a NaN
-    anywhere still reaches the result.  The gain rests on few blocks
-    coming near the maximum (2 of 17 on each stadium patch); a core on
-    an arc of radius exactly R about the far samples ties every block
-    and compares them all.  Arrays with no grid point in the plateau
-    core raise ``InvalidInputError``.
+    center of the two radius-R balls tangent at p, so a far sample's
+    distance to the bounding boxes of a block's centers bounds the
+    block's excess against it, rounding included
+    (``_far_block_bounds``).  Blocks of ``_FAR_BLOCK`` core rows are
+    compared pair by pair, highest bound first, against the far samples
+    whose bound reaches the running maximum; a block whose bounds all
+    fall below it cannot hold the maximum and is skipped.  The maximum
+    is the one every pair would give, bit for bit.  Non-finite input
+    compares every pair, so a NaN anywhere still reaches the result.
+    The gain rests on few pairs coming near the maximum (2 of 17 blocks
+    on each stadium patch); a core on an arc of radius exactly R about
+    the far samples ties every pair and compares them all.  Arrays with
+    no grid point in the plateau core raise ``InvalidInputError``.
     """
     ay, aF, aDF, _, _ = arrays
     core = np.abs(ay) <= patch.inner_radius
@@ -472,13 +510,16 @@ def check_far_point_distance(patch, curve_after, R, sample, *, seed=0,
     if far.shape[0] == 0:
         raise InvalidInputError("no far samples; curve shorter than the window")
     bounds = _far_block_bounds(P, tang, far, R)
+    block_bounds = bounds.max(axis=1)
     measured = -np.inf
-    for b in np.argsort(-bounds, kind="stable"):
-        # a NaN bound, or a NaN maximum, compares the block
-        if bounds[b] < measured:
+    for b in np.argsort(-block_bounds, kind="stable"):
+        # a NaN bound, or a NaN maximum, compares the block and the sample
+        if block_bounds[b] < measured:
             continue
         rows = slice(b * _FAR_BLOCK, (b + 1) * _FAR_BLOCK)
-        measured = np.maximum(measured, _far_block_max(P[rows], tang[rows], far, R))
+        cols = ~(bounds[b] < measured)
+        measured = np.maximum(measured, _far_block_max(P[rows], tang[rows],
+                                                       far[cols], R))
     e = patch.rho_target * R
     bound = e * e / (2.0 * R) + e * (6.0 * patch.lip_graph + 6.0 + 4.0)
     tol = 1e-9 * max(min(R, 1.0), bound)

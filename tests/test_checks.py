@@ -24,8 +24,9 @@ from reachsmooth.errors import InvalidInputError
 from reachsmooth.kernels import BumpKernel, Interval, convolve
 from reachsmooth.partition import make_reference_plateau, smoothing_window_radius
 from reachsmooth.reach import estimate_reach_federer
-from reachsmooth.smoothing import (_PROBE_RATIO_CAP, smooth_core_probe,
-                                   smooth_manifold)
+from reachsmooth.smoothing import (_PROBE_RATIO_CAP, BlendedMap,
+                                   smooth_core_probe, smooth_manifold)
+from tests.test_smoothing import scaled_run
 
 
 def test_result_slack_arithmetic():
@@ -157,9 +158,8 @@ def _bits(*arrays):
     return [np.asarray(a, dtype=float).tobytes() for a in arrays]
 
 
-def test_patch_graph_arrays_share_one_tap_grid_solve(stadium_run,
-                                                      monkeypatch):
-    patch = stadium_run.result.curve.patches[2]
+def _solve_batches(monkeypatch):
+    """Records the shape of every batch ``LocalGraph._solve`` reads."""
     batches = []
     solve = LocalGraph._solve
 
@@ -168,14 +168,45 @@ def test_patch_graph_arrays_share_one_tap_grid_solve(stadium_run,
         return solve(self, y)
 
     monkeypatch.setattr(LocalGraph, "_solve", counted)
-    arrays = patch_graph_arrays(patch)
-    monkeypatch.undo()
-    # the tap grid is the only 2-D batch: (hot points, taps)
-    assert sum(len(b) == 2 for b in batches) == 1
-    # the read on ys is the blend's base and fv/dfv at once
-    assert len(batches) <= 2
+    return batches
 
-    # reference: separate value and slope reads, separate convolutions
+
+def _lattice_stride(patch):
+    """Grid step of the patch arrays in lattice steps sigma/16, unrounded."""
+    h = patch.blend.kernel.sigma / checks._PATCH_TAPS
+    return 2.0 * patch.transition_radius / ((checks._PATCH_GRID - 1) * h)
+
+
+def _lattice_reference(patch):
+    """The arrays from separate value and slope reads on the lattice
+    points k h, h = sigma/16, that the grid (i s) h and its taps
+    (i s - j) h need, each tap picked by index and weighted by ``@ w``."""
+    b = patch.blend
+    g = b.graph
+    T, half = checks._PATCH_TAPS, checks._PATCH_GRID // 2
+    h = b.kernel.sigma / T
+    i = np.arange(-half, half + 1) * round(_lattice_stride(patch))
+    taps = i[:, None] - np.arange(-T, T + 1)
+    ks = np.unique(taps)
+    val, slo = g.value(ks * h), g.slope(ks * h)
+    ys = i * h
+    base, dbase = val[np.searchsorted(ks, i)], slo[np.searchsorted(ks, i)]
+    w, dw = b.psi(ys), b.psi.derivative(ys)
+    hot = (w > 0.0) | (dw != 0.0)
+    _, weights = b.kernel.tap_scheme(T)
+    at = np.searchsorted(ks, taps[hot])
+    conv, dconv = val[at] @ weights, slo[at] @ weights
+    F, DF = base.copy(), dbase.copy()
+    diff = conv - base[hot]
+    F[hot] = base[hot] + w[hot] * diff
+    DF[hot] = dbase[hot] + dw[hot] * diff + w[hot] * (dconv - dbase[hot])
+    return ys, F, DF, base, dbase
+
+
+def _linspace_reference(patch):
+    """The arrays by the off-lattice quadrature: the grid
+    ``np.linspace(-r2, r2, 1025)``, separate value and slope reads and
+    ``convolve`` at the taps of every hot grid point."""
     b = patch.blend
     g = b.graph
     ys = np.linspace(-patch.transition_radius, patch.transition_radius,
@@ -189,8 +220,152 @@ def test_patch_graph_arrays_share_one_tap_grid_solve(stadium_run,
     diff = conv - base[hot]
     F[hot] = base[hot] + w[hot] * diff
     DF[hot] = dbase[hot] + dw[hot] * diff + w[hot] * (dconv - dbase[hot])
-    expected = (ys, F, DF, g.value(ys), g.slope(ys))
-    assert _bits(*arrays) == _bits(*expected)
+    return ys, F, DF, base, dbase
+
+
+def _patch_check_rows(patch, curve, R, sample, arrays):
+    return [check_tangent_distance_bound(patch, arrays=arrays),
+            check_angle_bound(patch, arrays=arrays),
+            check_hausdorff_bound(patch, R, arrays=arrays),
+            check_far_point_distance(patch, curve, R, sample, arrays=arrays)]
+
+
+def test_patch_graph_arrays_share_one_tap_grid_solve(stadium_run,
+                                                      monkeypatch):
+    patch = stadium_run.result.curve.patches[2]
+    batches = _solve_batches(monkeypatch)
+    arrays = patch_graph_arrays(patch)
+    monkeypatch.undo()
+    # one 1-D read serves the grid, the blend's base and every tap
+    assert len(batches) == 1 and len(batches[0]) == 1
+    assert _bits(*arrays) == _bits(*_lattice_reference(patch))
+
+
+@pytest.mark.parametrize("kind, lam", [
+    ("stadium", 1e-4), ("stadium", 1e-2), ("stadium", 1.0), ("stadium", 1e2),
+    ("rounded_rect", 1.0)])
+def test_patch_graph_arrays_read_one_lattice_at_every_scale(kind, lam,
+                                                            monkeypatch):
+    result, _, _ = scaled_run(kind, lam)
+    assert result.curve.patches
+    for patch in result.curve.patches:
+        # the grid step is a power of two lattice steps: r2 = w/2 and
+        # sigma = w/128 2^-k after k halvings
+        q = _lattice_stride(patch)
+        s = round(q)
+        assert abs(q - s) <= 1e-9 * s and s >= 1 and s & (s - 1) == 0
+        batches = _solve_batches(monkeypatch)
+        arrays = patch_graph_arrays(patch)
+        monkeypatch.undo()
+        assert len(batches) == 1 and len(batches[0]) == 1
+        T, G = checks._PATCH_TAPS, checks._PATCH_GRID
+        assert batches[0][0] <= min((G - 1) * s + 2 * T + 1, G * (2 * T + 1))
+        assert _bits(*arrays) == _bits(*_lattice_reference(patch))
+
+
+def _resized_patch(patch, factor):
+    """``patch`` with its kernel radius scaled by ``factor``."""
+    b = patch.blend
+    sigma = factor * b.kernel.sigma
+    return dataclasses.replace(
+        patch, sigma=sigma, blend=BlendedMap(b.graph, b.psi, BumpKernel(sigma)))
+
+
+def test_patch_graph_arrays_deep_halving_reads_the_taps_only(stadium_run,
+                                                             monkeypatch):
+    # three more halvings: a grid step of 64 lattice steps leaves gaps
+    # between the taps of neighbouring grid points, which are not read
+    result = stadium_run.result
+    patch = _resized_patch(result.curve.patches[1], 1.0 / 8.0)
+    assert round(_lattice_stride(patch)) == 64
+    batches = _solve_batches(monkeypatch)
+    arrays = patch_graph_arrays(patch)
+    monkeypatch.undo()
+    assert batches == [(checks._PATCH_GRID * (2 * checks._PATCH_TAPS + 1),)]
+    assert _bits(*arrays) == _bits(*_lattice_reference(patch))
+    sample = sample_manifold(result.curve, n=2000)
+    rows = _patch_check_rows(patch, result.curve, result.report.R_input,
+                             sample, arrays)
+    assert all(r.passed for r in rows), rows
+
+
+def test_patch_graph_arrays_off_lattice_sigma_reads_the_graph(stadium_run,
+                                                              monkeypatch):
+    result = stadium_run.result
+    patch = _resized_patch(result.curve.patches[1], 0.75)
+    q = _lattice_stride(patch)
+    assert abs(q - round(q)) > 0.1
+    batches = _solve_batches(monkeypatch)
+    arrays = patch_graph_arrays(patch)
+    monkeypatch.undo()
+    # the linspace grid, read as it is, and the taps read off the grid
+    assert _bits(arrays[0]) == _bits(np.linspace(
+        -patch.transition_radius, patch.transition_radius, checks._PATCH_GRID))
+    assert any(len(b) == 2 for b in batches)
+    assert _bits(*arrays) == _bits(*_linspace_reference(patch))
+    sample = sample_manifold(result.curve, n=2000)
+    rows = _patch_check_rows(patch, result.curve, result.report.R_input,
+                             sample, arrays)
+    assert all(r.passed for r in rows), rows
+
+
+def test_lattice_read_serves_held_points_only(stadium_run, monkeypatch):
+    g = stadium_run.result.curve.patches[0].blend.graph
+    h = 1e-3
+    ks = np.arange(-40, 41)
+    held_f, held_df = g.value_and_slope(ks * h)
+    read = checks._LatticeRead(g, h, ks)
+    batches = _solve_batches(monkeypatch)
+    # held points, to rounding, in any shape: served by index
+    k = np.array([[3, -7], [40, -40]])
+    f, df = read.value_and_slope(k * h * (1.0 + 1e-12))
+    assert batches == []
+    assert _bits(f, df) == _bits(held_f[k + 40], held_df[k + 40])
+    # between lattice points or past the held ones: the graph
+    for y in ([3.5 * h], [41 * h, 0.0]):
+        batches.clear()
+        read.value_and_slope(np.array(y))
+        assert batches == [(len(y),)]
+    # and a non-finite point, which the graph refuses
+    batches.clear()
+    with pytest.raises(InvalidInputError):
+        read.value_and_slope(np.array([np.nan]))
+    assert batches == [(1,)]
+
+
+_CATALOG = (
+    {"kind": "stadium", "r": 1.0, "l": 2.0},
+    {"kind": "circle", "r": 1.0},
+    {"kind": "ellipse", "a": 2.0, "b": 1.0},
+    {"kind": "cad_profile", "preset": "rounded_rect", "width": 2.0,
+     "height": 1.0, "corner_radius": 0.2},
+)
+
+
+def test_patch_rows_match_linspace_quadrature_on_every_catalog_patch():
+    # rounding the quadrature nodes onto the lattice keeps every row's
+    # verdict and moves its measured value by at most 1e-8 of the larger
+    # of the value and its bound (the far-point value, a difference of
+    # two nearly equal lengths, moves by 2e-8 of itself on the rounded
+    # rectangle: 1.4e-16 of 7.4e-9)
+    seen = 0
+    for spec in _CATALOG:
+        result = smooth_manifold(spec, 0.05)
+        R = result.report.R_input
+        sample = sample_manifold(result.curve, n=2000)
+        for patch in result.curve.patches:
+            rows = _patch_check_rows(patch, result.curve, R, sample,
+                                     patch_graph_arrays(patch))
+            oracle = _patch_check_rows(patch, result.curve, R, sample,
+                                       _linspace_reference(patch))
+            for row, ref in zip(rows, oracle, strict=True):
+                assert row.passed == ref.passed, (row, ref)
+                scale = max(abs(ref.measured), ref.bound)
+                assert abs(row.measured - ref.measured) <= 1e-8 * scale, (
+                    row, ref)
+                assert row.grid == ref.grid
+            seen += 1
+    assert seen == 12
 
 
 def _far_geometry(patch, curve, sample, arrays):
@@ -233,15 +408,67 @@ def _blocks_compared(monkeypatch):
 
 
 def _assert_block_bounds_hold(patch, curve, R, sample, arrays):
-    # each block's bound is at least the dense maximum of every row of
-    # the block
+    # each block's bound against a far sample is at least the dense
+    # excess of every row of the block against that sample
     P, tang, far = _far_geometry(patch, curve, sample, arrays)
     excess, _ = _dense_far_point(patch, curve, R, sample, arrays)
     bounds = checks._far_block_bounds(P, tang, far, R)
-    assert bounds.size == -(-P.shape[0] // checks._FAR_BLOCK)
+    assert bounds.shape == (-(-P.shape[0] // checks._FAR_BLOCK), far.shape[0])
     for b, bound in enumerate(bounds):
         rows = excess[b * checks._FAR_BLOCK:(b + 1) * checks._FAR_BLOCK]
-        assert bound >= rows.max(axis=1).max(), b
+        assert np.all(bound >= rows.max(axis=0)), b
+
+
+def _pairs_compared(monkeypatch):
+    """Records (core rows, far samples) of every block the far-point
+    check compares."""
+    compared = []
+    block_max = checks._far_block_max
+
+    def spy(p, tang, far, R):
+        compared.append((p.shape[0], far.shape[0]))
+        return block_max(p, tang, far, R)
+
+    monkeypatch.setattr(checks, "_far_block_max", spy)
+    return compared
+
+
+def test_far_point_compares_only_the_samples_that_can_win(
+        stadium_run, rounded_rect_run, monkeypatch):
+    # every stadium and rounded-rectangle patch: the maximum is the dense
+    # one, bit for bit; the first block compared reads every far sample,
+    # a later one only the few its bounds leave (2 to 4 on the stadium)
+    compared = _pairs_compared(monkeypatch)
+    later = 0
+    for result in (stadium_run.result, rounded_rect_run):
+        R = result.report.R_input
+        sample = sample_manifold(result.curve, n=2000)
+        for patch in result.curve.patches:
+            arrays = patch_graph_arrays(patch)
+            compared.clear()
+            row = check_far_point_distance(patch, result.curve, R, sample,
+                                           arrays=arrays)
+            excess, grid = _dense_far_point(patch, result.curve, R, sample,
+                                            arrays)
+            assert _bits(row.measured) == _bits(excess.max())
+            assert row.grid == grid
+            n_far = grid // excess.shape[0]
+            assert compared[0][1] == n_far
+            assert all(c < n_far // 10 for _, c in compared[1:]), compared
+            later += len(compared) - 1
+    assert later >= 4
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_far_point_non_finite_input_compares_every_pair(bad, monkeypatch):
+    patch, curve, sample, arrays = _synthetic_far_case(301, 71)
+    arrays[1][np.flatnonzero(np.abs(arrays[0]) <= patch.inner_radius)[3]] = bad
+    compared = _pairs_compared(monkeypatch)
+    with np.errstate(invalid="ignore", over="ignore"):
+        row = check_far_point_distance(patch, curve, 10.0, sample,
+                                       arrays=arrays)
+    assert math.isnan(row.measured) and not row.passed
+    assert sum(r * c for r, c in compared) == row.grid == 71 * 301
 
 
 def test_far_point_blocks_match_dense_broadcast_on_real_patch(stadium_run):
@@ -392,14 +619,16 @@ def test_far_point_all_ties_compare_every_row_in_blocks(monkeypatch):
     excess, grid = _dense_far_point(patch, curve, R, sample, arrays)
     assert np.abs(excess).max() < 1e-14
     compared = _blocks_compared(monkeypatch)
+    pairs = _pairs_compared(monkeypatch)
     tracemalloc.start()
     row = check_far_point_distance(patch, curve, R, sample, arrays=arrays)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    # no bound settles a block, so every row is compared, and the
-    # maximum is the dense one
+    # no bound settles a block or a far sample, so every pair is
+    # compared, and the maximum is the dense one
     assert len(compared) == -(-800 // checks._FAR_BLOCK)
     assert sum(compared) == 800
+    assert pairs == [(r, grid // 800) for r in compared]
     assert _bits(row.measured) == _bits(excess.max())
     assert row.grid == grid
     # compared _FAR_BLOCK rows at a time, not as one (core x far) array
