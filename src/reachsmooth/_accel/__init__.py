@@ -6,6 +6,10 @@ one implementation is the NumPy code in ``_slow``;
 ``IMPLEMENTATION`` names it; the package exports it as
 ``reachsmooth.accel_backend``.  ``DEGENERATE_REL`` is the flat-pair
 threshold of the pair scan, shared with ``reach.federer_ratio``.
+
+The pair scan takes a mask of hot points and reads only the pairs with
+a hot end; the final scan of a smoothing run passes the samples in a
+patch window, and every other caller passes None, every pair.
 """
 
 from ._slow import (DEGENERATE_REL, directed_hausdorff, federer_scan,

@@ -1,24 +1,25 @@
 """NumPy implementations of the scan kernels.
 
-``federer_scan`` finds the least ratio over every ordered pair; its
-tie-breaking is first-encountered in the enumeration order ``for i < j:
-(i -> j) then (j -> i)``, which fixes the argmin indices and so keeps
-CSV output byte-identical from run to run.  It walks the rows in blocks
-of ``_SCAN_ROWS`` as dense arrays and keeps that order: each row takes
-the first argmin of each direction, preferring i -> j on a tie, and a
-block takes its first row to reach the block minimum and replaces the
-running best only when strictly below it, as a row-by-row loop would.
+``federer_scan`` finds the least ratio over the ordered pairs with at
+least one end in a mask of hot points (every pair when the mask is
+None); its tie-breaking is first-encountered in the enumeration order
+``for i < j: (i -> j) then (j -> i)``, which fixes the argmin indices
+and so keeps CSV output byte-identical from run to run.  It walks the
+hot rows in blocks of ``_SCAN_ROWS`` as dense arrays, each against the
+cold points below it and every point above it, so each pair with a hot
+end is formed once.  A block replaces the running best when its minimum
+is strictly below it, or equal to it at a pair earlier in that order.
 
 Most pairs cannot beat the running best, and the scan skips them by
 geometry alone.  Since dist(q, tangent line at p) <= |q - p| |t|, a
 pair's ratio is at least |q - p| / (2 max|t|).  So once the best is
 finite, a column farther from the block's bounding box than
 2 best max|t| (and than ``min_sep``) holds no pair that could replace
-it or tie a row's minimum, and the block drops it before the dense
-arithmetic.  The kept columns stay in order, so the arithmetic, the
-argmins and the tie-breaks of every pair that can matter are the dense
-scan's.  ``_PRUNE_SLACK`` widens the cut past every rounding of the
-ratio, the box distance and max|t|.
+or tie it, and the block drops it before the dense arithmetic.  A kept
+pair reads the same bytes either way, so the value, the argmin and the
+tie-break of every pair that can matter are the dense scan's.
+``_PRUNE_SLACK`` widens the cut past every rounding of the ratio, the
+box distance and max|t|.
 
 The other two kernels avoid the pair loop: the difference quotient
 needs only adjacent samples of a sorted grid, and the directed
@@ -44,52 +45,77 @@ _SWEEP_PAIRS = 1 << 14
 _STRIP_SLACK = 1e-12
 
 
-def federer_scan(points, tangents, min_sep):
-    """Minimum curvature-comparison ratio over all ordered point pairs.
+def federer_scan(points, tangents, min_sep, hot):
+    """Minimum curvature-comparison ratio over the ordered point pairs
+    with at least one end in ``hot``.
 
     For each ordered pair (p, q) with |q - p| >= min_sep the ratio is
     |q - p|^2 / (2 * dist(q, tangent line at p)); pairs whose tangent
     distance falls below 1e-14 * |q - p| count as flat (infinite ratio).
+    ``hot`` is a boolean mask over the points, or None for every point;
+    pairs of two cold points are not scanned.
 
     Returns ``(min_ratio, i, j, pairs)`` where (i, j) indexes the
-    minimizing (p, q) and ``pairs`` counts the ordered pairs at least
-    ``min_sep`` apart, whether their ratio was computed or bounded below
-    by the running best and skipped.
+    minimizing (p, q) and ``pairs`` counts the scanned ordered pairs at
+    least ``min_sep`` apart, whether their ratio was computed or bounded
+    below by the running best and skipped.  With no such pair the
+    result is ``(inf, -1, -1, 0)``.
+
+    The rows are the hot points, in blocks of ``_SCAN_ROWS``; a block's
+    columns are the hot points after its first row and every cold point,
+    and a row meets a column when the column is above it or cold, so
+    each pair with a hot end is formed once.  The points are put in the
+    order hot then cold, each by index, so the rows and the columns of
+    every block are slices.  A pair formed from its upper end reads the
+    same bytes as from its lower one, as the differences only change
+    sign.  Ties go to the pair first in the order of the row loop
+    ``for i < j: (i -> j) then (j -> i)``: the least lower index, then
+    the direction away from it, then the least upper index.
     """
-    x, y = np.asarray(points, dtype=np.float64).T.copy()
-    tx, ty = np.asarray(tangents, dtype=np.float64).T.copy()
-    n = x.size
+    pts = np.asarray(points, dtype=np.float64)
+    tan = np.asarray(tangents, dtype=np.float64)
+    n = pts.shape[0]
+    if hot is None:
+        order = np.arange(n)
+        n_hot = n
+    else:
+        hot = np.asarray(hot, dtype=bool)
+        order = np.concatenate([np.flatnonzero(hot), np.flatnonzero(~hot)])
+        n_hot = int(np.count_nonzero(hot))
+    x, y = pts[order].T.copy()
+    tx, ty = tan[order].T.copy()
     t_max = float(np.sqrt(tx * tx + ty * ty).max()) if n else 0.0
-    # within a block, row r (point i0 + r) meets column c (point
-    # i0 + 1 + c) for c >= r only: j > i
+    # row r meets the block's own row s (s >= 1), its column s - 1, only
+    # when s > r
     before = np.tri(_SCAN_ROWS, _SCAN_ROWS, -1, dtype=bool)
     best = np.inf
+    best_key = None
     bi = bj = -1
     pairs = 0
-    for i0 in range(0, n - 1, _SCAN_ROWS):
-        i1 = min(i0 + _SCAN_ROWS, n - 1)
-        m = i1 - i0
-        rows = np.arange(m)
-        bx, by = x[i0:i1], y[i0:i1]
-        cx, cy, ctx, cty = x[i0 + 1:], y[i0 + 1:], tx[i0 + 1:], ty[i0 + 1:]
-        cols = None
+    # a block whose first row is the last point has no column
+    for b0 in range(0, min(n_hot, n - 1), _SCAN_ROWS):
+        m = min(_SCAN_ROWS, n_hot - b0)
+        bx, by = x[b0:b0 + m], y[b0:b0 + m]
+        btx, bty = tx[b0:b0 + m], ty[b0:b0 + m]
+        col = order[b0 + 1:]
+        cx, cy, ctx, cty = x[b0 + 1:], y[b0 + 1:], tx[b0 + 1:], ty[b0 + 1:]
         if best < np.inf:
             # every pair of a dropped column is at least min_sep apart
-            # and reads a ratio of at least best; the block's own rows
-            # sit in the box and are never dropped
+            # and reads a ratio above best; the block's own rows sit in
+            # the box and are never dropped
             cut = max(2.0 * best * t_max, min_sep) * (1.0 + _PRUNE_SLACK)
             gx = np.maximum(np.maximum(bx.min() - cx, cx - bx.max()), 0.0)
             gy = np.maximum(np.maximum(by.min() - cy, cy - by.max()), 0.0)
             drop = gx * gx + gy * gy > cut * cut
             n_drop = int(np.count_nonzero(drop))
             if n_drop:
+                # a column that is not a row of the block meets each row
                 pairs += 2 * m * n_drop
                 if n_drop == cx.size:
-                    # a one-row block's only column, point n - 1, is
-                    # not one of its rows and can go
                     continue
-                cols = np.flatnonzero(~drop)
-                cx, cy, ctx, cty = cx[cols], cy[cols], ctx[cols], cty[cols]
+                kept = np.flatnonzero(~drop)
+                col = col[kept]
+                cx, cy, ctx, cty = cx[kept], cy[kept], ctx[kept], cty[kept]
         dx = cx - bx[:, None]
         dy = cy - by[:, None]
         d2 = dx * dx + dy * dy
@@ -97,28 +123,33 @@ def federer_scan(points, tangents, min_sep):
         keep = d >= min_sep
         keep[:, :m - 1] &= ~before[:m, :m - 1]
         pairs += 2 * int(np.count_nonzero(keep))
+        skip = ~keep
         # q in the tangent line at p counts as flat, not as zero reach
         guard = DEGENERATE_REL * d
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            cr = np.abs(dx * ty[i0:i1, None] - dy * tx[i0:i1, None])
+            cr = np.abs(dx * bty[:, None] - dy * btx[:, None])
             r1 = d2 / (2.0 * cr)
-            r1[(cr <= guard) | ~keep] = np.inf
+            r1[(cr <= guard) | skip] = np.inf
             cr = np.abs(dx * cty - dy * ctx)
             r2 = d2 / (2.0 * cr)
-            r2[(cr <= guard) | ~keep] = np.inf
-        # per row, the first argmin of each direction, i -> j on ties
-        k1 = np.argmin(r1, axis=1)
-        k2 = np.argmin(r2, axis=1)
-        v1 = r1[rows, k1]
-        v2 = r2[rows, k2]
-        forward = v1 <= v2
-        vals = np.where(forward, v1, v2)
-        r = int(np.argmin(vals))
-        if vals[r] < best:
-            best = float(vals[r])
-            k = int(k1[r] if forward[r] else k2[r])
-            j = i0 + 1 + (k if cols is None else int(cols[k]))
-            bi, bj = (i0 + r, j) if forward[r] else (j, i0 + r)
+            r2[(cr <= guard) | skip] = np.inf
+        v = min(r1.min(), r2.min())
+        if not v <= best or v == np.inf:
+            continue
+        # the block's pairs (base, other) at its minimum, and the first
+        # of them in the row loop's order: the least lower index, the
+        # direction away from it, the least upper index
+        rows = order[b0:b0 + m]
+        r, c = np.divmod(np.flatnonzero(r1 == v), col.size)
+        r_, c_ = np.divmod(np.flatnonzero(r2 == v), col.size)
+        base = np.concatenate([rows[r], col[c_]])
+        other = np.concatenate([col[c], rows[r_]])
+        lo, hi, away = (np.minimum(base, other), np.maximum(base, other),
+                        base > other)
+        k = np.lexsort((hi, away, lo))[0]
+        key = (int(lo[k]), bool(away[k]), int(hi[k]))
+        if v < best or key < best_key:
+            best, best_key, bi, bj = float(v), key, int(base[k]), int(other[k])
     return best, bi, bj, pairs
 
 

@@ -483,15 +483,17 @@ def check_far_point_distance(patch, curve_after, R, sample, *, seed=0,
     center of the two radius-R balls tangent at p, so a far sample's
     distance to the bounding boxes of a block's centers bounds the
     block's excess against it, rounding included
-    (``_far_block_bounds``).  Blocks of ``_FAR_BLOCK`` core rows are
-    compared pair by pair, highest bound first, against the far samples
-    whose bound reaches the running maximum; a block whose bounds all
-    fall below it cannot hold the maximum and is skipped.  The maximum
-    is the one every pair would give, bit for bit.  Non-finite input
-    compares every pair, so a NaN anywhere still reaches the result.
-    The gain rests on few pairs coming near the maximum (2 of 17 blocks
-    on each stadium patch); a core on an arc of radius exactly R about
-    the far samples ties every pair and compares them all.  Arrays with
+    (``_far_block_bounds``).  The running maximum starts at the pairs
+    of the highest-bound block with its highest-bound far sample.
+    Blocks of ``_FAR_BLOCK`` core rows are then compared pair by pair,
+    highest bound first, against the far samples whose bound reaches
+    the running maximum; a block whose bounds all fall below it cannot
+    hold the maximum and is skipped.  The maximum is the one every pair
+    would give, bit for bit.  Non-finite input compares every pair, so
+    a NaN anywhere still reaches the result.  The gain rests on few
+    pairs coming near the maximum (2 of 17 blocks on each stadium
+    patch); a core on an arc of radius exactly R about the far samples
+    ties every pair and compares them all.  Arrays with
     no grid point in the plateau core raise ``InvalidInputError``.
     """
     ay, aF, aDF, _, _ = arrays
@@ -511,8 +513,13 @@ def check_far_point_distance(patch, curve_after, R, sample, *, seed=0,
         raise InvalidInputError("no far samples; curve shorter than the window")
     bounds = _far_block_bounds(P, tang, far, R)
     block_bounds = bounds.max(axis=1)
-    measured = -np.inf
-    for b in np.argsort(-block_bounds, kind="stable"):
+    order = np.argsort(-block_bounds, kind="stable")
+    # the top block against its best-bound far sample seeds the maximum,
+    # so that block too compares only the samples that can reach it
+    top, k = order[0], int(np.argmax(bounds[order[0]]))
+    rows = slice(top * _FAR_BLOCK, (top + 1) * _FAR_BLOCK)
+    measured = _far_block_max(P[rows], tang[rows], far[k:k + 1], R)
+    for b in order:
         # a NaN bound, or a NaN maximum, compares the block and the sample
         if block_bounds[b] < measured:
             continue
@@ -618,7 +625,8 @@ def _junction_pair_rows(curve, junctions, sigma, bound, seed):
     rows = []
     for k, a in enumerate(junctions):
         part = slice(k * offsets.size, (k + 1) * offsets.size)
-        est = estimate_reach_federer(pts[part], tans[part], sigma / 160.0)
+        est = estimate_reach_federer(pts[part], tans[part], sigma / 160.0,
+                                     None)
         rows.append(_result("junction_pair_ratio", est.value, bound, 0.0,
                             est.pairs_scanned, seed, f"junction-arc={a:.6f}",
                             passed=est.value >= bound))

@@ -249,7 +249,7 @@ def _cmd_verify(args):
 
 def _fmt_argmin(arg):
     if arg is None:
-        return "none (every pair flat)"
+        return "none (no scanned pair below R_input)"
     (i, j), (si, sj), (p, q) = arg["indices"], arg["params"], arg["points"]
     return (f"{i} -> {j} at params {fmt17(si)} -> {fmt17(sj)}, points "
             f"({fmt17(p[0])}, {fmt17(p[1])}) -> ({fmt17(q[0])}, {fmt17(q[1])})")

@@ -466,6 +466,13 @@ def _circular_gap(d, L):
     return np.abs(np.mod(d + 0.5 * L, L) - 0.5 * L)
 
 
+def _in_arc_window(s, patch, L):
+    """Whether base arcs ``s`` lie within ``patch.arc_window`` of its
+    base arc, around a curve of length ``L``: the rows the patch may
+    nudge."""
+    return _circular_gap(s - patch.base_arc, L) <= patch.arc_window
+
+
 def _unsort(rows, order):
     """Rows computed at ``s[order]``, put back in the order of ``s``."""
     out = np.empty_like(rows)
@@ -517,8 +524,8 @@ class ClosedCurve:
         """
         L = self.length
         patch = self.patches[k]
-        base, window = patch.base_arc, patch.arc_window
-        reach = window + 1e-9 * L
+        base = patch.base_arc
+        reach = patch.arc_window + 1e-9 * L
         if span is None or 2.0 * reach >= L:
             slices = ((0, sv.size),)
         else:
@@ -536,7 +543,7 @@ class ClosedCurve:
             q = pts[a:b]
             y = (q[:, 0] - c0) * t0 + (q[:, 1] - c1) * t1
             keep = ((np.abs(y) < patch.transition_radius)
-                    & (_circular_gap(sv[a:b] - base, L) <= window)).nonzero()[0]
+                    & _in_arc_window(sv[a:b], patch, L)).nonzero()[0]
             if not keep.size:
                 continue
             i0, i1 = keep[0], keep[-1] + 1
@@ -590,6 +597,16 @@ class ClosedCurve:
 
     def point(self, s):
         return self.point_and_velocity(s)[0]
+
+    def in_patch_windows(self, s):
+        """Whether each base arc of ``s`` lies in the arc window of some
+        patch.  No patch nudges any other arc, so there the curve is
+        its base shape bit for bit."""
+        s = np.asarray(s, dtype=float)
+        out = np.zeros(s.shape, dtype=bool)
+        for patch in self.patches:
+            out |= _in_arc_window(s, patch, self.length)
+        return out
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,11 @@ def federer_ratio(p, tangent, q):
 
 @dataclass(frozen=True)
 class ReachEstimate:
-    """Result of a pair scan: the minimum ratio and where it happened."""
+    """Result of a pair scan: the minimum ratio and where it happened.
+
+    When no scanned pair gave the value, ``argmin_indices`` is (-1, -1)
+    and the two argmin points are empty (0, 2) arrays.
+    """
 
     value: float
     argmin_base: np.ndarray = field(repr=False)
@@ -86,7 +90,7 @@ class ReachEstimate:
     min_sep: float
 
 
-def estimate_reach_federer(points, tangents, min_sep):
+def estimate_reach_federer(points, tangents, min_sep, hot):
     """Minimum pair ratio over a sampled point cloud with tangents.
 
     Parameters
@@ -96,6 +100,9 @@ def estimate_reach_federer(points, tangents, min_sep):
         Unit tangents matched to points.
     min_sep : float
         Pairs closer than this are skipped.
+    hot : (n,) bool array or None
+        Only pairs with at least one end in ``hot`` are scanned; None
+        scans every pair.
 
     Returns
     -------
@@ -104,7 +111,8 @@ def estimate_reach_federer(points, tangents, min_sep):
     Raises
     ------
     InvalidInputError
-        If every pair was excluded (min_sep too large) or shapes differ.
+        If every pair was excluded (min_sep too large, or no point
+        hot) or shapes differ.
     """
     pts = np.asarray(points, dtype=float)
     tan = np.asarray(tangents, dtype=float)
@@ -114,15 +122,20 @@ def estimate_reach_federer(points, tangents, min_sep):
         raise InvalidInputError("tangents must match points in shape")
     if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(tan))):
         raise InvalidInputError("non-finite samples")
+    if hot is not None:
+        hot = np.asarray(hot)
+        if hot.dtype != bool or hot.shape != pts.shape[:1]:
+            raise InvalidInputError("hot must be a boolean mask over the points")
     ms = as_positive_float(min_sep, "min_sep")
-    value, i, j, pairs = _accel.federer_scan(pts, tan, ms)
+    value, i, j, pairs = _accel.federer_scan(pts, tan, ms, hot)
     if pairs == 0:
         raise InvalidInputError(
-            f"min_sep={ms} excluded every pair of the {pts.shape[0]}-point sample")
+            f"min_sep={ms} excluded every scanned pair of the "
+            f"{pts.shape[0]}-point sample")
     if i < 0:
         # pairs existed but all were flat
-        return ReachEstimate(math.inf, pts[0].copy(), pts[0].copy(), (-1, -1),
-                             pairs, pts.shape[0], ms)
+        return ReachEstimate(math.inf, np.empty((0, 2)), np.empty((0, 2)),
+                             (-1, -1), pairs, pts.shape[0], ms)
     return ReachEstimate(float(value), pts[i].copy(), pts[j].copy(), (int(i), int(j)),
                          int(pairs), pts.shape[0], ms)
 
@@ -139,7 +152,7 @@ def scan_curve_reach(curve, n=2000, min_sep=None):
         raise InvalidInputError("curve must be a ClosedCurve or BaseShape")
     sample = sample_manifold(curve, n=n)
     ms = 2.0 * sample.spacing if min_sep is None else as_positive_float(min_sep, "min_sep")
-    est = estimate_reach_federer(sample.points, sample.tangents, ms)
+    est = estimate_reach_federer(sample.points, sample.tangents, ms, None)
     return est, sample
 
 

@@ -26,9 +26,14 @@ center, is kept in the tests as the reference run.
 
 Reach accounting happens twice: the a-priori bound ``predicted_reach_
 bound`` evaluates the closed formula (pessimistic but proven), and the
-measured value comes from the pair scan of the final curve.  Both appear
-in the report, with the pair where the scan found its minimum
-(``reach_argmin``); acceptance binds the measured number.
+measured value comes from the pair scan of the final curve.  Outside
+the patch windows the final curve is the input bit for bit, and every
+pair of the input has a ratio of at least R_input, so the scan reads
+only the pairs with an end in a window: ``R_hat_measured`` is the least
+of their ratio and R_input, ``scan_pairs`` counts the pairs scanned
+(none on a shape without patches), and ``reach_argmin`` is the pair
+where the scan found a ratio below R_input, or ``None`` when R_input
+stands.  Acceptance binds the measured number.
 """
 
 from __future__ import annotations
@@ -338,8 +343,7 @@ def _smooth_at(shape, arcs, eps, R, delta, rho, psi, sigma_max):
     # final scan at spacing sqrt(delta R)/32
     w = smoothing_window_radius(delta, R)
     sample = sample_manifold(curve, math.ceil(curve.length / (w / 16.0)))
-    est = estimate_reach_federer(sample.points, sample.tangents,
-                                 2.0 * sample.spacing)
+    est = _final_scan(curve, sample, R)
 
     report = SmoothingReport(
         shape=shape.describe(),
@@ -367,10 +371,34 @@ def _smooth_at(shape, arcs, eps, R, delta, rho, psi, sigma_max):
                            psi=psi, scan=est)
 
 
+def _final_scan(curve, sample, R):
+    """The pair scan of the final sample, read as the measured reach.
+
+    Outside the patch windows the sample is the input curve bit for
+    bit, and every pair of the input has a ratio of at least its reach
+    ``R`` (Federer 1959, Thm 4.18).  So only the pairs with an end in a
+    window are scanned, and the estimate is the least of their ratio
+    and ``R``.  When ``R`` wins, or no sample is in a window and nothing
+    is scanned, the estimate reads ``R`` at indices (-1, -1) with no
+    argmin points.
+    """
+    min_sep = 2.0 * sample.spacing
+    hot = curve.in_patch_windows(sample.params)
+    pairs = 0
+    if hot.any():
+        est = estimate_reach_federer(sample.points, sample.tangents, min_sep,
+                                     hot)
+        if est.value < R:
+            return est
+        pairs = est.pairs_scanned
+    return ReachEstimate(R, np.empty((0, 2)), np.empty((0, 2)), (-1, -1),
+                         pairs, sample.count, min_sep)
+
+
 def _reach_argmin(est, sample):
     """Where the final scan found its minimum: the two sample indices
     (base point first), their base-curve parameters and the points;
-    ``None`` when every pair was flat."""
+    ``None`` when no scanned pair read below the input reach."""
     i, j = est.argmin_indices
     if i < 0:
         return None

@@ -30,11 +30,13 @@ def _circle(n, r=1.0):
     return pts, tans
 
 
-def _row_loop_federer_scan(points, tangents, min_sep):
-    """The pair scan one row at a time: (value, i, j, pairs)."""
+def _row_loop_federer_scan(points, tangents, min_sep, hot=None):
+    """The pair scan one row at a time, over the pairs with an end in the
+    mask ``hot`` (every pair when None): (value, i, j, pairs)."""
     pts = np.ascontiguousarray(points, dtype=np.float64)
     tan = np.ascontiguousarray(tangents, dtype=np.float64)
     n = pts.shape[0]
+    hot = np.ones(n, dtype=bool) if hot is None else np.asarray(hot, dtype=bool)
     best = np.inf
     bi = bj = -1
     pairs = 0
@@ -43,7 +45,7 @@ def _row_loop_federer_scan(points, tangents, min_sep):
         dy = pts[i + 1:, 1] - pts[i, 1]
         d2 = dx * dx + dy * dy
         d = np.sqrt(d2)
-        keep = d >= min_sep
+        keep = (d >= min_sep) & (hot[i] | hot[i + 1:])
         m = int(np.count_nonzero(keep))
         if m == 0:
             continue
@@ -93,7 +95,7 @@ def test_backend_reports_implementation():
 
 def test_slow_federer_circle_value():
     pts, tans = _circle(300, r=2.0)
-    value, i, j, pairs = _slow.federer_scan(pts, tans, 0.05)
+    value, i, j, pairs = _slow.federer_scan(pts, tans, 0.05, None)
     assert value == pytest.approx(2.0, rel=1e-8)
     assert pairs > 0
     assert 0 <= i < 300 and 0 <= j < 300
@@ -111,7 +113,7 @@ def test_federer_scan_matches_row_loop_on_clouds(n):
     rng = np.random.default_rng(40 + n)
     pts, tans = _random_cloud(rng, n)
     for min_sep in (1e-9, 0.5, 1.5):
-        got = _slow.federer_scan(pts, tans, min_sep)
+        got = _slow.federer_scan(pts, tans, min_sep, None)
         assert got == _row_loop_federer_scan(pts, tans, min_sep)
 
 
@@ -120,33 +122,33 @@ def test_federer_scan_matches_row_loop_on_near_ties():
     # argmin falls to the enumeration-order tie-break
     pts, tans = _circle(300, r=2.0)
     for min_sep in (0.05, 1.0):
-        got = _slow.federer_scan(pts, tans, min_sep)
+        got = _slow.federer_scan(pts, tans, min_sep, None)
         assert got == _row_loop_federer_scan(pts, tans, min_sep)
     # exact ties across rows: repeated points give equal ratios
     pts, tans = _circle(12)
     pts, tans = np.concatenate([pts, pts]), np.concatenate([tans, tans])
-    assert (_slow.federer_scan(pts, tans, 0.1)
+    assert (_slow.federer_scan(pts, tans, 0.1, None)
             == _row_loop_federer_scan(pts, tans, 0.1))
     # exact ties between directions: a pair mirrored in the x axis reads
     # the same ratio both ways, and the scan reports it as i -> j
     pts = np.array([[0.0, 0.0], [0.0, 1.0]])
     tans = np.array([[0.6, 0.8], [0.6, -0.8]])
-    assert _slow.federer_scan(pts, tans, 0.1) == (1.0 / (2.0 * 0.6), 0, 1, 2)
+    assert _slow.federer_scan(pts, tans, 0.1, None) == (1.0 / (2.0 * 0.6), 0, 1, 2)
     rng = np.random.default_rng(5)
     half, half_t = _random_cloud(rng, 20)
     pts = np.concatenate([half, half * [1.0, -1.0]])
     tans = np.concatenate([half_t, half_t * [1.0, -1.0]])
-    assert (_slow.federer_scan(pts, tans, 0.1)
+    assert (_slow.federer_scan(pts, tans, 0.1, None)
             == _row_loop_federer_scan(pts, tans, 0.1))
 
 
 def test_federer_scan_matches_row_loop_without_pairs():
     pts, tans = _circle(40)
-    got = _slow.federer_scan(pts, tans, 10.0)
+    got = _slow.federer_scan(pts, tans, 10.0, None)
     assert got == _row_loop_federer_scan(pts, tans, 10.0) == (np.inf, -1, -1, 0)
     line = np.stack([np.linspace(0.0, 4.0, 20), np.zeros(20)], axis=1)
     flat = np.tile([1.0, 0.0], (20, 1))
-    got = _slow.federer_scan(line, flat, 0.1)
+    got = _slow.federer_scan(line, flat, 0.1, None)
     assert got == _row_loop_federer_scan(line, flat, 0.1)
     assert got[:3] == (np.inf, -1, -1) and got[3] == 20 * 19
 
@@ -175,7 +177,7 @@ def test_pruned_scan_matches_row_loop_on_thin_shapes(spec, n, share):
     cut, diameter = _pruning_cut(pts, tans, min_sep)
     assert cut < share * diameter
     for ms in (min_sep, 4.0 * min_sep):
-        assert (_slow.federer_scan(pts, tans, ms)
+        assert (_slow.federer_scan(pts, tans, ms, None)
                 == _row_loop_federer_scan(pts, tans, ms))
 
 
@@ -186,7 +188,7 @@ def test_pruning_is_live(monkeypatch):
         make_shape({"kind": "ellipse", "a": 4.0, "b": 0.25}), 600)
     want = _row_loop_federer_scan(pts, tans, min_sep)
     monkeypatch.setattr(_slow, "_PRUNE_SLACK", -0.9)
-    assert _slow.federer_scan(pts, tans, min_sep)[3] > want[3]
+    assert _slow.federer_scan(pts, tans, min_sep, None)[3] > want[3]
 
 
 def test_pruned_scan_matches_row_loop_with_minimum_in_last_block():
@@ -199,7 +201,7 @@ def test_pruned_scan_matches_row_loop_with_minimum_in_last_block():
     tans[-1] = [0.6, 0.8]
     rng = np.random.default_rng(7)
     pts[:-2, 1] += 1e-2 * rng.standard_normal(n - 2)
-    got = _slow.federer_scan(pts, tans, 0.05)
+    got = _slow.federer_scan(pts, tans, 0.05, None)
     assert got == _row_loop_federer_scan(pts, tans, 0.05)
     assert {got[1], got[2]} == {n - 2, n - 1}
     assert (n - 2) % _slow._SCAN_ROWS == 0
@@ -213,7 +215,7 @@ def test_pruned_scan_matches_row_loop_with_isolated_last_point(n):
     pts = np.vstack([pts, [100.0, 0.0]])
     tans = np.vstack([tans, [0.0, 1.0]])
     assert (n - 2) % _slow._SCAN_ROWS == 0
-    got = _slow.federer_scan(pts, tans, 1e-4)
+    got = _slow.federer_scan(pts, tans, 1e-4, None)
     assert got == _row_loop_federer_scan(pts, tans, 1e-4)
     assert got[0] == pytest.approx(0.01) and n - 1 not in got[1:3]
 
@@ -224,7 +226,7 @@ def test_pruned_scan_matches_row_loop_on_circle():
     pts, tans = _circle(257, r=3.0)
     cut, diameter = _pruning_cut(pts, tans, 0.1)
     assert cut >= (1.0 - 1e-9) * diameter
-    assert (_slow.federer_scan(pts, tans, 0.1)
+    assert (_slow.federer_scan(pts, tans, 0.1, None)
             == _row_loop_federer_scan(pts, tans, 0.1))
 
 
@@ -248,10 +250,10 @@ def test_pruned_scan_matches_row_loop_on_scaled_tangents(scale):
         make_shape({"kind": "ellipse", "a": 3.0, "b": 0.5}), 400)
     rng = np.random.default_rng(int(10 * scale))
     for t in (scale * tans, tans * rng.uniform(0.5, scale + 0.5, (400, 1))):
-        assert (_slow.federer_scan(pts, t, min_sep)
+        assert (_slow.federer_scan(pts, t, min_sep, None)
                 == _row_loop_federer_scan(pts, t, min_sep))
     pts, tans = _facing_lines(200)
-    assert (_slow.federer_scan(pts, scale * tans, 0.05)
+    assert (_slow.federer_scan(pts, scale * tans, 0.05, None)
             == _row_loop_federer_scan(pts, scale * tans, 0.05))
 
 
@@ -263,7 +265,7 @@ def test_pruned_scan_matches_row_loop_with_min_sep_above_twice_best():
     best = _row_loop_federer_scan(pts, tans, min_sep)[0]
     for ms in (3.0 * best, 6.0 * best):
         assert ms > 2.0 * best
-        assert (_slow.federer_scan(pts, tans, ms)
+        assert (_slow.federer_scan(pts, tans, ms, None)
                 == _row_loop_federer_scan(pts, tans, ms))
 
 
@@ -273,8 +275,126 @@ def test_pruned_scan_matches_row_loop_with_min_sep_above_twice_best():
 def test_pruned_scan_matches_row_loop_on_offset_polygons(jitter, size, r):
     shape = jittered_offset_polygon(jitter, size, r)
     pts, tans, min_sep = _shape_sample(shape, 300)
-    assert (_slow.federer_scan(pts, tans, min_sep)
+    assert (_slow.federer_scan(pts, tans, min_sep, None)
             == _row_loop_federer_scan(pts, tans, min_sep))
+
+
+# ------------------------------------------------- the windowed scan
+#
+# With a mask, the scan reads only the pairs with a hot end, rows of hot
+# points against the cold points below and every point above; the row
+# loop, masked, is its oracle.
+
+
+def _masks(rng, n):
+    """Masks of an n-point cloud: sparse, dense, one run, lone points."""
+    one_run = np.zeros(n, dtype=bool)
+    a = int(rng.integers(0, n))
+    one_run[a:a + int(rng.integers(1, 40))] = True
+    first, last = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    first[0] = last[-1] = True
+    return [rng.uniform(size=n) < 0.1, rng.uniform(size=n) < 0.7, one_run,
+            first, last]
+
+
+@pytest.mark.parametrize("n", [2, 15, 16, 17, 33, 100])
+def test_windowed_scan_matches_masked_row_loop_on_clouds(n):
+    rng = np.random.default_rng(80 + n)
+    pts, tans = _random_cloud(rng, n)
+    for hot in _masks(rng, n):
+        for min_sep in (1e-9, 0.5, 1.5):
+            got = _slow.federer_scan(pts, tans, min_sep, hot)
+            assert got == _row_loop_federer_scan(pts, tans, min_sep, hot)
+
+
+def test_windowed_scan_matches_masked_row_loop_on_near_ties():
+    rng = np.random.default_rng(3)
+    pts, tans = _circle(300, r=2.0)
+    for hot in _masks(rng, 300):
+        for min_sep in (0.05, 1.0):
+            assert (_slow.federer_scan(pts, tans, min_sep, hot)
+                    == _row_loop_federer_scan(pts, tans, min_sep, hot))
+    # exact ties between a hot row and the cold copy of it below, and
+    # between the two directions of a mirrored pair
+    pts, tans = _circle(12)
+    pts, tans = np.concatenate([pts, pts]), np.concatenate([tans, tans])
+    hot = np.arange(24) >= 12
+    for mask in (hot, ~hot, hot & (np.arange(24) % 5 == 0)):
+        assert (_slow.federer_scan(pts, tans, 0.1, mask)
+                == _row_loop_federer_scan(pts, tans, 0.1, mask))
+    # a tie across blocks: the second block's rows meet the cold copies
+    # below the first block, whose pairs come first in the row loop
+    pts, tans = _circle(24)
+    pts, tans = np.concatenate([pts, pts]), np.concatenate([tans, tans])
+    hot = (np.arange(48) >= 9) & (np.arange(48) < 27)
+    assert (_slow.federer_scan(pts, tans, 0.1, hot)
+            == _row_loop_federer_scan(pts, tans, 0.1, hot))
+    pts = np.array([[0.0, 0.0], [0.0, 1.0]])
+    tans = np.array([[0.6, 0.8], [0.6, -0.8]])
+    for mask in ([True, False], [False, True]):
+        assert (_slow.federer_scan(pts, tans, 0.1, np.array(mask))
+                == (1.0 / (2.0 * 0.6), 0, 1, 2))
+    half, half_t = _random_cloud(rng, 20)
+    pts = np.concatenate([half, half * [1.0, -1.0]])
+    tans = np.concatenate([half_t, half_t * [1.0, -1.0]])
+    for hot in _masks(rng, 40):
+        assert (_slow.federer_scan(pts, tans, 0.1, hot)
+                == _row_loop_federer_scan(pts, tans, 0.1, hot))
+
+
+@pytest.mark.parametrize("n", [17, 33, 34])
+def test_windowed_scan_matches_masked_row_loop_on_short_blocks(n):
+    # at n = 17 and 33, n - 1 = 0 (mod 16): with every point hot, the
+    # last block is the last point alone, which meets no column; a lone
+    # hot point is a one-row block, and the last one meets only cold
+    # points below it
+    rng = np.random.default_rng(n)
+    pts, tans = _random_cloud(rng, n)
+    every = np.ones(n, dtype=bool)
+    assert (_slow.federer_scan(pts, tans, 0.1, every)
+            == _slow.federer_scan(pts, tans, 0.1, None)
+            == _row_loop_federer_scan(pts, tans, 0.1))
+    for k in (0, n // 2, n - 1):
+        hot = np.arange(n) == k
+        assert (_slow.federer_scan(pts, tans, 0.1, hot)
+                == _row_loop_federer_scan(pts, tans, 0.1, hot))
+    # 17 hot rows: the second block is one row
+    hot = np.arange(n) < 17
+    assert (_slow.federer_scan(pts, tans, 0.1, hot)
+            == _row_loop_federer_scan(pts, tans, 0.1, hot))
+
+
+def test_windowed_scan_without_hot_points_scans_nothing():
+    pts, tans = _circle(40)
+    assert (_slow.federer_scan(pts, tans, 0.1, np.zeros(40, dtype=bool))
+            == _row_loop_federer_scan(pts, tans, 0.1, np.zeros(40, dtype=bool))
+            == (np.inf, -1, -1, 0))
+
+
+def test_windowed_scan_matches_masked_row_loop_with_pruning():
+    # a thin ellipse and an isolated far point: hot windows at the
+    # vertices and the flanks, and blocks whose columns all prune
+    pts, tans, min_sep = _shape_sample(
+        make_shape({"kind": "ellipse", "a": 4.0, "b": 0.25}), 600)
+    idx = np.arange(600)
+    for hot in ((idx < 20) | (idx > 580), (idx > 130) & (idx < 170),
+                idx % 37 == 0):
+        for ms in (min_sep, 4.0 * min_sep):
+            assert (_slow.federer_scan(pts, tans, ms, hot)
+                    == _row_loop_federer_scan(pts, tans, ms, hot))
+    pts, tans = _circle(33, r=0.01)
+    pts = np.vstack([pts, [100.0, 0.0]])
+    tans = np.vstack([tans, [0.0, 1.0]])
+    for hot in (np.arange(34) >= 16, np.arange(34) == 33):
+        assert (_slow.federer_scan(pts, tans, 1e-4, hot)
+                == _row_loop_federer_scan(pts, tans, 1e-4, hot))
+
+
+def test_every_hot_point_is_the_full_scan():
+    pts, tans, min_sep = _shape_sample(
+        make_shape({"kind": "stadium", "r": 0.2, "l": 3.0}), 500)
+    assert (_slow.federer_scan(pts, tans, min_sep, np.ones(500, dtype=bool))
+            == _slow.federer_scan(pts, tans, min_sep, None))
 
 
 def test_slow_quotient_hand_case():
@@ -384,6 +504,6 @@ def test_hausdorff_sweep_keeps_temporaries_bounded():
 def test_slow_federer_collinear_is_inf():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     tans = np.tile([1.0, 0.0], (3, 1))
-    value, i, j, pairs = _slow.federer_scan(pts, tans, 0.1)
+    value, i, j, pairs = _slow.federer_scan(pts, tans, 0.1, None)
     assert np.isinf(value)
     assert pairs == 6

@@ -436,8 +436,9 @@ def _pairs_compared(monkeypatch):
 def test_far_point_compares_only_the_samples_that_can_win(
         stadium_run, rounded_rect_run, monkeypatch):
     # every stadium and rounded-rectangle patch: the maximum is the dense
-    # one, bit for bit; the first block compared reads every far sample,
-    # a later one only the few its bounds leave (2 to 4 on the stadium)
+    # one, bit for bit; the seed compares the top block with one far
+    # sample, and every block after it only the few samples its bounds
+    # leave (2 to 4 on the stadium)
     compared = _pairs_compared(monkeypatch)
     later = 0
     for result in (stadium_run.result, rounded_rect_run):
@@ -453,7 +454,7 @@ def test_far_point_compares_only_the_samples_that_can_win(
             assert _bits(row.measured) == _bits(excess.max())
             assert row.grid == grid
             n_far = grid // excess.shape[0]
-            assert compared[0][1] == n_far
+            assert compared[0] == (checks._FAR_BLOCK, 1)
             assert all(c < n_far // 10 for _, c in compared[1:]), compared
             later += len(compared) - 1
     assert later >= 4
@@ -468,7 +469,9 @@ def test_far_point_non_finite_input_compares_every_pair(bad, monkeypatch):
         row = check_far_point_distance(patch, curve, 10.0, sample,
                                        arrays=arrays)
     assert math.isnan(row.measured) and not row.passed
-    assert sum(r * c for r, c in compared) == row.grid == 71 * 301
+    # the seed, then every pair
+    assert compared[0] == (checks._FAR_BLOCK, 1)
+    assert sum(r * c for r, c in compared[1:]) == row.grid == 71 * 301
 
 
 def test_far_point_blocks_match_dense_broadcast_on_real_patch(stadium_run):
@@ -624,11 +627,11 @@ def test_far_point_all_ties_compare_every_row_in_blocks(monkeypatch):
     row = check_far_point_distance(patch, curve, R, sample, arrays=arrays)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    # no bound settles a block or a far sample, so every pair is
-    # compared, and the maximum is the dense one
-    assert len(compared) == -(-800 // checks._FAR_BLOCK)
-    assert sum(compared) == 800
-    assert pairs == [(r, grid // 800) for r in compared]
+    # no bound settles a block or a far sample, so after the seed's one
+    # sample every pair is compared, and the maximum is the dense one
+    assert len(compared) == 1 + -(-800 // checks._FAR_BLOCK)
+    assert sum(compared) == checks._FAR_BLOCK + 800
+    assert pairs == [(compared[0], 1)] + [(r, grid // 800) for r in compared[1:]]
     assert _bits(row.measured) == _bits(excess.max())
     assert row.grid == grid
     # compared _FAR_BLOCK rows at a time, not as one (core x far) array
@@ -710,7 +713,8 @@ def test_main_theorem_matches_per_probe_reference(stadium_run):
         pts, vel = final.point_and_velocity(
             a + np.linspace(-0.25 * sig, 0.25 * sig, 401))
         est = estimate_reach_federer(
-            pts, vel / np.linalg.norm(vel, axis=-1, keepdims=True), sig / 160)
+            pts, vel / np.linalg.norm(vel, axis=-1, keepdims=True), sig / 160,
+            None)
         bound = rep.R_input - rep.epsilon
         expected.append(checks._result(
             "junction_pair_ratio", est.value, bound, 0.0, est.pairs_scanned, 3,

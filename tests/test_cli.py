@@ -151,24 +151,39 @@ def test_verify_command_red_suite(tmp_path, monkeypatch, capsys):
     assert "FAIL broken" in capsys.readouterr().out
 
 
-def test_report_command_prints_fields(tmp_path, capsys):
-    cfg = write_config(tmp_path, {**CIRCLE, "epsilon": 0.3})
+def _report_of(tmp_path, capsys, config):
+    """Smooth ``config``, then ``report`` it: the printed text and the
+    report.json it read."""
     out_dir = tmp_path / "run"
-    cli.main(["smooth", "--config", cfg, "--out", str(out_dir)])
+    cli.main(["smooth", "--config", write_config(tmp_path, config),
+              "--out", str(out_dir)])
     capsys.readouterr()
     assert cli.main(["report", "--out", str(out_dir)]) == 0
-    text = capsys.readouterr().out
+    return capsys.readouterr().out, json.loads((out_dir / "report.json").read_text())
+
+
+def test_report_command_prints_fields(tmp_path, capsys):
+    # the stadium's scan finds a pair below R_input, at a patch window
+    text, report = _report_of(tmp_path, capsys, {
+        "shape": {"kind": "stadium", "r": 1.0, "l": 2.0}, "epsilon": 0.05})
     assert "R_hat_measured" in text and "backend" not in text
-    report = json.loads((out_dir / "report.json").read_text())
     i, j = report["reach_argmin"]["indices"]
     assert f"reach_argmin         {i} -> {j} at params " in text
+    # the circle has no patch, so no pair is scanned and R_input stands
+    text, report = _report_of(tmp_path, capsys, {**CIRCLE, "epsilon": 0.3})
+    assert report["reach_argmin"] is None
+    assert report["R_hat_measured"] == report["R_input"] == 1.0
+    assert report["scan_pairs"] == 0
+    assert "reach_argmin         none (no scanned pair below R_input)" in text
 
 
 def test_report_command_prints_a_flat_scan(tmp_path, capsys):
-    # every pair flat: the scan found no argmin and the report says so
+    # every scanned pair flat, or none below R_input: the scan kept no
+    # argmin and the report says so
     (tmp_path / "report.json").write_text('{"reach_argmin": null}')
     assert cli.main(["report", "--out", str(tmp_path)]) == 0
-    assert "reach_argmin         none (every pair flat)" in capsys.readouterr().out
+    assert ("reach_argmin         none (no scanned pair below R_input)"
+            in capsys.readouterr().out)
 
 
 def test_report_missing_file_is_usage_error(tmp_path):

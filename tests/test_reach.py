@@ -62,11 +62,12 @@ def test_estimate_fields_consistent():
 def test_straight_samples_scan_to_infinity():
     pts = np.stack([np.linspace(0, 9, 10), np.zeros(10)], axis=-1)
     tans = np.tile([1.0, 0.0], (10, 1))
-    est = estimate_reach_federer(pts, tans, 0.5)
+    est = estimate_reach_federer(pts, tans, 0.5, None)
     assert est.value == math.inf
     # base/other roles differ, so pairs are ordered: n(n-1) of them
     assert est.pairs_scanned == 90
     assert est.argmin_indices == (-1, -1)
+    assert est.argmin_base.shape == est.argmin_other.shape == (0, 2)
 
 
 def test_min_sep_excluding_everything():
@@ -75,18 +76,31 @@ def test_min_sep_excluding_everything():
                    axis=-1)
     tans = np.stack([-pts[:, 1], pts[:, 0]], axis=-1)
     with pytest.raises(InvalidInputError):
-        estimate_reach_federer(pts, tans, 10.0)
+        estimate_reach_federer(pts, tans, 10.0, None)
 
 
 def test_estimate_input_validation():
     with pytest.raises(InvalidInputError):
-        estimate_reach_federer(np.zeros((5, 3)), np.zeros((5, 3)), 0.1)
+        estimate_reach_federer(np.zeros((5, 3)), np.zeros((5, 3)), 0.1, None)
     with pytest.raises(InvalidInputError):
-        estimate_reach_federer(np.zeros((5, 2)), np.zeros((4, 2)), 0.1)
+        estimate_reach_federer(np.zeros((5, 2)), np.zeros((4, 2)), 0.1, None)
     bad = np.zeros((5, 2))
     bad[2, 0] = np.nan
     with pytest.raises(InvalidInputError):
-        estimate_reach_federer(bad, np.zeros((5, 2)), 0.1)
+        estimate_reach_federer(bad, np.zeros((5, 2)), 0.1, None)
+
+
+def test_estimate_rejects_a_bad_mask():
+    pts, tans = np.zeros((5, 2)), np.tile([1.0, 0.0], (5, 1))
+    pts[:, 0] = np.arange(5.0)
+    for hot in (np.ones(4, dtype=bool), np.ones(5), [[True] * 5]):
+        with pytest.raises(InvalidInputError, match="mask"):
+            estimate_reach_federer(pts, tans, 0.5, hot)
+    # no hot point, no pair scanned
+    with pytest.raises(InvalidInputError, match="every scanned pair"):
+        estimate_reach_federer(pts, tans, 0.5, np.zeros(5, dtype=bool))
+    est = estimate_reach_federer(pts, tans, 0.5, np.arange(5) == 4)
+    assert est.pairs_scanned == 8 and est.value == math.inf
 
 
 def test_ellipse_scan_converges_to_vertex_curvature():

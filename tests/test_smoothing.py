@@ -8,23 +8,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachsmooth import kernels, smoothing
 from reachsmooth.checks import (_patch_rows, _searched_blend,
                                 check_main_theorem, random_c11)
 from reachsmooth.curves import (AppliedPatch, ArcChainShape, ClosedCurve,
-                                make_shape, stadium_segments)
+                                make_shape, sample_manifold, stadium_segments)
 from reachsmooth.errors import (ConvergenceError, GeometryError,
                                 InvalidInputError)
 from reachsmooth.kernels import Interval, find_support_radius
 from reachsmooth.partition import (make_reference_plateau, rescale_plateau,
                                    smoothing_window_radius)
 from reachsmooth.ppoly import HermiteTable
+from reachsmooth.reach import analytic_reach, estimate_reach_federer
 from reachsmooth.smoothing import (build_net, effective_radius_drop,
                                    far_away_reach_bound,
                                    predicted_reach_bound, smooth_core_probe,
                                    smooth_manifold, smooth_patch)
-from tests.test_reach import dogbone_shape
+from tests.test_reach import (dogbone_shape, filleted_polygon,
+                              jittered_offset_polygon)
 
 
 def circle(r=1.0):
@@ -311,16 +315,21 @@ def test_run_report_consistency(circle_run):
 
 
 def test_report_records_the_scan_argmin(circle_run, stadium_run):
-    for res in (circle_run, stadium_run.result):
-        rep, scan = res.report, res.scan
-        i, j = scan.argmin_indices
-        assert rep.reach_argmin["indices"] == [i, j]
-        assert rep.reach_argmin["points"] == [scan.argmin_base.tolist(),
-                                              scan.argmin_other.tolist()]
-        step = res.curve.length / rep.scan_samples
-        assert rep.reach_argmin["params"] == [i * step, j * step]
-        pts, _ = res.curve.point_and_velocity(np.array([i * step, j * step]))
-        assert np.allclose(pts, rep.reach_argmin["points"], rtol=0, atol=1e-12)
+    res = stadium_run.result
+    rep, scan = res.report, res.scan
+    i, j = scan.argmin_indices
+    assert rep.reach_argmin["indices"] == [i, j]
+    assert rep.reach_argmin["points"] == [scan.argmin_base.tolist(),
+                                          scan.argmin_other.tolist()]
+    step = res.curve.length / rep.scan_samples
+    assert rep.reach_argmin["params"] == [i * step, j * step]
+    pts, _ = res.curve.point_and_velocity(np.array([i * step, j * step]))
+    assert np.allclose(pts, rep.reach_argmin["points"], rtol=0, atol=1e-12)
+    # the circle has no patch window: nothing is scanned, R_input stands
+    rep, scan = circle_run.report, circle_run.scan
+    assert rep.reach_argmin is None and scan.argmin_indices == (-1, -1)
+    assert rep.R_hat_measured == rep.R_input == 1.0
+    assert rep.scan_pairs == scan.pairs_scanned == 0
 
 
 def test_run_meets_reach_and_distance_budgets(circle_run, stadium_run):
@@ -539,6 +548,101 @@ def test_tiny_stadium_length_tolerances_scale_with_the_shape():
             if r.name in ("patch_hausdorff", "far_point_distance")]
     assert len(rows) == 8
     assert all(r.tolerance <= 1e-3 * r.bound for r in rows)
+
+
+# ------------------------------------------------ the windowed final scan
+#
+# The final scan reads only the pairs with an end in a patch window and
+# takes R_input for the rest; the full scan of the same sample is its
+# oracle.
+
+ROUNDED_RECT = {"kind": "cad_profile", "preset": "rounded_rect",
+                "width": 2.0, "height": 1.0, "corner_radius": 0.2}
+
+
+def _assert_windowed_scan_is_the_full_one(result):
+    """Never above the full scan, past rounding; the full scan itself,
+    argmin included, wherever it reads below R_input."""
+    rep = result.report
+    sample = sample_manifold(result.curve, rep.scan_samples)
+    full = estimate_reach_federer(sample.points, sample.tangents,
+                                  rep.scan_min_sep, None)
+    assert rep.R_hat_measured <= full.value * (1.0 + 1e-9)
+    if rep.R_hat_measured < rep.R_input:
+        assert rep.R_hat_measured == full.value
+        assert result.scan.argmin_indices == full.argmin_indices
+        assert rep.reach_argmin["indices"] == list(full.argmin_indices)
+        assert 0 < rep.scan_pairs < full.pairs_scanned
+    else:
+        assert rep.R_hat_measured == rep.R_input
+        assert rep.reach_argmin is None
+        assert result.scan.argmin_indices == (-1, -1)
+        assert result.scan.argmin_base.shape == (0, 2)
+        assert result.scan.argmin_other.shape == (0, 2)
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "stadium", "r": 1.0, "l": 2.0}, {"kind": "circle", "r": 1.0},
+    {"kind": "ellipse", "a": 2.0, "b": 1.0}, ROUNDED_RECT],
+    ids=["stadium", "circle", "ellipse", "rounded_rect"])
+def test_windowed_scan_matches_the_full_scan_on_the_catalog(spec):
+    result = smooth_manifold(spec, 0.05)
+    _assert_windowed_scan_is_the_full_one(result)
+    if not result.curve.patches:
+        # no window, nothing scanned: the input's reach, exactly
+        assert result.report.scan_pairs == 0
+        assert result.report.R_hat_measured == result.report.R_input
+    else:
+        # both ends of the minimizing pair lie in a window
+        assert result.report.R_hat_measured < result.report.R_input
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=6),
+       st.floats(0.5, 1.5), st.floats(0.5, 1.0))
+def test_windowed_scan_matches_the_full_scan_on_offset_polygons(jitter, size,
+                                                                r):
+    shape = jittered_offset_polygon(jitter, size, r)
+    _assert_windowed_scan_is_the_full_one(smooth_manifold(shape, 0.8 * r))
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(st.floats(1.5, 2.5), st.floats(0.5, 1.0), st.floats(0.3, 0.7),
+       st.floats(0.5, 1.0), st.floats(0.15, 0.25))
+def test_windowed_scan_matches_the_full_scan_on_filleted_polygons(
+        a, b, step, rise, radius):
+    # an L-shaped step, its reflex corner filleted clockwise; every side
+    # is at least 0.5 long, so the fillets (cut back by their radius)
+    # never meet
+    c = 0.5 + step * (a - 1.0)
+    shape = filleted_polygon([[0.0, 0.0], [a, 0.0], [a, b], [c, b],
+                              [c, b + rise], [0.0, b + rise]], radius)
+    R = analytic_reach(shape)
+    _assert_windowed_scan_is_the_full_one(smooth_manifold(shape, 0.8 * R))
+
+
+@pytest.mark.parametrize("spec, eps", [
+    (rotated_stadium_spec(0.3, r=1e-2, l=2e-2), 5e-4),
+    (rotated_stadium_spec(0.3), 0.05),
+    (rotated_stadium_spec(0.3, r=100.0, l=200.0), 5.0),
+    (ROUNDED_RECT, 0.05), ({"kind": "circle", "r": 1.0}, 0.05)],
+    ids=["stadium-1e-2", "stadium-1", "stadium-100", "rounded_rect", "circle"])
+def test_cold_samples_are_the_input_curve(spec, eps):
+    # outside every patch window the final sample is the input curve
+    # bit for bit, which is what lets the scan skip pairs of two of them
+    result = smooth_manifold(spec, eps)
+    curve = result.curve
+    params = sample_manifold(curve, result.report.scan_samples).params
+    hot = curve.in_patch_windows(params)
+    pts, vel = curve.point_and_velocity(params)
+    base_pts, base_vel = ClosedCurve(curve.shape).point_and_velocity(params)
+    assert pts[~hot].tobytes() == base_pts[~hot].tobytes()
+    assert vel[~hot].tobytes() == base_vel[~hot].tobytes()
+    assert hot.any() == bool(curve.patches)
+    if curve.patches:
+        # the windows are narrow, and the patches did move samples
+        assert np.count_nonzero(hot) < 0.2 * hot.size
+        assert np.any(pts[hot] != base_pts[hot])
 
 
 def test_run_rejects_epsilon_near_reach():
