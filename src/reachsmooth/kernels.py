@@ -20,7 +20,11 @@ A support radius sigma is chosen by one halving search
 largest deviation between a function and its mollification on the
 origin-aligned grid i*sigma/taps of a window.  ``sup_deviation_ck`` and
 ``find_support_radius`` read it at 50 taps, ``smoothing.smooth_patch``
-at 16.
+at 16.  A whole-grid read of the first two reads the function once and
+convolves only the blocks of ``_BLOCK`` points whose second-difference
+bound reaches the largest deviation found so far
+(``_settled_deviation``); its answer is the one-pass measurement's, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -66,6 +70,11 @@ _MAX_GRID = 4_000_000
 # when the probe exceeds the target by more than this relative margin
 _PROBE_HALF = 256
 _PROBE_MARGIN = 1e-6
+# a whole-grid measurement bounds the deviation on blocks of this many
+# window points and convolves only the blocks whose bound reaches the
+# largest deviation found so far; _U is the unit roundoff
+_BLOCK = 4096
+_U = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -193,18 +202,22 @@ def convolve_grid(values, kernel, step):
     if v.ndim != 1:
         raise InvalidInputError("values must be a 1-D array")
     h = as_positive_float(step, "step")
-    m = int(math.floor(kernel.sigma / h))
+    m, w = _aligned_taps(kernel.sigma, h)
     if m < 8:
         raise InvalidInputError(
             f"step {h} too coarse for support {kernel.sigma}: "
             f"{m} taps per side, need >= 8")
     if v.size < 2 * m + 1:
         raise InvalidInputError("not enough samples for one kernel width")
-    j = np.arange(-m, m + 1)
-    w = _tap_weights(j * (h / kernel.sigma))
     # out[t] = sum_j w_j values[t + m - j]
     out = np.convolve(v, w, mode="valid")
     return out, m
+
+
+def _aligned_taps(sigma, h):
+    """The taps floor(sigma/h) a side and their weights on offsets j*h."""
+    m = int(math.floor(sigma / h))
+    return m, _tap_weights(np.arange(-m, m + 1) * (h / sigma))
 
 
 def sup_deviation_ck(f, df, kernel, window, k=1):
@@ -213,10 +226,13 @@ def sup_deviation_ck(f, df, kernel, window, k=1):
     Computes max over the window of |smoothed - original|, including the
     first-derivative mismatch when ``k=1`` (which requires ``df``).  The
     window is read on the grid points i*sigma/50 it holds, in at most
-    ``_MAX_GRID`` points, and every sample is convolved with aligned
-    taps on that spacing (``_grid_deviation``).  The window plus one
-    kernel support must lie inside the domain of ``f``; the caller
-    guarantees that.
+    ``_MAX_GRID`` points, once.  Blocks of it are convolved with aligned
+    taps on that spacing (``_grid_deviation``) in order of a bound on
+    their deviation, and only the blocks whose bound reaches the largest
+    deviation found so far are convolved at all; the answer is the same,
+    bit for bit, as convolving every sample.  The window plus one kernel
+    support must lie inside the domain of ``f``; the caller guarantees
+    that.
 
     Parameters
     ----------
@@ -247,7 +263,13 @@ def sup_deviation_ck(f, df, kernel, window, k=1):
 
 def _window_deviation(f, df, sigma, window, k, near):
     """``_grid_deviation`` of ``f`` (and ``df`` when ``k=1``) on the grid
-    points i*sigma/50 of ``window``, at scale 1."""
+    points i*sigma/50 of ``window``, at scale 1.
+
+    A probe (``near`` set) is ``_grid_deviation``'s own, payload and
+    all.  The whole grid is settled block by block
+    (``_settled_deviation``): the same deviation and worst point, bit for
+    bit, with no payload.
+    """
     h = sigma / _GRID_PER_SIGMA
     first, last = math.ceil(window.lo / h), math.floor(window.hi / h)
     if last < first:
@@ -261,7 +283,85 @@ def _window_deviation(f, df, sigma, window, k, near):
         fv = np.asarray(f(xs), dtype=float)
         return fv, (np.asarray(df(xs), dtype=float) if k == 1 else None)
 
-    return _grid_deviation(read, sigma, _GRID_PER_SIGMA, first, last, near, 1.0)
+    if near is not None:
+        return _grid_deviation(read, sigma, _GRID_PER_SIGMA, first, last,
+                               near, 1.0)
+    return _settled_deviation(read, sigma, _GRID_PER_SIGMA, first, last)
+
+
+def _settled_deviation(read, sigma, taps, first, last):
+    """``_grid_deviation`` on the whole grid, convolving only the blocks
+    that can hold its maximum.
+
+    ``read`` is called once, on the whole grid.  Each block of
+    ``_BLOCK`` indices gets an upper bound on its deviation
+    (``_block_bounds``); blocks are measured by ``_grid_deviation``,
+    their reads served by slices of the one read, in order of highest
+    bound first, until a bound falls strictly below the largest
+    deviation found.  On a tie the lower grid index wins, as it does in
+    one whole-grid ``np.argmax``, so ``(deviation, None, worst)`` is the
+    whole-grid measurement's, bit for bit.
+    """
+    h = sigma / taps
+    m, w = _aligned_taps(sigma, h)
+    xs = np.arange(first - m, last + m + 1) * h
+    values, slopes = read(xs)
+    del xs
+    n = last - first + 1
+    bounds = _block_bounds(values, w, n)
+    if slopes is not None:
+        np.maximum(bounds, _block_bounds(slopes, w, n), out=bounds)
+    # a non-finite read leaves no bound, so every block is measured
+    bounds[np.isnan(bounds)] = np.inf
+
+    def block_read(lo):
+        return lambda xs: tuple(None if r is None else r[lo:lo + xs.size]
+                                for r in (values, slopes))
+
+    best = None  # (rank, deviation, worst); the largest rank wins
+    for b in np.argsort(-bounds, kind="stable"):
+        if best is not None and bounds[b] < best[1]:
+            break
+        lo = int(b) * _BLOCK
+        dev, _, worst = _grid_deviation(block_read(lo), sigma, taps, first + lo,
+                                        min(first + lo + _BLOCK - 1, last),
+                                        None, 1.0)
+        # np.argmax order: a NaN first, then the larger, then the lower index
+        nan = math.isnan(dev)
+        rank = (nan, 0.0 if nan else dev, -int(b))
+        if best is None or rank > best[0]:
+            best = (rank, dev, worst)
+    return best[1], None, best[2]
+
+
+def _block_bounds(v, w, n):
+    """Upper bounds on the computed |v* - v| over each block of
+    ``_BLOCK`` of the ``n`` outputs of ``convolve_grid(v)``.
+
+    The 2m+1 weights are symmetric and nonnegative, so at a grid point
+    v* - v = sum_{j>=1} w_j D2_{jh} v + (sum w - 1) v, and each D2_{jh} v
+    is a sum of j^2 second differences D2_h v over the block's span of
+    outputs plus one kernel radius.  With D the largest computed |D2_h v|
+    over that span and V the largest |v| read, a block's deviation is at
+    most C (D + 8uV) + (|sum w - 1| + (2m + 8)u) V, C = sum_{j>=1} w_j
+    j^2: 8uV covers the rounding of D, (2m + 8)uV that of the convolution
+    and the difference.  Returns the bounds with a relative margin 1e-9.
+    """
+    m = w.size // 2
+    j = np.arange(1, m + 1)
+    c = float(np.dot(w[m + 1:], j * j))
+    drift = abs(math.fsum(w) - 1.0) + (2 * m + 8) * _U
+    big = max(float(v.max()), -float(v.min()))
+    d2 = np.diff(v)
+    d2 = np.subtract(d2[1:], d2[:-1])
+    np.abs(d2, out=d2)
+    # d2[q] is centred on v[q + 1]; block b's span runs from its first
+    # output's d2 index to 2m - 3 past its last
+    starts = np.arange(0, n, _BLOCK)
+    spans = np.maximum.reduceat(d2, starts)
+    heads = d2[starts[1:, None] + np.arange(2 * m - 2)].max(axis=1)
+    np.maximum(spans[:-1], heads, out=spans[:-1])
+    return (1.0 + 1e-9) * (c * (spans + 8.0 * _U * big) + drift * big)
 
 
 def _grid_deviation(read, sigma, taps, first, last, near, scale):
@@ -366,7 +466,8 @@ def find_support_radius(f, df, window, domain, target, k=1, *,
     Radii after the first are probed near the previous radius's worst
     point first (see ``_halving_search``), so ``sup_deviation_ck`` reads
     the whole grid only for the start, the accepted radius and any
-    radius a probe cannot reject.
+    radius a probe cannot reject, and of that read it convolves only the
+    blocks whose bound reaches the largest deviation found so far.
 
     Returns
     -------

@@ -673,6 +673,27 @@ def test_main_theorem_rows(stadium_run):
     assert not over, over
 
 
+def test_strict_reach_row_reads_the_drop_with_no_tolerance(stadium_run):
+    # R_hat_measured can only overestimate the reach, so the strict row
+    # compares R - R_hat with epsilon exactly; the stadium passes it
+    result = stadium_run.result
+    rep = result.report
+    rows = {r.name: r for r in check_main_theorem(result, seed=0)}
+    strict = rows["reach_drop_strict"]
+    assert strict.passed and strict.tolerance == 0.0
+    assert strict.measured == rows["reach_drop"].measured
+    assert strict.bound == rep.epsilon and strict.grid == rep.scan_samples
+    # positive control: a report reading R_hat below R - epsilon by less
+    # than the 2% scan tolerance passes reach_drop but fails the strict row
+    low = rep.R_input - rep.epsilon - 0.5 * checks._REACH_TOL * rep.R_input
+    doctored = dataclasses.replace(
+        result, report=dataclasses.replace(rep, R_hat_measured=low))
+    rows = {r.name: r for r in check_main_theorem(doctored, seed=0)}
+    assert rows["reach_drop"].passed
+    assert not rows["reach_drop_strict"].passed
+    assert rows["reach_drop_strict"].slack < 0.0
+
+
 def test_main_theorem_matches_per_probe_reference(stadium_run):
     # the probe rows read the final curve, whose patches are cubic-Hermite
     # tabulations; the reference probes each patch's live blend instead,
@@ -695,7 +716,7 @@ def test_main_theorem_matches_per_probe_reference(stadium_run):
         expected.append(("smooth_probe_junction", tag, blend.value, sig, True))
         expected.append(("junction_probe_control", tag, blend.graph.value, sig,
                          False))
-    probe_rows = rows[3:3 + len(expected)]
+    probe_rows = rows[4:4 + len(expected)]
     assert [(r.name, r.instance) for r in probe_rows] == \
         [(name, tag) for name, tag, _, _, _ in expected]
     for row, (_, _, graph, step, verdict) in zip(probe_rows, expected):
@@ -719,9 +740,10 @@ def test_main_theorem_matches_per_probe_reference(stadium_run):
         expected.append(checks._result(
             "junction_pair_ratio", est.value, bound, 0.0, est.pairs_scanned, 3,
             f"junction-arc={a:.6f}", passed=est.value >= bound))
-    assert [r.name for r in rows[:3]] == ["reach_drop", "c1_distance", "center_shift"]
-    assert len(rows) == 3 + len(probe_rows) + len(expected) == 19
-    assert repr([dataclasses.astuple(r) for r in rows[3 + len(probe_rows):]]) == \
+    assert [r.name for r in rows[:4]] == ["reach_drop", "reach_drop_strict",
+                                          "c1_distance", "center_shift"]
+    assert len(rows) == 4 + len(probe_rows) + len(expected) == 20
+    assert repr([dataclasses.astuple(r) for r in rows[4 + len(probe_rows):]]) == \
         repr([dataclasses.astuple(r) for r in expected])
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from reachsmooth import kernels
+from reachsmooth.checks import random_c11, random_piecewise_linear
 from reachsmooth.errors import ConvergenceError, InvalidInputError
 from reachsmooth.kernels import (BumpKernel, Interval, convolve, convolve_grid,
                                  find_support_radius, sup_deviation_ck)
@@ -317,6 +318,204 @@ def test_sup_deviation_peak_memory(k, arrays):
     finally:
         tracemalloc.stop()
     assert peak <= (arrays + 0.25) * 8 * n
+
+
+# A whole-grid read is settled block by block; its oracle is one plain
+# _grid_deviation over every point of the same grid.  On [-1, 1] the
+# radii below hold 2 and 26 blocks of kernels._BLOCK points.
+_SETTLE_WINDOW = Interval(-1.0, 1.0)
+_SETTLE_SIGMAS = (2.0 ** -6, 2.0 ** -10)
+
+
+def _grid_read(f, df, k):
+    def read(xs):
+        return (np.asarray(f(xs), dtype=float),
+                np.asarray(df(xs), dtype=float) if k == 1 else None)
+    return read
+
+
+def _grid_indices(sigma, window):
+    h = sigma / 50
+    return math.ceil(window.lo / h), math.floor(window.hi / h)
+
+
+def _plain_whole_grid(f, df, sigma, window, k):
+    first, last = _grid_indices(sigma, window)
+    return kernels._grid_deviation(_grid_read(f, df, k), sigma, 50, first,
+                                   last, None, 1.0)
+
+
+def _block_start(sigma, window, b):
+    """The grid point that opens block ``b`` of the window's grid."""
+    first, _ = _grid_indices(sigma, window)
+    return (first + b * kernels._BLOCK) * (sigma / 50)
+
+
+def _settle_zoo(sigma):
+    zoo = [(f"corner-{c:.6f}", lambda x, c=c: np.abs(x - c),
+            lambda x, c=c: np.sign(x - c))
+           for c in (_block_start(sigma, _SETTLE_WINDOW, 1), 0.1372)]
+    rng = np.random.default_rng(17)
+    domain = Interval(-1.5, 1.5)
+    for i in range(2):
+        f, df, _, _ = random_c11(rng, domain, 6, 2.0)
+        zoo.append((f"c11-{i}", f, df))
+        f, df, _ = random_piecewise_linear(rng, domain, 8, 3.0)
+        zoo.append((f"pwl-{i}", f, df))
+    zoo.append(("sin-1e3", lambda x: np.sin(1e3 * x),
+                lambda x: 1e3 * np.cos(1e3 * x)))
+    # deviation from rounding alone: every second difference is 0
+    zoo.append(("constant", lambda x: np.full(np.shape(x), 1e6 + 0.3),
+                lambda x: np.zeros(np.shape(x))))
+    return zoo
+
+
+_SETTLE_CASES = [(sigma, k, name, f, df) for sigma in _SETTLE_SIGMAS
+                 for k in (0, 1) for name, f, df in _settle_zoo(sigma)]
+_SETTLE_IDS = [f"{name}-k{k}-sigma={sigma:g}"
+               for sigma, k, name, _, _ in _SETTLE_CASES]
+
+
+@pytest.mark.parametrize("sigma, k, name, f, df", _SETTLE_CASES,
+                         ids=_SETTLE_IDS)
+def test_settled_whole_grid_matches_one_plain_read(sigma, k, name, f, df):
+    dev, payload, worst = kernels._window_deviation(f, df, sigma,
+                                                    _SETTLE_WINDOW, k, None)
+    want, _, want_worst = _plain_whole_grid(f, df, sigma, _SETTLE_WINDOW, k)
+    assert payload is None
+    assert (dev, worst) == (want, want_worst)
+    assert sup_deviation_ck(f, df, BumpKernel(sigma), _SETTLE_WINDOW, k=k) == \
+        (want, want_worst)
+
+
+@pytest.mark.parametrize("sigma, k, name, f, df", _SETTLE_CASES,
+                         ids=_SETTLE_IDS)
+def test_block_bounds_hold_every_block_maximum(sigma, k, name, f, df):
+    # each block's bound is at least the largest |f* - f| (and |f*' -
+    # f'|) the plain read computes over that block's outputs
+    first, last = _grid_indices(sigma, _SETTLE_WINDOW)
+    _, (xs, d0, d1, _, _), _ = _plain_whole_grid(f, df, sigma,
+                                                 _SETTLE_WINDOW, k)
+    m, w = kernels._aligned_taps(sigma, sigma / 50)
+    n = last - first + 1
+    starts = np.arange(0, n, kernels._BLOCK)
+    for diff, read in ((d0, f), (d1, df)):
+        if diff is None:
+            continue
+        bounds = kernels._block_bounds(np.asarray(read(xs), dtype=float), w, n)
+        exact = np.maximum.reduceat(np.abs(diff), starts)
+        assert bounds.shape == exact.shape
+        assert np.all(exact <= bounds), (exact / bounds).max()
+        if name == "constant" and diff is d0:
+            # only the rounding allowance covers these
+            assert exact.max() > 0.0
+
+
+def _spy_blocks(monkeypatch):
+    """Records ``(first, last, deviation)`` of every ``_grid_deviation``."""
+    calls = []
+    real = kernels._grid_deviation
+
+    def spy(read, sigma, taps, first, last, near, scale):
+        out = real(read, sigma, taps, first, last, near, scale)
+        calls.append((first, last, out[0]))
+        return out
+
+    monkeypatch.setattr(kernels, "_grid_deviation", spy)
+    return calls
+
+
+def test_high_frequency_read_settles_no_block(monkeypatch):
+    # sin(1e3 x) bends the same in every block, so every bound reaches
+    # the maximum and every block is convolved
+    sigma = 2.0 ** -10
+    f, df = lambda x: np.sin(1e3 * x), lambda x: 1e3 * np.cos(1e3 * x)
+    want = _plain_whole_grid(f, df, sigma, _SETTLE_WINDOW, 1)
+    calls = _spy_blocks(monkeypatch)
+    dev, _, worst = kernels._window_deviation(f, df, sigma, _SETTLE_WINDOW, 1,
+                                              None)
+    first, last = _grid_indices(sigma, _SETTLE_WINDOW)
+    assert len(calls) == -(-(last - first + 1) // kernels._BLOCK) == 26
+    assert sorted((a, b) for a, b, _ in calls) == [
+        (lo, min(lo + kernels._BLOCK - 1, last))
+        for lo in range(first, last + 1, kernels._BLOCK)]
+    assert (dev, worst) == (want[0], want[2])
+
+
+def test_window_under_one_block_is_one_read(monkeypatch):
+    sigma = 2.0 ** -10
+    window = Interval(-0.01, 0.013)
+    f, df = (lambda x: np.abs(x - 0.0031)), (lambda x: np.sign(x - 0.0031))
+    want = _plain_whole_grid(f, df, sigma, window, 1)
+    calls = _spy_blocks(monkeypatch)
+    dev, _, worst = kernels._window_deviation(f, df, sigma, window, 1, None)
+    assert [(a, b) for a, b, _ in calls] == [_grid_indices(sigma, window)]
+    assert (dev, worst) == (want[0], want[2])
+
+
+def test_equal_peaks_in_two_blocks_keep_the_lower_grid_point(monkeypatch):
+    # valleys at grid indices a and b, in blocks 2 and 5 at the same
+    # offset, flat at 1000 steps: written in the grid index, so the
+    # samples around a and b, hence their peaks, are equal bit for bit,
+    # and the four shoulders bend half as much
+    sigma = 2.0 ** -10
+    h = sigma / 50
+    first, _ = _grid_indices(sigma, _SETTLE_WINDOW)
+    a, b = first + 2 * kernels._BLOCK + 100, first + 5 * kernels._BLOCK + 100
+
+    def f(x):
+        i = np.rint(np.asarray(x) / h)
+        return h * np.minimum(np.minimum(np.abs(i - a), np.abs(i - b)), 1000)
+
+    dev, _, worst = _plain_whole_grid(f, None, sigma, _SETTLE_WINDOW, 0)
+    assert worst == a * h
+    real_bounds = kernels._block_bounds
+
+    # valid bounds still, but higher for later blocks: block 5 is
+    # measured before block 2, whose equal peak must then win
+    def later_first(v, w, n):
+        bounds = real_bounds(v, w, n)
+        return bounds * (1.0 + 1e-3 * np.arange(bounds.size))
+
+    for bounds in (real_bounds, later_first):
+        monkeypatch.setattr(kernels, "_block_bounds", bounds)
+        calls = _spy_blocks(monkeypatch)
+        got = kernels._window_deviation(f, None, sigma, _SETTLE_WINDOW, 0, None)
+        assert (got[0], got[2]) == (dev, worst)
+        peaks = [d for lo, _, d in calls if lo in (a - 100, b - 100)]
+        assert len(peaks) == 2 and peaks[0] == peaks[1] == dev
+        monkeypatch.undo()
+    assert [lo for lo, _, _ in calls][:2] == [b - 100, a - 100]
+
+
+def test_non_finite_read_measures_every_block():
+    # a NaN leaves no bound: the answer is np.argmax's, the first NaN
+    sigma = 2.0 ** -10
+    f = lambda x: np.where(x > 0.5, np.nan, np.abs(x))
+    dev, _, worst = kernels._window_deviation(f, None, sigma, _SETTLE_WINDOW,
+                                              0, None)
+    want, _, want_worst = _plain_whole_grid(f, None, sigma, _SETTLE_WINDOW, 0)
+    assert math.isnan(dev) and math.isnan(want)
+    assert worst == want_worst
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_whole_grid_corner_read_convolves_under_two_percent(monkeypatch, k):
+    # the blend suite's deepest corner read: 819,201 window points at
+    # sigma = 0.25/1024; only the blocks around the kink are convolved
+    sigma = 0.25 / 1024
+    window = Interval(-2.0, 2.0)
+    f = lambda x: np.abs(np.asarray(x) - 0.1372)
+    df = lambda x: np.sign(np.asarray(x) - 0.1372)
+    first, last = _grid_indices(sigma, window)
+    assert last - first + 1 == 819_201
+    calls = _spy_blocks(monkeypatch)
+    dev, worst = sup_deviation_ck(f, df, BumpKernel(sigma), window, k=k)
+    convolved = sum(b - a + 1 for a, b, _ in calls)
+    assert 0 < convolved <= 0.02 * 819_201
+    monkeypatch.undo()
+    want = _plain_whole_grid(f, df, sigma, window, k)
+    assert (dev, worst) == (want[0], want[2])
 
 
 def test_find_support_radius_affine_returns_start():

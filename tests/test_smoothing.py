@@ -129,7 +129,8 @@ def test_net_deterministic():
 
 def test_full_net_reference_keeps_the_theorem(stadium_run):
     # the paper's construction on the stadium keeps every guarantee the
-    # theorem states: reach drop, C^1 distance, center shift, a probe at
+    # theorem states: reach drop (with the scan tolerance and without),
+    # C^1 distance, center shift, a probe at
     # every patch center and at every junction, the raw controls
     run, net = full_net_run({"kind": "stadium", "r": 1.0, "l": 2.0}, 0.05)
     rep = run.report
@@ -138,7 +139,7 @@ def test_full_net_reference_keeps_the_theorem(stadium_run):
     assert rep.patches_applied > 50 * stadium_run.result.report.patches_applied
     rows = check_main_theorem(run)
     theorem = [r for r in rows if r.name != "junction_pair_ratio"]
-    assert len(theorem) == 3 + rep.patches_applied + 2 * 4
+    assert len(theorem) == 4 + rep.patches_applied + 2 * 4
     assert all(r.passed for r in theorem), [r for r in theorem if not r.passed]
     # positive control of the micro pair scan: the reference's
     # cubic-Hermite tabulations keep most of a curvature jump where no
