@@ -27,7 +27,7 @@ from .curves import (ArcChainShape, ArcSegment, CircleShape, ClosedCurve,
                      make_shape, rounded_rectangle_segments, sample_manifold,
                      stadium_segments)
 from .errors import ConvergenceError, GeometryError, InvalidInputError
-from .kernels import (BumpKernel, Interval, convolve, convolve_grid,
+from .kernels import (BumpKernel, Interval, convolve_grid,
                       find_support_radius, sup_deviation_ck)
 from .linalg import hausdorff_distance_sampled
 from .partition import (PlateauFunction, make_reference_plateau,
@@ -48,7 +48,7 @@ __all__ = [
     "make_shape", "rounded_rectangle_segments", "sample_manifold",
     "stadium_segments",
     "ConvergenceError", "GeometryError", "InvalidInputError",
-    "BumpKernel", "Interval", "convolve", "convolve_grid",
+    "BumpKernel", "Interval", "convolve_grid",
     "find_support_radius", "sup_deviation_ck",
     "hausdorff_distance_sampled",
     "PlateauFunction", "make_reference_plateau", "rescale_plateau",

@@ -18,18 +18,21 @@ that could hide its rows.
 
 Each checker has one route.  The four patch checkers read the same
 ``arrays``, one live evaluation of the patch blend by
-``patch_graph_arrays``; grids, tap counts and instance counts are module
-constants, and the smoothness-probe rows of ``check_main_theorem`` all
-come from one helper bound by the probe's own pass threshold.
+``patch_graph_arrays``; every blend and convolution checker reads its
+function on the tap lattice of its kernel (``_lattice_outputs``); grids
+and instance counts are module constants, and the smoothness-probe rows
+of ``check_main_theorem`` all come from one helper bound by the probe's
+own pass threshold.
 
 Checking costs what the checks need and no more: the grid of the patch
 arrays and the taps of its blend sit on one lattice, so the arrays cost
-one Newton solve, value and slope together, on the lattice points they
-read, each once; the far-point check bounds each cache-sized block of
-core rows against each far sample by its tangent-ball centers and
-compares pair by pair only the blocks and samples that can hold the
-maximum, which is the dense one bit for bit; and each of the theorem's
-smoothness probes opens one window and reads it one stencil at a time.
+two Newton solves, value and slope together: the grid, and the lattice
+points the blend reads, each once; the far-point check bounds each
+cache-sized block of core rows against each far sample by its
+tangent-ball centers and compares pair by pair only the blocks and
+samples that can hold the maximum, which is the dense one bit for bit;
+and each of the theorem's smoothness probes opens one window and reads
+it one stencil at a time.
 
 The suite runner is deterministic end to end: seeded generators consumed
 in a fixed order, fixed instance ordering, and a CSV writer with a
@@ -49,7 +52,8 @@ from . import _accel
 from ._util import fmt17, json_dumps_stable
 from .curves import ClosedCurve, _circular_gap, local_graph_at
 from .errors import InvalidInputError
-from .kernels import BumpKernel, Interval, convolve, find_support_radius
+from .kernels import (_GRID_PER_SIGMA, BumpKernel, Interval,
+                      _lattice_convolve, find_support_radius)
 from .linalg import hausdorff_distance_sampled
 from .partition import make_reference_plateau, smoothing_window_radius
 from .reach import estimate_reach_federer
@@ -77,11 +81,10 @@ __all__ = [
 ]
 
 
-# grid of the Lipschitz checkers; grid and taps per side of the shared
-# patch arrays; pair subsample of the tangent-distance check
+# least grid of the Lipschitz checkers and of the shared patch arrays;
+# pair subsample of the tangent-distance check
 _LIPSCHITZ_GRID = 2001
 _PATCH_GRID = 1025
-_PATCH_TAPS = 16
 _PAIR_N = 192
 # core rows per block of the far-point check, and the float-eps
 # multiple that widens its block bounds past every rounding
@@ -211,6 +214,33 @@ def random_c11(rng, domain, n_kinks, lip_d_max):
 # mollification and blend checkers
 
 
+def _lattice_outputs(lo, hi, h, n):
+    """A grid of at least ``n`` points over [lo, hi] on a lattice of
+    spacing h: every s-th point of its q-fold refinement h/q.
+
+    q is the least that leaves ``n`` points of h/q in [lo, hi], and s
+    then the largest, so the grid is as fine as it must be and no finer.
+    Returns ``(k, q)``: the sorted indices k = i s of the grid points k
+    h/q, and q.
+    """
+    def ends(q, s):
+        # the first and last i with i s h/q in [lo, hi]
+        return math.ceil(lo / (h / q) / s), math.floor(hi / (h / q) / s)
+
+    def count(q, s):
+        first, last = ends(q, s)
+        return last - first + 1
+
+    q = max(1, math.ceil((n - 1) * h / (hi - lo)))
+    while count(q, 1) < n:
+        q += 1
+    s = max(1, math.floor((hi - lo) * q / ((n - 1) * h)))
+    while count(q, s) < n:
+        s -= 1
+    first, last = ends(q, s)
+    return s * np.arange(first, last + 1), q
+
+
 def check_convolution_lipschitz(f, df, lip, kernel, domain, *, order,
                                 seed=0, instance=""):
     """Mollification never raises a Lipschitz constant.
@@ -220,43 +250,48 @@ def check_convolution_lipschitz(f, df, lip, kernel, domain, *, order,
     slope constant of their own, so the claim there is the slope bound).
     Either way the discrete form is exact: the smoothed value is a fixed
     convex combination of translates, so the constant carries over with
-    no grid term, and the tolerance is float-level only.
+    no grid term, and the tolerance is float-level only.  The smoothed
+    function is read on the lattice sigma/50 of ``sup_deviation_ck``,
+    refined until the shrunk domain holds ``_LIPSCHITZ_GRID`` points
+    (``_lattice_outputs``); the row's ``grid`` counts them.
     """
-    shrunk = Interval(domain.lo + kernel.sigma * (1 + 1e-9),
-                      domain.hi - kernel.sigma * (1 + 1e-9))
+    sigma = kernel.sigma
+    shrunk = Interval(domain.lo + sigma * (1 + 1e-9),
+                      domain.hi - sigma * (1 + 1e-9))
     if shrunk.length <= 0:
         raise InvalidInputError("domain too small for the kernel support")
-    xs = np.linspace(shrunk.lo, shrunk.hi, _LIPSCHITZ_GRID)
+    h = sigma / _GRID_PER_SIGMA
+    k, q = _lattice_outputs(shrunk.lo, shrunk.hi, h, _LIPSCHITZ_GRID)
+    g = f if order == 0 else df
+    _, (vals,) = _lattice_convolve(lambda xs: (g(xs),), sigma,
+                                   _GRID_PER_SIGMA, k, q,
+                                   np.ones(k.size, dtype=bool))
     if order == 0:
-        vals = convolve(f, kernel, xs)
-        measured = estimate_lipschitz(xs, vals)
+        measured = estimate_lipschitz(k * (h / q), vals)
     else:
-        vals = convolve(df, kernel, xs)
         measured = float(np.abs(vals).max())
     tol = 1e-9 * max(1.0, lip)
     return _result(f"conv_lipschitz_order{order}", measured, lip, tol,
-                   _LIPSCHITZ_GRID, seed, instance)
+                   k.size, seed, instance)
 
 
 class _FunctionGraph:
-    """A zoo function and its slope in the graph interface of ``BlendedMap``.
-
-    ``value`` is ``f`` itself, so the value path does no extra work.
-    """
+    """A zoo function and its slope in the graph interface of ``BlendedMap``."""
 
     def __init__(self, f, df):
-        self.value = f
+        self.f = f
         self.df = df
 
     def value_and_slope(self, y):
-        return self.value(y), self.df(y)
+        return self.f(y), self.df(y)
 
 
 def _searched_blend(f, df, psi, rho, domain, order, *, sigma_max):
     window = Interval(-psi.support_radius, psi.support_radius)
     sigma, _ = find_support_radius(
         f, df, window, domain, rho, k=order, sigma_max=sigma_max)
-    return BlendedMap(_FunctionGraph(f, df), psi, BumpKernel(sigma))
+    return BlendedMap(_FunctionGraph(f, df), psi, BumpKernel(sigma),
+                      _GRID_PER_SIGMA)
 
 
 def check_blend_lipschitz(f, df, lip, lip_d, psi, rho, domain, *, order,
@@ -267,99 +302,59 @@ def check_blend_lipschitz(f, df, lip, lip_d, psi, rho, domain, *, order,
     Order 1: the blended slope is Lipschitz within L_d + 3 K(1) rho
     (needs a Lipschitz input slope, so order 1 only accepts that zoo).
     The zoo is at scale R = 1, so K(1) = ``psi.combined_lipschitz(1.0)``.
+    The blend is read on the lattice sigma/50 its radius search measured,
+    refined until the shrunk domain holds ``_LIPSCHITZ_GRID`` points
+    (``_lattice_outputs``); the row's ``grid`` counts them.
     """
     blend = _searched_blend(f, df, psi, rho, domain, order,
                             sigma_max=sigma_max)
-    margin = blend.kernel.sigma * (1 + 1e-9)
+    sigma = blend.kernel.sigma
+    margin = sigma * (1 + 1e-9)
     shrunk = Interval(domain.lo + margin, domain.hi - margin)
-    xs = np.linspace(shrunk.lo, shrunk.hi, _LIPSCHITZ_GRID)
+    h = sigma / blend.taps
+    k, q = _lattice_outputs(shrunk.lo, shrunk.hi, h, _LIPSCHITZ_GRID)
     if order == 0:
-        vals = blend.value(xs)
+        vals = blend.value(k, q)
         bound = lip + psi.lip_value * rho
     else:
-        vals = blend.derivative(xs)
+        vals = blend.derivative(k, q)
         bound = lip_d + 3.0 * psi.combined_lipschitz(1.0) * rho
-    measured = estimate_lipschitz(xs, vals)
+    measured = estimate_lipschitz(k * (h / q), vals)
     tol = 1e-6 * max(1.0, bound)
     return _result(f"blend_lipschitz_order{order}", measured, bound, tol,
-                   _LIPSCHITZ_GRID, seed, instance)
+                   k.size, seed, instance)
 
 
 # ---------------------------------------------------------------------------
 # patch-level checkers (run on patches from a real pipeline pass)
 
 
-class _LatticeRead:
-    """A window graph read once on the lattice points k h of the sorted
-    integers ``ks``, for a blend that reads value and slope only: a
-    batch whose points all sit within 1e-6 h of held lattice points is
-    served from that read by index, every other batch goes to the
-    window itself.
-    """
-
-    def __init__(self, graph, h, ks):
-        self.graph = graph
-        self.h = h
-        self.ks = ks.astype(float)
-        # a gapless range is indexed by offset, one with gaps by search
-        self.gapless = ks[-1] - ks[0] + 1 == ks.size
-        self.f, self.df = graph.value_and_slope(self.ks * h)
-
-    def value_and_slope(self, y):
-        y = np.asarray(y, dtype=float)
-        k = np.rint(y / self.h)
-        # a non-finite y fails here, so k is finite past it
-        if np.all(np.abs(y - k * self.h) <= 1e-6 * self.h):
-            last = self.ks.size - 1
-            if self.gapless:
-                at = np.clip(k - self.ks[0], 0, last).astype(np.intp)
-            else:
-                at = np.minimum(np.searchsorted(self.ks, k), last)
-            if np.all(self.ks[at] == k):
-                return self.f[at], self.df[at]
-        return self.graph.value_and_slope(y)
-
-
 def patch_graph_arrays(patch):
     """Dense shared evaluation of one patch blend, by live quadrature.
 
-    Returns ``(ys, F, DF, fv, dfv)`` on a uniform grid over the
-    transition window, the ``arrays`` every patch checker reads.  The
-    blend is re-evaluated with fresh taps here, never read off the
-    displacement tabulation the pipeline stored: the checks must not
-    trust the object they are checking.
+    Returns ``(ys, F, DF, fv, dfv)`` on a grid over the transition
+    window, the ``arrays`` every patch checker reads: the blend's value
+    and slope and the graph's.  The blend is re-evaluated with fresh
+    taps here, never read off the displacement tabulation the pipeline
+    stored: the checks must not trust the object they are checking.
 
-    The taps of the blend sit on the lattice k h, h = sigma/16, and so
-    does the grid: a patch that halved its support radius k times has
-    r2 = w/2 and sigma = w/128 2^-k, so the grid step 2 r2/1024 is
-    s = 2^(k+1) lattice steps, and ``ys`` is (i s) h, i = -512..512.
-    The graph is read once, value and slope together, on the lattice
-    points i s - j, j = -16..16, that the grid and its taps need, and
-    every read of the blend is served from it: one Newton solve of at
-    most min(1024 s + 33, 1025 x 33) points.  Against an
-    ``np.linspace`` grid only the quadrature nodes move, by rounding.
-    A patch whose grid step is no whole number of lattice steps keeps
-    the ``np.linspace`` grid and reads the window itself.
+    The grid sits on the blend's own lattice k h, h = sigma/16: a patch
+    that halved its support radius k times has r2 = w/2 and sigma =
+    w/128 2^-k, so the grid step 2 r2/1024 is s = 2^(k+1) lattice steps,
+    and ``ys`` is (i s) h, i = -512..512, the grid ends matched to the
+    lattice within 1e-6 h.  Any other patch gets the zoo's grid rule
+    (``_lattice_outputs``) with at least ``_PATCH_GRID`` points.  The
+    blend reads its graph once, on the lattice points of the grid and
+    the taps it needs (``BlendedMap``), and the graph values are one
+    more read of the grid.
     """
     b = patch.blend
     r2 = patch.transition_radius
-    h = b.kernel.sigma / _PATCH_TAPS
-    half = _PATCH_GRID // 2
-    s = round(r2 / (half * h))
-    i = np.arange(-half, half + 1) * s
-    ys = i * h
-    if abs(ys[-1] - r2) <= 1e-6 * h:
-        # the taps of neighbouring grid points overlap up to s = 33
-        j = np.arange(-_PATCH_TAPS, _PATCH_TAPS + 1)
-        ks = (np.arange(i[0] + j[0], i[-1] + j[-1] + 1)
-              if s <= j.size else (i[:, None] + j).ravel())
-        read = _LatticeRead(b.graph, h, ks)
-    else:
-        ys = np.linspace(-r2, r2, _PATCH_GRID)
-        read = b.graph
-    fv, dfv = read.value_and_slope(ys)
-    light = BlendedMap(read, b.psi, b.kernel, taps=_PATCH_TAPS)
-    F, DF = light.value_and_derivative(ys)
+    h = b.kernel.sigma / b.taps
+    k, q = _lattice_outputs(-r2 - 1e-6 * h, r2 + 1e-6 * h, h, _PATCH_GRID)
+    ys = k * (h / q)
+    fv, dfv = b.graph.value_and_slope(ys)
+    F, DF = b.value_and_derivative(k, q)
     return ys, F, DF, fv, dfv
 
 

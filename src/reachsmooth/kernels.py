@@ -2,12 +2,16 @@
 
 The kernel family is fixed: the classic bump ``exp(-1/(1 - (x/sigma)^2))``
 scaled to unit mass on [-sigma, sigma].  Convolution is one discrete-tap
-rule: the bump sampled at uniform offsets and normalized to unit sum.
-The weights are nonnegative and sum to one, so convolving sampled values
-can never increase a Lipschitz constant, which is exactly the property
-the verification suite stresses.  ``convolve`` applies the rule at
-arbitrary points, ``convolve_grid`` to values already sampled on a grid
-of the tap spacing.
+rule: the bump sampled at the offsets j*h of a lattice of spacing h and
+normalized to unit sum (``_aligned_taps``, one cached set of weights per
+radius and spacing).  The weights are nonnegative and sum to one, so
+convolving sampled values can never increase a Lipschitz constant,
+which is exactly the property the verification suite stresses.  Every
+convolution reads its function on that lattice: ``convolve_grid``
+convolves a contiguous run of samples, and ``_lattice_convolve`` reads
+the taps of chosen lattice indices, in one read, and gathers them by
+index (the live blends of ``smoothing.BlendedMap`` and the convolution
+checker).
 
 Derivatives of a convolution are convolutions of the slope: every
 caller knows the slope of what it smooths, so the slope is convolved
@@ -41,7 +45,6 @@ from .errors import ConvergenceError, InvalidInputError
 __all__ = [
     "Interval",
     "BumpKernel",
-    "convolve",
     "convolve_grid",
     "sup_deviation_ck",
     "find_support_radius",
@@ -121,72 +124,11 @@ class BumpKernel:
     def __post_init__(self):
         object.__setattr__(self, "sigma", as_positive_float(self.sigma, "sigma"))
 
-    def tap_scheme(self, taps=64):
-        """Discrete weights for convolution on offsets j*sigma/taps.
-
-        Returns (offsets, weights); offsets are in x units.  The weights
-        are nonnegative with exact unit sum and symmetric, so affine
-        functions convolve to themselves without quadrature error.
-        """
-        return _tap_scheme(self.sigma, int(taps))
-
 
 def _tap_weights(u):
     """The bump sampled at ``u`` (offsets over sigma), normalized to unit sum."""
     w = _bump_raw(u)
     return w / w.sum()
-
-
-@lru_cache(maxsize=256)
-def _tap_scheme(sigma, m):
-    if m < 4:
-        raise InvalidInputError(f"at least 4 taps per side required, got {m}")
-    u = np.arange(-m, m + 1) / float(m)
-    y = u * sigma
-    w = _tap_weights(u)
-    y.setflags(write=False)
-    w.setflags(write=False)
-    return y, w
-
-
-def convolve(f, kernel, x, taps=64):
-    """Convolution of ``f`` with the kernel at the points ``x``.
-
-    Parameters
-    ----------
-    f : callable
-        Accepts float arrays, returns values elementwise, or a tuple of
-        such outputs (a value and its slope, say).  A tuple is convolved
-        output by output with the same weights and the same chunks, so
-        one evaluation of ``f`` on the tap grid serves every output, and
-        a tuple of results comes back.  Every point within
-        ``kernel.sigma`` of some x must be in its domain.  ``f`` is
-        called at least once, on an empty batch when ``x`` is empty.
-    kernel : BumpKernel
-    x : float or array_like
-        A scalar gives a float back, an array an array of its shape.
-    taps : int
-        Taps per side of the discrete rule.
-    """
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    y, w = kernel.tap_scheme(taps)
-    outs = None
-    chunk = max(1, int(2e6) // y.size)
-    for lo in range(0, max(xs.size, 1), chunk):
-        part = xs[lo:lo + chunk]
-        vals = f(part[:, None] - y[None, :])
-        many = isinstance(vals, tuple)
-        if not many:
-            vals = (vals,)
-        if outs is None:
-            outs = [np.empty(xs.shape) for _ in vals]
-        for out, v in zip(outs, vals):
-            out[lo:lo + chunk] = np.asarray(v, dtype=float) @ w
-    if scalar:
-        outs = [float(out[0]) for out in outs]
-    return tuple(outs) if many else outs[0]
 
 
 def convolve_grid(values, kernel, step):
@@ -214,10 +156,66 @@ def convolve_grid(values, kernel, step):
     return out, m
 
 
+@lru_cache(maxsize=256)
 def _aligned_taps(sigma, h):
-    """The taps floor(sigma/h) a side and their weights on offsets j*h."""
+    """The taps m = floor(sigma/h) a side and their weights on offsets
+    j*h, j = -m..m, read-only.  Rounding makes m one less than sigma/h
+    for some sigma; the dropped end taps, at u = +-1, weigh 0."""
     m = int(math.floor(sigma / h))
-    return m, _tap_weights(np.arange(-m, m + 1) * (h / sigma))
+    w = _tap_weights(np.arange(-m, m + 1) * (h / sigma))
+    w.setflags(write=False)
+    return m, w
+
+
+def _lattice_convolve(read, sigma, taps, k, q, hot):
+    """The reads at the sorted lattice indices ``k`` and their
+    convolutions at ``k[hot]``, ``hot`` a boolean mask of ``k``.
+
+    The lattice is the points i*h/q, h = sigma/taps, and the taps of the
+    rule sit on every q-th of them: with ``(m, w) = _aligned_taps(sigma,
+    h)`` the convolution at index i is sum_j w_j g((i - j q) h/q).
+    ``read(xs)`` returns a tuple of arrays, one entry per point of
+    ``xs`` in each (a value and its slope, say), and is called once: on
+    the one index range that ``k`` and the taps of its hot indices span,
+    or on those taps and the cold indices alone, whichever is fewer
+    points.  So neighbouring tap windows that overlap are read once, and
+    windows far apart do not read the lattice between them.  The taps
+    are gathered into one ``(hot.sum(), 2m + 1)`` array per output of
+    ``read`` and dotted with ``w``.
+
+    Returns ``(outs, convs)``: each output of ``read`` at ``k``, and its
+    convolution at ``k[hot]``.
+    """
+    k = np.asarray(k, dtype=np.int64)
+    h = sigma / taps
+    m, w = _aligned_taps(sigma, h)
+    khot, kcold = k[hot], k[~hot]
+    # column c of a hot index's window holds the tap of weight w[c]
+    offsets = (m - np.arange(2 * m + 1)) * q
+    ends = np.concatenate([k[:1], k[-1:], khot[:1] - m * q, khot[-1:] + m * q])
+    lo, hi = (ends.min(), ends.max()) if ends.size else (0, -1)
+    n = khot.size * offsets.size
+    ranged = hi - lo + 1 <= n + kcold.size
+    if ranged:
+        idx = np.arange(lo, hi + 1)
+    else:
+        # the windows row by row, then the cold indices; exact as floats
+        idx = np.empty(n + kcold.size)
+        np.add(khot[:, None], offsets, out=idx[:n].reshape(-1, offsets.size))
+        idx[n:] = kcold
+    outs, convs = [], []
+    for v in read(idx * (h / q)):
+        v = np.asarray(v, dtype=float)
+        if ranged:
+            at_k, windows = v[k - lo], v[khot[:, None] + offsets - lo]
+        else:
+            windows = v[:n].reshape(-1, offsets.size)
+            at_k = np.empty(k.size)
+            at_k[hot] = windows[:, m]
+            at_k[~hot] = v[n:]
+        outs.append(at_k)
+        convs.append(windows @ w)
+    return tuple(outs), tuple(convs)
 
 
 def sup_deviation_ck(f, df, kernel, window, k=1):

@@ -49,7 +49,7 @@ from .curves import (AppliedPatch, BaseShape, ClosedCurve, local_graph_at,
 from .errors import GeometryError, InvalidInputError
 # convolve_grid is not used here; perfbench's
 # test_wrappers_reach_every_binding_and_restore checks this binding
-from .kernels import (_grid_deviation, _halving_search, convolve,
+from .kernels import (_grid_deviation, _halving_search, _lattice_convolve,
                       convolve_grid)
 from .partition import (PlateauFunction, make_reference_plateau,
                         rescale_plateau, smoothing_window_radius)
@@ -84,61 +84,52 @@ def build_net(shape):
 
 
 class BlendedMap:
-    """The localized blend of a 1-D graph, evaluated by live quadrature.
+    """The localized blend of a 1-D graph, evaluated by live quadrature
+    on its tap lattice.
 
-    ``graph`` is what gets blended: any object with ``value(y)`` and
-    ``value_and_slope(y)`` (a ``LocalGraph``, or a function and its
-    slope wrapped to look like one).  Outside the plateau support the
-    blend returns the original values exactly (the convolution is not
-    even evaluated there); inside, value and slope come from fresh
-    discrete-tap quadrature rather than any tabulation, which is what
-    the lemma checkers and the smoothness probe need.  ``value`` reads
-    the graph's values only; ``value_and_derivative`` reads value and
-    slope together, with one graph evaluation at ``y`` and one on the
-    tap grid.
+    ``graph`` is what gets blended: any object with ``value_and_slope(y)``
+    (a ``LocalGraph``, or a function and its slope wrapped to look like
+    one).  The blend lives on the lattice of spacing sigma/taps of its
+    ``kernel``, and every method takes sorted integer indices ``k`` on
+    the q-fold refinement of that lattice: the points k sigma/(taps q),
+    with the taps on every q-th of them (q = 1 for a patch).  Outside the
+    plateau support the blend returns the original values exactly;
+    inside, value and slope come from fresh discrete-tap quadrature
+    rather than any tabulation, which is what the lemma checkers need.
+    All three methods share one path: one graph read, value and slope
+    together, of the points ``k`` and the taps of the points inside the
+    support, gathered by index (``kernels._lattice_convolve``).
     """
 
-    def __init__(self, graph, psi, kernel, taps=64):
+    def __init__(self, graph, psi, kernel, taps):
         self.graph = graph
         self.psi = psi
         self.kernel = kernel
         self.taps = taps
 
-    def value(self, y):
-        yv = np.atleast_1d(np.asarray(y, dtype=float))
-        base = np.asarray(self.graph.value(yv), dtype=float)
-        out = base.copy()
-        w = self.psi(yv)
-        hot = w > 0.0
-        if np.any(hot):
-            conv = convolve(self.graph.value, self.kernel, yv[hot],
-                            taps=self.taps)
-            out[hot] = base[hot] + w[hot] * (conv - base[hot])
-        return out if np.asarray(y).ndim else float(out[0])
+    def value(self, k, q):
+        return self._blend(k, q)[0]
 
-    def derivative(self, y):
-        return self.value_and_derivative(y)[1]
+    def derivative(self, k, q):
+        return self._blend(k, q)[1]
 
-    def value_and_derivative(self, y):
-        """Both fields in one pass; shares the quadrature between them."""
-        yv = np.atleast_1d(np.asarray(y, dtype=float))
-        base, dbase = self.graph.value_and_slope(yv)
-        base = np.asarray(base, dtype=float)
-        dbase = np.asarray(dbase, dtype=float)
-        val = base.copy()
-        der = dbase.copy()
-        w = self.psi(yv)
-        dw = self.psi.derivative(yv)
+    def value_and_derivative(self, k, q):
+        """Value and slope of the blend at the points k sigma/(taps q)."""
+        return self._blend(k, q)
+
+    def _blend(self, k, q):
+        sigma = self.kernel.sigma
+        ys = np.asarray(k) * (sigma / self.taps / q)
+        w = self.psi(ys)
+        dw = self.psi.derivative(ys)
         hot = (w > 0.0) | (dw != 0.0)
-        if np.any(hot):
-            conv, dconv = convolve(self.graph.value_and_slope, self.kernel,
-                                   yv[hot], taps=self.taps)
-            diff = conv - base[hot]
-            val[hot] = base[hot] + w[hot] * diff
-            der[hot] = dbase[hot] + dw[hot] * diff + w[hot] * (dconv - dbase[hot])
-        if np.asarray(y).ndim:
-            return val, der
-        return float(val[0]), float(der[0])
+        (val, der), (conv, dconv) = _lattice_convolve(
+            self.graph.value_and_slope, sigma, self.taps, k, q, hot)
+        base, dbase = val[hot], der[hot]
+        diff = conv - base
+        val[hot] = base + w[hot] * diff
+        der[hot] = dbase + dw[hot] * diff + w[hot] * (dconv - dbase)
+        return val, der
 
 
 @dataclass(frozen=True)
@@ -156,8 +147,11 @@ class PatchRecord:
     lip_slope: float
 
 
-# halvings of the support radius a patch tries before giving up
+# halvings of the support radius a patch tries before giving up; taps
+# per kernel radius of a patch's measurement lattice, which its blend
+# keeps
 _MAX_HALVINGS = 14
+_PATCH_TAPS = 16
 
 
 def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max):
@@ -170,13 +164,14 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max):
 
     The support radius comes from ``kernels._halving_search``, each
     radius measured by ``kernels._grid_deviation``: the graph is read on
-    the grid i*sigma/16 over the plateau support plus one kernel radius,
-    and the convolved values and slopes are compared, in units of R,
-    with the graph's: max(|f* - f|/R, |f*' - f'|) <= rho.  Radii after
-    the first are probed near the previous radius's worst point, and
-    only a radius the probe cannot reject is read in full, the accepted
-    one always.  The displacement is tabulated from the accepted
-    radius's differences on that grid.
+    the grid i*sigma/16 (``_PATCH_TAPS``) over the plateau support plus
+    one kernel radius, and the convolved values and slopes are compared,
+    in units of R, with the graph's: max(|f* - f|/R, |f*' - f'|) <= rho.
+    Radii after the first are probed near the previous radius's worst
+    point, and only a radius the probe cannot reject is read in full,
+    the accepted one always.  The displacement is tabulated from the accepted
+    radius's differences on that grid, and the patch keeps the live
+    blend on the same lattice.
 
     Raises
     ------
@@ -209,9 +204,10 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max):
 
     def measure(sigma, near):
         # the plateau support plus one kernel radius, two rows to spare
-        inner = int(math.ceil((r2 + sigma) / (sigma / 16))) + 2 - 16
-        return _grid_deviation(graph.value_and_slope, sigma, 16, -inner,
-                               inner, near, R)
+        inner = (int(math.ceil((r2 + sigma) / (sigma / _PATCH_TAPS))) + 2
+                 - _PATCH_TAPS)
+        return _grid_deviation(graph.value_and_slope, sigma, _PATCH_TAPS,
+                               -inner, inner, near, R)
 
     start = min(as_positive_float(sigma_max, "sigma_max"), (w - r2) * (1.0 - 1e-9))
     sigma, halvings, dev, (xs, d0, d1, kern, mid) = _halving_search(
@@ -228,7 +224,7 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max):
     xs_mid = xs[mid]
     pv = psi(xs_mid)
     disp = HermiteTable(xs_mid, pv * d0, psi.derivative(xs_mid) * d0 + pv * d1)
-    blend = BlendedMap(graph, psi, kern)
+    blend = BlendedMap(graph, psi, kern, _PATCH_TAPS)
     patch = AppliedPatch(
         index=index, base_arc=float(base_arc), center=graph.center,
         tangent=graph.tangent, normal=graph.normal, inner_radius=r1,

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from reachsmooth import checks
+from reachsmooth import checks, kernels
 from reachsmooth.checks import (CheckResult, check_angle_bound,
                                 check_blend_lipschitz,
                                 check_convolution_lipschitz,
@@ -21,11 +21,12 @@ from reachsmooth.checks import (CheckResult, check_angle_bound,
                                 write_checks_csv, write_failures_json)
 from reachsmooth.curves import LocalGraph, sample_manifold
 from reachsmooth.errors import InvalidInputError
-from reachsmooth.kernels import BumpKernel, Interval, convolve
+from reachsmooth.kernels import BumpKernel, Interval
 from reachsmooth.partition import make_reference_plateau, smoothing_window_radius
 from reachsmooth.reach import estimate_reach_federer
 from reachsmooth.smoothing import (_PROBE_RATIO_CAP, BlendedMap,
                                    smooth_core_probe, smooth_manifold)
+from tests.test_kernels import M49_SIGMA, convolve, tap_scheme
 from tests.test_smoothing import scaled_run
 
 
@@ -173,27 +174,34 @@ def _solve_batches(monkeypatch):
 
 def _lattice_stride(patch):
     """Grid step of the patch arrays in lattice steps sigma/16, unrounded."""
-    h = patch.blend.kernel.sigma / checks._PATCH_TAPS
+    h = patch.blend.kernel.sigma / patch.blend.taps
     return 2.0 * patch.transition_radius / ((checks._PATCH_GRID - 1) * h)
 
 
-def _lattice_reference(patch):
-    """The arrays from separate value and slope reads on the lattice
-    points k h, h = sigma/16, that the grid (i s) h and its taps
-    (i s - j) h need, each tap picked by index and weighted by ``@ w``."""
+def _patch_grid(patch):
+    """The indices (i s), i = -512..512, of the grid of a patch whose grid
+    step is s lattice steps."""
+    half = checks._PATCH_GRID // 2
+    return np.arange(-half, half + 1) * round(_lattice_stride(patch))
+
+
+def _lattice_reference(patch, k, q):
+    """The arrays at the points k h/q, h = sigma/16, from separate value
+    and slope reads on the lattice points the grid and its taps (k - j q)
+    need, each tap picked by index and weighted by ``@ w`` with the
+    oracle's weights."""
     b = patch.blend
     g = b.graph
-    T, half = checks._PATCH_TAPS, checks._PATCH_GRID // 2
+    T = b.taps
     h = b.kernel.sigma / T
-    i = np.arange(-half, half + 1) * round(_lattice_stride(patch))
-    taps = i[:, None] - np.arange(-T, T + 1)
+    taps = k[:, None] - np.arange(-T, T + 1) * q
     ks = np.unique(taps)
-    val, slo = g.value(ks * h), g.slope(ks * h)
-    ys = i * h
-    base, dbase = val[np.searchsorted(ks, i)], slo[np.searchsorted(ks, i)]
+    val, slo = g.value(ks * (h / q)), g.slope(ks * (h / q))
+    ys = k * (h / q)
+    base, dbase = val[np.searchsorted(ks, k)], slo[np.searchsorted(ks, k)]
     w, dw = b.psi(ys), b.psi.derivative(ys)
     hot = (w > 0.0) | (dw != 0.0)
-    _, weights = b.kernel.tap_scheme(T)
+    _, weights = tap_scheme(b.kernel.sigma, T)
     at = np.searchsorted(ks, taps[hot])
     conv, dconv = val[at] @ weights, slo[at] @ weights
     F, DF = base.copy(), dbase.copy()
@@ -201,6 +209,21 @@ def _lattice_reference(patch):
     F[hot] = base[hot] + w[hot] * diff
     DF[hot] = dbase[hot] + dw[hot] * diff + w[hot] * (dconv - dbase[hot])
     return ys, F, DF, base, dbase
+
+
+def _blend_read_bound(blend, k, q):
+    """The most points one evaluation of ``blend`` at ``k`` may read: the
+    index range of the points and their taps, or the taps of the points
+    inside the plateau support and the others alone, whichever is
+    fewer."""
+    m, _ = kernels._aligned_taps(blend.kernel.sigma,
+                                 blend.kernel.sigma / blend.taps)
+    ys = k * (blend.kernel.sigma / blend.taps / q)
+    hot = (blend.psi(ys) > 0.0) | (blend.psi.derivative(ys) != 0.0)
+    khot = k[hot]
+    lo = min(k[0], khot[0] - m * q) if khot.size else k[0]
+    hi = max(k[-1], khot[-1] + m * q) if khot.size else k[-1]
+    return min(hi - lo + 1, khot.size * (2 * m + 1) + k.size - khot.size)
 
 
 def _linspace_reference(patch):
@@ -214,8 +237,8 @@ def _linspace_reference(patch):
     base, dbase = g.value(ys), g.slope(ys)
     w, dw = b.psi(ys), b.psi.derivative(ys)
     hot = (w > 0.0) | (dw != 0.0)
-    conv = convolve(g.value, b.kernel, ys[hot], taps=checks._PATCH_TAPS)
-    dconv = convolve(g.slope, b.kernel, ys[hot], taps=checks._PATCH_TAPS)
+    conv = convolve(g.value, b.kernel, ys[hot], taps=b.taps)
+    dconv = convolve(g.slope, b.kernel, ys[hot], taps=b.taps)
     F, DF = base.copy(), dbase.copy()
     diff = conv - base[hot]
     F[hot] = base[hot] + w[hot] * diff
@@ -233,12 +256,18 @@ def _patch_check_rows(patch, curve, R, sample, arrays):
 def test_patch_graph_arrays_share_one_tap_grid_solve(stadium_run,
                                                       monkeypatch):
     patch = stadium_run.result.curve.patches[2]
+    k = _patch_grid(patch)
     batches = _solve_batches(monkeypatch)
     arrays = patch_graph_arrays(patch)
     monkeypatch.undo()
-    # one 1-D read serves the grid, the blend's base and every tap
-    assert len(batches) == 1 and len(batches[0]) == 1
-    assert _bits(*arrays) == _bits(*_lattice_reference(patch))
+    # the graph on the grid, then one 1-D read that serves the blend's
+    # base and every tap: the lattice range from the first tap of the
+    # first hot grid point to the last of the last
+    s = round(_lattice_stride(patch))
+    T = patch.blend.taps
+    assert batches == [(k.size,), (2 * (511 * s + T) + 1,)]
+    assert batches[1][0] == _blend_read_bound(patch.blend, k, 1)
+    assert _bits(*arrays) == _bits(*_lattice_reference(patch, k, 1))
 
 
 @pytest.mark.parametrize("kind, lam", [
@@ -254,13 +283,15 @@ def test_patch_graph_arrays_read_one_lattice_at_every_scale(kind, lam,
         q = _lattice_stride(patch)
         s = round(q)
         assert abs(q - s) <= 1e-9 * s and s >= 1 and s & (s - 1) == 0
+        k = _patch_grid(patch)
         batches = _solve_batches(monkeypatch)
         arrays = patch_graph_arrays(patch)
         monkeypatch.undo()
-        assert len(batches) == 1 and len(batches[0]) == 1
-        T, G = checks._PATCH_TAPS, checks._PATCH_GRID
-        assert batches[0][0] <= min((G - 1) * s + 2 * T + 1, G * (2 * T + 1))
-        assert _bits(*arrays) == _bits(*_lattice_reference(patch))
+        T, G = patch.blend.taps, checks._PATCH_GRID
+        assert len(batches) == 2 and batches[0] == (G,)
+        assert batches[1][0] == _blend_read_bound(patch.blend, k, 1)
+        assert batches[1][0] <= min((G - 1) * s + 2 * T + 1, G * (2 * T + 1))
+        assert _bits(*arrays) == _bits(*_lattice_reference(patch, k, 1))
 
 
 def _resized_patch(patch, factor):
@@ -268,21 +299,27 @@ def _resized_patch(patch, factor):
     b = patch.blend
     sigma = factor * b.kernel.sigma
     return dataclasses.replace(
-        patch, sigma=sigma, blend=BlendedMap(b.graph, b.psi, BumpKernel(sigma)))
+        patch, sigma=sigma,
+        blend=BlendedMap(b.graph, b.psi, BumpKernel(sigma), b.taps))
 
 
 def test_patch_graph_arrays_deep_halving_reads_the_taps_only(stadium_run,
                                                              monkeypatch):
     # three more halvings: a grid step of 64 lattice steps leaves gaps
-    # between the taps of neighbouring grid points, which are not read
+    # between the taps of neighbouring grid points, which are not read;
+    # the two end points, where the plateau and its slope vanish, are
+    # read alone
     result = stadium_run.result
     patch = _resized_patch(result.curve.patches[1], 1.0 / 8.0)
     assert round(_lattice_stride(patch)) == 64
+    k = _patch_grid(patch)
     batches = _solve_batches(monkeypatch)
     arrays = patch_graph_arrays(patch)
     monkeypatch.undo()
-    assert batches == [(checks._PATCH_GRID * (2 * checks._PATCH_TAPS + 1),)]
-    assert _bits(*arrays) == _bits(*_lattice_reference(patch))
+    G, T = checks._PATCH_GRID, patch.blend.taps
+    assert batches == [(G,), ((G - 2) * (2 * T + 1) + 2,)]
+    assert batches[1][0] == _blend_read_bound(patch.blend, k, 1)
+    assert _bits(*arrays) == _bits(*_lattice_reference(patch, k, 1))
     sample = sample_manifold(result.curve, n=2000)
     rows = _patch_check_rows(patch, result.curve, result.report.R_input,
                              sample, arrays)
@@ -291,46 +328,157 @@ def test_patch_graph_arrays_deep_halving_reads_the_taps_only(stadium_run,
 
 def test_patch_graph_arrays_off_lattice_sigma_reads_the_graph(stadium_run,
                                                               monkeypatch):
+    # a hand-built patch whose grid step is no whole number of lattice
+    # steps gets the zoo's grid rule: every s-th lattice point, s the
+    # largest that leaves 1025 in [-r2, r2]
     result = stadium_run.result
     patch = _resized_patch(result.curve.patches[1], 0.75)
     q = _lattice_stride(patch)
     assert abs(q - round(q)) > 0.1
+    h = patch.blend.kernel.sigma / patch.blend.taps
+    r2 = patch.transition_radius
+    s = math.floor(r2 / h / 512)
+    last = math.floor(r2 / h / s)
+    k = s * np.arange(-last, last + 1)
+    assert k.size >= checks._PATCH_GRID
+    assert 2 * math.floor(r2 / h / (s + 1)) + 1 < checks._PATCH_GRID
     batches = _solve_batches(monkeypatch)
     arrays = patch_graph_arrays(patch)
     monkeypatch.undo()
-    # the linspace grid, read as it is, and the taps read off the grid
-    assert _bits(arrays[0]) == _bits(np.linspace(
-        -patch.transition_radius, patch.transition_radius, checks._PATCH_GRID))
-    assert any(len(b) == 2 for b in batches)
-    assert _bits(*arrays) == _bits(*_linspace_reference(patch))
+    assert _bits(arrays[0]) == _bits(k * h)
+    assert len(batches) == 2 and batches[0] == (k.size,)
+    assert batches[1][0] == _blend_read_bound(patch.blend, k, 1)
+    assert _bits(*arrays) == _bits(*_lattice_reference(patch, k, 1))
     sample = sample_manifold(result.curve, n=2000)
     rows = _patch_check_rows(patch, result.curve, result.report.R_input,
                              sample, arrays)
     assert all(r.passed for r in rows), rows
 
 
-def test_lattice_read_serves_held_points_only(stadium_run, monkeypatch):
-    g = stadium_run.result.curve.patches[0].blend.graph
-    h = 1e-3
-    ks = np.arange(-40, 41)
-    held_f, held_df = g.value_and_slope(ks * h)
-    read = checks._LatticeRead(g, h, ks)
-    batches = _solve_batches(monkeypatch)
-    # held points, to rounding, in any shape: served by index
-    k = np.array([[3, -7], [40, -40]])
-    f, df = read.value_and_slope(k * h * (1.0 + 1e-12))
-    assert batches == []
-    assert _bits(f, df) == _bits(held_f[k + 40], held_df[k + 40])
-    # between lattice points or past the held ones: the graph
-    for y in ([3.5 * h], [41 * h, 0.0]):
-        batches.clear()
-        read.value_and_slope(np.array(y))
-        assert batches == [(len(y),)]
-    # and a non-finite point, which the graph refuses
-    batches.clear()
-    with pytest.raises(InvalidInputError):
-        read.value_and_slope(np.array([np.nan]))
-    assert batches == [(1,)]
+class _ReadSpy:
+    """A graph that records the points of every read."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.reads = []
+
+    def value_and_slope(self, y):
+        self.reads.append(np.array(y))
+        return self.graph.value_and_slope(y)
+
+
+def test_lattice_read_serves_held_points_only(stadium_run):
+    # one evaluation of a patch blend reads its graph once, at lattice
+    # points only: every point and every tap of a hot point, no other
+    patch = stadium_run.result.curve.patches[0]
+    b = patch.blend
+    spy = _ReadSpy(b.graph)
+    blend = BlendedMap(spy, b.psi, b.kernel, b.taps)
+    h = b.kernel.sigma / b.taps
+    edge = math.floor(patch.transition_radius / h)
+    cases = {
+        "overlapping taps": np.arange(-40, 41) * 3,
+        "gaps between taps": np.arange(-6, 7) * 500,
+        "outside the support": np.array([-edge - 90, -edge - 5, edge + 7]),
+    }
+    for name, k in cases.items():
+        spy.reads.clear()
+        F, DF = blend.value_and_derivative(k, 1)
+        assert len(spy.reads) == 1, name
+        read = np.rint(spy.reads[0] / h).astype(np.int64)
+        assert _bits(spy.reads[0]) == _bits(read * h), name
+        assert read.size == _blend_read_bound(blend, k, 1), name
+        ys = k * h
+        hot = (b.psi(ys) > 0.0) | (b.psi.derivative(ys) != 0.0)
+        needed = set(k.tolist())
+        for i in k[hot]:
+            needed.update(range(i - b.taps, i + b.taps + 1))
+        assert needed <= set(read.tolist()), name
+        if name != "overlapping taps":
+            assert sorted(read.tolist()) == sorted(needed), name
+        assert _bits(F, DF) == _bits(*_lattice_reference(patch, k, 1)[1:3])
+    assert not hot.any()
+
+
+def _oracle_blend(blend, k, q):
+    """Value and slope of ``blend`` at k sigma/(taps q) by the arbitrary-
+    point oracle: the graph at the points themselves, ``convolve`` at the
+    points minus the tap offsets j sigma/taps."""
+    g = blend.graph
+    ys = k * (blend.kernel.sigma / blend.taps / q)
+    base, dbase = g.value_and_slope(ys)
+    w, dw = blend.psi(ys), blend.psi.derivative(ys)
+    hot = (w > 0.0) | (dw != 0.0)
+    conv, dconv = convolve(g.value_and_slope, blend.kernel, ys[hot],
+                           taps=blend.taps)
+    F, DF = base.copy(), dbase.copy()
+    diff = conv - base[hot]
+    F[hot] = base[hot] + w[hot] * diff
+    DF[hot] = dbase[hot] + dw[hot] * diff + w[hot] * (dconv - dbase[hot])
+    return F, DF
+
+
+def _zoo_blend(case):
+    """A zoo blend for each of the four read patterns of the lattice."""
+    psi = make_reference_plateau()
+    domain = Interval(-2.7, 2.7)
+    f, df, _, _ = random_c11(np.random.default_rng(5), domain, 6, 2.0)
+    graph = checks._FunctionGraph(f, df)
+    if case == "gapped":
+        # the rho = 1e-4 corner: a deep search, taps far apart on the grid
+        c = 0.1234
+        return checks._searched_blend(
+            lambda x: np.abs(np.asarray(x, dtype=float) - c),
+            lambda x: np.sign(np.asarray(x, dtype=float) - c),
+            psi, 1e-4, domain, 0, sigma_max=0.25), domain
+    sigma = {"contiguous": 2.0 ** -5, "refined": 0.25, "m49": M49_SIGMA}[case]
+    return BlendedMap(graph, psi, BumpKernel(sigma), 50), domain
+
+
+@pytest.mark.parametrize("case", ["contiguous", "gapped", "refined", "m49"])
+def test_lattice_blend_matches_the_oracle(case):
+    blend, domain = _zoo_blend(case)
+    sigma = blend.kernel.sigma
+    margin = sigma * (1 + 1e-9)
+    h = sigma / blend.taps
+    k, q = checks._lattice_outputs(domain.lo + margin, domain.hi - margin, h,
+                                   checks._LIPSCHITZ_GRID)
+    m, _ = kernels._aligned_taps(sigma, h)
+    s = k[1] - k[0]
+    assert (q > 1) == (case == "refined")
+    assert (m == blend.taps - 1) == (case == "m49")
+    assert (s > 2 * m + 1) == (case in ("gapped", "m49"))
+    spy = _ReadSpy(blend.graph)
+    live = BlendedMap(spy, blend.psi, blend.kernel, blend.taps)
+    F, DF = live.value_and_derivative(k, q)
+    assert len(spy.reads) == 1
+    assert spy.reads[0].size == _blend_read_bound(blend, k, q)
+    oracle_F, oracle_DF = _oracle_blend(blend, k, q)
+    assert np.abs(F - oracle_F).max() <= 1e-13
+    assert np.abs(DF - oracle_DF).max() <= 1e-12
+
+
+def test_lattice_outputs_least_q_largest_s():
+    # against a search over every q and s: the least q with n points of
+    # h/q in [lo, hi], then the largest s
+    rng = np.random.default_rng(2)
+    for _ in range(40):
+        lo = rng.uniform(-3.0, 0.0)
+        hi = lo + rng.uniform(0.01, 3.0)
+        h = 10.0 ** rng.uniform(-4.0, -1.0)
+        n = int(rng.integers(3, 300))
+        k, q = checks._lattice_outputs(lo, hi, h, n)
+
+        def points(q, s):
+            i = np.arange(math.ceil(lo * q / (h * s)) - 1,
+                          math.floor(hi * q / (h * s)) + 2)
+            x = i * s * (h / q)
+            return i[(x >= lo) & (x <= hi)] * s
+
+        want_q = next(q for q in range(1, 10 ** 6) if points(q, 1).size >= n)
+        want_s = max(s for s in range(1, points(want_q, 1).size + 1)
+                     if points(want_q, s).size >= n)
+        assert (q, k.tolist()) == (want_q, points(want_q, want_s).tolist())
 
 
 _CATALOG = (
@@ -694,6 +842,20 @@ def test_strict_reach_row_reads_the_drop_with_no_tolerance(stadium_run):
     assert rows["reach_drop_strict"].slack < 0.0
 
 
+def _stencil_evaluator(blend):
+    """``blend``'s value at the stencil points of a probe at step sigma:
+    (j + 1/3) sigma 2^(2-l), which sit on the 3-fold refinement of its
+    lattice sigma/16 up to rounding."""
+    step = blend.kernel.sigma / blend.taps / 3
+
+    def value(xs):
+        k = np.rint(xs / step).astype(np.int64)
+        assert np.abs(xs - k * step).max() <= 1e-9 * step
+        return blend.value(k, 3)
+
+    return value
+
+
 def test_main_theorem_matches_per_probe_reference(stadium_run):
     # the probe rows read the final curve, whose patches are cubic-Hermite
     # tabulations; the reference probes each patch's live blend instead,
@@ -709,11 +871,12 @@ def test_main_theorem_matches_per_probe_reference(stadium_run):
     expected = []  # (name, instance, probed graph, step, expected verdict)
     for p in final.patches:
         expected.append(("smooth_probe", f"patch-{p.index:04d}-arc={p.base_arc:.6f}",
-                         p.blend.value, p.sigma, True))
+                         _stencil_evaluator(p.blend), p.sigma, True))
     for a in final.shape.junction_arcs():
         tag = f"junction-arc={a:.6f}"
         blend = by_arc[a].blend  # each junction is its patch's center
-        expected.append(("smooth_probe_junction", tag, blend.value, sig, True))
+        expected.append(("smooth_probe_junction", tag,
+                         _stencil_evaluator(blend), sig, True))
         expected.append(("junction_probe_control", tag, blend.graph.value, sig,
                          False))
     probe_rows = rows[4:4 + len(expected)]

@@ -11,7 +11,7 @@ from reachsmooth.curves import (AppliedPatch, ArcChainShape, ArcSegment,
                                 ClosedCurve, LineSegment, local_graph_at,
                                 make_shape, sample_manifold)
 from reachsmooth.errors import GeometryError, InvalidInputError
-from reachsmooth.kernels import BumpKernel, convolve
+from reachsmooth.kernels import _lattice_convolve
 from reachsmooth.partition import smoothing_window_radius
 from reachsmooth.ppoly import HermiteTable
 
@@ -301,14 +301,16 @@ def test_local_graph_window_guard():
 
 
 def test_local_graph_empty_batch():
-    # convolve evaluates its f on an empty tap batch when x is empty
+    # a lattice convolution of no index reads an empty batch
     lg = local_graph_at(circle_curve(), 0.0, 0.3)
     empty = np.empty((0, 5))
     assert lg.value(empty).shape == (0, 5)
     f, df = lg.value_and_slope(empty)
     assert f.shape == df.shape == (0, 5)
-    out = convolve(lg.value_and_slope, BumpKernel(0.1), [])
-    assert isinstance(out, tuple) and [o.shape for o in out] == [(0,), (0,)]
+    none = np.empty(0, dtype=np.int64)
+    outs, convs = _lattice_convolve(lg.value_and_slope, 0.1, 16, none, 1,
+                                    none.astype(bool))
+    assert [o.shape for o in outs + convs] == [(0,)] * 4
 
 
 def test_local_graph_folds_beyond_reach():
@@ -442,7 +444,8 @@ _L = 2 * math.pi
 ORACLE_BATCHES = {
     "sorted": np.linspace(1.25, 1.45, 64),  # span well under a quarter turn
     "unsorted": np.random.default_rng(3).permutation(np.linspace(1.0, 1.7, 50)),
-    # kernels.convolve's (point, tap) grid: unsorted once flattened
+    # a (point, tap) grid, as the tests' convolution oracle reads it:
+    # unsorted once flattened
     "convolve": np.linspace(1.2, 1.4, 9)[:, None] + np.linspace(-0.03, 0.03, 5)[None, :],
     "wrap_below": np.linspace(-0.3, 0.25, 57),
     "wrap_past": np.linspace(_L - 0.25, _L + 0.3, 57),

@@ -4,6 +4,8 @@ The frozen constants below were produced by 40-digit adaptive
 quadrature of the bump kernel and are cross-checked here at float64
 precision by an independent scipy route, so a regression in either the
 kernel or the tap rule cannot hide behind the constant it broke.
+``convolve`` here applies the tap rule at arbitrary points, the oracle
+of the library's lattice routes (``convolve_grid`` and the live blends).
 """
 
 import math
@@ -17,7 +19,7 @@ from scipy.integrate import quad
 from reachsmooth import kernels
 from reachsmooth.checks import random_c11, random_piecewise_linear
 from reachsmooth.errors import ConvergenceError, InvalidInputError
-from reachsmooth.kernels import (BumpKernel, Interval, convolve, convolve_grid,
+from reachsmooth.kernels import (BumpKernel, Interval, convolve_grid,
                                  find_support_radius, sup_deviation_ck)
 
 # integral of exp(-1/(1-u^2)) over (-1, 1), 40-digit value rounded to float64
@@ -53,12 +55,50 @@ def quad_convolve(f, sigma, x, density=bump_density):
     return total
 
 
+def tap_scheme(sigma, taps):
+    """The oracle's tap rule: the offsets j sigma/taps, j = -taps..taps,
+    and the bump sampled at j/taps over its sum."""
+    u = np.arange(-taps, taps + 1) / float(taps)
+    return u * sigma, kernels._tap_weights(u)
+
+
+def convolve(f, kernel, x, taps=64):
+    """The tap rule at arbitrary points, the oracle of the lattice routes.
+
+    ``f`` is evaluated at x - y_j for every point x and tap offset y_j,
+    in chunks of about 2e6 evaluations, and each row is dotted with the
+    weights.  A tuple-valued ``f`` (a value and its slope, say) is
+    convolved output by output from the same evaluation, and a tuple of
+    results comes back; ``f`` is called at least once, on an empty batch
+    when ``x`` is empty.  A scalar ``x`` gives floats back.
+    """
+    xs = np.asarray(x, dtype=float)
+    scalar = xs.ndim == 0
+    xs = np.atleast_1d(xs)
+    y, w = tap_scheme(kernel.sigma, taps)
+    outs = None
+    chunk = max(1, int(2e6) // y.size)
+    for lo in range(0, max(xs.size, 1), chunk):
+        part = xs[lo:lo + chunk]
+        vals = f(part[:, None] - y[None, :])
+        many = isinstance(vals, tuple)
+        if not many:
+            vals = (vals,)
+        if outs is None:
+            outs = [np.empty(xs.shape) for _ in vals]
+        for out, v in zip(outs, vals):
+            out[lo:lo + chunk] = np.asarray(v, dtype=float) @ w
+    if scalar:
+        outs = [float(out[0]) for out in outs]
+    return tuple(outs) if many else outs[0]
+
+
 def test_normalizer_matches_frozen_value():
     # the m-tap weights are the bump sampled at j/m over their sum, so
     # e^{-1} / (m * centre weight) is the tap rule's value of I1; the
     # rule converges faster than any power of 1/m on this integrand
     m = 64
-    _, w = BumpKernel(1.0).tap_scheme(taps=m)
+    _, w = kernels._aligned_taps(1.0, 1.0 / m)
     assert math.exp(-1.0) / (m * w[m]) == pytest.approx(I1, abs=2e-10)
 
 
@@ -73,7 +113,7 @@ def test_normalizer_matches_scipy_quad():
 def test_kernel_unit_mass(sigma):
     k = BumpKernel(sigma)
     for taps in (4, 16, 64):
-        _, w = k.tap_scheme(taps=taps)
+        _, w = kernels._aligned_taps(sigma, sigma / taps)
         assert abs(w.sum() - 1.0) <= 4e-16
     const = convolve(lambda x: np.full_like(x, 2.5), k, np.array([-3.0, 0.0, 7.0]))
     assert np.allclose(const, 2.5, rtol=0.0, atol=2e-15)
@@ -82,7 +122,8 @@ def test_kernel_unit_mass(sigma):
 
 
 def test_kernel_support_and_positivity():
-    offsets, weights = BumpKernel(0.5).tap_scheme(taps=64)
+    m, weights = kernels._aligned_taps(0.5, 0.5 / 64)
+    offsets = np.arange(-m, m + 1) * (0.5 / 64)
     assert offsets[0] == -0.5 and offsets[-1] == 0.5
     assert weights[0] == 0.0 and weights[-1] == 0.0
     assert np.all(weights[1:-1] > 0.0)
@@ -93,7 +134,7 @@ def test_kernel_center_closed_form():
     # weight times taps per unit offset
     m = 64
     for sigma in (0.05, 1.0, 3.0):
-        _, w = BumpKernel(sigma).tap_scheme(taps=m)
+        _, w = kernels._aligned_taps(sigma, sigma / m)
         peak = w[m] * m / sigma
         assert peak == pytest.approx(math.exp(-1.0) / (sigma * I1), rel=1e-9)
 
@@ -108,24 +149,51 @@ def test_kernel_rejects_bad_sigma_and_dim():
         BumpKernel(1.0, dim=2)
 
 
+# a radius whose 50-tap spacing rounds so that floor(sigma/h) = 49
+M49_SIGMA = 0.001006
+
+
+def test_m49_sigma_drops_the_end_taps():
+    h = M49_SIGMA / 50
+    assert M49_SIGMA / h < 50.0
+    m, w = kernels._aligned_taps(M49_SIGMA, h)
+    _, full = tap_scheme(M49_SIGMA, 50)
+    # the dropped end taps sit at u = +-1, where the bump is 0
+    assert m == 49 and full[0] == full[-1] == 0.0
+    assert np.abs(w - full[1:-1]).max() <= 1e-15
+
+
 def test_tap_scheme_order0_is_convex_combination():
-    k = BumpKernel(0.37)
-    offsets, weights = k.tap_scheme(taps=64)
-    assert np.all(weights >= 0.0)
-    assert abs(weights.sum() - 1.0) <= 4e-16
-    assert offsets[0] == -0.37 and offsets[-1] == 0.37
+    for sigma, taps in ((0.37, 64), (M49_SIGMA, 50), (0.25, 16)):
+        m, weights = kernels._aligned_taps(sigma, sigma / taps)
+        offsets = np.arange(-m, m + 1) * (sigma / taps)
+        assert np.all(weights >= 0.0)
+        assert abs(weights.sum() - 1.0) <= 4e-16
+        assert -offsets[0] == offsets[-1] <= sigma
 
 
 def test_tap_scheme_order1_moments():
     # moments through order one: unit mass and, by exact symmetry, a
     # vanishing first moment, so affine inputs and slopes convolve to
     # themselves
-    k = BumpKernel(0.2)
-    offsets, weights = k.tap_scheme(taps=64)
-    assert np.array_equal(weights, weights[::-1])
-    assert np.array_equal(offsets, -offsets[::-1])
-    assert abs(weights.sum() - 1.0) <= 4e-16
-    assert abs(weights @ offsets) <= 1e-17
+    for sigma, taps in ((0.2, 64), (M49_SIGMA, 50)):
+        h = sigma / taps
+        m, weights = kernels._aligned_taps(sigma, h)
+        offsets = np.arange(-m, m + 1) * h
+        assert np.array_equal(weights, weights[::-1])
+        assert np.array_equal(offsets, -offsets[::-1])
+        assert abs(weights.sum() - 1.0) <= 4e-16
+        assert abs(weights @ offsets) <= 1e-17 * sigma / 0.2
+
+
+def test_aligned_taps_are_cached_and_read_only():
+    # one set of weights per radius and spacing, shared by every caller
+    kernels._aligned_taps.cache_clear()
+    first = kernels._aligned_taps(0.3, 0.3 / 50)
+    assert kernels._aligned_taps(0.3, 0.3 / 50) is first
+    assert kernels._aligned_taps.cache_info().hits == 1
+    with pytest.raises(ValueError):
+        first[1][0] = 1.0
 
 
 def test_convolution_affine_exact():
@@ -238,7 +306,7 @@ def test_convolve_grid_weights_match_tap_scheme(sigma, m, lag):
     # scheme, so both routes must build the same weights
     k = BumpKernel(sigma)
     h = sigma / m
-    y, w = k.tap_scheme(taps=m)
+    y, w = tap_scheme(sigma, m)
     assert np.abs(y - np.arange(-m, m + 1) * h).max() <= 1e-15
     # convolving a unit impulse returns the weights around it: out[i]
     # belongs to grid index i + m, so an impulse at 2m + lag puts the
