@@ -26,8 +26,8 @@ own pass threshold.
 
 Checking costs what the checks need and no more: the grid of the patch
 arrays and the taps of its blend sit on one lattice, so the arrays cost
-two Newton solves, value and slope together: the grid, and the lattice
-points the blend reads, each once; the far-point check bounds each
+one Newton solve, value and slope together, of the lattice points the
+blend reads, each once; the far-point check bounds each
 cache-sized block of core rows against each far sample by its
 tangent-ball centers and compares pair by pair only the blocks and
 samples that can hold the maximum, which is the dense one bit for bit;
@@ -345,17 +345,15 @@ def patch_graph_arrays(patch):
     lattice within 1e-6 h.  Any other patch gets the zoo's grid rule
     (``_lattice_outputs``) with at least ``_PATCH_GRID`` points.  The
     blend reads its graph once, on the lattice points of the grid and
-    the taps it needs (``BlendedMap``), and the graph values are one
-    more read of the grid.
+    the taps it needs, and that read also gives the graph's values on
+    the grid (``BlendedMap.value_and_derivative``).
     """
     b = patch.blend
     r2 = patch.transition_radius
     h = b.kernel.sigma / b.taps
     k, q = _lattice_outputs(-r2 - 1e-6 * h, r2 + 1e-6 * h, h, _PATCH_GRID)
-    ys = k * (h / q)
-    fv, dfv = b.graph.value_and_slope(ys)
-    F, DF = b.value_and_derivative(k, q)
-    return ys, F, DF, fv, dfv
+    F, DF, fv, dfv = b.value_and_derivative(k, q)
+    return k * (h / q), F, DF, fv, dfv
 
 
 def check_tangent_distance_bound(patch, *, seed=0, instance="", arrays):

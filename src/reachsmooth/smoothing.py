@@ -98,7 +98,8 @@ class BlendedMap:
     rather than any tabulation, which is what the lemma checkers need.
     All three methods share one path: one graph read, value and slope
     together, of the points ``k`` and the taps of the points inside the
-    support, gathered by index (``kernels._lattice_convolve``).
+    support, gathered by index (``kernels._lattice_convolve``), which
+    also gives the graph at ``k``.
     """
 
     def __init__(self, graph, psi, kernel, taps):
@@ -114,7 +115,8 @@ class BlendedMap:
         return self._blend(k, q)[1]
 
     def value_and_derivative(self, k, q):
-        """Value and slope of the blend at the points k sigma/(taps q)."""
+        """``(F, DF, f, df)``: value and slope of the blend at the points
+        k sigma/(taps q), then of its graph there, from one read."""
         return self._blend(k, q)
 
     def _blend(self, k, q):
@@ -123,13 +125,14 @@ class BlendedMap:
         w = self.psi(ys)
         dw = self.psi.derivative(ys)
         hot = (w > 0.0) | (dw != 0.0)
-        (val, der), (conv, dconv) = _lattice_convolve(
+        (f, df), (conv, dconv) = _lattice_convolve(
             self.graph.value_and_slope, sigma, self.taps, k, q, hot)
-        base, dbase = val[hot], der[hot]
+        base, dbase = f[hot], df[hot]
         diff = conv - base
+        val, der = f.copy(), df.copy()
         val[hot] = base + w[hot] * diff
         der[hot] = dbase + dw[hot] * diff + w[hot] * (dconv - dbase)
-        return val, der
+        return val, der, f, df
 
 
 @dataclass(frozen=True)

@@ -260,13 +260,13 @@ def test_patch_graph_arrays_share_one_tap_grid_solve(stadium_run,
     batches = _solve_batches(monkeypatch)
     arrays = patch_graph_arrays(patch)
     monkeypatch.undo()
-    # the graph on the grid, then one 1-D read that serves the blend's
-    # base and every tap: the lattice range from the first tap of the
-    # first hot grid point to the last of the last
+    # one 1-D read serves the grid, the blend's base and every tap: the
+    # lattice range from the first tap of the first hot grid point to the
+    # last of the last
     s = round(_lattice_stride(patch))
     T = patch.blend.taps
-    assert batches == [(k.size,), (2 * (511 * s + T) + 1,)]
-    assert batches[1][0] == _blend_read_bound(patch.blend, k, 1)
+    assert batches == [(2 * (511 * s + T) + 1,)]
+    assert batches[0][0] == _blend_read_bound(patch.blend, k, 1)
     assert _bits(*arrays) == _bits(*_lattice_reference(patch, k, 1))
 
 
@@ -288,9 +288,9 @@ def test_patch_graph_arrays_read_one_lattice_at_every_scale(kind, lam,
         arrays = patch_graph_arrays(patch)
         monkeypatch.undo()
         T, G = patch.blend.taps, checks._PATCH_GRID
-        assert len(batches) == 2 and batches[0] == (G,)
-        assert batches[1][0] == _blend_read_bound(patch.blend, k, 1)
-        assert batches[1][0] <= min((G - 1) * s + 2 * T + 1, G * (2 * T + 1))
+        assert len(batches) == 1 and len(batches[0]) == 1
+        assert batches[0][0] == _blend_read_bound(patch.blend, k, 1)
+        assert batches[0][0] <= min((G - 1) * s + 2 * T + 1, G * (2 * T + 1))
         assert _bits(*arrays) == _bits(*_lattice_reference(patch, k, 1))
 
 
@@ -317,8 +317,8 @@ def test_patch_graph_arrays_deep_halving_reads_the_taps_only(stadium_run,
     arrays = patch_graph_arrays(patch)
     monkeypatch.undo()
     G, T = checks._PATCH_GRID, patch.blend.taps
-    assert batches == [(G,), ((G - 2) * (2 * T + 1) + 2,)]
-    assert batches[1][0] == _blend_read_bound(patch.blend, k, 1)
+    assert batches == [((G - 2) * (2 * T + 1) + 2,)]
+    assert batches[0][0] == _blend_read_bound(patch.blend, k, 1)
     assert _bits(*arrays) == _bits(*_lattice_reference(patch, k, 1))
     sample = sample_manifold(result.curve, n=2000)
     rows = _patch_check_rows(patch, result.curve, result.report.R_input,
@@ -346,8 +346,7 @@ def test_patch_graph_arrays_off_lattice_sigma_reads_the_graph(stadium_run,
     arrays = patch_graph_arrays(patch)
     monkeypatch.undo()
     assert _bits(arrays[0]) == _bits(k * h)
-    assert len(batches) == 2 and batches[0] == (k.size,)
-    assert batches[1][0] == _blend_read_bound(patch.blend, k, 1)
+    assert batches == [(_blend_read_bound(patch.blend, k, 1),)]
     assert _bits(*arrays) == _bits(*_lattice_reference(patch, k, 1))
     sample = sample_manifold(result.curve, n=2000)
     rows = _patch_check_rows(patch, result.curve, result.report.R_input,
@@ -383,7 +382,7 @@ def test_lattice_read_serves_held_points_only(stadium_run):
     }
     for name, k in cases.items():
         spy.reads.clear()
-        F, DF = blend.value_and_derivative(k, 1)
+        F, DF, fv, dfv = blend.value_and_derivative(k, 1)
         assert len(spy.reads) == 1, name
         read = np.rint(spy.reads[0] / h).astype(np.int64)
         assert _bits(spy.reads[0]) == _bits(read * h), name
@@ -396,7 +395,8 @@ def test_lattice_read_serves_held_points_only(stadium_run):
         assert needed <= set(read.tolist()), name
         if name != "overlapping taps":
             assert sorted(read.tolist()) == sorted(needed), name
-        assert _bits(F, DF) == _bits(*_lattice_reference(patch, k, 1)[1:3])
+        assert _bits(F, DF, fv, dfv) == _bits(
+            *_lattice_reference(patch, k, 1)[1:])
     assert not hot.any()
 
 
@@ -450,7 +450,7 @@ def test_lattice_blend_matches_the_oracle(case):
     assert (s > 2 * m + 1) == (case in ("gapped", "m49"))
     spy = _ReadSpy(blend.graph)
     live = BlendedMap(spy, blend.psi, blend.kernel, blend.taps)
-    F, DF = live.value_and_derivative(k, q)
+    F, DF, _, _ = live.value_and_derivative(k, q)
     assert len(spy.reads) == 1
     assert spy.reads[0].size == _blend_read_bound(blend, k, q)
     oracle_F, oracle_DF = _oracle_blend(blend, k, q)

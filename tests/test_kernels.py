@@ -169,7 +169,11 @@ def test_tap_scheme_order0_is_convex_combination():
         offsets = np.arange(-m, m + 1) * (sigma / taps)
         assert np.all(weights >= 0.0)
         assert abs(weights.sum() - 1.0) <= 4e-16
-        assert -offsets[0] == offsets[-1] <= sigma
+        if m == taps:
+            assert offsets[0] == -sigma and offsets[-1] == sigma
+        else:
+            # M49: the end taps at +-sigma, of weight 0, are dropped
+            assert -offsets[0] == offsets[-1] < sigma
 
 
 def test_tap_scheme_order1_moments():

@@ -210,12 +210,15 @@ def test_blend_combined_pass_is_bit_identical():
     f, df, L, Ld = random_c11(rng, Interval(-4, 4), 6, 2.0)
     blend = _searched_blend(f, df, psi, 0.05, Interval(-4, 4), 1, sigma_max=0.25)
     k, _ = _lattice_indices(blend, -2.2, 2.2)
-    val, der = blend.value_and_derivative(k, 1)
+    val, der, fv, dfv = blend.value_and_derivative(k, 1)
     assert np.array_equal(val, blend.value(k, 1))
     assert np.array_equal(der, blend.derivative(k, 1))
+    # the graph's values come from the same read
+    assert np.array_equal(fv, f(k * (blend.kernel.sigma / blend.taps)))
+    assert np.array_equal(dfv, df(k * (blend.kernel.sigma / blend.taps)))
     # every third point of the 3-fold lattice is a point of the lattice,
     # up to the rounding of its coordinate
-    v3, d3 = blend.value_and_derivative(3 * k, 3)
+    v3, d3, _, _ = blend.value_and_derivative(3 * k, 3)
     assert np.allclose(v3, val, rtol=0.0, atol=1e-13)
     assert np.allclose(d3, der, rtol=0.0, atol=1e-12)
 
