@@ -9,9 +9,9 @@ convolving sampled values can never increase a Lipschitz constant,
 which is exactly the property the verification suite stresses.  Every
 convolution reads its function on that lattice: ``convolve_grid``
 convolves a contiguous run of samples, and ``_lattice_convolve`` reads
-the taps of chosen lattice indices, in one read, and gathers them by
-index (the live blends of ``smoothing.BlendedMap`` and the convolution
-checker).
+the taps of chosen lattice indices, in one read, and takes each index's
+taps as a row of a strided view of that read (the live blends of
+``smoothing.BlendedMap`` and the convolution checker).
 
 Derivatives of a convolution are convolutions of the slope: every
 caller knows the slope of what it smooths, so the slope is convolved
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._util import as_float, as_positive_float
 from .errors import ConvergenceError, InvalidInputError
@@ -179,9 +180,11 @@ def _lattice_convolve(read, sigma, taps, k, q, hot):
     the one index range that ``k`` and the taps of its hot indices span,
     or on those taps and the cold indices alone, whichever is fewer
     points.  So neighbouring tap windows that overlap are read once, and
-    windows far apart do not read the lattice between them.  The taps
-    are gathered into one ``(hot.sum(), 2m + 1)`` array per output of
-    ``read`` and dotted with ``w``.
+    windows far apart do not read the lattice between them.  The taps of
+    the hot indices are rows of a read-only strided view of each output
+    of ``read`` (a range read), or its reshape (windows read one after
+    another), taken as one ``(hot.sum(), 2m + 1)`` array and dotted with
+    ``w``.
 
     Returns ``(outs, convs)``: each output of ``read`` at ``k``, and its
     convolution at ``k[hot]``.
@@ -190,26 +193,36 @@ def _lattice_convolve(read, sigma, taps, k, q, hot):
     h = sigma / taps
     m, w = _aligned_taps(sigma, h)
     khot, kcold = k[hot], k[~hot]
-    # column c of a hot index's window holds the tap of weight w[c]
-    offsets = (m - np.arange(2 * m + 1)) * q
+    # column c of a hot index's window holds the tap of weight w[c], at
+    # offset (m - c) q
+    width = 2 * m + 1
     ends = np.concatenate([k[:1], k[-1:], khot[:1] - m * q, khot[-1:] + m * q])
     lo, hi = (ends.min(), ends.max()) if ends.size else (0, -1)
-    n = khot.size * offsets.size
+    n = khot.size * width
     ranged = hi - lo + 1 <= n + kcold.size
     if ranged:
-        idx = np.arange(lo, hi + 1)
+        idx = np.arange(lo, hi + 1, dtype=float)
+        # row r of the read's strided view, taken backwards every q-th
+        # point, is the window of index r + m q + lo
+        rows = khot - m * q - lo
     else:
         # the windows row by row, then the cold indices; exact as floats
         idx = np.empty(n + kcold.size)
-        np.add(khot[:, None], offsets, out=idx[:n].reshape(-1, offsets.size))
+        offsets = (m - np.arange(width)) * q
+        np.add(khot[:, None], offsets, out=idx[:n].reshape(-1, width))
         idx[n:] = kcold
     outs, convs = [], []
     for v in read(idx * (h / q)):
         v = np.asarray(v, dtype=float)
         if ranged:
-            at_k, windows = v[k - lo], v[khot[:, None] + offsets - lo]
+            at_k = v[k - lo]
+            if khot.size:
+                windows = sliding_window_view(v, 2 * m * q + 1)[:, ::-q][rows]
+            else:
+                # a read with no hot index may be shorter than one window
+                windows = np.empty((0, width))
         else:
-            windows = v[:n].reshape(-1, offsets.size)
+            windows = v[:n].reshape(-1, width)
             at_k = np.empty(k.size)
             at_k[hot] = windows[:, m]
             at_k[~hot] = v[n:]
@@ -302,7 +315,7 @@ def _settled_deviation(read, sigma, taps, first, last):
     """
     h = sigma / taps
     m, w = _aligned_taps(sigma, h)
-    xs = np.arange(first - m, last + m + 1) * h
+    xs = np.arange(first - m, last + m + 1, dtype=float) * h
     values, slopes = read(xs)
     del xs
     n = last - first + 1
@@ -357,7 +370,7 @@ def _block_bounds(v, w, n):
     # output's d2 index to 2m - 3 past its last
     starts = np.arange(0, n, _BLOCK)
     spans = np.maximum.reduceat(d2, starts)
-    heads = d2[starts[1:, None] + np.arange(2 * m - 2)].max(axis=1)
+    heads = sliding_window_view(d2, 2 * m - 2)[starts[1:]].max(axis=1)
     np.maximum(spans[:-1], heads, out=spans[:-1])
     return (1.0 + 1e-9) * (c * (spans + 8.0 * _U * big) + drift * big)
 
@@ -387,7 +400,7 @@ def _grid_deviation(read, sigma, taps, first, last, near, scale):
     if near is not None:
         c = min(max(round(near / h), first), last)
         first, last = max(c - _PROBE_HALF, first), min(c + _PROBE_HALF, last)
-    xs = np.arange(first - m, last + m + 1) * h
+    xs = np.arange(first - m, last + m + 1, dtype=float) * h
     mid = slice(m, xs.size - m)
     fv, dfv = read(xs)
     d0, _ = convolve_grid(fv, kernel, h)

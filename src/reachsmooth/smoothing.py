@@ -98,8 +98,8 @@ class BlendedMap:
     rather than any tabulation, which is what the lemma checkers need.
     All three methods share one path: one graph read, value and slope
     together, of the points ``k`` and the taps of the points inside the
-    support, gathered by index (``kernels._lattice_convolve``), which
-    also gives the graph at ``k``.
+    support, each point's taps a row of a strided view of the one read
+    (``kernels._lattice_convolve``), which also gives the graph at ``k``.
     """
 
     def __init__(self, graph, psi, kernel, taps):

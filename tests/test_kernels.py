@@ -330,6 +330,71 @@ def test_convolve_grid_needs_enough_taps():
         convolve_grid(np.zeros(50), k, 0.05)  # only 2 taps per side
 
 
+def _kinked_read(xs):
+    # exactly rounded arithmetic only, so a point reads the same bits
+    # whichever batch it is read in
+    return (xs * xs * xs - 0.3 * xs + np.abs(xs - 0.1),
+            3.0 * xs * xs - 0.3 + np.sign(xs - 0.1))
+
+
+def _gathered_convolve(sigma, taps, k, q, hot):
+    """``_lattice_convolve`` by a 2-D index gather from one range read."""
+    h = sigma / taps
+    m, w = kernels._aligned_taps(sigma, h)
+    khot = k[hot]
+    offsets = (m - np.arange(2 * m + 1)) * q
+    ends = np.concatenate([k, khot - m * q, khot + m * q])
+    lo, hi = ends.min(), ends.max()
+    outs = _kinked_read(np.arange(lo, hi + 1) * (h / q))
+    return (tuple(v[k - lo] for v in outs),
+            tuple(v[khot[:, None] + offsets - lo] @ w for v in outs))
+
+
+_SPREAD = np.arange(-1000, 1001, 500)
+_CONVOLVE_CASES = {
+    # (sigma, taps, k, q, hot, ranged)
+    "overlapping q=1": (0.25, 16, np.arange(-40, 41), 1,
+                        np.abs(np.arange(-40, 41)) < 30, True),
+    "ranged q=2": (0.25, 16, np.arange(-90, 91), 2,
+                   np.arange(-90, 91) % 3 != 0, True),
+    "ranged q=3": (0.25, 16, np.arange(-90, 91), 3,
+                   np.abs(np.arange(-90, 91)) < 70, True),
+    "m49": (M49_SIGMA, 50, np.arange(-120, 121), 2,
+            np.arange(-120, 121) % 5 != 1, True),
+    "one hot first": (0.25, 16, np.arange(60), 2,
+                      np.arange(60) == 0, True),
+    "one hot last": (0.25, 16, np.arange(60), 1,
+                     np.arange(60) == 59, True),
+    "all cold, under one window": (0.25, 16, np.arange(5), 1,
+                                   np.zeros(5, dtype=bool), True),
+    "gapped": (0.25, 16, _SPREAD, 2, _SPREAD != -500, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONVOLVE_CASES))
+def test_lattice_convolve_matches_the_index_gather(case):
+    # every read output and every convolution, value and slope, is the
+    # 2-D index gather's bit for bit
+    sigma, taps, k, q, hot, ranged = _CONVOLVE_CASES[case]
+    reads = []
+
+    def read(xs):
+        reads.append(xs.size)
+        return _kinked_read(xs)
+
+    outs, convs = kernels._lattice_convolve(read, sigma, taps, k, q, hot)
+    ref_outs, ref_convs = _gathered_convolve(sigma, taps, k, q, hot)
+    m = kernels._aligned_taps(sigma, sigma / taps)[0]
+    span = np.concatenate([k, k[hot] - m * q, k[hot] + m * q])
+    # one read: the whole index range, or the windows and cold indices
+    assert reads == [span.max() - span.min() + 1 if ranged
+                     else hot.sum() * (2 * m + 1) + (~hot).sum()]
+    assert len(outs) == len(convs) == 2
+    for got, ref in zip(outs + convs, ref_outs + ref_convs):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
 def test_sup_deviation_abs_oracle():
     # sup over the window of |phi*|x| - |x|| is attained at 0: c1 sigma
     sigma = 0.125
