@@ -242,7 +242,7 @@ def _lattice_outputs(lo, hi, h, n):
 
 
 def check_convolution_lipschitz(f, df, lip, kernel, domain, *, order,
-                                seed=0, instance=""):
+                                seed, instance):
     """Mollification never raises a Lipschitz constant.
 
     Order 0 measures the difference quotients of the smoothed values;
@@ -295,7 +295,7 @@ def _searched_blend(f, df, psi, rho, domain, order, *, sigma_max):
 
 
 def check_blend_lipschitz(f, df, lip, lip_d, psi, rho, domain, *, order,
-                          sigma_max, seed=0, instance=""):
+                          sigma_max, seed, instance):
     """Blending costs at most the plateau constant times the budget.
 
     Order 0: the blended value is Lipschitz within L + L_psi * rho.
@@ -356,7 +356,7 @@ def patch_graph_arrays(patch):
     return k * (h / q), F, DF, fv, dfv
 
 
-def check_tangent_distance_bound(patch, *, seed=0, instance="", arrays):
+def check_tangent_distance_bound(patch, *, seed=0, instance, arrays):
     """Blended graph stays quadratically close to its tangent lines.
 
     For all pairs on the blended graph, the distance from one point to
@@ -386,7 +386,7 @@ def check_tangent_distance_bound(patch, *, seed=0, instance="", arrays):
                    instance)
 
 
-def check_angle_bound(patch, *, seed=0, instance="", arrays):
+def check_angle_bound(patch, *, seed=0, instance, arrays):
     """Blending tilts tangents by at most arcsin((1 + K(R)) rho), R =
     ``patch.reach``: |F' - f'| <= |psi'| rho R + rho <= (1 + K(R)) rho."""
     ys, _, DF, _, dfv = arrays
@@ -399,7 +399,7 @@ def check_angle_bound(patch, *, seed=0, instance="", arrays):
                    instance)
 
 
-def check_hausdorff_bound(patch, R, *, seed=0, instance="", arrays):
+def check_hausdorff_bound(patch, R, *, seed=0, instance, arrays):
     """A patch moves the curve by a small multiple of the budget.
 
     Hausdorff distance between the window graph before and after, at
@@ -460,7 +460,7 @@ def _far_block_max(p, tang, far, R):
 
 
 def check_far_point_distance(patch, curve_after, R, sample, *, seed=0,
-                             instance="", arrays):
+                             instance, arrays):
     """Far pairs still satisfy a reach-style tangent inequality.
 
     p runs over the blended plateau core, q over curve samples outside
@@ -785,16 +785,20 @@ class SuiteResult:
         return sum(not r.passed for r in self.results)
 
 
-def run_suite(suite="all", seed=7):
+def run_suite(suite, seed):
     """Run one named verification suite; returns all rows in a fixed order.
 
     The patch and theorem suites share one stadium run, built here.
     ``timings`` of the result holds ``(name, seconds)`` for each suite
     run, in order, plus a ``"fixture"`` entry for that stadium run; the
-    rows never carry a clock.
+    rows never carry a clock.  ``seed`` seeds NumPy's generator, so it
+    must be a non-negative integer; anything else raises before any
+    suite runs.
     """
     if suite not in SUITES:
         raise InvalidInputError(f"unknown suite {suite!r}; pick from {SUITES}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
     t0 = time.perf_counter()
     rows = []
     timings = []

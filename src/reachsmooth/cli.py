@@ -100,10 +100,7 @@ def _smooth_epsilon(cfg, flag):
     _refuse_unknown_keys(cfg, ("shape", "epsilon"))
     eps = cfg.get("epsilon")
     if "epsilon" in cfg:
-        if isinstance(eps, bool) or not isinstance(eps, (int, float)):
-            raise InvalidInputError(
-                f"config 'epsilon' must be a number, got {eps!r}")
-        eps = as_float(eps, "epsilon")
+        eps = as_float(eps, "config 'epsilon'")
     if flag is not None:
         eps = flag
     if eps is None:
@@ -227,11 +224,11 @@ def _cmd_smooth(args):
 
 
 def _cmd_verify(args):
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     sr = run_suite(args.suite, seed=args.seed)
     elapsed = time.perf_counter() - t0
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_checks_csv(sr.results, out_dir / "checks.csv")
     if sr.n_failed:
         write_failures_json(sr.results, out_dir / "failures.json")

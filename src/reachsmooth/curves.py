@@ -338,16 +338,22 @@ def _parse_segment(spec, index):
     if not isinstance(spec, dict) or "type" not in spec:
         raise InvalidInputError(f"segment {index}: expected an object with a 'type' field")
     kind = spec["type"]
+
+    def number(key):
+        return as_float(spec[key], f"segment {index}: {key}")
+
+    def vector(key):
+        return as_vector(spec[key], f"segment {index}: {key}")
+
     if kind == "line":
         try:
-            return LineSegment(np.asarray(spec["start"], dtype=float),
-                               np.asarray(spec["end"], dtype=float))
+            return LineSegment(vector("start"), vector("end"))
         except KeyError as exc:
             raise InvalidInputError(f"segment {index}: missing field {exc}")
     if kind == "arc":
         try:
-            start_angle = float(spec["start_angle"])
-            end_angle = float(spec["end_angle"])
+            start_angle = number("start_angle")
+            end_angle = number("end_angle")
             orientation = spec.get("orientation", "ccw")
         except KeyError as exc:
             raise InvalidInputError(f"segment {index}: missing field {exc}")
@@ -359,8 +365,8 @@ def _parse_segment(spec, index):
         if orientation == "cw" and sweep >= 0:
             sweep -= 2.0 * math.pi
         try:
-            return ArcSegment(np.asarray(spec["center"], dtype=float),
-                              float(spec["radius"]), start_angle, sweep)
+            return ArcSegment(vector("center"), number("radius"),
+                              start_angle, sweep)
         except KeyError as exc:
             raise InvalidInputError(f"segment {index}: missing field {exc}")
     raise InvalidInputError(f"segment {index}: unknown type {kind!r}")
@@ -435,7 +441,9 @@ class AppliedPatch:
     transition radius; the patch stack reads its value and slope from
     one cell of its coefficients, so a patch holds one table.
     ``rho_target`` and ``deviation`` are dimensionless, value deviations
-    in units of the run's reach bound ``reach``.
+    in units of the run's reach bound ``reach``.  ``blend`` is the live
+    ``smoothing.BlendedMap`` the table was taken from, which every patch
+    checker re-evaluates.
     """
 
     index: int
@@ -453,7 +461,7 @@ class AppliedPatch:
     lip_slope: float
     reach: float
     displacement: object = field(repr=False)
-    blend: object = field(repr=False, default=None)
+    blend: object = field(repr=False)
 
     @property
     def arc_window(self):

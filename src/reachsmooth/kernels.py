@@ -231,7 +231,7 @@ def _lattice_convolve(read, sigma, taps, k, q, hot):
     return tuple(outs), tuple(convs)
 
 
-def sup_deviation_ck(f, df, kernel, window, k=1):
+def sup_deviation_ck(f, df, kernel, window, k):
     """Grid-measured deviation between ``f`` and its mollification.
 
     Computes max over the window of |smoothed - original|, including the
@@ -465,15 +465,15 @@ def _halving_search(measure, start, target, floor, what):
                 f"{floor:.3e})")
 
 
-def find_support_radius(f, df, window, domain, target, k=1, *,
-                        sigma_max=None):
+def find_support_radius(f, df, window, domain, target, k, *, sigma_max):
     """Largest halving-search support radius meeting a deviation target.
 
-    Starting from the largest radius that keeps the window inside the
-    shrunk domain (optionally capped by ``sigma_max``), the radius is
-    halved until the grid-measured deviation drops to ``target``.  The
-    first passing radius is returned, so the result is within a factor
-    two of the largest passing power-of-two fraction of the start.
+    The search is always capped: it starts from the smaller of
+    ``sigma_max`` and the largest radius that keeps the window inside
+    the shrunk domain, and halves the radius until the grid-measured
+    deviation drops to ``target``.  The first passing radius is
+    returned, so the result is within a factor two of the largest
+    passing power-of-two fraction of the start.
     Radii after the first are probed near the previous radius's worst
     point first (see ``_halving_search``), so ``sup_deviation_ck`` reads
     the whole grid only for the start, the accepted radius and any
@@ -499,9 +499,7 @@ def find_support_radius(f, df, window, domain, target, k=1, *,
     room = min(window.lo - domain.lo, domain.hi - window.hi)
     if room <= 0:
         raise InvalidInputError("window touches the domain boundary; no kernel fits")
-    sigma = room * (1.0 - 1e-12)
-    if sigma_max is not None:
-        sigma = min(sigma, as_positive_float(sigma_max, "sigma_max"))
+    sigma = min(room * (1.0 - 1e-12), as_positive_float(sigma_max, "sigma_max"))
 
     def measure(s, near):
         if near is None:

@@ -140,7 +140,7 @@ def estimate_reach_federer(points, tangents, min_sep, hot):
                          int(pairs), pts.shape[0], ms)
 
 
-def scan_curve_reach(curve, n=2000, min_sep=None):
+def scan_curve_reach(curve, n, min_sep=None):
     """Sample a curve and scan it; min_sep defaults to twice the spacing.
 
     Accepts a ClosedCurve or a bare BaseShape.  Returns the estimate and

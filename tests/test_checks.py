@@ -99,7 +99,8 @@ def test_convolution_check_detects_false_claim():
     xs = np.linspace(-2, 2, 2001)
     true_l = estimate_lipschitz(xs, f(xs))
     row = check_convolution_lipschitz(f, df, 0.5 * true_l, BumpKernel(0.05),
-                                      Interval(-2, 2), order=0)
+                                      Interval(-2, 2), order=0, seed=3,
+                                      instance="pw")
     assert not row.passed
     assert row.slack < 0
 
@@ -110,7 +111,8 @@ def test_blend_check_passes_both_orders():
     f, df, L, Ld = random_c11(rng, Interval(-4, 4), 6, 2.0)
     for order in (0, 1):
         row = check_blend_lipschitz(f, df, L, Ld, psi, 1e-3, Interval(-4, 4),
-                                    order=order, sigma_max=0.25)
+                                    order=order, sigma_max=0.25, seed=9,
+                                    instance="c11")
         assert row.passed, row
 
 
@@ -121,7 +123,8 @@ def test_blend_check_detects_false_claim():
     xs = np.linspace(-3, 3, 4001)
     true_l = estimate_lipschitz(xs, f(xs))
     row = check_blend_lipschitz(f, df, 0.4 * true_l, Ld, psi, 1e-6,
-                                Interval(-4, 4), order=0, sigma_max=0.25)
+                                Interval(-4, 4), order=0, sigma_max=0.25,
+                                seed=9, instance="c11")
     assert not row.passed
 
 
@@ -247,10 +250,11 @@ def _linspace_reference(patch):
 
 
 def _patch_check_rows(patch, curve, R, sample, arrays):
-    return [check_tangent_distance_bound(patch, arrays=arrays),
-            check_angle_bound(patch, arrays=arrays),
-            check_hausdorff_bound(patch, R, arrays=arrays),
-            check_far_point_distance(patch, curve, R, sample, arrays=arrays)]
+    return [check_tangent_distance_bound(patch, instance="p0", arrays=arrays),
+            check_angle_bound(patch, instance="p0", arrays=arrays),
+            check_hausdorff_bound(patch, R, instance="p0", arrays=arrays),
+            check_far_point_distance(patch, curve, R, sample,
+                                     instance="p0", arrays=arrays)]
 
 
 def test_patch_graph_arrays_share_one_tap_grid_solve(stadium_run,
@@ -596,7 +600,7 @@ def test_far_point_compares_only_the_samples_that_can_win(
             arrays = patch_graph_arrays(patch)
             compared.clear()
             row = check_far_point_distance(patch, result.curve, R, sample,
-                                           arrays=arrays)
+                                           instance="p0", arrays=arrays)
             excess, grid = _dense_far_point(patch, result.curve, R, sample,
                                             arrays)
             assert _bits(row.measured) == _bits(excess.max())
@@ -615,7 +619,7 @@ def test_far_point_non_finite_input_compares_every_pair(bad, monkeypatch):
     compared = _pairs_compared(monkeypatch)
     with np.errstate(invalid="ignore", over="ignore"):
         row = check_far_point_distance(patch, curve, 10.0, sample,
-                                       arrays=arrays)
+                                       instance="p0", arrays=arrays)
     assert math.isnan(row.measured) and not row.passed
     # the seed, then every pair
     assert compared[0] == (checks._FAR_BLOCK, 1)
@@ -629,7 +633,7 @@ def test_far_point_blocks_match_dense_broadcast_on_real_patch(stadium_run):
     for patch in result.curve.patches[:3]:
         arrays = patch_graph_arrays(patch)
         row = check_far_point_distance(patch, result.curve, R, sample,
-                                       arrays=arrays)
+                                       instance="p0", arrays=arrays)
         excess, grid = _dense_far_point(patch, result.curve, R, sample,
                                         arrays)
         assert _bits(row.measured) == _bits(excess.max())
@@ -646,7 +650,8 @@ def test_far_point_block_bounds_hold_on_stadium_patches(stadium_run,
         arrays = patch_graph_arrays(patch)
         _assert_block_bounds_hold(patch, result.curve, R, sample, arrays)
         compared.clear()
-        check_far_point_distance(patch, result.curve, R, sample, arrays=arrays)
+        check_far_point_distance(patch, result.curve, R, sample,
+                                 instance="p0", arrays=arrays)
         # the bounds settle all but a few of the 17 blocks of 513 rows
         assert 1 <= len(compared) <= 4, compared
 
@@ -667,7 +672,7 @@ def test_far_point_matches_dense_broadcast_on_every_rounded_rect_patch(
     for patch in result.curve.patches:
         arrays = patch_graph_arrays(patch)
         row = check_far_point_distance(patch, result.curve, R, sample,
-                                       arrays=arrays)
+                                       instance="p0", arrays=arrays)
         excess, grid = _dense_far_point(patch, result.curve, R, sample,
                                         arrays)
         assert _bits(row.measured) == _bits(excess.max())
@@ -704,7 +709,8 @@ def test_far_point_blocks_match_dense_broadcast_on_ragged_core():
     # the maximum sits in the last, partial block
     row_of_max = int(np.argmax(excess.max(axis=1)))
     assert row_of_max >= (n_core // checks._FAR_BLOCK) * checks._FAR_BLOCK
-    row = check_far_point_distance(patch, curve, 10.0, sample, arrays=arrays)
+    row = check_far_point_distance(patch, curve, 10.0, sample,
+                                   instance="p0", arrays=arrays)
     assert _bits(row.measured) == _bits(excess.max())
     assert row.grid == grid
 
@@ -712,7 +718,8 @@ def test_far_point_blocks_match_dense_broadcast_on_ragged_core():
 def test_far_point_nan_reaches_the_row():
     patch, curve, sample, arrays = _synthetic_far_case(301, 71)
     arrays[2][np.flatnonzero(np.abs(arrays[0]) <= patch.inner_radius)[3]] = np.nan
-    row = check_far_point_distance(patch, curve, 10.0, sample, arrays=arrays)
+    row = check_far_point_distance(patch, curve, 10.0, sample,
+                                   instance="p0", arrays=arrays)
     assert math.isnan(row.measured) and not row.passed
 
 
@@ -729,7 +736,7 @@ def test_far_point_infinities_reach_the_row(bad, where):
     with np.errstate(invalid="ignore", over="ignore"):
         excess, _ = _dense_far_point(patch, curve, 10.0, sample, arrays)
         row = check_far_point_distance(patch, curve, 10.0, sample,
-                                       arrays=arrays)
+                                       instance="p0", arrays=arrays)
     assert math.isnan(excess.max())
     assert math.isnan(row.measured) and not row.passed
 
@@ -739,7 +746,8 @@ def test_far_point_negative_maximum_matches_dense_broadcast():
     # every tangent distance
     patch, curve, sample, arrays = _synthetic_far_case(301, 71)
     excess, grid = _dense_far_point(patch, curve, 1.0, sample, arrays)
-    row = check_far_point_distance(patch, curve, 1.0, sample, arrays=arrays)
+    row = check_far_point_distance(patch, curve, 1.0, sample,
+                                   instance="p0", arrays=arrays)
     assert excess.max() < 0.0
     assert _bits(row.measured) == _bits(excess.max())
     assert row.grid == grid
@@ -772,7 +780,8 @@ def test_far_point_all_ties_compare_every_row_in_blocks(monkeypatch):
     compared = _blocks_compared(monkeypatch)
     pairs = _pairs_compared(monkeypatch)
     tracemalloc.start()
-    row = check_far_point_distance(patch, curve, R, sample, arrays=arrays)
+    row = check_far_point_distance(patch, curve, R, sample,
+                                   instance="p0", arrays=arrays)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     # no bound settles a block or a far sample, so after the seed's one
@@ -791,7 +800,8 @@ def test_far_point_empty_core_is_refused():
     outside = (arrays[0][np.abs(arrays[0]) > patch.inner_radius],)
     outside = outside + tuple(np.zeros_like(outside[0]) for _ in range(4))
     with pytest.raises(InvalidInputError, match="plateau core"):
-        check_far_point_distance(patch, curve, 10.0, sample, arrays=outside)
+        check_far_point_distance(patch, curve, 10.0, sample,
+                                 instance="p0", arrays=outside)
 
 
 def test_main_theorem_rows(stadium_run):
@@ -933,7 +943,13 @@ def test_run_suite_times_each_suite(monkeypatch):
 
 def test_run_suite_rejects_unknown():
     with pytest.raises(InvalidInputError):
-        run_suite("everything")
+        run_suite("everything", 7)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "7", None])
+def test_run_suite_rejects_a_seed_numpy_cannot_take(seed):
+    with pytest.raises(InvalidInputError, match="seed must be a non-negative integer"):
+        run_suite("formulas", seed)
 
 
 def test_checks_csv_deterministic(tmp_path):

@@ -212,6 +212,58 @@ def test_missing_shape_key(tmp_path):
     assert cli.main(["reach", "--config", cfg]) == 2
 
 
+# the stadium r = 1, l = 2 as a chain of segments
+STADIUM_SEGMENTS = [
+    {"type": "line", "start": [-1.0, -1.0], "end": [1.0, -1.0]},
+    {"type": "arc", "center": [1.0, 0.0], "radius": 1.0,
+     "start_angle": -0.5 * math.pi, "end_angle": 0.5 * math.pi},
+    {"type": "line", "start": [1.0, 1.0], "end": [-1.0, 1.0]},
+    {"type": "arc", "center": [-1.0, 0.0], "radius": 1.0,
+     "start_angle": 0.5 * math.pi, "end_angle": 1.5 * math.pi},
+]
+
+
+def _stadium_chain(index, **fields):
+    segments = [dict(s) for s in STADIUM_SEGMENTS]
+    segments[index].update(fields)
+    return {"kind": "cad_profile", "segments": segments}
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+@pytest.mark.parametrize("shape, field", [
+    (_stadium_chain(1, start_angle="abc"), "start_angle"),
+    (_stadium_chain(0, start="xy"), "start"),
+    ({"kind": "circle", "r": "1.5"}, "r"),     # a numeric string
+    ({"kind": "circle", "r": True}, "r"),      # JSON booleans are not numbers
+], ids=["angle_string", "point_string", "numeric_string", "bool"])
+def test_malformed_shape_field_is_a_usage_error(tmp_path, capsys, shape, field):
+    cfg = write_config(tmp_path, {"shape": shape})
+    assert cli.main(["reach", "--config", cfg, "--n", "200"]) == 2
+    assert field in _one_error_line(capsys)
+
+
+def test_shape_fields_take_json_integers(tmp_path, capsys):
+    chain = _stadium_chain(0, start=[-1, -1], end=[1, -1])
+    for shape in ({"kind": "circle", "r": 1}, chain):
+        cfg = write_config(tmp_path, {"shape": shape})
+        assert cli.main(["reach", "--config", cfg, "--n", "200"]) == 0
+        assert json.loads(capsys.readouterr().out)["closed_form_reach"] == 1.0
+
+
+def test_verify_negative_seed_is_a_usage_error(tmp_path, capsys):
+    assert cli.main(["verify", "--suite", "formulas", "--seed", "-1",
+                     "--out", str(tmp_path / "v")]) == 2
+    assert "seed" in _one_error_line(capsys)
+    assert not (tmp_path / "v").exists()
+
+
 def test_unknown_suite_is_argparse_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--suite", "bogus", "--out", str(tmp_path)])

@@ -660,8 +660,10 @@ def test_find_support_radius_affine_returns_start():
     df = lambda x: np.full_like(np.asarray(x, dtype=float), 2.0)
     window = Interval(-1.0, 1.0)
     domain = Interval(-2.0, 2.0)
-    sigma, dev = find_support_radius(f, df, window, domain, 1e-9, k=1)
-    # affine input passes at the first candidate: the full room
+    sigma, dev = find_support_radius(f, df, window, domain, 1e-9, k=1,
+                                     sigma_max=1.0)
+    # affine input passes at the first candidate: the full room (the cap
+    # is the room itself, and the start sits just under it)
     assert sigma == pytest.approx(1.0, rel=1e-9)
     assert dev <= 1e-9
 
@@ -671,7 +673,7 @@ def test_find_support_radius_abs_bracket():
     window = Interval(-0.5, 0.5)
     domain = Interval(-2.0, 2.0)
     sigma, dev = find_support_radius(np.abs, np.sign, window, domain, target,
-                                     k=0)
+                                     k=0, sigma_max=1.5)
     k = BumpKernel(sigma)
     # the returned deviation is the measurement of the passing radius
     assert dev == sup_deviation_ck(np.abs, np.sign, k, window, k=0)[0]
@@ -699,7 +701,8 @@ def test_find_support_radius_slope_jump_cannot_converge(monkeypatch):
     window = Interval(-0.5, 0.5)
     domain = Interval(-2.0, 2.0)
     with pytest.raises(ConvergenceError, match="deviation at least 9.669e-01"):
-        find_support_radius(np.abs, np.sign, window, domain, 0.01, k=1)
+        find_support_radius(np.abs, np.sign, window, domain, 0.01, k=1,
+                            sigma_max=1.5)
     radii = [r for r, _ in reads]
     assert len(radii) == 17  # 1.5 * 2^-16 fits 4e6 points, 2^-17 does not
     assert all(b == 0.5 * a for a, b in zip(radii, radii[1:]))
@@ -713,7 +716,8 @@ def test_find_support_radius_needs_room():
     window = Interval(-1.0, 1.0)
     domain = Interval(-1.0, 2.0)
     with pytest.raises(InvalidInputError):
-        find_support_radius(np.abs, np.sign, window, domain, 0.1, k=0)
+        find_support_radius(np.abs, np.sign, window, domain, 0.1, k=0,
+                            sigma_max=1.0)
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reachsmooth.errors import InvalidInputError
 from reachsmooth.linalg import hausdorff_distance_sampled
 
 
@@ -23,11 +24,14 @@ def test_hausdorff_basic_properties():
     assert hausdorff_distance_sampled(a, b) == hausdorff_distance_sampled(b, a)
 
 
-def test_hausdorff_dimension_general():
+def test_hausdorff_takes_plane_points_only():
+    # the patch checkers pass plane points; any other shape is refused
     rng = np.random.default_rng(29)
     a = rng.normal(size=(30, 3))
-    b = a + np.array([0.0, 0.0, 0.25])
-    assert hausdorff_distance_sampled(a, b) == pytest.approx(0.25, abs=1e-12)
+    with pytest.raises(InvalidInputError, match=r"\(n, 2\) array"):
+        hausdorff_distance_sampled(a, a)
+    with pytest.raises(InvalidInputError, match=r"\(n, 2\) array"):
+        hausdorff_distance_sampled(a[:, :2], a)
 
 
 @settings(max_examples=40, deadline=None)

@@ -343,4 +343,4 @@ def test_scan_accepts_shape_or_curve():
     e2, _ = scan_curve_reach(ClosedCurve(shape), n=200)
     assert e1.value == e2.value
     with pytest.raises(InvalidInputError):
-        scan_curve_reach("circle")
+        scan_curve_reach("circle", n=200)

@@ -3,13 +3,20 @@
 An option is any value a caller can set without editing the code: a
 function parameter with a default, a dataclass field with a default, or
 a command-line flag.  Each independent option multiplies the
-configurations tests and benchmarks have to cover, so the count is
-pinned: a change that adds an option changes the number below and says
-why.  (It went from 41 to 38 when every live blend moved onto its tap
-lattice: the ``taps=64`` defaults of ``BlendedMap``, ``convolve`` and
-``BumpKernel.tap_scheme`` went with the last two.)  The exported names are checked too: every name in an ``__all__``
-must resolve, so a deleted function cannot linger in an export list,
-and README's ``Commands:`` block must list each subcommand's flags.
+configurations tests and benchmarks have to cover, so the options are
+pinned by name: a change that adds or removes one changes the list
+below and says why.  (The count went from 41 to 38 when every live
+blend moved onto its tap lattice: the ``taps=64`` defaults of
+``BlendedMap``, ``convolve`` and ``BumpKernel.tap_scheme`` went with
+the last two.  It went from 38 to 22 when every default that no
+pipeline, command-line or benchmark caller takes became required or
+went: the row checkers' ``instance``, the zoo checkers' ``seed``,
+``run_suite``'s suite and seed, ``scan_curve_reach``'s ``n``, the
+deviation order ``k``, the uncapped radius search, ``AppliedPatch.blend``
+and ``as_points``' dimension.)  The exported names are checked too:
+every name in an ``__all__`` must resolve, so a deleted function cannot
+linger in an export list, and README's ``Commands:`` block must list
+each subcommand's flags.
 
 The package runs on NumPy alone: no module imports SciPy, and a run
 loads none of it (the tests keep SciPy as an oracle).
@@ -23,6 +30,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import reachsmooth
@@ -31,8 +39,33 @@ from reachsmooth import cli
 PACKAGE = Path(reachsmooth.__file__).resolve().parent
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-# parameters with a default + defaulted dataclass fields + argparse flags
-EXPECTED_OPTIONS = 38
+# the 22 options as (module, scope, name): a parameter with a default
+# by its (nested) function, a defaulted dataclass field by its class, an
+# argparse flag by its subcommand
+EXPECTED_OPTIONS = sorted([
+    ("checks", "_result", "passed"),
+    ("checks", "check_angle_bound", "seed"),
+    ("checks", "check_far_point_distance", "seed"),
+    ("checks", "check_hausdorff_bound", "seed"),
+    ("checks", "check_main_theorem", "seed"),
+    ("checks", "check_tangent_distance_bound", "seed"),
+    ("cli", "_write_overlay_svg.thin", "cap"),
+    ("cli", "main", "argv"),
+    ("cli", "reachsmooth reach", "--config"),
+    ("cli", "reachsmooth reach", "--n"),
+    ("cli", "reachsmooth reach", "--min-sep"),
+    ("cli", "reachsmooth report", "--out"),
+    ("cli", "reachsmooth smooth", "--config"),
+    ("cli", "reachsmooth smooth", "--csv-n"),
+    ("cli", "reachsmooth smooth", "--epsilon"),
+    ("cli", "reachsmooth smooth", "--out"),
+    ("cli", "reachsmooth verify", "--out"),
+    ("cli", "reachsmooth verify", "--seed"),
+    ("cli", "reachsmooth verify", "--suite"),
+    ("curves", "ArcChainShape.__init__", "label"),
+    ("curves", "ClosedCurve.__init__", "patches"),
+    ("reach", "scan_curve_reach", "min_sep"),
+])
 
 
 def _is_dataclass(node):
@@ -49,31 +82,72 @@ def _field_has_default(value):
     return True
 
 
+def _subcommands(tree):
+    """``{variable: subcommand}`` of every ``x = ....add_parser("name")``."""
+    found = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "attr", None) == "add_parser"):
+            for target in node.targets:
+                found[target.id] = node.value.args[0].value
+    return found
+
+
+def list_options(tree):
+    """``(kind, scope, name)`` of every option of one parsed module, kind
+    one of ``param``, ``field`` and ``flag``."""
+    subcommands = _subcommands(tree)
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = scope + child.name
+                args = child.args
+                positional = args.posonlyargs + args.args
+                out.extend(("param", name, a.arg) for a in
+                           positional[len(positional) - len(args.defaults):])
+                out.extend(("param", name, a.arg) for a, d in
+                           zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+                visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                name = scope + child.name
+                if _is_dataclass(child):
+                    out.extend(("field", name, stmt.target.id)
+                               for stmt in child.body
+                               if isinstance(stmt, ast.AnnAssign)
+                               and stmt.value is not None
+                               and _field_has_default(stmt.value))
+                visit(child, name + ".")
+            else:
+                if (isinstance(child, ast.Call)
+                        and isinstance(child.func, ast.Attribute)
+                        and child.func.attr == "add_argument"):
+                    owner = getattr(child.func.value, "id", "?")
+                    where = (f"reachsmooth {subcommands[owner]}"
+                             if owner in subcommands else owner)
+                    out.append(("flag", where, child.args[0].value))
+                visit(child, scope)
+
+    visit(tree, "")
+    return out
+
+
 def count_options(tree):
     """``(parameters with a default, dataclass fields with a default,
     argparse flags)`` of one parsed module."""
-    params = fields = flags = 0
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = node.args
-            params += len(args.defaults)
-            params += sum(d is not None for d in args.kw_defaults)
-        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-            fields += sum(isinstance(stmt, ast.AnnAssign) and stmt.value is not None
-                          and _field_has_default(stmt.value)
-                          for stmt in node.body)
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and node.func.attr == "add_argument"):
-            flags += 1
-    return params, fields, flags
+    kinds = Counter(kind for kind, _, _ in list_options(tree))
+    return kinds["param"], kinds["field"], kinds["flag"]
 
 
 def package_options():
-    totals = [0, 0, 0]
+    """Sorted ``(module, scope, name)`` of every option of the package."""
+    found = []
     for path in sorted(PACKAGE.rglob("*.py")):
-        for i, n in enumerate(count_options(ast.parse(path.read_text()))):
-            totals[i] += n
-    return tuple(totals)
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        found += [(module, scope, name) for _, scope, name
+                  in list_options(ast.parse(path.read_text()))]
+    return sorted(found)
 
 
 def test_counter_sees_each_kind_of_option():
@@ -94,13 +168,22 @@ class Plain:
     v: int = 0
 
 parser.add_argument("--flag")
+sub = parsers.add_parser("go")
+sub.add_argument("--fast")
 '''
-    assert count_options(ast.parse(src)) == (2, 2, 1)
+    tree = ast.parse(src)
+    assert count_options(tree) == (2, 2, 2)
+    assert sorted(list_options(tree)) == [
+        ("field", "C", "w"), ("field", "C", "y"),
+        ("flag", "parser", "--flag"), ("flag", "reachsmooth go", "--fast"),
+        ("param", "f", "b"), ("param", "f", "c")]
 
 
 def test_option_count_is_pinned():
-    params, fields, flags = package_options()
-    assert params + fields + flags == EXPECTED_OPTIONS, (params, fields, flags)
+    found = package_options()
+    assert found == EXPECTED_OPTIONS, {
+        "added": sorted(set(found) - set(EXPECTED_OPTIONS)),
+        "removed": sorted(set(EXPECTED_OPTIONS) - set(found))}
 
 
 def test_every_export_resolves():
@@ -169,7 +252,7 @@ from reachsmooth.checks import run_suite
 result = smooth_manifold({"kind": "stadium", "r": 1.0, "l": 2.0}, 0.05)
 assert result.curve.patches
 for suite in ("patches", "main"):
-    assert run_suite(suite).passed
+    assert run_suite(suite, 7).passed
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
