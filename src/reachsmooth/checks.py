@@ -644,52 +644,34 @@ def _formula_rows(seed):
     # verify where 2R - z keeps float accuracy: the conditioning of the
     # reference expression is 1 + 2 R xi, so cap xi at ~50/R (12 decades)
     xis = np.exp(rng.uniform(math.log(1e-9), math.log(50.0), n)) / Rs
-    worst = 0.0
-    for R, xi in zip(Rs, xis):
-        z = effective_radius_drop(R, xi)
-        lhs = 1.0 / (2.0 * R) + xi
-        rhs = 1.0 / (2.0 * R - z)
-        worst = max(worst, abs(lhs - rhs) / rhs)
-    rows = [_result("radius_drop_identity", worst, 0.0, 1e-12, n, seed,
-                    "1/(2R)+xi == 1/(2R-z)")]
+    z = effective_radius_drop(Rs, xis)
+    rhs = 1.0 / (2.0 * Rs - z)
+    err = np.abs(1.0 / (2.0 * Rs) + xis - rhs) / rhs
+    rows = [_result("radius_drop_identity", err.max(), 0.0, 1e-12, err.size,
+                    seed, "1/(2R)+xi == 1/(2R-z)")]
 
-    worst = 0.0
-    m = 0
-    for R in np.exp(np.linspace(math.log(1e-2), math.log(1e2), 41)):
-        for frac in np.linspace(0.01, 0.5, 25):
-            d = frac * R
-            err = abs(predicted_reach_bound(R, d, 0.0) - R * (1.0 - d / R))
-            worst = max(worst, err / R)
-            m += 1
-    rows.append(_result("reach_bound_zero_budget", worst, 0.0, 0.0, m, seed,
-                        "rho=0 -> R(1-delta/R) exactly"))
+    R = np.exp(np.linspace(math.log(1e-2), math.log(1e2), 41))[:, None]
+    d = np.linspace(0.01, 0.5, 25) * R
+    err = np.abs(predicted_reach_bound(R, d, 0.0) - R * (1.0 - d / R)) / R
+    rows.append(_result("reach_bound_zero_budget", err.max(), 0.0, 0.0,
+                        err.size, seed, "rho=0 -> R(1-delta/R) exactly"))
 
-    worst = 0.0
-    m = 0
-    for R in np.exp(np.linspace(math.log(1e-2), math.log(1e2), 41)):
-        for b in (0.1, 1.0, 10.0):
-            for L in (0.0, 1.0, 7.0):
-                err = abs(far_away_reach_bound(R, 0.0, b, L) - R)
-                worst = max(worst, err / R)
-                m += 1
-    rows.append(_result("far_bound_zero_deviation", worst, 0.0, 0.0, m, seed,
-                        "epsilon=0 -> R exactly"))
+    R = R[..., None]
+    b = np.array([0.1, 1.0, 10.0])[:, None]
+    L = np.array([0.0, 1.0, 7.0])
+    err = np.abs(far_away_reach_bound(R, 0.0, b, L) - R) / R
+    rows.append(_result("far_bound_zero_deviation", err.max(), 0.0, 0.0,
+                        err.size, seed, "epsilon=0 -> R exactly"))
 
-    # the bound never exceeds the input reach and shrinks with the budget
-    worst = -math.inf
-    m = 0
-    for R in (0.5, 1.0, 3.0):
-        for frac in (0.05, 0.2, 0.45):
-            d = frac * R
-            prev = predicted_reach_bound(R, d, 0.0)
-            for rho in (0.0, 1e-8, 1e-6, 1e-4):
-                cur = predicted_reach_bound(R, d, rho)
-                worst = max(worst, cur - prev)
-                prev = cur
-                m += 1
-            worst = max(worst, predicted_reach_bound(R, d, 0.0) - R)
-    rows.append(_result("reach_bound_monotone", worst, 0.0, 0.0, m, seed,
-                        "nonincreasing in rho at fixed window"))
+    # the bound never exceeds the input reach and shrinks with the budget;
+    # along rho the steps from b(0), the first of them b(0) - b(0) = 0
+    R = np.array([0.5, 1.0, 3.0])[:, None, None]
+    d = np.array([0.05, 0.2, 0.45])[:, None] * R
+    bound = predicted_reach_bound(R, d, np.array([0.0, 1e-8, 1e-6, 1e-4]))
+    steps = np.diff(bound, axis=-1, prepend=bound[..., :1])
+    worst = max(steps.max(), (bound[..., 0] - R[..., 0]).max())
+    rows.append(_result("reach_bound_monotone", worst, 0.0, 0.0, steps.size,
+                        seed, "nonincreasing in rho at fixed window"))
     return rows
 
 

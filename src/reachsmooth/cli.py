@@ -13,14 +13,14 @@ Four subcommands:
 ``report``
     Pretty-print a previously written report.json.
 
-Configs are plain JSON.  A ``reach`` config holds only ``shape``.  A
+Configs are plain UTF-8 JSON.  A ``reach`` config holds only ``shape``.  A
 ``smooth`` config holds ``shape`` and the number ``epsilon``, which
 ``--epsilon`` overrides; the rest of the schedule follows from epsilon
 and the shape.  Any other key is refused.
 Artifacts carry no timestamps or machine identifiers, so identical
 inputs produce byte-identical outputs; wall-clock timing goes to
 stderr.  Exit codes: 0 success, 1 pipeline or verification failure,
-2 malformed configuration.
+2 malformed input.
 """
 
 from __future__ import annotations
@@ -74,17 +74,28 @@ def build_parser():
     return p
 
 
-def _load_config(path):
+def _read_json_object(path):
+    """The JSON object in the UTF-8 file ``path``; a missing file,
+    undecodable bytes, bad JSON or any other value raise."""
     try:
-        with open(path) as fh:
-            cfg = json.load(fh)
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise InvalidInputError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise InvalidInputError("config must be a JSON object")
-    return cfg
+        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidInputError(f"{path} is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise InvalidInputError(f"{path} must hold a JSON object")
+    return payload
+
+
+def _out_dir(path):
+    """The ``--out`` directory, refused before any work when it or its
+    nearest existing parent is not a directory."""
+    out = Path(path)
+    taken = next((p for p in (out, *out.parents) if p.exists()), None)
+    if taken is not None and not taken.is_dir():
+        raise InvalidInputError(f"--out {out}: {taken} is not a directory")
+    return out
 
 
 def _refuse_unknown_keys(cfg, allowed):
@@ -168,7 +179,7 @@ def _write_overlay_svg(path, before, after, centers):
 
 
 def _cmd_reach(args):
-    cfg = _load_config(args.config)
+    cfg = _read_json_object(args.config)
     _refuse_unknown_keys(cfg, ("shape",))
     shape = _config_shape(cfg)
     t0 = time.perf_counter()
@@ -191,10 +202,10 @@ def _cmd_smooth(args):
     if args.csv_n < MIN_SAMPLES:
         raise InvalidInputError(
             f"--csv-n must be at least {MIN_SAMPLES}, got {args.csv_n}")
-    cfg = _load_config(args.config)
+    out_dir = _out_dir(args.out)
+    cfg = _read_json_object(args.config)
     eps = _smooth_epsilon(cfg, args.epsilon)
     shape = _config_shape(cfg)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
@@ -224,10 +235,10 @@ def _cmd_smooth(args):
 
 
 def _cmd_verify(args):
+    out_dir = _out_dir(args.out)
     t0 = time.perf_counter()
     sr = run_suite(args.suite, seed=args.seed)
     elapsed = time.perf_counter() - t0
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_checks_csv(sr.results, out_dir / "checks.csv")
     if sr.n_failed:
@@ -244,35 +255,43 @@ def _cmd_verify(args):
     return 1 if sr.n_failed else 0
 
 
+def _fmt_number(v):
+    return fmt17(as_float(v, "value"))
+
+
 def _fmt_argmin(arg):
     if arg is None:
         return "none (no scanned pair below R_input)"
-    (i, j), (si, sj), (p, q) = arg["indices"], arg["params"], arg["points"]
-    return (f"{i} -> {j} at params {fmt17(si)} -> {fmt17(sj)}, points "
-            f"({fmt17(p[0])}, {fmt17(p[1])}) -> ({fmt17(q[0])}, {fmt17(q[1])})")
+    (i, j), params, (p, q) = arg["indices"], arg["params"], arg["points"]
+    si, sj, x0, y0, x1, y1 = map(_fmt_number, (*params, *p, *q))
+    return f"{i} -> {j} at params {si} -> {sj}, points ({x0}, {y0}) -> ({x1}, {y1})"
 
 
 def _cmd_report(args):
     path = Path(args.out) / "report.json"
-    try:
-        payload = json.loads(path.read_text())
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
+    payload = _read_json_object(path)
+    num = _fmt_number
     order = [
         ("shape", lambda v: v.get("kind", "?")),
-        ("R_input", fmt17), ("epsilon", fmt17), ("delta", fmt17),
-        ("rho", fmt17), ("R_prime_predicted", fmt17),
-        ("R_hat_measured", fmt17), ("c1_distance", fmt17),
+        ("R_input", num), ("epsilon", num), ("delta", num), ("rho", num),
+        ("R_prime_predicted", num), ("R_hat_measured", num),
+        ("c1_distance", num),
         ("patches_applied", str), ("patches_identity", str),
-        ("net_size", str), ("shift_max", fmt17),
+        ("net_size", str), ("shift_max", num),
         ("scan_samples", str), ("scan_pairs", str),
         ("reach_argmin", _fmt_argmin),
     ]
+    lines = []
     for key, fmt in order:
-        if key in payload:
-            print(f"{key:20s} {fmt(payload[key])}")
+        if key not in payload:
+            continue
+        try:
+            lines.append(f"{key:20s} {fmt(payload[key])}")
+        except (InvalidInputError, AttributeError, LookupError, TypeError,
+                ValueError) as exc:
+            raise InvalidInputError(f"{path}: malformed {key!r}: {exc}") from exc
+    for line in lines:
+        print(line)
     return 0
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_positive_float
+from ._util import _as_real_array, as_positive_float
 from .curves import (AppliedPatch, BaseShape, ClosedCurve, local_graph_at,
                      make_shape, sample_manifold)
 from .errors import GeometryError, InvalidInputError
@@ -406,6 +406,11 @@ def _reach_argmin(est, sample):
             "points": [est.argmin_base.tolist(), est.argmin_other.tolist()]}
 
 
+def _number_or_array(a):
+    """A 0-d result as a Python float, any other as the array."""
+    return float(a) if a.ndim == 0 else a
+
+
 def predicted_reach_bound(R, delta, rho):
     """Closed-form lower bound for the reach after a full run.
 
@@ -415,20 +420,19 @@ def predicted_reach_bound(R, delta, rho):
     deviation relative to the transition scale.  The bound is the worse
     of the two.  With a zero deviation budget it reduces exactly to
     R (1 - delta/R): only the window geometry is paid for.
+
+    The arguments broadcast; numbers give a float, arrays an array.
     """
-    Rv = as_positive_float(R, "R")
-    d = as_positive_float(delta, "delta")
-    if d > 0.5 * Rv:
-        raise InvalidInputError(f"delta={d} exceeds half of R={Rv}")
-    r = float(rho)
-    if r < 0 or not math.isfinite(r):
-        raise InvalidInputError(f"rho must be finite and >= 0, got {rho}")
-    if r == 0.0:
-        return Rv * (1.0 - d / Rv)
+    Rv = _as_real_array(R, "R", "positive")
+    d = _as_real_array(delta, "delta", "positive")
+    r = _as_real_array(rho, "rho", "nonnegative")
+    if (d > 0.5 * Rv).any():
+        raise InvalidInputError(f"delta={delta} exceeds half of R={R}")
     L0d = make_reference_plateau().lip_derivative
     omega_near = 192.0 * L0d * r / d + 1.0 / (1.0 - d / Rv)
     omega_far = 1.0 + 192.0 * (r / d) * (64.0 * L0d / d + Rv + 1.0)
-    return Rv / max(omega_near, omega_far)
+    return _number_or_array(np.where(r == 0.0, Rv * (1.0 - d / Rv),
+                                     Rv / np.maximum(omega_near, omega_far)))
 
 
 def far_away_reach_bound(R, epsilon, beta, graph_lip):
@@ -437,18 +441,15 @@ def far_away_reach_bound(R, epsilon, beta, graph_lip):
     ``epsilon`` is the graph deviation, ``beta`` the pair-distance scale
     below which pairs are handled by the local argument instead, and
     ``graph_lip`` the combined plateau constant.  Exactly R when the
-    deviation vanishes.
+    deviation vanishes.  The arguments broadcast like
+    ``predicted_reach_bound``'s.
     """
-    Rv = as_positive_float(R, "R")
-    e = float(epsilon)
-    if e < 0 or not math.isfinite(e):
-        raise InvalidInputError(f"epsilon must be finite and >= 0, got {epsilon}")
-    b = as_positive_float(beta, "beta")
-    L = float(graph_lip)
-    if L < 0:
-        raise InvalidInputError("graph_lip must be >= 0")
+    Rv = _as_real_array(R, "R", "positive")
+    e = _as_real_array(epsilon, "epsilon", "nonnegative")
+    b = _as_real_array(beta, "beta", "positive")
+    L = _as_real_array(graph_lip, "graph_lip", "nonnegative")
     xi = 6.0 * e * (Rv * L + Rv + 1.0) / (b * b)
-    return Rv / (1.0 + 2.0 * Rv * xi)
+    return _number_or_array(Rv / (1.0 + 2.0 * Rv * xi))
 
 
 def effective_radius_drop(R, xi):
@@ -456,13 +457,12 @@ def effective_radius_drop(R, xi):
 
     Solves 1/(2R) + xi = 1/(2R - z) for z, so a penalty xi in the pair
     comparison is the same thing as losing z of radius (and z/2 of
-    reach): z = 4 R^2 xi / (1 + 2 R xi).
+    reach): z = 4 R^2 xi / (1 + 2 R xi).  The arguments broadcast like
+    ``predicted_reach_bound``'s.
     """
-    Rv = as_positive_float(R, "R")
-    x = float(xi)
-    if x < 0 or not math.isfinite(x):
-        raise InvalidInputError(f"xi must be finite and >= 0, got {xi}")
-    return 4.0 * Rv * Rv * x / (1.0 + 2.0 * Rv * x)
+    Rv = _as_real_array(R, "R", "positive")
+    x = _as_real_array(xi, "xi", "nonnegative")
+    return _number_or_array(4.0 * Rv * Rv * x / (1.0 + 2.0 * Rv * x))
 
 
 @dataclass(frozen=True)

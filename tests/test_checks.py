@@ -25,7 +25,9 @@ from reachsmooth.kernels import BumpKernel, Interval
 from reachsmooth.partition import make_reference_plateau, smoothing_window_radius
 from reachsmooth.reach import estimate_reach_federer
 from reachsmooth.smoothing import (_PROBE_RATIO_CAP, BlendedMap,
-                                   smooth_core_probe, smooth_manifold)
+                                   effective_radius_drop, far_away_reach_bound,
+                                   predicted_reach_bound, smooth_core_probe,
+                                   smooth_manifold)
 from tests.test_kernels import M49_SIGMA, convolve, tap_scheme
 from tests.test_smoothing import scaled_run
 
@@ -918,6 +920,85 @@ def test_main_theorem_matches_per_probe_reference(stadium_run):
     assert len(rows) == 4 + len(probe_rows) + len(expected) == 20
     assert repr([dataclasses.astuple(r) for r in rows[4 + len(probe_rows):]]) == \
         repr([dataclasses.astuple(r) for r in expected])
+
+
+def _scalar_formula_rows(seed):
+    """The formula rows one scalar call at a time, over the samples and
+    grids of ``checks._formula_rows``, drawn in the same order."""
+    rng = np.random.default_rng(seed)
+    n = 10000
+    Rs = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n))
+    xis = np.exp(rng.uniform(math.log(1e-9), math.log(50.0), n)) / Rs
+    worst = 0.0
+    for R, xi in zip(Rs, xis):
+        z = effective_radius_drop(R, xi)
+        lhs = 1.0 / (2.0 * R) + xi
+        rhs = 1.0 / (2.0 * R - z)
+        worst = max(worst, abs(lhs - rhs) / rhs)
+    rows = [checks._result("radius_drop_identity", worst, 0.0, 1e-12, n, seed,
+                           "1/(2R)+xi == 1/(2R-z)")]
+
+    worst = 0.0
+    m = 0
+    for R in np.exp(np.linspace(math.log(1e-2), math.log(1e2), 41)):
+        for frac in np.linspace(0.01, 0.5, 25):
+            d = frac * R
+            err = abs(predicted_reach_bound(R, d, 0.0) - R * (1.0 - d / R))
+            worst = max(worst, err / R)
+            m += 1
+    rows.append(checks._result("reach_bound_zero_budget", worst, 0.0, 0.0, m,
+                               seed, "rho=0 -> R(1-delta/R) exactly"))
+
+    worst = 0.0
+    m = 0
+    for R in np.exp(np.linspace(math.log(1e-2), math.log(1e2), 41)):
+        for b in (0.1, 1.0, 10.0):
+            for L in (0.0, 1.0, 7.0):
+                err = abs(far_away_reach_bound(R, 0.0, b, L) - R)
+                worst = max(worst, err / R)
+                m += 1
+    rows.append(checks._result("far_bound_zero_deviation", worst, 0.0, 0.0, m,
+                               seed, "epsilon=0 -> R exactly"))
+
+    worst = -math.inf
+    m = 0
+    for R in (0.5, 1.0, 3.0):
+        for frac in (0.05, 0.2, 0.45):
+            d = frac * R
+            prev = predicted_reach_bound(R, d, 0.0)
+            for rho in (0.0, 1e-8, 1e-6, 1e-4):
+                cur = predicted_reach_bound(R, d, rho)
+                worst = max(worst, cur - prev)
+                prev = cur
+                m += 1
+            worst = max(worst, predicted_reach_bound(R, d, 0.0) - R)
+    rows.append(checks._result("reach_bound_monotone", worst, 0.0, 0.0, m,
+                               seed, "nonincreasing in rho at fixed window"))
+    return rows
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 11])
+def test_formula_rows_match_the_scalar_loop(seed):
+    assert checks._formula_rows(seed) == _scalar_formula_rows(seed)
+
+
+@pytest.mark.parametrize("fn, axes", [
+    (predicted_reach_bound, ([0.5, 1.0, 3.0], [0.01, 0.1, 0.25],
+                             [0.0, 1e-8, 1e-4])),
+    (far_away_reach_bound, ([0.5, 3.0], [0.0, 1e-4, 1e-2], [0.1, 1.0],
+                            [0.0, 7.0])),
+    (effective_radius_drop, ([1e-3, 1.0, 1e3], [0.0, 1e-9, 0.5, 50.0])),
+], ids=["predicted_reach_bound", "far_away_reach_bound", "effective_radius_drop"])
+def test_bound_formulas_on_arrays_repeat_their_scalar_calls(fn, axes):
+    grids = np.meshgrid(*axes, indexing="ij")
+    out = fn(*grids)
+    assert isinstance(out, np.ndarray) and out.shape == grids[0].shape
+    scalar = [fn(*(float(g[i]) for g in grids)) for i in np.ndindex(out.shape)]
+    assert all(type(v) is float for v in scalar)
+    assert out.ravel().tobytes() == np.array(scalar).tobytes()
+    # axes broadcast against each other as well as against full grids
+    assert fn(*np.meshgrid(*axes, indexing="ij", sparse=True)).tobytes() == \
+        out.tobytes()
 
 
 def test_run_suite_formulas_green():

@@ -230,8 +230,8 @@ def _stadium_chain(index, **fields):
 
 
 def _one_error_line(capsys):
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
     return lines[0]
@@ -333,3 +333,52 @@ def test_smooth_config_numbers_reach_the_pipeline(tmp_path, monkeypatch):
         cli.main(["smooth", "--config", cfg, "--out", out, "--rho", "1e-3"])
     assert exc.value.code == 2
     assert seen == [1.0, 0.2]
+
+
+NOT_UTF8 = b"\xff\xfe{\x00}\x00"   # a UTF-16 byte-order mark
+
+
+@pytest.mark.parametrize("command", ["reach", "smooth"])
+def test_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, command):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(NOT_UTF8)
+    argv = [command, "--config", str(cfg)]
+    if command == "smooth":
+        argv += ["--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    assert "config.json" in _one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("content, named", [
+    (NOT_UTF8, "report.json"),
+    (b"[1, 2]", "report.json"),                  # JSON, but not an object
+    (b'{"shape": "x"}', "shape"),
+    (b'{"R_input": "abc"}', "R_input"),
+    (b'{"epsilon": true}', "epsilon"),
+    (b'{"reach_argmin": {"indices": [1]}}', "reach_argmin"),
+    (b'{"reach_argmin": {"indices": [1, 2], "params": [true, 0.5],'
+     b' "points": [[0, 0], [1, 0]]}}', "reach_argmin"),
+], ids=["not_utf8", "list", "shape_string", "number_string", "bool",
+        "short_argmin", "argmin_bool"])
+def test_malformed_report_is_a_usage_error(tmp_path, capsys, content, named):
+    (tmp_path / "report.json").write_bytes(content)
+    assert cli.main(["report", "--out", str(tmp_path)]) == 2
+    assert named in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["smooth", "verify"])
+@pytest.mark.parametrize("out", ["taken", "taken/run"])
+def test_out_that_is_a_file_is_refused_before_any_work(tmp_path, monkeypatch,
+                                                       capsys, command, out):
+    def never(*a, **k):
+        raise AssertionError("work started with an unusable --out")
+    monkeypatch.setattr(cli, "smooth_manifold", never)
+    monkeypatch.setattr(cli, "run_suite", never)
+    (tmp_path / "taken").write_text("")
+    argv = {"smooth": ["smooth", "--config",
+                       write_config(tmp_path, {**CIRCLE, "epsilon": 0.3})],
+            "verify": ["verify", "--suite", "formulas"]}[command]
+    assert cli.main(argv + ["--out", str(tmp_path / out)]) == 2
+    assert "taken is not a directory" in _one_error_line(capsys)
+    assert (tmp_path / "taken").read_text() == ""

@@ -757,6 +757,30 @@ def test_radius_drop_identity():
         effective_radius_drop(1.0, -1.0)
 
 
+# each bound formula with valid numbers, argument by argument
+BOUND_CALLS = {
+    predicted_reach_bound: {"R": 1.0, "delta": 0.1, "rho": 1e-3},
+    far_away_reach_bound: {"R": 1.0, "epsilon": 1e-4, "beta": 0.5,
+                           "graph_lip": 3.0},
+    effective_radius_drop: {"R": 1.0, "xi": 0.5},
+}
+
+
+@pytest.mark.parametrize("fn, arg", [
+    (fn, arg) for fn, args in BOUND_CALLS.items() for arg in args],
+    ids=lambda v: getattr(v, "__name__", v))
+@pytest.mark.parametrize("bad", [
+    math.nan, math.inf, -math.inf, "0.5", True, -1.0,
+    lambda v: np.array([v, -1.0, v]),
+], ids=["nan", "inf", "-inf", "string", "bool", "negative", "array_entry"])
+def test_bound_formulas_refuse_malformed_numbers(fn, arg, bad):
+    args = dict(BOUND_CALLS[fn])
+    fn(**args)
+    args[arg] = bad(args[arg]) if callable(bad) else bad
+    with pytest.raises(InvalidInputError, match=arg):
+        fn(**args)
+
+
 # ------------------------------------------------------ smoothness probe
 
 def test_probe_passes_smooth_function():
