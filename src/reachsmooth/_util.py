@@ -10,6 +10,22 @@ import numpy as np
 from .errors import InvalidInputError
 
 
+def require_fields(obj, what, required, optional):
+    """``obj``, a JSON object holding every field of ``required`` and no
+    field outside ``required`` and ``optional``.  Anything else raises
+    one error that names ``what``, every unknown and every missing
+    field."""
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"{what} must be a JSON object, got {obj!r}")
+    wrong = [f"{label} fields {keys}" for label, keys in (
+        ("unknown", [k for k in obj if k not in required and k not in optional]),
+        ("missing", [k for k in required if k not in obj])) if keys]
+    if wrong:
+        raise InvalidInputError(f"{what}: {' and '.join(wrong)}; allowed: "
+                                + ", ".join((*required, *optional)))
+    return obj
+
+
 def as_float(x, name):
     """Coerce a number to a finite Python float or raise.
 

@@ -16,7 +16,8 @@ Four subcommands:
 Configs are plain UTF-8 JSON.  A ``reach`` config holds only ``shape``.  A
 ``smooth`` config holds ``shape`` and the number ``epsilon``, which
 ``--epsilon`` overrides; the rest of the schedule follows from epsilon
-and the shape.  Any other key is refused.
+and the shape.  Any other field, in the config, its shape or a
+segment, is refused.
 Artifacts carry no timestamps or machine identifiers, so identical
 inputs produce byte-identical outputs; wall-clock timing goes to
 stderr.  Exit codes: 0 success, 1 pipeline or verification failure,
@@ -34,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import as_float, fmt17, json_dumps_stable
+from ._util import as_float, fmt17, json_dumps_stable, require_fields
 from .checks import SUITES, run_suite, write_checks_csv, write_failures_json
 from .curves import MIN_SAMPLES, ClosedCurve, make_shape, sample_manifold
 from .errors import ConvergenceError, GeometryError, InvalidInputError
@@ -98,17 +99,17 @@ def _out_dir(path):
     return out
 
 
-def _refuse_unknown_keys(cfg, allowed):
-    extra = sorted(set(cfg) - set(allowed))
-    if extra:
-        raise InvalidInputError(
-            f"unknown config keys {extra}; allowed: " + ", ".join(allowed))
+def _read_config(path, optional):
+    """The shape and the fields of the config at ``path``, a JSON object
+    holding ``shape`` and no field outside ``optional``."""
+    cfg = require_fields(_read_json_object(path), f"config {path}",
+                         ("shape",), optional)
+    return make_shape(cfg["shape"]), cfg
 
 
 def _smooth_epsilon(cfg, flag):
     """The epsilon of a ``smooth`` run: ``flag`` when given, else the
-    config's; unknown keys and a non-number raise."""
-    _refuse_unknown_keys(cfg, ("shape", "epsilon"))
+    config's; a non-number raises."""
     eps = cfg.get("epsilon")
     if "epsilon" in cfg:
         eps = as_float(eps, "config 'epsilon'")
@@ -117,12 +118,6 @@ def _smooth_epsilon(cfg, flag):
     if eps is None:
         raise InvalidInputError("epsilon missing: pass --epsilon or put it in the config")
     return eps
-
-
-def _config_shape(cfg):
-    if "shape" not in cfg:
-        raise InvalidInputError('config needs a "shape" object')
-    return make_shape(cfg["shape"])
 
 
 def _write_curve_csv(path, sample):
@@ -179,9 +174,7 @@ def _write_overlay_svg(path, before, after, centers):
 
 
 def _cmd_reach(args):
-    cfg = _read_json_object(args.config)
-    _refuse_unknown_keys(cfg, ("shape",))
-    shape = _config_shape(cfg)
+    shape, _ = _read_config(args.config, ())
     t0 = time.perf_counter()
     est, sample = scan_curve_reach(shape, n=args.n, min_sep=args.min_sep)
     elapsed = time.perf_counter() - t0
@@ -203,14 +196,13 @@ def _cmd_smooth(args):
         raise InvalidInputError(
             f"--csv-n must be at least {MIN_SAMPLES}, got {args.csv_n}")
     out_dir = _out_dir(args.out)
-    cfg = _read_json_object(args.config)
+    shape, cfg = _read_config(args.config, ("epsilon",))
     eps = _smooth_epsilon(cfg, args.epsilon)
-    shape = _config_shape(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
     result = smooth_manifold(shape, eps)
     elapsed = time.perf_counter() - t0
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     before = sample_manifold(ClosedCurve(shape), n=args.csv_n)
     after = sample_manifold(result.curve, n=args.csv_n)
@@ -259,10 +251,18 @@ def _fmt_number(v):
     return fmt17(as_float(v, "value"))
 
 
+def _fmt_count(v):
+    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        raise InvalidInputError(f"must be a non-negative integer, got {v!r}")
+    return str(v)
+
+
 def _fmt_argmin(arg):
     if arg is None:
         return "none (no scanned pair below R_input)"
-    (i, j), params, (p, q) = arg["indices"], arg["params"], arg["points"]
+    require_fields(arg, "reach_argmin", ("indices", "params", "points"), ())
+    i, j = map(_fmt_count, arg["indices"])
+    params, (p, q) = arg["params"], arg["points"]
     si, sj, x0, y0, x1, y1 = map(_fmt_number, (*params, *p, *q))
     return f"{i} -> {j} at params {si} -> {sj}, points ({x0}, {y0}) -> ({x1}, {y1})"
 
@@ -270,15 +270,15 @@ def _fmt_argmin(arg):
 def _cmd_report(args):
     path = Path(args.out) / "report.json"
     payload = _read_json_object(path)
-    num = _fmt_number
+    num, count = _fmt_number, _fmt_count
     order = [
         ("shape", lambda v: v.get("kind", "?")),
         ("R_input", num), ("epsilon", num), ("delta", num), ("rho", num),
         ("R_prime_predicted", num), ("R_hat_measured", num),
         ("c1_distance", num),
-        ("patches_applied", str), ("patches_identity", str),
-        ("net_size", str), ("shift_max", num),
-        ("scan_samples", str), ("scan_pairs", str),
+        ("patches_applied", count), ("patches_identity", count),
+        ("net_size", count), ("shift_max", num),
+        ("scan_samples", count), ("scan_pairs", count),
         ("reach_argmin", _fmt_argmin),
     ]
     lines = []

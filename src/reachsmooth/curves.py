@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import as_float, as_positive_float, as_vector
+from ._util import as_float, as_positive_float, as_vector, require_fields
 from .errors import GeometryError, InvalidInputError
 from .kernels import _GL4_W, _GL4_X, _GL_W, _GL_X, Interval
 
@@ -335,41 +335,29 @@ def rounded_rectangle_segments(width, height, corner_radius):
 
 
 def _parse_segment(spec, index):
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise InvalidInputError(f"segment {index}: expected an object with a 'type' field")
-    kind = spec["type"]
-
-    def number(key):
-        return as_float(spec[key], f"segment {index}: {key}")
-
-    def vector(key):
-        return as_vector(spec[key], f"segment {index}: {key}")
-
+    what = f"segment {index}"
+    kind = spec.get("type") if isinstance(spec, dict) else None
+    if kind not in ("line", "arc"):
+        raise InvalidInputError(
+            f"{what} must be an object whose 'type' is 'line' or 'arc', got {spec!r}")
     if kind == "line":
-        try:
-            return LineSegment(vector("start"), vector("end"))
-        except KeyError as exc:
-            raise InvalidInputError(f"segment {index}: missing field {exc}")
-    if kind == "arc":
-        try:
-            start_angle = number("start_angle")
-            end_angle = number("end_angle")
-            orientation = spec.get("orientation", "ccw")
-        except KeyError as exc:
-            raise InvalidInputError(f"segment {index}: missing field {exc}")
-        if orientation not in ("ccw", "cw"):
-            raise InvalidInputError(f"segment {index}: orientation must be 'ccw' or 'cw'")
-        sweep = end_angle - start_angle
-        if orientation == "ccw" and sweep <= 0:
-            sweep += 2.0 * math.pi
-        if orientation == "cw" and sweep >= 0:
-            sweep -= 2.0 * math.pi
-        try:
-            return ArcSegment(vector("center"), number("radius"),
-                              start_angle, sweep)
-        except KeyError as exc:
-            raise InvalidInputError(f"segment {index}: missing field {exc}")
-    raise InvalidInputError(f"segment {index}: unknown type {kind!r}")
+        require_fields(spec, what, ("type", "start", "end"), ())
+        return LineSegment(as_vector(spec["start"], f"{what}: start"),
+                           as_vector(spec["end"], f"{what}: end"))
+    require_fields(spec, what, ("type", "center", "radius", "start_angle",
+                                "end_angle"), ("orientation",))
+    start_angle = as_float(spec["start_angle"], f"{what}: start_angle")
+    sweep = as_float(spec["end_angle"], f"{what}: end_angle") - start_angle
+    orientation = spec.get("orientation", "ccw")
+    if orientation not in ("ccw", "cw"):
+        raise InvalidInputError(f"{what}: orientation must be 'ccw' or 'cw'")
+    if orientation == "ccw" and sweep <= 0:
+        sweep += 2.0 * math.pi
+    if orientation == "cw" and sweep >= 0:
+        sweep -= 2.0 * math.pi
+    return ArcSegment(as_vector(spec["center"], f"{what}: center"),
+                      as_float(spec["radius"], f"{what}: radius"),
+                      start_angle, sweep)
 
 
 def make_shape(spec):
@@ -384,50 +372,43 @@ def make_shape(spec):
         {"kind": "cad_profile", "preset": "rounded_rect",
          "width": 2.0, "height": 1.0, "corner_radius": 0.2}
 
-    Raises InvalidInputError for anything malformed, including chains
-    that fail closure or tangent-continuity validation.
+    Each form and each segment takes exactly its own fields, an arc's
+    ``orientation`` the one optional one.  Raises InvalidInputError for
+    anything malformed, including chains that fail closure or
+    tangent-continuity validation.
     """
     if not isinstance(spec, dict):
-        raise InvalidInputError("shape description must be a mapping")
+        raise InvalidInputError(f"shape must be a JSON object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "circle":
-        _require(spec, {"r"})
-        return CircleShape(spec["r"])
+        return CircleShape(require_fields(spec, "circle", ("kind", "r"), ())["r"])
     if kind == "ellipse":
-        _require(spec, {"a", "b"})
+        require_fields(spec, "ellipse", ("kind", "a", "b"), ())
         return EllipseShape(spec["a"], spec["b"])
     if kind == "stadium":
-        _require(spec, {"r", "l"})
+        require_fields(spec, "stadium", ("kind", "r", "l"), ())
         return ArcChainShape(stadium_segments(spec["r"], spec["l"]),
                              label={"kind": "stadium",
                                     "r": float(spec["r"]),
                                     "l": float(spec["l"])})
+    if kind == "cad_profile" and "preset" in spec:
+        if spec["preset"] != "rounded_rect":
+            raise InvalidInputError(f"unknown preset {spec['preset']!r}")
+        require_fields(spec, "rounded_rect preset", (
+            "kind", "preset", "width", "height", "corner_radius"), ())
+        return ArcChainShape(
+            rounded_rectangle_segments(
+                spec["width"], spec["height"], spec["corner_radius"]),
+            label={"kind": "cad_profile", "preset": "rounded_rect",
+                   "width": float(spec["width"]),
+                   "height": float(spec["height"]),
+                   "corner_radius": float(spec["corner_radius"])})
     if kind == "cad_profile":
-        if "preset" in spec:
-            if spec["preset"] != "rounded_rect":
-                raise InvalidInputError(f"unknown preset {spec['preset']!r}")
-            _require(spec, {"preset", "width", "height", "corner_radius"})
-            return ArcChainShape(
-                rounded_rectangle_segments(
-                    spec["width"], spec["height"], spec["corner_radius"]),
-                label={"kind": "cad_profile", "preset": "rounded_rect",
-                       "width": float(spec["width"]),
-                       "height": float(spec["height"]),
-                       "corner_radius": float(spec["corner_radius"])})
-        segs = spec.get("segments")
+        segs = require_fields(spec, "cad_profile", ("kind", "segments"), ())["segments"]
         if not isinstance(segs, list) or not segs:
             raise InvalidInputError("cad_profile needs a nonempty 'segments' list")
         return ArcChainShape([_parse_segment(s, i) for i, s in enumerate(segs)])
     raise InvalidInputError(f"unknown shape kind {kind!r}")
-
-
-def _require(spec, allowed):
-    missing = allowed - set(spec)
-    if missing:
-        raise InvalidInputError(f"missing shape fields: {sorted(missing)}")
-    extra = set(spec) - allowed - {"kind"}
-    if extra:
-        raise InvalidInputError(f"unexpected shape fields: {sorted(extra)}")
 
 
 @dataclass(frozen=True)

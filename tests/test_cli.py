@@ -249,6 +249,30 @@ def test_malformed_shape_field_is_a_usage_error(tmp_path, capsys, shape, field):
     assert field in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("command", ["reach", "smooth"])
+@pytest.mark.parametrize("shape, field", [
+    ({"kind": "circle", "r": 1.0, "radius": 1.0}, "radius"),
+    ({**_stadium_chain(0), "width": 2.0}, "width"),
+    (_stadium_chain(0, radius=1.0), "radius"),
+    (_stadium_chain(1, orientaton="cw"), "orientaton"),
+], ids=["shape", "profile", "line", "arc"])
+def test_unknown_shape_or_segment_field_is_a_usage_error(tmp_path, monkeypatch,
+                                                         capsys, command, shape,
+                                                         field):
+    def never(*a, **k):
+        raise AssertionError("work started on a bad shape")
+    monkeypatch.setattr(cli, "scan_curve_reach", never)
+    monkeypatch.setattr(cli, "smooth_manifold", never)
+    cfg = write_config(tmp_path, {"shape": shape, "epsilon": 0.3}
+                       if command == "smooth" else {"shape": shape})
+    argv = [command, "--config", cfg]
+    if command == "smooth":
+        argv += ["--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    assert f"unknown fields ['{field}']" in _one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
 def test_shape_fields_take_json_integers(tmp_path, capsys):
     chain = _stadium_chain(0, start=[-1, -1], end=[1, -1])
     for shape in ({"kind": "circle", "r": 1}, chain):
@@ -302,6 +326,22 @@ def test_smooth_config_is_checked_before_the_run(tmp_path, monkeypatch, capsys, 
                      "--out", str(tmp_path / "o")]) == 2
     name = next(iter(extra))
     assert name in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, config", [
+    ("-1", CIRCLE), ("0", CIRCLE), ("nan", CIRCLE), ("inf", CIRCLE),
+    ("5", CIRCLE),                             # at least 0.9 R
+    (None, {**CIRCLE, "epsilon": -1}),
+], ids=["negative", "zero", "nan", "inf", "near_reach", "config_negative"])
+def test_refused_epsilon_leaves_no_out_directory(tmp_path, capsys, flag, config):
+    argv = ["smooth", "--config", write_config(tmp_path, config),
+            "--out", str(tmp_path / "o")]
+    if flag is not None:
+        argv.append(f"--epsilon={flag}")
+    assert cli.main(argv) == 2
+    assert "epsilon" in _one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
 
 
 def test_smooth_csv_n_is_checked_before_the_run(tmp_path, monkeypatch, capsys):
@@ -359,8 +399,21 @@ def test_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, command):
     (b'{"reach_argmin": {"indices": [1]}}', "reach_argmin"),
     (b'{"reach_argmin": {"indices": [1, 2], "params": [true, 0.5],'
      b' "points": [[0, 0], [1, 0]]}}', "reach_argmin"),
+    (b'{"net_size": "abc"}', "net_size"),
+    (b'{"patches_applied": {"a": 1}}', "patches_applied"),
+    (b'{"scan_pairs": -3.5}', "scan_pairs"),
+    (b'{"scan_samples": 2.0}', "scan_samples"),
+    (b'{"patches_identity": true}', "patches_identity"),
+    (b'{"reach_argmin": {"indices": ["x", -2.5], "params": [0.25, 0.5],'
+     b' "points": [[0, 0], [1, 0]]}}', "reach_argmin"),
+    (b'{"reach_argmin": {"indices": [3, -2], "params": [0.25, 0.5],'
+     b' "points": [[0, 0], [1, 0]]}}', "reach_argmin"),
+    (b'{"reach_argmin": {"indices": [3, 2], "params": [0.25, 0.5],'
+     b' "points": [[0, 0], [1, 0]], "pairs": 4}}', "pairs"),
 ], ids=["not_utf8", "list", "shape_string", "number_string", "bool",
-        "short_argmin", "argmin_bool"])
+        "short_argmin", "argmin_bool", "count_string", "count_object",
+        "count_negative_float", "count_float", "count_bool",
+        "argmin_index_string", "argmin_index_negative", "argmin_unknown_field"])
 def test_malformed_report_is_a_usage_error(tmp_path, capsys, content, named):
     (tmp_path / "report.json").write_bytes(content)
     assert cli.main(["report", "--out", str(tmp_path)]) == 2

@@ -197,6 +197,92 @@ def test_make_shape_segments_route():
             {"type": "line", "start": [0.0, 1.0], "end": [1.0, 0.0]}]})
 
 
+
+HP = 0.5 * math.pi
+# the stadium r = 1, l = 2 as a chain: segment 0 a line, segment 1 an arc
+STADIUM_CHAIN = [
+    {"type": "line", "start": [-1.0, -1.0], "end": [1.0, -1.0]},
+    {"type": "arc", "center": [1.0, 0.0], "radius": 1.0,
+     "start_angle": -HP, "end_angle": HP},
+    {"type": "line", "start": [1.0, 1.0], "end": [-1.0, 1.0]},
+    {"type": "arc", "center": [-1.0, 0.0], "radius": 1.0,
+     "start_angle": HP, "end_angle": 3 * HP},
+]
+
+# each shape form and segment type: (an unknown field, a required field)
+FIELD_RULE = {
+    "circle": ("radius", "r"),
+    "ellipse": ("c", "b"),
+    "stadium": ("length", "l"),
+    "rounded_rect": ("corner", "corner_radius"),
+    "profile": ("width", "segments"),
+    "line": ("radius", "end"),
+    "arc": ("orientaton", "center"),
+}
+
+
+def _form(name):
+    """A valid spec of the form ``name`` and the object holding its
+    fields: the spec itself, or the segment of that type."""
+    catalog = {
+        "circle": {"kind": "circle", "r": 1.0},
+        "ellipse": {"kind": "ellipse", "a": 2.0, "b": 1.0},
+        "stadium": {"kind": "stadium", "r": 1.0, "l": 2.0},
+        "rounded_rect": {"kind": "cad_profile", "preset": "rounded_rect",
+                         "width": 2.0, "height": 1.0, "corner_radius": 0.2},
+    }
+    if name in catalog:
+        return catalog[name], catalog[name]
+    spec = {"kind": "cad_profile", "segments": [dict(s) for s in STADIUM_CHAIN]}
+    return spec, {"line": spec["segments"][0], "arc": spec["segments"][1]}.get(name, spec)
+
+
+@pytest.mark.parametrize("fault", ["unknown", "missing"])
+@pytest.mark.parametrize("name", list(FIELD_RULE))
+def test_every_form_takes_exactly_its_fields(name, fault):
+    spec, fields = _form(name)
+    make_shape(spec)
+    unknown, required = FIELD_RULE[name]
+    if fault == "unknown":
+        fields[unknown] = 1.0
+    else:
+        del fields[required]
+    field = unknown if fault == "unknown" else required
+    with pytest.raises(InvalidInputError, match=f"{fault} fields \\['{field}'\\]"):
+        make_shape(spec)
+
+
+def test_one_error_names_every_unknown_and_missing_field():
+    with pytest.raises(InvalidInputError) as exc:
+        make_shape({"kind": "ellipse", "A": 2.0, "B": 1.0})
+    assert "unknown fields ['A', 'B'] and missing fields ['a', 'b']" in str(exc.value)
+
+
+def test_misspelt_orientation_is_named():
+    # the clockwise stadium: its caps are clockwise arcs
+    segments = [
+        {"type": "line", "start": [1.0, -1.0], "end": [-1.0, -1.0]},
+        {"type": "arc", "center": [-1.0, 0.0], "radius": 1.0,
+         "start_angle": 3 * HP, "end_angle": HP, "orientation": "cw"},
+        {"type": "line", "start": [-1.0, 1.0], "end": [1.0, 1.0]},
+        {"type": "arc", "center": [1.0, 0.0], "radius": 1.0,
+         "start_angle": HP, "end_angle": -HP, "orientation": "cw"},
+    ]
+    spec = {"kind": "cad_profile", "segments": segments}
+    assert make_shape(spec).length == pytest.approx(4 + 2 * math.pi, rel=1e-12)
+    segments[1]["orientaton"] = segments[1].pop("orientation")
+    with pytest.raises(InvalidInputError, match="segment 1: unknown fields \\['orientaton'\\]"):
+        make_shape(spec)
+
+
+@pytest.mark.parametrize("segment", [5, None, [], {"type": "curve"},
+                                     {"start": [0.0, 0.0]}],
+                         ids=["number", "null", "list", "unknown_type", "no_type"])
+def test_segment_needs_an_object_of_a_known_type(segment):
+    spec = {"kind": "cad_profile", "segments": [segment] + STADIUM_CHAIN[1:]}
+    with pytest.raises(InvalidInputError, match="segment 0 must be an object"):
+        make_shape(spec)
+
 # ------------------------------------------------------- sampling / graphs
 
 def test_sample_manifold_circle():

@@ -16,7 +16,8 @@ deviation order ``k``, the uncapped radius search, ``AppliedPatch.blend``
 and ``as_points``' dimension.)  The exported names are checked too:
 every name in an ``__all__`` must resolve, so a deleted function cannot
 linger in an export list, and README's ``Commands:`` block must list
-each subcommand's flags.
+each subcommand's flags, and each JSON config README shows must pass
+the command line's config checker.
 
 The package runs on NumPy alone: no module imports SciPy, and a run
 loads none of it (the tests keep SciPy as an oracle).
@@ -25,6 +26,7 @@ loads none of it (the tests keep SciPy as an oracle).
 import argparse
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import re
@@ -226,6 +228,33 @@ def test_readme_lists_every_command_flag():
                      if opt.startswith("--") and opt != "--help"}
               for name, parser in sub.choices.items()}
     assert readme_command_flags() == parsed
+
+
+def readme_configs():
+    """Every JSON config README shows under "Command line", in order; a
+    config may span several indented lines."""
+    text = README.read_text()
+    section = text[text.index("## Command line"):text.index("Commands:\n\n")]
+    code = "\n".join(line for line in section.splitlines()
+                     if line.startswith("    "))
+    decoder, configs, at = json.JSONDecoder(), [], 0
+    while code[at:].strip():
+        config, at = decoder.raw_decode(code, len(code) - len(code[at:].lstrip()))
+        configs.append(config)
+    return configs
+
+
+def test_readme_configs_pass_the_config_checker(tmp_path):
+    configs = readme_configs()
+    assert [c["shape"].get("preset", c["shape"]["kind"]) for c in configs] == [
+        "circle", "ellipse", "stadium", "rounded_rect", "cad_profile"]
+    for i, config in enumerate(configs):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(config))
+        shape, _ = cli._read_config(path, ("epsilon",))   # a smooth config
+        assert shape.describe()["kind"] == config["shape"]["kind"]
+        if "epsilon" not in config:                        # and a reach one
+            cli._read_config(path, ())
 
 
 def test_no_module_imports_scipy():
