@@ -33,7 +33,7 @@ from .linalg import hausdorff_distance_sampled
 from .partition import (PlateauFunction, make_reference_plateau,
                         rescale_plateau, smoothing_window_radius)
 from .reach import (ReachEstimate, analytic_reach, estimate_reach_federer,
-                    federer_ratio, scan_curve_reach)
+                    scan_curve_reach)
 from .smoothing import (BlendedMap, ProbeResult, SmoothingReport,
                         SmoothingResult, effective_radius_drop,
                         far_away_reach_bound, predicted_reach_bound,
@@ -54,7 +54,7 @@ __all__ = [
     "PlateauFunction", "make_reference_plateau", "rescale_plateau",
     "smoothing_window_radius",
     "ReachEstimate", "analytic_reach", "estimate_reach_federer",
-    "federer_ratio", "scan_curve_reach",
+    "scan_curve_reach",
     "BlendedMap", "ProbeResult", "SmoothingReport", "SmoothingResult",
     "effective_radius_drop",
     "far_away_reach_bound", "predicted_reach_bound", "smooth_core_probe",

@@ -5,7 +5,7 @@ and so on), which is also where the benchmark's tracer wraps them.  The
 one implementation is the NumPy code in ``_slow``;
 ``IMPLEMENTATION`` names it; the package exports it as
 ``reachsmooth.accel_backend``.  ``DEGENERATE_REL`` is the flat-pair
-threshold of the pair scan, shared with ``reach.federer_ratio``.
+threshold of the pair scan.
 
 The pair scan takes a mask of hot points and reads only the pairs with
 a hot end; the final scan of a smoothing run passes the samples in a

@@ -90,23 +90,6 @@ def fmt17(x):
     return format(float(x), ".17g")
 
 
-def _round17(obj):
-    if isinstance(obj, float):
-        # float(fmt17(x)) == x; normalizes -0.0 and keeps full precision
-        return float(fmt17(obj))
-    if isinstance(obj, dict):
-        return {k: _round17(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round17(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _round17(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return _round17(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
-
-
 def json_dumps_stable(obj):
-    """Deterministic JSON: sorted keys, full-precision floats, no locale."""
-    return json.dumps(_round17(obj), indent=2, sort_keys=True, allow_nan=False)
+    """Deterministic JSON: sorted keys, shortest round-trip floats."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)

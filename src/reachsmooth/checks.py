@@ -827,12 +827,17 @@ def write_checks_csv(results, path):
     return data
 
 
+def _json_number(x):
+    """A finite float as itself, else as ``fmt17``: "nan", "inf", "-inf"."""
+    return x if math.isfinite(x) else fmt17(x)
+
+
 def write_failures_json(results, path):
     """Serialize failing rows (if any) for later reproduction."""
     bad = [{
         "name": r.name, "instance": r.instance, "seed": r.seed,
-        "grid": r.grid, "measured": r.measured, "bound": r.bound,
-        "tolerance": r.tolerance,
+        "grid": r.grid, "measured": _json_number(r.measured),
+        "bound": _json_number(r.bound), "tolerance": _json_number(r.tolerance),
     } for r in results if not r.passed]
     data = json_dumps_stable({"failures": bad, "count": len(bad)})
     with open(path, "w") as fh:

@@ -228,9 +228,7 @@ def _cmd_smooth(args):
 
 def _cmd_verify(args):
     out_dir = _out_dir(args.out)
-    t0 = time.perf_counter()
     sr = run_suite(args.suite, seed=args.seed)
-    elapsed = time.perf_counter() - t0
     out_dir.mkdir(parents=True, exist_ok=True)
     write_checks_csv(sr.results, out_dir / "checks.csv")
     if sr.n_failed:
@@ -243,7 +241,7 @@ def _cmd_verify(args):
     for name, seconds in sr.timings:
         what = "stadium fixture" if name == "fixture" else f"suite {name}"
         print(f"{what} took {seconds:.3f}s", file=sys.stderr)
-    print(f"verify took {elapsed:.3f}s", file=sys.stderr)
+    print(f"verify took {sr.elapsed:.3f}s", file=sys.stderr)
     return 1 if sr.n_failed else 0
 
 
@@ -267,12 +265,20 @@ def _fmt_argmin(arg):
     return f"{i} -> {j} at params {si} -> {sj}, points ({x0}, {y0}) -> ({x1}, {y1})"
 
 
+def _fmt_kind(shape):
+    # the kinds make_shape builds, the only ones a report's shape holds
+    kind = shape["kind"]
+    if kind not in ("circle", "ellipse", "stadium", "cad_profile"):
+        raise InvalidInputError(f"unknown shape kind {kind!r}")
+    return kind
+
+
 def _cmd_report(args):
     path = Path(args.out) / "report.json"
     payload = _read_json_object(path)
     num, count = _fmt_number, _fmt_count
     order = [
-        ("shape", lambda v: v.get("kind", "?")),
+        ("shape", _fmt_kind),
         ("R_input", num), ("epsilon", num), ("delta", num), ("rho", num),
         ("R_prime_predicted", num), ("R_hat_measured", num),
         ("c1_distance", num),

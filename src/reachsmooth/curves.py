@@ -434,7 +434,6 @@ class AppliedPatch:
     normal: np.ndarray = field(repr=False)
     inner_radius: float
     transition_radius: float
-    window_radius: float
     sigma: float
     rho_target: float
     deviation: float
@@ -652,7 +651,8 @@ class LocalGraph:
     from the table's cubic Hermite interpolant, and the rest from
     ``base_arc + y``.  The table is set once and never replaced, so a
     repeated read returns the same bytes; the stopping test and the fold
-    checks do not depend on the start.
+    checks do not depend on the start.  ``value``, ``slope`` and
+    ``value_and_slope`` are parts of one read, ``_read``.
     """
 
     def __init__(self, curve, base_arc, window):
@@ -677,9 +677,8 @@ class LocalGraph:
         return np.where(inside, _hermite(yv, i, ty, tth, tdth), theta)
 
     def _solve(self, y):
-        """``(theta, points, velocities, shape)`` of the reads at ``y``,
-        stopped once every residual is within 1e-14 of the window's
-        scale."""
+        """``(points, velocities, shape)`` of the reads at ``y``, stopped
+        once every residual is within 1e-14 of the window's scale."""
         yv = np.asarray(y, dtype=float)
         shape = yv.shape
         yv = np.atleast_1d(yv).ravel()
@@ -687,7 +686,7 @@ class LocalGraph:
             raise InvalidInputError("tangent coordinate outside the graph window")
         if yv.size == 0:
             none = np.empty((0, 2))
-            return self.base_arc + yv, none, none, shape
+            return none, none, shape
         theta = self._start(yv)
         scale = max(1.0, float(np.linalg.norm(self.center)) + self.window.length)
         for _ in range(40):
@@ -705,25 +704,25 @@ class LocalGraph:
             raise GeometryError("graph parameter solve did not converge")
         if self._table is None and yv.size >= 2 and np.all(yv[1:] > yv[:-1]):
             self._table = (yv.copy(), theta, 1.0 / dg)
-        return theta, pts, vel, shape
+        return pts, vel, shape
 
-    def value(self, y):
-        _, pts, _, shape = self._solve(y)
-        f = (pts - self.center) @ self.normal
-        return float(f[0]) if shape == () else f.reshape(shape)
-
-    def slope(self, y):
-        _, _, vel, shape = self._solve(y)
-        df = (vel @ self.normal) / (vel @ self.tangent)
-        return float(df[0]) if shape == () else df.reshape(shape)
-
-    def value_and_slope(self, y):
-        _, pts, vel, shape = self._solve(y)
+    def _read(self, y):
+        """``(f, f')`` at ``y``: floats for a scalar, else shaped like ``y``."""
+        pts, vel, shape = self._solve(y)
         f = (pts - self.center) @ self.normal
         df = (vel @ self.normal) / (vel @ self.tangent)
         if shape == ():
             return float(f[0]), float(df[0])
         return f.reshape(shape), df.reshape(shape)
+
+    def value(self, y):
+        return self._read(y)[0]
+
+    def slope(self, y):
+        return self._read(y)[1]
+
+    def value_and_slope(self, y):
+        return self._read(y)
 
 
 def local_graph_at(curve, arc, window_radius):

@@ -25,52 +25,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _accel
-from ._util import as_positive_float, as_vector
+from ._util import as_positive_float
 from .curves import (ArcChainShape, BaseShape, CircleShape, ClosedCurve,
                      EllipseShape, LineSegment, sample_manifold)
 from .errors import InvalidInputError
 
 __all__ = [
-    "federer_ratio",
     "ReachEstimate",
     "estimate_reach_federer",
     "scan_curve_reach",
     "analytic_reach",
 ]
-
-
-def federer_ratio(p, tangent, q):
-    """Curvature-comparison ratio of an ordered point pair.
-
-    Parameters
-    ----------
-    p, q : array_like, shape (2,)
-        Base point and compared point; must be distinct.
-    tangent : array_like, shape (2,)
-        Tangent direction at p (normalized internally).
-
-    Returns
-    -------
-    float
-        |q - p|^2 / (2 dist(q, tangent line at p)); +inf for flat pairs,
-        those whose tangent distance is at most 1e-14 |q - p|, the same
-        threshold as the scan's.
-    """
-    pv = as_vector(p, "p")
-    qv = as_vector(q, "q")
-    tv = as_vector(tangent, "tangent")
-    nrm = np.linalg.norm(tv)
-    if nrm == 0:
-        raise InvalidInputError("tangent must be nonzero")
-    tv = tv / nrm
-    d = qv - pv
-    dist = float(np.linalg.norm(d))
-    if dist == 0:
-        raise InvalidInputError("p and q must be distinct")
-    cross = abs(d[0] * tv[1] - d[1] * tv[0])
-    if cross <= _accel.DEGENERATE_REL * dist:
-        return math.inf
-    return dist * dist / (2.0 * cross)
 
 
 @dataclass(frozen=True)
@@ -86,7 +51,6 @@ class ReachEstimate:
     argmin_other: np.ndarray = field(repr=False)
     argmin_indices: tuple
     pairs_scanned: int
-    sample_count: int
     min_sep: float
 
 
@@ -135,9 +99,9 @@ def estimate_reach_federer(points, tangents, min_sep, hot):
     if i < 0:
         # pairs existed but all were flat
         return ReachEstimate(math.inf, np.empty((0, 2)), np.empty((0, 2)),
-                             (-1, -1), pairs, pts.shape[0], ms)
+                             (-1, -1), pairs, ms)
     return ReachEstimate(float(value), pts[i].copy(), pts[j].copy(), (int(i), int(j)),
-                         int(pairs), pts.shape[0], ms)
+                         int(pairs), ms)
 
 
 def scan_curve_reach(curve, n, min_sep=None):

@@ -231,7 +231,7 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max):
     patch = AppliedPatch(
         index=index, base_arc=float(base_arc), center=graph.center,
         tangent=graph.tangent, normal=graph.normal, inner_radius=r1,
-        transition_radius=r2, window_radius=w, sigma=sigma, rho_target=rho,
+        transition_radius=r2, sigma=sigma, rho_target=rho,
         deviation=dev, lip_graph=lip_graph, lip_slope=lip_slope, reach=R,
         displacement=disp, blend=blend)
     return curve.with_patch(patch), patch, record
@@ -391,7 +391,7 @@ def _final_scan(curve, sample, R):
             return est
         pairs = est.pairs_scanned
     return ReachEstimate(R, np.empty((0, 2)), np.empty((0, 2)), (-1, -1),
-                         pairs, sample.count, min_sep)
+                         pairs, min_sep)
 
 
 def _reach_argmin(est, sample):
@@ -471,9 +471,7 @@ class ProbeResult:
 
     passed: bool
     steps: tuple
-    fourth_diffs: tuple
     ratios: tuple
-    floor: float
     limited_by_floor: bool
 
 
@@ -512,5 +510,5 @@ def smooth_core_probe(evaluator, center, base_step):
     floor = 64.0 * _PROBE_NOISE / steps[-1] ** 4
     flat = max(diffs) <= floor
     passed = flat or (ratios[-1] <= _PROBE_RATIO_CAP)
-    return ProbeResult(passed=passed, steps=steps, fourth_diffs=tuple(diffs),
-                       ratios=ratios, floor=floor, limited_by_floor=flat)
+    return ProbeResult(passed=passed, steps=steps, ratios=ratios,
+                       limited_by_floor=flat)

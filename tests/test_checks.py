@@ -1,6 +1,7 @@
 """The lemma checkers themselves: zoo validity, honest negatives, suites."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -1053,7 +1054,20 @@ def test_failures_json(tmp_path):
     path = tmp_path / "fail.json"
     data = write_failures_json([good, bad], path)
     assert path.read_text() == data
-    import json
     doc = json.loads(data)
     assert doc["count"] == 1
     assert doc["failures"][0]["name"] == "broken"
+
+
+def test_failures_json_writes_non_finite_values_as_strings(tmp_path):
+    # a checker may carry a NaN into a failing row; JSON has no number
+    # for it, so it is written as the CSV writes it, and finite values
+    # stay numbers
+    rows = [checks._result("x", math.nan, 1.0, 0.0, 1, 0, "i"),
+            checks._result("y", math.inf, -math.inf, 0.5, 1, 0, "j"),
+            checks._result("z", 3.0, 1.0, math.inf, 1, 0, "k", passed=False)]
+    data = write_failures_json(rows, tmp_path / "fail.json")
+    doc = json.loads(data)
+    assert doc["count"] == 3
+    assert [(f["measured"], f["bound"], f["tolerance"]) for f in doc["failures"]] == [
+        ("nan", 1.0, 0.0), ("inf", "-inf", 0.5), (3.0, 1.0, "inf")]

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from perfbench.workloads import catalog
 from reachsmooth import cli
 from reachsmooth.checks import CheckResult
 from reachsmooth.errors import GeometryError
@@ -151,6 +152,26 @@ def test_verify_command_red_suite(tmp_path, monkeypatch, capsys):
     assert "FAIL broken" in capsys.readouterr().out
 
 
+def test_verify_names_non_finite_failing_rows(tmp_path, monkeypatch, capsys):
+    rows = [CheckResult(name=f"broken{i}", passed=False, measured=v, bound=1.0,
+                        tolerance=0.0, slack=math.nan, grid=10, seed=7,
+                        instance="z")
+            for i, v in enumerate((math.nan, math.inf, -math.inf))]
+    fake = SimpleNamespace(suite="formulas", seed=7, results=rows,
+                           n_failed=3, elapsed=0.0, passed=False, timings=())
+    monkeypatch.setattr(cli, "run_suite", lambda suite, seed: fake)
+    out_dir = tmp_path / "v"
+    assert cli.main(["verify", "--suite", "formulas", "--out",
+                     str(out_dir)]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    fails = [line for line in out.splitlines() if "FAIL" in line]
+    assert fails == [f"  FAIL broken{i} [z] measured={m} bound=1 tol=0"
+                     for i, m in enumerate(("nan", "inf", "-inf"))]
+    doc = json.loads((out_dir / "failures.json").read_text())
+    assert [f["measured"] for f in doc["failures"]] == ["nan", "inf", "-inf"]
+
+
 def _report_of(tmp_path, capsys, config):
     """Smooth ``config``, then ``report`` it: the printed text and the
     report.json it read."""
@@ -175,6 +196,12 @@ def test_report_command_prints_fields(tmp_path, capsys):
     assert report["R_hat_measured"] == report["R_input"] == 1.0
     assert report["scan_pairs"] == 0
     assert "reach_argmin         none (no scanned pair below R_input)" in text
+
+
+@pytest.mark.parametrize("label, spec", catalog(0), ids=[l for l, _ in catalog(0)])
+def test_report_prints_each_catalog_kind(tmp_path, capsys, label, spec):
+    text, _ = _report_of(tmp_path, capsys, {"shape": spec, "epsilon": 0.05})
+    assert text.splitlines()[0] == f"shape                {spec['kind']}"
 
 
 def test_report_command_prints_a_flat_scan(tmp_path, capsys):
@@ -410,10 +437,14 @@ def test_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, command):
      b' "points": [[0, 0], [1, 0]]}}', "reach_argmin"),
     (b'{"reach_argmin": {"indices": [3, 2], "params": [0.25, 0.5],'
      b' "points": [[0, 0], [1, 0]], "pairs": 4}}', "pairs"),
+    (b'{"shape": {"kind": 5}}', "shape"),
+    (b'{"shape": {}}', "shape"),
+    (b'{"shape": {"kind": "circle\\nR_input 1"}}', "shape"),
 ], ids=["not_utf8", "list", "shape_string", "number_string", "bool",
         "short_argmin", "argmin_bool", "count_string", "count_object",
         "count_negative_float", "count_float", "count_bool",
-        "argmin_index_string", "argmin_index_negative", "argmin_unknown_field"])
+        "argmin_index_string", "argmin_index_negative", "argmin_unknown_field",
+        "kind_number", "kind_missing", "kind_newline"])
 def test_malformed_report_is_a_usage_error(tmp_path, capsys, content, named):
     (tmp_path / "report.json").write_bytes(content)
     assert cli.main(["report", "--out", str(tmp_path)]) == 2

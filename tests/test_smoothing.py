@@ -276,7 +276,7 @@ def test_patch_shift_budget_enforced():
     moved = curve.with_patch(AppliedPatch(
         index=0, base_arc=0.0, center=center, tangent=t,
         normal=np.array([-t[1], t[0]]), inner_radius=0.1,
-        transition_radius=0.2, window_radius=0.4, sigma=0.01, rho_target=0.02,
+        transition_radius=0.2, sigma=0.01, rho_target=0.02,
         deviation=1e-3, lip_graph=0.1, lip_slope=1.0, reach=1.0,
         displacement=disp, blend=None))
     with pytest.raises(GeometryError, match="drifted 5.000e-02, over the budget 9.882e-03"):

@@ -15,7 +15,9 @@ went: the row checkers' ``instance``, the zoo checkers' ``seed``,
 deviation order ``k``, the uncapped radius search, ``AppliedPatch.blend``
 and ``as_points``' dimension.)  The exported names are checked too:
 every name in an ``__all__`` must resolve, so a deleted function cannot
-linger in an export list, and README's ``Commands:`` block must list
+linger in an export list, every name a submodule exports must be read
+by the package or the benchmark, every name a module imports must be
+read by it, and README's ``Commands:`` block must list
 each subcommand's flags, and each JSON config README shows must pass
 the command line's config checker.
 
@@ -40,6 +42,7 @@ from reachsmooth import cli
 
 PACKAGE = Path(reachsmooth.__file__).resolve().parent
 README = Path(__file__).resolve().parent.parent / "README.md"
+PERFBENCH = README.parent / "perfbench"
 
 # the 22 options as (module, scope, name): a parameter with a default
 # by its (nested) function, a defaulted dataclass field by its class, an
@@ -201,6 +204,78 @@ def test_every_export_resolves():
         missing = [n for n in exports if not hasattr(module, n)]
         assert not missing, (name, missing)
     assert checked >= 10
+
+
+def _module_trees(root):
+    """``{dotted module: parsed tree}`` of every ``.py`` file under
+    ``root``, a package by its own name."""
+    trees = {}
+    for path in sorted(root.rglob("*.py")):
+        parts = path.relative_to(root.parent).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        trees[module] = ast.parse(path.read_text())
+    return trees
+
+
+def _exports(tree):
+    """The names a module's ``__all__`` lists."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _read_names(tree):
+    """Every name a module reads, as a bare name or as an attribute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def test_every_export_is_used():
+    # a name a submodule exports is read, as a name or an attribute,
+    # somewhere in the package or by the benchmark; its definition, the
+    # export lists and the package's re-exports are not reads, and a
+    # read of an alias (the package's ``accel_backend``) is a read of
+    # the name it binds
+    trees = {**_module_trees(PACKAGE), **_module_trees(PERFBENCH)}
+    read, alias = set(), {}
+    for tree in trees.values():
+        read |= _read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                alias.update((a.asname, a.name) for a in node.names if a.asname)
+    read |= {alias[n] for n in read if n in alias}
+    unused = [(module, name) for module, tree in trees.items()
+              if module.startswith("reachsmooth.")
+              for name in _exports(tree) if name not in read]
+    assert not unused
+
+
+# imports no code of the module reads: perfbench's
+# test_wrappers_reach_every_binding_and_restore checks that tracing
+# rebinds ``smoothing.convolve_grid`` too
+UNREAD_IMPORTS = [("reachsmooth.smoothing", "convolve_grid")]
+
+
+def test_every_import_is_read():
+    # what a module imports it reads or exports (the project runs no
+    # linter that would check this)
+    unread = []
+    for module, tree in _module_trees(PACKAGE).items():
+        bound = [(a.asname or a.name).split(".")[0]
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__"
+                 for a in node.names]
+        used = _read_names(tree) | set(_exports(tree))
+        unread += [(module, name) for name in bound if name not in used]
+    assert unread == UNREAD_IMPORTS
 
 
 def readme_command_flags():
