@@ -22,9 +22,9 @@ velocity.
 The arc chain evaluates a batch whose segment indices come in order
 (a sorted batch inside one period) segment by segment on slices, and any
 other batch through segment masks, with the same bytes either way.  The
-ellipse inverts arc length from a cubic Hermite start on its length
-table and one Newton step.  A patch holds one displacement spline; the
-stack reads its value and slope from one cell of its coefficients.
+ellipse inverts arc length from a ``ppoly.HermiteTable`` start and one
+Newton step.  A patch holds one displacement table; the stack reads
+its value and slope from one cell of its coefficients.
 
 Local graph windows rewrite a stretch of curve as a 1-D graph over its
 tangent line at a base arc; slopes come from the chain rule through the
@@ -45,7 +45,8 @@ import numpy as np
 
 from ._util import as_float, as_positive_float, as_vector, require_fields
 from .errors import GeometryError, InvalidInputError
-from .kernels import _GL4_W, _GL4_X, _GL_W, _GL_X, Interval
+from .kernels import Interval
+from .ppoly import _GL4_W, _GL4_X, HermiteTable, integral_table
 
 __all__ = [
     "BaseShape",
@@ -64,16 +65,6 @@ __all__ = [
     "LocalGraph",
     "local_graph_at",
 ]
-
-def _hermite(x, i, xs, fs, dfs):
-    """Cubic Hermite interpolant of values ``fs`` and slopes ``dfs`` at
-    nodes ``xs``, read at ``x`` on the cell ``[xs[i], xs[i + 1]]``."""
-    h = xs[i + 1] - xs[i]
-    t = (x - xs[i]) / h
-    u = 1.0 - t
-    return (fs[i] * (1.0 + 2.0 * t) * u * u + fs[i + 1] * t * t * (3.0 - 2.0 * t)
-            + h * t * u * (dfs[i] * u - dfs[i + 1] * t))
-
 
 class BaseShape:
     """Arc-length parametrized closed plane curve."""
@@ -115,11 +106,11 @@ class CircleShape(BaseShape):
 class EllipseShape(BaseShape):
     """Origin-centered axis-aligned ellipse, semi-axes a >= b.
 
-    Arc length is inverted through a table of the cumulative length at
-    16385 uniform nodes of the angle theta, built once by 8-point
-    Gauss-Legendre quadrature of the speed, with d theta / ds = 1/speed
-    stored at the same nodes.  An arc ``s`` starts from the cubic
-    Hermite inverse of that table; one Newton step on the 4-point
+    Arc length is inverted through a table of the cumulative length
+    ``_cum`` at 16385 uniform nodes of the angle theta, built once by
+    ``ppoly.integral_table`` from the speed.  An arc ``s`` starts from
+    ``_inverse``, the ``ppoly.HermiteTable`` of theta over ``_cum`` with
+    slopes d theta / ds = 1/speed; one Newton step on the 4-point
     Gauss-Legendre length of the remainder past the node below polishes
     it to rounding level.
     """
@@ -131,13 +122,10 @@ class EllipseShape(BaseShape):
         self.b = as_positive_float(b, "b")
         if self.b > self.a:
             raise InvalidInputError(f"semi-axes must satisfy a >= b, got a={a}, b={b}")
-        th = np.linspace(0.0, 2.0 * math.pi, self._GRID + 1)
-        h = 2.0 * math.pi / self._GRID
-        nodes = th[:-1, None] + h * _GL_X[None, :]
-        cell = (h * _GL_W[None, :] * self._speed(nodes)).sum(axis=1)
-        self._cum = np.concatenate([[0.0], np.cumsum(cell)])
+        th, self._cum, speed = integral_table(self._speed, 0.0, 2.0 * math.pi,
+                                              self._GRID)
         self._th = th
-        self._dth = 1.0 / self._speed(th)
+        self._inverse = HermiteTable(self._cum, th, 1.0 / speed)
         self.length = float(self._cum[-1])
 
     def _speed(self, theta):
@@ -146,7 +134,7 @@ class EllipseShape(BaseShape):
     def _theta_of(self, s):
         sv = np.mod(np.asarray(s, dtype=float), self.length)
         i = np.clip(np.searchsorted(self._cum, sv, side="right") - 1, 0, self._GRID - 1)
-        th = _hermite(sv, i, self._cum, self._th, self._dth)
+        th = self._inverse(sv)
         # the table is exact at nodes; 4-point Gauss on [t0, th] gives
         # the remainder, and the Hermite start is close enough that one
         # Newton step lands at rounding level
@@ -421,10 +409,10 @@ class AppliedPatch:
     table (``ppoly.HermiteTable``) whose knots span more than the
     transition radius; the patch stack reads its value and slope from
     one cell of its coefficients, so a patch holds one table.
-    ``rho_target`` and ``deviation`` are dimensionless, value deviations
-    in units of the run's reach bound ``reach``.  ``blend`` is the live
-    ``smoothing.BlendedMap`` the table was taken from, which every patch
-    checker re-evaluates.
+    ``rho_target`` is the dimensionless deviation budget, value
+    deviations in units of the run's reach bound ``reach``.  ``blend`` is
+    the live ``smoothing.BlendedMap`` the table was taken from, which
+    every patch checker re-evaluates.
     """
 
     index: int
@@ -436,7 +424,6 @@ class AppliedPatch:
     transition_radius: float
     sigma: float
     rho_target: float
-    deviation: float
     lip_graph: float
     lip_slope: float
     reach: float
@@ -645,13 +632,14 @@ class LocalGraph:
     Every read solves y(theta) = y for the base arc theta by Newton's
     method.  The first solve of a strictly increasing batch of at least
     two points (in ``smooth_patch``, the 257-point slope grid over the
-    whole window) becomes the window's warm-start table: its y, theta and
+    whole window) becomes the window's warm-start table ``_table``, the
+    ``ppoly.HermiteTable`` of theta over y with slopes
     d theta / dy = 1 / (velocity . tangent), which the last Newton pass
     already computed.  Later solves start points inside the table's span
-    from the table's cubic Hermite interpolant, and the rest from
-    ``base_arc + y``.  The table is set once and never replaced, so a
-    repeated read returns the same bytes; the stopping test and the fold
-    checks do not depend on the start.  ``value``, ``slope`` and
+    from ``_table(y)``, and the rest from ``base_arc + y``.  The table
+    is set once and never replaced, so a repeated read returns the same
+    bytes; the stopping test and the fold checks do not depend on the
+    start.  ``value``, ``slope`` and
     ``value_and_slope`` are parts of one read, ``_read``.
     """
 
@@ -671,10 +659,8 @@ class LocalGraph:
         theta = self.base_arc + yv
         if self._table is None:
             return theta
-        ty, tth, tdth = self._table
-        i = np.clip(np.searchsorted(ty, yv, side="right") - 1, 0, ty.size - 2)
-        inside = (yv >= ty[0]) & (yv <= ty[-1])
-        return np.where(inside, _hermite(yv, i, ty, tth, tdth), theta)
+        ty = self._table.x
+        return np.where((yv >= ty[0]) & (yv <= ty[-1]), self._table(yv), theta)
 
     def _solve(self, y):
         """``(points, velocities, shape)`` of the reads at ``y``, stopped
@@ -703,7 +689,7 @@ class LocalGraph:
         else:
             raise GeometryError("graph parameter solve did not converge")
         if self._table is None and yv.size >= 2 and np.all(yv[1:] > yv[:-1]):
-            self._table = (yv.copy(), theta, 1.0 / dg)
+            self._table = HermiteTable(yv.copy(), theta, 1.0 / dg)
         return pts, vel, shape
 
     def _read(self, y):

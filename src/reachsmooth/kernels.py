@@ -29,6 +29,8 @@ convolves only the blocks of ``_BLOCK`` points whose second-difference
 bound reaches the largest deviation found so far
 (``_settled_deviation``); its answer is the one-pass measurement's, bit
 for bit.
+
+Tables and their Gauss-Legendre rules live in ``ppoly``.
 """
 
 from __future__ import annotations
@@ -51,20 +53,6 @@ __all__ = [
     "find_support_radius",
 ]
 
-# 8-point Gauss-Legendre nodes/weights on [0, 1]
-_GL_X = 0.5 * (1.0 + np.array([
-    -0.9602898564975362, -0.7966664774136267, -0.5255324099163290,
-    -0.1834346424956498, 0.1834346424956498, 0.5255324099163290,
-    0.7966664774136267, 0.9602898564975362]))
-_GL_W = 0.5 * np.array([
-    0.1012285362903763, 0.2223810344533745, 0.3137066458778873,
-    0.3626837833783620, 0.3626837833783620, 0.3137066458778873,
-    0.2223810344533745, 0.1012285362903763])
-# 4-point Gauss-Legendre nodes/weights on [-1, 1]
-_GL4_X = np.array([-0.8611363115940526, -0.3399810435848563,
-                   0.3399810435848563, 0.8611363115940526])
-_GL4_W = np.array([0.3478548451374538, 0.6521451548625461,
-                   0.6521451548625461, 0.3478548451374538])
 # window samples per kernel radius, and the most samples one
 # ``sup_deviation_ck`` measurement may take
 _GRID_PER_SIGMA = 50

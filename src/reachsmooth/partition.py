@@ -8,8 +8,8 @@ are pure rescalings of the reference, sized to the smoothing window
 sqrt(delta * R): flat core up to sqrt(delta R)/8, support sqrt(delta R)/4.
 
 Slope and curvature of the ramp are analytic (the profile's antiderivative
-is tabulated once with per-interval Gauss-Legendre and interpolated with
-a Hermite spline whose node slopes are exact).  ``rescale_plateau`` is
+is tabulated once by ``ppoly.integral_table`` and interpolated by a
+``ppoly.HermiteTable`` whose node slopes are exact).  ``rescale_plateau`` is
 the one source of a working plateau's constants: the reference
 constants carried over by the exact scaling law.  Tests check the law
 against finite differences of the rescaled plateau.
@@ -25,8 +25,8 @@ import numpy as np
 
 from ._util import as_positive_float
 from .errors import InvalidInputError
-from .kernels import _GL_W, _GL_X, _bump_raw
-from .ppoly import HermiteTable
+from .kernels import _bump_raw
+from .ppoly import HermiteTable, integral_table
 
 __all__ = [
     "PlateauFunction",
@@ -40,19 +40,13 @@ _MEASURE_GRID = 10001
 
 @lru_cache(maxsize=1)
 def _ramp_spline():
-    """Hermite interpolant of the normalized smoothstep on [0, 1]."""
-    t = np.linspace(0.0, 1.0, _RAMP_NODES + 1)
-    h = 1.0 / _RAMP_NODES
-    # per-interval Gauss-Legendre keeps node values at ~1e-16, so the
-    # spline error is governed by the interpolation alone (~1e-13)
-    starts = t[:-1]
-    nodes = starts[:, None] + h * _GL_X[None, :]
-    cell = (h * _GL_W[None, :] * _bump_raw(2.0 * nodes - 1.0)).sum(axis=1)
-    raw = np.concatenate([[0.0], np.cumsum(cell)])
+    """Hermite table of the normalized smoothstep on [0, 1], and the
+    profile's mass.  Per-cell Gauss-Legendre keeps knot values at ~1e-16,
+    so the table's error is the interpolation's alone (~1e-13)."""
+    t, raw, profile = integral_table(lambda u: _bump_raw(2.0 * u - 1.0),
+                                     0.0, 1.0, _RAMP_NODES)
     total = raw[-1]
-    vals = raw / total
-    slopes = _bump_raw(2.0 * t - 1.0) / total
-    return HermiteTable(t, vals, slopes), total
+    return HermiteTable(t, raw / total, profile / total), total
 
 
 def _bump_raw_d(u):

@@ -1,12 +1,13 @@
-"""Piecewise cubics in power form: the pipeline's tabulations.
+"""The pipeline's tables: Hermite cubics, running integrals, Gauss rules.
 
 A ``HermiteTable`` interpolates values and slopes at strictly
 increasing knots ``x``.  On the cell ``[x[i], x[i + 1])`` it reads
 
     c[0, i] s^3 + c[1, i] s^2 + c[2, i] s + c[3, i],   s = t - x[i],
 
-with the coefficients in a ``(4, n - 1)`` array ``c``.  The plateau ramp
-and every patch displacement are tables of this kind.
+with the coefficients in a ``(4, n - 1)`` array ``c``.  Every table of
+the package is one: the plateau ramp, each patch displacement, the
+ellipse's arc-length inverse and each graph window's warm start.
 
 The arithmetic is that of SciPy's ``CubicHermiteSpline`` and
 ``PPoly.__call__``, so a table holds and reads the same bytes: the
@@ -15,6 +16,10 @@ takes the cell ``searchsorted(x, t, side="right") - 1`` clipped to the
 first and last cells (the end cells extend outward; a NaN reads NaN),
 and a read sums its terms from +0.0 upward in powers of s, as ``PPoly``
 does, so a sum of negative zeros reads +0.0.
+
+``integral_table`` builds the ramp's and the ellipse's running integrals,
+8-point Gauss-Legendre (``_GL_X``/``_GL_W``) on each cell; the 4-point
+rule ``_GL4_X``/``_GL4_W`` serves the ellipse's Newton step.
 """
 
 from __future__ import annotations
@@ -23,7 +28,32 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-__all__ = ["HermiteTable"]
+__all__ = ["HermiteTable", "integral_table"]
+
+# 8-point Gauss-Legendre nodes/weights on [0, 1]
+_GL_X = 0.5 * (1.0 + np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.5255324099163290,
+    -0.1834346424956498, 0.1834346424956498, 0.5255324099163290,
+    0.7966664774136267, 0.9602898564975362]))
+_GL_W = 0.5 * np.array([
+    0.1012285362903763, 0.2223810344533745, 0.3137066458778873,
+    0.3626837833783620, 0.3626837833783620, 0.3137066458778873,
+    0.2223810344533745, 0.1012285362903763])
+# 4-point Gauss-Legendre nodes/weights on [-1, 1]
+_GL4_X = np.array([-0.8611363115940526, -0.3399810435848563,
+                   0.3399810435848563, 0.8611363115940526])
+_GL4_W = np.array([0.3478548451374538, 0.6521451548625461,
+                   0.6521451548625461, 0.3478548451374538])
+
+
+def integral_table(g, lo, hi, cells):
+    """Knots ``x`` of ``cells`` equal cells of [lo, hi], the running
+    integral of ``g`` from ``lo`` to each knot (8-point Gauss-Legendre on
+    each cell, then a cumulative sum) and ``g(x)``."""
+    x = np.linspace(lo, hi, cells + 1)
+    h = (hi - lo) / cells
+    cell = (h * _GL_W[None, :] * g(x[:-1, None] + h * _GL_X[None, :])).sum(axis=1)
+    return x, np.concatenate([[0.0], np.cumsum(cell)]), g(x)
 
 
 class HermiteTable:

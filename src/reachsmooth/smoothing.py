@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _accel
 from ._util import _as_real_array, as_positive_float
 from .curves import (AppliedPatch, BaseShape, ClosedCurve, local_graph_at,
                      make_shape, sample_manifold)
@@ -199,7 +200,7 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max):
     ys = np.linspace(-w, w, 257)
     slopes = graph.slope(ys)
     lip_graph = float(np.abs(slopes).max())
-    lip_slope = float(np.abs(np.diff(slopes) / np.diff(ys)).max())
+    lip_slope = _accel.max_abs_diff_quotient(ys, slopes)[0]
     shift = float(np.linalg.norm(graph.center - curve.shape.point(np.array(base_arc))))
     if shift > budget:
         raise GeometryError(
@@ -232,7 +233,7 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max):
         index=index, base_arc=float(base_arc), center=graph.center,
         tangent=graph.tangent, normal=graph.normal, inner_radius=r1,
         transition_radius=r2, sigma=sigma, rho_target=rho,
-        deviation=dev, lip_graph=lip_graph, lip_slope=lip_slope, reach=R,
+        lip_graph=lip_graph, lip_slope=lip_slope, reach=R,
         displacement=disp, blend=blend)
     return curve.with_patch(patch), patch, record
 

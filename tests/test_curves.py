@@ -470,9 +470,8 @@ def synthetic_patch(curve, base_arc=0.0, amp=0.01, index=0):
     return AppliedPatch(
         index=index, base_arc=float(base_arc), center=center, tangent=t,
         normal=normal, inner_radius=0.1, transition_radius=tr,
-        sigma=0.01, rho_target=0.02, deviation=1e-3,
-        lip_graph=0.1, lip_slope=1.0, reach=1.0, displacement=disp,
-        blend=None)
+        sigma=0.01, rho_target=0.02, lip_graph=0.1, lip_slope=1.0,
+        reach=1.0, displacement=disp, blend=None)
 
 
 def test_patch_moves_center_along_normal():

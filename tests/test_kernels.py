@@ -8,6 +8,7 @@ kernel or the tap rule cannot hide behind the constant it broke.
 of the library's lattice routes (``convolve_grid`` and the live blends).
 """
 
+import gc
 import math
 import tracemalloc
 
@@ -448,6 +449,9 @@ def test_sup_deviation_peak_memory(k, arrays):
     n = round(window.length / (sigma / 50)) + 1 + 2 * 50
     kernel = BumpKernel(sigma)
     sup_deviation_ck(np.abs, np.sign, kernel, Interval(-0.01, 0.01), k=k)
+    # collect first, so the traced peak holds only this measurement's
+    # own allocations and not garbage earlier tests left behind
+    gc.collect()
     tracemalloc.start()
     try:
         sup_deviation_ck(np.abs, np.sign, kernel, window, k=k)

@@ -1,21 +1,27 @@
-"""The Hermite table against SciPy's ``CubicHermiteSpline`` as an oracle.
+"""The tables of ``ppoly`` against their oracles.
 
-The pipeline tabulates the plateau ramp and every patch displacement as
-a ``HermiteTable``; its knots, coefficients and reads must carry the
-bytes SciPy's spline would, so that outputs do not depend on which of
-the two built them.
+The pipeline tabulates the plateau ramp, every patch displacement, the
+ellipse's inverse of arc length and each graph window's warm-start
+table as a ``HermiteTable``; its knots, coefficients and reads must
+carry the bytes SciPy's ``CubicHermiteSpline`` would, so that outputs do
+not depend on which of the two built them.  ``integral_table`` must
+reproduce, bit for bit, the per-cell Gauss-Legendre loop that the ramp
+and the ellipse each ran before it, kept here as its oracle.
 """
+
+import math
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline
 
-from reachsmooth import partition, smoothing
-from reachsmooth.curves import ClosedCurve, make_shape
+from reachsmooth import curves, partition, smoothing
+from reachsmooth.curves import ClosedCurve, local_graph_at, make_shape
 from reachsmooth.errors import InvalidInputError
+from reachsmooth.kernels import _bump_raw
 from reachsmooth.partition import (make_reference_plateau, rescale_plateau,
                                    smoothing_window_radius)
-from reachsmooth.ppoly import HermiteTable
+from reachsmooth.ppoly import _GL_W, _GL_X, HermiteTable, integral_table
 
 
 def _bits(a):
@@ -53,6 +59,23 @@ def _stadium_displacement(monkeypatch):
     return made[0]
 
 
+def _ellipse_inverse(monkeypatch):
+    made = _tables_made(monkeypatch, curves)
+    shape = make_shape({"kind": "ellipse", "a": 2.0, "b": 1.0})
+    assert shape._inverse is made[0][1]
+    return made[0]
+
+
+def _stadium_warm_start(monkeypatch):
+    made = _tables_made(monkeypatch, curves)
+    shape = make_shape({"kind": "stadium", "r": 1.0, "l": 2.0})
+    w = smoothing_window_radius(0.025, 1.0)
+    graph = local_graph_at(ClosedCurve(shape), float(shape.junction_arcs()[0]), w)
+    graph.slope(np.linspace(-w, w, 257))
+    assert graph._table is made[0][1]
+    return made[0]
+
+
 def _reads(x, rng):
     """Knots, cell interiors, both ends, outside the knots, NaN, +-inf."""
     inside = x[:-1] + rng.uniform(0.0, 1.0, x.size - 1) * np.diff(x)
@@ -62,8 +85,10 @@ def _reads(x, rng):
     return np.concatenate([x, inside, outside, [np.nan, -np.inf, np.inf]])
 
 
-@pytest.mark.parametrize("build", [_ramp_table, _stadium_displacement],
-                         ids=["ramp", "stadium_displacement"])
+@pytest.mark.parametrize("build", [_ramp_table, _stadium_displacement,
+                                   _ellipse_inverse, _stadium_warm_start],
+                         ids=["ramp", "stadium_displacement", "ellipse_inverse",
+                              "stadium_warm_start"])
 def test_table_carries_the_splines_bytes(monkeypatch, build):
     (x, y, dydx), table = build(monkeypatch)
     spline = CubicHermiteSpline(x, y, dydx)
@@ -78,6 +103,40 @@ def test_table_carries_the_splines_bytes(monkeypatch, build):
     # a read keeps the shape of its argument
     assert _bits(table(t[3])) == _bits(spline(t[3]))
     assert table(t[:-3].reshape(-1, 1)).shape == (t.size - 3, 1)
+
+
+def _per_cell_loop(g, lo, hi, cells, h):
+    """The loop the ramp and the ellipse each ran before
+    ``integral_table``: knots, running integral and ``g`` at the knots,
+    with the cell width ``h`` as each wrote it."""
+    t = np.linspace(lo, hi, cells + 1)
+    nodes = t[:-1, None] + h * _GL_X[None, :]
+    cell = (h * _GL_W[None, :] * g(nodes)).sum(axis=1)
+    return t, np.concatenate([[0.0], np.cumsum(cell)]), g(t)
+
+
+def test_integral_table_reproduces_the_per_cell_loop():
+    # the ramp: the bump's running integral on 2048 cells of [0, 1]
+    def bump(u):
+        return _bump_raw(2.0 * u - 1.0)
+
+    t, raw, g = _per_cell_loop(bump, 0.0, 1.0, 2048, 1.0 / 2048)
+    for a, b in zip(integral_table(bump, 0.0, 1.0, 2048), (t, raw, g)):
+        assert _bits(a) == _bits(b)
+    table, total = partition._ramp_spline.__wrapped__()
+    oracle = HermiteTable(t, raw / raw[-1], g / raw[-1])
+    assert total == raw[-1]
+    assert _bits(table.x) == _bits(oracle.x) and _bits(table.c) == _bits(oracle.c)
+    # the 2:1 ellipse: its length on 16384 cells of the angle
+    shape = make_shape({"kind": "ellipse", "a": 2.0, "b": 1.0})
+    th, cum, speed = _per_cell_loop(shape._speed, 0.0, 2.0 * math.pi, 16384,
+                                    2.0 * math.pi / 16384)
+    for a, b in zip(integral_table(shape._speed, 0.0, 2.0 * math.pi, 16384),
+                    (th, cum, speed)):
+        assert _bits(a) == _bits(b)
+    assert _bits(shape._cum) == _bits(cum) and shape.length == float(cum[-1])
+    oracle = HermiteTable(cum, th, 1.0 / speed)
+    assert _bits(shape._inverse.c) == _bits(oracle.c)
 
 
 def test_ramp_has_2049_knots(monkeypatch):
