@@ -27,12 +27,21 @@ own pass threshold.
 Checking costs what the checks need and no more: the grid of the patch
 arrays and the taps of its blend sit on one lattice, so the arrays cost
 one Newton solve, value and slope together, of the lattice points the
-blend reads, each once; the far-point check bounds each
-cache-sized block of core rows against each far sample by its
-tangent-ball centers and compares pair by pair only the blocks and
-samples that can hold the maximum, which is the dense one bit for bit;
-and each of the theorem's smoothness probes opens one window and reads
-it one stencil at a time.
+blend reads, each once; the far-point check bounds the core rows
+against each far sample by their tangent-ball centers and compares pair
+by pair only the blocks of rows and the samples that can hold the
+maximum; and each of the theorem's smoothness probes opens one window
+and reads it one stencil at a time.
+
+The two pair checkers (tangent distance, far point) never hold more
+than ``_PAIR_FLOATS`` = 4096 pairs, 32 KiB of float64, in one
+temporary: they form the pairs a block at a time and combine the block
+maxima with ``np.maximum``, which keeps a NaN, so each maximum is the
+all-pairs one bit for bit.  A whole pair matrix (205 x 205 for the
+tangent check, blocks x far samples for the far-point bounds) is past
+glibc's 128 KiB ``mmap`` threshold, so it would be mapped fresh on each
+call and every one of its pages faulted in again; blocks that small are
+served from the heap and reused.
 
 The suite runner is deterministic end to end: seeded generators consumed
 in a fixed order, fixed instance ordering, and a CSV writer with a
@@ -86,6 +95,8 @@ __all__ = [
 _LIPSCHITZ_GRID = 2001
 _PATCH_GRID = 1025
 _PAIR_N = 192
+# most pairs (float64 each) one temporary of a pair checker holds
+_PAIR_FLOATS = 4096
 # core rows per block of the far-point check, and the float-eps
 # multiple that widens its block bounds past every rounding
 _FAR_BLOCK = 32
@@ -365,20 +376,33 @@ def check_tangent_distance_bound(patch, *, seed=0, instance, arrays):
     + psi f*'' + psi'' (f* - f) + 2 psi' (f*' - f') the first two terms
     stay within lip_slope and, with budgets rho R and rho, the others
     within L_d rho R + 2 L_v rho <= 3 K(R) rho/R.
+
+    Pairs closer than two grid steps are skipped; a pair whose distance
+    is NaN is not, so a non-finite entry of the arrays reads NaN and
+    fails the row.  The ratios are formed a block of rows against every
+    column at a time, at most ``_PAIR_FLOATS`` pairs, so that no
+    temporary crosses glibc's 128 KiB ``mmap`` threshold and faults its
+    pages in afresh on every call; the block maxima are combined by
+    ``np.maximum``, which keeps a NaN, so the maximum is the all-pairs
+    one bit for bit.
     """
     ys, F, DF, _, _ = arrays
     stride = max(1, ys.size // _PAIR_N)
     ys, F, DF = ys[::stride], F[::stride], DF[::stride]
     norm = np.sqrt(1.0 + DF * DF)
     T0, T1 = 1.0 / norm, DF / norm
-    D0 = ys[None, :] - ys[:, None]                         # q - p
-    D1 = F[None, :] - F[:, None]
-    cross = np.abs(D0 * T1[:, None] - D1 * T0[:, None])
-    d2 = D0 * D0 + D1 * D1
-    h = ys[1] - ys[0]
-    mask = d2 >= (2.0 * h) ** 2
-    ratio = np.where(mask, cross / np.where(mask, d2, 1.0), 0.0)
-    measured = float(ratio.max())
+    near2 = (2.0 * (ys[1] - ys[0])) ** 2
+    step = max(1, _PAIR_FLOATS // ys.size)
+    measured = 0.0
+    for i in range(0, ys.size, step):
+        rows = slice(i, i + step)
+        D0 = ys[None, :] - ys[rows, None]                  # q - p
+        D1 = F[None, :] - F[rows, None]
+        cross = np.abs(D0 * T1[rows, None] - D1 * T0[rows, None])
+        d2 = D0 * D0 + D1 * D1
+        skip = d2 < near2
+        ratio = np.where(skip, 0.0, cross / np.where(skip, 1.0, d2))
+        measured = np.maximum(measured, ratio.max())
     K = patch.blend.psi.combined_lipschitz(patch.reach)
     bound = 0.5 * (patch.lip_slope + 3.0 * K * patch.rho_target / patch.reach)
     tol = 1e-6 * max(min(1.0 / patch.reach, 1.0), bound)
@@ -405,11 +429,16 @@ def check_hausdorff_bound(patch, R, *, seed=0, instance, arrays):
     Hausdorff distance between the window graph before and after, at
     most the vertical move |F - f| <= e = rho R (the value budget), is
     within the lemma's e (6 L + 6 + 1), L the window graph constant.
+    Non-finite arrays measure NaN, so the row fails, as the other patch
+    checkers' rows do.
     """
     ys, F, _, fv, _ = arrays
     before = np.stack([ys, fv], axis=1)
     after = np.stack([ys, F], axis=1)
-    measured = hausdorff_distance_sampled(before, after)
+    if np.isfinite(before).all() and np.isfinite(after).all():
+        measured = hausdorff_distance_sampled(before, after)
+    else:
+        measured = math.nan
     e = patch.rho_target * R
     bound = e * (6.0 * patch.lip_graph + 6.0 + 1.0)
     tol = 1e-9 * max(min(R, 1.0), bound)
@@ -417,46 +446,87 @@ def check_hausdorff_bound(patch, R, *, seed=0, instance, arrays):
                    instance)
 
 
-def _far_block_bounds(P, tang, far, R):
-    """Upper bounds on the excess of each ``_FAR_BLOCK`` core rows
-    against each far sample, one row of bounds per block.
+def _far_box_bounds(boxes, far, R, margin):
+    """Upper bounds on the excess of the core rows inside each box pair
+    against each far sample: a ``(boxes, far samples)`` array.
 
     With n the unit normal, |<d, n>| - |d|^2/(2R) = R/2 - |q - c|^2/(2R)
     for the nearer of the tangent-ball centers c = p +- R n.  So no pair
-    of a block with far sample q exceeds R/2 - lb^2/(2R), lb the least
-    distance from q to the bounding boxes of the block's two center
-    clusters, and no pair of the block exceeds the largest bound of its
-    row.  The bounds are widened by ``_FAR_SLACK`` eps (1 + S + S^2/R),
-    S bounding every distance involved, past every rounding of them and
-    of the excess.  Non-finite input bounds every pair by +inf.
+    of the rows with far sample q exceeds R/2 - lb^2/(2R), lb the least
+    distance from q to the two boxes ``(lo, hi)`` of ``boxes`` that bound
+    the rows' two center sets.  ``margin`` widens the bounds past every
+    rounding of those distances and of the excess.
     """
-    starts = np.arange(0, P.shape[0], _FAR_BLOCK)
-    if not (np.isfinite(P).all() and np.isfinite(tang).all()
-            and np.isfinite(far).all()):
-        return np.full((starts.size, far.shape[0]), np.inf)
-    normal = R * np.stack([tang[:, 1], -tang[:, 0]], axis=1)
     fx, fy = far[:, 0], far[:, 1]
     lb2 = np.inf
-    for centers in (P + normal, P - normal):
-        lo = np.minimum.reduceat(centers, starts)
-        hi = np.maximum.reduceat(centers, starts)
+    for lo, hi in boxes:
         gx = np.maximum(np.maximum(lo[:, 0, None] - fx, fx - hi[:, 0, None]), 0.0)
         gy = np.maximum(np.maximum(lo[:, 1, None] - fy, fy - hi[:, 1, None]), 0.0)
         lb2 = np.minimum(lb2, gx * gx + gy * gy)
-    S = (R + np.sqrt((P * P).sum(axis=1)).max()
-         + np.sqrt((far * far).sum(axis=1)).max())
-    margin = _FAR_SLACK * np.finfo(np.float64).eps * (1.0 + S + S * S / R)
     # an overflow to inf or NaN here skips no pair
     return 0.5 * R - lb2 / (2.0 * R) + margin
 
 
+def _far_centers(P, tang, far, R):
+    """The two tangent-ball center sets p +- R n of the core rows, and
+    the margin of their bounds: ``_FAR_SLACK`` eps (1 + S + S^2/R), S
+    bounding every distance involved."""
+    normal = R * np.stack([tang[:, 1], -tang[:, 0]], axis=1)
+    S = (R + np.sqrt((P * P).sum(axis=1)).max()
+         + np.sqrt((far * far).sum(axis=1)).max())
+    margin = _FAR_SLACK * np.finfo(np.float64).eps * (1.0 + S + S * S / R)
+    return (P + normal, P - normal), margin
+
+
 def _far_block_max(p, tang, far, R):
     """Largest excess |<q - p, n>| - |q - p|^2/(2R) over the pairs of
-    core points ``p`` (unit tangents ``tang``) and far samples."""
-    D0 = far[None, :, 0] - p[:, 0, None]
-    D1 = far[None, :, 1] - p[:, 1, None]
-    cross = np.abs(D0 * tang[:, 1, None] - D1 * tang[:, 0, None])
-    return (cross - (D0 * D0 + D1 * D1) / (2.0 * R)).max()
+    core points ``p`` (unit tangents ``tang``) and far samples, formed
+    ``_PAIR_FLOATS`` pairs at a time; a NaN excess reads NaN."""
+    step = max(1, _PAIR_FLOATS // p.shape[0])
+    measured = -np.inf
+    for j in range(0, far.shape[0], step):
+        q = far[j:j + step]
+        D0 = q[None, :, 0] - p[:, 0, None]
+        D1 = q[None, :, 1] - p[:, 1, None]
+        cross = np.abs(D0 * tang[:, 1, None] - D1 * tang[:, 0, None])
+        measured = np.maximum(
+            measured, (cross - (D0 * D0 + D1 * D1) / (2.0 * R)).max())
+    return measured
+
+
+def _far_point_max(P, tang, far, R):
+    """The largest excess over all (core, far) pairs, comparing pair by
+    pair only the ``_FAR_BLOCK``-row blocks and the far samples whose
+    bounds (``_far_box_bounds``) reach the running maximum; see
+    ``check_far_point_distance``."""
+    if not (np.isfinite(P).all() and np.isfinite(tang).all()
+            and np.isfinite(far).all()):
+        return _far_block_max(P, tang, far, R)
+    centers, margin = _far_centers(P, tang, far, R)
+    # the far sample with the highest whole-core bound seeds the maximum
+    whole = [(c.min(axis=0)[None], c.max(axis=0)[None]) for c in centers]
+    sample_bounds = _far_box_bounds(whole, far, R, margin)[0]
+    k = int(np.argmax(sample_bounds))
+    measured = _far_block_max(P, tang, far[k:k + 1], R)
+    # a NaN bound, or a NaN maximum, keeps the sample, block or pair
+    far = far[~(sample_bounds < measured)]
+    idx = np.arange(0, P.shape[0], _FAR_BLOCK)
+    boxes = [(np.minimum.reduceat(c, idx), np.maximum.reduceat(c, idx))
+             for c in centers]
+    block_bounds = np.full(idx.size, -np.inf)
+    step = max(1, _PAIR_FLOATS // idx.size)
+    for j in range(0, far.shape[0], step):
+        block_bounds = np.maximum(block_bounds, _far_box_bounds(
+            boxes, far[j:j + step], R, margin).max(axis=1))
+    for b in np.argsort(-block_bounds, kind="stable"):
+        if block_bounds[b] < measured:
+            continue
+        box = [(lo[b:b + 1], hi[b:b + 1]) for lo, hi in boxes]
+        cols = ~(_far_box_bounds(box, far, R, margin)[0] < measured)
+        rows = slice(idx[b], idx[b] + _FAR_BLOCK)
+        measured = np.maximum(measured, _far_block_max(P[rows], tang[rows],
+                                                       far[cols], R))
+    return measured
 
 
 def check_far_point_distance(patch, curve_after, R, sample, *, seed=0,
@@ -474,20 +544,27 @@ def check_far_point_distance(patch, curve_after, R, sample, *, seed=0,
 
     The excess of a pair is R/2 minus |q - c|^2/(2R), c the nearer
     center of the two radius-R balls tangent at p, so a far sample's
-    distance to the bounding boxes of a block's centers bounds the
-    block's excess against it, rounding included
-    (``_far_block_bounds``).  The running maximum starts at the pairs
-    of the highest-bound block with its highest-bound far sample.
-    Blocks of ``_FAR_BLOCK`` core rows are then compared pair by pair,
-    highest bound first, against the far samples whose bound reaches
-    the running maximum; a block whose bounds all fall below it cannot
-    hold the maximum and is skipped.  The maximum is the one every pair
-    would give, bit for bit.  Non-finite input compares every pair, so
-    a NaN anywhere still reaches the result.  The gain rests on few
-    pairs coming near the maximum (2 of 17 blocks on each stadium
-    patch); a core on an arc of radius exactly R about the far samples
-    ties every pair and compares them all.  Arrays with
-    no grid point in the plateau core raise ``InvalidInputError``.
+    distance to the bounding boxes of a set of centers bounds the
+    excess of their core rows against it, rounding included
+    (``_far_box_bounds``).  One box per center set over the whole core
+    bounds every row against each far sample; the sample with the
+    highest such bound seeds the running maximum with its excess against
+    every core row, and only the samples whose bound reaches the seed go
+    further.  Blocks of ``_FAR_BLOCK`` core rows are then compared pair
+    by pair, highest block bound first, each against the samples whose
+    bound for that block, formed when the block is visited, reaches the
+    running maximum; a block whose bounds all fall below it cannot hold
+    the maximum and is skipped.  No blocks-by-samples bound matrix is
+    formed: the block maxima of the bounds are taken ``_PAIR_FLOATS``
+    bounds at a time and the pairs compared ``_PAIR_FLOATS`` at a time,
+    so that no temporary crosses glibc's 128 KiB ``mmap`` threshold and
+    faults its pages in afresh on every call.  The maximum is the one
+    every pair would give, bit for bit.
+    Non-finite input compares every pair, so a NaN anywhere still
+    reaches the result.  The gain rests on few pairs coming near the
+    maximum; a core on an arc of radius exactly R about the far samples
+    ties every pair and compares them all.  Arrays with no grid point in
+    the plateau core raise ``InvalidInputError``.
     """
     ay, aF, aDF, _, _ = arrays
     core = np.abs(ay) <= patch.inner_radius
@@ -504,22 +581,7 @@ def check_far_point_distance(patch, curve_after, R, sample, *, seed=0,
     far = sample.points[gap > 1.5 * patch.arc_window]
     if far.shape[0] == 0:
         raise InvalidInputError("no far samples; curve shorter than the window")
-    bounds = _far_block_bounds(P, tang, far, R)
-    block_bounds = bounds.max(axis=1)
-    order = np.argsort(-block_bounds, kind="stable")
-    # the top block against its best-bound far sample seeds the maximum,
-    # so that block too compares only the samples that can reach it
-    top, k = order[0], int(np.argmax(bounds[order[0]]))
-    rows = slice(top * _FAR_BLOCK, (top + 1) * _FAR_BLOCK)
-    measured = _far_block_max(P[rows], tang[rows], far[k:k + 1], R)
-    for b in order:
-        # a NaN bound, or a NaN maximum, compares the block and the sample
-        if block_bounds[b] < measured:
-            continue
-        rows = slice(b * _FAR_BLOCK, (b + 1) * _FAR_BLOCK)
-        cols = ~(bounds[b] < measured)
-        measured = np.maximum(measured, _far_block_max(P[rows], tang[rows],
-                                                       far[cols], R))
+    measured = _far_point_max(P, tang, far, R)
     e = patch.rho_target * R
     bound = e * e / (2.0 * R) + e * (6.0 * patch.lip_graph + 6.0 + 4.0)
     tol = 1e-9 * max(min(R, 1.0), bound)

@@ -111,8 +111,8 @@ class EllipseShape(BaseShape):
     ``ppoly.integral_table`` from the speed.  An arc ``s`` starts from
     ``_inverse``, the ``ppoly.HermiteTable`` of theta over ``_cum`` with
     slopes d theta / ds = 1/speed; one Newton step on the 4-point
-    Gauss-Legendre length of the remainder past the node below polishes
-    it to rounding level.
+    Gauss-Legendre length of the remainder past the node below, the left
+    knot of the cell that read found, polishes it to rounding level.
     """
 
     _GRID = 16384
@@ -133,8 +133,7 @@ class EllipseShape(BaseShape):
 
     def _theta_of(self, s):
         sv = np.mod(np.asarray(s, dtype=float), self.length)
-        i = np.clip(np.searchsorted(self._cum, sv, side="right") - 1, 0, self._GRID - 1)
-        th = self._inverse(sv)
+        th, i = self._inverse.value_and_cell(sv)
         # the table is exact at nodes; 4-point Gauss on [t0, th] gives
         # the remainder, and the Hermite start is close enough that one
         # Newton step lands at rounding level

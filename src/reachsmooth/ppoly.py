@@ -76,23 +76,30 @@ class HermiteTable:
         self.c = np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
 
     def _cell(self, t):
-        """Coefficient rows ``c3, c2, c1, c0`` of each read's cell and
-        the read's offset s from the cell's left knot."""
+        """The index i of each read's cell ``[x[i], x[i + 1])``, and its
+        coefficient rows ``c3, c2, c1, c0`` with the read's offset s from
+        the cell's left knot."""
         t = np.asarray(t, dtype=np.float64)
         i = np.clip(self.x.searchsorted(t, side="right") - 1, 0, self.x.size - 2)
         c0, c1, c2, c3 = self.c[:, i]
-        return c3, c2, c1, c0, t - self.x[i]
+        return i, (c3, c2, c1, c0, t - self.x[i])
 
     def __call__(self, t):
-        return _value(*self._cell(t))
+        return _value(*self._cell(t)[1])
 
     def slope(self, t):
-        return _slope(*self._cell(t))
+        return _slope(*self._cell(t)[1])
 
     def value_and_slope(self, t):
         """``(self(t), self.slope(t))`` from one cell lookup."""
-        cell = self._cell(t)
+        _, cell = self._cell(t)
         return _value(*cell), _slope(*cell)
+
+    def value_and_cell(self, t):
+        """``self(t)`` and the index i of each read's cell, so a caller
+        that needs the cell too searches the knots once."""
+        i, cell = self._cell(t)
+        return _value(*cell), i
 
 
 def _value(c3, c2, c1, c0, s):

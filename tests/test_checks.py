@@ -1,6 +1,7 @@
 """The lemma checkers themselves: zoo validity, honest negatives, suites."""
 
 import dataclasses
+import gc
 import json
 import math
 import tracemalloc
@@ -163,6 +164,106 @@ def test_patch_checkers_on_real_patch(stadium_run):
 
 def _bits(*arrays):
     return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+def _traced_peak(call):
+    """Peak bytes ``tracemalloc`` sees allocated during ``call()``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _dense_tangent_distance(arrays):
+    """The tangent-distance maximum as one (pairs x pairs) broadcast: a
+    pair closer than two grid steps is skipped, a NaN distance is not."""
+    ys, F, DF, _, _ = arrays
+    stride = max(1, ys.size // checks._PAIR_N)
+    ys, F, DF = ys[::stride], F[::stride], DF[::stride]
+    norm = np.sqrt(1.0 + DF * DF)
+    T0, T1 = 1.0 / norm, DF / norm
+    D0 = ys[None, :] - ys[:, None]
+    D1 = F[None, :] - F[:, None]
+    cross = np.abs(D0 * T1[:, None] - D1 * T0[:, None])
+    d2 = D0 * D0 + D1 * D1
+    keep = ~(d2 < (2.0 * (ys[1] - ys[0])) ** 2)
+    return np.where(keep, cross / np.where(keep, d2, 1.0), 0.0).max()
+
+
+def test_tangent_distance_matches_dense_broadcast_on_every_patch(
+        stadium_run, rounded_rect_run):
+    seen = 0
+    for result in (stadium_run.result, rounded_rect_run):
+        for patch in result.curve.patches:
+            arrays = patch_graph_arrays(patch)
+            row = check_tangent_distance_bound(patch, instance="p0",
+                                               arrays=arrays)
+            assert _bits(row.measured) == _bits(_dense_tangent_distance(arrays))
+            assert row.passed
+            seen += 1
+    assert seen == 12
+
+
+def _spoiled_arrays(patch, where, bad):
+    """The patch arrays with entry 500 of array ``where`` set to ``bad``;
+    500 is on the tangent check's pair subsample."""
+    arrays = [a.copy() for a in patch_graph_arrays(patch)]
+    assert 500 % max(1, arrays[0].size // checks._PAIR_N) == 0
+    arrays[where][500] = bad
+    return tuple(arrays)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 1, 2], ids=["ys", "F", "DF"])
+def test_tangent_distance_non_finite_entry_fails_the_row(stadium_run, where,
+                                                        bad):
+    # a NaN distance used to drop its pair, so F[500] = nan read 0.50002
+    # and passed
+    patch = stadium_run.result.curve.patches[0]
+    arrays = _spoiled_arrays(patch, where, bad)
+    with np.errstate(invalid="ignore", over="ignore"):
+        row = check_tangent_distance_bound(patch, instance="p0", arrays=arrays)
+        assert math.isnan(_dense_tangent_distance(arrays))
+    assert math.isnan(row.measured) and not row.passed
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 1, 3], ids=["ys", "F", "fv"])
+def test_hausdorff_non_finite_arrays_fail_the_row(stadium_run, where, bad,
+                                                 tmp_path):
+    patch = stadium_run.result.curve.patches[0]
+    R = stadium_run.result.report.R_input
+    row = check_hausdorff_bound(patch, R, instance="p0",
+                                arrays=_spoiled_arrays(patch, where, bad))
+    assert row.name == "patch_hausdorff"
+    assert math.isnan(row.measured) and not row.passed
+    data = json.loads(write_failures_json([row], tmp_path / "failures.json"))
+    assert data["failures"][0]["measured"] == "nan"
+
+
+def test_pair_checkers_peak_below_one_dense_pair_matrix(stadium_run):
+    # each pair checker forms at most _PAIR_FLOATS pairs at a time, so a
+    # call peaks below one dense pair matrix: 205^2 pairs for the tangent
+    # check, (core blocks) x (far samples) bounds for the far-point check
+    result = stadium_run.result
+    patch = result.curve.patches[0]
+    R = result.report.R_input
+    sample = sample_manifold(result.curve, n=2000)
+    arrays = patch_graph_arrays(patch)
+    n = arrays[0][::max(1, arrays[0].size // checks._PAIR_N)].size
+    assert n == 205
+    peak = _traced_peak(lambda: check_tangent_distance_bound(
+        patch, instance="p0", arrays=arrays))
+    assert peak < n * n * 8, peak
+    P, _, far = _far_geometry(patch, result.curve, sample, arrays)
+    blocks = -(-P.shape[0] // checks._FAR_BLOCK)
+    assert blocks == 17
+    peak = _traced_peak(lambda: check_far_point_distance(
+        patch, result.curve, R, sample, instance="p0", arrays=arrays))
+    assert peak < blocks * far.shape[0] * 8, peak
 
 
 def _solve_batches(monkeypatch):
@@ -563,15 +664,19 @@ def _blocks_compared(monkeypatch):
 
 
 def _assert_block_bounds_hold(patch, curve, R, sample, arrays):
-    # each block's bound against a far sample is at least the dense
-    # excess of every row of the block against that sample
+    # each block's bound against a far sample, and the whole core's, is
+    # at least the dense excess of every row it covers against that sample
     P, tang, far = _far_geometry(patch, curve, sample, arrays)
     excess, _ = _dense_far_point(patch, curve, R, sample, arrays)
-    bounds = checks._far_block_bounds(P, tang, far, R)
-    assert bounds.shape == (-(-P.shape[0] // checks._FAR_BLOCK), far.shape[0])
-    for b, bound in enumerate(bounds):
-        rows = excess[b * checks._FAR_BLOCK:(b + 1) * checks._FAR_BLOCK]
-        assert np.all(bound >= rows.max(axis=0)), b
+    centers, margin = checks._far_centers(P, tang, far, R)
+    spans = [slice(i, i + checks._FAR_BLOCK)
+             for i in range(0, P.shape[0], checks._FAR_BLOCK)] + [slice(None)]
+    for rows in spans:
+        box = [(c[rows].min(axis=0)[None], c[rows].max(axis=0)[None])
+               for c in centers]
+        bound = checks._far_box_bounds(box, far, R, margin)
+        assert bound.shape == (1, far.shape[0])
+        assert np.all(bound[0] >= excess[rows].max(axis=0)), rows
 
 
 def _pairs_compared(monkeypatch):
@@ -591,7 +696,7 @@ def _pairs_compared(monkeypatch):
 def test_far_point_compares_only_the_samples_that_can_win(
         stadium_run, rounded_rect_run, monkeypatch):
     # every stadium and rounded-rectangle patch: the maximum is the dense
-    # one, bit for bit; the seed compares the top block with one far
+    # one, bit for bit; the seed compares every core row with one far
     # sample, and every block after it only the few samples its bounds
     # leave (2 to 4 on the stadium)
     compared = _pairs_compared(monkeypatch)
@@ -609,7 +714,7 @@ def test_far_point_compares_only_the_samples_that_can_win(
             assert _bits(row.measured) == _bits(excess.max())
             assert row.grid == grid
             n_far = grid // excess.shape[0]
-            assert compared[0] == (checks._FAR_BLOCK, 1)
+            assert compared[0] == (excess.shape[0], 1)
             assert all(c < n_far // 10 for _, c in compared[1:]), compared
             later += len(compared) - 1
     assert later >= 4
@@ -624,9 +729,8 @@ def test_far_point_non_finite_input_compares_every_pair(bad, monkeypatch):
         row = check_far_point_distance(patch, curve, 10.0, sample,
                                        instance="p0", arrays=arrays)
     assert math.isnan(row.measured) and not row.passed
-    # the seed, then every pair
-    assert compared[0] == (checks._FAR_BLOCK, 1)
-    assert sum(r * c for r, c in compared[1:]) == row.grid == 71 * 301
+    # no seed and no bound: every core row against every far sample
+    assert compared == [(71, 301)] and row.grid == 71 * 301
 
 
 def test_far_point_blocks_match_dense_broadcast_on_real_patch(stadium_run):
@@ -790,8 +894,8 @@ def test_far_point_all_ties_compare_every_row_in_blocks(monkeypatch):
     # no bound settles a block or a far sample, so after the seed's one
     # sample every pair is compared, and the maximum is the dense one
     assert len(compared) == 1 + -(-800 // checks._FAR_BLOCK)
-    assert sum(compared) == checks._FAR_BLOCK + 800
-    assert pairs == [(compared[0], 1)] + [(r, grid // 800) for r in compared[1:]]
+    assert sum(compared) == 800 + 800
+    assert pairs == [(800, 1)] + [(r, grid // 800) for r in compared[1:]]
     assert _bits(row.measured) == _bits(excess.max())
     assert row.grid == grid
     # compared _FAR_BLOCK rows at a time, not as one (core x far) array

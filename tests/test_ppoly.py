@@ -100,6 +100,11 @@ def test_table_carries_the_splines_bytes(monkeypatch, build):
         value, slope = table.value_and_slope(t)
         assert _bits(table(t)) == _bits(value) == _bits(spline(t))
         assert _bits(table.slope(t)) == _bits(slope) == _bits(spline(t, 1))
+        value, cell = table.value_and_cell(t)
+        assert _bits(value) == _bits(spline(t))
+    # the cell a read found: searchsorted's, clipped to the end cells
+    assert np.array_equal(cell, np.clip(np.searchsorted(x, t, side="right") - 1,
+                                        0, x.size - 2))
     # a read keeps the shape of its argument
     assert _bits(table(t[3])) == _bits(spline(t[3]))
     assert table(t[:-3].reshape(-1, 1)).shape == (t.size - 3, 1)
@@ -169,6 +174,29 @@ def test_random_tables_match_the_spline():
         with np.errstate(invalid="ignore"):
             assert _bits(table(t)) == _bits(spline(t))
             assert _bits(table.slope(t)) == _bits(spline(t, 1))
+
+
+def test_ellipse_reads_its_length_table_once():
+    # the Newton step starts from the cell the table read found; the old
+    # route searched the knots for it again, and the arcs read the same
+    shape = make_shape({"kind": "ellipse", "a": 2.0, "b": 1.0})
+    s = np.random.default_rng(3).uniform(-shape.length, 3.0 * shape.length, 4096)
+    s[:4] = [0.0, shape.length, np.nextafter(shape.length, 0.0), -1e-300]
+    sv = np.mod(s, shape.length)
+    i = np.clip(np.searchsorted(shape._cum, sv, side="right") - 1, 0,
+                shape._GRID - 1)
+    th = shape._inverse(sv)
+    t0 = shape._th[i]
+    mid, half = 0.5 * (t0 + th), 0.5 * (th - t0)
+    seg = (half[:, None] * curves._GL4_W
+           * shape._speed(mid[:, None] + half[:, None] * curves._GL4_X)).sum(axis=-1)
+    theta = th - (shape._cum[i] + seg - sv) / shape._speed(th)
+    c, sn = np.cos(theta), np.sin(theta)
+    sp = np.sqrt((2.0 * sn) ** 2 + (1.0 * c) ** 2)
+    point, tangent = shape.point_and_tangent(s)
+    assert _bits(shape._theta_of(s)) == _bits(theta)
+    assert _bits(point) == _bits(np.stack([2.0 * c, 1.0 * sn], axis=-1))
+    assert _bits(tangent) == _bits(np.stack([-2.0 * sn / sp, 1.0 * c / sp], axis=-1))
 
 
 @pytest.mark.parametrize("x", [[0.0], [0.0, 0.0, 1.0], [0.0, 2.0, 1.0]])
