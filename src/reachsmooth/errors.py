@@ -13,5 +13,6 @@ class GeometryError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative search exhausted its budget without meeting its
-    target (support-radius bisection, root refinement)."""
+    """A deviation budget was not met: the support radius proven for it
+    would resolve its grid into more points than a read may take, or
+    the witness read at that radius exceeds it."""

@@ -19,16 +19,26 @@ with the same weights as the values.  A function that returns value and
 slope together is convolved in one pass, one evaluation on the taps
 serving both.
 
-A support radius sigma is chosen by one halving search
-(``_halving_search``) behind one measurement (``_grid_deviation``): the
-largest deviation between a function and its mollification on the
-origin-aligned grid i*sigma/taps of a window.  ``sup_deviation_ck`` and
-``find_support_radius`` read it at 50 taps, ``smoothing.smooth_patch``
-at 16.  A whole-grid read of the first two reads the function once and
-convolves only the blocks of ``_BLOCK`` points whose second-difference
-bound reaches the largest deviation found so far
-(``_settled_deviation``); its answer is the one-pass measurement's, bit
-for bit.
+A support radius sigma is proven, never searched (``_proven_radius``).
+The weights w_j sit at offsets u_j sigma, symmetric, nonnegative and of
+unit sum, so with the moments m1 = sum w_j |u_j| and m2 = sum w_j u_j^2
+of the rule (``_tap_moments``) every point y has
+
+    |f*(y) - f(y)|   <= min(L sigma m1, L_d sigma^2 m2 / 2),
+    |f*'(y) - f'(y)| <= L_d sigma m1,
+
+L bounding |f'| and L_d the Lipschitz constant of f' over [y - sigma,
+y + sigma] (the first moment sum w_j u_j vanishes).  A caller takes the
+largest radius these bounds allow for its budgets, shrunk by
+``_PROOF_MARGIN``, and reads its grid once at that radius
+(``_grid_deviation``, the grid i*sigma/taps): the read is a witness, and
+one over the budget raises, because the proof or its margin is wrong.
+``find_support_radius`` reads through ``sup_deviation_ck`` at 50 taps,
+``smoothing.smooth_patch`` at 16.  A whole-grid read of
+``sup_deviation_ck`` reads the function once and convolves only the
+blocks of ``_BLOCK`` points whose second-difference bound reaches the
+largest deviation found so far (``_settled_deviation``); its answer is
+the one-pass measurement's, bit for bit.
 
 Tables and their Gauss-Legendre rules live in ``ppoly``.
 """
@@ -53,15 +63,14 @@ __all__ = [
     "find_support_radius",
 ]
 
-# window samples per kernel radius, and the most samples one
-# ``sup_deviation_ck`` measurement may take
+# window samples per kernel radius, and the most samples one grid read
+# may take
 _GRID_PER_SIGMA = 50
 _MAX_GRID = 4_000_000
-# a halving search probes a radius on the grid points within this many
-# steps of the previous radius's worst point, and settles it as failing
-# when the probe exceeds the target by more than this relative margin
-_PROBE_HALF = 256
-_PROBE_MARGIN = 1e-6
+# relative margin a proven radius keeps under its bounds: it covers the
+# rounding of the moments, of the grid offsets and of the tap sums,
+# each below 1e-12 relative on every grid the package reads
+_PROOF_MARGIN = 1e-6
 # a whole-grid measurement bounds the deviation on blocks of this many
 # window points and convolves only the blocks whose bound reaches the
 # largest deviation found so far; _U is the unit roundoff
@@ -243,12 +252,6 @@ def sup_deviation_ck(f, df, kernel, window, k):
         one grid point.
     k : 0 or 1
         Highest derivative order compared.
-
-    Returns
-    -------
-    (deviation, worst)
-        The deviation and the grid point where it is attained, for a
-        search to look there first next time.
     """
     if k not in (0, 1):
         raise InvalidInputError(f"k must be 0 or 1, got {k}")
@@ -256,20 +259,7 @@ def sup_deviation_ck(f, df, kernel, window, k):
         raise InvalidInputError("k=1 comparison requires the slope callable df")
     if window.length <= 0:
         raise InvalidInputError("the deviation window must have positive length")
-    dev, _, worst = _window_deviation(f, df, kernel.sigma, window, k, None)
-    return dev, worst
-
-
-def _window_deviation(f, df, sigma, window, k, near):
-    """``_grid_deviation`` of ``f`` (and ``df`` when ``k=1``) on the grid
-    points i*sigma/50 of ``window``, at scale 1.
-
-    A probe (``near`` set) is ``_grid_deviation``'s own, payload and
-    all.  The whole grid is settled block by block
-    (``_settled_deviation``): the same deviation and worst point, bit for
-    bit, with no payload.
-    """
-    h = sigma / _GRID_PER_SIGMA
+    h = kernel.sigma / _GRID_PER_SIGMA
     first, last = math.ceil(window.lo / h), math.floor(window.hi / h)
     if last < first:
         raise InvalidInputError(
@@ -282,10 +272,7 @@ def _window_deviation(f, df, sigma, window, k, near):
         fv = np.asarray(f(xs), dtype=float)
         return fv, (np.asarray(df(xs), dtype=float) if k == 1 else None)
 
-    if near is not None:
-        return _grid_deviation(read, sigma, _GRID_PER_SIGMA, first, last,
-                               near, 1.0)
-    return _settled_deviation(read, sigma, _GRID_PER_SIGMA, first, last)
+    return _settled_deviation(read, kernel.sigma, _GRID_PER_SIGMA, first, last)
 
 
 def _settled_deviation(read, sigma, taps, first, last):
@@ -296,10 +283,9 @@ def _settled_deviation(read, sigma, taps, first, last):
     ``_BLOCK`` indices gets an upper bound on its deviation
     (``_block_bounds``); blocks are measured by ``_grid_deviation``,
     their reads served by slices of the one read, in order of highest
-    bound first, until a bound falls strictly below the largest
-    deviation found.  On a tie the lower grid index wins, as it does in
-    one whole-grid ``np.argmax``, so ``(deviation, None, worst)`` is the
-    whole-grid measurement's, bit for bit.
+    bound first, until a bound falls to the largest deviation found.  A
+    NaN deviation is the answer, as in one whole-grid maximum, so the
+    deviation is the whole-grid measurement's, bit for bit.
     """
     h = sigma / taps
     m, w = _aligned_taps(sigma, h)
@@ -317,20 +303,17 @@ def _settled_deviation(read, sigma, taps, first, last):
         return lambda xs: tuple(None if r is None else r[lo:lo + xs.size]
                                 for r in (values, slopes))
 
-    best = None  # (rank, deviation, worst); the largest rank wins
+    best = -math.inf
     for b in np.argsort(-bounds, kind="stable"):
-        if best is not None and bounds[b] < best[1]:
+        if bounds[b] <= best:
             break
         lo = int(b) * _BLOCK
-        dev, _, worst = _grid_deviation(block_read(lo), sigma, taps, first + lo,
-                                        min(first + lo + _BLOCK - 1, last),
-                                        None, 1.0)
-        # np.argmax order: a NaN first, then the larger, then the lower index
-        nan = math.isnan(dev)
-        rank = (nan, 0.0 if nan else dev, -int(b))
-        if best is None or rank > best[0]:
-            best = (rank, dev, worst)
-    return best[1], None, best[2]
+        dev, _ = _grid_deviation(block_read(lo), sigma, taps, first + lo,
+                                 min(first + lo + _BLOCK - 1, last), 1.0)
+        if math.isnan(dev):
+            return dev
+        best = max(best, dev)
+    return best
 
 
 def _block_bounds(v, w, n):
@@ -363,31 +346,25 @@ def _block_bounds(v, w, n):
     return (1.0 + 1e-9) * (c * (spans + 8.0 * _U * big) + drift * big)
 
 
-def _grid_deviation(read, sigma, taps, first, last, near, scale):
+def _grid_deviation(read, sigma, taps, first, last, scale):
     """One deviation measurement on the grid i*h, h = sigma/taps.
 
     The deviation is max(|f* - f|/scale, |f*' - f'|) over the indices
     ``first`` <= i <= ``last``, the slope term only when ``read(xs)``
     returns slopes: it returns ``(values, slopes)`` or ``(values,
     None)`` at the points ``xs``, which extend the indices by one kernel
-    radius on both sides.  With ``near`` set, only the indices within
-    ``_PROBE_HALF`` of the one nearest ``near`` are read: a contiguous
-    slice of the whole read, bit for bit.
+    radius on both sides.
 
-    Returns ``(deviation, payload, worst)`` as ``_halving_search`` reads
-    it: ``worst`` is the grid point of the deviation, and the payload is
-    ``(xs, d0, d1, kernel, mid)``, with the signed differences d0 = f* -
-    f and d1 = f*' - f' (None without slopes) at ``xs[mid]``.  The
-    differences are formed in place and each read is dropped once
-    convolved, so a measurement holds at most three grid-sized arrays
-    without slopes and five with them.
+    Returns ``(deviation, payload)``, the payload ``(xs, d0, d1, kernel,
+    mid)`` with the signed differences d0 = f* - f and d1 = f*' - f'
+    (None without slopes) at ``xs[mid]``.  The differences are formed in
+    place and each read is dropped once convolved, so a measurement
+    holds at most three grid-sized arrays without slopes and five with
+    them.
     """
     kernel = BumpKernel(sigma)
     h = sigma / taps
     m = int(math.floor(sigma / h))
-    if near is not None:
-        c = min(max(round(near / h), first), last)
-        first, last = max(c - _PROBE_HALF, first), min(c + _PROBE_HALF, last)
     xs = np.arange(first - m, last + m + 1, dtype=float) * h
     mid = slice(m, xs.size - m)
     fv, dfv = read(xs)
@@ -402,102 +379,92 @@ def _grid_deviation(read, sigma, taps, first, last, near, scale):
         d1 -= dfv[mid]
         del dfv
         np.maximum(err, np.abs(d1), out=err)
-    j = int(np.argmax(err))
-    return float(err[j]), (xs, d0, d1, kernel, mid), float(xs[m + j])
+    return float(err.max()), (xs, d0, d1, kernel, mid)
 
 
-def _halving_search(measure, start, target, floor, what):
-    """Halve a support radius from ``start`` until its deviation passes.
+@lru_cache(maxsize=None)
+def _tap_moments(taps):
+    """``(m1, m2)``: sum w_j |u_j| and sum w_j u_j^2 of the tap rule at
+    ``taps`` taps a side, its weights w_j at the offsets u_j = j/taps
+    of the radius."""
+    m, w = _aligned_taps(1.0, 1.0 / taps)
+    u = np.abs(np.arange(-m, m + 1)) * (1.0 / taps)
+    return float(w @ u), float(w @ (u * u))
 
-    ``measure(sigma, near)`` returns ``(deviation, payload, worst)``:
-    with ``near=None`` it measures the whole grid, otherwise only the
-    grid points near ``near``, a probe that can show a radius fails but
-    never that it passes.  ``worst`` is where the deviation was found.
-    Each radius after the first is probed at the previous radius's worst
-    point; a probe above ``target * (1 + _PROBE_MARGIN)`` settles the
-    radius as failing (the margin covers rounding between a probe and
-    the whole grid), and any other radius is measured in full.  So only
-    radii the probe cannot reject pay for the whole grid, and the
-    accepted radius always does.
 
-    Returns ``(sigma, halvings, deviation, payload)`` of the first radius
-    whose whole-grid deviation is at most ``target``, exactly as a loop
-    that measures every radius in full would.
+def _proven_radius(taps, budget, lip, lip_d, slope_budget):
+    """The largest radius at which the tap rule at ``taps`` taps a side
+    provably keeps |f* - f| <= ``budget`` and, unless ``slope_budget``
+    is None, |f*' - f'| <= ``slope_budget``, shrunk by ``_PROOF_MARGIN``.
 
-    Raises
-    ------
-    ConvergenceError
-        When the radius falls below ``floor`` without meeting the target;
-        ``what`` names the search in the message, which gives the last
-        deviation as "at least" when a probe settled it.
+    ``lip`` bounds |f'| and ``lip_d`` the Lipschitz constant of f'
+    (``math.inf`` for a kink) over the points read.  The value bound
+    holds below the larger of budget/(lip m1) and sqrt(2 budget/(lip_d
+    m2)), the slope bound below slope_budget/(lip_d m1); a zero constant
+    proves every radius, ``math.inf`` none.
     """
-    sigma = start
-    halvings = 0
-    near = None
-    while True:
-        settled = False
-        if near is not None:
-            dev, _, near = measure(sigma, near)
-            settled = dev > target * (1.0 + _PROBE_MARGIN)
-        if not settled:
-            dev, payload, near = measure(sigma, None)
-            if dev <= target:
-                return sigma, halvings, dev, payload
-        sigma *= 0.5
-        halvings += 1
-        if sigma < floor:
-            least = "at least " if settled else ""
-            raise ConvergenceError(
-                f"{what}: deviation {least}{dev:.3e} still above the target "
-                f"{target:.3e} after {halvings - 1} halvings (radius floor "
-                f"{floor:.3e})")
+    m1, m2 = _tap_moments(taps)
+
+    def below(a, b):
+        return a / b if b > 0.0 else math.inf
+
+    sigma = max(below(budget, lip * m1),
+                math.sqrt(below(2.0 * budget, lip_d * m2)))
+    if slope_budget is not None:
+        sigma = min(sigma, below(slope_budget, lip_d * m1))
+    return sigma * (1.0 - _PROOF_MARGIN)
 
 
-def find_support_radius(f, df, window, domain, target, k, *, sigma_max):
-    """Largest halving-search support radius meeting a deviation target.
+def find_support_radius(f, df, window, domain, target, k, *, sigma_max, lip,
+                        lip_d):
+    """The support radius the tap rule's moments prove for a deviation
+    target, and the deviation read there.
 
-    The search is always capped: it starts from the smaller of
-    ``sigma_max`` and the largest radius that keeps the window inside
-    the shrunk domain, and halves the radius until the grid-measured
-    deviation drops to ``target``.  The first passing radius is
-    returned, so the result is within a factor two of the largest
-    passing power-of-two fraction of the start.
-    Radii after the first are probed near the previous radius's worst
-    point first (see ``_halving_search``), so ``sup_deviation_ck`` reads
-    the whole grid only for the start, the accepted radius and any
-    radius a probe cannot reject, and of that read it convolves only the
-    blocks whose bound reaches the largest deviation found so far.
+    ``lip`` bounds |f'| and ``lip_d`` is the Lipschitz constant of
+    ``df`` (``math.inf`` for a kink) over the window plus one kernel
+    radius: facts about ``f``, which the proof takes as given.  The
+    radius is the smallest of ``sigma_max``, the room that keeps the
+    window plus the kernel inside ``domain``, and ``_proven_radius`` at
+    50 taps: |f* - f| <= ``target``, and |f*' - f'| <= ``target`` when
+    ``k=1``.  ``sup_deviation_ck`` then reads the window once at that
+    radius, as a witness of the proof; no other radius is tried.
 
     Returns
     -------
     (sigma, deviation)
-        The passing radius and the deviation ``sup_deviation_ck``
-        measured for it on the whole grid.
+        The proven radius and the deviation ``sup_deviation_ck`` read
+        there.
 
     Raises
     ------
-    ConvergenceError
-        When the radius falls below the smallest one whose grid fits
-        ``_MAX_GRID`` without meeting the target (e.g. a kink under k=1
-        semantics: the mollified slope never settles).
     InvalidInputError
-        When the window has no room inside the domain at all.
+        When the window has no room inside the domain, or ``k=1`` with an
+        infinite ``lip_d``: a slope jump keeps |f*' - f'| at half the
+        jump at every radius.
+    ConvergenceError
+        When the proven radius would resolve the window into more than
+        ``_MAX_GRID`` points, before any read; or when the witness
+        exceeds the target, which means the proof or its margin is
+        wrong (or ``lip``, ``lip_d`` are).
     """
     t = as_positive_float(target, "target")
+    if k == 1 and math.isinf(lip_d):
+        raise InvalidInputError(
+            "a slope jump (lip_d = inf) meets no k=1 target at any radius")
     room = min(window.lo - domain.lo, domain.hi - window.hi)
     if room <= 0:
         raise InvalidInputError("window touches the domain boundary; no kernel fits")
-    sigma = min(room * (1.0 - 1e-12), as_positive_float(sigma_max, "sigma_max"))
-
-    def measure(s, near):
-        if near is None:
-            dev, worst = sup_deviation_ck(f, df, BumpKernel(s), window, k=k)
-        else:
-            dev, _, worst = _window_deviation(f, df, s, window, k, near)
-        return dev, None, worst
-
+    sigma = min(room * (1.0 - 1e-12), as_positive_float(sigma_max, "sigma_max"),
+                _proven_radius(_GRID_PER_SIGMA, t, lip, lip_d,
+                               t if k == 1 else None))
     # two points under the cap, so rounding cannot push the grid over it
-    floor = _GRID_PER_SIGMA * window.length / (_MAX_GRID - 2)
-    sigma, _, dev, _ = _halving_search(measure, sigma, t, floor,
-                                       "support radius search")
+    if sigma < _GRID_PER_SIGMA * window.length / (_MAX_GRID - 2):
+        raise ConvergenceError(
+            f"support radius {sigma:.3e} for the target {t:.3e} resolves the "
+            f"window into more than {_MAX_GRID} points")
+    dev = sup_deviation_ck(f, df, BumpKernel(sigma), window, k=k)
+    if not dev <= t:
+        raise ConvergenceError(
+            f"support radius {sigma:.3e}: witness deviation {dev:.3e} over "
+            f"the target {t:.3e} the radius was proven for")
     return sigma, dev

@@ -58,7 +58,8 @@ def integral_table(g, lo, hi, cells):
 
 class HermiteTable:
     """Cubic Hermite interpolant of values ``y`` and slopes ``dydx`` at
-    knots ``x``: ``table(t)`` is its value, ``table.slope(t)`` its slope."""
+    knots ``x``: ``table(t)`` is its value, ``table.value_and_slope(t)``
+    its value and slope."""
 
     def __init__(self, x, y, dydx):
         x = np.ascontiguousarray(x, dtype=np.float64)
@@ -87,11 +88,8 @@ class HermiteTable:
     def __call__(self, t):
         return _value(*self._cell(t)[1])
 
-    def slope(self, t):
-        return _slope(*self._cell(t)[1])
-
     def value_and_slope(self, t):
-        """``(self(t), self.slope(t))`` from one cell lookup."""
+        """``self(t)`` and the table's slope at ``t``, from one cell lookup."""
         _, cell = self._cell(t)
         return _value(*cell), _slope(*cell)
 

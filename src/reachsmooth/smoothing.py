@@ -6,9 +6,9 @@ arcs where the curvature jumps.  A run patches only there, one patch per
 junction in sorted order, each centered on its junction so the junction
 lies in the patch's flat core.  At each junction the curve is rewritten
 as a graph over its tangent line, the graph is mollified at a support
-radius found by halving search (capped well below the window so the
-transition ring cannot build up curvature), and the curve is replaced by
-the blend
+radius proven from the tap rule's moments and the curvature bound 1/R
+of a curve of reach R (capped well below the window so the transition
+ring cannot build up curvature), and the curve is replaced by the blend
 
     new = old + plateau * (mollified - old)
 
@@ -47,11 +47,11 @@ from . import _accel
 from ._util import _as_real_array, as_positive_float
 from .curves import (AppliedPatch, BaseShape, ClosedCurve, local_graph_at,
                      make_shape, sample_manifold)
-from .errors import GeometryError, InvalidInputError
+from .errors import ConvergenceError, GeometryError, InvalidInputError
 # convolve_grid is not used here; perfbench's
 # test_wrappers_reach_every_binding_and_restore checks this binding
-from .kernels import (_grid_deviation, _halving_search, _lattice_convolve,
-                      convolve_grid)
+from .kernels import (_MAX_GRID, _grid_deviation, _lattice_convolve,
+                      _proven_radius, convolve_grid)
 from .partition import (PlateauFunction, make_reference_plateau,
                         rescale_plateau, smoothing_window_radius)
 from .ppoly import HermiteTable
@@ -138,7 +138,10 @@ class BlendedMap:
 
 @dataclass(frozen=True)
 class PatchRecord:
-    """Ledger row for one patch center visit; ``deviation`` is dimensionless."""
+    """Ledger row for one patch center visit; ``deviation`` is
+    dimensionless, the witness read at the proven radius.  ``halvings``
+    is always 0: the radius is proven, never searched, and the field is
+    kept for the ledger's readers."""
 
     index: int
     base_arc: float
@@ -151,10 +154,8 @@ class PatchRecord:
     lip_slope: float
 
 
-# halvings of the support radius a patch tries before giving up; taps
-# per kernel radius of a patch's measurement lattice, which its blend
-# keeps
-_MAX_HALVINGS = 14
+# taps per kernel radius of a patch's measurement lattice, which its
+# blend keeps
 _PATCH_TAPS = 16
 
 
@@ -166,34 +167,48 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max):
     window is already flat to machine precision (deviation at most
     1e-13: straight stretches), in which case the curve is unchanged.
 
-    The support radius comes from ``kernels._halving_search``, each
-    radius measured by ``kernels._grid_deviation``: the graph is read on
-    the grid i*sigma/16 (``_PATCH_TAPS``) over the plateau support plus
-    one kernel radius, and the convolved values and slopes are compared,
-    in units of R, with the graph's: max(|f* - f|/R, |f*' - f'|) <= rho.
-    Radii after the first are probed near the previous radius's worst
-    point, and only a radius the probe cannot reject is read in full,
-    the accepted one always.  The displacement is tabulated from the accepted
-    radius's differences on that grid, and the patch keeps the live
-    blend on the same lattice.
+    The support radius is proven, not searched.  A curve of reach R has
+    curvature at most 1/R (Federer 1959, Thm 4.18), so over the window
+    [-w, w], w = sqrt(delta R)/2, its graph has |f'| <= tan(asin(w/R))
+    and |f''| <= K = (1 - (w/R)^2)^(-3/2)/R.  The radius is the smallest
+    of ``sigma_max``, the room w - r2 left by the plateau support r2,
+    and ``kernels._proven_radius`` at 16 taps (``_PATCH_TAPS``) for the
+    budgets rho R in value and rho in slope, with these constants or the
+    measured ``lip_graph`` and ``lip_slope`` where they are larger.
+    Where the window meets no earlier patch the closed forms are the
+    larger, so the radius is proven; that covers every catalog shape.  A
+    window stacked on an earlier patch (junctions closer than a window)
+    is not a reach-R curve there, and its radius rests on the measured
+    constants and the witness below.
+
+    The graph is then read once, on the grid i*sigma/16 over the plateau
+    support plus one kernel radius (``kernels._grid_deviation``), and
+    the convolved values and slopes are compared, in units of R, with
+    the graph's: the record's ``deviation`` is max(|f* - f|/R, |f*' -
+    f'|).  It is a witness: over rho, the run raises.  The displacement
+    is tabulated from the differences of that read, and the patch keeps
+    the live blend on the same lattice.
 
     Raises
     ------
     GeometryError
-        If the window [-w, w], w = sqrt(delta R)/2, is not a graph (first
-        seen where its slope is read at 257 points for ``lip_graph`` and
-        ``lip_slope``) or the pushed-forward center drifted past the
-        shift budget sqrt(delta R)/32.
+        If the window is not a graph (first seen where its slope is read
+        at 257 points for ``lip_graph`` and ``lip_slope``) or the
+        pushed-forward center drifted past the shift budget
+        sqrt(delta R)/32.
     ConvergenceError
-        If ``_MAX_HALVINGS`` halvings of the support radius cannot meet
-        the deviation budget.
+        If the proven radius would resolve the grid into more than
+        ``kernels._MAX_GRID`` points (raised before any read), or the
+        witness exceeds rho.
     """
     index = len(curve.patches)
     w = smoothing_window_radius(delta, R)
     r1 = psi.plateau_radius
     r2 = psi.support_radius
-    if not (r2 < w):
-        raise InvalidInputError("plateau support must sit inside the window")
+    if not (r2 < w < R):
+        raise InvalidInputError(
+            "plateau support must sit inside the window, and the window "
+            "inside the reach")
     budget = w / 16.0
 
     graph = local_graph_at(curve, base_arc, w)
@@ -206,21 +221,31 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max):
         raise GeometryError(
             f"patch center drifted {shift:.3e}, over the budget {budget:.3e}")
 
-    def measure(sigma, near):
-        # the plateau support plus one kernel radius, two rows to spare
-        inner = (int(math.ceil((r2 + sigma) / (sigma / _PATCH_TAPS))) + 2
-                 - _PATCH_TAPS)
-        return _grid_deviation(graph.value_and_slope, sigma, _PATCH_TAPS,
-                               -inner, inner, near, R)
-
-    start = min(as_positive_float(sigma_max, "sigma_max"), (w - r2) * (1.0 - 1e-9))
-    sigma, halvings, dev, (xs, d0, d1, kern, mid) = _halving_search(
-        measure, start, rho, start * 2.0 ** -_MAX_HALVINGS,
-        f"patch at arc {base_arc:.6f}")
+    # the graph of a reach-R curve over [-w, w]: sin of the slope angle
+    # at most w/R, curvature at most 1/R
+    cos2 = 1.0 - (w / R) ** 2
+    lip = max(w / R / math.sqrt(cos2), lip_graph)
+    lip_d = max(cos2 ** -1.5 / R, lip_slope)
+    sigma = min(as_positive_float(sigma_max, "sigma_max"),
+                (w - r2) * (1.0 - 1e-9),
+                _proven_radius(_PATCH_TAPS, rho * R, lip, lip_d, rho))
+    # the plateau support plus one kernel radius, two rows to spare
+    inner = int(math.ceil((r2 + sigma) / (sigma / _PATCH_TAPS))) + 2 - _PATCH_TAPS
+    if 2 * inner + 1 > _MAX_GRID:
+        raise ConvergenceError(
+            f"patch at arc {base_arc:.6f}: the radius {sigma:.3e} proven for "
+            f"rho {rho:.3e} resolves the support into more than {_MAX_GRID} "
+            "points")
+    dev, (xs, d0, d1, kern, mid) = _grid_deviation(
+        graph.value_and_slope, sigma, _PATCH_TAPS, -inner, inner, R)
+    if not dev <= rho:
+        raise ConvergenceError(
+            f"patch at arc {base_arc:.6f}: witness deviation {dev:.3e} over "
+            f"the budget {rho:.3e} at the proven radius {sigma:.3e}")
 
     record = PatchRecord(index=index, base_arc=float(base_arc),
                          applied=dev > 1e-13, sigma=sigma, deviation=dev,
-                         shift=shift, halvings=halvings, lip_graph=lip_graph,
+                         shift=shift, halvings=0, lip_graph=lip_graph,
                          lip_slope=lip_slope)
     if not record.applied:
         return curve, None, record

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from reachsmooth import kernels
 from reachsmooth.smoothing import smooth_manifold
 
 _ACCEPTANCE_LABELS = {
@@ -24,6 +25,20 @@ def stadium_run():
     result = smooth_manifold({"kind": "stadium", "r": 1.0, "l": 2.0}, 0.05)
     elapsed = time.perf_counter() - t0
     return SimpleNamespace(result=result, build_seconds=elapsed)
+
+
+@pytest.fixture
+def deviation_reads(monkeypatch):
+    """The radius of every ``kernels.sup_deviation_ck`` read, in order."""
+    radii = []
+    real = kernels.sup_deviation_ck
+
+    def spy(f, df, kernel, window, k):
+        radii.append(kernel.sigma)
+        return real(f, df, kernel, window, k)
+
+    monkeypatch.setattr(kernels, "sup_deviation_ck", spy)
+    return radii
 
 
 def pytest_terminal_summary(terminalreporter):

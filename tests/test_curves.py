@@ -522,7 +522,8 @@ def masked_oracle(curve, s):
         sel = (gap <= patch.arc_window) & (np.abs(y) < patch.transition_radius)
         pts[sel] += patch.displacement(y[sel])[:, None] * patch.normal
         dy = vel[sel, 0] * t[0] + vel[sel, 1] * t[1]
-        vel[sel] += (patch.displacement.slope(y[sel]) * dy)[:, None] * patch.normal
+        slope = patch.displacement.value_and_slope(y[sel])[1]
+        vel[sel] += (slope * dy)[:, None] * patch.normal
     return pts.reshape(s.shape + (2,)), vel.reshape(s.shape + (2,))
 
 

@@ -402,9 +402,11 @@ def test_sup_deviation_abs_oracle():
     k = BumpKernel(sigma)
     window = Interval(-0.5, 0.5)
     # the deviation grid i*sigma/50 holds the peak point 0 by
-    # construction, so the sup is not missed by the grid
-    dev, worst = sup_deviation_ck(np.abs, np.sign, k, window, k=0)
-    assert worst == 0.0
+    # construction, so the sup is not missed by the grid: there it is
+    # the tap rule's first moment, sum w_j |j sigma/50|, exactly
+    dev = sup_deviation_ck(np.abs, np.sign, k, window, k=0)
+    _, w = kernels._aligned_taps(sigma, sigma / 50)
+    assert dev == w @ np.abs(np.arange(-50, 51) * (sigma / 50))
     assert dev == pytest.approx(C1_ABS_MOMENT * sigma, rel=1e-3)
 
 
@@ -412,7 +414,7 @@ def test_sup_deviation_affine_is_zero():
     k = BumpKernel(0.2)
     f = lambda x: 3.0 * np.asarray(x) + 0.5
     df = lambda x: np.full_like(np.asarray(x, dtype=float), 3.0)
-    dev, _ = sup_deviation_ck(f, df, k, Interval(-1.0, 1.0), k=1)
+    dev = sup_deviation_ck(f, df, k, Interval(-1.0, 1.0), k=1)
     assert dev <= 1e-12
 
 
@@ -433,10 +435,11 @@ def test_sup_deviation_rejects_window_without_grid_point():
     k = BumpKernel(0.2)
     with pytest.raises(InvalidInputError, match="holds no grid point"):
         sup_deviation_ck(np.abs, np.sign, k, Interval(0.0041, 0.0079), k=1)
-    # one grid point is enough
-    dev, worst = sup_deviation_ck(np.abs, np.sign, k, Interval(0.0039, 0.0079),
-                                  k=1)
-    assert worst == pytest.approx(0.004, rel=1e-12)
+    # one grid point is enough: 0.004, one tap right of the slope jump
+    # at 0, where the slope reads sign(0) = 0 and -1 past it
+    dev = sup_deviation_ck(np.abs, np.sign, k, Interval(0.0039, 0.0079), k=1)
+    _, w = kernels._aligned_taps(0.2, 0.004)
+    assert dev == pytest.approx(w[51] + 2.0 * w[52:].sum(), rel=1e-12)
 
 
 @pytest.mark.parametrize("k, arrays", [(0, 3), (1, 5)])
@@ -483,7 +486,7 @@ def _grid_indices(sigma, window):
 def _plain_whole_grid(f, df, sigma, window, k):
     first, last = _grid_indices(sigma, window)
     return kernels._grid_deviation(_grid_read(f, df, k), sigma, 50, first,
-                                   last, None, 1.0)
+                                   last, 1.0)
 
 
 def _block_start(sigma, window, b):
@@ -520,13 +523,8 @@ _SETTLE_IDS = [f"{name}-k{k}-sigma={sigma:g}"
 @pytest.mark.parametrize("sigma, k, name, f, df", _SETTLE_CASES,
                          ids=_SETTLE_IDS)
 def test_settled_whole_grid_matches_one_plain_read(sigma, k, name, f, df):
-    dev, payload, worst = kernels._window_deviation(f, df, sigma,
-                                                    _SETTLE_WINDOW, k, None)
-    want, _, want_worst = _plain_whole_grid(f, df, sigma, _SETTLE_WINDOW, k)
-    assert payload is None
-    assert (dev, worst) == (want, want_worst)
-    assert sup_deviation_ck(f, df, BumpKernel(sigma), _SETTLE_WINDOW, k=k) == \
-        (want, want_worst)
+    want, _ = _plain_whole_grid(f, df, sigma, _SETTLE_WINDOW, k)
+    assert sup_deviation_ck(f, df, BumpKernel(sigma), _SETTLE_WINDOW, k=k) == want
 
 
 @pytest.mark.parametrize("sigma, k, name, f, df", _SETTLE_CASES,
@@ -535,8 +533,7 @@ def test_block_bounds_hold_every_block_maximum(sigma, k, name, f, df):
     # each block's bound is at least the largest |f* - f| (and |f*' -
     # f'|) the plain read computes over that block's outputs
     first, last = _grid_indices(sigma, _SETTLE_WINDOW)
-    _, (xs, d0, d1, _, _), _ = _plain_whole_grid(f, df, sigma,
-                                                 _SETTLE_WINDOW, k)
+    _, (xs, d0, d1, _, _) = _plain_whole_grid(f, df, sigma, _SETTLE_WINDOW, k)
     m, w = kernels._aligned_taps(sigma, sigma / 50)
     n = last - first + 1
     starts = np.arange(0, n, kernels._BLOCK)
@@ -557,8 +554,8 @@ def _spy_blocks(monkeypatch):
     calls = []
     real = kernels._grid_deviation
 
-    def spy(read, sigma, taps, first, last, near, scale):
-        out = real(read, sigma, taps, first, last, near, scale)
+    def spy(read, sigma, taps, first, last, scale):
+        out = real(read, sigma, taps, first, last, scale)
         calls.append((first, last, out[0]))
         return out
 
@@ -573,14 +570,13 @@ def test_high_frequency_read_settles_no_block(monkeypatch):
     f, df = lambda x: np.sin(1e3 * x), lambda x: 1e3 * np.cos(1e3 * x)
     want = _plain_whole_grid(f, df, sigma, _SETTLE_WINDOW, 1)
     calls = _spy_blocks(monkeypatch)
-    dev, _, worst = kernels._window_deviation(f, df, sigma, _SETTLE_WINDOW, 1,
-                                              None)
+    dev = sup_deviation_ck(f, df, BumpKernel(sigma), _SETTLE_WINDOW, k=1)
     first, last = _grid_indices(sigma, _SETTLE_WINDOW)
     assert len(calls) == -(-(last - first + 1) // kernels._BLOCK) == 26
     assert sorted((a, b) for a, b, _ in calls) == [
         (lo, min(lo + kernels._BLOCK - 1, last))
         for lo in range(first, last + 1, kernels._BLOCK)]
-    assert (dev, worst) == (want[0], want[2])
+    assert dev == want[0]
 
 
 def test_window_under_one_block_is_one_read(monkeypatch):
@@ -589,12 +585,12 @@ def test_window_under_one_block_is_one_read(monkeypatch):
     f, df = (lambda x: np.abs(x - 0.0031)), (lambda x: np.sign(x - 0.0031))
     want = _plain_whole_grid(f, df, sigma, window, 1)
     calls = _spy_blocks(monkeypatch)
-    dev, _, worst = kernels._window_deviation(f, df, sigma, window, 1, None)
+    dev = sup_deviation_ck(f, df, BumpKernel(sigma), window, k=1)
     assert [(a, b) for a, b, _ in calls] == [_grid_indices(sigma, window)]
-    assert (dev, worst) == (want[0], want[2])
+    assert dev == want[0]
 
 
-def test_equal_peaks_in_two_blocks_keep_the_lower_grid_point(monkeypatch):
+def test_equal_peaks_in_two_blocks_read_the_plain_deviation(monkeypatch):
     # valleys at grid indices a and b, in blocks 2 and 5 at the same
     # offset, flat at 1000 steps: written in the grid index, so the
     # samples around a and b, hence their peaks, are equal bit for bit,
@@ -608,42 +604,48 @@ def test_equal_peaks_in_two_blocks_keep_the_lower_grid_point(monkeypatch):
         i = np.rint(np.asarray(x) / h)
         return h * np.minimum(np.minimum(np.abs(i - a), np.abs(i - b)), 1000)
 
-    dev, _, worst = _plain_whole_grid(f, None, sigma, _SETTLE_WINDOW, 0)
-    assert worst == a * h
+    dev, _ = _plain_whole_grid(f, None, sigma, _SETTLE_WINDOW, 0)
     real_bounds = kernels._block_bounds
 
     # valid bounds still, but higher for later blocks: block 5 is
-    # measured before block 2, whose equal peak must then win
+    # measured before block 2
     def later_first(v, w, n):
         bounds = real_bounds(v, w, n)
         return bounds * (1.0 + 1e-3 * np.arange(bounds.size))
 
-    for bounds in (real_bounds, later_first):
+    for bounds, order in ((real_bounds, [a, b]), (later_first, [b, a])):
         monkeypatch.setattr(kernels, "_block_bounds", bounds)
         calls = _spy_blocks(monkeypatch)
-        got = kernels._window_deviation(f, None, sigma, _SETTLE_WINDOW, 0, None)
-        assert (got[0], got[2]) == (dev, worst)
-        peaks = [d for lo, _, d in calls if lo in (a - 100, b - 100)]
-        assert len(peaks) == 2 and peaks[0] == peaks[1] == dev
+        got = sup_deviation_ck(f, None, BumpKernel(sigma), _SETTLE_WINDOW, k=0)
+        assert got == dev
+        # the peaks' blocks come first, in the order of their bounds, and
+        # read the same deviation bit for bit
+        assert [(lo, d) for lo, _, d in calls[:2]] == [(i - 100, dev)
+                                                       for i in order]
         monkeypatch.undo()
-    assert [lo for lo, _, _ in calls][:2] == [b - 100, a - 100]
 
 
-def test_non_finite_read_measures_every_block():
-    # a NaN leaves no bound: the answer is np.argmax's, the first NaN
+def test_non_finite_read_measures_every_block(monkeypatch):
+    # a NaN leaves no bound, so no block is settled: blocks are measured
+    # in grid order up to the first that reads NaN, the answer of one
+    # whole-grid maximum
     sigma = 2.0 ** -10
     f = lambda x: np.where(x > 0.5, np.nan, np.abs(x))
-    dev, _, worst = kernels._window_deviation(f, None, sigma, _SETTLE_WINDOW,
-                                              0, None)
-    want, _, want_worst = _plain_whole_grid(f, None, sigma, _SETTLE_WINDOW, 0)
+    want, _ = _plain_whole_grid(f, None, sigma, _SETTLE_WINDOW, 0)
+    calls = _spy_blocks(monkeypatch)
+    dev = sup_deviation_ck(f, None, BumpKernel(sigma), _SETTLE_WINDOW, k=0)
     assert math.isnan(dev) and math.isnan(want)
-    assert worst == want_worst
+    first, last = _grid_indices(sigma, _SETTLE_WINDOW)
+    nan_block = (math.floor(0.5 / (sigma / 50)) + 1 - first) // kernels._BLOCK
+    assert [lo for lo, _, _ in calls] == list(
+        range(first, first + (nan_block + 1) * kernels._BLOCK, kernels._BLOCK))
+    assert math.isnan(calls[-1][2])
 
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_whole_grid_corner_read_convolves_under_two_percent(monkeypatch, k):
-    # the blend suite's deepest corner read: 819,201 window points at
-    # sigma = 0.25/1024; only the blocks around the kink are convolved
+    # a corner read of 819,201 window points at sigma = 0.25/1024; only
+    # the blocks around the kink are convolved
     sigma = 0.25 / 1024
     window = Interval(-2.0, 2.0)
     f = lambda x: np.abs(np.asarray(x) - 0.1372)
@@ -651,69 +653,117 @@ def test_whole_grid_corner_read_convolves_under_two_percent(monkeypatch, k):
     first, last = _grid_indices(sigma, window)
     assert last - first + 1 == 819_201
     calls = _spy_blocks(monkeypatch)
-    dev, worst = sup_deviation_ck(f, df, BumpKernel(sigma), window, k=k)
+    dev = sup_deviation_ck(f, df, BumpKernel(sigma), window, k=k)
     convolved = sum(b - a + 1 for a, b, _ in calls)
     assert 0 < convolved <= 0.02 * 819_201
     monkeypatch.undo()
-    want = _plain_whole_grid(f, df, sigma, window, k)
-    assert (dev, worst) == (want[0], want[2])
+    assert dev == _plain_whole_grid(f, df, sigma, window, k)[0]
 
 
-def test_find_support_radius_affine_returns_start():
+def test_tap_moments_against_the_bump():
+    # the rule's moments against the continuous bump's (scipy quad): the
+    # second moment's integrand is smooth, so the rule has it to 5e-6 at
+    # 16 taps and 2e-8 at 50; |u| has a kink at 0, so the first moment
+    # falls short of the integral by 0.4125/taps^2 of it
+    bump = lambda u: math.exp(-1.0 / (1.0 - u * u))
+    mass = quad(bump, -1.0, 1.0, points=[0.0], limit=200)[0]
+    c1 = 2.0 * quad(lambda u: u * bump(u), 0.0, 1.0, limit=200)[0] / mass
+    c2 = 2.0 * quad(lambda u: u * u * bump(u), 0.0, 1.0, limit=200)[0] / mass
+    assert (c1, c2) == pytest.approx((C1_ABS_MOMENT, M2_SECOND_MOMENT),
+                                     rel=1e-12)
+    for taps, m1, m2, m2_rel in ((16, 0.33392, 0.15811, 5e-6),
+                                 (50, 0.33440, 0.15811, 2e-8)):
+        got = kernels._tap_moments(taps)
+        assert got == pytest.approx((m1, m2), abs=5e-6)
+        assert (1.0 - got[0] / c1) * taps ** 2 == pytest.approx(0.4125, rel=1e-2)
+        assert got[1] == pytest.approx(c2, rel=m2_rel)
+        # the moments of the taps a radius actually gets, to the margin
+        for sigma in (1.2888e-4, 0.3, 7.0):
+            _, w = kernels._aligned_taps(sigma, sigma / taps)
+            u = np.abs(np.arange(w.size) - w.size // 2) * (1.0 / taps)
+            assert (w @ u, w @ (u * u)) == pytest.approx(
+                got, rel=kernels._PROOF_MARGIN)
+
+
+def test_proven_radius_takes_the_binding_bound():
+    m1, m2 = kernels._tap_moments(50)
+    keep = 1.0 - kernels._PROOF_MARGIN
+    radius = kernels._proven_radius
+    # value only: the larger of the Lipschitz and the second-moment radius
+    assert radius(50, 1e-3, 1.0, math.inf, None) == 1e-3 / m1 * keep
+    assert radius(50, 1e-3, 1.0, 2.0, None) == math.sqrt(1e-3 / m2) * keep
+    # the slope budget binds below both
+    assert radius(50, 1e-3, 1.0, 2.0, 1e-3) == 1e-3 / (2.0 * m1) * keep
+    # zero constants prove every radius
+    assert radius(50, 1e-3, 3.0, 0.0, 1e-3) == math.inf
+
+
+def test_find_support_radius_affine_returns_start(deviation_reads):
     f = lambda x: 2.0 * np.asarray(x) - 1.0
     df = lambda x: np.full_like(np.asarray(x, dtype=float), 2.0)
     window = Interval(-1.0, 1.0)
     domain = Interval(-2.0, 2.0)
     sigma, dev = find_support_radius(f, df, window, domain, 1e-9, k=1,
-                                     sigma_max=1.0)
-    # affine input passes at the first candidate: the full room (the cap
-    # is the room itself, and the start sits just under it)
+                                     sigma_max=1.0, lip=2.0, lip_d=0.0)
+    # an affine input proves every radius, so the room binds (the cap is
+    # the room itself, and the radius sits just under it), read once
     assert sigma == pytest.approx(1.0, rel=1e-9)
     assert dev <= 1e-9
+    assert deviation_reads == [sigma]
 
 
-def test_find_support_radius_abs_bracket():
+def test_find_support_radius_abs_bracket(deviation_reads):
+    # on |x| the first-moment bound is attained at the kink, a grid
+    # point: the witness is the target to within the proof's margin
     target = 0.01
     window = Interval(-0.5, 0.5)
     domain = Interval(-2.0, 2.0)
     sigma, dev = find_support_radius(np.abs, np.sign, window, domain, target,
-                                     k=0, sigma_max=1.5)
-    k = BumpKernel(sigma)
-    # the returned deviation is the measurement of the passing radius
-    assert dev == sup_deviation_ck(np.abs, np.sign, k, window, k=0)[0]
+                                     k=0, sigma_max=1.5, lip=1.0,
+                                     lip_d=math.inf)
+    m1, _ = kernels._tap_moments(50)
+    assert sigma == target / m1 * (1.0 - kernels._PROOF_MARGIN)
+    assert deviation_reads == [sigma]
+    assert dev == sup_deviation_ck(np.abs, np.sign, BumpKernel(sigma), window,
+                                   k=0)
     assert dev <= target
-    # halving search: one doubling back would overshoot the budget
-    assert C1_ABS_MOMENT * (2.0 * sigma) > target * 0.99
+    assert dev == pytest.approx(sigma * m1, rel=kernels._PROOF_MARGIN)
 
 
-def test_find_support_radius_slope_jump_cannot_converge(monkeypatch):
-    # a slope jump keeps the order-1 deviation at half the jump forever;
-    # radii halve exactly, and the search gives up at the last radius
-    # whose grid still fits the cap: half of it would be refused as too
-    # fine.  Every read, full or probe, goes through the module's
-    # _grid_deviation (sup_deviation_ck reads the whole grid with it):
-    # the start is measured in full, and every later radius is settled
-    # by a probe at the jump, so the error gives a lower bound
-    reads = []
-    real = kernels._grid_deviation
-
-    def spy(read, sigma, taps, first, last, near, scale):
-        reads.append((sigma, near is None))
-        return real(read, sigma, taps, first, last, near, scale)
-
-    monkeypatch.setattr(kernels, "_grid_deviation", spy)
+def test_find_support_radius_slope_jump_cannot_converge(deviation_reads):
+    # a slope jump keeps the order-1 deviation at half the jump at every
+    # radius, which lip_d = inf says: refused before any read
     window = Interval(-0.5, 0.5)
     domain = Interval(-2.0, 2.0)
-    with pytest.raises(ConvergenceError, match="deviation at least 9.669e-01"):
+    with pytest.raises(InvalidInputError, match="slope jump"):
         find_support_radius(np.abs, np.sign, window, domain, 0.01, k=1,
-                            sigma_max=1.5)
-    radii = [r for r, _ in reads]
-    assert len(radii) == 17  # 1.5 * 2^-16 fits 4e6 points, 2^-17 does not
-    assert all(b == 0.5 * a for a, b in zip(radii, radii[1:]))
-    assert [full for _, full in reads] == [True] + [False] * 16
-    with pytest.raises(InvalidInputError, match="too many points"):
-        sup_deviation_ck(np.abs, np.sign, BumpKernel(0.5 * radii[-1]), window,
-                         k=1)
+                            sigma_max=1.5, lip=1.0, lip_d=math.inf)
+    assert deviation_reads == []
+
+
+def test_find_support_radius_too_fine_raises_before_any_read(deviation_reads):
+    # 1e-7/m1 = 3e-7 resolves the window into 1.7e8 points at sigma/50
+    with pytest.raises(ConvergenceError, match="more than 4000000 points"):
+        find_support_radius(np.abs, np.sign, Interval(-0.5, 0.5),
+                            Interval(-2.0, 2.0), 1e-7, k=0, sigma_max=1.5,
+                            lip=1.0, lip_d=math.inf)
+    assert deviation_reads == []
+
+
+def test_find_support_radius_witness_over_target_raises():
+    # f' = |x| has slope constant 1, attained at its kink 0, a grid
+    # point: with lip_d = 0.5 the radius doubles, unproven, and its
+    # witness reads twice the target and raises
+    f = lambda x: 0.5 * np.asarray(x) * np.abs(x)
+    df = lambda x: np.abs(np.asarray(x))
+    args = (f, df, Interval(-0.5, 0.5), Interval(-2.0, 2.0), 1e-3)
+    with pytest.raises(ConvergenceError, match="witness deviation 2.000e-03"):
+        find_support_radius(*args, k=1, sigma_max=1.5, lip=2.5, lip_d=0.5)
+    # the true constant passes, with the witness at the bound
+    sigma, dev = find_support_radius(*args, k=1, sigma_max=1.5, lip=2.5,
+                                     lip_d=1.0)
+    assert dev == pytest.approx(1e-3, rel=2.0 * kernels._PROOF_MARGIN)
+    assert dev <= 1e-3
 
 
 def test_find_support_radius_needs_room():
@@ -721,7 +771,7 @@ def test_find_support_radius_needs_room():
     domain = Interval(-1.0, 2.0)
     with pytest.raises(InvalidInputError):
         find_support_radius(np.abs, np.sign, window, domain, 0.1, k=0,
-                            sigma_max=1.0)
+                            sigma_max=1.0, lip=1.0, lip_d=math.inf)
 
 
 @settings(max_examples=30, deadline=None)

@@ -2,14 +2,15 @@
 
 The paper's smoothing works for arbitrarily small epsilon, so the
 ladder runs the stadium at epsilon = 5e-3, 5e-4, 5e-5 and 5e-6 and pins
-each property per rung: every ``main`` and patch row passes, and each
-patch's displacement table, read at 7 points inside every knot cell,
-keeps its slope within rho and its value within rho R.  The pairs that
+each property per rung: every ``main`` and patch row passes, each
+patch's witness (the deviation read at its proven radius) stays within
+rho, and each patch's displacement table, read at 7 points inside
+every knot cell, keeps its slope within rho and its value within rho R.  The pairs that
 fail today are strict xfails with their reasons, so a fix shows up as
 an unexpected pass.
 
 A rung's run is built once, reduced to its rows and table maxima and
-dropped before its tests run: the 5e-6 run peaks near 400 MB.
+dropped before its tests run: the 5e-6 run peaks near 480 MB.
 """
 
 import numpy as np
@@ -24,6 +25,7 @@ ROWS = ("c1_distance", "center_shift", "far_point_distance",
         "reach_drop", "reach_drop_strict", "smooth_probe",
         "smooth_probe_junction", "tangent_angle", "tangent_distance")
 TABLE = ("table_slope", "table_value")
+RECORDS = ("witness",)
 # interior read points of a knot cell, as fractions of its width
 _CELL_READS = np.arange(1, 8) / 8.0
 # knot cells read at once
@@ -54,7 +56,7 @@ _KNOWN = {
 
 def _cases():
     for eps in LADDER:
-        for prop in ROWS + TABLE:
+        for prop in ROWS + TABLE + RECORDS:
             reason = _KNOWN.get((eps, prop))
             marks = () if reason is None else pytest.mark.xfail(
                 strict=True, raises=AssertionError, reason=reason)
@@ -88,6 +90,9 @@ def rung(request):
         slope, value = _table_maxima(p)
         found.setdefault("table_slope", []).append((slope <= 1.0, (p.index, slope)))
         found.setdefault("table_value", []).append((value <= 1.0, (p.index, value)))
+    rho = result.report.rho
+    found["witness"] = [(r.deviation <= rho, (r.index, r.deviation / rho))
+                        for r in result.records]
     return found
 
 

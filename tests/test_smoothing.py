@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachsmooth import kernels, smoothing
-from reachsmooth.checks import (_patch_rows, _searched_blend,
-                                check_main_theorem, random_c11)
+from reachsmooth.checks import (_junction_pair_rows, _patch_rows,
+                                _proven_blend, check_main_theorem, random_c11)
 from reachsmooth.curves import (AppliedPatch, ArcChainShape, ClosedCurve,
                                 make_shape, sample_manifold, stadium_segments)
 from reachsmooth.errors import (ConvergenceError, GeometryError,
@@ -141,16 +141,46 @@ def test_full_net_reference_keeps_the_theorem(stadium_run):
     theorem = [r for r in rows if r.name != "junction_pair_ratio"]
     assert len(theorem) == 4 + rep.patches_applied + 2 * 4
     assert all(r.passed for r in theorem), [r for r in theorem if not r.passed]
-    # positive control of the micro pair scan: the reference's
-    # cubic-Hermite tabulations keep most of a curvature jump where no
-    # knot falls on a junction, and the scan reads 0.895 at arc 7.1416,
-    # below R - epsilon; the junction patches of the pipeline pass it
+    # the reference's windows overlap, so its radii rest on the measured
+    # constants, and each witness holds the budget
+    assert all(0.0 <= r.deviation <= rep.rho and r.halvings == 0
+               for r in run.records)
+    # one micro pair scan a junction; whether a reference row passes
+    # depends on where its tables' knots fall (the positive control is
+    # test_junction_pair_scan_reads_a_bend_at_a_junction)
     pairs = [r for r in rows if r.name == "junction_pair_ratio"]
-    assert [r.instance for r in pairs if not r.passed] == ["junction-arc=7.141593"]
-    shipped = [r for r in check_main_theorem(stadium_run.result)
-               if r.name == "junction_pair_ratio"]
-    assert len(shipped) == len(pairs) == 4 and all(r.passed for r in shipped)
-    assert min(r.measured for r in shipped) > min(r.measured for r in pairs)
+    assert len(pairs) == 4
+
+
+def test_junction_pair_scan_reads_a_bend_at_a_junction(stadium_run):
+    # positive control of the micro pair scan: a hand-built patch whose
+    # table lifts the raw stadium by a cubic bump of height h = 1e-4 over
+    # +-a, a = 0.01, centered on a junction, bends it there with
+    # curvature 6 h/a^2 = 6, and the scan reads below R - epsilon; the
+    # raw stadium and the pipeline's junction patches pass it
+    result = stadium_run.result
+    rep = result.report
+    sigma = min(rep.sigma_per_patch)
+    raw = ClosedCurve(result.curve.shape)
+    arc = raw.shape.junction_arcs()[0]
+    center, vel = raw.point_and_velocity(arc)
+    t = vel / np.linalg.norm(vel)
+    a, h = 0.01, 1e-4
+    bump = HermiteTable(np.array([-a, 0.0, a]), np.array([0.0, h, 0.0]),
+                        np.zeros(3))
+    bent = raw.with_patch(AppliedPatch(
+        index=0, base_arc=arc, center=center, tangent=t,
+        normal=np.array([-t[1], t[0]]), inner_radius=0.5 * a,
+        transition_radius=a, sigma=sigma, rho_target=rep.rho,
+        lip_graph=0.0, lip_slope=6.0 * h / a ** 2, reach=rep.R_input,
+        displacement=bump, blend=None))
+    bound = rep.R_input - rep.epsilon
+    rows = {name: _junction_pair_rows(curve, [arc], sigma, bound, 0)[0]
+            for name, curve in (("bent", bent), ("raw", raw),
+                                ("shipped", result.curve))}
+    assert not rows["bent"].passed
+    assert rows["bent"].measured < 0.25 < bound
+    assert rows["raw"].passed and rows["shipped"].passed
 
 
 # ----------------------------------------------------------------- blends
@@ -166,13 +196,14 @@ def test_blend_of_affine_is_affine():
     psi = make_reference_plateau()
     f = lambda x: 0.7 * np.asarray(x, dtype=float) - 0.2
     df = lambda x: np.full_like(np.asarray(x, dtype=float), 0.7)
-    blend = _searched_blend(f, df, psi, 0.05, Interval(-4, 4), 1, sigma_max=0.3)
-    # an affine input passes at the first radius, the cap, with no
-    # deviation, and the blend keeps the search's lattice sigma/50
+    blend = _proven_blend(f, df, psi, 0.05, Interval(-4, 4), 1,
+                          sigma_max=0.3, lip=0.7, lip_d=0.0)
+    # an affine input proves every radius, so it gets the cap, with no
+    # deviation, and the blend keeps the witness's lattice sigma/50
     assert blend.kernel.sigma == 0.3 and blend.taps == kernels._GRID_PER_SIGMA
     window = Interval(-psi.support_radius, psi.support_radius)
     sigma, dev = find_support_radius(f, df, window, Interval(-4, 4), 0.05,
-                                     k=1, sigma_max=0.3)
+                                     k=1, sigma_max=0.3, lip=0.7, lip_d=0.0)
     assert sigma == 0.3 and dev <= 1e-12
     k, step = _lattice_indices(blend, -3.5, 3.5)
     k = k[::7]
@@ -184,7 +215,8 @@ def test_blend_exact_outside_support():
     psi = make_reference_plateau()
     rng = np.random.default_rng(3)
     f, df, L, Ld = random_c11(rng, Interval(-4, 4), 6, 2.0)
-    blend = _searched_blend(f, df, psi, 0.05, Interval(-4, 4), 1, sigma_max=0.25)
+    blend = _proven_blend(f, df, psi, 0.05, Interval(-4, 4), 1,
+                          sigma_max=0.25, lip=L, lip_d=Ld)
     step = blend.kernel.sigma / blend.taps
     k = np.rint(np.array([-3.5, -2.0, 2.0, 3.1]) / step).astype(np.int64)
     assert np.array_equal(blend.value(k, 1), np.asarray(f(k * step), dtype=float))
@@ -195,7 +227,8 @@ def test_blend_stays_inside_budget():
     rng = np.random.default_rng(11)
     f, df, L, Ld = random_c11(rng, Interval(-4, 4), 8, 2.0)
     rho = 0.05
-    blend = _searched_blend(f, df, psi, rho, Interval(-4, 4), 1, sigma_max=0.25)
+    blend = _proven_blend(f, df, psi, rho, Interval(-4, 4), 1,
+                          sigma_max=0.25, lip=L, lip_d=Ld)
     k, step = _lattice_indices(blend, -2.5, 2.5)
     ys = k * step
     assert ys.size >= 401
@@ -208,7 +241,8 @@ def test_blend_combined_pass_is_bit_identical():
     psi = make_reference_plateau()
     rng = np.random.default_rng(29)
     f, df, L, Ld = random_c11(rng, Interval(-4, 4), 6, 2.0)
-    blend = _searched_blend(f, df, psi, 0.05, Interval(-4, 4), 1, sigma_max=0.25)
+    blend = _proven_blend(f, df, psi, 0.05, Interval(-4, 4), 1,
+                          sigma_max=0.25, lip=L, lip_d=Ld)
     k, _ = _lattice_indices(blend, -2.2, 2.2)
     val, der, fv, dfv = blend.value_and_derivative(k, 1)
     assert np.array_equal(val, blend.value(k, 1))
@@ -242,7 +276,7 @@ def test_patch_applies_on_circle():
     tr = patch.transition_radius
     assert patch.displacement(tr) == 0.0
     assert patch.displacement(-tr) == 0.0
-    assert patch.displacement.slope(tr) == 0.0
+    assert patch.displacement.value_and_slope(tr)[1] == 0.0
     # the curve actually moved at the center
     assert np.linalg.norm(new.point(0.5) - curve.point(0.5)) > 1e-10
 
@@ -284,23 +318,37 @@ def test_patch_shift_budget_enforced():
 
 
 def test_patch_deviation_budget_can_fail(monkeypatch):
-    # every attempt convolves values and slopes once: three attempts
-    # (start, start/2, start/4) with two halvings allowed, then the
-    # search stops
-    radii = []
+    # rho = 1e-16 proves a radius near 3e-16, which would resolve the
+    # plateau support into about 1e16 grid points: refused before any
+    # read of the graph or any convolution
+    convolved = []
     real = kernels.convolve_grid
 
     def spy(values, kernel, step):
-        radii.append(kernel.sigma)
+        convolved.append(kernel.sigma)
         return real(values, kernel, step)
 
     monkeypatch.setattr(kernels, "convolve_grid", spy)
-    monkeypatch.setattr(smoothing, "_MAX_HALVINGS", 2)
     params = {**patch_params(), "rho": 1e-16}
-    with pytest.raises(ConvergenceError, match="after 2 halvings"):
+    with pytest.raises(ConvergenceError, match="more than 4000000 points"):
         smooth_patch(circle(), 0.0, **params)
-    start = params["sigma_max"]
-    assert radii == [start, start, start / 2, start / 2, start / 4, start / 4]
+    assert convolved == []
+
+
+def test_patch_witness_over_budget_raises(monkeypatch):
+    # a wrong proof: at a line-arc junction the witness reads half the
+    # slope bound, so a radius 2.5 times the proven one reads 1.2 rho,
+    # and the patch raises instead of trying another radius
+    real = smoothing._proven_radius
+    monkeypatch.setattr(smoothing, "_proven_radius",
+                        lambda *args: 2.5 * real(*args))
+    curve = ClosedCurve(make_shape({"kind": "stadium", "r": 1.0, "l": 2.0}))
+    params = {**patch_params(), "rho": 1e-4}
+    with pytest.raises(ConvergenceError, match="witness deviation 1.2"):
+        smooth_patch(curve, curve.shape.junction_arcs()[0], **params)
+    monkeypatch.undo()
+    _, _, rec = smooth_patch(curve, curve.shape.junction_arcs()[0], **params)
+    assert 0.45e-4 < rec.deviation <= 1e-4 and rec.halvings == 0
 
 
 def test_patch_needs_plateau_inside_window():
@@ -459,12 +507,14 @@ def rotated_stadium_spec(angle, r=1.0, l=2.0, shift=0.0):
 
 def _same_run(rep, ref):
     """Two runs of one curve in different coordinates or parametrizations:
-    the same patch decisions, the certificate equal to float accuracy."""
+    the same patch decisions, the certificate equal to float accuracy.
+    A proven radius is a continuous function of R, so it follows R's
+    last-ulp rounding."""
     assert rep.R_input - rep.R_hat_measured <= rep.epsilon
     assert rep.c1_distance <= rep.epsilon
     assert rep.net_size == ref.net_size
     assert rep.patches_applied == ref.patches_applied
-    assert rep.sigma_per_patch == ref.sigma_per_patch
+    assert rep.sigma_per_patch == pytest.approx(ref.sigma_per_patch, rel=1e-12)
     assert rep.R_hat_measured == pytest.approx(ref.R_hat_measured, rel=1e-9)
     assert rep.c1_distance == pytest.approx(ref.c1_distance, rel=1e-9)
 
