@@ -26,8 +26,10 @@ own pass threshold.
 
 Checking costs what the checks need and no more: the grid of the patch
 arrays and the taps of its blend sit on one lattice, so the arrays cost
-one Newton solve, value and slope together, of the lattice points the
-blend reads, each once; the far-point check bounds the core rows
+Newton solves, value and slope together, of the lattice points the
+blend reads, in reads of at most ``kernels._READ_POINTS`` points (one
+for a catalog patch at epsilon 0.05); the far-point check bounds the
+core rows
 against each far sample by their tangent-ball centers and compares pair
 by pair only the blocks of rows and the samples that can hold the
 maximum; and each of the theorem's smoothness probes opens one window
@@ -361,9 +363,10 @@ def patch_graph_arrays(patch):
     h (a stadium patch at epsilon 0.05 reads every 9th point, 1091 of
     them).  A proven radius is no power-of-two fraction of the window,
     so the grid step is no longer 2 r2/1024 exactly.  The blend reads
-    its graph once, on the lattice points of the grid and the taps it
-    needs, and that read also gives the graph's values on the grid
-    (``BlendedMap.value_and_derivative``).
+    its graph on the lattice points of the grid and the taps it needs,
+    in reads of at most ``kernels._READ_POINTS`` points (one at epsilon
+    0.05, 9 843 points on the stadium), and those reads also give the
+    graph's values on the grid (``BlendedMap.value_and_derivative``).
     """
     b = patch.blend
     r2 = patch.transition_radius

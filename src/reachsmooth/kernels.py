@@ -9,9 +9,16 @@ convolving sampled values can never increase a Lipschitz constant,
 which is exactly the property the verification suite stresses.  Every
 convolution reads its function on that lattice: ``convolve_grid``
 convolves a contiguous run of samples, and ``_lattice_convolve`` reads
-the taps of chosen lattice indices, in one read, and takes each index's
-taps as a row of a strided view of that read (the live blends of
-``smoothing.BlendedMap`` and the convolution checker).
+the taps of chosen lattice indices and takes each index's taps as a row
+of a strided view of a read (the live blends of ``smoothing.BlendedMap``
+and the convolution checker).
+
+A function is read pointwise: a point's value may not depend on the rest
+of its batch.  So no read takes more than ``_READ_POINTS`` points and no
+block of tap sums more than that many taps: a longer grid or lattice is
+read a span or a group at a time, and every array of a read stays under
+glibc's 128 KiB ``mmap`` threshold, served from the heap rather than
+mapped and page-faulted in afresh on every call.
 
 Derivatives of a convolution are convolutions of the slope: every
 caller knows the slope of what it smooths, so the slope is convolved
@@ -30,15 +37,16 @@ of the rule (``_tap_moments``) every point y has
 L bounding |f'| and L_d the Lipschitz constant of f' over [y - sigma,
 y + sigma] (the first moment sum w_j u_j vanishes).  A caller takes the
 largest radius these bounds allow for its budgets, shrunk by
-``_PROOF_MARGIN``, and reads its grid once at that radius
-(``_grid_deviation``, the grid i*sigma/taps): the read is a witness, and
-one over the budget raises, because the proof or its margin is wrong.
-``find_support_radius`` reads through ``sup_deviation_ck`` at 50 taps,
-``smoothing.smooth_patch`` at 16.  A whole-grid read of
-``sup_deviation_ck`` reads the function once and convolves only the
-blocks of ``_BLOCK`` points whose second-difference bound reaches the
-largest deviation found so far (``_settled_deviation``); its answer is
-the one-pass measurement's, bit for bit.
+``_PROOF_MARGIN``, and measures its grid at that radius
+(``_grid_deviation``, the grid i*sigma/taps): the measurement is a
+witness, and one over the budget raises, because the proof or its margin
+is wrong.  ``find_support_radius`` measures through ``sup_deviation_ck``
+at 50 taps, ``smoothing.smooth_patch`` at 16.  ``sup_deviation_ck``
+reads the function a span of whole ``_BLOCK`` blocks at a time, bounds
+each block's deviation by its second differences, and reads again and
+convolves only the blocks whose bound reaches the largest deviation
+found so far (``_settled_deviation``); its answer is the one-pass
+measurement's, bit for bit.
 
 Tables and their Gauss-Legendre rules live in ``ppoly``.
 """
@@ -76,6 +84,15 @@ _PROOF_MARGIN = 1e-6
 # largest deviation found so far; _U is the unit roundoff
 _BLOCK = 4096
 _U = 2.0 ** -53
+# the most points one read of a whole-grid measurement or a lattice
+# convolution takes, and the most taps one block of its tap sums holds:
+# 100 KiB of float64, so no array of a read crosses glibc's 128 KiB
+# mmap threshold, to be mapped afresh and page-faulted in on every call,
+# with room below it: the temporaries a read holds at once can make the
+# allocator trim the heap and fault it in again between reads (the
+# zoo's C^{1,1} blends did so up to 155 times an operation at 16 000
+# points in some allocation patterns, never at 12 800)
+_READ_POINTS = 12_800
 
 
 @dataclass(frozen=True)
@@ -173,26 +190,104 @@ def _lattice_convolve(read, sigma, taps, k, q, hot):
     rule sit on every q-th of them: with ``(m, w) = _aligned_taps(sigma,
     h)`` the convolution at index i is sum_j w_j g((i - j q) h/q).
     ``read(xs)`` returns a tuple of arrays, one entry per point of
-    ``xs`` in each (a value and its slope, say), and is called once: on
-    the one index range that ``k`` and the taps of its hot indices span,
-    or on those taps and the cold indices alone, whichever is fewer
-    points.  So neighbouring tap windows that overlap are read once, and
-    windows far apart do not read the lattice between them.  The taps of
-    the hot indices are rows of a read-only strided view of each output
-    of ``read`` (a range read), or its reshape (windows read one after
-    another), taken as one ``(hot.sum(), 2m + 1)`` array and dotted with
-    ``w``.
+    ``xs`` in each (a value and its slope, say), and must be pointwise:
+    a point's entries may not depend on the rest of its batch.
+
+    ``k`` is read in groups (``_lattice_groups``), one ``read`` of at
+    most ``_READ_POINTS`` points a group: of the one index range that
+    the group and the taps of its hot indices span, or of those taps and
+    its cold indices alone, whichever is fewer points.  So neighbouring
+    tap windows that overlap are read once within a group, windows far
+    apart do not read the lattice between them, and a call whose read
+    fits ``_READ_POINTS`` reads once.  The taps of the hot indices are
+    rows of a read-only strided view of each output of ``read`` (a range
+    read), or of its reshape (windows read one after another), dotted
+    with ``w`` a block of at most ``_READ_POINTS`` taps at a time
+    (``_group_convolve``).
 
     Returns ``(outs, convs)``: each output of ``read`` at ``k``, and its
     convolution at ``k[hot]``.
     """
     k = np.asarray(k, dtype=np.int64)
+    hot = np.asarray(hot, dtype=bool)
     h = sigma / taps
     m, w = _aligned_taps(sigma, h)
+    parts = [_group_convolve(read, h, q, w, k[a:b], hot[a:b])
+             for a, b in _lattice_groups(k, hot, m * q, w.size)]
+    if len(parts) == 1:
+        return parts[0]
+    outs, convs = zip(*parts)
+    return (tuple(np.concatenate(v) for v in zip(*outs)),
+            tuple(np.concatenate(c) for c in zip(*convs)))
+
+
+def _lattice_groups(k, hot, reach, width):
+    """The slices ``(a, b)`` of ``k`` that ``_lattice_convolve`` reads
+    one at a time, in order (one empty slice when ``k`` is empty).
+
+    A slice's read holds the fewer points of its range (its hot indices
+    widened by ``reach``) and of its windows (``width`` a hot index, one
+    a cold one).  Each slice is the longest that ends on a multiple of
+    four hot indices, counted from the first, leaves no lone hot index
+    after it, and whose read holds at most ``_READ_POINTS`` points, its
+    range taken as wide as the hot indices before and after it reach
+    (exact for the whole of ``k``); so each slice's tap sums add as in
+    one ``(hot.sum(), width) @ w`` (``_group_convolve``).  A slice holds
+    at least four hot indices, or all that are left, so only the cold
+    indices among them can push its read past the limit; on no grid the
+    package reads do they.
+    """
+    n = k.size
+    if n == 0:
+        return [(0, 0)]
+    at = np.flatnonzero(hot)
+    lo, hi = k[0], k[-1]
+    if at.size:
+        lo, hi = min(lo, k[at[0]] - reach), max(hi, k[at[-1]] + reach)
+    if min(hi - lo + 1, n + (width - 1) * at.size) <= _READ_POINTS:
+        return [(0, n)]
+    reach = np.where(hot, reach, 0)
+    # the range of a slice (a, b) lies in [lows[a], highs[b - 1]]
+    highs = np.maximum.accumulate(k + reach)
+    lows = np.minimum.accumulate((k - reach)[::-1])[::-1]
+    # rows[i]: the hot indices before k[i]; windows[i]: their windows'
+    # points and the cold indices' before it
+    rows = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(hot, out=rows[1:])
+    windows = np.arange(n + 1) + (width - 1) * rows
+    ends = np.flatnonzero(((rows & 3) == 0) & (rows != at.size - 1)
+                          | (rows == at.size))
+    groups, a = [], 0
+    while a < n:
+        fit = max(np.searchsorted(highs, lows[a] + _READ_POINTS - 1,
+                                  side="right"),
+                  np.searchsorted(windows, windows[a] + _READ_POINTS,
+                                  side="right") - 1)
+        b = ends[np.searchsorted(ends, fit, side="right") - 1]
+        if b <= a:
+            b = ends[np.searchsorted(ends, a, side="right")]
+        groups.append((a, int(b)))
+        a = int(b)
+    return groups
+
+
+def _group_convolve(read, h, q, w, k, hot):
+    """One read of ``_lattice_convolve``: ``read``'s outputs at the
+    sorted indices ``k`` and their convolutions at ``k[hot]``.
+
+    The hot rows are dotted with ``w`` in blocks of a multiple of four
+    rows and at most ``_READ_POINTS`` taps, a lone last row joining the
+    block before it.  A group opens on a multiple of four hot indices of
+    the call, so each row's tap sum adds as in one ``(hot, 2m + 1) @ w``
+    over all of them on one thread: the BLAS matrix-vector product sums
+    the rows four at a time, and numpy hands a lone row to a dot
+    product.
+    """
+    m = w.size // 2
+    width = w.size
     khot, kcold = k[hot], k[~hot]
     # column c of a hot index's window holds the tap of weight w[c], at
     # offset (m - c) q
-    width = 2 * m + 1
     ends = np.concatenate([k[:1], k[-1:], khot[:1] - m * q, khot[-1:] + m * q])
     lo, hi = (ends.min(), ends.max()) if ends.size else (0, -1)
     n = khot.size * width
@@ -208,23 +303,31 @@ def _lattice_convolve(read, sigma, taps, k, q, hot):
         offsets = (m - np.arange(width)) * q
         np.add(khot[:, None], offsets, out=idx[:n].reshape(-1, width))
         idx[n:] = kcold
+    blocks = list(range(0, khot.size, _READ_POINTS // width // 4 * 4))
+    if khot.size > 1 and khot.size - blocks[-1] == 1:
+        blocks[-1] -= 4
+    blocks.append(khot.size)
+    idx *= h / q
     outs, convs = [], []
-    for v in read(idx * (h / q)):
+    for v in read(idx):
         v = np.asarray(v, dtype=float)
+        conv = np.empty(khot.size)
         if ranged:
             at_k = v[k - lo]
+            # a read with no hot index may be shorter than one window
             if khot.size:
-                windows = sliding_window_view(v, 2 * m * q + 1)[:, ::-q][rows]
-            else:
-                # a read with no hot index may be shorter than one window
-                windows = np.empty((0, width))
+                view = sliding_window_view(v, 2 * m * q + 1)[:, ::-q]
+                for r0, r1 in zip(blocks[:-1], blocks[1:]):
+                    conv[r0:r1] = view[rows[r0:r1]] @ w
         else:
             windows = v[:n].reshape(-1, width)
+            for r0, r1 in zip(blocks[:-1], blocks[1:]):
+                conv[r0:r1] = windows[r0:r1] @ w
             at_k = np.empty(k.size)
             at_k[hot] = windows[:, m]
             at_k[~hot] = v[n:]
         outs.append(at_k)
-        convs.append(windows @ w)
+        convs.append(conv)
     return tuple(outs), tuple(convs)
 
 
@@ -233,19 +336,22 @@ def sup_deviation_ck(f, df, kernel, window, k):
 
     Computes max over the window of |smoothed - original|, including the
     first-derivative mismatch when ``k=1`` (which requires ``df``).  The
-    window is read on the grid points i*sigma/50 it holds, in at most
-    ``_MAX_GRID`` points, once.  Blocks of it are convolved with aligned
+    window is read on the grid points i*sigma/50 it holds, at most
+    ``_MAX_GRID`` of them, in spans of at most ``_READ_POINTS`` points
+    (``_settled_deviation``).  Blocks of it are convolved with aligned
     taps on that spacing (``_grid_deviation``) in order of a bound on
     their deviation, and only the blocks whose bound reaches the largest
-    deviation found so far are convolved at all; the answer is the same,
-    bit for bit, as convolving every sample.  The window plus one kernel
-    support must lie inside the domain of ``f``; the caller guarantees
-    that.
+    deviation found so far are read again and convolved at all; the
+    answer is the same, bit for bit, as convolving every sample.  The
+    window plus one kernel support must lie inside the domain of ``f``;
+    the caller guarantees that.
 
     Parameters
     ----------
     f, df : callables (df may be None when k=0)
-        Vectorized: an array of points in, the values at them out.
+        Vectorized and pointwise: an array of points in, the values at
+        them out, each point's value independent of the rest of its
+        batch.
     kernel : BumpKernel
     window : Interval
         Compact evaluation window of positive length holding at least
@@ -279,71 +385,82 @@ def _settled_deviation(read, sigma, taps, first, last):
     """``_grid_deviation`` on the whole grid, convolving only the blocks
     that can hold its maximum.
 
-    ``read`` is called once, on the whole grid.  Each block of
-    ``_BLOCK`` indices gets an upper bound on its deviation
-    (``_block_bounds``); blocks are measured by ``_grid_deviation``,
-    their reads served by slices of the one read, in order of highest
+    ``read`` must be pointwise, and is called span by span: a whole
+    number of ``_BLOCK`` blocks plus one kernel radius each side, at
+    most ``_READ_POINTS`` points.  Each block gets an upper bound on its
+    deviation from its span's read (``_block_bounds``); blocks are then
+    read again and measured by ``_grid_deviation``, in order of highest
     bound first, until a bound falls to the largest deviation found.  A
-    NaN deviation is the answer, as in one whole-grid maximum, so the
-    deviation is the whole-grid measurement's, bit for bit.
+    NaN read makes its span's bounds infinite, so a NaN deviation is
+    measured before any block is settled and is the answer, as in one
+    whole-grid maximum: the deviation is the whole-grid measurement's,
+    bit for bit.
     """
     h = sigma / taps
-    m, w = _aligned_taps(sigma, h)
-    xs = np.arange(first - m, last + m + 1, dtype=float) * h
-    values, slopes = read(xs)
-    del xs
+    m, _ = _aligned_taps(sigma, h)
     n = last - first + 1
-    bounds = _block_bounds(values, w, n)
-    if slopes is not None:
-        np.maximum(bounds, _block_bounds(slopes, w, n), out=bounds)
-    # a non-finite read leaves no bound, so every block is measured
+    span = max(1, (_READ_POINTS - 2 * m) // _BLOCK) * _BLOCK
+    bounds = np.empty(-(-n // _BLOCK))
+    for lo in range(0, n, span):
+        hi = min(lo + span, n)
+        values, slopes = read(
+            np.arange(first + lo - m, first + hi + m, dtype=float) * h)
+        own = bounds[lo // _BLOCK:-(-hi // _BLOCK)]
+        own[:] = _block_bounds(values, sigma, h, hi - lo)
+        if slopes is not None:
+            np.maximum(own, _block_bounds(slopes, sigma, h, hi - lo), out=own)
     bounds[np.isnan(bounds)] = np.inf
-
-    def block_read(lo):
-        return lambda xs: tuple(None if r is None else r[lo:lo + xs.size]
-                                for r in (values, slopes))
 
     best = -math.inf
     for b in np.argsort(-bounds, kind="stable"):
         if bounds[b] <= best:
             break
-        lo = int(b) * _BLOCK
-        dev, _ = _grid_deviation(block_read(lo), sigma, taps, first + lo,
-                                 min(first + lo + _BLOCK - 1, last), 1.0)
+        lo = first + int(b) * _BLOCK
+        dev, _ = _grid_deviation(read, sigma, taps, lo,
+                                 min(lo + _BLOCK - 1, last), 1.0)
         if math.isnan(dev):
             return dev
         best = max(best, dev)
     return best
 
 
-def _block_bounds(v, w, n):
+def _block_bounds(v, sigma, h, n):
     """Upper bounds on the computed |v* - v| over each block of
-    ``_BLOCK`` of the ``n`` outputs of ``convolve_grid(v)``.
+    ``_BLOCK`` of the ``n`` outputs of ``convolve_grid(v)`` with the
+    taps ``_aligned_taps(sigma, h)``, ``v`` one span's read.
 
     The 2m+1 weights are symmetric and nonnegative, so at a grid point
     v* - v = sum_{j>=1} w_j D2_{jh} v + (sum w - 1) v, and each D2_{jh} v
     is a sum of j^2 second differences D2_h v over the block's span of
     outputs plus one kernel radius.  With D the largest computed |D2_h v|
-    over that span and V the largest |v| read, a block's deviation is at
-    most C (D + 8uV) + (|sum w - 1| + (2m + 8)u) V, C = sum_{j>=1} w_j
-    j^2: 8uV covers the rounding of D, (2m + 8)uV that of the convolution
-    and the difference.  Returns the bounds with a relative margin 1e-9.
+    over that span and V the largest |v| of ``v``, a block's deviation
+    is at most C (D + 8uV) + (|sum w - 1| + (2m + 8)u) V, C = sum_{j>=1}
+    w_j j^2: 8uV covers the rounding of D, (2m + 8)uV that of the
+    convolution and the difference.  Returns the bounds with a relative
+    margin 1e-9.
     """
-    m = w.size // 2
-    j = np.arange(1, m + 1)
-    c = float(np.dot(w[m + 1:], j * j))
-    drift = abs(math.fsum(w) - 1.0) + (2 * m + 8) * _U
+    m, c, drift = _bound_terms(sigma, h)
     big = max(float(v.max()), -float(v.min()))
-    d2 = np.diff(v)
+    d2 = np.subtract(v[1:], v[:-1])
     d2 = np.subtract(d2[1:], d2[:-1])
     np.abs(d2, out=d2)
     # d2[q] is centred on v[q + 1]; block b's span runs from its first
-    # output's d2 index to 2m - 3 past its last
+    # output's d2 index to 2m - 3 past its last, which the odd ends of
+    # the reduction mark (the last block's runs to the end of d2)
     starts = np.arange(0, n, _BLOCK)
-    spans = np.maximum.reduceat(d2, starts)
-    heads = sliding_window_view(d2, 2 * m - 2)[starts[1:]].max(axis=1)
-    np.maximum(spans[:-1], heads, out=spans[:-1])
+    ends = np.column_stack([starts, starts + _BLOCK + 2 * m - 2]).ravel()
+    spans = np.maximum.reduceat(d2, ends[:-1])[::2]
     return (1.0 + 1e-9) * (c * (spans + 8.0 * _U * big) + drift * big)
+
+
+@lru_cache(maxsize=256)
+def _bound_terms(sigma, h):
+    """``(m, C, |sum w - 1| + (2m + 8)u)`` of ``_block_bounds`` for the
+    taps ``_aligned_taps(sigma, h)``."""
+    m, w = _aligned_taps(sigma, h)
+    j = np.arange(1, m + 1)
+    return (m, float(np.dot(w[m + 1:], j * j)),
+            abs(math.fsum(w) - 1.0) + (2 * m + 8) * _U)
 
 
 def _grid_deviation(read, sigma, taps, first, last, scale):
@@ -426,8 +543,8 @@ def find_support_radius(f, df, window, domain, target, k, *, sigma_max, lip,
     radius is the smallest of ``sigma_max``, the room that keeps the
     window plus the kernel inside ``domain``, and ``_proven_radius`` at
     50 taps: |f* - f| <= ``target``, and |f*' - f'| <= ``target`` when
-    ``k=1``.  ``sup_deviation_ck`` then reads the window once at that
-    radius, as a witness of the proof; no other radius is tried.
+    ``k=1``.  ``sup_deviation_ck`` then measures the window at that
+    radius alone, as a witness of the proof; no other radius is tried.
 
     Returns
     -------

@@ -97,10 +97,12 @@ class BlendedMap:
     plateau support the blend returns the original values exactly;
     inside, value and slope come from fresh discrete-tap quadrature
     rather than any tabulation, which is what the lemma checkers need.
-    All three methods share one path: one graph read, value and slope
+    All three methods share one path: graph reads, value and slope
     together, of the points ``k`` and the taps of the points inside the
-    support, each point's taps a row of a strided view of the one read
-    (``kernels._lattice_convolve``), which also gives the graph at ``k``.
+    support, each of at most ``kernels._READ_POINTS`` points and each
+    point's taps a row of a strided view of a read
+    (``kernels._lattice_convolve``), which also give the graph at ``k``.
+    The graph's reads must be pointwise, as a ``LocalGraph``'s are.
     """
 
     def __init__(self, graph, psi, kernel, taps):
@@ -117,7 +119,7 @@ class BlendedMap:
 
     def value_and_derivative(self, k, q):
         """``(F, DF, f, df)``: value and slope of the blend at the points
-        k sigma/(taps q), then of its graph there, from one read."""
+        k sigma/(taps q), then of its graph there, from the same reads."""
         return self._blend(k, q)
 
     def _blend(self, k, q):

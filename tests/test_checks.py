@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from reachsmooth import checks, kernels
+from reachsmooth import checks, kernels, smoothing
 from reachsmooth.checks import (CheckResult, check_angle_bound,
                                 check_blend_lipschitz,
                                 check_convolution_lipschitz,
@@ -30,7 +30,8 @@ from reachsmooth.smoothing import (_PROBE_RATIO_CAP, BlendedMap,
                                    effective_radius_drop, far_away_reach_bound,
                                    predicted_reach_bound, smooth_core_probe,
                                    smooth_manifold)
-from tests.test_kernels import M49_SIGMA, convolve, tap_scheme
+from tests import test_kernels
+from tests.test_kernels import M49_SIGMA, convolve, counted, tap_scheme
 from tests.test_smoothing import scaled_run
 
 
@@ -423,22 +424,43 @@ def _resized_patch(patch, factor):
         blend=BlendedMap(b.graph, b.psi, BumpKernel(sigma), b.taps))
 
 
+def _lattice_batches(monkeypatch, blend):
+    """The lattice indices of every batch ``blend``'s graph reads, as
+    ``LocalGraph._solve`` is asked for them, in order."""
+    h = blend.kernel.sigma / blend.taps
+    batches = []
+    solve = LocalGraph._solve
+
+    def counted(self, y):
+        i = np.rint(np.asarray(y) / h).astype(np.int64)
+        assert _bits(np.asarray(y)) == _bits(i * h)
+        batches.append(i)
+        return solve(self, y)
+
+    monkeypatch.setattr(LocalGraph, "_solve", counted)
+    return batches
+
+
 def test_patch_graph_arrays_deep_halving_reads_the_taps_only(stadium_run,
                                                              monkeypatch):
     # a radius an eighth of the patch's: a grid step of 76 lattice steps
     # leaves gaps between the taps of neighbouring grid points, which are
     # not read; every grid point is inside the plateau support, so the
-    # read is each point's 33 taps
+    # read is each point's 33 taps, once, in batches of at most
+    # _READ_POINTS points
     result = stadium_run.result
     patch = _resized_patch(result.curve.patches[1], 1.0 / 8.0)
     k = _patch_grid(patch)
     assert k[1] - k[0] == 76
-    batches = _solve_batches(monkeypatch)
+    batches = _lattice_batches(monkeypatch, patch.blend)
     arrays = patch_graph_arrays(patch)
     monkeypatch.undo()
     T = patch.blend.taps
-    assert batches == [(k.size * (2 * T + 1),)]
-    assert batches[0][0] == _blend_read_bound(patch.blend, k, 1)
+    assert k.size * (2 * T + 1) == _blend_read_bound(patch.blend, k, 1)
+    assert len(batches) > 1
+    assert max(b.size for b in batches) <= kernels._READ_POINTS
+    read = np.concatenate(batches)
+    assert np.array_equal(read, (k[:, None] - np.arange(-T, T + 1)).ravel())
     assert _bits(*arrays) == _bits(*_lattice_reference(patch, k, 1))
     sample = sample_manifold(result.curve, n=2000)
     rows = _patch_check_rows(patch, result.curve, result.report.R_input,
@@ -458,11 +480,21 @@ def test_patch_graph_arrays_off_lattice_sigma_reads_the_graph(stadium_run,
     assert abs(q - round(q)) > 0.1
     h = patch.blend.kernel.sigma / patch.blend.taps
     k = _patch_grid(patch)
-    batches = _solve_batches(monkeypatch)
+    batches = _lattice_batches(monkeypatch, patch.blend)
     arrays = patch_graph_arrays(patch)
     monkeypatch.undo()
     assert _bits(arrays[0]) == _bits(k * h)
-    assert batches == [(_blend_read_bound(patch.blend, k, 1),)]
+    # one index range past _READ_POINTS, read in ranges of at most that
+    # many points, which overlap by the taps of the grid points beside a
+    # cut and leave no lattice point out
+    T = patch.blend.taps
+    bound = _blend_read_bound(patch.blend, k, 1)
+    assert bound == k[-1] - k[0] + 2 * T + 1 > kernels._READ_POINTS
+    assert len(batches) > 1
+    assert max(b.size for b in batches) <= kernels._READ_POINTS
+    assert all(np.array_equal(b, np.arange(b[0], b[-1] + 1)) for b in batches)
+    assert np.array_equal(np.unique(np.concatenate(batches)),
+                          np.arange(k[0] - T, k[-1] + T + 1))
     assert _bits(*arrays) == _bits(*_lattice_reference(patch, k, 1))
     sample = sample_manifold(result.curve, n=2000)
     rows = _patch_check_rows(patch, result.curve, result.report.R_input,
@@ -569,11 +601,92 @@ def test_lattice_blend_matches_the_oracle(case):
     spy = _ReadSpy(blend.graph)
     live = BlendedMap(spy, blend.psi, blend.kernel, blend.taps)
     F, DF, _, _ = live.value_and_derivative(k, q)
-    assert len(spy.reads) == 1
-    assert spy.reads[0].size == _blend_read_bound(blend, k, q)
+    bound = _blend_read_bound(blend, k, q)
+    # one read when the call's read fits _READ_POINTS, else reads of at
+    # most that many points
+    split = case in ("gapped", "m49")
+    assert (bound > kernels._READ_POINTS) == split
+    if split:
+        assert len(spy.reads) > 1
+        assert max(r.size for r in spy.reads) <= kernels._READ_POINTS
+    else:
+        assert [r.size for r in spy.reads] == [bound]
     oracle_F, oracle_DF = _oracle_blend(blend, k, q)
     assert np.abs(F - oracle_F).max() <= 1e-13
     assert np.abs(DF - oracle_DF).max() <= 1e-12
+
+
+def _zoo_reads():
+    """The zoo's three kinds of blend and convolution read: a kinked
+    input at a small radius (ranged reads), a C^{1,1} blend of slopes
+    and the |x - c| corner at rho = 1e-4 (windows far apart)."""
+    rng = np.random.default_rng(11)
+    domain = Interval(-2.7, 2.7)
+    f, df, L = random_piecewise_linear(rng, Interval(-2.0, 2.0), 9, 3.0)
+    g, dg, Lg, Lgd = random_c11(rng, domain, 6, 2.0)
+    c = 0.1234
+    return {
+        "pwl sigma=1.65e-3": (f, df, L, None, 1.65e-3),
+        "c11 order 1": (g, dg, Lg, Lgd, 1e-2),
+        "corner rho=1e-4": (lambda x: np.abs(np.asarray(x, dtype=float) - c),
+                            lambda x: np.sign(np.asarray(x, dtype=float) - c),
+                            1.0, math.inf, 1e-4),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_zoo_reads()))
+def test_zoo_reads_stay_within_read_points(case, monkeypatch):
+    # every batch the witness and the lattice convolutions of a zoo check
+    # ask for holds at most _READ_POINTS points, and each convolution is
+    # the one-read oracle's bit for bit
+    f, df, lip, lip_d, scale = _zoo_reads()[case]
+    sizes = []
+    f, df = counted(f, sizes), counted(df, sizes)
+    lattice = []
+    real = kernels._lattice_convolve
+
+    def recorded(read, sigma, taps, k, q, hot):
+        out = real(read, sigma, taps, k, q, hot)
+        lattice.append((read, sigma, taps, k, q, hot, out))
+        return out
+
+    monkeypatch.setattr(checks, "_lattice_convolve", recorded)
+    monkeypatch.setattr(smoothing, "_lattice_convolve", recorded)
+    if lip_d is None:
+        row = check_convolution_lipschitz(
+            f, df, lip, BumpKernel(scale), Interval(-2.0, 2.0),
+            order=0, seed=0, instance=case)
+    else:
+        row = check_blend_lipschitz(
+            f, df, lip, lip_d, make_reference_plateau(), scale,
+            Interval(-2.7, 2.7), order=0 if math.isinf(lip_d) else 1,
+            sigma_max=0.25, seed=0, instance=case)
+    monkeypatch.undo()
+    assert row.passed, row
+    assert sizes and max(sizes) <= kernels._READ_POINTS
+    (read, sigma, taps, k, q, hot, (outs, convs)), = lattice
+    whole = test_kernels._one_read_size(sigma, taps, k, q, hot)
+    assert whole > kernels._READ_POINTS
+    ref_outs, ref_convs = test_kernels._gathered_convolve(
+        sigma, taps, k, q, hot, read=read)
+    assert _bits(*outs, *convs) == _bits(*ref_outs, *ref_convs)
+
+
+def test_stadium_patch_reads_stay_within_read_points(monkeypatch):
+    # at epsilon = 5e-4 a patch's arrays read past _READ_POINTS, in
+    # batches of at most that many points, and keep the bits of the
+    # one-gather reference
+    result = smooth_manifold({"kind": "stadium", "r": 1.0, "l": 2.0}, 5e-4)
+    assert result.curve.patches
+    for patch in result.curve.patches:
+        k = _patch_grid(patch)
+        assert _blend_read_bound(patch.blend, k, 1) > kernels._READ_POINTS
+        batches = _lattice_batches(monkeypatch, patch.blend)
+        arrays = patch_graph_arrays(patch)
+        monkeypatch.undo()
+        assert len(batches) > 1
+        assert max(b.size for b in batches) <= kernels._READ_POINTS
+        assert _bits(*arrays) == _bits(*_lattice_reference(patch, k, 1))
 
 
 def test_lattice_outputs_least_q_largest_s():

@@ -14,6 +14,7 @@ from reachsmooth.errors import GeometryError, InvalidInputError
 from reachsmooth.kernels import _lattice_convolve
 from reachsmooth.partition import smoothing_window_radius
 from reachsmooth.ppoly import HermiteTable
+from reachsmooth.smoothing import smooth_manifold
 
 
 def circle_curve(r=1.0):
@@ -397,6 +398,28 @@ def test_local_graph_empty_batch():
     outs, convs = _lattice_convolve(lg.value_and_slope, 0.1, 16, none, 1,
                                     none.astype(bool))
     assert [o.shape for o in outs + convs] == [(0,)] * 4
+
+
+@pytest.mark.parametrize("eps", [0.05, 5e-3, 5e-4])
+def test_local_graph_reads_are_pointwise(eps):
+    # a lattice convolution reads its graph in batches of at most
+    # kernels._READ_POINTS points, which must give each point what one
+    # whole read gives it: on every catalog patch, the lattice its
+    # arrays read, in 4096-point batches, is the whole read bit for bit
+    seen = 0
+    for spec in CATALOG:
+        for patch in smooth_manifold(spec, eps).curve.patches:
+            b = patch.blend
+            h = b.kernel.sigma / b.taps
+            edge = math.floor(patch.transition_radius / h) + b.taps
+            ys = np.arange(-edge, edge + 1) * h
+            whole = b.graph.value_and_slope(ys)
+            parts = [b.graph.value_and_slope(ys[i:i + 4096])
+                     for i in range(0, ys.size, 4096)]
+            for got, want in zip(map(np.concatenate, zip(*parts)), whole):
+                assert got.tobytes() == want.tobytes(), (spec, patch.index)
+            seen += 1
+    assert seen == 12
 
 
 def test_local_graph_folds_beyond_reach():

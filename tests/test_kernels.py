@@ -338,20 +338,32 @@ def _kinked_read(xs):
             3.0 * xs * xs - 0.3 + np.sign(xs - 0.1))
 
 
-def _gathered_convolve(sigma, taps, k, q, hot):
-    """``_lattice_convolve`` by a 2-D index gather from one range read."""
+def _gathered_convolve(sigma, taps, k, q, hot, read=_kinked_read):
+    """``_lattice_convolve`` in one read: a 2-D index gather from one
+    range read, every hot row dotted with the weights in one product."""
     h = sigma / taps
     m, w = kernels._aligned_taps(sigma, h)
     khot = k[hot]
     offsets = (m - np.arange(2 * m + 1)) * q
     ends = np.concatenate([k, khot - m * q, khot + m * q])
     lo, hi = ends.min(), ends.max()
-    outs = _kinked_read(np.arange(lo, hi + 1) * (h / q))
+    outs = read(np.arange(lo, hi + 1) * (h / q))
     return (tuple(v[k - lo] for v in outs),
             tuple(v[khot[:, None] + offsets - lo] @ w for v in outs))
 
 
+def _one_read_size(sigma, taps, k, q, hot):
+    """The points of the one read of the whole call: its index range, or
+    the windows of its hot indices and its cold ones, whichever is fewer."""
+    m = kernels._aligned_taps(sigma, sigma / taps)[0]
+    span = np.concatenate([k, k[hot] - m * q, k[hot] + m * q])
+    return min(span.max() - span.min() + 1,
+               hot.sum() * (2 * m + 1) + (~hot).sum())
+
+
 _SPREAD = np.arange(-1000, 1001, 500)
+_LONG = np.arange(-8000, 8001)
+_GAPS = np.arange(-1000, 1001) * 300
 _CONVOLVE_CASES = {
     # (sigma, taps, k, q, hot, ranged)
     "overlapping q=1": (0.25, 16, np.arange(-40, 41), 1,
@@ -369,13 +381,23 @@ _CONVOLVE_CASES = {
     "all cold, under one window": (0.25, 16, np.arange(5), 1,
                                    np.zeros(5, dtype=bool), True),
     "gapped": (0.25, 16, _SPREAD, 2, _SPREAD != -500, False),
+    # past _READ_POINTS: read in groups, each of at most that many
+    # points; the oracle's one product stays under 4e5 entries, which
+    # the BLAS sums on one thread, as it does every block
+    "split ranged, lone last row": (0.25, 16, _LONG, 1,
+                                    np.abs(_LONG) <= 4000, True),
+    "split ranged interleaved q=2": (0.25, 16, _LONG, 2, _LONG % 4 == 1,
+                                     True),
+    "split windows m49": (M49_SIGMA, 50, _GAPS, 1, _GAPS % 7 != 3, False),
+    "split windows, cold ends": (0.25, 50, _GAPS, 3,
+                                 np.abs(_GAPS) < 150_000, False),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_CONVOLVE_CASES))
 def test_lattice_convolve_matches_the_index_gather(case):
     # every read output and every convolution, value and slope, is the
-    # 2-D index gather's bit for bit
+    # one-read 2-D index gather's bit for bit
     sigma, taps, k, q, hot, ranged = _CONVOLVE_CASES[case]
     reads = []
 
@@ -387,13 +409,34 @@ def test_lattice_convolve_matches_the_index_gather(case):
     ref_outs, ref_convs = _gathered_convolve(sigma, taps, k, q, hot)
     m = kernels._aligned_taps(sigma, sigma / taps)[0]
     span = np.concatenate([k, k[hot] - m * q, k[hot] + m * q])
-    # one read: the whole index range, or the windows and cold indices
-    assert reads == [span.max() - span.min() + 1 if ranged
-                     else hot.sum() * (2 * m + 1) + (~hot).sum()]
+    # the whole index range, or the windows and cold indices
+    one = _one_read_size(sigma, taps, k, q, hot)
+    assert (one == np.ptp(span) + 1) == ranged
+    if one <= kernels._READ_POINTS:
+        assert reads == [one]
+    else:
+        assert len(reads) > 1 and max(reads) <= kernels._READ_POINTS
     assert len(outs) == len(convs) == 2
     for got, ref in zip(outs + convs, ref_outs + ref_convs):
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
+
+
+def test_lattice_groups_end_on_four_hot_rows():
+    # a group of a split call ends on a multiple of four hot indices and
+    # leaves no lone hot index after it, so its tap sums add as in one
+    # product over every hot row; a lone hot row is the last of the call
+    for case in ("split ranged, lone last row", "split windows m49",
+                 "split windows, cold ends"):
+        sigma, taps, k, q, hot, _ = _CONVOLVE_CASES[case]
+        m, w = kernels._aligned_taps(sigma, sigma / taps)
+        groups = kernels._lattice_groups(k, hot, m * q, w.size)
+        assert groups[0][0] == 0 and groups[-1][1] == k.size
+        assert all(a1 == b0 for (_, b0), (a1, _) in zip(groups, groups[1:]))
+        before = [int(hot[:a].sum()) for a, _ in groups]
+        assert all(r % 4 == 0 or r == hot.sum() for r in before)
+        assert all(hot.sum() - r != 1 for r in before)
+    assert int(_CONVOLVE_CASES["split ranged, lone last row"][4].sum()) % 4 == 1
 
 
 def test_sup_deviation_abs_oracle():
@@ -534,19 +577,36 @@ def test_block_bounds_hold_every_block_maximum(sigma, k, name, f, df):
     # f'|) the plain read computes over that block's outputs
     first, last = _grid_indices(sigma, _SETTLE_WINDOW)
     _, (xs, d0, d1, _, _) = _plain_whole_grid(f, df, sigma, _SETTLE_WINDOW, k)
-    m, w = kernels._aligned_taps(sigma, sigma / 50)
     n = last - first + 1
     starts = np.arange(0, n, kernels._BLOCK)
     for diff, read in ((d0, f), (d1, df)):
         if diff is None:
             continue
-        bounds = kernels._block_bounds(np.asarray(read(xs), dtype=float), w, n)
+        bounds = kernels._block_bounds(np.asarray(read(xs), dtype=float),
+                                       sigma, sigma / 50, n)
         exact = np.maximum.reduceat(np.abs(diff), starts)
         assert bounds.shape == exact.shape
         assert np.all(exact <= bounds), (exact / bounds).max()
         if name == "constant" and diff is d0:
             # only the rounding allowance covers these
             assert exact.max() > 0.0
+    # and so do the bounds a measurement takes span by span, each from
+    # its own read (values, then slopes, a span at a time)
+    spans = []
+    real = kernels._block_bounds
+
+    def spy(v, sigma, h, n):
+        spans.append(real(v, sigma, h, n))
+        return spans[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_block_bounds", spy)
+        sup_deviation_ck(f, df, BumpKernel(sigma), _SETTLE_WINDOW, k=k)
+    for i, diff in enumerate((d0, d1)[:k + 1]):
+        bounds = np.concatenate(spans[i::k + 1])
+        exact = np.maximum.reduceat(np.abs(diff), starts)
+        assert bounds.shape == exact.shape
+        assert np.all(exact <= bounds), (exact / bounds).max()
 
 
 def _spy_blocks(monkeypatch):
@@ -607,11 +667,15 @@ def test_equal_peaks_in_two_blocks_read_the_plain_deviation(monkeypatch):
     dev, _ = _plain_whole_grid(f, None, sigma, _SETTLE_WINDOW, 0)
     real_bounds = kernels._block_bounds
 
-    # valid bounds still, but higher for later blocks: block 5 is
-    # measured before block 2
-    def later_first(v, w, n):
-        bounds = real_bounds(v, w, n)
-        return bounds * (1.0 + 1e-3 * np.arange(bounds.size))
+    # valid bounds still, but higher for later blocks, across the spans
+    # too: block 5 is measured before block 2
+    bounded = []
+
+    def later_first(v, sigma, h, n):
+        bounds = real_bounds(v, sigma, h, n)
+        bounds *= 1.0 + 1e-3 * (len(bounded) + np.arange(bounds.size))
+        bounded.extend(bounds)
+        return bounds
 
     for bounds, order in ((real_bounds, [a, b]), (later_first, [b, a])):
         monkeypatch.setattr(kernels, "_block_bounds", bounds)
@@ -626,20 +690,32 @@ def test_equal_peaks_in_two_blocks_read_the_plain_deviation(monkeypatch):
 
 
 def test_non_finite_read_measures_every_block(monkeypatch):
-    # a NaN leaves no bound, so no block is settled: blocks are measured
-    # in grid order up to the first that reads NaN, the answer of one
-    # whole-grid maximum
+    # a NaN leaves no bound on the blocks of the spans whose read holds
+    # it, so none of those is settled: they are measured in grid order
+    # up to the first that reads NaN, the answer of one whole-grid
+    # maximum; the other spans' blocks keep their bounds and wait
     sigma = 2.0 ** -10
-    f = lambda x: np.where(x > 0.5, np.nan, np.abs(x))
+    h = sigma / 50
+    f = lambda x: np.where(x > 0.6, np.nan, np.abs(x))
     want, _ = _plain_whole_grid(f, None, sigma, _SETTLE_WINDOW, 0)
     calls = _spy_blocks(monkeypatch)
     dev = sup_deviation_ck(f, None, BumpKernel(sigma), _SETTLE_WINDOW, k=0)
     assert math.isnan(dev) and math.isnan(want)
     first, last = _grid_indices(sigma, _SETTLE_WINDOW)
-    nan_block = (math.floor(0.5 / (sigma / 50)) + 1 - first) // kernels._BLOCK
-    assert [lo for lo, _, _ in calls] == list(
-        range(first, first + (nan_block + 1) * kernels._BLOCK, kernels._BLOCK))
+    m = kernels._aligned_taps(sigma, h)[0]
+    span = (kernels._READ_POINTS - 2 * m) // kernels._BLOCK * kernels._BLOCK
+    nan_read = math.floor(0.6 / h) + 1 - first
+    # the first span whose read (its outputs and m more each side) holds
+    # a NaN, and the first block whose outputs do
+    opens = next(lo for lo in range(0, last - first + 1, span)
+                 if lo + span + m > nan_read)
+    nan_block = (nan_read - m) // kernels._BLOCK
+    assert opens < nan_block * kernels._BLOCK
+    assert [lo for lo, _, _ in calls] == list(range(
+        first + opens, first + (nan_block + 1) * kernels._BLOCK,
+        kernels._BLOCK))
     assert math.isnan(calls[-1][2])
+    assert all(not math.isnan(d) for _, _, d in calls[:-1])
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -658,6 +734,45 @@ def test_whole_grid_corner_read_convolves_under_two_percent(monkeypatch, k):
     assert 0 < convolved <= 0.02 * 819_201
     monkeypatch.undo()
     assert dev == _plain_whole_grid(f, df, sigma, window, k)[0]
+
+
+def counted(g, sizes):
+    """``g``, appending the size of every batch it reads to ``sizes``."""
+    def read(x):
+        sizes.append(np.size(x))
+        return g(x)
+    return read
+
+
+_WITNESS_CASES = {
+    # the zoo's rho = 1e-4 corner: 666 667 window points at its proven
+    # radius, 55 spans
+    "corner rho=1e-4": (lambda x: np.abs(np.asarray(x) - 0.1234),
+                        lambda x: np.sign(np.asarray(x) - 0.1234),
+                        kernels._proven_radius(50, 1e-4, 1.0, math.inf,
+                                               None), 0),
+    "sin-1e3": (lambda x: np.sin(1e3 * x), lambda x: 1e3 * np.cos(1e3 * x),
+                2.0 ** -10, 1),
+    "nan": (lambda x: np.where(x > 0.6, np.nan, np.abs(x)), np.sign,
+            2.0 ** -10, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WITNESS_CASES))
+def test_witness_reads_stay_within_read_points(case):
+    # every batch a whole-grid measurement asks for holds at most
+    # _READ_POINTS points, and the witness is one plain read's bit for bit
+    f, df, sigma, k = _WITNESS_CASES[case]
+    window = Interval(-2.0, 2.0)
+    sizes = []
+    dev = sup_deviation_ck(counted(f, sizes), counted(df, sizes),
+                           BumpKernel(sigma), window, k=k)
+    want, _ = _plain_whole_grid(f, df, sigma, window, k)
+    first, last = _grid_indices(sigma, window)
+    assert last - first + 1 > kernels._READ_POINTS
+    assert max(sizes) <= kernels._READ_POINTS
+    assert np.float64(dev).tobytes() == np.float64(want).tobytes()
+    assert math.isnan(dev) == (case == "nan")
 
 
 def test_tap_moments_against_the_bump():
