@@ -19,9 +19,9 @@ than matrix products, so a row's bytes do not depend on its batch: an
 arc evaluated alone or among thousands gives the same point and
 velocity.
 
-The arc chain evaluates a batch whose segment indices come in order
-(a sorted batch inside one period) segment by segment on slices, and any
-other batch through segment masks, with the same bytes either way.  The
+The arc chain evaluates each run of one segment index as a slice: a
+sorted batch inside one period has one run a segment, a batch that wraps
+the period or is unsorted has more, with the same bytes either way.  The
 ellipse inverts arc length from a ``ppoly.HermiteTable`` start and one
 Newton step.  A patch holds one displacement table; the stack reads
 its value and slope from one cell of its coefficients.
@@ -31,9 +31,12 @@ tangent line at a base arc; slopes come from the chain rule through the
 patch stack, not finite differences.  Opening a window, by its
 half-width, evaluates the curve at the base arc for the frame, and
 callers measure what they need.  A read of a window is one Newton loop,
-each step one curve evaluation of the read's points.  The window's first
-sorted solve becomes a table that later solves start from, so a read
-inside it usually takes one or two curve evaluations instead of three.
+each step one curve evaluation of the read's points, in which each row
+stops where it would stop alone and every frame product is a per-row
+sum: a row's bytes do not depend on its batch either.  The window's
+first sorted solve becomes a table that later solves start from, so a
+read inside it usually takes one or two curve evaluations instead of
+three.
 """
 
 from __future__ import annotations
@@ -253,21 +256,18 @@ class ArcChainShape(BaseShape):
 
     def point_and_tangent(self, s):
         sv, idx = self._locate(s)
-        pts = np.empty(sv.shape + (2,))
-        tans = np.empty(sv.shape + (2,))
-        if sv.ndim == 1 and np.all(idx[1:] >= idx[:-1]):
-            # segment indices in order: each segment owns one slice
-            cuts = np.searchsorted(idx, np.arange(len(self.segments) + 1))
-            for i, seg in enumerate(self.segments):
-                a, b = cuts[i], cuts[i + 1]
-                if a < b:
-                    pts[a:b], tans[a:b] = seg.point_and_tangent(sv[a:b] - self._bounds[i])
-            return pts, tans
-        for i, seg in enumerate(self.segments):
-            m = idx == i
-            if np.any(m):
-                pts[m], tans[m] = seg.point_and_tangent(sv[m] - self._bounds[i])
-        return pts, tans
+        shape = sv.shape + (2,)
+        sv, idx = sv.ravel(), idx.ravel()
+        pts = np.empty((sv.size, 2))
+        tans = np.empty((sv.size, 2))
+        # each run of one segment index is a slice: one run a segment for
+        # a sorted batch inside one period
+        starts = np.flatnonzero(np.diff(idx, prepend=-1)).tolist()
+        for a, b in zip(starts, starts[1:] + [sv.size]):
+            i = idx[a]
+            pts[a:b], tans[a:b] = self.segments[i].point_and_tangent(
+                sv[a:b] - self._bounds[i])
+        return pts.reshape(shape), tans.reshape(shape)
 
     def junction_arcs(self):
         out = []
@@ -640,6 +640,12 @@ class LocalGraph:
     bytes; the stopping test and the fold checks do not depend on the
     start.  ``value``, ``slope`` and
     ``value_and_slope`` are parts of one read, ``_read``.
+
+    A read is pointwise.  A row whose residual is within tolerance steps
+    by zero and the loop ends when no row steps, so each row stops where
+    it would stop alone, and the residual, its slope and f, f' are
+    per-row sums, as the nudge's tangent coordinates are, not matrix
+    products: a point read alone or in any batch gives the same bytes.
     """
 
     def __init__(self, curve, base_arc, window):
@@ -661,41 +667,49 @@ class LocalGraph:
         ty = self._table.x
         return np.where((yv >= ty[0]) & (yv <= ty[-1]), self._table(yv), theta)
 
+    def _along(self, pts, vel, u):
+        """Per row: the offset of ``pts`` from the center, and ``vel``,
+        dotted with the unit vector ``u``, as sums rather than products."""
+        (c0, c1), (u0, u1) = self.center, u
+        return ((pts[:, 0] - c0) * u0 + (pts[:, 1] - c1) * u1,
+                vel[:, 0] * u0 + vel[:, 1] * u1)
+
     def _solve(self, y):
-        """``(points, velocities, shape)`` of the reads at ``y``, stopped
-        once every residual is within 1e-14 of the window's scale."""
+        """``(points, velocities, velocities . tangent, shape)`` of the
+        reads at ``y``.  A row whose residual is within 1e-14 of the
+        window's scale steps by zero, and the loop ends when no row
+        steps, so each row stops where it would stop alone."""
         yv = np.asarray(y, dtype=float)
         shape = yv.shape
         yv = np.atleast_1d(yv).ravel()
         if not self.window.contains(yv, margin=1e-9 * max(1.0, self.window.length)):
             raise InvalidInputError("tangent coordinate outside the graph window")
-        if yv.size == 0:
-            none = np.empty((0, 2))
-            return none, none, shape
         theta = self._start(yv)
         scale = max(1.0, float(np.linalg.norm(self.center)) + self.window.length)
         for _ in range(40):
             pts, vel = self.curve.point_and_velocity(theta)
-            g = (pts - self.center) @ self.tangent - yv
-            dg = vel @ self.tangent
+            g, dg = self._along(pts, vel, self.tangent)
+            g -= yv
             if np.any(dg < 0.05):
                 raise GeometryError(
                     "curve folds against the tangent frame inside the window; "
                     "the stretch is not a graph")
-            if np.abs(g).max() <= 1e-14 * scale:
+            step = g / dg
+            step[np.abs(g) <= 1e-14 * scale] = 0.0
+            if not step.any():
                 break
-            theta = theta - g / dg
+            theta = theta - step
         else:
             raise GeometryError("graph parameter solve did not converge")
         if self._table is None and yv.size >= 2 and np.all(yv[1:] > yv[:-1]):
             self._table = HermiteTable(yv.copy(), theta, 1.0 / dg)
-        return pts, vel, shape
+        return pts, vel, dg, shape
 
     def _read(self, y):
         """``(f, f')`` at ``y``: floats for a scalar, else shaped like ``y``."""
-        pts, vel, shape = self._solve(y)
-        f = (pts - self.center) @ self.normal
-        df = (vel @ self.normal) / (vel @ self.tangent)
+        pts, vel, dg, shape = self._solve(y)
+        f, dn = self._along(pts, vel, self.normal)
+        df = dn / dg
         if shape == ():
             return float(f[0]), float(df[0])
         return f.reshape(shape), df.reshape(shape)

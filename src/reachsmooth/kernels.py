@@ -18,7 +18,10 @@ of its batch.  So no read takes more than ``_READ_POINTS`` points and no
 block of tap sums more than that many taps: a longer grid or lattice is
 read a span or a group at a time, and every array of a read stays under
 glibc's 128 KiB ``mmap`` threshold, served from the heap rather than
-mapped and page-faulted in afresh on every call.
+mapped and page-faulted in afresh on every call.  A lattice convolution
+is pointwise too: every tap sum is taken by the BLAS matrix-vector
+product's four-row kernel (``_four_row_sums``), so how a read is split
+changes its memory only, never its bytes.
 
 Derivatives of a convolution are convolutions of the slope: every
 caller knows the slope of what it smooths, so the slope is convolved
@@ -203,7 +206,8 @@ def _lattice_convolve(read, sigma, taps, k, q, hot):
     rows of a read-only strided view of each output of ``read`` (a range
     read), or of its reshape (windows read one after another), dotted
     with ``w`` a block of at most ``_READ_POINTS`` taps at a time
-    (``_group_convolve``).
+    (``_group_convolve``), each row by the four-row kernel: an index's
+    convolution has the same bytes in any group of any call.
 
     Returns ``(outs, convs)``: each output of ``read`` at ``k``, and its
     convolution at ``k[hot]``.
@@ -227,15 +231,10 @@ def _lattice_groups(k, hot, reach, width):
 
     A slice's read holds the fewer points of its range (its hot indices
     widened by ``reach``) and of its windows (``width`` a hot index, one
-    a cold one).  Each slice is the longest that ends on a multiple of
-    four hot indices, counted from the first, leaves no lone hot index
-    after it, and whose read holds at most ``_READ_POINTS`` points, its
-    range taken as wide as the hot indices before and after it reach
-    (exact for the whole of ``k``); so each slice's tap sums add as in
-    one ``(hot.sum(), width) @ w`` (``_group_convolve``).  A slice holds
-    at least four hot indices, or all that are left, so only the cold
-    indices among them can push its read past the limit; on no grid the
-    package reads do they.
+    a cold one).  Each slice is the longest whose read holds at most
+    ``_READ_POINTS`` points, its range taken as wide as the hot indices
+    before and after it reach (exact for the whole of ``k``), and holds
+    at least one index.
     """
     n = k.size
     if n == 0:
@@ -250,24 +249,18 @@ def _lattice_groups(k, hot, reach, width):
     # the range of a slice (a, b) lies in [lows[a], highs[b - 1]]
     highs = np.maximum.accumulate(k + reach)
     lows = np.minimum.accumulate((k - reach)[::-1])[::-1]
-    # rows[i]: the hot indices before k[i]; windows[i]: their windows'
-    # points and the cold indices' before it
-    rows = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(hot, out=rows[1:])
-    windows = np.arange(n + 1) + (width - 1) * rows
-    ends = np.flatnonzero(((rows & 3) == 0) & (rows != at.size - 1)
-                          | (rows == at.size))
+    # windows[i]: the points of the windows and cold indices before k[i]
+    windows = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.where(hot, width, 1), out=windows[1:])
     groups, a = [], 0
     while a < n:
         fit = max(np.searchsorted(highs, lows[a] + _READ_POINTS - 1,
                                   side="right"),
                   np.searchsorted(windows, windows[a] + _READ_POINTS,
                                   side="right") - 1)
-        b = ends[np.searchsorted(ends, fit, side="right") - 1]
-        if b <= a:
-            b = ends[np.searchsorted(ends, a, side="right")]
-        groups.append((a, int(b)))
-        a = int(b)
+        b = max(int(fit), a + 1)
+        groups.append((a, b))
+        a = b
     return groups
 
 
@@ -276,12 +269,8 @@ def _group_convolve(read, h, q, w, k, hot):
     sorted indices ``k`` and their convolutions at ``k[hot]``.
 
     The hot rows are dotted with ``w`` in blocks of a multiple of four
-    rows and at most ``_READ_POINTS`` taps, a lone last row joining the
-    block before it.  A group opens on a multiple of four hot indices of
-    the call, so each row's tap sum adds as in one ``(hot, 2m + 1) @ w``
-    over all of them on one thread: the BLAS matrix-vector product sums
-    the rows four at a time, and numpy hands a lone row to a dot
-    product.
+    rows and at most ``_READ_POINTS`` taps, the last block padded to a
+    multiple of four (``_four_row_sums``).
     """
     m = w.size // 2
     width = w.size
@@ -303,10 +292,7 @@ def _group_convolve(read, h, q, w, k, hot):
         offsets = (m - np.arange(width)) * q
         np.add(khot[:, None], offsets, out=idx[:n].reshape(-1, width))
         idx[n:] = kcold
-    blocks = list(range(0, khot.size, _READ_POINTS // width // 4 * 4))
-    if khot.size > 1 and khot.size - blocks[-1] == 1:
-        blocks[-1] -= 4
-    blocks.append(khot.size)
+    block = _READ_POINTS // width // 4 * 4
     idx *= h / q
     outs, convs = [], []
     for v in read(idx):
@@ -317,18 +303,31 @@ def _group_convolve(read, h, q, w, k, hot):
             # a read with no hot index may be shorter than one window
             if khot.size:
                 view = sliding_window_view(v, 2 * m * q + 1)[:, ::-q]
-                for r0, r1 in zip(blocks[:-1], blocks[1:]):
-                    conv[r0:r1] = view[rows[r0:r1]] @ w
+                for r in range(0, khot.size, block):
+                    conv[r:r + block] = _four_row_sums(view[rows[r:r + block]], w)
         else:
             windows = v[:n].reshape(-1, width)
-            for r0, r1 in zip(blocks[:-1], blocks[1:]):
-                conv[r0:r1] = windows[r0:r1] @ w
+            for r in range(0, khot.size, block):
+                conv[r:r + block] = _four_row_sums(windows[r:r + block], w)
             at_k = np.empty(k.size)
             at_k[hot] = windows[:, m]
             at_k[~hot] = v[n:]
         outs.append(at_k)
         convs.append(conv)
     return tuple(outs), tuple(convs)
+
+
+def _four_row_sums(rows, w):
+    """``rows @ w``, every row summed by the BLAS matrix-vector product's
+    four-row kernel, so a row's sum does not depend on its block.  The
+    product sums a remainder of one to three rows in another order (numpy
+    hands a lone row to a dot product), so a partial four is summed
+    padded with copies of its last row."""
+    n = rows.shape[0]
+    if n % 4:
+        # a gather of rows is C-ordered, as the product must read it
+        rows = rows[np.minimum(np.arange(n - n % 4 + 4), n - 1)]
+    return (rows @ w)[:n]
 
 
 def sup_deviation_ck(f, df, kernel, window, k):

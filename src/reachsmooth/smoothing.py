@@ -102,7 +102,9 @@ class BlendedMap:
     support, each of at most ``kernels._READ_POINTS`` points and each
     point's taps a row of a strided view of a read
     (``kernels._lattice_convolve``), which also give the graph at ``k``.
-    The graph's reads must be pointwise, as a ``LocalGraph``'s are.
+    The graph's reads must be pointwise, as a ``LocalGraph``'s are; the
+    tap sums are too, so an index's bytes do not depend on the rest of
+    ``k`` or on how the reads are split.
     """
 
     def __init__(self, graph, psi, kernel, taps):

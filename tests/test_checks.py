@@ -30,7 +30,7 @@ from reachsmooth.smoothing import (_PROBE_RATIO_CAP, BlendedMap,
                                    effective_radius_drop, far_away_reach_bound,
                                    predicted_reach_bound, smooth_core_probe,
                                    smooth_manifold)
-from tests import test_kernels
+from tests import test_curves, test_kernels
 from tests.test_kernels import M49_SIGMA, convolve, counted, tap_scheme
 from tests.test_smoothing import scaled_run
 
@@ -305,7 +305,9 @@ def _lattice_reference(patch, k, q):
     """The arrays at the points k h/q, h = sigma/16, from separate value
     and slope reads on the lattice points the grid and its taps (k - j q)
     need, each tap picked by index and weighted by ``@ w`` with the
-    oracle's weights."""
+    oracle's weights, the hot rows padded to a whole number of fours
+    with copies of the last so that the BLAS sums each by its four-row
+    kernel."""
     b = patch.blend
     g = b.graph
     T = b.taps
@@ -318,8 +320,9 @@ def _lattice_reference(patch, k, q):
     w, dw = b.psi(ys), b.psi.derivative(ys)
     hot = (w > 0.0) | (dw != 0.0)
     _, weights = tap_scheme(b.kernel.sigma, T)
-    at = np.searchsorted(ks, taps[hot])
-    conv, dconv = val[at] @ weights, slo[at] @ weights
+    n = int(hot.sum())
+    at = np.searchsorted(ks, taps[hot])[np.minimum(np.arange(-(-n // 4) * 4), n - 1)]
+    conv, dconv = (val[at] @ weights)[:n], (slo[at] @ weights)[:n]
     F, DF = base.copy(), dbase.copy()
     diff = conv - base[hot]
     F[hot] = base[hot] + w[hot] * diff
@@ -687,6 +690,33 @@ def test_stadium_patch_reads_stay_within_read_points(monkeypatch):
         assert len(batches) > 1
         assert max(b.size for b in batches) <= kernels._READ_POINTS
         assert _bits(*arrays) == _bits(*_lattice_reference(patch, k, 1))
+
+
+def test_patch_arrays_do_not_depend_on_the_read_split(monkeypatch):
+    # kernels._READ_POINTS bounds a read's memory only: every patch of
+    # the close-junction profile gives its arrays the same bytes read in
+    # groups of at most 1000 or 4096 points, and a blend read at one grid
+    # index gives that index's bytes of the whole read
+    result = smooth_manifold(test_curves.CLOSE_JUNCTIONS, 0.05)
+    assert len(result.curve.patches) == 8
+    for patch in result.curve.patches:
+        got = []
+        for limit in (1000, 4096):
+            monkeypatch.setattr(kernels, "_READ_POINTS", limit)
+            batches = _lattice_batches(monkeypatch, patch.blend)
+            got.append(_bits(*patch_graph_arrays(patch)))
+            monkeypatch.undo()
+            assert len(batches) > 1 and max(b.size for b in batches) <= limit
+        assert got[0] == got[1], patch.index
+        b = patch.blend
+        h = b.kernel.sigma / b.taps
+        r2 = patch.transition_radius
+        k, q = checks._lattice_outputs(-r2 - 1e-6 * h, r2 + 1e-6 * h, h,
+                                       checks._PATCH_GRID)
+        whole = b.value_and_derivative(k, q)
+        for i in np.linspace(0, k.size - 1, 11).astype(np.int64):
+            one = b.value_and_derivative(k[i:i + 1], q)
+            assert _bits(*one) == _bits(*(v[i:i + 1] for v in whole)), (patch.index, i)
 
 
 def test_lattice_outputs_least_q_largest_s():

@@ -150,18 +150,33 @@ def test_chain_rejects_single_segment():
      "width": 2.0, "height": 1.0, "corner_radius": 0.2}],
     ids=["stadium", "rounded_rect"])
 def test_chain_sorted_batch_matches_permuted(spec):
-    # a sorted batch is evaluated segment by segment on slices, any other
-    # batch through segment masks; both give the same bytes
+    # each run of one segment index is evaluated as a slice: a sorted
+    # batch inside one period has one run a segment, a permuted one or
+    # one that wraps arc 0 (a junction of both shapes) more; every batch,
+    # a lone arc and a 0-d one give each arc the same bytes
     shape = make_shape(spec)
+    L = shape.length
     rng = np.random.default_rng(5)
-    for n in (2, 2053, 33000):
-        s = np.sort(np.concatenate([rng.uniform(0.0, shape.length, n - 2),
-                                    [0.0, shape.junction_arcs()[-1]]]))
-        perm = rng.permutation(n)
+    wrap = np.linspace(-0.01 * L, 0.01 * L, 10_001)
+    batches = [np.sort(np.concatenate([rng.uniform(0.0, L, n - 2),
+                                       [0.0, shape.junction_arcs()[-1]]]))
+               for n in (2, 2053, 33000)] + [wrap]
+    for s in batches:
+        perm = rng.permutation(s.size)
         pts, tans = shape.point_and_tangent(s)
         p_pts, p_tans = shape.point_and_tangent(s[perm])
         assert pts[perm].tobytes() == p_pts.tobytes()
         assert tans[perm].tobytes() == p_tans.tobytes()
+        for i in rng.choice(s.size, 2):
+            one = shape.point_and_tangent(s[i:i + 1])
+            lone = shape.point_and_tangent(s[i])
+            assert lone[0].shape == lone[1].shape == (2,)
+            for got in (one, lone):
+                assert got[0].tobytes() == pts[i].tobytes()
+                assert got[1].tobytes() == tans[i].tobytes()
+    assert np.any(wrap < 0.0) and np.any(wrap > 0.0)
+    none = shape.point_and_tangent(np.empty((0, 3)))
+    assert none[0].shape == none[1].shape == (0, 3, 2)
 
 
 def test_make_shape_errors():
@@ -400,26 +415,49 @@ def test_local_graph_empty_batch():
     assert [o.shape for o in outs + convs] == [(0,)] * 4
 
 
+def _assert_reads_pointwise(graph, ys, what):
+    """``graph`` read at ``ys`` in 4096-point batches, and at 200 of its
+    points one at a time, gives one whole read's bits.  The whole read
+    comes first, so a window's warm-start table is the same for all."""
+    whole = graph.value_and_slope(ys)
+    parts = [graph.value_and_slope(ys[i:i + 4096])
+             for i in range(0, ys.size, 4096)]
+    for got, want in zip(map(np.concatenate, zip(*parts)), whole):
+        assert got.tobytes() == want.tobytes(), what
+    for i in np.linspace(0, ys.size - 1, 200).astype(np.int64):
+        one = graph.value_and_slope(ys[i:i + 1])
+        assert [v.tobytes() for v in one] == [v[i:i + 1].tobytes() for v in whole], (what, i)
+
+
+# two corners joined by a straight of length 1e-3: their patches stack
+CLOSE_JUNCTIONS = {"kind": "cad_profile", "preset": "rounded_rect",
+                   "width": 0.401, "height": 1.0, "corner_radius": 0.2}
+
+
 @pytest.mark.parametrize("eps", [0.05, 5e-3, 5e-4])
 def test_local_graph_reads_are_pointwise(eps):
     # a lattice convolution reads its graph in batches of at most
     # kernels._READ_POINTS points, which must give each point what one
-    # whole read gives it: on every catalog patch, the lattice its
-    # arrays read, in 4096-point batches, is the whole read bit for bit
+    # whole read gives it: on every catalog and close-junction patch, the
+    # lattice its arrays read, and on a window of the finished stadium
+    # at its arc-0 junction, opened as a theorem probe opens one, reads
+    # in 4096-point batches or of one point are the whole read's bits
     seen = 0
-    for spec in CATALOG:
-        for patch in smooth_manifold(spec, eps).curve.patches:
+    for spec in CATALOG + [CLOSE_JUNCTIONS]:
+        result = smooth_manifold(spec, eps)
+        for patch in result.curve.patches:
             b = patch.blend
             h = b.kernel.sigma / b.taps
             edge = math.floor(patch.transition_radius / h) + b.taps
             ys = np.arange(-edge, edge + 1) * h
-            whole = b.graph.value_and_slope(ys)
-            parts = [b.graph.value_and_slope(ys[i:i + 4096])
-                     for i in range(0, ys.size, 4096)]
-            for got, want in zip(map(np.concatenate, zip(*parts)), whole):
-                assert got.tobytes() == want.tobytes(), (spec, patch.index)
+            _assert_reads_pointwise(b.graph, ys, (spec, patch.index))
             seen += 1
-    assert seen == 12
+        if spec["kind"] == "stadium":
+            final = result.curve
+            w = 12.0 * min(p.sigma for p in final.patches)
+            g = local_graph_at(final, 0.0, w)
+            _assert_reads_pointwise(g, np.linspace(-w, w, 16001), "stadium window")
+    assert seen == 20
 
 
 def test_local_graph_folds_beyond_reach():

