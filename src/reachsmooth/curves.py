@@ -11,20 +11,23 @@ testable sense.
 Each layer has one evaluator: a chain segment and a base shape
 implement only ``point_and_tangent`` and a curve only
 ``point_and_velocity``; ``point`` is the first half of either.
-Evaluation sorts a batch of arcs once (pipeline batches already come
-sorted), evaluates the base shape once with ``point_and_tangent``, and
-lets each patch nudge the sorted rows inside its window, found by
-bisection, on one path.  Tangent coordinates are per-row sums rather
-than matrix products, so a row's bytes do not depend on its batch: an
-arc evaluated alone or among thousands gives the same point and
-velocity.
+Evaluation reads the base shape once with ``point_and_tangent`` for the
+whole batch, in its own order, and lets each patch nudge the rows inside
+its window, picked by one mask over the batch.  A stack holds one patch
+a junction, so a batch meets few of them.  Tangent coordinates are
+per-row sums rather than matrix products, so a row's bytes do not
+depend on its batch: an arc evaluated alone or among thousands gives
+the same point and velocity.
 
-The arc chain evaluates each run of one segment index as a slice: a
-sorted batch inside one period has one run a segment, a batch that wraps
-the period or is unsorted has more, with the same bytes either way.  The
-ellipse inverts arc length from a ``ppoly.HermiteTable`` start and one
-Newton step.  A patch holds one displacement table; the stack reads
-its value and slope from one cell of its coefficients.
+The arc chain is the one layer whose cost depends on batch order: it
+makes one segment call per run of one segment index.  A batch whose
+arcs are not non-decreasing is sorted by segment once, so it takes one
+run a segment; a sorted batch inside one period has one run a segment
+and one that wraps the period one more, unsorted.  The bytes are the
+same either way.  The ellipse inverts arc length from a
+``ppoly.HermiteTable`` start and one Newton step.  A patch holds one
+displacement table; the stack reads its value and slope from one cell
+of its coefficients.
 
 Local graph windows rewrite a stretch of curve as a 1-D graph over its
 tangent line at a base arc; slopes come from the chain rule through the
@@ -255,17 +258,24 @@ class ArcChainShape(BaseShape):
         return sv, idx
 
     def point_and_tangent(self, s):
-        sv, idx = self._locate(s)
+        raw = np.asarray(s, dtype=float)
+        sv, idx = self._locate(raw)
         shape = sv.shape + (2,)
-        sv, idx = sv.ravel(), idx.ravel()
+        sv, idx, raw = sv.ravel(), idx.ravel(), raw.ravel()
+        # each run of one segment index is one segment call; a batch whose
+        # arcs are not non-decreasing is put in segment order once, so it
+        # takes one run a segment, and its rows are written back in place
+        order = None
+        if not np.all(raw[1:] >= raw[:-1]):
+            order = np.argsort(idx, kind="stable")
+            sv, idx = sv[order], idx[order]
         pts = np.empty((sv.size, 2))
         tans = np.empty((sv.size, 2))
-        # each run of one segment index is a slice: one run a segment for
-        # a sorted batch inside one period
         starts = np.flatnonzero(np.diff(idx, prepend=-1)).tolist()
         for a, b in zip(starts, starts[1:] + [sv.size]):
             i = idx[a]
-            pts[a:b], tans[a:b] = self.segments[i].point_and_tangent(
+            rows = slice(a, b) if order is None else order[a:b]
+            pts[rows], tans[rows] = self.segments[i].point_and_tangent(
                 sv[a:b] - self._bounds[i])
         return pts.reshape(shape), tans.reshape(shape)
 
@@ -447,13 +457,6 @@ def _in_arc_window(s, patch, L):
     return _circular_gap(s - patch.base_arc, L) <= patch.arc_window
 
 
-def _unsort(rows, order):
-    """Rows computed at ``s[order]``, put back in the order of ``s``."""
-    out = np.empty_like(rows)
-    out[order] = rows
-    return out
-
-
 def _nudge_constants(patch):
     """What nudging reads of a patch, read once when the patch joins a
     stack: its center and tangent as floats, then its displacement."""
@@ -480,77 +483,45 @@ class ClosedCurve:
                 f"{len(self.patches)}")
         return ClosedCurve(self.shape, self.patches + (patch,))
 
-    def _nudge(self, sv, pts, vel, k, span):
-        """Apply patch ``k`` to the rows of a sorted batch inside its window.
+    def _nudge(self, sv, pts, vel, k):
+        """Apply patch ``k`` to the rows of the batch inside its window.
 
-        Each image ``base_arc + j L`` of the window holds one slice of the
-        batch, found by bisection with a 1e-9 L margin.  The whole batch
-        is one slice when the window reaches half the period, or when
-        ``span`` is None: some arc is not finite or lies beyond 1e4 L,
-        where rounding could exceed the margin.  A row of a slice is
-        nudged when its circular gap is within ``arc_window`` and its
-        tangent coordinate within the transition radius.
-
-        Value and slope of the displacement come from one cell lookup of
-        its table (``HermiteTable.value_and_slope``).  The knots span
-        more than the transition radius, so every nudged row reads a
+        One mask over the batch takes the rows whose base arc is within
+        ``arc_window`` of the patch's around the period; of those, the
+        rows whose tangent coordinate is within the transition radius are
+        nudged.  Value and slope of the displacement come from one cell
+        lookup of its table (``HermiteTable.value_and_slope``).  The knots
+        span more than the transition radius, so every nudged row reads a
         cell of its own.
         """
-        L = self.length
         patch = self.patches[k]
-        base = patch.base_arc
-        reach = patch.arc_window + 1e-9 * L
-        if span is None or 2.0 * reach >= L:
-            slices = ((0, sv.size),)
-        else:
-            lo, hi = span
-            slices = []
-            for j in range(math.ceil((lo - reach - base) / L),
-                           math.floor((hi + reach - base) / L) + 1):
-                c = base + j * L
-                slices.append((sv.searchsorted(c - reach),
-                               sv.searchsorted(c + reach, side="right")))
         c0, c1, t0, t1, disp = self._patch_constants[k]
-        for a, b in slices:
-            if a == b:
-                continue
-            q = pts[a:b]
-            y = (q[:, 0] - c0) * t0 + (q[:, 1] - c1) * t1
-            keep = ((np.abs(y) < patch.transition_radius)
-                    & _in_arc_window(sv[a:b], patch, L)).nonzero()[0]
-            if not keep.size:
-                continue
-            i0, i1 = keep[0], keep[-1] + 1
-            if i1 - i0 == keep.size:
-                rows, yh = slice(a + i0, a + i1), y[i0:i1]
-            else:
-                rows, yh = a + keep, y[keep]
-            d, dd = disp.value_and_slope(yh)
-            pts[rows] += d[:, None] * patch.normal
-            v = vel[rows]
-            dd *= v[:, 0] * t0 + v[:, 1] * t1
-            vel[rows] += dd[:, None] * patch.normal
+        rows = _in_arc_window(sv, patch, self.length).nonzero()[0]
+        q = pts[rows]
+        y = (q[:, 0] - c0) * t0 + (q[:, 1] - c1) * t1
+        near = np.abs(y) < patch.transition_radius
+        rows, y = rows[near], y[near]
+        d, dd = disp.value_and_slope(y)
+        pts[rows] += d[:, None] * patch.normal
+        v = vel[rows]
+        dd *= v[:, 0] * t0 + v[:, 1] * t1
+        vel[rows] += dd[:, None] * patch.normal
 
     def point_and_velocity(self, s):
         """Position and (unnormalized) parameter velocity at base arcs.
 
-        The batch is flattened and, unless it is already non-decreasing,
-        put in order by one stable sort that is undone at the end.  The
-        base shape is evaluated once for the whole batch; then every
-        patch near it, in stack order, nudges the sorted rows inside its
-        window.  Tangent coordinates are per-row sums, not matrix
-        products, so a row's bytes do not depend on its batch.
+        The batch is flattened and the base shape evaluated once for all
+        of it; then every patch near it, in stack order, nudges the rows
+        inside its window.  Tangent coordinates are per-row sums, not
+        matrix products, so a row's bytes do not depend on its batch or
+        its order.
         """
         s = np.asarray(s, dtype=float)
         sv = s.ravel()
-        order = None
-        if sv.size > 1 and not np.all(sv[1:] >= sv[:-1]):
-            order = np.argsort(sv, kind="stable")
-            sv = sv[order]
         pts, vel = self.shape.point_and_tangent(sv)
         if self.patches and sv.size:
             L = self.length
-            lo, hi = float(sv[0]), float(sv[-1])
+            lo, hi = float(sv.min()), float(sv.max())
             # narrow batches touch few patches; the circular triangle
             # inequality makes the skip exact, so results match a full loop
             half = 0.5 * (hi - lo)
@@ -559,14 +530,8 @@ class ClosedCurve:
                 chosen = np.nonzero(gap <= half + self._patch_spans)[0]
             else:
                 chosen = range(len(self.patches))
-            # bisection needs finite arcs whose rounding stays far below
-            # its margin; NaN and inf fail this test
-            span = (lo, hi) if -1e4 * L < lo and hi < 1e4 * L else None
             for k in chosen:
-                self._nudge(sv, pts, vel, k, span)
-        if order is not None:
-            pts = _unsort(pts, order)
-            vel = _unsort(vel, order)
+                self._nudge(sv, pts, vel, k)
         return pts.reshape(s.shape + (2,)), vel.reshape(s.shape + (2,))
 
     def point(self, s):
@@ -605,9 +570,14 @@ def sample_manifold(curve, n):
     """Sample a closed curve at ``n`` uniform steps of its base parameter.
 
     ``max_gap`` is the measured largest chord between neighbors (wrap
-    included), which bounds the true sample density on the curve.
+    included), which bounds the true sample density on the curve.  ``n``
+    is a whole number: strings, booleans and floats with a fractional
+    part are refused, as ``as_float`` refuses strings and booleans.
     """
-    n = int(n)
+    v = as_float(n, "sample count")
+    if not v.is_integer():
+        raise InvalidInputError(f"sample count must be an integer, got {n!r}")
+    n = int(v)
     if n < MIN_SAMPLES:
         raise InvalidInputError(f"need at least {MIN_SAMPLES} samples, got {n}")
     params = np.arange(n) * (curve.length / n)

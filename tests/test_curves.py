@@ -14,6 +14,7 @@ from reachsmooth.errors import GeometryError, InvalidInputError
 from reachsmooth.kernels import _lattice_convolve
 from reachsmooth.partition import smoothing_window_radius
 from reachsmooth.ppoly import HermiteTable
+from reachsmooth.reach import scan_curve_reach
 from reachsmooth.smoothing import smooth_manifold
 
 
@@ -144,16 +145,20 @@ def test_chain_rejects_single_segment():
         ArcChainShape([LineSegment(np.array([0.0, 0.0]), np.array([1.0, 0.0]))])
 
 
-@pytest.mark.parametrize("spec", [
+CHAINS = pytest.mark.parametrize("spec", [
     {"kind": "stadium", "r": 1.0, "l": 2.0},
     {"kind": "cad_profile", "preset": "rounded_rect",
      "width": 2.0, "height": 1.0, "corner_radius": 0.2}],
     ids=["stadium", "rounded_rect"])
+
+
+@CHAINS
 def test_chain_sorted_batch_matches_permuted(spec):
-    # each run of one segment index is evaluated as a slice: a sorted
-    # batch inside one period has one run a segment, a permuted one or
-    # one that wraps arc 0 (a junction of both shapes) more; every batch,
-    # a lone arc and a 0-d one give each arc the same bytes
+    # each run of one segment index is one segment call: a sorted batch
+    # inside one period has one run a segment, one that wraps arc 0 (a
+    # junction of both shapes) one more, and a permuted one is sorted by
+    # segment first; every batch, a lone arc and a 0-d one give each arc
+    # the same bytes
     shape = make_shape(spec)
     L = shape.length
     rng = np.random.default_rng(5)
@@ -177,6 +182,26 @@ def test_chain_sorted_batch_matches_permuted(spec):
     assert np.any(wrap < 0.0) and np.any(wrap > 0.0)
     none = shape.point_and_tangent(np.empty((0, 3)))
     assert none[0].shape == none[1].shape == (0, 3, 2)
+
+
+@CHAINS
+def test_unsorted_chain_read_calls_each_segment_once(spec, monkeypatch):
+    # a permuted batch is put in segment order once, so it pays one
+    # segment call a segment, as the sorted batch does, not one a run
+    shape = make_shape(spec)
+    s = np.linspace(0.0, shape.length, 10_001, endpoint=False)
+    perm = np.random.default_rng(8).permutation(s.size)
+    pts, tans = shape.point_and_tangent(s)
+    calls = []
+    for cls in (LineSegment, ArcSegment):
+        def counted(seg, t, read=cls.point_and_tangent):
+            calls.append(id(seg))
+            return read(seg, t)
+        monkeypatch.setattr(cls, "point_and_tangent", counted)
+    p_pts, p_tans = shape.point_and_tangent(s[perm])
+    assert sorted(calls) == sorted(map(id, shape.segments))
+    assert pts[perm].tobytes() == p_pts.tobytes()
+    assert tans[perm].tobytes() == p_tans.tobytes()
 
 
 def test_make_shape_errors():
@@ -318,6 +343,13 @@ def test_sample_manifold_validation():
         sample_manifold(curve, spacing=0.1)
     with pytest.raises(InvalidInputError):
         sample_manifold(curve, n=4)
+    # the count is a whole number, not text, a flag or a truncated float
+    for bad in ("100", True, 99.9, np.float64(12.5)):
+        with pytest.raises(InvalidInputError):
+            sample_manifold(curve, n=bad)
+    with pytest.raises(InvalidInputError):
+        scan_curve_reach(curve, "64")
+    assert sample_manifold(curve, n=np.float64(64.0)).count == 64
 
 
 def test_circle_local_graph_closed_form():
@@ -610,8 +642,9 @@ ORACLE_CURVES = {"wide_window": wide_window_circle}
 
 @pytest.mark.parametrize("batch", list(ORACLE_BATCHES))
 def test_patch_prefilter_matches_full_scan(batch):
-    # sorting, the distance prefilter and the bisected slices must agree
-    # with nudging every patch in order through masks, bit for bit
+    # the distance prefilter, taken from the batch's least and largest
+    # arcs, must agree with nudging every patch in order through masks,
+    # bit for bit, in any batch order
     curve = ORACLE_CURVES.get(batch, stacked_circle)()
     s = ORACLE_BATCHES[batch]
     with np.errstate(invalid="ignore"):  # sin and cos of +-inf
