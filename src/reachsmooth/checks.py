@@ -26,14 +26,13 @@ own pass threshold.
 
 Checking costs what the checks need and no more: the grid of the patch
 arrays and the taps of its blend sit on one lattice, so the arrays cost
-Newton solves, value and slope together, of the lattice points the
-blend reads, in reads of at most ``kernels._READ_POINTS`` points (one
-for a catalog patch at epsilon 0.05); the far-point check bounds the
-core rows
-against each far sample by their tangent-ball centers and compares pair
-by pair only the blocks of rows and the samples that can hold the
-maximum; and each of the theorem's smoothness probes opens one window
-and reads it one stencil at a time.
+graph reads, value and slope together, of the lattice points the blend
+reads, in reads of at most ``kernels._READ_POINTS`` points (one, in
+closed form, for a catalog patch at epsilon 0.05); the far-point check
+bounds the core rows against each far sample by their tangent-ball
+centers and compares pair by pair only the blocks of rows and the
+samples that can hold the maximum; and each of the theorem's
+smoothness probes opens one window and reads it one stencil at a time.
 
 The two pair checkers (tangent distance, far point) never hold more
 than ``_PAIR_FLOATS`` = 4096 pairs, 32 KiB of float64, in one
@@ -639,8 +638,10 @@ def check_main_theorem(result, *, seed=0):
     outcome is failure, and a micro pair scan at each kink, whose ratio
     must stay at least R - epsilon.
 
-    Each probe opens its own window and reads it in four graph solves,
-    one per stencil; see ``_probe_rows``.
+    Each probe opens its own window and reads it in four graph reads,
+    one per stencil; see ``_probe_rows``.  A probe on the finished curve
+    opens its window where a patch reaches, so it reads by Newton; a
+    control on the raw curve reads in closed form.
     """
     rep = result.report
     rows = []

@@ -7,7 +7,8 @@ increasing knots ``x``.  On the cell ``[x[i], x[i + 1])`` it reads
 
 with the coefficients in a ``(4, n - 1)`` array ``c``.  Every table of
 the package is one: the plateau ramp, each patch displacement, the
-ellipse's arc-length inverse and each graph window's warm start.
+ellipse's arc-length inverse and the warm start of each graph window
+that reads by Newton's method.
 
 The arithmetic is that of SciPy's ``CubicHermiteSpline`` and
 ``PPoly.__call__``, so a table holds and reads the same bytes: the

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
 from ._util import _as_real_array, as_positive_float
 from .curves import (AppliedPatch, BaseShape, ClosedCurve, local_graph_at,
                      make_shape, sample_manifold)
@@ -178,9 +177,12 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max):
     of ``sigma_max``, the room w - r2 left by the plateau support r2,
     and ``kernels._proven_radius`` at 16 taps (``_PATCH_TAPS``) for the
     budgets rho R in value and rho in slope, with these constants or the
-    measured ``lip_graph`` and ``lip_slope`` where they are larger.
+    window's ``lip_graph`` and ``lip_slope`` (``LocalGraph.slope_bounds``:
+    exact from the pieces of a closed-form window, read at 257 points on
+    the Newton route) where they are larger.
     Where the window meets no earlier patch the closed forms are the
-    larger, so the radius is proven; that covers every catalog shape.  A
+    larger, or equal to rounding where the window ends on an arc of
+    radius R, so the radius is proven; that covers every catalog shape.  A
     window stacked on an earlier patch (junctions closer than a window)
     is not a reach-R curve there, and its radius rests on the measured
     constants and the witness below.
@@ -196,9 +198,8 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max):
     Raises
     ------
     GeometryError
-        If the window is not a graph (first seen where its slope is read
-        at 257 points for ``lip_graph`` and ``lip_slope``) or the
-        pushed-forward center drifted past the shift budget
+        If the window is not a graph (first seen by ``slope_bounds``)
+        or the pushed-forward center drifted past the shift budget
         sqrt(delta R)/32.
     ConvergenceError
         If the proven radius would resolve the grid into more than
@@ -216,10 +217,7 @@ def smooth_patch(curve, base_arc, *, delta, R, rho, psi, sigma_max):
     budget = w / 16.0
 
     graph = local_graph_at(curve, base_arc, w)
-    ys = np.linspace(-w, w, 257)
-    slopes = graph.slope(ys)
-    lip_graph = float(np.abs(slopes).max())
-    lip_slope = _accel.max_abs_diff_quotient(ys, slopes)[0]
+    lip_graph, lip_slope = graph.slope_bounds()
     shift = float(np.linalg.norm(graph.center - curve.shape.point(np.array(base_arc))))
     if shift > budget:
         raise GeometryError(

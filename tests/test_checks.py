@@ -267,16 +267,17 @@ def test_pair_checkers_peak_below_one_dense_pair_matrix(stadium_run):
     assert peak < blocks * far.shape[0] * 8, peak
 
 
-def _solve_batches(monkeypatch):
-    """Records the shape of every batch ``LocalGraph._solve`` reads."""
+def _read_batches(monkeypatch):
+    """Records the shape of every batch ``LocalGraph._read`` reads, by
+    the closed form or by Newton."""
     batches = []
-    solve = LocalGraph._solve
+    read = LocalGraph._read
 
     def counted(self, y):
         batches.append(np.shape(y))
-        return solve(self, y)
+        return read(self, y)
 
-    monkeypatch.setattr(LocalGraph, "_solve", counted)
+    monkeypatch.setattr(LocalGraph, "_read", counted)
     return batches
 
 
@@ -379,7 +380,7 @@ def test_patch_graph_arrays_share_one_tap_grid_solve(stadium_run,
                                                       monkeypatch):
     patch = stadium_run.result.curve.patches[2]
     k = _patch_grid(patch)
-    batches = _solve_batches(monkeypatch)
+    batches = _read_batches(monkeypatch)
     arrays = patch_graph_arrays(patch)
     monkeypatch.undo()
     # one 1-D read serves the grid, the blend's base and every tap: the
@@ -406,7 +407,7 @@ def test_patch_graph_arrays_read_one_lattice_at_every_scale(kind, lam,
         k = _patch_grid(patch)
         s = k[1] - k[0]
         assert s == {"stadium": 9, "rounded_rect": 4}[kind]
-        batches = _solve_batches(monkeypatch)
+        batches = _read_batches(monkeypatch)
         arrays = patch_graph_arrays(patch)
         monkeypatch.undo()
         assert _bits(arrays[0]) == _bits(
@@ -429,18 +430,18 @@ def _resized_patch(patch, factor):
 
 def _lattice_batches(monkeypatch, blend):
     """The lattice indices of every batch ``blend``'s graph reads, as
-    ``LocalGraph._solve`` is asked for them, in order."""
+    ``LocalGraph._read`` is asked for them, in order."""
     h = blend.kernel.sigma / blend.taps
     batches = []
-    solve = LocalGraph._solve
+    read = LocalGraph._read
 
     def counted(self, y):
         i = np.rint(np.asarray(y) / h).astype(np.int64)
         assert _bits(np.asarray(y)) == _bits(i * h)
         batches.append(i)
-        return solve(self, y)
+        return read(self, y)
 
-    monkeypatch.setattr(LocalGraph, "_solve", counted)
+    monkeypatch.setattr(LocalGraph, "_read", counted)
     return batches
 
 

@@ -7,9 +7,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ellipe
 
+from reachsmooth import curves
 from reachsmooth.curves import (AppliedPatch, ArcChainShape, ArcSegment,
-                                ClosedCurve, LineSegment, local_graph_at,
-                                make_shape, sample_manifold)
+                                ClosedCurve, LineSegment, LocalGraph,
+                                local_graph_at, make_shape, sample_manifold,
+                                stadium_segments)
 from reachsmooth.errors import GeometryError, InvalidInputError
 from reachsmooth.kernels import _lattice_convolve
 from reachsmooth.partition import smoothing_window_radius
@@ -129,6 +131,56 @@ def test_chain_rejects_gap():
             LineSegment(np.array([1.0, 0.5]), np.array([0.0, 0.5]))]
     with pytest.raises(InvalidInputError, match="gap|breaks"):
         ArcChainShape(segs)
+
+
+def _junction_jumps(curve):
+    """At each segment bound b of the curve's chain: the distance between
+    the points at b and at the arc just below it, less that step of arc,
+    in ulps of the largest coordinate."""
+    bounds = curve.shape._bounds[:-1]
+    s = np.stack([np.nextafter(bounds, -np.inf), bounds], axis=1)
+    s[0, 0] = np.nextafter(curve.length, -np.inf)
+    step = np.where(bounds == 0.0, curve.length - s[:, 0], bounds - s[:, 0])
+    pts = curve.point(s)
+    jump = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1) - step
+    return jump / np.spacing(np.abs(pts).max())
+
+
+def test_chain_snaps_lines_onto_their_neighbours():
+    # a stadium whose first line overshoots the cap by 5e-10, within the
+    # chain's gap tolerance: the line is moved onto the arc, so the
+    # chain, and the curve a run returns, is continuous at every
+    # junction, as the catalog's are
+    segs = stadium_segments(1.0, 2.0)
+    segs[0] = LineSegment(segs[0].start, segs[0].end + np.array([5e-10, 0.0]))
+    over = ArcChainShape(segs)
+    assert over.segments[0].end.tobytes() == segs[1].point_and_tangent(0.0)[0].tobytes()
+    assert over.segments[1] is segs[1]
+    for shape in [over] + [make_shape(spec) for spec in CATALOG[2:] + [CLOSE_JUNCTIONS]]:
+        result = smooth_manifold(shape, 0.05)
+        for curve in (ClosedCurve(shape), result.curve):
+            assert _junction_jumps(curve).max() <= 4.0, shape.describe()
+    # two arcs cannot move: where they meet, a gap of more than a few
+    # ulps is refused
+    halves = [ArcSegment(np.zeros(2), 1.0, 0.0, math.pi),
+              ArcSegment(np.zeros(2), 1.0, math.pi, math.pi)]
+    ArcChainShape(halves)
+    with pytest.raises(InvalidInputError, match="breaks"):
+        ArcChainShape([halves[0], ArcSegment(np.array([0.0, 1e-12]), 1.0,
+                                             math.pi, math.pi)])
+
+
+def test_line_segment_reads_its_length_once():
+    # length and unit direction are computed when the segment is made,
+    # with the bytes a norm taken on every read would give
+    seg = LineSegment(np.array([0.1, -0.3]), np.array([2.7, 1.9]))
+    delta = seg.end - seg.start
+    assert seg.length == float(np.linalg.norm(delta))
+    assert seg.direction.tobytes() == (delta / np.linalg.norm(delta)).tobytes()
+    pts, tans = seg.point_and_tangent(np.array([0.0, 1.0]))
+    assert tans[0].tobytes() == seg.direction.tobytes()
+    with pytest.raises(InvalidInputError):
+        LineSegment(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
 
 
 def test_chain_rejects_tangent_jump():
@@ -448,14 +500,17 @@ def test_local_graph_empty_batch():
 
 
 def _assert_reads_pointwise(graph, ys, what):
-    """``graph`` read at ``ys`` in 4096-point batches, and at 200 of its
-    points one at a time, gives one whole read's bits.  The whole read
-    comes first, so a window's warm-start table is the same for all."""
+    """``graph`` read at ``ys`` in 4096-point batches, reversed, and at
+    200 of its points one at a time, gives one whole read's bits.  The
+    whole read comes first, so a window's warm-start table is the same
+    for all."""
     whole = graph.value_and_slope(ys)
     parts = [graph.value_and_slope(ys[i:i + 4096])
              for i in range(0, ys.size, 4096)]
     for got, want in zip(map(np.concatenate, zip(*parts)), whole):
         assert got.tobytes() == want.tobytes(), what
+    for got, want in zip(graph.value_and_slope(ys[::-1]), whole):
+        assert got[::-1].tobytes() == want.tobytes(), what
     for i in np.linspace(0, ys.size - 1, 200).astype(np.int64):
         one = graph.value_and_slope(ys[i:i + 1])
         assert [v.tobytes() for v in one] == [v[i:i + 1].tobytes() for v in whole], (what, i)
@@ -473,8 +528,11 @@ def test_local_graph_reads_are_pointwise(eps):
     # whole read gives it: on every catalog and close-junction patch, the
     # lattice its arrays read, and on a window of the finished stadium
     # at its arc-0 junction, opened as a theorem probe opens one, reads
-    # in 4096-point batches or of one point are the whole read's bits
-    seen = 0
+    # in 4096-point batches, reversed or of one point are the whole
+    # read's bits.  The patches' windows read in closed form, but for the
+    # two close-junction windows stacked on a patch and the probe's,
+    # which read by Newton
+    routes = []
     for spec in CATALOG + [CLOSE_JUNCTIONS]:
         result = smooth_manifold(spec, eps)
         for patch in result.curve.patches:
@@ -483,13 +541,120 @@ def test_local_graph_reads_are_pointwise(eps):
             edge = math.floor(patch.transition_radius / h) + b.taps
             ys = np.arange(-edge, edge + 1) * h
             _assert_reads_pointwise(b.graph, ys, (spec, patch.index))
-            seen += 1
+            routes.append(b.graph._pieces is not None)
         if spec["kind"] == "stadium":
             final = result.curve
             w = 12.0 * min(p.sigma for p in final.patches)
             g = local_graph_at(final, 0.0, w)
+            assert g._pieces is None
             _assert_reads_pointwise(g, np.linspace(-w, w, 16001), "stadium window")
-    assert seen == 20
+    assert len(routes) == 20 and routes.count(False) == 2
+
+
+def _newton(graph):
+    """The window of ``graph`` read by Newton's method through the
+    curve, the closed form's oracle."""
+    oracle = LocalGraph(graph.curve, graph.base_arc, graph.window)
+    oracle._pieces = None
+    return oracle
+
+
+def _assert_matches_newton(graph, ys, what):
+    """Closed-form values within 8 ulps of the window's largest
+    coordinate of Newton's, and slopes within 1e-13."""
+    assert graph._pieces is not None, what
+    f, df = graph.value_and_slope(ys)
+    fn, dfn = _newton(graph).value_and_slope(ys)
+    p = float(np.abs(graph.center).max()) + graph.window.hi
+    assert np.abs(f - fn).max() <= 8 * np.spacing(p), what
+    assert np.abs(df - dfn).max() <= 1e-13, what
+
+
+def test_closed_form_reads_match_newton():
+    # every window the pipeline opens on the catalog and every unstacked
+    # close-junction window read in closed form, and so does a window of
+    # half-width 12 sigma at each junction of the raw stadium, as a
+    # control probe opens it; Newton through the same curve is the oracle
+    seen = 0
+    for spec in CATALOG + [CLOSE_JUNCTIONS]:
+        result = smooth_manifold(spec, 0.05)
+        for patch in result.curve.patches:
+            graph = patch.blend.graph
+            if spec is CLOSE_JUNCTIONS and graph._pieces is None:
+                continue
+            w = graph.window.hi
+            _assert_matches_newton(graph, np.linspace(-w, w, 4001), (spec, patch.index))
+            seen += 1
+        if spec["kind"] == "stadium":
+            raw = ClosedCurve(result.curve.shape)
+            w = 12.0 * min(p.sigma for p in result.curve.patches)
+            for arc in raw.shape.junction_arcs():
+                _assert_matches_newton(local_graph_at(raw, arc, w),
+                                       np.linspace(-w, w, 4001), arc)
+    assert seen == 4 + 8 + 6
+
+
+def test_stacked_window_reads_by_newton(monkeypatch):
+    # the second of two junctions 1e-3 apart opens its window on the
+    # first one's patch, so it reads by Newton, each read evaluating the
+    # curve; the same window of the raw chain reads in closed form and
+    # evaluates no curve point
+    result = smooth_manifold(CLOSE_JUNCTIONS, 0.05)
+    patches = result.curve.patches
+    assert [p.index for p in patches if p.blend.graph._pieces is None] == [1, 5]
+    stacked = patches[1].blend.graph
+    raw = local_graph_at(ClosedCurve(result.curve.shape), stacked.base_arc,
+                         stacked.window.hi)
+    evaluations = []
+    real = ClosedCurve.point_and_velocity
+
+    def counted(self, s):
+        evaluations.append(np.size(s))
+        return real(self, s)
+
+    monkeypatch.setattr(ClosedCurve, "point_and_velocity", counted)
+    ys = np.linspace(-0.5, 0.5, 101) * stacked.window.hi
+    raw.value_and_slope(ys)
+    assert evaluations == []
+    stacked.value_and_slope(ys)
+    assert evaluations and set(evaluations) == {ys.size}
+
+
+def test_closed_form_window_folds():
+    # a window wider than the stadium's cap folds on the cap, and one
+    # across a rounded rectangle's corner folds where the corner turns a
+    # right angle: a read past the fold raises GeometryError, as Newton's
+    # does, and so do the window's slope bounds; reads short of it pass
+    stadium = ClosedCurve(make_shape({"kind": "stadium", "r": 1.0, "l": 2.0}))
+    rect = ClosedCurve(make_shape(CATALOG[3]))
+    for curve, arc, w, inside in ((stadium, 2.0 + 0.5 * math.pi, 1.2, 0.99),
+                                  (rect, 0.8, 1.2, 0.99)):
+        graph = local_graph_at(curve, arc, w)
+        assert graph._pieces is not None
+        assert np.isfinite(graph.value_and_slope(np.array([-inside, inside]))).all()
+        for y in (-w, w):
+            with pytest.raises(GeometryError):
+                graph.value(y)
+            with pytest.raises(GeometryError):
+                _newton(graph).value(y)
+        with pytest.raises(GeometryError):
+            graph.slope_bounds()
+
+
+def test_slope_bounds_are_the_window_maxima():
+    # the pieces' bounds are the largest |f'| and |f''| over the window:
+    # at least what 257 Newton slopes and their difference quotients read
+    # (which can under-read), and within 1% of them
+    for spec in CATALOG[2:]:
+        curve = ClosedCurve(make_shape(spec))
+        for arc in list(curve.shape.junction_arcs()) + [0.3, 1.0]:
+            graph = local_graph_at(curve, arc, 0.08)
+            lip_graph, lip_slope = graph.slope_bounds()
+            newton_graph, newton_slope = _newton(graph).slope_bounds()
+            assert newton_graph <= lip_graph * (1 + 1e-12) + 1e-15
+            assert newton_slope <= lip_slope * (1 + 1e-9) + 1e-9
+            assert lip_graph - newton_graph <= 1e-2 * max(1.0, lip_graph)
+            assert lip_slope - newton_slope <= 1e-2 * max(1.0, lip_slope)
 
 
 def test_local_graph_folds_beyond_reach():
@@ -687,6 +852,23 @@ def test_with_patch_extends_the_patch_arrays():
     assert np.array_equal(curve._patch_arcs, rebuilt._patch_arcs)
     assert np.array_equal(curve._patch_spans, rebuilt._patch_spans)
     assert curve._patch_arcs.dtype == rebuilt._patch_arcs.dtype == np.float64
+    for got, want in zip(curve._patch_constants, rebuilt._patch_constants):
+        assert got[:4] == want[:4] and got[4] is want[4]
+
+
+def test_with_patch_reads_each_patch_once(monkeypatch):
+    # a run of n patches reads the constants of each patch once, when it
+    # joins the stack, not once per later stack
+    calls = []
+    real = curves._nudge_constants
+
+    def counted(patch):
+        calls.append(patch.index)
+        return real(patch)
+
+    monkeypatch.setattr(curves, "_nudge_constants", counted)
+    result = smooth_manifold(CATALOG[3], 0.05)
+    assert calls == list(range(8)) == [p.index for p in result.curve.patches]
 
 
 CATALOG = [{"kind": "circle", "r": 1.3},

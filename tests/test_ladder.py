@@ -38,19 +38,11 @@ _PAIR = ("the junction micro scans read absolute coordinates, so the four "
          "pair ratios read {} against R - epsilon (ROADMAP item 16)")
 _KNOWN = {
     (5e-4, "junction_probe_control"): _PROBE,
-    (5e-4, "junction_pair_ratio"): _PAIR.format("0.32-0.40"),
+    (5e-4, "junction_pair_ratio"): _PAIR.format("0.19-0.20"),
     (5e-5, "junction_probe_control"): _PROBE,
-    (5e-5, "junction_pair_ratio"): _PAIR.format("2.3e-3"),
+    (5e-5, "junction_pair_ratio"): _PAIR.format("1.7e-3"),
     (5e-6, "junction_probe_control"): _PROBE,
-    (5e-6, "junction_pair_ratio"): _PAIR.format("1.0e-4"),
-    (5e-6, "reach_drop_strict"): (
-        "R - R_hat_measured reads 249 epsilon: value noise of about "
-        "ulp(|p|) in the local graph becomes slope noise between the "
-        "table's knots (ROADMAP item 16)"),
-    (5e-6, "table_slope"): (
-        "the table's slope reads 25.4 rho between its knots, though the "
-        "live blend reads 0.845 rho there: the same value noise in the "
-        "local graph (ROADMAP items 16 and 21)"),
+    (5e-6, "junction_pair_ratio"): _PAIR.format("9.8e-3 to 1.0e-2"),
 }
 
 

@@ -67,10 +67,20 @@ def _ellipse_inverse(monkeypatch):
 
 
 def _stadium_warm_start(monkeypatch):
-    made = _tables_made(monkeypatch, curves)
+    # a window of the raw chain reads in closed form and builds no
+    # table; the same window once its junction's patch is applied reads
+    # by Newton, whose first sorted solve becomes the warm-start table
     shape = make_shape({"kind": "stadium", "r": 1.0, "l": 2.0})
-    w = smoothing_window_radius(0.025, 1.0)
-    graph = local_graph_at(ClosedCurve(shape), float(shape.junction_arcs()[0]), w)
+    delta, R = 0.025, 1.0
+    psi = rescale_plateau(make_reference_plateau(), delta, R)
+    w = smoothing_window_radius(delta, R)
+    arc = float(shape.junction_arcs()[0])
+    curve, patch, _ = smoothing.smooth_patch(
+        ClosedCurve(shape), arc, delta=delta, R=R,
+        rho=0.8 / (1.0 + psi.combined_lipschitz(R)), psi=psi, sigma_max=w / 128.0)
+    assert patch is not None and patch.blend.graph._table is None
+    made = _tables_made(monkeypatch, curves)
+    graph = local_graph_at(curve, arc, w)
     graph.slope(np.linspace(-w, w, 257))
     assert graph._table is made[0][1]
     return made[0]
